@@ -40,6 +40,10 @@
 // exactly the unfiltered answer minus the non-matching documents. DF reads
 // the corpus-wide descriptor and ignores the filter.
 //
+// A numeric parameter that is missing or does not parse (doc, cluster,
+// x/y/r, a tile coordinate, ts, after, before; k may be absent and then
+// defaults to 5) answers bad_request — never a silent zero.
+//
 // Pass session=NAME on query endpoints to accumulate per-session virtual
 // latency across requests; anonymous requests each get a fresh session.
 // Every request runs under its http.Request context, so a disconnected
@@ -50,6 +54,9 @@
 // excess load with 429 + Retry-After, and graceful degradation (smaller
 // similarity K, coarser tiles, flagged with X-Degraded: 1) as the in-flight
 // level approaches the ceiling.
+//
+// Every response is encoded into a pooled buffer and written once, with its
+// Content-Length; encode.go holds that path.
 package httpd
 
 import (
@@ -60,6 +67,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -248,7 +256,8 @@ type ErrorInfo struct {
 	Message string `json:"message"`
 }
 
-// Envelope is the /v1 response shape.
+// Envelope is the /v1 response shape, for clients to decode into; the
+// daemon itself writes it with appendBody.
 type Envelope struct {
 	OK    bool            `json:"ok"`
 	Data  json.RawMessage `json:"data,omitempty"`
@@ -285,48 +294,79 @@ func httpStatus(code string) int {
 	}
 }
 
-// run executes one parsed operation against a session, holding its lock so
+// params reads one op's parameters, named as the HTTP routes document them
+// (the line protocol spells its positional arguments the same way). The
+// numeric readers keep the first missing or malformed value in err and the
+// caller refuses the request: strconv's zero value would alias garbage to
+// document 0, cluster 0, the root tile or the origin.
+type params struct {
+	url.Values
+	err error
+}
+
+// num reads an integer of the given bit size (0 = int).
+func (p *params) num(key, what string, bits int) int64 {
+	v := p.Get(key)
+	n, err := strconv.ParseInt(v, 10, bits)
+	if err != nil && p.err == nil {
+		p.err = fmt.Errorf("%s %q is not %s", key, v, what)
+	}
+	return n
+}
+
+// optNum is num for a parameter that may be absent (0 then).
+func (p *params) optNum(key, what string) int64 {
+	if p.Get(key) == "" {
+		return 0
+	}
+	return p.num(key, what, 64)
+}
+
+func (p *params) float(key string) float64 {
+	v := p.Get(key)
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil && p.err == nil {
+		p.err = fmt.Errorf("%s %q is not a number", key, v)
+	}
+	return f
+}
+
+// run executes one operation against a session, holding its lock so
 // concurrent requests on one name serialize and the reported virtual_ms
 // belongs to this interaction. degraded requests answer with reduced
 // fidelity: a clamped similarity K, and tile addresses coarsened to the
 // degrade zoom.
-func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, args map[string]string, facets []string, degraded bool) Reply {
+func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.Values, degraded bool) Reply {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	sess := ns.sess
 	rep := Reply{Op: op}
+	p := params{Values: vals}
 	// The metadata filter is per-request: absent parameters install the zero
 	// Filter, which clears anything a previous request on this named session
 	// set. Writes ignore the filter, so installing it unconditionally keeps
 	// every op on one code path.
-	var f serve.Filter
-	var ferr error
-	if v := args["after"]; v != "" {
-		if f.After, ferr = strconv.ParseInt(v, 10, 64); ferr != nil {
-			rep.Error = fmt.Sprintf("after %q is not a unix timestamp", v)
-			return rep
-		}
+	f := serve.Filter{
+		After:  p.optNum("after", "a unix timestamp"),
+		Before: p.optNum("before", "a unix timestamp"),
+		Facets: vals["facet"],
 	}
-	if v := args["before"]; v != "" {
-		if f.Before, ferr = strconv.ParseInt(v, 10, 64); ferr != nil {
-			rep.Error = fmt.Sprintf("before %q is not a unix timestamp", v)
-			return rep
-		}
+	if p.err == nil {
+		p.err = sess.SetFilter(f)
 	}
-	f.Facets = facets
-	if err := sess.SetFilter(f); err != nil {
-		rep.Error = err.Error()
+	if p.err != nil {
+		rep.Error = p.err.Error()
 		return rep
 	}
 	terms := func() []string {
-		return strings.FieldsFunc(args["q"], func(r rune) bool { return r == ',' || r == ' ' })
+		return strings.FieldsFunc(p.Get("q"), func(r rune) bool { return r == ',' || r == ' ' })
 	}
 	switch op {
 	case "term":
-		rep.Postings = sess.TermDocs(ctx, args["q"])
+		rep.Postings = sess.TermDocs(ctx, p.Get("q"))
 		rep.Count = len(rep.Postings)
 	case "df":
-		rep.DF = sess.DF(ctx, args["q"])
+		rep.DF = sess.DF(ctx, p.Get("q"))
 	case "and":
 		rep.Docs = sess.And(ctx, terms()...)
 		rep.Count = len(rep.Docs)
@@ -334,8 +374,11 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, args map[
 		rep.Docs = sess.Or(ctx, terms()...)
 		rep.Count = len(rep.Docs)
 	case "similar":
-		doc, _ := strconv.ParseInt(args["doc"], 10, 64)
-		k, _ := strconv.Atoi(args["k"])
+		doc := p.num("doc", "a document ID", 64)
+		k := int(p.optNum("k", "a result count"))
+		if p.err != nil {
+			break
+		}
 		if k <= 0 {
 			k = 5
 		}
@@ -349,23 +392,19 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, args map[
 		rep.Hits = hits
 		rep.Count = len(hits)
 	case "theme":
-		k, _ := strconv.Atoi(args["cluster"])
-		rep.Docs = sess.ThemeDocs(ctx, k)
-		rep.Count = len(rep.Docs)
+		if k := int(p.num("cluster", "a cluster index", 0)); p.err == nil {
+			rep.Docs = sess.ThemeDocs(ctx, k)
+			rep.Count = len(rep.Docs)
+		}
 	case "near":
-		x, _ := strconv.ParseFloat(args["x"], 64)
-		y, _ := strconv.ParseFloat(args["y"], 64)
-		r, _ := strconv.ParseFloat(args["r"], 64)
-		rep.Docs = sess.Near(ctx, x, y, r)
-		rep.Count = len(rep.Docs)
+		if x, y, r := p.float("x"), p.float("y"), p.float("r"); p.err == nil {
+			rep.Docs = sess.Near(ctx, x, y, r)
+			rep.Count = len(rep.Docs)
+		}
 	case "tile":
-		z, errZ := strconv.Atoi(args["z"])
-		x, errX := strconv.Atoi(args["x"])
-		y, errY := strconv.Atoi(args["y"])
-		if errZ != nil || errX != nil || errY != nil {
-			// A malformed address must not alias to a valid tile (Atoi's
-			// zero value is the root tile).
-			rep.Error = fmt.Sprintf("tile address %q/%q/%q is not numeric", args["z"], args["x"], args["y"])
+		z, x, y := int(p.num("z", "", 0)), int(p.num("x", "", 0)), int(p.num("y", "", 0))
+		if p.err != nil {
+			p.err = fmt.Errorf("tile address %q/%q/%q is not numeric", p.Get("z"), p.Get("x"), p.Get("y"))
 			break
 		}
 		if degraded && z > d.limits.DegradeMaxZoom {
@@ -382,32 +421,32 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, args map[
 			rep.Count = int(t.Docs)
 		}
 	case "add":
-		var ts int64
-		if v := args["ts"]; v != "" {
-			var err error
-			if ts, err = strconv.ParseInt(v, 10, 64); err != nil {
-				rep.Error = fmt.Sprintf("ts %q is not a unix timestamp", v)
-				return rep
-			}
+		ts := p.optNum("ts", "a unix timestamp")
+		if p.err != nil {
+			break
 		}
-		doc, err := sess.AddDoc(ctx, args["text"], ts, facets)
+		doc, err := sess.AddDoc(ctx, p.Get("text"), ts, vals["facet"])
 		if err != nil {
 			rep.Error = err.Error()
 		} else {
 			rep.Doc, rep.OK = doc, true
 		}
 	case "delete":
-		doc, err := strconv.ParseInt(args["doc"], 10, 64)
-		if err == nil {
-			err = sess.Delete(ctx, doc)
+		doc := p.num("doc", "a document ID", 64)
+		if p.err != nil {
+			break
 		}
-		if err != nil {
+		if err := sess.Delete(ctx, doc); err != nil {
 			rep.Error = err.Error()
 		} else {
 			rep.Doc, rep.OK = doc, true
 		}
 	default:
 		rep.Error = fmt.Sprintf("unknown op %q", op)
+		return rep
+	}
+	if p.err != nil {
+		rep.Error = p.err.Error()
 		return rep
 	}
 	rep.VirtualMS = sess.Stats().LastMS
@@ -480,48 +519,38 @@ func (d *Daemon) release() { d.inflight.Add(-1) }
 func (d *Daemon) shedReply(w http.ResponseWriter, v1 bool, op, code, msg string) {
 	d.shed.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(d.limits.RetryAfter.Seconds()))))
-	if v1 {
-		writeJSONStatus(w, httpStatus(code), Envelope{OK: false, Error: &ErrorInfo{Code: code, Message: msg}})
-		return
-	}
-	writeJSONStatus(w, httpStatus(code), Reply{Op: op, Error: msg})
+	writeError(w, v1, op, code, msg)
 }
 
-// reply writes an op result: the bare payload on the deprecated routes, the
-// envelope under /v1 (op errors map onto the stable code set).
-func writeReply(w http.ResponseWriter, v1 bool, rep Reply) {
-	if !v1 {
-		writeJSON(w, rep)
-		return
-	}
-	if rep.Error != "" {
-		code := errCode(rep.Error)
-		writeJSONStatus(w, httpStatus(code), Envelope{OK: false, Error: &ErrorInfo{Code: code, Message: rep.Error}})
-		return
-	}
-	writeData(w, rep)
+// writeReply writes an op result: the bare payload on the deprecated routes,
+// the envelope under /v1 (op errors map onto the stable code set).
+func writeReply(w http.ResponseWriter, v1 bool, rep *Reply) {
+	bb := newBody()
+	var status int
+	bb.b, status = appendBody(bb.b, v1, rep)
+	bb.send(w, status)
 }
 
-// writeData envelopes any payload as a successful /v1 response. The data
-// bytes are exactly what the deprecated alias writes as its whole body.
-func writeData(w http.ResponseWriter, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		writeJSONStatus(w, http.StatusInternalServerError,
-			Envelope{OK: false, Error: &ErrorInfo{Code: CodeInternal, Message: err.Error()}})
-		return
-	}
-	writeJSON(w, Envelope{OK: true, Data: raw})
+// writeError writes a refusal that never reached an op — shed, wrong method,
+// unencodable payload — with the transport status of its code on either
+// surface.
+func writeError(w http.ResponseWriter, v1 bool, op, code, msg string) {
+	bb := newBody()
+	bb.b = appendError(bb.b, v1, op, code, msg)
+	bb.send(w, httpStatus(code))
+}
+
+// writeValue writes a /themes or /stats document.
+func writeValue(w http.ResponseWriter, v1 bool, op string, v any) {
+	bb := newBody()
+	var status int
+	bb.b, status = appendValue(bb.b, v1, op, v)
+	bb.send(w, status)
 }
 
 // methodNotAllowed writes the mutation-guard refusal on either surface.
 func methodNotAllowed(w http.ResponseWriter, v1 bool, op string) {
-	if v1 {
-		writeJSONStatus(w, http.StatusMethodNotAllowed,
-			Envelope{OK: false, Error: &ErrorInfo{Code: CodeMethodNotAllowed, Message: "mutating endpoint: use POST"}})
-		return
-	}
-	writeJSONStatus(w, http.StatusMethodNotAllowed, Reply{Op: op, Error: "mutating endpoint: use POST"})
+	writeError(w, v1, op, CodeMethodNotAllowed, "mutating endpoint: use POST")
 }
 
 // Mux builds the HTTP surface: the versioned /v1 routes and their deprecated
@@ -544,42 +573,11 @@ func (d *Daemon) Mux() *http.ServeMux {
 				})
 			}
 		}
-		handle := func(op string, mutating bool, keys ...string) {
-			handleFunc(prefix+"/"+op, func(w http.ResponseWriter, r *http.Request) {
-				if mutating && r.Method != http.MethodPost {
-					methodNotAllowed(w, v1, op)
-					return
-				}
-				name := r.URL.Query().Get("session")
-				degraded, ok := d.admit(w, name, v1, op)
-				if !ok {
-					return
-				}
-				defer d.release()
-				if degraded {
-					w.Header().Set("X-Degraded", "1")
-				}
-				args := make(map[string]string, len(keys))
-				for _, k := range keys {
-					args[k] = r.URL.Query().Get(k)
-				}
-				writeReply(w, v1, d.run(r.Context(), d.session(name), op, args,
-					r.URL.Query()["facet"], degraded))
-			})
-		}
-		handle("term", false, "q", "after", "before")
-		handle("df", false, "q")
-		handle("and", false, "q", "after", "before")
-		handle("or", false, "q", "after", "before")
-		handle("similar", false, "doc", "k", "after", "before")
-		handle("theme", false, "cluster", "after", "before")
-		handle("near", false, "x", "y", "r", "after", "before")
-		// Galaxy tiles are addressed by path, slippy-map style; the method
-		// prefix makes non-GET requests 405 like the other read endpoints'
-		// mutation guard does.
-		handleFunc("GET "+prefix+"/tiles/{z}/{x}/{y}", func(w http.ResponseWriter, r *http.Request) {
-			name := r.URL.Query().Get("session")
-			degraded, ok := d.admit(w, name, v1, "tile")
+		// answer admits one request, runs its op and writes the reply; vals
+		// is the request's query string, parsed once.
+		answer := func(w http.ResponseWriter, r *http.Request, op string, vals url.Values) {
+			name := vals.Get("session")
+			degraded, ok := d.admit(w, name, v1, op)
 			if !ok {
 				return
 			}
@@ -587,20 +585,34 @@ func (d *Daemon) Mux() *http.ServeMux {
 			if degraded {
 				w.Header().Set("X-Degraded", "1")
 			}
-			args := map[string]string{
-				"z":      r.PathValue("z"),
-				"x":      r.PathValue("x"),
-				"y":      r.PathValue("y"),
-				"after":  r.URL.Query().Get("after"),
-				"before": r.URL.Query().Get("before"),
+			rep := d.run(r.Context(), d.session(name), op, vals, degraded)
+			writeReply(w, v1, &rep)
+		}
+		handle := func(op string, mutating bool) {
+			handleFunc(prefix+"/"+op, func(w http.ResponseWriter, r *http.Request) {
+				if mutating && r.Method != http.MethodPost {
+					methodNotAllowed(w, v1, op)
+					return
+				}
+				answer(w, r, op, r.URL.Query())
+			})
+		}
+		for _, op := range []string{"term", "df", "and", "or", "similar", "theme", "near"} {
+			handle(op, false)
+		}
+		// Galaxy tiles are addressed by path, slippy-map style; the method
+		// prefix makes non-GET requests 405 like the other read endpoints'
+		// mutation guard does.
+		handleFunc("GET "+prefix+"/tiles/{z}/{x}/{y}", func(w http.ResponseWriter, r *http.Request) {
+			vals := r.URL.Query()
+			for _, k := range []string{"z", "x", "y"} {
+				vals.Set(k, r.PathValue(k))
 			}
-			writeReply(w, v1, d.run(r.Context(), d.session(name), "tile", args,
-				r.URL.Query()["facet"], degraded))
+			answer(w, r, "tile", vals)
 		})
-		handle("add", true, "text", "ts")
-		handle("delete", true, "doc")
+		handle("add", true)
+		handle("delete", true)
 		for _, op := range []string{"flush", "compact", "save"} {
-			op := op
 			handleFunc(prefix+"/"+op, func(w http.ResponseWriter, r *http.Request) {
 				if r.Method != http.MethodPost {
 					methodNotAllowed(w, v1, op)
@@ -610,27 +622,20 @@ func (d *Daemon) Mux() *http.ServeMux {
 				if op == "save" {
 					resolved, err := savePath(d.saveDir, path)
 					if err != nil {
-						writeReply(w, v1, Reply{Op: op, Error: err.Error()})
+						writeReply(w, v1, &Reply{Op: op, Error: err.Error()})
 						return
 					}
 					path = resolved
 				}
-				writeReply(w, v1, d.live(r.Context(), op, path))
+				rep := d.live(r.Context(), op, path)
+				writeReply(w, v1, &rep)
 			})
 		}
 		handleFunc(prefix+"/themes", func(w http.ResponseWriter, r *http.Request) {
-			if v1 {
-				writeData(w, d.srv.Themes())
-				return
-			}
-			writeJSON(w, d.srv.Themes())
+			writeValue(w, v1, "themes", d.srv.Themes())
 		})
 		handleFunc(prefix+"/stats", func(w http.ResponseWriter, r *http.Request) {
-			if v1 {
-				writeData(w, d.srv.Stats())
-				return
-			}
-			writeJSON(w, d.srv.Stats())
+			writeValue(w, v1, "stats", d.srv.Stats())
 		})
 	}
 	register("/v1", true)
@@ -655,16 +660,6 @@ func savePath(dir, name string) (string, error) {
 	return filepath.Join(dir, name), nil
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	writeJSONStatus(w, http.StatusOK, v)
-}
-
-func writeJSONStatus(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // ServeLines answers the stdin line protocol: one op per line, JSON per
 // line. Lines are "term apple", "and apple banana", "similar 3 5",
 // "theme 2", "near 0 0 0.2", "tile 2 1 3", "df apple", "stats", "quit".
@@ -677,12 +672,17 @@ func (d *Daemon) ServeLines(in io.Reader, out io.Writer) {
 	ctx := context.Background()
 	sess := &namedSession{sess: d.srv.NewQuerier()}
 	sc := bufio.NewScanner(in)
-	enc := json.NewEncoder(out)
-	// The connection's sticky filter, re-injected into every op's args so
-	// run() — which resets the session filter from its arguments each call —
-	// keeps HTTP requests stateless while the terminal stays sticky.
-	filterArgs := map[string]string{}
-	var filterFacets []string
+	var line []byte
+	// emit writes one reply line. A write error means the terminal is gone;
+	// the next Scan ends the loop.
+	emit := func(rep Reply) {
+		line, _ = appendBody(line[:0], false, &rep)
+		_, _ = out.Write(line)
+	}
+	// The connection's sticky filter, re-injected into every op's parameters
+	// so run() — which resets the session filter from its arguments each call
+	// — keeps HTTP requests stateless while the terminal stays sticky.
+	filter := url.Values{}
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 {
@@ -693,68 +693,63 @@ func (d *Daemon) ServeLines(in io.Reader, out io.Writer) {
 		case "quit", "exit":
 			return
 		case "stats":
-			_ = enc.Encode(d.srv.Stats())
+			line, _ = appendValue(line[:0], false, op, d.srv.Stats())
+			_, _ = out.Write(line)
 			continue
 		case "filter":
-			filterArgs = map[string]string{}
-			filterFacets = nil
+			filter = url.Values{}
 			for _, tok := range rest {
 				switch {
 				case strings.HasPrefix(tok, "after="):
-					filterArgs["after"] = tok[len("after="):]
+					filter.Set("after", tok[len("after="):])
 				case strings.HasPrefix(tok, "before="):
-					filterArgs["before"] = tok[len("before="):]
+					filter.Set("before", tok[len("before="):])
 				default:
-					filterFacets = append(filterFacets, tok)
+					filter.Add("facet", tok)
 				}
 			}
-			_ = enc.Encode(Reply{Op: op, OK: true, Count: len(filterFacets)})
+			emit(Reply{Op: op, OK: true, Count: len(filter["facet"])})
 			continue
 		case "flush", "compact", "save":
 			path := ""
 			if len(rest) > 0 {
 				path = rest[0]
 			}
-			_ = enc.Encode(d.live(ctx, op, path))
+			emit(d.live(ctx, op, path))
 			continue
 		}
-		args := map[string]string{}
-		for k, v := range filterArgs {
-			args[k] = v
+		vals := url.Values{}
+		for k, v := range filter {
+			vals[k] = v
 		}
+		// Positional arguments take the HTTP parameter names; a missing one
+		// stays unset and run() refuses it where the op needs it.
+		var names []string
 		switch op {
 		case "term", "df":
-			if len(rest) > 0 {
-				args["q"] = rest[0]
-			}
+			names = []string{"q"}
 		case "and", "or":
-			args["q"] = strings.Join(rest, ",")
+			rest = []string{strings.Join(rest, ",")}
+			names = []string{"q"}
 		case "add":
-			args["text"] = strings.Join(rest, " ")
+			rest = []string{strings.Join(rest, " ")}
+			names = []string{"text"}
 		case "delete":
-			if len(rest) > 0 {
-				args["doc"] = rest[0]
-			}
+			names = []string{"doc"}
 		case "similar":
-			if len(rest) > 0 {
-				args["doc"] = rest[0]
-			}
-			if len(rest) > 1 {
-				args["k"] = rest[1]
-			}
+			names = []string{"doc", "k"}
 		case "theme":
-			if len(rest) > 0 {
-				args["cluster"] = rest[0]
-			}
+			names = []string{"cluster"}
 		case "near":
-			if len(rest) > 2 {
-				args["x"], args["y"], args["r"] = rest[0], rest[1], rest[2]
-			}
+			names = []string{"x", "y", "r"}
 		case "tile":
-			if len(rest) > 2 {
-				args["z"], args["x"], args["y"] = rest[0], rest[1], rest[2]
+			names = []string{"z", "x", "y"}
+		}
+		for i, name := range names {
+			if i < len(rest) {
+				vals.Set(name, rest[i])
 			}
 		}
-		_ = enc.Encode(d.run(ctx, sess, op, args, filterFacets, false))
+		emit(d.run(ctx, sess, op, vals, false))
 	}
 }

@@ -140,6 +140,79 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestMalformedNumbersAreBadRequests pins that a numeric parameter that does
+// not parse is refused on every surface — 400 bad_request under /v1, an
+// in-band error on the alias and the line protocol — instead of aliasing to
+// document 0, cluster 0 or the origin as strconv's discarded zero value did.
+// Only similar's k may be absent (default 5).
+func TestMalformedNumbersAreBadRequests(t *testing.T) {
+	d := New(buildService(t, 1), "")
+	ts := httptest.NewServer(d.Mux())
+	defer ts.Close()
+	c := ts.Client()
+
+	for _, tc := range []struct {
+		route string // HTTP form
+		line  string // line-protocol form
+		bad   bool
+	}{
+		{"/similar?doc=abc&k=3", "similar abc 3", true},
+		{"/similar?k=3", "similar", true},
+		{"/similar?doc=0&k=many", "similar 0 many", true},
+		{"/similar?doc=0.5", "similar 0.5", true},
+		{"/theme?cluster=first", "theme first", true},
+		{"/theme", "theme", true},
+		{"/near?x=left&y=0&r=1", "near left 0 1", true},
+		{"/near?x=0&y=&r=1", "near 0 0", true},
+		{"/near?x=0&y=0&r=1km", "near 0 0 1km", true},
+		{"/term?q=apple&after=yesterday", "", true},
+		{"/similar?doc=0", "similar 0", false},
+		{"/similar?doc=0&k=0", "similar 0 0", false},
+		{"/theme?cluster=0", "theme 0", false},
+		{"/near?x=0&y=0&r=2", "near 0 0 2", false},
+		{"/near?x=-1e-3&y=2.5E0&r=.5", "near -1e-3 2.5E0 .5", false},
+	} {
+		code, _, raw := fetch(t, c, http.MethodGet, ts.URL+"/v1"+tc.route)
+		var env Envelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("/v1%s: %v", tc.route, err)
+		}
+		if tc.bad && (code != http.StatusBadRequest || env.OK || env.Error == nil || env.Error.Code != CodeBadRequest) {
+			t.Fatalf("/v1%s = %d %s, want 400 bad_request", tc.route, code, raw)
+		}
+		if !tc.bad && (code != http.StatusOK || !env.OK) {
+			t.Fatalf("/v1%s = %d %s, want 200", tc.route, code, raw)
+		}
+
+		replies := map[string][]byte{}
+		_, _, replies["alias "+tc.route] = fetch(t, c, http.MethodGet, ts.URL+tc.route)
+		if tc.line != "" {
+			var out bytes.Buffer
+			d.ServeLines(strings.NewReader(tc.line+"\n"), &out)
+			replies["line "+tc.line] = out.Bytes()
+		}
+		for name, raw := range replies {
+			var rep Reply
+			if err := json.Unmarshal(raw, &rep); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if tc.bad != (rep.Error != "") || (tc.bad && rep.Count != 0) {
+				t.Fatalf("%s = %s, want error=%v", name, raw, tc.bad)
+			}
+		}
+	}
+
+	// An absent k is the default of 5, not a refusal and not 0 hits.
+	var rep Reply
+	_, _, raw := fetch(t, c, http.MethodGet, ts.URL+"/similar?doc=0")
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if want := min(5, len(e2eDocs)-1); rep.Count != want {
+		t.Fatalf("/similar?doc=0 answered %d hits, want the default k's %d: %s", rep.Count, want, raw)
+	}
+}
+
 // TestAdmissionInFlightShedding pins the overload path: past MaxInFlight the
 // daemon sheds with 429 + Retry-After and the stable overloaded code, and
 // counts the shed.

@@ -1157,15 +1157,64 @@ func mergeSorted[T any](parts [][]T, less func(a, b T) bool, limit int) []T {
 	return out
 }
 
-// mergeDocs k-way merges ascending, pairwise-disjoint document lists (the
-// shards partition the document space, so no ID appears twice).
+// mergeByDoc is mergeSorted for lists that ascend by an int64 document key:
+// each part's head key is cached in a stack array, so choosing the next item
+// compares integers instead of calling a less closure per part, and doc runs
+// once per item emitted. Equal keys keep part order. nil when nothing
+// merges.
+func mergeByDoc[T any](parts [][]T, doc func(T) int64) []T {
+	var total int
+	for _, p := range parts {
+		total += len(p)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]T, 0, total)
+	// The live (non-exhausted) parts and their head keys stay on the stack
+	// for any realistic shard count: one allocation, the output.
+	var restBuf [16][]T
+	var headBuf [16]int64
+	rest, heads := restBuf[:0], headBuf[:0]
+	if len(parts) > len(restBuf) {
+		rest, heads = make([][]T, 0, len(parts)), make([]int64, 0, len(parts))
+	}
+	for _, p := range parts {
+		if len(p) > 0 {
+			rest, heads = append(rest, p), append(heads, doc(p[0]))
+		}
+	}
+	for len(rest) > 1 {
+		best := 0
+		for i := 1; i < len(heads); i++ {
+			if heads[i] < heads[best] {
+				best = i
+			}
+		}
+		p := rest[best]
+		out = append(out, p[0])
+		if len(p) > 1 {
+			rest[best], heads[best] = p[1:], doc(p[1])
+			continue
+		}
+		rest = append(rest[:best], rest[best+1:]...)
+		heads = append(heads[:best], heads[best+1:]...)
+	}
+	if len(rest) == 1 {
+		out = append(out, rest[0]...)
+	}
+	return out
+}
+
+// mergeDocs k-way merges ascending document lists (pairwise disjoint when
+// they come from shards, which partition the document space).
 func mergeDocs(parts [][]int64) []int64 {
-	return mergeSorted(parts, func(a, b int64) bool { return a < b }, -1)
+	return mergeByDoc(parts, func(d int64) int64 { return d })
 }
 
 // mergePostings k-way merges doc-sorted, disjoint posting lists.
 func mergePostings(parts [][]query.Posting) []query.Posting {
-	return mergeSorted(parts, func(a, b query.Posting) bool { return a.Doc < b.Doc }, -1)
+	return mergeByDoc(parts, func(p query.Posting) int64 { return p.Doc })
 }
 
 // mergeHits k-way merges per-shard top-K hit lists (score descending, doc

@@ -736,7 +736,7 @@ type Session struct {
 	// stream — one goroutine at a time (the HTTP layer serializes named
 	// sessions with a mutex) — so the buffers are never contended, and
 	// nothing scratch-backed escapes: And always returns a freshly merged
-	// slice (mergeSorted copies even a single part).
+	// slice (mergeDocs copies even a single part).
 	scratchCands []andCand
 	scratchA     []int64
 	scratchB     []int64
@@ -1220,11 +1220,11 @@ func (ss *Session) Or(ctx context.Context, terms ...string) []int64 {
 }
 
 // unionSorted k-way merges ascending document lists into their deduplicated
-// union (the shared mergeSorted selection merge, then an in-place dedup pass
+// union (the shared mergeDocs selection merge, then an in-place dedup pass
 // — distinct query terms share documents, so the merged stream repeats
 // them). nil when empty.
 func unionSorted(lists [][]int64) []int64 {
-	merged := mergeSorted(lists, func(a, b int64) bool { return a < b }, -1)
+	merged := mergeDocs(lists)
 	if merged == nil {
 		return nil
 	}
