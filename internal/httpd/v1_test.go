@@ -3,9 +3,11 @@ package httpd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -210,6 +212,48 @@ func TestMalformedNumbersAreBadRequests(t *testing.T) {
 	}
 	if want := min(5, len(e2eDocs)-1); rep.Count != want {
 		t.Fatalf("/similar?doc=0 answered %d hits, want the default k's %d: %s", rep.Count, want, raw)
+	}
+}
+
+// TestHugeSimilarKIsBoundedByTheCorpus pins the uncapped, client-supplied k:
+// k=1000000000 answers with every other scorable document — exactly what a k
+// of the corpus size answers — on one store and through the router, and the
+// request allocates by the candidates there are, never by k (16 GB of hits).
+func TestHugeSimilarKIsBoundedByTheCorpus(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		ts := httptest.NewServer(New(buildService(t, shards), "").Mux())
+		c := ts.Client()
+		hitsOf := func(route string) []byte {
+			code, _, raw := fetch(t, c, http.MethodGet, ts.URL+route)
+			var env Envelope
+			if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusOK || !env.OK {
+				t.Fatalf("%d shards: %s = %d %s (%v)", shards, route, code, raw, err)
+			}
+			var rep Reply
+			if err := json.Unmarshal(env.Data, &rep); err != nil {
+				t.Fatal(err)
+			}
+			if rep.Count != len(rep.Hits) || rep.Count < 6 || rep.Count >= len(e2eDocs) {
+				t.Fatalf("%d shards: %s answered %d hits over %d documents: %s", shards, route, rep.Count, len(e2eDocs), raw)
+			}
+			hits, err := json.Marshal(rep.Hits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return hits
+		}
+		want := hitsOf(fmt.Sprintf("/v1/similar?doc=0&k=%d&session=a", len(e2eDocs)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := hitsOf("/v1/similar?doc=0&k=1000000000&session=b")
+		runtime.ReadMemStats(&after)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d shards: k=1000000000 answered %s, k=%d answered %s", shards, got, len(e2eDocs), want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Fatalf("%d shards: k=1000000000 allocated %d bytes", shards, grew)
+		}
+		ts.Close()
 	}
 }
 

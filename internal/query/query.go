@@ -29,6 +29,7 @@ import (
 	"inspire/internal/cluster"
 	"inspire/internal/core"
 	"inspire/internal/scan"
+	"inspire/internal/signature"
 )
 
 // PostingSource supplies a term's posting list by dense term ID. The
@@ -179,26 +180,20 @@ func (e *Engine) Similar(targetDoc int64, k int) ([]Hit, error) {
 		return nil, fmt.Errorf("query: document %d not found or has a null signature", targetDoc)
 	}
 
-	// Local scoring, global top-k merge.
-	local := make([]cluster.Scored, 0, 64)
-	var flops float64
-	for i, v := range sigs.Vecs {
-		if v == nil || fwd.GlobalDocIDs[i] == targetDoc {
-			continue
-		}
-		local = append(local, cluster.Scored{ID: fwd.GlobalDocIDs[i], Score: Cosine(target, v)})
-		flops += float64(3 * m)
+	// Local top-k through the shared scoring path (a one-shot collective:
+	// the norms are computed for this call, not cached), global merge.
+	var norms signature.Norms
+	top := NewTopK(target, targetDoc, k, len(sigs.Vecs))
+	top.Scan(fwd.GlobalDocIDs, sigs.Vecs, norms.Of(sigs.Vecs), nil)
+	e.c.Clock().Advance(e.c.Model().FlopCost(top.Flops()))
+	best := top.Hits()
+	local := make([]cluster.Scored, len(best))
+	for i, h := range best {
+		local[i] = cluster.Scored{ID: h.Doc, Score: h.Score}
 	}
-	e.c.Clock().Advance(e.c.Model().FlopCost(flops))
-	sort.Slice(local, func(a, b int) bool {
-		if local[a].Score != local[b].Score {
-			return local[a].Score > local[b].Score
-		}
-		return local[a].ID < local[b].ID
-	})
-	top := e.c.MergeTopK(local, k)
-	out := make([]Hit, len(top))
-	for i, s := range top {
+	merged := e.c.MergeTopK(local, k)
+	out := make([]Hit, len(merged))
+	for i, s := range merged {
 		out[i] = Hit{Doc: s.ID, Score: s.Score}
 	}
 	return out, nil
@@ -253,7 +248,9 @@ func Normalize(term string) string {
 	return scan.NormalizeTerm(term)
 }
 
-// Cosine returns the cosine similarity of two non-negative vectors.
+// Cosine returns the cosine similarity of two non-negative vectors. Serving
+// scores through TopK (Dot over cached Norms); Cosine stays as the
+// independent statement of the score that tests hold that path to.
 func Cosine(a, b []float64) float64 {
 	var dot, na, nb float64
 	for i := range a {
@@ -265,6 +262,117 @@ func Cosine(a, b []float64) float64 {
 		return 0
 	}
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+}
+
+// Norm returns the Euclidean norm of v (signature.Norm, where the per-set
+// norm caches live: that package cannot import this one).
+func Norm(v []float64) float64 { return signature.Norm(v) }
+
+// Dot returns the dot product of a and b, accumulated sequentially in index
+// order so that Dot(a,b)/(Norm(a)*Norm(b)) is bit for bit Cosine(a,b); an
+// unrolled multi-accumulator sum is faster and changes every score's last
+// bits.
+func Dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	var dot float64
+	for i, x := range a {
+		dot += x * b[i]
+	}
+	return dot
+}
+
+// HitLess is the one statement of the hit order: score descending, document
+// ascending on ties. Over distinct documents it is a strict total order, so
+// the top k of a candidate set is unique however it is selected.
+func HitLess(a, b Hit) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Doc < b.Doc
+}
+
+// TopK is one similarity query in flight, and the only scoring path: the
+// serving scan, its incremental refresh, the routed shard half and the batch
+// engine all run it. The target's norm is taken once, candidates score as
+// Dot/(norm·norm) against norms cached beside their vectors, and the best k
+// are kept in a heap (worst hit at the root) of at most min(k, candidates)
+// entries — k comes from the client, uncapped, and must size nothing.
+type TopK struct {
+	target  []float64
+	norm    float64
+	exclude int64
+	k       int
+	hits    []Hit
+	scored  int
+}
+
+// NewTopK starts a query for the k documents nearest target, never reporting
+// document exclude; candidates bounds how many documents will be offered.
+func NewTopK(target []float64, exclude int64, k, candidates int) TopK {
+	return TopK{target: target, norm: Norm(target), exclude: exclude, k: k,
+		hits: make([]Hit, 0, max(0, min(k, candidates)))}
+}
+
+// Scan scores one block of signatures: vecs[i] is docs[i]'s, of norm
+// norms[i]. Null signatures, the excluded document and dead documents are
+// skipped, not scored.
+func (t *TopK) Scan(docs []int64, vecs [][]float64, norms []float64, dead map[int64]bool) {
+	target, tnorm := t.target, t.norm
+	for i, vec := range vecs {
+		d := docs[i]
+		if vec == nil || d == t.exclude || dead[d] {
+			continue
+		}
+		var score float64
+		if n := norms[i]; tnorm != 0 && n != 0 {
+			score = Dot(target, vec) / (tnorm * n)
+		}
+		t.scored++
+		t.Offer(Hit{Doc: d, Score: score})
+	}
+}
+
+// Offer considers one already-scored candidate (the incremental refresh
+// seeds the selection with a cached answer this way).
+func (t *TopK) Offer(h Hit) {
+	if hs := t.hits; len(hs) < t.k {
+		hs = append(hs, h)
+		for i := len(hs) - 1; i > 0 && HitLess(hs[(i-1)/2], hs[i]); i = (i - 1) / 2 {
+			hs[(i-1)/2], hs[i] = hs[i], hs[(i-1)/2]
+		}
+		t.hits = hs
+	} else if t.k > 0 && HitLess(h, hs[0]) {
+		hs[0] = h
+		siftDown(hs, 0)
+	}
+}
+
+// Flops is the modeled cost so far: 3·M per signature scored (a dot product
+// and two norms, as Cosine computes them), whatever the cached norms saved.
+func (t *TopK) Flops() float64 { return float64(3 * len(t.target) * t.scored) }
+
+// Hits ends the query and returns the selection in HitLess order — the
+// selection buffer itself, heapsorted in place (the root, the worst hit
+// left, moves to the end).
+func (t *TopK) Hits() []Hit {
+	for n := len(t.hits) - 1; n > 0; n-- {
+		t.hits[0], t.hits[n] = t.hits[n], t.hits[0]
+		siftDown(t.hits[:n], 0)
+	}
+	return t.hits
+}
+
+// siftDown restores the worst-at-root heap order of h below position i.
+func siftDown(h []Hit, i int) {
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && HitLess(h[c], h[c+1]) {
+			c++
+		}
+		if !HitLess(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 }
 
 // IntersectSorted intersects two sorted ID lists into a sorted result. When

@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"inspire/internal/postings"
+	"inspire/internal/signature"
 	"inspire/internal/storefile"
 )
 
@@ -46,7 +47,15 @@ type Segment struct {
 	// Facets[i] is Docs[i]'s facet strings ("key=value", strictly
 	// ascending); nil rows and a nil outer slice mean no facets.
 	Facets [][]string
+
+	// sigNorms is derived from SigVecs on the first similarity scan;
+	// unexported, so gob never persists it.
+	sigNorms signature.Norms
 }
+
+// SigNorms returns the Euclidean norm of every signature, parallel to
+// SigVecs (0 for a null signature). Read-only.
+func (s *Segment) SigNorms() []float64 { return s.sigNorms.Of(s.SigVecs) }
 
 // Meta returns doc's ingest timestamp and facet strings; ok is false for a
 // document outside the segment. The returned slice aliases segment state and

@@ -143,6 +143,22 @@ func TestSegmentSaveLoadRoundTrip(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("garbage loaded")
 	}
+
+	// The signature norms are derived, never persisted: computing them
+	// changes no saved byte, and a loaded segment derives its own.
+	if n := seg.SigNorms(); !reflect.DeepEqual(n, []float64{1, 0}) {
+		t.Fatalf("norms = %v, want [1 0]", n)
+	}
+	var again bytes.Buffer
+	if err := seg.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatal("computing the norms changed the saved segment")
+	}
+	if !reflect.DeepEqual(back.SigNorms(), seg.SigNorms()) {
+		t.Fatalf("loaded segment norms = %v", back.SigNorms())
+	}
 }
 
 func TestValidateRejectsCorruption(t *testing.T) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand"
 	"testing"
 
 	"inspire/internal/query"
@@ -24,5 +25,29 @@ func BenchmarkMergePostings(b *testing.B) {
 		if out := mergePostings(parts); len(out) != total {
 			b.Fatalf("merged %d postings, want %d", len(out), total)
 		}
+	}
+}
+
+// BenchmarkScanSimilar measures one shard's similarity scan on the shape
+// similar-cold gives it (4000 signatures, M=100, k=10): topk is the serving
+// path, oracle the score-everything-then-sort it replaced (kept in
+// similar_test.go as the differential oracle).
+func BenchmarkScanSimilar(b *testing.B) {
+	const n, m, k = 4000, 100, 10
+	v := randomSimView(rand.New(rand.NewSource(1)), n, m, 0)
+	target := v.sigs.Vecs[1]
+	for _, c := range []struct {
+		name string
+		scan func(*view, []float64, int64, int) ([]query.Hit, float64)
+	}{{"topk", scanSimilar}, {"oracle", oracleScanSimilar}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(n * m * 8)
+			b.ReportAllocs()
+			for b.Loop() {
+				if hits, _ := c.scan(v, target, 1, k); len(hits) != k {
+					b.Fatalf("%d hits, want %d", len(hits), k)
+				}
+			}
+		})
 	}
 }

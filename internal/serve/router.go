@@ -1217,17 +1217,8 @@ func mergePostings(parts [][]query.Posting) []query.Posting {
 	return mergeByDoc(parts, func(p query.Posting) int64 { return p.Doc })
 }
 
-// mergeHits k-way merges per-shard top-K hit lists (score descending, doc
-// ascending on ties — the order every shard emits) and keeps the global
-// top k.
+// mergeHits k-way merges per-shard top-K hit lists (each in query.HitLess
+// order, as every shard emits them) and keeps the global top k.
 func mergeHits(parts [][]query.Hit, k int) []query.Hit {
-	return mergeSorted(parts, hitLess, k)
-}
-
-// hitLess orders hits score-descending, document-ascending on ties.
-func hitLess(a, b query.Hit) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.Doc < b.Doc
+	return mergeSorted(parts, query.HitLess, k)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -1269,11 +1270,10 @@ func (ss *Session) Similar(ctx context.Context, doc int64, k int) ([]query.Hit, 
 		ss.charge(m.LocalCopyCost(8))
 		return nil, fmt.Errorf("serve: document %d not found or has a null signature", doc)
 	}
-	scored, flops, refreshed := ss.s.refreshSimilar(v, target, doc, k)
+	hits, flops, refreshed := ss.s.refreshSimilar(v, target, doc, k)
 	if !refreshed {
-		scored, flops = ss.s.scanSimilar(v, target, doc, k)
+		hits, flops = scanSimilar(v, target, doc, k)
 	}
-	hits = append([]query.Hit(nil), scored...)
 
 	ss.s.smu.Lock()
 	if _, evicted := ss.s.sims.add(key, hits); evicted {
@@ -1320,78 +1320,51 @@ func (s *Server) refreshSimilar(v *view, target []float64, exclude int64, k int)
 		// segments too, not just v.tombs: a compaction drops a tombstone from
 		// the published set together with the doc's postings, but a lineage
 		// segment sealed before the delete still carries the doc's signature.
-		dead := make(map[int64]bool, len(tombs))
-		for _, d := range tombs {
-			dead[d] = true
+		dead := v.tombs
+		if len(tombs) > 0 {
+			dead = make(map[int64]bool, len(v.tombs)+len(tombs))
+			maps.Copy(dead, v.tombs)
+			for _, d := range tombs {
+				dead[d] = true
+			}
 		}
+		candidates := len(hits)
 		for _, h := range hits {
 			if dead[h.Doc] {
 				return nil, 0, false // a cached hit died: full rescan
 			}
 		}
-		scored := append([]query.Hit(nil), hits...)
-		var flops float64
 		for _, seg := range segs {
-			for i, vec := range seg.SigVecs {
-				d := seg.Docs[i]
-				if vec == nil || d == exclude || v.tombs[d] || dead[d] {
-					continue
-				}
-				scored = append(scored, query.Hit{Doc: d, Score: query.Cosine(target, vec)})
-				flops += float64(3 * seg.SigM)
-			}
+			candidates += len(seg.Docs)
 		}
-		sort.Slice(scored, func(a, b int) bool {
-			if scored[a].Score != scored[b].Score {
-				return scored[a].Score > scored[b].Score
-			}
-			return scored[a].Doc < scored[b].Doc
-		})
-		if len(scored) > k {
-			scored = scored[:k]
+		top := query.NewTopK(target, exclude, k, candidates)
+		for _, h := range hits {
+			top.Offer(h)
+		}
+		for _, seg := range segs {
+			top.Scan(seg.Docs, seg.SigVecs, seg.SigNorms(), dead)
 		}
 		s.simRefreshes.Add(1)
-		return scored, flops, true
+		return top.Hits(), top.Flops(), true
 	}
 	return nil, 0, false
 }
 
 // scanSimilar scores the view's signatures — base set and ingested segments,
 // tombstones excluded — against a target vector, excluding one document, and
-// returns the top k hits (score descending, document ascending on ties) plus
-// the flops the scan cost.
-func (s *Server) scanSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, float64) {
-	sigs := v.sigs
-	scored := make([]query.Hit, 0, len(sigs.Vecs))
-	var flops float64
-	for i, vec := range sigs.Vecs {
-		d := sigs.Docs[i]
-		if vec == nil || d == exclude || v.tombs[d] {
-			continue
-		}
-		scored = append(scored, query.Hit{Doc: d, Score: query.Cosine(target, vec)})
-		flops += float64(3 * sigs.M)
-	}
+// returns the top k hits (query.HitLess order) plus the flops the scan is
+// charged.
+func scanSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, float64) {
+	candidates := v.sigs.Len()
 	for _, seg := range v.segs {
-		for i, vec := range seg.SigVecs {
-			d := seg.Docs[i]
-			if vec == nil || d == exclude || v.tombs[d] {
-				continue
-			}
-			scored = append(scored, query.Hit{Doc: d, Score: query.Cosine(target, vec)})
-			flops += float64(3 * seg.SigM)
-		}
+		candidates += len(seg.Docs)
 	}
-	sort.Slice(scored, func(a, b int) bool {
-		if scored[a].Score != scored[b].Score {
-			return scored[a].Score > scored[b].Score
-		}
-		return scored[a].Doc < scored[b].Doc
-	})
-	if len(scored) > k {
-		scored = scored[:k]
+	top := query.NewTopK(target, exclude, k, candidates)
+	top.Scan(v.sigs.Docs, v.sigs.Vecs, v.sigs.Norms(), v.tombs)
+	for _, seg := range v.segs {
+		top.Scan(seg.Docs, seg.SigVecs, seg.SigNorms(), v.tombs)
 	}
-	return scored, flops
+	return top.Hits(), top.Flops()
 }
 
 // similarTo is the shard-local half of a routed similarity query: it scores
@@ -1401,9 +1374,7 @@ func (s *Server) scanSimilar(v *view, target []float64, exclude int64, k int) ([
 // plus the reply copy.
 func (ss *Session) similarTo(target []float64, exclude int64, k int) []query.Hit {
 	m := ss.s.store.Model
-	v := ss.s.store.viewNow()
-	scored, flops := ss.s.scanSimilar(v, target, exclude, k)
-	hits := append([]query.Hit(nil), scored...)
+	hits, flops := scanSimilar(ss.s.store.viewNow(), target, exclude, k)
 	ss.charge(m.FlopCost(flops) + m.LocalCopyCost(16*float64(len(hits))))
 	return hits
 }

@@ -1,0 +1,354 @@
+package serve
+
+import (
+	"context"
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+
+	"inspire/internal/query"
+	"inspire/internal/segment"
+	"inspire/internal/signature"
+)
+
+// oracleScanSimilar is the scan this package shipped before query.TopK, kept
+// as the differential oracle: query.Cosine on every candidate, a slice of
+// every scored hit, a full sort, a trim to k. Its comparator is written out
+// on purpose — it must not share query.HitLess with the code it checks.
+func oracleScanSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, float64) {
+	var scored []query.Hit
+	var flops float64
+	score := func(docs []int64, vecs [][]float64, m int) {
+		for i, vec := range vecs {
+			d := docs[i]
+			if vec == nil || d == exclude || v.tombs[d] {
+				continue
+			}
+			scored = append(scored, query.Hit{Doc: d, Score: query.Cosine(target, vec)})
+			flops += float64(3 * m)
+		}
+	}
+	score(v.sigs.Docs, v.sigs.Vecs, v.sigs.M)
+	for _, seg := range v.segs {
+		score(seg.Docs, seg.SigVecs, seg.SigM)
+	}
+	sort.Slice(scored, func(a, b int) bool {
+		if scored[a].Score != scored[b].Score {
+			return scored[a].Score > scored[b].Score
+		}
+		return scored[a].Doc < scored[b].Doc
+	})
+	if len(scored) > k {
+		scored = scored[:k]
+	}
+	return scored, flops
+}
+
+// randomSigs draws n signatures of dimension m. messy mixes in what the scan
+// must get exactly right: null signatures, all-zero vectors (score 0, still
+// a hit), bit-identical duplicates and low-entropy vectors (score ties, which
+// break document-ascending).
+func randomSigs(rng *rand.Rand, n, m int, messy bool) [][]float64 {
+	vecs := make([][]float64, n)
+	for i := range vecs {
+		kind := 9
+		if messy {
+			kind = rng.Intn(10)
+		}
+		switch {
+		case kind == 0:
+			continue
+		case kind == 1:
+			vecs[i] = make([]float64, m)
+		case kind == 2 && i > 0:
+			vecs[i] = slices.Clone(vecs[rng.Intn(i)]) // of a null: another null
+		case kind <= 4:
+			vecs[i] = make([]float64, m)
+			for j := range vecs[i] {
+				vecs[i][j] = float64(rng.Intn(2))
+			}
+		default:
+			vecs[i] = make([]float64, m)
+			for j := range vecs[i] {
+				vecs[i][j] = rng.Float64()
+			}
+		}
+	}
+	return vecs
+}
+
+// randomSimView builds the part of a view the similarity scan reads: a base
+// set of n clean signatures and, when segs > 0, that many sealed segments of
+// messy ones plus a sprinkling of tombstones over both.
+func randomSimView(rng *rand.Rand, n, m, segs int) *view {
+	docs := make([]int64, n)
+	for i := range docs {
+		docs[i] = int64(i)
+	}
+	set, err := signature.NewSet(m, docs, randomSigs(rng, n, m, segs > 0))
+	if err != nil {
+		panic(err)
+	}
+	v := &view{sigs: set}
+	next := int64(n)
+	for s := 0; s < segs; s++ {
+		seg := &segment.Segment{SigM: m, SigVecs: randomSigs(rng, 1+rng.Intn(n), m, true)}
+		for range seg.SigVecs {
+			next += 1 + int64(rng.Intn(3))
+			seg.Docs = append(seg.Docs, next)
+		}
+		v.segs = append(v.segs, seg)
+	}
+	if segs > 0 {
+		v.tombs = map[int64]bool{}
+		for i := 0; i < int(next)/8; i++ {
+			v.tombs[rng.Int63n(next+1)] = true
+		}
+	}
+	return v
+}
+
+// simKs are the result counts every differential check runs: one, just
+// under, exactly, just over and absurdly over the n candidates.
+func simKs(n int) []int {
+	return []int{1, max(1, n-1), max(1, n), n + 5, 1 << 40}
+}
+
+// TestScanSimilarMatchesOracle holds the one scoring path to the old
+// score-everything-then-sort on seeded random views: identical hits (scores
+// compared with ==), identical tie order, identical modeled flops.
+func TestScanSimilarMatchesOracle(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, m := 1+rng.Intn(60), 1+rng.Intn(12)
+		v := randomSimView(rng, n, m, rng.Intn(4))
+		candidates := n
+		for _, seg := range v.segs {
+			candidates += len(seg.Docs)
+		}
+		for _, exclude := range []int64{0, int64(n) - 1, -1} {
+			target := randomSigs(rng, 1, m, false)[0]
+			if vec, ok := v.sigs.Vec(exclude); ok && vec != nil {
+				target = vec
+			}
+			for _, k := range simKs(candidates) {
+				want, wantFlops := oracleScanSimilar(v, target, exclude, k)
+				got, gotFlops := scanSimilar(v, target, exclude, k)
+				if !slices.Equal(got, want) || gotFlops != wantFlops {
+					t.Fatalf("seed %d exclude %d k %d:\n got %v (%g flops)\nwant %v (%g flops)",
+						seed, exclude, k, got, gotFlops, want, wantFlops)
+				}
+				if cap(got) > candidates {
+					t.Fatalf("seed %d k %d: buffer of %d for %d candidates", seed, k, cap(got), candidates)
+				}
+			}
+		}
+	}
+}
+
+// simWorld is one corpus served two ways — a monolithic store and a 4-shard
+// router — driven through the same seeded stream of adds (with chosen
+// signatures), seals, deletes and compactions.
+type simWorld struct {
+	t      *testing.T
+	rng    *rand.Rand
+	mono   *Store
+	shards []*Store
+	srv    *Server
+	router *Router
+	next   int64
+	live   []int64
+}
+
+func newSimWorld(t *testing.T, seed int64) *simWorld {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	st := batchStore(t, ingestSources(), 2)
+	// Replace the pipeline's signatures with messy ones over the same
+	// documents, before the store is sharded.
+	base := st.Signatures()
+	set, err := signature.NewSet(base.M, base.Docs, randomSigs(rng, base.Len(), base.M, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ApplySignatures(set); err != nil {
+		t.Fatal(err)
+	}
+	w := &simWorld{t: t, rng: rng, mono: st.Fork(), next: st.TotalDocs}
+	if w.shards, err = st.Shard(4); err != nil {
+		t.Fatal(err)
+	}
+	pol := LivePolicy{SealDocs: 1 << 20, CompactSegments: 1 << 20, ManualCompaction: true}
+	w.mono.SetLivePolicy(pol)
+	for _, sh := range w.shards {
+		sh.SetLivePolicy(pol)
+	}
+	w.srv = newServerT(t, w.mono, Config{})
+	if w.router, err = NewRouter(w.shards, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	for d := int64(0); d < st.TotalDocs; d++ {
+		w.live = append(w.live, d)
+	}
+	return w
+}
+
+// each applies one store operation to the monolithic store and to the shard
+// owning doc (doc < 0: every shard).
+func (w *simWorld) each(doc int64, op func(*Store) error) {
+	w.t.Helper()
+	stores := append([]*Store{w.mono}, w.shards...)
+	if doc >= 0 {
+		stores = []*Store{w.mono, w.shards[ShardOf(doc, len(w.shards))]}
+	}
+	for _, st := range stores {
+		if err := op(st); err != nil {
+			w.t.Fatal(err)
+		}
+	}
+}
+
+// step applies one random operation.
+func (w *simWorld) step() {
+	w.t.Helper()
+	switch op := w.rng.Intn(10); {
+	case op < 5: // a burst of adds, sealed so they are visible
+		for i := 1 + w.rng.Intn(6); i > 0; i-- {
+			doc, sig := w.next, randomSigs(w.rng, 1, w.mono.SigM, true)[0]
+			if w.rng.Intn(4) == 0 { // duplicate a live document's vector
+				sig, _ = w.mono.SignatureOf(w.live[w.rng.Intn(len(w.live))])
+			}
+			w.next++
+			w.live = append(w.live, doc)
+			w.each(doc, func(st *Store) error { _, err := st.AddCounts(doc, nil, sig); return err })
+		}
+		w.each(-1, func(st *Store) error { _, err := st.Flush(); return err })
+	case op < 8 && len(w.live) > 8:
+		i := w.rng.Intn(len(w.live))
+		doc := w.live[i]
+		w.live = slices.Delete(w.live, i, i+1)
+		w.each(doc, func(st *Store) error { _, err := st.Delete(doc); return err })
+	default:
+		w.each(-1, func(st *Store) error { _, err := st.Compact(); return err })
+	}
+}
+
+// TestSimilarDifferential drives a monolithic store and a 4-shard router
+// through seals, deletes and compactions and, after every step, holds
+// Session.Similar (cold scans and incremental refreshes alike — the server
+// and its cache live for the whole run) and the routed answer to the oracle's
+// full rescan of the current view.
+func TestSimilarDifferential(t *testing.T) {
+	ctx := context.Background()
+	var refreshes uint64
+	for seed := int64(1); seed <= 3; seed++ {
+		w := newSimWorld(t, seed)
+		sess, routed := w.srv.NewSession(), w.router.NewSession()
+		targets := append(w.mono.SampleDocs(4), 0, 1, 2)
+		for round := 0; round < 25; round++ {
+			v := w.mono.viewNow()
+			n := int(v.liveDocs())
+			for _, doc := range targets {
+				target, ok := v.sigVec(doc)
+				for _, k := range simKs(n) {
+					got, err := sess.Similar(ctx, doc, k)
+					viaRouter, rerr := routed.Similar(ctx, doc, k)
+					if !ok || target == nil {
+						if err == nil || rerr == nil {
+							t.Fatalf("seed %d round %d: Similar(%d) on a missing or null target answered", seed, round, doc)
+						}
+						continue
+					}
+					if err != nil || rerr != nil {
+						t.Fatalf("seed %d round %d: Similar(%d, %d): %v / %v", seed, round, doc, k, err, rerr)
+					}
+					want, _ := oracleScanSimilar(v, target, doc, k)
+					if !slices.Equal(got, want) {
+						t.Fatalf("seed %d round %d: Similar(%d, %d)\n got %v\nwant %v", seed, round, doc, k, got, want)
+					}
+					if !slices.Equal(viaRouter, want) {
+						t.Fatalf("seed %d round %d: routed Similar(%d, %d)\n got %v\nwant %v", seed, round, doc, k, viaRouter, want)
+					}
+				}
+			}
+			w.step()
+		}
+		refreshes += w.srv.Stats().SimRefreshes
+	}
+	if refreshes == 0 {
+		t.Fatal("no answer came from refreshSimilar; the incremental path went unchecked")
+	}
+}
+
+// TestScanSimilarWarmAllocs pins the warm scan at one allocation: the result.
+func TestScanSimilarWarmAllocs(t *testing.T) {
+	v := randomSimView(rand.New(rand.NewSource(2)), 500, 16, 3)
+	target := v.sigs.Vecs[1]
+	scanSimilar(v, target, 1, 10) // computes the lazy norms
+	if n := testing.AllocsPerRun(50, func() { scanSimilar(v, target, 1, 10) }); n > 1 {
+		t.Fatalf("warm scan allocates %v times, want <= 1", n)
+	}
+}
+
+// TestConcurrentFirstScans races first scans over sets and segments whose
+// norms nobody has computed yet — a fresh view, then views published by
+// seals and compactions while the scanners run. Meaningful under -race; the
+// answers are held to the oracle on the very view each scanner read.
+func TestConcurrentFirstScans(t *testing.T) {
+	fresh := randomSimView(rand.New(rand.NewSource(3)), 300, 8, 3)
+	target := fresh.sigs.Vecs[0]
+	want, _ := oracleScanSimilar(fresh, target, 0, 7)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, _ := scanSimilar(fresh, target, 0, 7); !slices.Equal(got, want) {
+				t.Errorf("concurrent first scan = %v, want %v", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+
+	w := newSimWorld(t, 4)
+	ctx := context.Background()
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := w.srv.NewSession()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := w.mono.viewNow()
+				target, ok := v.sigVec(int64(g))
+				if !ok || target == nil {
+					continue
+				}
+				want, _ := oracleScanSimilar(v, target, int64(g), 5)
+				if got, _ := scanSimilar(v, target, int64(g), 5); !slices.Equal(got, want) {
+					t.Errorf("scan across publish = %v, want %v", got, want)
+					return
+				}
+				// The cached/refreshed path shares the lazily normed segments.
+				// (An error here is the target deleted since v was read.)
+				if got, err := sess.Similar(ctx, int64(g), 5); err == nil &&
+					!sort.SliceIsSorted(got, func(i, j int) bool { return query.HitLess(got[i], got[j]) }) {
+					t.Errorf("similar across publish out of order: %v", got)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 60; i++ {
+		w.step()
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -143,7 +143,8 @@ type Set struct {
 	Docs []int64
 	Vecs [][]float64 // nil entries are null signatures
 
-	idx map[int64]int
+	idx   map[int64]int
+	norms Norms
 }
 
 // NewSet indexes parallel docID/vector slices as a serving set.
@@ -179,6 +180,10 @@ func LoadSetFile(path string) (*Set, error) {
 
 // Len returns the number of records in the set.
 func (s *Set) Len() int { return len(s.Docs) }
+
+// Norms returns the Euclidean norm of every vector, parallel to Vecs (see the
+// Norms type: lazy, heap-resident, never persisted). Read-only.
+func (s *Set) Norms() []float64 { return s.norms.Of(s.Vecs) }
 
 // Vec returns the signature vector of a document (nil, true for a present
 // null signature; nil, false for an unknown document).

@@ -3,7 +3,9 @@ package signature
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -165,5 +167,34 @@ func TestSetServingLoadPath(t *testing.T) {
 	}
 	if _, err := LoadSetFile(t.TempDir() + "/missing.bin"); err == nil {
 		t.Fatal("missing file loaded")
+	}
+}
+
+// TestSetNormsAreLazyAndShared pins the derived norms: NewSet computes none
+// (a process that never scans for similarity never touches the vectors for
+// them), the first Norms call computes one per vector (0 for a null), and
+// concurrent first callers share one result.
+func TestSetNormsAreLazyAndShared(t *testing.T) {
+	set, err := NewSet(2, []int64{3, 1, 7, 9}, [][]float64{{3, 4}, nil, {0, 0}, {1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.norms.v != nil {
+		t.Fatal("NewSet computed norms eagerly")
+	}
+	got := make([][]float64, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = set.Norms()
+		}()
+	}
+	wg.Wait()
+	for _, n := range got {
+		if !reflect.DeepEqual(n, []float64{5, 0, 0, 1}) || &n[0] != &got[0][0] {
+			t.Fatalf("norms = %v, want one shared [5 0 0 1]", n)
+		}
 	}
 }

@@ -9,7 +9,9 @@
 package signature
 
 import (
+	"math"
 	"sort"
+	"sync"
 
 	"inspire/internal/assoc"
 	"inspire/internal/cluster"
@@ -127,4 +129,38 @@ func L1(v []float64) float64 {
 		}
 	}
 	return sum
+}
+
+// Norm returns the Euclidean norm of a vector, accumulated in index order —
+// the order query.Cosine sums its own squares in, so a cosine assembled from
+// a dot product and two Norms reproduces it bit for bit.
+func Norm(v []float64) float64 {
+	var sum float64
+	for _, x := range v {
+		sum += x * x
+	}
+	return math.Sqrt(sum)
+}
+
+// Norms caches the Euclidean norm of every vector of one immutable
+// collection (0 for a null signature). The norms are derived state: never
+// persisted, and computed by the first similarity scan rather than at load,
+// so a process that never asks for similarity never touches the mapped
+// signature pages for them. The zero value is ready; Of is safe for
+// concurrent use.
+type Norms struct {
+	once sync.Once
+	v    []float64
+}
+
+// Of returns the cached norms, computing them from vecs on the first call.
+// Every call must pass the same collection.
+func (n *Norms) Of(vecs [][]float64) []float64 {
+	n.once.Do(func() {
+		n.v = make([]float64, len(vecs))
+		for i, v := range vecs {
+			n.v[i] = Norm(v)
+		}
+	})
+	return n.v
 }
