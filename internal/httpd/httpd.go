@@ -322,10 +322,13 @@ func (p *params) optNum(key, what string) int64 {
 	return p.num(key, what, 64)
 }
 
+// float reads a finite number: strconv accepts "NaN" and "Inf", which are
+// not coordinates — a NaN radius matches nothing and an infinite one
+// everything.
 func (p *params) float(key string) float64 {
 	v := p.Get(key)
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil && p.err == nil {
+	if (err != nil || math.IsNaN(f) || math.IsInf(f, 0)) && p.err == nil {
 		p.err = fmt.Errorf("%s %q is not a number", key, v)
 	}
 	return f

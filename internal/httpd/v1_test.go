@@ -146,6 +146,8 @@ func TestV1ErrorEnvelope(t *testing.T) {
 // not parse is refused on every surface — 400 bad_request under /v1, an
 // in-band error on the alias and the line protocol — instead of aliasing to
 // document 0, cluster 0 or the origin as strconv's discarded zero value did.
+// Non-finite numbers strconv does parse (NaN, ±Inf) are refused the same way:
+// a NaN coordinate answered count 0 and an infinite radius the whole corpus.
 // Only similar's k may be absent (default 5).
 func TestMalformedNumbersAreBadRequests(t *testing.T) {
 	d := New(buildService(t, 1), "")
@@ -167,6 +169,14 @@ func TestMalformedNumbersAreBadRequests(t *testing.T) {
 		{"/near?x=left&y=0&r=1", "near left 0 1", true},
 		{"/near?x=0&y=&r=1", "near 0 0", true},
 		{"/near?x=0&y=0&r=1km", "near 0 0 1km", true},
+		{"/near?x=NaN&y=0&r=1", "near NaN 0 1", true},
+		{"/near?x=0&y=nan&r=1", "near 0 nan 1", true},
+		{"/near?x=0&y=0&r=NaN", "near 0 0 NaN", true},
+		{"/near?x=0&y=0&r=Inf", "near 0 0 Inf", true},
+		{"/near?x=0&y=0&r=-Inf", "near 0 0 -Inf", true},
+		{"/near?x=%2BInf&y=0&r=1", "near +Inf 0 1", true},
+		{"/near?x=0&y=infinity&r=1", "near 0 infinity 1", true},
+		{"/near?x=0&y=0&r=1e999", "near 0 0 1e999", true},
 		{"/term?q=apple&after=yesterday", "", true},
 		{"/similar?doc=0", "similar 0", false},
 		{"/similar?doc=0&k=0", "similar 0 0", false},

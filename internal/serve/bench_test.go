@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -49,5 +50,40 @@ func BenchmarkScanSimilar(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkNear measures the radius query on the shape galaxy-pan gives it:
+// 16k projected documents on one store and a radius whose leaves hold about
+// 2000 candidates, some 1300 of them inside the circle.
+func BenchmarkNear(b *testing.B) {
+	srv, err := NewServer(mapStore(16000, 16, 1), Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess := srv.NewSession()
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		if docs := sess.Near(ctx, 0.5, 0.5, 0.16); len(docs) < 1000 {
+			b.Fatalf("%d documents in range", len(docs))
+		}
+	}
+}
+
+// BenchmarkThemeDocs measures one cluster's document list out of 16k
+// assignments in 16 clusters — about 1000 documents a call.
+func BenchmarkThemeDocs(b *testing.B) {
+	srv, err := NewServer(mapStore(16000, 16, 1), Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess := srv.NewSession()
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		if docs := sess.ThemeDocs(ctx, 3); len(docs) < 500 {
+			b.Fatalf("%d documents in the theme", len(docs))
+		}
 	}
 }

@@ -17,6 +17,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"inspire/internal/postings"
@@ -749,7 +750,7 @@ func (st *Store) Rebase() error {
 		for d := range st.live.retired {
 			holes = append(holes, d)
 		}
-		sort.Slice(holes, func(a, b int) bool { return holes[a] < holes[b] })
+		slices.Sort(holes)
 		st.Holes = holes
 	}
 	if st.ShardCount > 0 {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -262,7 +263,7 @@ func buildFilterSet(v *view, f Filter) *filterSet {
 		}
 		fs.scanned += int64(len(s.Docs))
 	}
-	sort.Slice(docs, func(a, b int) bool { return docs[a] < docs[b] })
+	slices.Sort(docs)
 	fs.n = int64(len(docs))
 	if n := int64(len(docs)); n > 0 {
 		if span := docs[n-1] - docs[0] + 1; span/n < filterDensity {

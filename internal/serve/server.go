@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1381,7 +1381,10 @@ func (ss *Session) similarTo(target []float64, exclude int64, k int) []query.Hit
 
 // ThemeDocs returns the document IDs assigned to a k-means cluster, sorted.
 // Documents ingested after the snapshot carry no cluster assignment until an
-// offline re-clustering; deleted documents are filtered.
+// offline re-clustering; deleted documents are filtered. The walk is over the
+// base's derived cluster index, so it costs the cluster's size; the modeled
+// charge still describes the assignment scan (as TopK.Flops does), keeping
+// virtual_ms what it was.
 func (ss *Session) ThemeDocs(ctx context.Context, cluster int) []int64 {
 	if ctx.Err() != nil {
 		return nil
@@ -1389,14 +1392,18 @@ func (ss *Session) ThemeDocs(ctx context.Context, cluster int) []int64 {
 	st := ss.s.store
 	v := st.viewNow()
 	fs, fc := ss.filterFor(v)
+	docs := v.base.clusterDocs(int64(cluster))
 	var out []int64
-	for i, c := range v.base.assignClusters {
-		if c == int64(cluster) && !v.tombs[v.base.assignDocs[i]] &&
-			(fs == nil || fs.contains(v.base.assignDocs[i])) {
-			out = append(out, v.base.assignDocs[i])
+	for i, d := range docs {
+		if !v.tombs[d] && (fs == nil || fs.contains(d)) {
+			if out == nil {
+				// The rest of the list bounds the answer: one allocation, not
+				// a dozen growth steps (and nil stays nil when nothing passes).
+				out = make([]int64, 0, len(docs)-i)
+			}
+			out = append(out, d)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	ss.charge(fc + st.Model.FlopCost(float64(len(v.base.assignClusters))))
 	return out
 }
@@ -1432,7 +1439,7 @@ func (ss *Session) Near(ctx context.Context, x, y, radius float64) []int64 {
 				}
 			}
 		}
-		sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+		slices.Sort(out)
 		ss.charge(fc + m.FlopCost(3*float64(len(v.base.points)+len(v.pts))))
 		return out
 	}
@@ -1442,22 +1449,26 @@ func (ss *Session) Near(ctx context.Context, x, y, radius float64) []int64 {
 	// binned into edge tiles) stay findable.
 	rad := math.Abs(radius)
 	rect := tiles.Rect{MinX: x - rad, MinY: y - rad, MaxX: x + rad, MaxY: y + rad}
-	var cands []tiles.Entry
-	var visited, pruned int
+	// The entries are tested where they lie, under the pyramid's lock: the
+	// test costs less than copying a 64-byte pointerful entry out would.
+	var cands, visited, pruned int
 	st.withPyramid(v, ss.s.cfg.tileConfig(), func(p *tiles.Pyramid) {
-		cands, visited, pruned = p.Search(rect)
+		visited, pruned = p.Search(rect, func(leaf []tiles.Entry) {
+			cands += len(leaf)
+			for i := range leaf {
+				e := &leaf[i]
+				dx, dy := e.X-x, e.Y-y
+				if dx*dx+dy*dy <= r2 && !v.tombs[e.Doc] &&
+					(fs == nil || fs.contains(e.Doc)) {
+					out = append(out, e.Doc)
+				}
+			}
+		})
 	})
 	ss.s.tilesPruned.Add(uint64(pruned))
-	for _, e := range cands {
-		dx, dy := e.X-x, e.Y-y
-		if dx*dx+dy*dy <= r2 && !v.tombs[e.Doc] &&
-			(fs == nil || fs.contains(e.Doc)) {
-			out = append(out, e.Doc)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	ss.charge(fc + m.LocalCopyCost(24*float64(visited+pruned)) +
-		m.FlopCost(3*float64(len(cands))) +
+		m.FlopCost(3*float64(cands)) +
 		m.LocalCopyCost(8*float64(len(out))))
 	return out
 }

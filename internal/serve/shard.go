@@ -5,7 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"inspire/internal/postings"
 	"inspire/internal/segment"
@@ -243,7 +243,7 @@ func SaveLiveSet(path string, shards []*Store) error {
 		for d := range v.tombs {
 			info.Tombs = append(info.Tombs, d)
 		}
-		sort.Slice(info.Tombs, func(a, b int) bool { return info.Tombs[a] < info.Tombs[b] })
+		slices.Sort(info.Tombs)
 		// Persist the ID high-water mark only when the surviving data no
 		// longer implies it (the highest assigned IDs were deleted and
 		// compacted away): the common case re-derives it at load, keeping

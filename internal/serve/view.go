@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -98,6 +99,11 @@ type baseView struct {
 	points         []project.Point
 	assignDocs     []int64
 	assignClusters []int64
+	// themes is the cluster → ascending docs index ThemeDocs walks, derived
+	// from the two vectors above by the first theme read of this base
+	// (clusterDocs): heap-resident, never persisted, reborn with every base.
+	themesOnce sync.Once
+	themes     map[int64][]int64
 
 	// Document metadata (Store.MetaDocs..FacetDict, see meta.go), plus the
 	// reverse facet map filters compile against. All immutable once built.
@@ -118,6 +124,21 @@ func (b *baseView) containsDoc(doc int64) bool {
 		return doc < b.globalDocs && int(doc%int64(b.shardCount)) == b.shardIndex
 	}
 	return doc < b.totalDocs
+}
+
+// clusterDocs returns the base documents assigned to cluster, ascending
+// (shared; do not mutate).
+func (b *baseView) clusterDocs(cluster int64) []int64 {
+	b.themesOnce.Do(func() {
+		b.themes = make(map[int64][]int64)
+		for i, c := range b.assignClusters {
+			b.themes[c] = append(b.themes[c], b.assignDocs[i])
+		}
+		for _, docs := range b.themes {
+			slices.Sort(docs)
+		}
+	})
+	return b.themes[cluster]
 }
 
 // postings returns term t's base posting list, decoding the compressed

@@ -537,7 +537,7 @@ func (p *Pyramid) refillExemplars(t *Tile) {
 			cand = append(cand, l[i].Doc)
 		}
 	}
-	sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
+	slices.Sort(cand)
 	if len(cand) > p.cfg.Exemplars {
 		cand = cand[:p.cfg.Exemplars]
 	}
@@ -601,14 +601,14 @@ func (w window) admits(x, y int) bool {
 	return x >= w.x0 && x <= w.x1 && y >= w.y0 && y <= w.y1
 }
 
-// windows precomputes r's bin window at every zoom level up to depth; ok is
-// false for empty/NaN rects.
-func (p *Pyramid) windows(depth int, r Rect) ([]window, bool) {
-	out := make([]window, depth+1)
+// windows precomputes r's bin window at every zoom level up to depth — by
+// value, so a walk that needs no other memory allocates none; ok is false
+// for empty/NaN rects.
+func (p *Pyramid) windows(depth int, r Rect) (out [maxMaxZoom + 1]window, ok bool) {
 	for z := 0; z <= depth; z++ {
 		x0, y0, x1, y1, ok := BinWindow(p.b, z, r)
 		if !ok {
-			return nil, false
+			return out, false
 		}
 		out[z] = window{x0, y0, x1, y1}
 	}
@@ -658,39 +658,42 @@ func (p *Pyramid) Range(z int, r Rect) (out []*Tile, pruned int) {
 }
 
 // Search descends the quadtree to the leaf tiles admitted by r's bin
-// windows and returns a copy of their member entries — the candidate set a
-// spatial query then filters exactly — plus the number of leaves visited
-// and the number of non-empty subtrees pruned. Cost is proportional to the
-// answer neighbourhood, not the corpus, and a point inside r is always among
-// the candidates (the windows use the member binning arithmetic, clamping
-// included).
-func (p *Pyramid) Search(r Rect) (cands []Entry, visited, pruned int) {
+// windows and hands each one's member entries (ascending by document ID) to
+// visit — the candidate set a spatial query then filters exactly — returning
+// the number of leaves visited and of non-empty subtrees pruned. Each
+// admitted leaf is visited once; the slice is the pyramid's own storage, so
+// visit must neither modify nor retain it past the caller's lock. Nothing is
+// copied or allocated: cost is proportional to the answer neighbourhood, not
+// the corpus, and a point inside r is always among the candidates (the
+// windows use the member binning arithmetic, clamping included).
+func (p *Pyramid) Search(r Rect, visit func(leaf []Entry)) (visited, pruned int) {
 	wins, ok := p.windows(p.cfg.MaxZoom, r)
 	if !ok {
-		return nil, 0, 0
+		return 0, 0
 	}
-	var walk func(z, x, y int)
-	walk = func(z, x, y int) {
-		if p.tiles[key(z, x, y)] == nil {
-			return
-		}
-		if !wins[z].admits(x, y) {
-			pruned++
-			return
-		}
-		if z == p.cfg.MaxZoom {
-			visited++
-			cands = append(cands, p.leaves[key(z, x, y)]...)
-			return
-		}
-		for dy := 0; dy < 2; dy++ {
-			for dx := 0; dx < 2; dx++ {
-				walk(z+1, 2*x+dx, 2*y+dy)
-			}
+	return p.search(&wins, 0, 0, 0, visit)
+}
+
+// search is Search's descent below tile (z, x, y): a method, not a recursive
+// closure, so the walk allocates nothing.
+func (p *Pyramid) search(wins *[maxMaxZoom + 1]window, z, x, y int, visit func([]Entry)) (visited, pruned int) {
+	if p.tiles[key(z, x, y)] == nil {
+		return 0, 0
+	}
+	if !wins[z].admits(x, y) {
+		return 0, 1
+	}
+	if z == p.cfg.MaxZoom {
+		visit(p.leaves[key(z, x, y)])
+		return 1, 0
+	}
+	for dy := 0; dy < 2; dy++ {
+		for dx := 0; dx < 2; dx++ {
+			v, q := p.search(wins, z+1, 2*x+dx, 2*y+dy, visit)
+			visited, pruned = visited+v, pruned+q
 		}
 	}
-	walk(0, 0, 0)
-	return cands, visited, pruned
+	return visited, pruned
 }
 
 // Merge sums per-shard instances of one tile address into the tile a

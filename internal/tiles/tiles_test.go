@@ -1,6 +1,7 @@
 package tiles
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -115,30 +116,127 @@ func TestZoomNesting(t *testing.T) {
 	}
 }
 
-// TestSearchMatchesBruteForce compares quadtree candidate search against a
-// full scan for random query boxes.
+// oracleSearch is the copying Search the visitor replaced, kept verbatim as
+// the test oracle: the candidate entries of every admitted leaf, copied out,
+// plus the visited and pruned counts.
+func oracleSearch(p *Pyramid, r Rect) (cands []Entry, visited, pruned int) {
+	wins, ok := p.windows(p.cfg.MaxZoom, r)
+	if !ok {
+		return nil, 0, 0
+	}
+	var walk func(z, x, y int)
+	walk = func(z, x, y int) {
+		if p.tiles[key(z, x, y)] == nil {
+			return
+		}
+		if !wins[z].admits(x, y) {
+			pruned++
+			return
+		}
+		if z == p.cfg.MaxZoom {
+			visited++
+			cands = append(cands, p.leaves[key(z, x, y)]...)
+			return
+		}
+		for dy := 0; dy < 2; dy++ {
+			for dx := 0; dx < 2; dx++ {
+				walk(z+1, 2*x+dx, 2*y+dy)
+			}
+		}
+	}
+	walk(0, 0, 0)
+	return cands, visited, pruned
+}
+
+// TestSearchMatchesBruteForce drives the visiting Search with random query
+// boxes (inside, straddling and beyond the bounds, degenerate, inverted and
+// NaN) and checks it against a full scan and against the copying search it
+// replaced: every in-box point is a candidate, the leaves arrive in the old
+// order with the old counts, no leaf is handed out twice, and what is handed
+// out is the pyramid's own storage, not a copy.
 func TestSearchMatchesBruteForce(t *testing.T) {
 	entries := randEntries(250, 4)
 	p, err := Build(Config{}, testBounds(), entries)
 	if err != nil {
 		t.Fatal(err)
 	}
+	own := map[*Entry]bool{} // the pyramid's own leaf storage
+	for _, l := range p.leaves {
+		own[&l[0]] = true
+	}
 	rng := rand.New(rand.NewSource(9))
+	boxes := []Rect{
+		p.Bounds(),
+		{MinX: -9, MinY: -9, MaxX: 9, MaxY: 9},
+		{MinX: 0.5, MinY: 0.5, MaxX: 0.5, MaxY: 0.5},
+		{MinX: 0.6, MinY: 0.1, MaxX: 0.4, MaxY: 0.9}, // inverted: empty
+		{MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1},
+		{MinX: 3, MinY: 3, MaxX: 4, MaxY: 4}, // beyond the bounds: the clamped corner tile
+	}
 	for i := 0; i < 50; i++ {
-		cx, cy := rng.Float64(), rng.Float64()
+		cx, cy := rng.Float64()*2-0.5, rng.Float64()*2-0.5
 		r := rng.Float64() * 0.3
-		q := Rect{MinX: cx - r, MinY: cy - r, MaxX: cx + r, MaxY: cy + r}
-		cands, _, _ := p.Search(q)
+		boxes = append(boxes, Rect{MinX: cx - r, MinY: cy - r, MaxX: cx + r, MaxY: cy + r})
+	}
+	for _, q := range boxes {
+		var cands []Entry
+		seen := map[*Entry]bool{}
+		calls := 0
+		visited, pruned := p.Search(q, func(leaf []Entry) {
+			calls++
+			if len(leaf) == 0 {
+				t.Fatalf("query %v: visited an empty leaf", q)
+			}
+			if seen[&leaf[0]] {
+				t.Fatalf("query %v: leaf of doc %d visited twice", q, leaf[0].Doc)
+			}
+			seen[&leaf[0]] = true
+			if !sort.SliceIsSorted(leaf, func(a, b int) bool { return leaf[a].Doc < leaf[b].Doc }) {
+				t.Fatalf("query %v: leaf not ascending by document", q)
+			}
+			cands = append(cands, leaf...)
+		})
+		want, wantVisited, wantPruned := oracleSearch(p, q)
+		if calls != visited || visited != wantVisited || pruned != wantPruned {
+			t.Fatalf("query %v: %d calls, visited %d pruned %d; the copying search visited %d pruned %d",
+				q, calls, visited, pruned, wantVisited, wantPruned)
+		}
+		if !reflect.DeepEqual(cands, want) {
+			t.Fatalf("query %v: %d candidates differ from the copying search's %d", q, len(cands), len(want))
+		}
+		for first := range seen {
+			if !own[first] {
+				t.Fatalf("query %v: leaf of doc %d was copied, not visited in place", q, first.Doc)
+			}
+		}
 		got := map[int64]bool{}
 		for _, e := range cands {
 			got[e.Doc] = true
 		}
-		// Every in-box point (by binned position) must be a candidate.
+		// Every in-box point must be a candidate.
 		for _, e := range entries {
 			inBox := e.X >= q.MinX && e.X <= q.MaxX && e.Y >= q.MinY && e.Y <= q.MaxY
 			if inBox && !got[e.Doc] {
 				t.Fatalf("query %v missed doc %d at (%g,%g)", q, e.Doc, e.X, e.Y)
 			}
+		}
+	}
+}
+
+// TestSearchAllocFree pins that the descent allocates nothing, whatever the
+// number of leaves and candidates the box admits.
+func TestSearchAllocFree(t *testing.T) {
+	p, err := Build(Config{}, testBounds(), randEntries(2000, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []Rect{{MinX: 0.4, MinY: 0.4, MaxX: 0.5, MaxY: 0.5}, {MinX: -9, MinY: -9, MaxX: 9, MaxY: 9}} {
+		n := 0
+		got := testing.AllocsPerRun(100, func() {
+			p.Search(q, func(leaf []Entry) { n += len(leaf) })
+		})
+		if got != 0 || n == 0 {
+			t.Fatalf("Search(%v) allocates %v objects/op over %d candidates, want 0", q, got, n)
 		}
 	}
 }
