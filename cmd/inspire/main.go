@@ -76,6 +76,7 @@ func main() {
 		r.TotalDocs, r.VocabSize, r.TopN, r.TopM, 100*r.NullRate)
 	fmt.Printf("virtual time on modeled cluster (P=%d): %.2f minutes; host time %.2fs\n",
 		*p, sum.VirtualMinutes(), sum.WallSeconds)
+	fmt.Printf("host seconds per component (rank 0):%s\n", r.HostBreakdown())
 
 	if *themes {
 		fmt.Println("\nThemes:")

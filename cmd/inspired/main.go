@@ -182,9 +182,16 @@ func main() {
 			}
 			fmt.Printf("installed metadata for %d documents from %s\n", n, *metaPath)
 		}
+		// Partitioned once: the set -save-store persists is the set served.
+		var shardStores []*serve.Store
+		if *shards > 1 {
+			if shardStores, err = st.Shard(*shards); err != nil {
+				fail(err)
+			}
+		}
 		if *saveStore != "" {
 			if *shards > 1 {
-				if err := st.SaveShards(*saveStore, *shards); err != nil {
+				if err := serve.SaveLiveSet(*saveStore, shardStores); err != nil {
 					fail(err)
 				}
 				fmt.Printf("persisted %d-shard serving set behind manifest %s\n", *shards, *saveStore)
@@ -211,10 +218,6 @@ func main() {
 				*saveLegacy, *saveLegacy, serve.TilesSidecarSuffix)
 		}
 		if *shards > 1 {
-			shardStores, err := st.Shard(*shards)
-			if err != nil {
-				fail(err)
-			}
 			r, err := serve.NewService(serve.Options{Shards: shardStores, Config: cfg})
 			if err != nil {
 				fail(err)
@@ -433,6 +436,7 @@ func loadOrIndex(storePath, in, format string, p int, noMmap bool) (*serve.Store
 		}
 		if c.Rank() == 0 {
 			st = got
+			fmt.Printf("host seconds per component (rank 0):%s\n", res.HostBreakdown())
 		}
 		return nil
 	})

@@ -10,6 +10,8 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"time"
 
 	"inspire/internal/armci"
 	"inspire/internal/assoc"
@@ -149,6 +151,20 @@ type Result struct {
 
 	// Vocab allows term lookup after the run.
 	Vocab *dhash.Map
+
+	// HostSeconds is the host wall-clock time this rank spent in each
+	// component, the wait at the stage barrier included: every rank reads
+	// about the slowest rank's time and the components sum to the run.
+	HostSeconds map[string]float64
+}
+
+// HostBreakdown renders HostSeconds in pipeline order for the CLIs.
+func (r *Result) HostBreakdown() string {
+	var sb strings.Builder
+	for _, name := range Components {
+		fmt.Fprintf(&sb, " %s %.2f", name, r.HostSeconds[name])
+	}
+	return sb.String()
 }
 
 // Run executes the full pipeline over the given corpus on the calling
@@ -158,9 +174,10 @@ type Result struct {
 func Run(c *cluster.Comm, sources []*corpus.Source, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	model := c.Model()
-	res := &Result{}
+	res := &Result{HostSeconds: make(map[string]float64)}
 
 	timed := func(name string, fn func() error) error {
+		hostStart := time.Now()
 		start := c.Clock().Now()
 		if err := fn(); err != nil {
 			return fmt.Errorf("core: %s: %w", name, err)
@@ -170,6 +187,7 @@ func Run(c *cluster.Comm, sources []*corpus.Source, cfg Config) (*Result, error)
 		// barrier then aligns all ranks for the next component.
 		c.Timeline().Record(name, start, c.Clock().Now())
 		c.Barrier()
+		res.HostSeconds[name] += time.Since(hostStart).Seconds()
 		return nil
 	}
 

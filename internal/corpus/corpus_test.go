@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -385,5 +387,80 @@ func TestPubMedQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// generateSerial is Generate as it was before records were drawn a batch
+// ahead: one loop over GenRecord, each source encoded in turn. It is the
+// reference TestGenerateMatchesSerialLoop compares against.
+func generateSerial(spec GenSpec) []*Source {
+	spec = spec.withDefaults()
+	m := NewModel(spec)
+	budgets := make([]int64, spec.Sources)
+	srcRng := rand.New(rand.NewSource(spec.Seed ^ 0x5eed))
+	var totalWeight float64
+	weights := make([]float64, spec.Sources)
+	for s := range weights {
+		if spec.Format == FormatTREC {
+			weights[s] = 0.4 + 1.2*srcRng.Float64()
+		} else {
+			weights[s] = 1
+		}
+		totalWeight += weights[s]
+	}
+	for s := range budgets {
+		budgets[s] = int64(float64(spec.TargetBytes) * weights[s] / totalWeight)
+	}
+	sources := make([]*Source, spec.Sources)
+	doc := 0
+	for s := 0; s < spec.Sources; s++ {
+		var recs []Record
+		var got int64
+		for got < budgets[s] {
+			r := m.GenRecord(doc)
+			doc++
+			est := int64(len(r.Text())) + 64
+			got += est + est/10
+			recs = append(recs, r)
+		}
+		var data []byte
+		if spec.Format == FormatPubMed {
+			data = EncodePubMed(recs)
+		} else {
+			data = EncodeTREC(recs)
+		}
+		sources[s] = &Source{
+			Name:   fmt.Sprintf("%s-%04d.txt", spec.Format, s),
+			Format: spec.Format,
+			Data:   data,
+		}
+	}
+	return sources
+}
+
+func TestGenerateMatchesSerialLoop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, format := range []Format{FormatPubMed, FormatTREC} {
+		for _, seed := range []int64{1, 7, 1 << 40} {
+			// A dozen records (inside the first batch), a couple of hundred
+			// and enough to reach the largest batch; none a whole number of
+			// batches.
+			for _, size := range []int64{20_000, 300_000, 700_000} {
+				spec := GenSpec{Format: format, TargetBytes: size, Sources: 5, Seed: seed, VocabSize: 3000}
+				want := generateSerial(spec)
+				for _, procs := range []int{1, 2, 8} {
+					runtime.GOMAXPROCS(procs)
+					got := Generate(spec)
+					if len(got) != len(want) {
+						t.Fatalf("%v seed %d size %d procs %d: %d sources, want %d", format, seed, size, procs, len(got), len(want))
+					}
+					for s := range want {
+						if got[s].Name != want[s].Name || got[s].Format != want[s].Format || !bytes.Equal(got[s].Data, want[s].Data) {
+							t.Fatalf("%v seed %d size %d procs %d: source %d differs from the serial loop", format, seed, size, procs, s)
+						}
+					}
+				}
+			}
+		}
 	}
 }

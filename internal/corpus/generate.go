@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // GenSpec parameterizes a synthetic corpus. The generators stand in for the
@@ -224,30 +227,59 @@ func Generate(spec GenSpec) []*Source {
 		budgets[s] = int64(float64(spec.TargetBytes) * weights[s] / totalWeight)
 	}
 
+	// Records depend only on (spec, seed, i), so they are drawn a batch
+	// ahead of the budget loop on every core, and a source is encoded as
+	// soon as its records are chosen; the bytes are those of a serial loop.
 	sources := make([]*Source, spec.Sources)
-	doc := 0
+	var encoders sync.WaitGroup
+	var batch []Record // records [lo, lo+len(batch))
+	lo, doc := 0, 0
 	for s := 0; s < spec.Sources; s++ {
 		var recs []Record
 		var got int64
 		for got < budgets[s] {
-			r := m.GenRecord(doc)
+			if doc == lo+len(batch) {
+				// Batches double, so a small corpus draws few records it
+				// then leaves unused.
+				lo, batch = doc, m.genRecords(doc, min(max(2*len(batch), 8), 256))
+			}
+			r := batch[doc-lo]
 			doc++
 			// Approximate encoded size: ids, tags and wrapping add ~10%.
 			est := int64(len(r.Text())) + 64
 			got += est + est/10
 			recs = append(recs, r)
 		}
-		var data []byte
-		if spec.Format == FormatPubMed {
-			data = EncodePubMed(recs)
-		} else {
-			data = EncodeTREC(recs)
-		}
-		sources[s] = &Source{
-			Name:   fmt.Sprintf("%s-%04d.txt", spec.Format, s),
-			Format: spec.Format,
-			Data:   data,
-		}
+		encoders.Add(1)
+		go func() {
+			defer encoders.Done()
+			src := &Source{Name: fmt.Sprintf("%s-%04d.txt", spec.Format, s), Format: spec.Format}
+			if spec.Format == FormatPubMed {
+				src.Data = EncodePubMed(recs)
+			} else {
+				src.Data = EncodeTREC(recs)
+			}
+			sources[s] = src
+		}()
 	}
+	encoders.Wait()
 	return sources
+}
+
+// genRecords generates records [lo, lo+n), spread over every core.
+func (m *Model) genRecords(lo, n int) []Record {
+	out := make([]Record, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				out[i] = m.GenRecord(lo + i)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }

@@ -73,3 +73,46 @@ func BenchmarkScatterAcc(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkReserveAndPutRuns is the traffic of one inversion load in pass 2:
+// reserve a slot range under each of 512 terms, then send their postings as
+// one run per term, twice (documents, frequencies).
+func BenchmarkReserveAndPutRuns(b *testing.B) {
+	const terms, perTerm = 512, 3
+	_, err := cluster.Run(4, simtime.Zero(), func(c *cluster.Comm) error {
+		cursor := Create[int64](c, "cursor", 1<<14)
+		post := Create[int64](c, "post", (1<<14)*perTerm)
+		if c.Rank() == 0 {
+			offs := make([]int64, 1<<14)
+			for i := range offs {
+				offs[i] = int64(i * perTerm)
+			}
+			cursor.Put(0, offs)
+		}
+		cursor.Sync()
+		if c.Rank() != 0 {
+			return nil
+		}
+		idxs := make([]int64, terms)
+		lens := make([]int64, terms)
+		zero := make([]int64, terms)
+		slots := make([]int64, terms)
+		vals := make([]int64, terms*perTerm)
+		for i := range idxs {
+			idxs[i] = int64(i * 31)
+			lens[i] = perTerm
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// A zero increment keeps every iteration inside its term's range.
+			cursor.ReadIncIndexed(idxs, zero, slots)
+			post.PutRuns(slots, lens, vals)
+			post.PutRuns(slots, lens, vals)
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

@@ -14,6 +14,7 @@ package invert
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"inspire/internal/armci"
@@ -243,20 +244,11 @@ func Invert(c *cluster.Comm, gf *GlobalForward, N int64, termBounds func(rank in
 
 	// --- Pass 1: count distinct (term, doc) pairs per term. -------------
 	myEntries := make(map[int]int64) // load index -> entries
+	sc := &scratch{inDoc: make([]int32, N), inLoad: make([]int32, N)}
 	myLoads := claimer.claim(func(li int) {
-		pairs := invertLoad(c, gf, &loads[li])
-		idxs := make([]int64, 0, len(pairs))
-		ones := make([]int64, 0, len(pairs))
-		seen := make(map[int64]int64)
-		for _, pr := range pairs {
-			seen[pr.term]++
-		}
-		for t := range seen {
-			idxs = append(idxs, t)
-			ones = append(ones, seen[t])
-		}
-		ix.Counts.ScatterAcc(idxs, ones)
-		myEntries[li] = int64(len(pairs))
+		sc.invert(c, gf, li, &loads[li])
+		ix.Counts.ScatterAcc(sc.terms, sc.counts)
+		myEntries[li] = int64(len(sc.pairs))
 		c.Clock().Advance(c.Model().InvertCost(float64(loads[li].Tokens())))
 	})
 	c.Barrier()
@@ -295,32 +287,14 @@ func Invert(c *cluster.Comm, gf *GlobalForward, N int64, termBounds func(rank in
 	c.Barrier()
 	_ = totalPostings
 
-	// --- Pass 2: re-invert the same loads and place postings. -----------
+	// --- Pass 2: re-invert the same loads; reserve a slot range under every
+	// term of a load, then send each owner its share in one transfer.
 	for _, li := range myLoads {
-		pairs := invertLoad(c, gf, &loads[li])
-		// Group by term, preserving the deterministic (doc-ordered within
-		// a load) pair order.
-		byTerm := make(map[int64][]entry)
-		for _, pr := range pairs {
-			byTerm[pr.term] = append(byTerm[pr.term], pr)
-		}
-		terms := make([]int64, 0, len(byTerm))
-		for t := range byTerm {
-			terms = append(terms, t)
-		}
-		sort.Slice(terms, func(a, b int) bool { return terms[a] < terms[b] })
-		for _, t := range terms {
-			es := byTerm[t]
-			slot := cursor.ReadInc(t, int64(len(es)))
-			docs := make([]int64, len(es))
-			freqs := make([]int64, len(es))
-			for i, e := range es {
-				docs[i] = e.doc
-				freqs[i] = e.freq
-			}
-			ix.PostDoc.Put(slot, docs)
-			ix.PostFreq.Put(slot, freqs)
-		}
+		sc.invert(c, gf, li, &loads[li])
+		sc.group()
+		cursor.ReadIncIndexed(sc.terms, sc.counts, sc.slots)
+		ix.PostDoc.PutRuns(sc.slots, sc.counts, sc.docs)
+		ix.PostFreq.PutRuns(sc.slots, sc.counts, sc.freqs)
 		c.Clock().Advance(c.Model().InvertCost(float64(loads[li].Tokens())))
 	}
 	c.Barrier()
@@ -334,50 +308,91 @@ func Invert(c *cluster.Comm, gf *GlobalForward, N int64, termBounds func(rank in
 // entry is one (term, doc, freq) posting contribution.
 type entry struct{ term, doc, freq int64 }
 
-// invertLoad reads a load's fields and tokens through one-sided Gets and
-// produces its (term, doc)->freq contributions in deterministic order
-// (ascending doc, then term-insertion order within the doc).
-func invertLoad(c *cluster.Comm, gf *GlobalForward, l *Load) []entry {
-	nf := l.FieldHi - l.FieldLo
-	fLo := make([]int64, nf)
-	fLen := make([]int64, nf)
-	fDoc := make([]int64, nf)
-	gf.FieldLo.Get(l.FieldLo, fLo)
-	gf.FieldLen.Get(l.FieldLo, fLen)
-	gf.FieldDoc.Get(l.FieldLo, fDoc)
-	toks := make([]int64, l.Tokens())
-	gf.Tokens.Get(l.TokenLo, toks)
+// scratch is one rank's inversion workspace, reused for every load of both
+// passes. inDoc and inLoad are dense over the vocabulary (8 bytes a term for
+// the pair) and all zero between loads.
+type scratch struct {
+	inDoc  []int32 // frequency of each term in the current document
+	inLoad []int32 // documents of the current load holding each term
 
-	var out []entry
-	freq := make(map[int64]int64)
-	var order []int64
-	flush := func(doc int64) {
-		for _, t := range order {
-			out = append(out, entry{term: t, doc: doc, freq: freq[t]})
-			delete(freq, t)
-		}
-		order = order[:0]
-	}
-	curDoc := int64(-1)
+	fLo, fLen, fDoc, toks []int64 // the load's slice of the forward index
+	order                 []int64 // the current document's terms, first occurrence first
+	pairs                 []entry // the load's contributions, ascending doc
+
+	terms, counts []int64 // touched terms ascending, and the pairs under each
+	slots         []int64 // posting slot reserved for each term's run
+	docs, freqs   []int64 // pairs grouped by term as terms lists them, document order kept
+}
+
+// sized returns buf with length n, reallocating only to grow.
+func sized(buf []int64, n int64) []int64 { return slices.Grow(buf[:0], int(n))[:n] }
+
+// invert reads load li's fields and tokens through one-sided Gets and leaves
+// its (term, doc)->freq contributions in pairs (ascending doc, then
+// first-occurrence order within the doc), its distinct terms in terms and
+// the number of pairs under each in counts.
+func (s *scratch) invert(c *cluster.Comm, gf *GlobalForward, li int, l *Load) {
+	nf := l.FieldHi - l.FieldLo
+	s.fLo, s.fLen, s.fDoc = sized(s.fLo, nf), sized(s.fLen, nf), sized(s.fDoc, nf)
+	gf.FieldLo.Get(l.FieldLo, s.fLo)
+	gf.FieldLen.Get(l.FieldLo, s.fLen)
+	gf.FieldDoc.Get(l.FieldLo, s.fDoc)
+	s.toks = sized(s.toks, l.Tokens())
+	gf.Tokens.Get(l.TokenLo, s.toks)
+
+	s.pairs, s.terms = s.pairs[:0], s.terms[:0]
 	for i := int64(0); i < nf; i++ {
-		if fDoc[i] != curDoc {
-			if curDoc >= 0 {
-				flush(curDoc)
+		start := s.fLo[i] - l.TokenLo
+		for _, t := range s.toks[start : start+s.fLen[i]] {
+			if t < 0 || t >= int64(len(s.inDoc)) {
+				panic(fmt.Sprintf("invert: load %d field %d: term %d outside the vocabulary [0,%d); was the forward index RemapDense'd?",
+					li, l.FieldLo+i, t, len(s.inDoc)))
 			}
-			curDoc = fDoc[i]
-		}
-		start := fLo[i] - l.TokenLo
-		for _, t := range toks[start : start+fLen[i]] {
-			if freq[t] == 0 {
-				order = append(order, t)
+			if s.inDoc[t] == 0 {
+				s.order = append(s.order, t)
 			}
-			freq[t]++
+			s.inDoc[t]++
 		}
+		if i+1 < nf && s.fDoc[i+1] == s.fDoc[i] {
+			continue // the document's next field
+		}
+		for _, t := range s.order {
+			s.pairs = append(s.pairs, entry{term: t, doc: s.fDoc[i], freq: int64(s.inDoc[t])})
+			s.inDoc[t] = 0
+			if s.inLoad[t] == 0 {
+				s.terms = append(s.terms, t)
+			}
+			s.inLoad[t]++
+		}
+		s.order = s.order[:0]
 	}
-	if curDoc >= 0 {
-		flush(curDoc)
+	slices.Sort(s.terms)
+	s.counts = sized(s.counts, int64(len(s.terms)))
+	for i, t := range s.terms {
+		s.counts[i] = int64(s.inLoad[t])
+		s.inLoad[t] = 0
 	}
-	return out
+}
+
+// group lays the inverted load's pairs out by term, in the order terms lists
+// them and keeping document order within a term (a counting sort), ready to
+// travel as one run per term.
+func (s *scratch) group() {
+	n := int64(len(s.pairs))
+	s.docs, s.freqs, s.slots = sized(s.docs, n), sized(s.freqs, n), sized(s.slots, int64(len(s.terms)))
+	next := s.inDoc // where each term's next pair lands; zero again on return
+	var run int32
+	for i, t := range s.terms {
+		next[t] = run
+		run += int32(s.counts[i])
+	}
+	for _, pr := range s.pairs {
+		s.docs[next[pr.term]], s.freqs[next[pr.term]] = pr.doc, pr.freq
+		next[pr.term]++
+	}
+	for _, t := range s.terms {
+		next[t] = 0
+	}
 }
 
 // finalizeOwned sorts each owned term's postings by document ID and fills

@@ -3,12 +3,16 @@ package invert
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"inspire/internal/armci"
 	"inspire/internal/cluster"
 	"inspire/internal/corpus"
 	"inspire/internal/dhash"
+	"inspire/internal/ga"
 	"inspire/internal/scan"
 	"inspire/internal/simtime"
 )
@@ -361,4 +365,256 @@ func TestEncodePostingsMatchesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// scanned runs Scan & Map over sources on p ranks and hands every rank its
+// dense forward index and the vocabulary, as core.Run does before indexing.
+func scanned(p int, sources []*corpus.Source, body func(c *cluster.Comm, fwd *scan.Forward, vocab *dhash.Map, n int64) error) error {
+	_, err := cluster.Run(p, simtime.Zero(), func(c *cluster.Comm) error {
+		vocab := dhash.New(c, armci.New(c))
+		fwd, err := scan.Scan(c, vocab, corpus.Partition(sources, p)[c.Rank()], scan.TokenizerConfig{})
+		if err != nil {
+			return err
+		}
+		n := vocab.Finalize()
+		fwd.RemapDense(c, vocab)
+		fwd.AssignGlobalDocIDs(c)
+		return body(c, fwd, vocab, n)
+	})
+	return err
+}
+
+// TestInvertDifferential holds Invert to the per-term inversion it replaced:
+// every array of the Index, DF, CF and the load table (Entries included) must
+// be equal element for element on every rank, whoever claimed which load.
+func TestInvertDifferential(t *testing.T) {
+	// One-word documents make loads that touch a single owner; the
+	// generated records touch all of them.
+	mono := corpus.FromTexts("mono", []string{"zebra", "zebra zebra zebra", "quagga", "zebra quagga"})
+	corpora := map[string][]*corpus.Source{
+		"pubmed": append(invTestSources(), mono),
+		"trec": append(corpus.Generate(corpus.GenSpec{
+			Format: corpus.FormatTREC, TargetBytes: 40_000, Sources: 4, Seed: 5, VocabSize: 1200, Topics: 3,
+		}), mono),
+	}
+	for name, sources := range corpora {
+		for _, p := range []int{1, 2, 3, 4, 7} {
+			err := scanned(p, sources, func(c *cluster.Comm, fwd *scan.Forward, vocab *dhash.Map, n int64) error {
+				gf := PublishForward(c, fwd)
+				for _, strat := range []Strategy{DynamicGA, Static, MasterWorker} {
+					for _, chunk := range []int64{1, 256, 4096} {
+						opts := Options{Strategy: strat, ChunkTokens: chunk}
+						want := oracleInvert(c, gf, n, vocab.DenseRange, opts)
+						got := Invert(c, gf, n, vocab.DenseRange, opts)
+						if what := indexDiff(got, want); what != "" {
+							return fmt.Errorf("%v chunk=%d rank %d: %s differs from the per-term oracle", strat, chunk, c.Rank(), what)
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", name, p, err)
+			}
+		}
+	}
+}
+
+// indexDiff names the first part of the calling rank's view of two indexes
+// that differs, or returns "".
+func indexDiff(got, want *Index) string {
+	arrays := []struct {
+		name      string
+		got, want *ga.Array[int64]
+	}{
+		{"Counts", got.Counts, want.Counts}, {"Off", got.Off, want.Off},
+		{"PostDoc", got.PostDoc, want.PostDoc}, {"PostFreq", got.PostFreq, want.PostFreq},
+	}
+	for _, a := range arrays {
+		if !slices.Equal(a.got.Access(), a.want.Access()) {
+			return a.name
+		}
+	}
+	switch {
+	case !slices.Equal(got.DF, want.DF):
+		return "DF"
+	case !slices.Equal(got.CF, want.CF):
+		return "CF"
+	case !slices.Equal(got.Loads, want.Loads):
+		return "Loads"
+	case got.N != want.N || got.TermLo != want.TermLo || got.TermHi != want.TermHi:
+		return "term range"
+	}
+	return ""
+}
+
+// TestInvertRejectsTermOutsideVocabulary feeds inversion a forward index
+// holding a token ID that RemapDense would never produce.
+func TestInvertRejectsTermOutsideVocabulary(t *testing.T) {
+	var bad int64
+	err := scanned(2, invTestSources(), func(c *cluster.Comm, fwd *scan.Forward, vocab *dhash.Map, n int64) error {
+		if c.Rank() == 1 {
+			bad = n + 41
+			fwd.Tokens[len(fwd.Tokens)/2] = bad
+		}
+		Invert(c, PublishForward(c, fwd), n, vocab.DenseRange, Options{Strategy: Static})
+		return nil
+	})
+	if err == nil {
+		t.Fatal("a term outside [0, N) was inverted")
+	}
+	for _, want := range []string{"invert: load ", " field ", fmt.Sprintf(" term %d outside the vocabulary [0,%d)", bad, bad-41)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("panic does not name the load, the field and the term (%q missing): %v", want, err)
+		}
+	}
+}
+
+// oracleInvert is the inversion this package shipped before postings moved a
+// load at a time, kept verbatim as the reference TestInvertDifferential
+// compares Invert against: per-load maps, and in pass 2 one ReadInc and two
+// Puts per term of every load.
+func oracleInvert(c *cluster.Comm, gf *GlobalForward, N int64, termBounds func(rank int) (lo, hi int64), opts Options) *Index {
+	lo, hi := termBounds(c.Rank())
+	ix := &Index{N: N, TermLo: lo, TermHi: hi}
+	ix.Counts = createTermArray(c, "inv.counts", N, termBounds)
+	ix.Off = createTermArray(c, "inv.off", N, termBounds)
+
+	loads := BuildLoads(c, gf, opts.ChunkTokens)
+	claimer := newClaimer(c, loads, opts)
+
+	// --- Pass 1: count distinct (term, doc) pairs per term. -------------
+	myEntries := make(map[int]int64) // load index -> entries
+	myLoads := claimer.claim(func(li int) {
+		pairs := oracleInvertLoad(c, gf, &loads[li])
+		idxs := make([]int64, 0, len(pairs))
+		ones := make([]int64, 0, len(pairs))
+		seen := make(map[int64]int64)
+		for _, pr := range pairs {
+			seen[pr.term]++
+		}
+		for t := range seen {
+			idxs = append(idxs, t)
+			ones = append(ones, seen[t])
+		}
+		ix.Counts.ScatterAcc(idxs, ones)
+		myEntries[li] = int64(len(pairs))
+		c.Clock().Advance(c.Model().InvertCost(float64(loads[li].Tokens())))
+	})
+	c.Barrier()
+
+	// Share per-load entry counts so the load table (and therefore the
+	// deterministic cost model) is global.
+	type entryPair struct{ Load, Entries int64 }
+	local := make([]entryPair, 0, len(myEntries))
+	for li, e := range myEntries {
+		local = append(local, entryPair{int64(li), e})
+	}
+	for _, part := range c.Allgather(local, float64(16*len(local))) {
+		for _, ep := range part.([]entryPair) {
+			loads[ep.Load].Entries = ep.Entries
+		}
+	}
+	ix.Loads = loads
+
+	// --- Offsets: local prefix over owned counts, global base via exscan.
+	counts := ix.Counts.Access()
+	var localTotal int64
+	for _, n := range counts {
+		localTotal += n
+	}
+	base, totalPostings := c.ExScanInt64(localTotal)
+	offs := ix.Off.Access()
+	run := base
+	for i, n := range counts {
+		offs[i] = run
+		run += n
+	}
+	ix.PostDoc = ga.CreateIrregular[int64](c, "inv.postdoc", localTotal)
+	ix.PostFreq = ga.CreateIrregular[int64](c, "inv.postfreq", localTotal)
+	cursor := createTermArray(c, "inv.cursor", N, termBounds)
+	copy(cursor.Access(), offs)
+	c.Barrier()
+	_ = totalPostings
+
+	// --- Pass 2: re-invert the same loads and place postings. -----------
+	for _, li := range myLoads {
+		pairs := oracleInvertLoad(c, gf, &loads[li])
+		// Group by term, preserving the deterministic (doc-ordered within
+		// a load) pair order.
+		byTerm := make(map[int64][]entry)
+		for _, pr := range pairs {
+			byTerm[pr.term] = append(byTerm[pr.term], pr)
+		}
+		terms := make([]int64, 0, len(byTerm))
+		for t := range byTerm {
+			terms = append(terms, t)
+		}
+		sort.Slice(terms, func(a, b int) bool { return terms[a] < terms[b] })
+		for _, t := range terms {
+			es := byTerm[t]
+			slot := cursor.ReadInc(t, int64(len(es)))
+			docs := make([]int64, len(es))
+			freqs := make([]int64, len(es))
+			for i, e := range es {
+				docs[i] = e.doc
+				freqs[i] = e.freq
+			}
+			ix.PostDoc.Put(slot, docs)
+			ix.PostFreq.Put(slot, freqs)
+		}
+		c.Clock().Advance(c.Model().InvertCost(float64(loads[li].Tokens())))
+	}
+	c.Barrier()
+
+	// --- Finalize at the owner: sort postings per term, derive DF/CF. ---
+	ix.finalizeOwned(c)
+	c.Barrier()
+	return ix
+}
+
+// oracleInvertLoad reads a load's fields and tokens through one-sided Gets and
+// produces its (term, doc)->freq contributions in deterministic order
+// (ascending doc, then term-insertion order within the doc).
+func oracleInvertLoad(c *cluster.Comm, gf *GlobalForward, l *Load) []entry {
+	nf := l.FieldHi - l.FieldLo
+	fLo := make([]int64, nf)
+	fLen := make([]int64, nf)
+	fDoc := make([]int64, nf)
+	gf.FieldLo.Get(l.FieldLo, fLo)
+	gf.FieldLen.Get(l.FieldLo, fLen)
+	gf.FieldDoc.Get(l.FieldLo, fDoc)
+	toks := make([]int64, l.Tokens())
+	gf.Tokens.Get(l.TokenLo, toks)
+
+	var out []entry
+	freq := make(map[int64]int64)
+	var order []int64
+	flush := func(doc int64) {
+		for _, t := range order {
+			out = append(out, entry{term: t, doc: doc, freq: freq[t]})
+			delete(freq, t)
+		}
+		order = order[:0]
+	}
+	curDoc := int64(-1)
+	for i := int64(0); i < nf; i++ {
+		if fDoc[i] != curDoc {
+			if curDoc >= 0 {
+				flush(curDoc)
+			}
+			curDoc = fDoc[i]
+		}
+		start := fLo[i] - l.TokenLo
+		for _, t := range toks[start : start+fLen[i]] {
+			if freq[t] == 0 {
+				order = append(order, t)
+			}
+			freq[t]++
+		}
+	}
+	if curDoc >= 0 {
+		flush(curDoc)
+	}
+	return out
 }
