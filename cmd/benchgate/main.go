@@ -1,29 +1,21 @@
-// Command benchgate is the CI bench-regression gate: it compares the metrics
-// a fresh bench run wrote against the committed baseline and exits non-zero
-// when they regressed past the gated thresholds.
-//
-// It gates two independent planes:
+// Command benchgate is the CI bench-regression gate of the virtual plane: it
+// compares the metrics a fresh benchfig run wrote against the committed
+// baseline and exits non-zero when they regressed past the gated thresholds.
 //
 //	benchfig -ci BENCH_CI.json
 //	benchgate -baseline BENCH_BASELINE.json -current BENCH_CI.json
 //
-// gates the virtual metrics — modeled on the paper's cluster, so they
-// reproduce exactly across hosts and the thresholds can be tight (15%,
-// absolute floors on compression and the sharding/tile speedups). And
+// The metrics are modeled on the paper's cluster, so they reproduce exactly
+// across hosts and the thresholds can be tight (15%, absolute floors on
+// compression and the sharding/tile speedups). Measured performance is not
+// gated here: that is the repository benchmark's compare rule
+// (go run ./benchmark compare).
 //
-//	loadbench -ci -json BENCH_WALL_CI.json
-//	benchgate -wall -baseline BENCH_WALL.json -current BENCH_WALL_CI.json
-//
-// gates the wall-clock metrics — real HTTP load on the runner's own CPU, so
-// throughput is normalized by the run's CPU calibration score and the
-// tolerance is looser (25%); the per-request allocation metrics are
-// workload-deterministic and gate at 25% too.
-//
-// Either mode always prints a baseline-vs-current delta table (markdown),
-// and when $GITHUB_STEP_SUMMARY is set — i.e. inside a GitHub Actions job —
-// the same table is appended there, so every PR shows its perf trajectory in
-// the run summary. When an intentional change shifts the numbers, regenerate
-// and commit the baseline in the same PR.
+// It always prints a baseline-vs-current delta table (markdown), and when
+// $GITHUB_STEP_SUMMARY is set — i.e. inside a GitHub Actions job — the same
+// table is appended there, so every PR shows its trajectory in the run
+// summary. When an intentional change shifts the numbers, regenerate and
+// commit the baseline in the same PR.
 package main
 
 import (
@@ -34,7 +26,6 @@ import (
 	"strings"
 
 	"inspire/internal/bench"
-	"inspire/internal/loadgen"
 )
 
 // row is one metric of the delta table; higherIsBetter orients the delta
@@ -68,7 +59,7 @@ func renderRows(title string, rows []row) string {
 	return sb.String()
 }
 
-// deltaTable renders the virtual-plane comparison as markdown.
+// deltaTable renders the comparison as markdown.
 func deltaTable(base, cur *bench.CIMetrics) string {
 	return renderRows(fmt.Sprintf("Bench gate (scale %g)", cur.Scale), []row{
 		{"serving virtual qps", base.ServingVirtualQPS, cur.ServingVirtualQPS, true},
@@ -83,74 +74,9 @@ func deltaTable(base, cur *bench.CIMetrics) string {
 	})
 }
 
-// wallDeltaTable renders the wall-clock-plane comparison as markdown.
-func wallDeltaTable(base, cur *loadgen.WallMetrics) string {
-	title := fmt.Sprintf("Wall-clock gate (%d sessions x %d ops, seed %d)",
-		cur.Sessions, cur.OpsPerSession, cur.Seed)
-	rows := []row{
-		{"requests/sec (raw)", base.QPS, cur.QPS, true},
-		{"normalized qps (per calib mops)", base.NormQPS, cur.NormQPS, true},
-		{"host calibration (mops)", base.CalibMOPS, cur.CalibMOPS, true},
-		{"p50 latency (ms)", base.P50MS, cur.P50MS, false},
-		{"p95 latency (ms)", base.P95MS, cur.P95MS, false},
-		{"p99 latency (ms)", base.P99MS, cur.P99MS, false},
-		{"allocs/request", base.AllocsPerOp, cur.AllocsPerOp, false},
-		{"alloc bytes/request", base.BytesPerOp, cur.BytesPerOp, false},
-		{"gc pause total (ms)", base.GCPauseMS, cur.GCPauseMS, false},
-	}
-	if base.ColdStartSpeedup > 0 || cur.ColdStartSpeedup > 0 {
-		rows = append(rows,
-			row{"cold start, mapped (ms)", base.ColdStartMappedMS, cur.ColdStartMappedMS, false},
-			row{"cold start, gob (ms)", base.ColdStartGobMS, cur.ColdStartGobMS, false},
-			row{"cold start speedup (x)", base.ColdStartSpeedup, cur.ColdStartSpeedup, true},
-		)
-	}
-	if base.DenseAndSpeedup > 0 || cur.DenseAndSpeedup > 0 {
-		rows = append(rows,
-			row{"dense AND, bitmap (ms)", base.DenseAndBitmapMS, cur.DenseAndBitmapMS, false},
-			row{"dense AND, block-skip (ms)", base.DenseAndBlockMS, cur.DenseAndBlockMS, false},
-			row{"dense AND speedup (x)", base.DenseAndSpeedup, cur.DenseAndSpeedup, true},
-		)
-	}
-	if base.Replicas > 1 || cur.Replicas > 1 {
-		rows = append(rows,
-			row{"un-hedged p95, slow replica (ms)", base.UnhedgedP95MS, cur.UnhedgedP95MS, false},
-			row{"hedged p99, slow replica (ms)", base.HedgedP99MS, cur.HedgedP99MS, false},
-		)
-	}
-	if base.OverloadLimitQPS > 0 || cur.OverloadLimitQPS > 0 {
-		rows = append(rows,
-			row{"overload admission limit (qps)", base.OverloadLimitQPS, cur.OverloadLimitQPS, true},
-			row{"overload served (qps)", base.OverloadServedQPS, cur.OverloadServedQPS, true},
-		)
-	}
-	if base.FacetFilterOverhead > 0 || cur.FacetFilterOverhead > 0 {
-		rows = append(rows,
-			row{"AND p95, unfiltered (ms)", base.FacetPlainP95MS, cur.FacetPlainP95MS, false},
-			row{"AND p95, facet filter (ms)", base.FacetFilteredP95MS, cur.FacetFilteredP95MS, false},
-			row{"facet filter overhead (x)", base.FacetFilterOverhead, cur.FacetFilterOverhead, false},
-		)
-	}
-	return renderRows(title, rows)
-}
-
-// gate loads both metric files of the selected plane and returns the
-// rendered delta table, the violations and the one-line pass verdict.
-func gate(wall bool, baselinePath, currentPath string) (table string, violations []string, verdict string, err error) {
-	if wall {
-		base, err := loadgen.ReadWallMetrics(baselinePath)
-		if err != nil {
-			return "", nil, "", err
-		}
-		cur, err := loadgen.ReadWallMetrics(currentPath)
-		if err != nil {
-			return "", nil, "", err
-		}
-		verdict = fmt.Sprintf("benchgate: ok — %.0f req/sec over real HTTP (normalized %.2f vs baseline %.2f), "+
-			"p99 %.2f ms, %.0f allocs/req, %.0f B/req",
-			cur.QPS, cur.NormQPS, base.NormQPS, cur.P99MS, cur.AllocsPerOp, cur.BytesPerOp)
-		return wallDeltaTable(base, cur), cur.Gate(base), verdict, nil
-	}
+// gate loads both metric files and returns the rendered delta table, the
+// violations and the one-line pass verdict.
+func gate(baselinePath, currentPath string) (table string, violations []string, verdict string, err error) {
 	base, err := bench.ReadCIMetrics(baselinePath)
 	if err != nil {
 		return "", nil, "", err
@@ -171,8 +97,8 @@ func gate(wall bool, baselinePath, currentPath string) (table string, violations
 }
 
 // run is main behind testable seams: parsed flags in, exit code out.
-func run(wall bool, baselinePath, currentPath, summaryPath string, stdout, stderr io.Writer) int {
-	table, violations, verdict, err := gate(wall, baselinePath, currentPath)
+func run(baselinePath, currentPath, summaryPath string, stdout, stderr io.Writer) int {
+	table, violations, verdict, err := gate(baselinePath, currentPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchgate: %v\n", err)
 		return 1
@@ -206,24 +132,8 @@ func run(wall bool, baselinePath, currentPath, summaryPath string, stdout, stder
 }
 
 func main() {
-	wall := flag.Bool("wall", false, "gate the wall-clock load metrics (loadbench -ci) instead of the virtual bench metrics")
-	baseline := flag.String("baseline", "", "committed baseline metrics (default BENCH_BASELINE.json, or BENCH_WALL.json with -wall)")
-	current := flag.String("current", "", "metrics of this run (default BENCH_CI.json, or BENCH_WALL_CI.json with -wall)")
+	baseline := flag.String("baseline", "BENCH_BASELINE.json", "committed baseline metrics")
+	current := flag.String("current", "BENCH_CI.json", "metrics of this run (benchfig -ci)")
 	flag.Parse()
-
-	if *baseline == "" {
-		if *wall {
-			*baseline = "BENCH_WALL.json"
-		} else {
-			*baseline = "BENCH_BASELINE.json"
-		}
-	}
-	if *current == "" {
-		if *wall {
-			*current = "BENCH_WALL_CI.json"
-		} else {
-			*current = "BENCH_CI.json"
-		}
-	}
-	os.Exit(run(*wall, *baseline, *current, os.Getenv("GITHUB_STEP_SUMMARY"), os.Stdout, os.Stderr))
+	os.Exit(run(*baseline, *current, os.Getenv("GITHUB_STEP_SUMMARY"), os.Stdout, os.Stderr))
 }

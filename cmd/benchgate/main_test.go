@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"inspire/internal/bench"
-	"inspire/internal/loadgen"
 )
 
 // baseCI is a healthy virtual baseline every threshold case perturbs.
@@ -27,8 +26,8 @@ func baseCI() *bench.CIMetrics {
 	}
 }
 
-// TestCIGateThresholds walks every virtual-plane gate boundary the command
-// enforces: the exact edge passes, one step past it fails.
+// TestCIGateThresholds walks every gate boundary the command enforces: the
+// exact edge passes, one step past it fails.
 func TestCIGateThresholds(t *testing.T) {
 	cases := []struct {
 		name string
@@ -86,120 +85,8 @@ func TestDeltaTableMarks(t *testing.T) {
 	}
 }
 
-// TestWallDeltaTable pins the wall-clock table: every gated metric appears,
-// latency and allocation rows are lower-is-better.
-func TestWallDeltaTable(t *testing.T) {
-	base := &loadgen.WallMetrics{Sessions: 100, OpsPerSession: 50, Seed: 1,
-		QPS: 1000, NormQPS: 2, P95MS: 100, AllocsPerOp: 200, BytesPerOp: 130000}
-	cur := &loadgen.WallMetrics{Sessions: 100, OpsPerSession: 50, Seed: 1,
-		QPS: 1100, NormQPS: 2.2, P95MS: 120, AllocsPerOp: 150, BytesPerOp: 130000}
-	got := wallDeltaTable(base, cur)
-	for _, want := range []string{
-		"Wall-clock gate (100 sessions x 50 ops, seed 1)",
-		"normalized qps", "p95 latency", "allocs/request",
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("table lacks %q:\n%s", want, got)
-		}
-	}
-	if !strings.Contains(got, "+10.0% ✅") { // higher qps is good
-		t.Fatalf("qps improvement unmarked:\n%s", got)
-	}
-	if !strings.Contains(got, "+20.0% ⚠️") { // higher p95 is bad
-		t.Fatalf("p95 regression unmarked:\n%s", got)
-	}
-	if !strings.Contains(got, "-25.0% ✅") { // fewer allocs is good
-		t.Fatalf("alloc improvement unmarked:\n%s", got)
-	}
-}
-
-// TestColdStartGate walks the cold-start floor of the wall gate: the exact
-// 10x edge passes, a hair under fails, an unmeasured run against an
-// unmeasured baseline is fine, and a run that stopped measuring while the
-// baseline has numbers is itself a violation.
-func TestColdStartGate(t *testing.T) {
-	wall := func(mapped, gob float64) *loadgen.WallMetrics {
-		m := &loadgen.WallMetrics{Sessions: 100, OpsPerSession: 50, Seed: 1,
-			QPS: 1000, NormQPS: 2.0, AllocsPerOp: 200, BytesPerOp: 130000}
-		if mapped > 0 && gob > 0 {
-			m.ColdStartMappedMS, m.ColdStartGobMS = mapped, gob
-			m.ColdStartSpeedup = gob / mapped
-		}
-		return m
-	}
-	cases := []struct {
-		name      string
-		base, cur *loadgen.WallMetrics
-		want      int // violations
-	}{
-		{"speedup at floor", wall(10, 100), wall(10, 100), 0}, // exactly 10.0x
-		{"speedup below floor", wall(10, 100), wall(10, 99.9), 1},
-		{"well above floor", wall(10, 100), wall(2, 300), 0},
-		{"neither measured", wall(0, 0), wall(0, 0), 0},
-		{"measurement dropped", wall(10, 100), wall(0, 0), 1},
-		{"baseline unmeasured, current measured", wall(0, 0), wall(5, 200), 0},
-	}
-	for _, tc := range cases {
-		if got := tc.cur.Gate(tc.base); len(got) != tc.want {
-			t.Errorf("%s: %d violations %v, want %d", tc.name, len(got), got, tc.want)
-		}
-	}
-	// The wall table only grows cold-start rows when either side measured.
-	if got := wallDeltaTable(wall(0, 0), wall(0, 0)); strings.Contains(got, "cold start") {
-		t.Fatalf("unmeasured runs grew cold-start rows:\n%s", got)
-	}
-	got := wallDeltaTable(wall(10, 100), wall(5, 150))
-	for _, want := range []string{"cold start, mapped (ms)", "cold start, gob (ms)", "cold start speedup (x)"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("table lacks %q:\n%s", want, got)
-		}
-	}
-}
-
-// TestDenseAndGate walks the dense-AND floor of the wall gate: the exact 3x
-// edge passes, a hair under fails, unmeasured runs only violate when the
-// baseline has numbers, and the table grows its rows only when measured.
-func TestDenseAndGate(t *testing.T) {
-	wall := func(bitmap, block float64) *loadgen.WallMetrics {
-		m := &loadgen.WallMetrics{Sessions: 100, OpsPerSession: 50, Seed: 1,
-			QPS: 1000, NormQPS: 2.0, AllocsPerOp: 200, BytesPerOp: 130000}
-		if bitmap > 0 && block > 0 {
-			m.DenseAndBitmapMS, m.DenseAndBlockMS = bitmap, block
-			m.DenseAndSpeedup = block / bitmap
-		}
-		return m
-	}
-	cases := []struct {
-		name      string
-		base, cur *loadgen.WallMetrics
-		want      int // violations
-	}{
-		{"speedup at floor", wall(0.01, 0.03), wall(0.01, 0.03), 0}, // exactly 3.0x
-		{"speedup below floor", wall(0.01, 0.03), wall(0.01, 0.0299), 1},
-		{"well above floor", wall(0.01, 0.03), wall(0.001, 0.05), 0},
-		{"neither measured", wall(0, 0), wall(0, 0), 0},
-		{"measurement dropped", wall(0.01, 0.03), wall(0, 0), 1},
-		{"baseline unmeasured, current measured", wall(0, 0), wall(0.01, 0.05), 0},
-	}
-	for _, tc := range cases {
-		if got := tc.cur.Gate(tc.base); len(got) != tc.want {
-			t.Errorf("%s: %d violations %v, want %d", tc.name, len(got), got, tc.want)
-		}
-	}
-	// The wall table only grows dense-AND rows when either side measured.
-	if got := wallDeltaTable(wall(0, 0), wall(0, 0)); strings.Contains(got, "dense AND") {
-		t.Fatalf("unmeasured runs grew dense-AND rows:\n%s", got)
-	}
-	got := wallDeltaTable(wall(0.01, 0.1), wall(0.008, 0.09))
-	for _, want := range []string{"dense AND, bitmap (ms)", "dense AND, block-skip (ms)", "dense AND speedup (x)"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("table lacks %q:\n%s", want, got)
-		}
-	}
-}
-
-// writeWall persists wall metrics for the end-to-end run() cases.
-func writeWall(t *testing.T, dir, name string, m *loadgen.WallMetrics) string {
+// writeCI persists virtual metrics for the end-to-end run() cases.
+func writeCI(t *testing.T, dir, name string, m *bench.CIMetrics) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
 	if err := m.WriteJSON(path); err != nil {
@@ -208,25 +95,24 @@ func writeWall(t *testing.T, dir, name string, m *loadgen.WallMetrics) string {
 	return path
 }
 
-// TestRunWallGate drives run() end to end on metric files: a healthy run
-// passes and appends the step summary, a regressed run fails with the
-// violation on stderr, a missing file is a hard error.
-func TestRunWallGate(t *testing.T) {
+// TestRunGate drives run() end to end on metric files: a healthy run passes,
+// prints every gated row and appends the step summary, a regressed run fails
+// with the violation on stderr, a missing file is a hard error.
+func TestRunGate(t *testing.T) {
 	dir := t.TempDir()
-	base := &loadgen.WallMetrics{Sessions: 100, OpsPerSession: 50, Seed: 1,
-		QPS: 1000, NormQPS: 2.0, CalibMOPS: 500, AllocsPerOp: 200, BytesPerOp: 130000}
-	basePath := writeWall(t, dir, "base.json", base)
+	basePath := writeCI(t, dir, "base.json", baseCI())
 
-	good := *base
-	good.NormQPS = 1.9
-	goodPath := writeWall(t, dir, "good.json", &good)
+	good := baseCI()
+	good.ServingVirtualQPS = 950
 	summary := filepath.Join(dir, "summary.md")
 	var out, errb bytes.Buffer
-	if code := run(true, basePath, goodPath, summary, &out, &errb); code != 0 {
+	if code := run(basePath, writeCI(t, dir, "good.json", good), summary, &out, &errb); code != 0 {
 		t.Fatalf("healthy run exits %d; stderr %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "benchgate: ok") {
-		t.Fatalf("no verdict printed: %s", out.String())
+	for _, want := range []string{"Bench gate (scale 1024)", "serving virtual qps", "-5.0% ⚠️", "tile p95 under ingest", "benchgate: ok"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output lacks %q:\n%s", want, out.String())
+		}
 	}
 	sum, err := os.ReadFile(summary)
 	if err != nil {
@@ -236,39 +122,29 @@ func TestRunWallGate(t *testing.T) {
 		t.Fatalf("step summary lacks pass line: %s", sum)
 	}
 
-	bad := *base
-	bad.NormQPS = 1.0 // 50% drop: past the 25% gate
-	badPath := writeWall(t, dir, "bad.json", &bad)
+	bad := baseCI()
+	bad.ServingVirtualQPS = 500 // 50% drop: past the 15% gate
 	out.Reset()
 	errb.Reset()
-	if code := run(true, basePath, badPath, "", &out, &errb); code != 1 {
+	if code := run(basePath, writeCI(t, dir, "bad.json", bad), "", &out, &errb); code != 1 {
 		t.Fatalf("regressed run exits %d", code)
 	}
-	if !strings.Contains(errb.String(), "normalized throughput") {
-		t.Fatalf("violation not named on stderr: %s", errb.String())
+	if !strings.Contains(errb.String(), "FAIL") || strings.Contains(out.String(), "benchgate: ok") {
+		t.Fatalf("violation not reported: stdout %s stderr %s", out.String(), errb.String())
 	}
 
-	if code := run(true, basePath, filepath.Join(dir, "missing.json"), "", &out, &errb); code != 1 {
+	if code := run(basePath, filepath.Join(dir, "missing.json"), "", &out, &errb); code != 1 {
 		t.Fatal("missing current metrics accepted")
 	}
 }
 
-// TestRunScaleMismatch pins the virtual plane's refusal to compare runs at
-// different scales.
+// TestRunScaleMismatch pins the refusal to compare runs at different scales.
 func TestRunScaleMismatch(t *testing.T) {
 	dir := t.TempDir()
 	a, b := baseCI(), baseCI()
 	b.Scale = 2048
-	aPath := filepath.Join(dir, "a.json")
-	bPath := filepath.Join(dir, "b.json")
-	if err := a.WriteJSON(aPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteJSON(bPath); err != nil {
-		t.Fatal(err)
-	}
 	var out, errb bytes.Buffer
-	if code := run(false, aPath, bPath, "", &out, &errb); code != 1 {
+	if code := run(writeCI(t, dir, "a.json", a), writeCI(t, dir, "b.json", b), "", &out, &errb); code != 1 {
 		t.Fatal("scale mismatch accepted")
 	}
 	if !strings.Contains(errb.String(), "scale mismatch") {

@@ -56,12 +56,11 @@
 //
 // The HTTP surface (term/boolean/similar/theme/near/tile queries, live
 // add/delete/flush/compact/save, /themes, /stats) lives in internal/httpd —
-// see that package's documentation for the endpoint list. Every query
-// route answers both versioned — /v1/... with the
-// {"ok","data","error":{code,message}} envelope, stable error codes and
-// real HTTP statuses — and as the deprecated unversioned alias with the
-// legacy in-band-error shape; new clients should use /v1. The same handler
-// is what cmd/loadbench drives when measuring wall-clock serving throughput.
+// see that package's documentation for the endpoint list. Every route is
+// under /v1 and every response, refusals of a wrong method or an unknown
+// path included, is the {"ok","data","error":{code,message}} envelope with
+// stable error codes and real HTTP statuses. The same handler is what the
+// repository benchmark's traced runs (benchmark/layers) mount in-process.
 //
 // /save takes a plain file name, written inside the directory configured
 // with -save-dir; without -save-dir the endpoint is disabled — a network

@@ -52,23 +52,23 @@
 // pyramid (internal/tiles): a quadtree of multi-resolution aggregates —
 // density grids, top-theme histograms with representative labels, exemplar
 // documents — so a client renders any viewport from a handful of fixed-size
-// tiles (inspired's /tiles/{z}/{x}/{y} endpoint) instead of pulling
+// tiles (inspired's /v1/tiles/{z}/{x}/{y} endpoint) instead of pulling
 // corpus-proportional point sets. Pyramids persist as sidecars next to
 // store files, are maintained incrementally under live ingestion along the
 // same epoch lineage as the similarity refresh, and merge bit-identically
 // across shards; spatial Near queries descend the same quadtree instead of
 // scanning every point.
 //
-// The daemon's HTTP and stdin surfaces live in internal/httpd, mountable
-// in-process; internal/loadgen and cmd/loadbench drive that surface with
-// seeded, replayable mixed workloads from many concurrent sessions over real
-// sockets and report wall-clock throughput, latency percentiles and
-// per-request allocation — the measured plane CI gates alongside the modeled
-// one (cmd/benchgate -wall).
+// The daemon's HTTP (/v1, always the envelope) and stdin surfaces live in
+// internal/httpd, mountable in-process. What the host sustains is measured
+// by the one benchmark under benchmark/ (contract in BENCHMARK.json): it
+// drives the daemon binary out of process with seeded workloads and reports
+// end-to-end and per-layer metrics by name; cmd/benchgate gates the modeled
+// plane only.
 //
 // The library lives under internal/; the executables under cmd/ (inspire,
-// inspired, corpusgen, benchfig, benchgate, loadbench) and the runnable
-// scenarios under examples/ are the public surface. bench_test.go in this
+// inspired, corpusgen, benchfig, benchgate) and the runnable scenarios under
+// examples/ are the public surface. bench_test.go in this
 // directory regenerates every figure of the paper's evaluation as Go
 // benchmarks; see DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-vs-measured results.

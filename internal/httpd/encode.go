@@ -15,7 +15,7 @@ import (
 	"inspire/internal/tiles"
 )
 
-// The reply path: every Reply — and the /v1 envelope around it — is rendered
+// The reply path: every Reply — and the HTTP envelope around it — is rendered
 // by appendReply into a pooled buffer and leaves in one Write with its
 // Content-Length. The output is byte-for-byte what encoding/json produces for
 // the same value (FuzzAppendReply holds the two against each other), so the
@@ -320,66 +320,64 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// envelopeOpen starts a successful /v1 response; the payload and '}' follow.
+// envelopeOpen starts a successful HTTP response; the payload and '}' follow.
 const envelopeOpen = `{"ok":true,"data":`
 
-// appendError appends a refusal for one surface, newline included: the
-// {"ok":false,"error":{code,message}} envelope under /v1, the in-band
-// {"op":...,"error":...} reply on the unversioned aliases and the line
-// protocol.
-func appendError(dst []byte, v1 bool, op, code, msg string) []byte {
-	if v1 {
-		dst = append(dst, `{"ok":false,"error":{"code":`...)
-		dst = appendString(dst, code)
-		dst = append(dst, `,"message":`...)
-		dst = appendString(dst, msg)
-		return append(dst, "}}\n"...)
-	}
-	dst, _ = appendReply(dst, &Reply{Op: op, Error: msg}) // no float to refuse
-	return append(dst, '\n')
+// Two transports, one encoder each: HTTP writes the /v1 envelope
+// (appendEnvelope, appendErrorEnvelope, appendValueEnvelope), the line
+// protocol writes the bare Reply (appendLine). Both end in a newline.
+
+// appendErrorEnvelope appends a refusal as HTTP spells it,
+// {"ok":false,"error":{code,message}}.
+func appendErrorEnvelope(dst []byte, code, msg string) []byte {
+	dst = append(dst, `{"ok":false,"error":{"code":`...)
+	dst = appendString(dst, code)
+	dst = append(dst, `,"message":`...)
+	dst = appendString(dst, msg)
+	return append(dst, "}}\n"...)
 }
 
-// appendBody appends the whole response body of an op result for one
-// surface and returns the HTTP status that goes with it. A reply that
-// cannot be encoded answers 500 `internal` with nothing of it on the wire.
-func appendBody(dst []byte, v1 bool, rep *Reply) ([]byte, int) {
-	if v1 && rep.Error != "" {
+// appendEnvelope appends the whole HTTP response body of an op result and
+// returns the status that goes with it: an op error maps onto the stable code
+// set, and a reply that cannot be encoded answers 500 `internal` with nothing
+// of it on the wire.
+func appendEnvelope(dst []byte, rep *Reply) ([]byte, int) {
+	if rep.Error != "" {
 		code := errCode(rep.Error)
-		return appendError(dst, true, rep.Op, code, rep.Error), httpStatus(code)
+		return appendErrorEnvelope(dst, code, rep.Error), httpStatus(code)
 	}
 	mark := len(dst)
-	if v1 {
-		dst = append(dst, envelopeOpen...)
-	}
-	dst, err := appendReply(dst, rep)
+	dst, err := appendReply(append(dst, envelopeOpen...), rep)
 	if err != nil {
-		return appendError(dst[:mark], v1, rep.Op, CodeInternal, err.Error()), http.StatusInternalServerError
+		return appendErrorEnvelope(dst[:mark], CodeInternal, err.Error()), http.StatusInternalServerError
 	}
-	if v1 {
-		dst = append(dst, '}')
-	}
-	return append(dst, '\n'), http.StatusOK
+	return append(dst, "}\n"...), http.StatusOK
 }
 
-// appendValue is appendBody for the /themes and /stats documents. They are
-// the two payloads left on reflection: cold (a dashboard polls them, no query
-// waits on them) and shape-rich (serve.Stats alone is dozens of counters that
-// grow with every subsystem), so a hand-written encoder would cost more to
-// keep true than it could save. The data bytes under /v1 are exactly the
-// deprecated alias's whole body.
-func appendValue(dst []byte, v1 bool, op string, v any) ([]byte, int) {
+// appendValueEnvelope is appendEnvelope for the /themes and /stats documents.
+// They are the two payloads left on reflection: cold (a dashboard polls them,
+// no query waits on them) and shape-rich (serve.Stats alone is dozens of
+// counters that grow with every subsystem), so a hand-written encoder would
+// cost more to keep true than it could save.
+func appendValueEnvelope(dst []byte, v any) ([]byte, int) {
 	raw, err := json.Marshal(v)
 	if err != nil {
-		return appendError(dst, v1, op, CodeInternal, err.Error()), http.StatusInternalServerError
+		return appendErrorEnvelope(dst, CodeInternal, err.Error()), http.StatusInternalServerError
 	}
-	if v1 {
-		dst = append(dst, envelopeOpen...)
+	dst = append(append(dst, envelopeOpen...), raw...)
+	return append(dst, "}\n"...), http.StatusOK
+}
+
+// appendLine appends one line of the stdin protocol: the bare Reply, its op
+// error in-band; a reply that cannot be encoded becomes an in-band error with
+// nothing of it on the line.
+func appendLine(dst []byte, rep *Reply) []byte {
+	mark := len(dst)
+	dst, err := appendReply(dst, rep)
+	if err != nil {
+		dst, _ = appendReply(dst[:mark], &Reply{Op: rep.Op, Error: err.Error()}) // no float to refuse
 	}
-	dst = append(dst, raw...)
-	if v1 {
-		dst = append(dst, '}')
-	}
-	return append(dst, '\n'), http.StatusOK
+	return append(dst, '\n')
 }
 
 // body is a pooled response buffer. Replies are ~90 KB on posting-heavy

@@ -31,8 +31,8 @@ func jsonLine(t testing.TB, v any) []byte {
 	return buf.Bytes()
 }
 
-// checkEncoding holds appendReply, and appendBody on both surfaces, against
-// encoding/json for one reply, byte for byte.
+// checkEncoding holds appendReply, the line protocol's bare encoding and
+// HTTP's enveloped one against encoding/json for one reply, byte for byte.
 func checkEncoding(t testing.TB, rep *Reply) {
 	t.Helper()
 	want, wantErr := json.Marshal(rep)
@@ -45,23 +45,22 @@ func checkEncoding(t testing.TB, rep *Reply) {
 		t.Fatalf("appendReply diverges from json.Marshal\n got: %s\nwant: prefix%s", got, want)
 	}
 
-	// The unversioned body: the reply and a newline; 500 and an in-band
-	// error when the reply cannot be encoded.
-	legacy, status := appendBody(nil, false, rep)
-	wantLegacy, wantStatus := []byte(nil), http.StatusOK
+	// The stdin line: the reply and a newline; an in-band error when the
+	// reply cannot be encoded.
+	wantLine := []byte(nil)
 	if wantErr == nil {
-		wantLegacy = jsonLine(t, rep)
+		wantLine = jsonLine(t, rep)
 	} else {
-		wantLegacy, wantStatus = jsonLine(t, Reply{Op: rep.Op, Error: gotErr.Error()}), http.StatusInternalServerError
+		wantLine = jsonLine(t, Reply{Op: rep.Op, Error: gotErr.Error()})
 	}
-	if !bytes.Equal(legacy, wantLegacy) || status != wantStatus {
-		t.Fatalf("legacy body = %d %s\nwant %d %s", status, legacy, wantStatus, wantLegacy)
+	if line := appendLine([]byte("prefix"), rep); string(line) != "prefix"+string(wantLine) {
+		t.Fatalf("line = %s\nwant prefix%s", line, wantLine)
 	}
 
-	// The /v1 body: the envelope encoding/json builds around the same bytes.
-	v1, status := appendBody(nil, true, rep)
+	// The HTTP body: the envelope encoding/json builds around the same bytes.
+	v1, status := appendEnvelope(nil, rep)
 	env := Envelope{OK: true, Data: want}
-	wantStatus = http.StatusOK
+	wantStatus := http.StatusOK
 	switch {
 	case rep.Error != "":
 		code := errCode(rep.Error)
@@ -293,7 +292,7 @@ func fillValue(t *testing.T, v reflect.Value) {
 func TestAppendReplyCoversEveryField(t *testing.T) {
 	var rep Reply
 	fillValue(t, reflect.ValueOf(&rep).Elem())
-	rep.Error = "" // an op error replaces the payload under /v1; check it apart
+	rep.Error = "" // an op error replaces the payload over HTTP; check it apart
 	checkEncoding(t, &rep)
 	rep.Error = "seven"
 	checkEncoding(t, &rep)
@@ -339,9 +338,9 @@ func TestEncodeReplyAllocFree(t *testing.T) {
 	rep := termReply(3000)
 	bb := newBody()
 	defer bb.release()
-	bb.b, _ = appendBody(bb.b, true, rep) // grow the buffer once
+	bb.b, _ = appendEnvelope(bb.b, rep) // grow the buffer once
 	got := testing.AllocsPerRun(100, func() {
-		bb.b, _ = appendBody(bb.b[:0], true, rep)
+		bb.b, _ = appendEnvelope(bb.b[:0], rep)
 	})
 	if got != 0 {
 		t.Fatalf("encoding a warm 3000-posting reply allocates %v objects/op, want 0", got)
@@ -371,9 +370,9 @@ func (nanQuerier) Similar(context.Context, int64, int) ([]query.Hit, error) {
 }
 
 // TestUnencodableReply pins the one outcome of a reply that cannot be
-// encoded, on every surface: HTTP 500, a complete well-formed error body
-// with its exact Content-Length, and nothing of the partial encoding. (The
-// unversioned route used to answer 200 with an empty body.)
+// encoded, on both transports: HTTP 500 with a complete well-formed error
+// body and its exact Content-Length, an in-band error line on stdin, and
+// nothing of the partial encoding on either.
 func TestUnencodableReply(t *testing.T) {
 	d := New(nanService{}, "")
 	ts := httptest.NewServer(d.Mux())
@@ -391,18 +390,6 @@ func TestUnencodableReply(t *testing.T) {
 		t.Fatalf("/v1 Content-Length %q for a %d-byte body", hdr.Get("Content-Length"), len(raw))
 	}
 
-	code, hdr, raw = fetch(t, ts.Client(), http.MethodGet, ts.URL+"/similar?doc=0")
-	var rep Reply
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("legacy body %q: %v", raw, err)
-	}
-	if code != http.StatusInternalServerError || rep.Op != "similar" || rep.Error == "" || len(rep.Hits) != 0 {
-		t.Fatalf("legacy unencodable reply = %d %s", code, raw)
-	}
-	if hdr.Get("Content-Length") != strconv.Itoa(len(raw)) {
-		t.Fatalf("legacy Content-Length %q for a %d-byte body", hdr.Get("Content-Length"), len(raw))
-	}
-
 	var out strings.Builder
 	d.ServeLines(strings.NewReader("similar 0\nsimilar 0\n"), &out)
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
@@ -410,7 +397,7 @@ func TestUnencodableReply(t *testing.T) {
 		t.Fatalf("line protocol wrote %q, want two lines", out.String())
 	}
 	for _, line := range lines {
-		rep = Reply{}
+		var rep Reply
 		if err := json.Unmarshal([]byte(line), &rep); err != nil || rep.Error == "" || len(rep.Hits) != 0 {
 			t.Fatalf("line protocol unencodable reply = %q (%v)", line, err)
 		}
@@ -423,7 +410,7 @@ func TestUnencodableReply(t *testing.T) {
 func TestReplyFraming(t *testing.T) {
 	ts := httptest.NewServer(New(buildService(t, 1), "").Mux())
 	defer ts.Close()
-	for _, route := range []string{"/term?q=apple", "/v1/term?q=apple", "/v1/stats", "/themes", "/v1/similar?doc=99999"} {
+	for _, route := range []string{"/v1/term?q=apple", "/v1/stats", "/v1/themes", "/v1/similar?doc=99999", "/v1/nosuch", "/term?q=apple"} {
 		resp, err := ts.Client().Get(ts.URL + route)
 		if err != nil {
 			t.Fatal(err)
@@ -479,11 +466,11 @@ func BenchmarkEncodeReply(b *testing.B) {
 		{"hits10", hits},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			buf, _ := appendBody(nil, true, tc.rep)
+			buf, _ := appendEnvelope(nil, tc.rep)
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
 			for b.Loop() {
-				buf, _ = appendBody(buf[:0], true, tc.rep)
+				buf, _ = appendEnvelope(buf[:0], tc.rep)
 			}
 		})
 		b.Run(tc.name+"-json", func(b *testing.B) {

@@ -1,18 +1,17 @@
 // Package httpd is the daemon's serving surface: the JSON HTTP mux and the
 // stdin line protocol that cmd/inspired exposes, factored out of the command
 // so it can also be driven in-process — the end-to-end test sweep and the
-// wall-clock load harness (internal/loadgen, cmd/loadbench) mount the exact
-// handler the production daemon serves, over real HTTP listeners, without
-// forking a subprocess.
+// repository benchmark's traced runs (benchmark/layers) mount the exact
+// handler the production daemon serves, over real HTTP listeners.
 //
-// The versioned surface lives under /v1 and wraps every response in the
-// envelope {"ok":bool,"data":...,"error":{"code","message"}} with stable
-// error codes (bad_request, not_found, disabled, rate_limited, overloaded,
-// method_not_allowed, internal). The unversioned routes below remain as
-// deprecated aliases answering the bare payload — byte-identical to the
-// corresponding /v1 response's "data" field.
+// The HTTP surface lives under /v1 and wraps every response — answers,
+// refusals, wrong methods and unknown paths alike — in the envelope
+// {"ok":bool,"data":...,"error":{"code","message"}} with stable error codes
+// (bad_request, not_found, disabled, rate_limited, overloaded,
+// method_not_allowed, internal) and the matching HTTP status. The line
+// protocol writes the bare "data" payload, one per line, errors in-band.
 //
-// Endpoints (JSON responses; reads are GET, mutations are POST):
+// Endpoints (each answers exactly one method: reads GET, mutations POST):
 //
 //	GET  /v1/term?q=word            posting list of one term
 //	GET  /v1/df?q=word              document frequency
@@ -79,7 +78,7 @@ import (
 	"inspire/internal/serve"
 )
 
-// Stable /v1 error codes.
+// Stable error codes of the HTTP envelope.
 const (
 	CodeBadRequest       = "bad_request"
 	CodeNotFound         = "not_found"
@@ -234,8 +233,8 @@ func (d *Daemon) session(name string) *namedSession {
 	return s
 }
 
-// Reply is the JSON payload of every query response: the whole body on the
-// deprecated unversioned routes, the "data" field under /v1.
+// Reply is the JSON payload of every query response: the "data" field of the
+// HTTP envelope, the whole line on the line protocol.
 type Reply struct {
 	Op        string            `json:"op"`
 	VirtualMS float64           `json:"virtual_ms"`         // this interaction's modeled latency
@@ -250,14 +249,14 @@ type Reply struct {
 	Error     string            `json:"error,omitempty"`
 }
 
-// ErrorInfo is the /v1 envelope's error half.
+// ErrorInfo is the envelope's error half.
 type ErrorInfo struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
 }
 
-// Envelope is the /v1 response shape, for clients to decode into; the
-// daemon itself writes it with appendBody.
+// Envelope is the HTTP response shape, for clients to decode into; the
+// daemon itself writes it with appendEnvelope.
 type Envelope struct {
 	OK    bool            `json:"ok"`
 	Data  json.RawMessage `json:"data,omitempty"`
@@ -489,22 +488,22 @@ func (d *Daemon) live(ctx context.Context, op, path string) Reply {
 // admit applies admission control for one request; when it returns false the
 // response has been written. degraded reports whether the in-flight level
 // crossed the degradation threshold. Callers must release() when admitted.
-func (d *Daemon) admit(w http.ResponseWriter, name string, v1 bool, op string) (degraded, ok bool) {
+func (d *Daemon) admit(w http.ResponseWriter, name string) (degraded, ok bool) {
 	l := d.limits
 	now := time.Now()
 	if !d.global.allow(now) {
-		d.shedReply(w, v1, op, CodeRateLimited, "global request rate exceeded")
+		d.shedReply(w, CodeRateLimited, "global request rate exceeded")
 		return false, false
 	}
 	if name != "" && l.SessionRate > 0 {
 		if ns := d.session(name); !ns.bkt.allow(now) {
-			d.shedReply(w, v1, op, CodeRateLimited, fmt.Sprintf("session %q rate exceeded", name))
+			d.shedReply(w, CodeRateLimited, fmt.Sprintf("session %q rate exceeded", name))
 			return false, false
 		}
 	}
 	if l.MaxInFlight > 0 {
 		if in := d.inflight.Load(); int(in) >= l.MaxInFlight {
-			d.shedReply(w, v1, op, CodeOverloaded, "server is at its in-flight ceiling")
+			d.shedReply(w, CodeOverloaded, "server is at its in-flight ceiling")
 			return false, false
 		}
 		if l.DegradeThreshold > 0 &&
@@ -518,133 +517,116 @@ func (d *Daemon) admit(w http.ResponseWriter, name string, v1 bool, op string) (
 
 func (d *Daemon) release() { d.inflight.Add(-1) }
 
-// shedReply writes a 429 with Retry-After on either surface.
-func (d *Daemon) shedReply(w http.ResponseWriter, v1 bool, op, code, msg string) {
+// shedReply writes a 429 with Retry-After.
+func (d *Daemon) shedReply(w http.ResponseWriter, code, msg string) {
 	d.shed.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(d.limits.RetryAfter.Seconds()))))
-	writeError(w, v1, op, code, msg)
+	writeError(w, code, msg)
 }
 
-// writeReply writes an op result: the bare payload on the deprecated routes,
-// the envelope under /v1 (op errors map onto the stable code set).
-func writeReply(w http.ResponseWriter, v1 bool, rep *Reply) {
+// writeReply writes an op result in the envelope (op errors map onto the
+// stable code set).
+func writeReply(w http.ResponseWriter, rep *Reply) {
 	bb := newBody()
 	var status int
-	bb.b, status = appendBody(bb.b, v1, rep)
+	bb.b, status = appendEnvelope(bb.b, rep)
 	bb.send(w, status)
 }
 
 // writeError writes a refusal that never reached an op — shed, wrong method,
-// unencodable payload — with the transport status of its code on either
-// surface.
-func writeError(w http.ResponseWriter, v1 bool, op, code, msg string) {
+// unknown path — with the transport status of its code.
+func writeError(w http.ResponseWriter, code, msg string) {
 	bb := newBody()
-	bb.b = appendError(bb.b, v1, op, code, msg)
+	bb.b = appendErrorEnvelope(bb.b, code, msg)
 	bb.send(w, httpStatus(code))
 }
 
 // writeValue writes a /themes or /stats document.
-func writeValue(w http.ResponseWriter, v1 bool, op string, v any) {
+func writeValue(w http.ResponseWriter, v any) {
 	bb := newBody()
 	var status int
-	bb.b, status = appendValue(bb.b, v1, op, v)
+	bb.b, status = appendValueEnvelope(bb.b, v)
 	bb.send(w, status)
 }
 
-// methodNotAllowed writes the mutation-guard refusal on either surface.
-func methodNotAllowed(w http.ResponseWriter, v1 bool, op string) {
-	writeError(w, v1, op, CodeMethodNotAllowed, "mutating endpoint: use POST")
-}
-
-// Mux builds the HTTP surface: the versioned /v1 routes and their deprecated
-// unversioned aliases. Query endpoints answer GET; every endpoint that
-// mutates server state (add/delete/flush/compact/save) requires POST, so
-// crawlers, prefetchers and simple cross-site GETs cannot trip them.
+// Mux builds the HTTP surface. Every route is registered with the one method
+// it answers: queries GET (and so HEAD); every endpoint that mutates server
+// state (add/delete/flush/compact/save) POST, so crawlers, prefetchers and
+// simple cross-site GETs cannot trip them. The mux's own plain-text 405 and
+// 404 are never reached: handle refuses a wrong method and the catch-all an
+// unknown path, both in the envelope.
 func (d *Daemon) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	register := func(prefix string, v1 bool) {
-		// Unversioned routes announce their own retirement: RFC 8594
-		// Deprecation plus a Link to the /v1 twin, set before any body write.
-		// Bodies stay byte-identical to what these aliases always returned.
-		handleFunc := mux.HandleFunc
-		if !v1 {
-			handleFunc = func(pattern string, h func(http.ResponseWriter, *http.Request)) {
-				mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-					w.Header().Set("Deprecation", "true")
-					w.Header().Set("Link", `</v1`+r.URL.Path+`>; rel="successor-version"`)
-					h(w, r)
-				})
-			}
+	handle := func(method, path string, h http.HandlerFunc) {
+		allow, msg := "GET, HEAD", "read endpoint: use GET"
+		if method == http.MethodPost {
+			allow, msg = "POST", "mutating endpoint: use POST"
 		}
-		// answer admits one request, runs its op and writes the reply; vals
-		// is the request's query string, parsed once.
-		answer := func(w http.ResponseWriter, r *http.Request, op string, vals url.Values) {
-			name := vals.Get("session")
-			degraded, ok := d.admit(w, name, v1, op)
-			if !ok {
+		mux.HandleFunc("/v1"+path, func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != method && !(method == http.MethodGet && r.Method == http.MethodHead) {
+				w.Header().Set("Allow", allow)
+				writeError(w, CodeMethodNotAllowed, msg)
 				return
 			}
-			defer d.release()
-			if degraded {
-				w.Header().Set("X-Degraded", "1")
-			}
-			rep := d.run(r.Context(), d.session(name), op, vals, degraded)
-			writeReply(w, v1, &rep)
+			h(w, r)
+		})
+	}
+	// answer admits one request, runs its op and writes the reply; vals is
+	// the request's query string, parsed once.
+	answer := func(w http.ResponseWriter, r *http.Request, op string, vals url.Values) {
+		name := vals.Get("session")
+		degraded, ok := d.admit(w, name)
+		if !ok {
+			return
 		}
-		handle := func(op string, mutating bool) {
-			handleFunc(prefix+"/"+op, func(w http.ResponseWriter, r *http.Request) {
-				if mutating && r.Method != http.MethodPost {
-					methodNotAllowed(w, v1, op)
-					return
-				}
+		defer d.release()
+		if degraded {
+			w.Header().Set("X-Degraded", "1")
+		}
+		rep := d.run(r.Context(), d.session(name), op, vals, degraded)
+		writeReply(w, &rep)
+	}
+	sessionOps := func(method string, ops ...string) {
+		for _, op := range ops {
+			handle(method, "/"+op, func(w http.ResponseWriter, r *http.Request) {
 				answer(w, r, op, r.URL.Query())
 			})
 		}
-		for _, op := range []string{"term", "df", "and", "or", "similar", "theme", "near"} {
-			handle(op, false)
+	}
+	sessionOps(http.MethodGet, "term", "df", "and", "or", "similar", "theme", "near")
+	sessionOps(http.MethodPost, "add", "delete")
+	// Galaxy tiles are addressed by path, slippy-map style.
+	handle(http.MethodGet, "/tiles/{z}/{x}/{y}", func(w http.ResponseWriter, r *http.Request) {
+		vals := r.URL.Query()
+		for _, k := range []string{"z", "x", "y"} {
+			vals.Set(k, r.PathValue(k))
 		}
-		// Galaxy tiles are addressed by path, slippy-map style; the method
-		// prefix makes non-GET requests 405 like the other read endpoints'
-		// mutation guard does.
-		handleFunc("GET "+prefix+"/tiles/{z}/{x}/{y}", func(w http.ResponseWriter, r *http.Request) {
-			vals := r.URL.Query()
-			for _, k := range []string{"z", "x", "y"} {
-				vals.Set(k, r.PathValue(k))
-			}
-			answer(w, r, "tile", vals)
-		})
-		handle("add", true)
-		handle("delete", true)
-		for _, op := range []string{"flush", "compact", "save"} {
-			handleFunc(prefix+"/"+op, func(w http.ResponseWriter, r *http.Request) {
-				if r.Method != http.MethodPost {
-					methodNotAllowed(w, v1, op)
+		answer(w, r, "tile", vals)
+	})
+	for _, op := range []string{"flush", "compact", "save"} {
+		handle(http.MethodPost, "/"+op, func(w http.ResponseWriter, r *http.Request) {
+			path := r.URL.Query().Get("path")
+			if op == "save" {
+				resolved, err := savePath(d.saveDir, path)
+				if err != nil {
+					writeReply(w, &Reply{Op: op, Error: err.Error()})
 					return
 				}
-				path := r.URL.Query().Get("path")
-				if op == "save" {
-					resolved, err := savePath(d.saveDir, path)
-					if err != nil {
-						writeReply(w, v1, &Reply{Op: op, Error: err.Error()})
-						return
-					}
-					path = resolved
-				}
-				rep := d.live(r.Context(), op, path)
-				writeReply(w, v1, &rep)
-			})
-		}
-		handleFunc(prefix+"/themes", func(w http.ResponseWriter, r *http.Request) {
-			writeValue(w, v1, "themes", d.srv.Themes())
-		})
-		handleFunc(prefix+"/stats", func(w http.ResponseWriter, r *http.Request) {
-			writeValue(w, v1, "stats", d.srv.Stats())
+				path = resolved
+			}
+			rep := d.live(r.Context(), op, path)
+			writeReply(w, &rep)
 		})
 	}
-	register("/v1", true)
-	// Deprecated: the unversioned aliases of the /v1 routes, kept for
-	// existing clients; their bodies are the /v1 "data" payloads verbatim.
-	register("", false)
+	handle(http.MethodGet, "/themes", func(w http.ResponseWriter, r *http.Request) {
+		writeValue(w, d.srv.Themes())
+	})
+	handle(http.MethodGet, "/stats", func(w http.ResponseWriter, r *http.Request) {
+		writeValue(w, d.srv.Stats())
+	})
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, CodeNotFound, fmt.Sprintf("no such route %q", r.URL.Path))
+	})
 	return mux
 }
 
@@ -676,10 +658,10 @@ func (d *Daemon) ServeLines(in io.Reader, out io.Writer) {
 	sess := &namedSession{sess: d.srv.NewQuerier()}
 	sc := bufio.NewScanner(in)
 	var line []byte
-	// emit writes one reply line. A write error means the terminal is gone;
-	// the next Scan ends the loop.
+	// emit writes one reply line, bare: the envelope is HTTP's. A write error
+	// means the terminal is gone; the next Scan ends the loop.
 	emit := func(rep Reply) {
-		line, _ = appendBody(line[:0], false, &rep)
+		line = appendLine(line[:0], &rep)
 		_, _ = out.Write(line)
 	}
 	// The connection's sticky filter, re-injected into every op's parameters
@@ -696,8 +678,12 @@ func (d *Daemon) ServeLines(in io.Reader, out io.Writer) {
 		case "quit", "exit":
 			return
 		case "stats":
-			line, _ = appendValue(line[:0], false, op, d.srv.Stats())
-			_, _ = out.Write(line)
+			raw, err := json.Marshal(d.srv.Stats())
+			if err != nil {
+				emit(Reply{Op: op, Error: err.Error()})
+				continue
+			}
+			_, _ = out.Write(append(raw, '\n'))
 			continue
 		case "filter":
 			filter = url.Values{}

@@ -1,13 +1,16 @@
 package httpd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -75,47 +78,42 @@ func (stubService) SampleDocs(context.Context, int) []int64 { return nil }
 func (stubService) NumThemes() int                          { return 0 }
 func (stubService) Themes() []core.Theme                    { return nil }
 
+// do serves one request straight off the mux and decodes the envelope.
+func do(t *testing.T, mux http.Handler, method, target string) result {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(method, target, nil))
+	return decode(t, method+" "+target, rec.Result())
+}
+
 // TestMutatingEndpointsRequirePOST pins the method split of the HTTP surface:
 // every state-changing endpoint rejects GET with 405, queries stay on GET,
 // and /save without a save dir refuses rather than writing.
 func TestMutatingEndpointsRequirePOST(t *testing.T) {
 	mux := New(stubService{}, "").Mux()
-	do := func(method, target string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest(method, target, nil))
-		return rec
-	}
 
-	for _, ep := range []string{"/add?text=x", "/delete?doc=1", "/flush", "/compact", "/save?path=x"} {
-		rec := do(http.MethodGet, ep)
-		if rec.Code != http.StatusMethodNotAllowed {
-			t.Fatalf("GET %s = %d, want %d", ep, rec.Code, http.StatusMethodNotAllowed)
+	for _, ep := range []string{"/v1/add?text=x", "/v1/delete?doc=1", "/v1/flush", "/v1/compact", "/v1/save?path=x"} {
+		rep := do(t, mux, http.MethodGet, ep)
+		if rep.Status != http.StatusMethodNotAllowed || rep.Code != CodeMethodNotAllowed {
+			t.Fatalf("GET %s = %d %q, want 405 %s", ep, rep.Status, rep.Code, CodeMethodNotAllowed)
 		}
 		// The 405 still carries a JSON body naming the fix.
-		var rep Reply
-		if err := json.NewDecoder(rec.Body).Decode(&rep); err != nil {
-			t.Fatalf("GET %s: non-JSON 405 body: %v", ep, err)
-		}
-		if rep.Error == "" || !strings.Contains(rep.Error, "POST") {
+		if !strings.Contains(rep.Error, "POST") {
 			t.Fatalf("GET %s: 405 body %+v does not name POST", ep, rep)
 		}
 	}
-	for _, ep := range []string{"/df?q=x", "/and?q=a,b", "/similar?doc=0&k=3", "/stats"} {
-		if rec := do(http.MethodGet, ep); rec.Code != http.StatusOK {
-			t.Fatalf("GET %s = %d, want %d", ep, rec.Code, http.StatusOK)
+	for _, ep := range []string{"/v1/df?q=x", "/v1/and?q=a,b", "/v1/similar?doc=0&k=3", "/v1/stats"} {
+		if rep := do(t, mux, http.MethodGet, ep); rep.Status != http.StatusOK {
+			t.Fatalf("GET %s = %d, want %d", ep, rep.Status, http.StatusOK)
 		}
 	}
-	if rec := do(http.MethodPost, "/add?text=x"); rec.Code != http.StatusOK {
-		t.Fatalf("POST /add = %d, want %d", rec.Code, http.StatusOK)
+	if rep := do(t, mux, http.MethodPost, "/v1/add?text=x"); rep.Status != http.StatusOK {
+		t.Fatalf("POST /v1/add = %d, want %d", rep.Status, http.StatusOK)
 	}
 
 	// No save dir configured: /save must refuse with an error, not write.
-	rec := do(http.MethodPost, "/save?path=/tmp/anywhere")
-	var rep Reply
-	if err := json.NewDecoder(rec.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK || rep.Error == "" {
+	rep := do(t, mux, http.MethodPost, "/v1/save?path=/tmp/anywhere")
+	if rep.OK || rep.Code != CodeDisabled {
 		t.Fatalf("unconfined save not refused: %+v", rep)
 	}
 }
@@ -125,34 +123,75 @@ func TestMutatingEndpointsRequirePOST(t *testing.T) {
 func TestTilesEndpointRouting(t *testing.T) {
 	mux := New(stubService{}, "").Mux()
 
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/tiles/2/1/3?session=a", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /tiles/2/1/3 = %d, want %d", rec.Code, http.StatusOK)
+	rep := do(t, mux, http.MethodGet, "/v1/tiles/2/1/3?session=a")
+	if rep.Status != http.StatusOK || rep.Op != "tile" || rep.Error != "" || rep.Tile == nil {
+		t.Fatalf("GET /v1/tiles/2/1/3 = %+v", rep)
 	}
-	var rep Reply
-	if err := json.NewDecoder(rec.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
+	if rep = do(t, mux, http.MethodPost, "/v1/tiles/0/0/0"); rep.Status != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /v1/tiles/0/0/0 = %d, want %d", rep.Status, http.StatusMethodNotAllowed)
 	}
-	if rep.Op != "tile" || rep.Error != "" || rep.Tile == nil {
-		t.Fatalf("tile reply = %+v", rep)
-	}
-
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tiles/0/0/0", nil))
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /tiles/0/0/0 = %d, want %d", rec.Code, http.StatusMethodNotAllowed)
-	}
-
 	// A malformed address must error, not alias to the (0,0,0) root tile.
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/tiles/abc/def/ghi", nil))
-	rep = Reply{}
-	if err := json.NewDecoder(rec.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Error == "" || rep.Tile != nil {
+	rep = do(t, mux, http.MethodGet, "/v1/tiles/abc/def/ghi")
+	if rep.Code != CodeBadRequest || rep.Tile != nil {
 		t.Fatalf("non-numeric tile address not refused: %+v", rep)
+	}
+}
+
+// TestRouteTable walks the whole documented surface: every route answers its
+// one method with 200 and refuses the other with 405 method_not_allowed and
+// an Allow header; any other path — under /v1 or not, a retired unversioned
+// alias included — answers 404 not_found. Every one of them is an
+// application/json envelope with its Content-Length (decode checks both), never
+// the mux's own plain-text error.
+func TestRouteTable(t *testing.T) {
+	mux := New(buildService(t, 1), t.TempDir()).Mux()
+	other := map[string]string{http.MethodGet: http.MethodPost, http.MethodPost: http.MethodGet}
+	for _, route := range []struct{ method, target string }{
+		{http.MethodGet, "/v1/term?q=apple"},
+		{http.MethodGet, "/v1/df?q=apple"},
+		{http.MethodGet, "/v1/and?q=apple,banana"},
+		{http.MethodGet, "/v1/or?q=apple,durian"},
+		{http.MethodGet, "/v1/similar?doc=0&k=3"},
+		{http.MethodGet, "/v1/theme?cluster=0"},
+		{http.MethodGet, "/v1/near?x=0&y=0&r=2"},
+		{http.MethodGet, "/v1/tiles/0/0/0"},
+		{http.MethodPost, "/v1/add?text=apple+kiwi"},
+		{http.MethodPost, "/v1/delete?doc=1"},
+		{http.MethodPost, "/v1/flush"},
+		{http.MethodPost, "/v1/compact"},
+		{http.MethodPost, "/v1/save?path=run.live"},
+		{http.MethodGet, "/v1/themes"},
+		{http.MethodGet, "/v1/stats"},
+	} {
+		if rep := do(t, mux, route.method, route.target); rep.Status != http.StatusOK {
+			t.Errorf("%s %s = %d %q %s, want 200", route.method, route.target, rep.Status, rep.Code, rep.Error)
+		}
+		for _, wrong := range []string{other[route.method], http.MethodDelete} {
+			rep := do(t, mux, wrong, route.target)
+			if rep.Status != http.StatusMethodNotAllowed || rep.Code != CodeMethodNotAllowed {
+				t.Errorf("%s %s = %d %q, want 405 %s", wrong, route.target, rep.Status, rep.Code, CodeMethodNotAllowed)
+			}
+			if allow := rep.Header.Get("Allow"); !strings.Contains(allow, route.method) || strings.Contains(allow, wrong) {
+				t.Errorf("%s %s: Allow %q, want %s", wrong, route.target, allow, route.method)
+			}
+			if !strings.Contains(rep.Error, route.method) {
+				t.Errorf("%s %s: message %q does not name %s", wrong, route.target, rep.Error, route.method)
+			}
+		}
+	}
+	for _, target := range []string{"/v1/nosuch", "/v1/tiles/1/2", "/term?q=apple", "/stats", "/", "/v1", "/v1/term/"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			rep := do(t, mux, method, target)
+			if rep.Status != http.StatusNotFound || rep.Code != CodeNotFound {
+				t.Errorf("%s %s = %d %q, want 404 %s", method, target, rep.Status, rep.Code, CodeNotFound)
+			}
+		}
+	}
+	// HEAD is GET without the body, as net/http serves it.
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodHead, "/v1/term?q=apple", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("HEAD /v1/term = %d, want 200", rec.Code)
 	}
 }
 
@@ -212,9 +251,58 @@ func buildService(t *testing.T, shards int) serve.Service {
 	return srv
 }
 
+// result is one decoded HTTP response: the envelope's data as a Reply, or
+// its error — Code the stable code, Error the message — with the transport
+// status and headers. Raw is the data payload, for the routes whose data is
+// not a Reply (/themes, /stats).
+type result struct {
+	Reply
+	Status int
+	Code   string
+	Header http.Header
+	Raw    json.RawMessage
+}
+
+// decode reads one response into a result. Every response of the daemon is
+// an application/json envelope with an exact Content-Length, so decode
+// insists on both; what names the request in failures.
+func decode(t *testing.T, what string, resp *http.Response) result {
+	t.Helper()
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("%s: %d with Content-Type %q, want application/json", what, resp.StatusCode, ct)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(raw)) {
+		t.Fatalf("%s: Content-Length %q for a %d-byte body", what, cl, len(raw))
+	}
+	var env Envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatalf("%s: body %q: %v", what, raw, err)
+	}
+	res := result{Status: resp.StatusCode, Header: resp.Header, Raw: env.Data}
+	switch {
+	case env.OK != (env.Error == nil), env.OK != (resp.StatusCode == http.StatusOK):
+		t.Fatalf("%s: %d with envelope %s", what, resp.StatusCode, raw)
+	case !env.OK:
+		res.Code, res.Error = env.Error.Code, env.Error.Message
+		if res.Code == "" || res.Error == "" {
+			t.Fatalf("%s: error envelope %s lacks a code or a message", what, raw)
+		}
+	case bytes.HasPrefix(env.Data, []byte(`{"op":`)): // a Reply; /themes and /stats are not
+		if err := json.Unmarshal(env.Data, &res.Reply); err != nil {
+			t.Fatalf("%s: data %s: %v", what, env.Data, err)
+		}
+	}
+	return res
+}
+
 // get issues a real HTTP request against the test server and decodes the
-// JSON reply envelope.
-func get(t *testing.T, client *http.Client, method, url string) (Reply, int) {
+// envelope.
+func get(t *testing.T, client *http.Client, method, url string) result {
 	t.Helper()
 	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
@@ -224,15 +312,7 @@ func get(t *testing.T, client *http.Client, method, url string) (Reply, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("%s %s: Content-Type %q, want application/json", method, url, ct)
-	}
-	var rep Reply
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatalf("%s %s: %v", method, url, err)
-	}
-	return rep, resp.StatusCode
+	return decode(t, method+" "+url, resp)
 }
 
 // TestEndToEndSweep drives every route of the daemon over real HTTP against
@@ -252,67 +332,69 @@ func TestEndToEndSweep(t *testing.T) {
 			defer ts.Close()
 			c := ts.Client()
 
+			v1 := ts.URL + "/v1"
+
 			// Term query: apple appears in docs 0,1,2.
-			rep, code := get(t, c, http.MethodGet, ts.URL+"/term?q=apple")
-			if code != http.StatusOK || rep.Op != "term" || rep.Count != 3 || len(rep.Postings) != 3 {
-				t.Fatalf("/term?q=apple = %d %+v", code, rep)
+			rep := get(t, c, http.MethodGet, v1+"/term?q=apple")
+			if rep.Status != http.StatusOK || rep.Op != "term" || rep.Count != 3 || len(rep.Postings) != 3 {
+				t.Fatalf("/term?q=apple = %+v", rep)
 			}
 			if rep.VirtualMS < 0 {
 				t.Fatalf("negative virtual latency: %+v", rep)
 			}
 
 			// DF and a missing term.
-			if rep, _ = get(t, c, http.MethodGet, ts.URL+"/df?q=banana"); rep.DF != 3 {
+			if rep = get(t, c, http.MethodGet, v1+"/df?q=banana"); rep.DF != 3 {
 				t.Fatalf("/df?q=banana = %+v, want DF 3", rep)
 			}
-			if rep, _ = get(t, c, http.MethodGet, ts.URL+"/df?q=zzz"); rep.DF != 0 {
+			if rep = get(t, c, http.MethodGet, v1+"/df?q=zzz"); rep.Status != http.StatusOK || rep.DF != 0 {
 				t.Fatalf("/df?q=zzz = %+v, want DF 0", rep)
 			}
 
 			// Boolean queries; q splits on commas and spaces.
-			rep, _ = get(t, c, http.MethodGet, ts.URL+"/and?q=apple,banana")
+			rep = get(t, c, http.MethodGet, v1+"/and?q=apple,banana")
 			if rep.Count != 2 || len(rep.Docs) != 2 {
 				t.Fatalf("/and apple,banana = %+v, want docs {0,1}", rep)
 			}
-			rep, _ = get(t, c, http.MethodGet, ts.URL+"/or?q=apple,durian")
+			rep = get(t, c, http.MethodGet, v1+"/or?q=apple,durian")
 			if rep.Count != 6 {
 				t.Fatalf("/or apple,durian = %+v, want 6 docs", rep)
 			}
 
 			// Similarity: a valid target answers hits; an unknown document is
-			// a JSON-body error on HTTP 200, not a transport failure.
-			rep, code = get(t, c, http.MethodGet, ts.URL+"/similar?doc=0&k=3")
-			if code != http.StatusOK || rep.Error != "" || rep.Count == 0 {
-				t.Fatalf("/similar?doc=0 = %d %+v", code, rep)
+			// a not_found envelope, not a transport failure.
+			rep = get(t, c, http.MethodGet, v1+"/similar?doc=0&k=3")
+			if rep.Status != http.StatusOK || rep.Count == 0 {
+				t.Fatalf("/similar?doc=0 = %+v", rep)
 			}
-			rep, code = get(t, c, http.MethodGet, ts.URL+"/similar?doc=99999&k=3")
-			if code != http.StatusOK || rep.Error == "" {
-				t.Fatalf("unknown similar target not an in-band error: %d %+v", code, rep)
+			rep = get(t, c, http.MethodGet, v1+"/similar?doc=99999&k=3")
+			if rep.Status != http.StatusNotFound || rep.Code != CodeNotFound {
+				t.Fatalf("unknown similar target = %+v, want 404 not_found", rep)
 			}
 
 			// Theme drill-down and ThemeView region query.
-			rep, _ = get(t, c, http.MethodGet, ts.URL+"/theme?cluster=0")
+			rep = get(t, c, http.MethodGet, v1+"/theme?cluster=0")
 			if rep.Op != "theme" || rep.Error != "" {
 				t.Fatalf("/theme?cluster=0 = %+v", rep)
 			}
-			rep, _ = get(t, c, http.MethodGet, ts.URL+"/near?x=0&y=0&r=2")
+			rep = get(t, c, http.MethodGet, v1+"/near?x=0&y=0&r=2")
 			if rep.Op != "near" || rep.Count != len(e2eDocs) {
 				t.Fatalf("/near radius 2 = %+v, want all %d docs", rep, len(e2eDocs))
 			}
 
 			// Root tile covers the whole projection.
-			rep, code = get(t, c, http.MethodGet, ts.URL+"/tiles/0/0/0")
-			if code != http.StatusOK || rep.Error != "" || rep.Tile == nil {
-				t.Fatalf("/tiles/0/0/0 = %d %+v", code, rep)
+			rep = get(t, c, http.MethodGet, v1+"/tiles/0/0/0")
+			if rep.Status != http.StatusOK || rep.Tile == nil {
+				t.Fatalf("/tiles/0/0/0 = %+v", rep)
 			}
 			if rep.Tile.Docs != int64(len(e2eDocs)) {
 				t.Fatalf("root tile covers %d docs, want %d", rep.Tile.Docs, len(e2eDocs))
 			}
-			// Out-of-range and malformed addresses are in-band errors.
-			if rep, _ = get(t, c, http.MethodGet, ts.URL+"/tiles/0/5/5"); rep.Error == "" {
+			// Out-of-range and malformed addresses are refused.
+			if rep = get(t, c, http.MethodGet, v1+"/tiles/0/5/5"); rep.Code != CodeBadRequest {
 				t.Fatalf("out-of-range tile not refused: %+v", rep)
 			}
-			if rep, _ = get(t, c, http.MethodGet, ts.URL+"/tiles/x/0/0"); rep.Error == "" || rep.Tile != nil {
+			if rep = get(t, c, http.MethodGet, v1+"/tiles/x/0/0"); rep.Code != CodeBadRequest || rep.Tile != nil {
 				t.Fatalf("malformed tile address not refused: %+v", rep)
 			}
 
@@ -320,79 +402,65 @@ func TestEndToEndSweep(t *testing.T) {
 			// the base corpus (apple ∈ {0,1,2}, kiwi ∈ {5,6}; the vocabulary
 			// is frozen at snapshot time, so the marker must be in-vocab),
 			// flush it visible, query it back, then tombstone it.
-			rep, _ = get(t, c, http.MethodPost, ts.URL+"/add?text=apple+kiwi+kiwi")
+			rep = get(t, c, http.MethodPost, v1+"/add?text=apple+kiwi+kiwi")
 			if !rep.OK || rep.Error != "" {
 				t.Fatalf("/add = %+v", rep)
 			}
 			added := rep.Doc
-			if rep, _ = get(t, c, http.MethodPost, ts.URL+"/flush"); !rep.OK {
+			if rep = get(t, c, http.MethodPost, v1+"/flush"); !rep.OK {
 				t.Fatalf("/flush = %+v", rep)
 			}
-			rep, _ = get(t, c, http.MethodGet, ts.URL+"/and?q=apple,kiwi")
+			rep = get(t, c, http.MethodGet, v1+"/and?q=apple,kiwi")
 			if rep.Count != 1 || rep.Docs[0] != added {
 				t.Fatalf("added doc not served: %+v, want doc %d", rep, added)
 			}
-			rep, _ = get(t, c, http.MethodPost, fmt.Sprintf("%s/delete?doc=%d", ts.URL, added))
+			rep = get(t, c, http.MethodPost, fmt.Sprintf("%s/delete?doc=%d", v1, added))
 			if !rep.OK {
 				t.Fatalf("/delete = %+v", rep)
 			}
-			if rep, _ = get(t, c, http.MethodGet, ts.URL+"/and?q=apple,kiwi"); rep.Count != 0 {
+			if rep = get(t, c, http.MethodGet, v1+"/and?q=apple,kiwi"); rep.Status != http.StatusOK || rep.Count != 0 {
 				t.Fatalf("tombstoned doc still served: %+v", rep)
 			}
-			// Deleting it again is an in-band error.
-			rep, code = get(t, c, http.MethodPost, fmt.Sprintf("%s/delete?doc=%d", ts.URL, added))
-			if code != http.StatusOK || rep.Error == "" || rep.OK {
-				t.Fatalf("double delete not refused in-band: %d %+v", code, rep)
+			// Deleting it again is refused.
+			rep = get(t, c, http.MethodPost, fmt.Sprintf("%s/delete?doc=%d", v1, added))
+			if rep.Status == http.StatusOK || rep.Error == "" || rep.OK {
+				t.Fatalf("double delete not refused: %+v", rep)
 			}
 
 			// Maintenance: compact now, then persist under the save dir.
-			if rep, _ = get(t, c, http.MethodPost, ts.URL+"/compact"); !rep.OK {
+			if rep = get(t, c, http.MethodPost, v1+"/compact"); !rep.OK {
 				t.Fatalf("/compact = %+v", rep)
 			}
-			rep, _ = get(t, c, http.MethodPost, ts.URL+"/save?path=run.live")
+			rep = get(t, c, http.MethodPost, v1+"/save?path=run.live")
 			if !rep.OK || rep.Error != "" {
 				t.Fatalf("/save = %+v", rep)
 			}
 			if _, err := os.Stat(filepath.Join(saveDir, "run.live")); err != nil {
 				t.Fatalf("save did not write inside the save dir: %v", err)
 			}
-			// Traversal out of the save dir is refused in-band.
-			rep, _ = get(t, c, http.MethodPost, ts.URL+"/save?path=..%2Fescape")
-			if rep.OK || rep.Error == "" {
+			// Traversal out of the save dir is refused.
+			rep = get(t, c, http.MethodPost, v1+"/save?path=..%2Fescape")
+			if rep.OK || rep.Code != CodeBadRequest {
 				t.Fatalf("traversal save not refused: %+v", rep)
 			}
 
-			// /themes and /stats are raw JSON (not a Reply envelope).
-			resp, err := c.Get(ts.URL + "/themes")
-			if err != nil {
-				t.Fatal(err)
-			}
+			// The data of /themes and /stats is the document itself, not a
+			// Reply.
 			var themes []core.Theme
-			if err := json.NewDecoder(resp.Body).Decode(&themes); err != nil {
+			if err := json.Unmarshal(get(t, c, http.MethodGet, v1+"/themes").Raw, &themes); err != nil {
 				t.Fatalf("/themes: %v", err)
 			}
-			resp.Body.Close()
-			resp, err = c.Get(ts.URL + "/stats")
-			if err != nil {
-				t.Fatal(err)
-			}
 			var st serve.Stats
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			if err := json.Unmarshal(get(t, c, http.MethodGet, v1+"/stats").Raw, &st); err != nil {
 				t.Fatalf("/stats: %v", err)
 			}
-			resp.Body.Close()
 			if st.Queries == 0 {
 				t.Fatalf("stats counted no queries after the sweep: %+v", st)
 			}
 
-			// Unknown routes 404 at the mux.
-			resp, err = c.Get(ts.URL + "/nosuch")
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusNotFound {
-				t.Fatalf("GET /nosuch = %d, want 404", resp.StatusCode)
+			// Unknown routes 404 in the envelope.
+			if rep = get(t, c, http.MethodGet, ts.URL+"/nosuch"); rep.Status != http.StatusNotFound || rep.Code != CodeNotFound {
+				t.Fatalf("GET /nosuch = %+v, want 404 not_found", rep)
 			}
 		})
 	}
@@ -408,8 +476,8 @@ func TestNamedSessionsAccumulate(t *testing.T) {
 
 	// Two requests on one name reuse one Querier: the retained table holds
 	// exactly one session.
-	get(t, c, http.MethodGet, ts.URL+"/term?q=apple&session=s1")
-	get(t, c, http.MethodGet, ts.URL+"/term?q=banana&session=s1")
+	get(t, c, http.MethodGet, ts.URL+"/v1/term?q=apple&session=s1")
+	get(t, c, http.MethodGet, ts.URL+"/v1/term?q=banana&session=s1")
 	d.mu.Lock()
 	n := len(d.sessions)
 	d.mu.Unlock()
@@ -417,7 +485,7 @@ func TestNamedSessionsAccumulate(t *testing.T) {
 		t.Fatalf("retained %d sessions after two requests on one name, want 1", n)
 	}
 	// Anonymous requests never enter the table.
-	get(t, c, http.MethodGet, ts.URL+"/term?q=apple")
+	get(t, c, http.MethodGet, ts.URL+"/v1/term?q=apple")
 	d.mu.Lock()
 	n = len(d.sessions)
 	d.mu.Unlock()

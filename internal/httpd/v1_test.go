@@ -32,72 +32,9 @@ func fetch(t *testing.T, c *http.Client, method, url string) (int, http.Header, 
 	return resp.StatusCode, resp.Header, body
 }
 
-// pathOf strips the query string of a test route, leaving the request path
-// the Link successor-version header is derived from.
-func pathOf(route string) string {
-	if i := strings.IndexByte(route, '?'); i >= 0 {
-		return route[:i]
-	}
-	return route
-}
-
-// TestV1LegacyEquivalence pins the deprecation contract: for every query
-// endpoint, the legacy unversioned body is byte-identical to the /v1
-// envelope's "data" payload, and the legacy response headers carry the
-// RFC 8594 Deprecation marker plus a Link to the /v1 twin (absent on /v1
-// itself). Each route is primed once first so both reads see the same warm
-// cache state (virtual_ms models cache hits).
-func TestV1LegacyEquivalence(t *testing.T) {
-	ts := httptest.NewServer(New(buildService(t, 3), "").Mux())
-	defer ts.Close()
-	c := ts.Client()
-
-	routes := []string{
-		"/term?q=apple",
-		"/df?q=banana",
-		"/and?q=apple,banana",
-		"/or?q=apple,durian",
-		"/similar?doc=0&k=3",
-		"/theme?cluster=0",
-		"/near?x=0&y=0&r=2",
-		"/tiles/0/0/0",
-		"/themes",
-	}
-	for _, route := range routes {
-		fetch(t, c, http.MethodGet, ts.URL+route) // prime caches
-		legacyCode, legacyHdr, legacy := fetch(t, c, http.MethodGet, ts.URL+route)
-		v1Code, v1Hdr, raw := fetch(t, c, http.MethodGet, ts.URL+"/v1"+route)
-		if legacyCode != http.StatusOK || v1Code != http.StatusOK {
-			t.Fatalf("%s: legacy %d, v1 %d", route, legacyCode, v1Code)
-		}
-		// Legacy aliases must self-announce their retirement out of band —
-		// bodies stay frozen, the headers carry the sunset signal.
-		if got := legacyHdr.Get("Deprecation"); got != "true" {
-			t.Fatalf("%s: Deprecation header = %q, want \"true\"", route, got)
-		}
-		wantLink := `</v1` + pathOf(route) + `>; rel="successor-version"`
-		if got := legacyHdr.Get("Link"); got != wantLink {
-			t.Fatalf("%s: Link header = %q, want %q", route, got, wantLink)
-		}
-		if v1Hdr.Get("Deprecation") != "" || v1Hdr.Get("Link") != "" {
-			t.Fatalf("/v1%s: versioned route carries deprecation headers", route)
-		}
-		var env Envelope
-		if err := json.Unmarshal(raw, &env); err != nil {
-			t.Fatalf("/v1%s: %v", route, err)
-		}
-		if !env.OK || env.Error != nil {
-			t.Fatalf("/v1%s envelope = %s", route, raw)
-		}
-		if got, want := bytes.TrimSpace(env.Data), bytes.TrimSpace(legacy); !bytes.Equal(got, want) {
-			t.Fatalf("/v1%s data diverges from the legacy body:\n  v1:     %s\n  legacy: %s", route, got, want)
-		}
-	}
-}
-
 // TestV1ErrorEnvelope pins the /v1 failure shape: op errors answer
 // {"ok":false,"error":{code,message}} with a stable code and a non-200
-// status, while the legacy alias keeps its in-band {"error": "..."} on 200.
+// status.
 func TestV1ErrorEnvelope(t *testing.T) {
 	ts := httptest.NewServer(New(buildService(t, 1), "").Mux())
 	defer ts.Close()
@@ -115,19 +52,6 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		t.Fatalf("v1 error envelope = %s", raw)
 	}
 
-	// Same op on the legacy alias: in-band error, HTTP 200.
-	code, _, raw = fetch(t, c, http.MethodGet, ts.URL+"/similar?doc=99999&k=3")
-	if code != http.StatusOK {
-		t.Fatalf("legacy op error changed status to %d", code)
-	}
-	var rep Reply
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Error == "" {
-		t.Fatalf("legacy error not in-band: %s", raw)
-	}
-
 	// Mutation guard under /v1: envelope with the stable code.
 	code, _, raw = fetch(t, c, http.MethodGet, ts.URL+"/v1/add?text=x")
 	if code != http.StatusMethodNotAllowed {
@@ -143,8 +67,8 @@ func TestV1ErrorEnvelope(t *testing.T) {
 }
 
 // TestMalformedNumbersAreBadRequests pins that a numeric parameter that does
-// not parse is refused on every surface — 400 bad_request under /v1, an
-// in-band error on the alias and the line protocol — instead of aliasing to
+// not parse is refused on both transports — 400 bad_request over HTTP, an
+// in-band error on the line protocol — instead of aliasing to
 // document 0, cluster 0 or the origin as strconv's discarded zero value did.
 // Non-finite numbers strconv does parse (NaN, ±Inf) are refused the same way:
 // a NaN coordinate answered count 0 and an infinite radius the whole corpus.
@@ -196,32 +120,24 @@ func TestMalformedNumbersAreBadRequests(t *testing.T) {
 			t.Fatalf("/v1%s = %d %s, want 200", tc.route, code, raw)
 		}
 
-		replies := map[string][]byte{}
-		_, _, replies["alias "+tc.route] = fetch(t, c, http.MethodGet, ts.URL+tc.route)
-		if tc.line != "" {
-			var out bytes.Buffer
-			d.ServeLines(strings.NewReader(tc.line+"\n"), &out)
-			replies["line "+tc.line] = out.Bytes()
+		if tc.line == "" {
+			continue
 		}
-		for name, raw := range replies {
-			var rep Reply
-			if err := json.Unmarshal(raw, &rep); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if tc.bad != (rep.Error != "") || (tc.bad && rep.Count != 0) {
-				t.Fatalf("%s = %s, want error=%v", name, raw, tc.bad)
-			}
+		var out bytes.Buffer
+		d.ServeLines(strings.NewReader(tc.line+"\n"), &out)
+		var rep Reply
+		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+			t.Fatalf("line %s: %v", tc.line, err)
+		}
+		if tc.bad != (rep.Error != "") || (tc.bad && rep.Count != 0) {
+			t.Fatalf("line %s = %s, want error=%v", tc.line, out.Bytes(), tc.bad)
 		}
 	}
 
 	// An absent k is the default of 5, not a refusal and not 0 hits.
-	var rep Reply
-	_, _, raw := fetch(t, c, http.MethodGet, ts.URL+"/similar?doc=0")
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
+	rep := get(t, c, http.MethodGet, ts.URL+"/v1/similar?doc=0")
 	if want := min(5, len(e2eDocs)-1); rep.Count != want {
-		t.Fatalf("/similar?doc=0 answered %d hits, want the default k's %d: %s", rep.Count, want, raw)
+		t.Fatalf("/v1/similar?doc=0 answered %d hits, want the default k's %d", rep.Count, want)
 	}
 }
 
@@ -294,19 +210,6 @@ func TestAdmissionInFlightShedding(t *testing.T) {
 	}
 	if d.Shed() != 1 {
 		t.Fatalf("Shed() = %d, want 1", d.Shed())
-	}
-
-	// The legacy alias sheds too, with its in-band shape.
-	code, hdr, raw = fetch(t, c, http.MethodGet, ts.URL+"/term?q=x")
-	if code != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" {
-		t.Fatalf("legacy shed = %d (Retry-After %q)", code, hdr.Get("Retry-After"))
-	}
-	var rep Reply
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Error == "" {
-		t.Fatalf("legacy shed body = %s", raw)
 	}
 
 	d.inflight.Add(-2)
@@ -408,15 +311,11 @@ func TestDegradedReplies(t *testing.T) {
 	}
 
 	// A deep tile address answers as its zoom-1 ancestor.
-	code, hdr, raw = fetch(t, c, http.MethodGet, ts.URL+"/tiles/4/15/15")
-	if code != http.StatusOK || hdr.Get("X-Degraded") != "1" {
-		t.Fatalf("degraded tile = %d (X-Degraded %q)", code, hdr.Get("X-Degraded"))
+	tile := get(t, c, http.MethodGet, ts.URL+"/v1/tiles/4/15/15")
+	if tile.Status != http.StatusOK || tile.Header.Get("X-Degraded") != "1" {
+		t.Fatalf("degraded tile = %d (X-Degraded %q)", tile.Status, tile.Header.Get("X-Degraded"))
 	}
-	rep = Reply{}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Error != "" || rep.Tile == nil || rep.Tile.Z != 1 {
-		t.Fatalf("degraded tile reply = %s, want the zoom-1 ancestor", raw)
+	if tile.Tile == nil || tile.Tile.Z != 1 {
+		t.Fatalf("degraded tile reply = %+v, want the zoom-1 ancestor", tile)
 	}
 }
