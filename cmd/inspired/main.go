@@ -20,22 +20,16 @@
 //	inspired -store run.shards -http :8417
 //	echo "term apple" | inspired -store run.store -stdin
 //
-// -store accepts every store format version — INSPSTORE4 (the page-aligned
-// zero-copy layout -save-store now writes, served straight from a shared
-// memory mapping), INSPSTORE2 (block-compressed gob postings), INSPSTORE3 (a
-// rebased store whose deletions left ID holes) and legacy INSPSTORE1 flat
-// files, which are re-compressed on load — plus INSPSHARDS1 shard manifests
-// written by -shards N -save-store, which serve their whole partitioned set
-// behind a scatter-gather router. INSPSTORE4 files are memory-mapped by
-// default; -no-mmap materializes them to heap like the legacy formats
-// always are. -shards N also re-partitions a freshly indexed run or a
-// loaded single store at serve time; either way the session API is
-// identical to single-store serving.
-//
-// -convert out.store migrates any persisted artifact — a v1/v2/v3 single
-// store or a whole shard manifest set — to the INSPSTORE4 layout in one
-// shot and exits without serving. -save-legacy writes the pre-v4 gob layout
-// (plus the .tiles sidecar) for interop with older readers.
+// -store accepts the one store format, INSPSTORE4 (the page-aligned
+// zero-copy layout -save-store writes, served straight from a shared memory
+// mapping, tile pyramid embedded), and the INSPSHARDS manifests written by
+// -shards N -save-store, which serve their whole partitioned set behind a
+// scatter-gather router. Store files are memory-mapped by default; -no-mmap
+// materializes them to heap. A store file is a derived artefact: one in a
+// retired format is refused by name, and re-indexing is the migration.
+// -shards N also re-partitions a freshly indexed run or a loaded single
+// store at serve time; either way the session API is identical to
+// single-store serving.
 //
 // -replicas N serves every shard through N replicas: reads balance by
 // power-of-two-choices over in-flight depth with hedged retries for the
@@ -99,8 +93,6 @@ func main() {
 	p := flag.Int("p", 4, "number of SPMD processes for the indexing run")
 	storePath := flag.String("store", "", "serve a store persisted with -save-store instead of indexing")
 	saveStore := flag.String("save-store", "", "persist the serving store to this file after indexing")
-	saveLegacy := flag.String("save-legacy", "", "persist the store in the legacy gob layout (plus .tiles sidecar) to this file")
-	convert := flag.String("convert", "", "migrate the -store artifact (single store or shard manifest) to INSPSTORE4 at this path, then exit")
 	noMmap := flag.Bool("no-mmap", false, "materialize INSPSTORE4 stores to heap instead of serving from the file mapping")
 	sigPath := flag.String("signatures", "", "override signatures from a file persisted by inspire -signatures")
 	metaPath := flag.String("meta", "", "install document metadata before serving from a TSV of doc<TAB>unix-ts[<TAB>facet,facet,...] lines (facets are key=value)")
@@ -116,6 +108,10 @@ func main() {
 	globalRate := flag.Float64("global-rate", 0, "global token-bucket rate limit in requests/s (0 disables)")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof profiling endpoints (empty disables; keep off the public address)")
 	flag.Parse()
+	if err := checkFlags(*shards, *replicas, *storePath, *in); err != nil {
+		fmt.Fprintf(os.Stderr, "inspired: %v\n", err)
+		os.Exit(2)
+	}
 
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "inspired: %v\n", err)
@@ -133,19 +129,12 @@ func main() {
 		Replicas:            *replicas,
 	}
 
-	if *convert != "" {
-		if err := runConvert(*storePath, *convert); err != nil {
-			fail(err)
-		}
-		return
-	}
-
 	var svc serve.Service
 	if isMan, _ := serveManifest(*storePath); isMan {
 		// A persisted shard set serves as-is: its partitioning is fixed at
 		// save time, and signatures live inside the shard stores.
-		if *sigPath != "" || *saveStore != "" || *saveLegacy != "" || *shards > 1 || *metaPath != "" {
-			fail(fmt.Errorf("-signatures, -save-store, -save-legacy, -meta and -shards do not apply to a shard manifest; re-index or load the single store to repartition"))
+		if *sigPath != "" || *saveStore != "" || *shards > 1 || *metaPath != "" {
+			fail(fmt.Errorf("-signatures, -save-store, -meta and -shards do not apply to a shard manifest; re-index or load the single store to repartition"))
 		}
 		man, shardStores, err := loadShardsMaybeHeap(*storePath, *noMmap)
 		if err != nil {
@@ -157,7 +146,7 @@ func main() {
 		}
 		fmt.Printf("loaded shard manifest %s (%d shards)\n", *storePath, man.NumShards)
 		fmt.Printf("serving %d documents, %d terms, %d themes across %d shards x %d replicas\n",
-			man.TotalDocs, man.VocabSize, r.NumThemes(), man.NumShards, max(1, *replicas))
+			man.TotalDocs, man.VocabSize, r.NumThemes(), man.NumShards, *replicas)
 		svc = r
 	} else {
 		st, err := loadOrIndex(*storePath, *in, *format, *p, *noMmap)
@@ -195,26 +184,11 @@ func main() {
 				}
 				fmt.Printf("persisted %d-shard serving set behind manifest %s\n", *shards, *saveStore)
 			} else {
-				// SaveFile writes INSPSTORE4 for compressed stores, with the
-				// tile pyramid embedded as a section — no sidecar.
 				if err := st.SaveFile(*saveStore); err != nil {
 					fail(err)
 				}
 				fmt.Printf("persisted serving store to %s (INSPSTORE4)\n", *saveStore)
 			}
-		}
-		if *saveLegacy != "" {
-			if *shards > 1 {
-				fail(fmt.Errorf("-save-legacy applies to a single store; drop -shards"))
-			}
-			if err := st.SaveLegacyFile(*saveLegacy); err != nil {
-				fail(err)
-			}
-			if err := st.SaveTilesFile(*saveLegacy, cfg); err != nil {
-				fail(err)
-			}
-			fmt.Printf("persisted legacy serving store to %s (+ tile sidecar %s%s)\n",
-				*saveLegacy, *saveLegacy, serve.TilesSidecarSuffix)
 		}
 		if *shards > 1 {
 			r, err := serve.NewService(serve.Options{Shards: shardStores, Config: cfg})
@@ -222,7 +196,7 @@ func main() {
 				fail(err)
 			}
 			fmt.Printf("serving %d documents, %d terms, %d themes across %d shards x %d replicas (producing run P=%d)\n",
-				st.TotalDocs, st.VocabSize, st.K, *shards, max(1, *replicas), st.P)
+				st.TotalDocs, st.VocabSize, st.K, *shards, *replicas, st.P)
 			svc = r
 		} else {
 			srv, err := serve.NewService(serve.Options{Store: st, Config: cfg})
@@ -337,42 +311,18 @@ func loadShardsMaybeHeap(path string, noMmap bool) (*serve.Manifest, []*serve.St
 	return serve.LoadShards(path)
 }
 
-// runConvert migrates a persisted artifact — any legacy single-store format
-// or a whole shard manifest set — to the INSPSTORE4 layout at out, without
-// serving. Legacy inputs materialize to heap, flat postings re-compress,
-// and every output write is atomic.
-func runConvert(storePath, out string) error {
-	if storePath == "" {
-		return fmt.Errorf("-convert requires -store naming the artifact to migrate")
+// checkFlags refuses flag combinations that would otherwise be served as
+// something else: a shard or replica count below 1 (silently one store, one
+// replica) and -store with -in (the corpus silently ignored).
+func checkFlags(shards, replicas int, storePath, in string) error {
+	switch {
+	case shards < 1:
+		return fmt.Errorf("-shards %d: want at least 1", shards)
+	case replicas < 1:
+		return fmt.Errorf("-replicas %d: want at least 1", replicas)
+	case storePath != "" && in != "":
+		return fmt.Errorf("-store and -in are exclusive: serve the persisted store or index the corpus")
 	}
-	isMan, err := serve.IsShardManifestFile(storePath)
-	if err != nil {
-		return err
-	}
-	if isMan {
-		man, shardStores, err := serve.LoadShards(storePath)
-		if err != nil {
-			return err
-		}
-		if err := serve.SaveLiveSet(out, shardStores); err != nil {
-			return err
-		}
-		fmt.Printf("converted %d-shard set %s -> %s (INSPSTORE4 shards)\n", man.NumShards, storePath, out)
-		return nil
-	}
-	st, err := serve.LoadStoreFile(storePath)
-	if err != nil {
-		return err
-	}
-	if !st.Compressed() {
-		if err := st.CompressPostings(); err != nil {
-			return err
-		}
-	}
-	if err := st.SaveFile(out); err != nil {
-		return err
-	}
-	fmt.Printf("converted store %s -> %s (INSPSTORE4)\n", storePath, out)
 	return nil
 }
 
@@ -388,16 +338,7 @@ func loadOrIndex(storePath, in, format string, p int, noMmap bool) (*serve.Store
 		if err != nil {
 			return nil, err
 		}
-		desc := st.DescribeFormat()
-		if !st.Compressed() {
-			// Legacy flat store: serve it in the compressed layout so the
-			// resident footprint and And latency match freshly built stores.
-			if err := st.CompressPostings(); err != nil {
-				return nil, err
-			}
-			desc += ", compressed on load"
-		}
-		fmt.Printf("loaded store %s (%s)\n", storePath, desc)
+		fmt.Printf("loaded store %s (%s)\n", storePath, st.DescribeFormat())
 		return st, nil
 	}
 	if in == "" {

@@ -46,15 +46,15 @@
 // the stdin protocol's sticky "filter" command) whose answer is exactly the
 // unfiltered answer minus the non-matching documents — dense filters
 // materialize into the same bitmap containers the boolean kernels intersect,
-// identically across monolithic, sharded, mapped, heap and legacy stores.
+// identically across monolithic, sharded, mapped and heap stores.
 //
 // The ThemeView projection itself serves at scale through the Galaxy tile
 // pyramid (internal/tiles): a quadtree of multi-resolution aggregates —
 // density grids, top-theme histograms with representative labels, exemplar
 // documents — so a client renders any viewport from a handful of fixed-size
 // tiles (inspired's /v1/tiles/{z}/{x}/{y} endpoint) instead of pulling
-// corpus-proportional point sets. Pyramids persist as sidecars next to
-// store files, are maintained incrementally under live ingestion along the
+// corpus-proportional point sets. Pyramids persist as a section of the
+// store file, are maintained incrementally under live ingestion along the
 // same epoch lineage as the similarity refresh, and merge bit-identically
 // across shards; spatial Near queries descend the same quadtree instead of
 // scanning every point.

@@ -141,7 +141,7 @@ func main() {
 	}
 
 	// Rebase folds base + segments - tombstones into a fresh base: the
-	// store is a single ordinary INSPSTORE2 file again.
+	// store is a single ordinary INSPSTORE4 file again.
 	if err := st.Rebase(); err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,6 @@ var Experiments = []Experiment{
 	{"A2", "Ablation: static vs adaptive signature dimensionality", FigA2},
 	{"A3", "Ablation: scanning under ideal vs NFS vs Lustre storage", FigA3},
 	{"S1", "Serving: query throughput and cache effectiveness vs concurrent sessions", FigS1},
-	{"S2", "Serving: posting store bytes and And latency, flat vs block-compressed", FigS2},
 	{"S3", "Serving: sharded scatter-gather throughput and tail latency vs shard count", FigS3},
 	{"S4", "Serving: query tail latency under live ingestion; refresh lag vs seal threshold", FigS4},
 	{"S5", "Serving: Galaxy viewport rendering, tile pyramid vs naive full-point scans, idle and under ingest", FigS5},

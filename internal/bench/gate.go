@@ -84,9 +84,6 @@ func CollectCI(scale float64) (*CIMetrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !st.Compressed() {
-		return nil, fmt.Errorf("bench: serving snapshot is not compressed")
-	}
 	m := &CIMetrics{Scale: scale}
 
 	var totalPostings int64

@@ -30,9 +30,8 @@ func (s *Store) IsBitmap(t int64) bool {
 	return len(s.TermBit) > 0 && s.TermBit[t+1] > s.TermBit[t]
 }
 
-// HasBitmaps reports whether any term uses the bitmap container. Builds
-// predating the container cannot load such a store (their Validate rejects
-// it loudly); SaveLegacy re-encodes through ForceBlocks when this is true.
+// HasBitmaps reports whether any term uses the bitmap container; a store
+// file carries the three bitmap sections only when it does.
 func (s *Store) HasBitmaps() bool {
 	return len(s.BitWords) > 0
 }

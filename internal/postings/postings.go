@@ -372,8 +372,9 @@ type Writer struct {
 }
 
 // ForceBlocks pins every subsequent Append to the varint block container,
-// disabling the bitmap density heuristic. Legacy persistence uses it to emit
-// stores that builds predating the bitmap container can still load.
+// disabling the bitmap density heuristic. It is the reference encoder of the
+// bitmap differential tests and the block fuzzers; nothing that serves or
+// persists calls it.
 func (w *Writer) ForceBlocks() {
 	w.forceBlocks = true
 }

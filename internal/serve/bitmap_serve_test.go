@@ -5,10 +5,9 @@ package serve
 // word-wise over the aliased bitmap words — zero posting decodes, zero LRU
 // traffic, at most the one result allocation — and every container-aware
 // path must answer byte-identically to the block-skip reference across all
-// store kinds (monolithic, sharded, mapped, heap, legacy).
+// store kinds (monolithic, sharded, mapped, heap, block-only).
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -18,6 +17,7 @@ import (
 	"inspire/internal/cluster"
 	"inspire/internal/core"
 	"inspire/internal/corpus"
+	"inspire/internal/postings"
 	"inspire/internal/simtime"
 )
 
@@ -172,20 +172,21 @@ func TestBitmapProbeStatsOnMixedQuery(t *testing.T) {
 // TestBitmapAnswersAgreeAcrossStoreKinds is the correctness half of the
 // acceptance bar: And/Or answers from every bitmap-carrying store kind are
 // byte-identical to the block-skip reference (the same postings re-encoded
-// block-only through the legacy save path).
+// block-only through a ForceBlocks writer).
 func TestBitmapAnswersAgreeAcrossStoreKinds(t *testing.T) {
 	st := buildDenseStoreT(t, 2)
 
-	var legacy bytes.Buffer
-	if err := st.SaveLegacy(&legacy); err != nil {
-		t.Fatal(err)
+	bw := postings.NewWriter(0)
+	bw.ForceBlocks()
+	for id := int64(0); id < st.VocabSize; id++ {
+		if err := bw.Append(st.Postings(id)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	blockStore, err := LoadStore(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	blockStore := st.Fork()
+	blockStore.Posts = bw.Finish()
 	if blockStore.Posts.HasBitmaps() {
-		t.Fatal("legacy save must re-encode block-only")
+		t.Fatal("ForceBlocks writer still emitted a bitmap")
 	}
 	ref := newServerT(t, blockStore, Config{}).NewQuerier()
 
@@ -207,7 +208,7 @@ func TestBitmapAnswersAgreeAcrossStoreKinds(t *testing.T) {
 		"sharded":    serviceOf(t, st, 3, Config{}),
 		"mapped":     serviceOf(t, mapped, 1, Config{}),
 		"heap":       serviceOf(t, heap, 1, Config{}),
-		"legacy":     serviceOf(t, blockStore, 1, Config{}),
+		"block-only": serviceOf(t, blockStore, 1, Config{}),
 	}
 	queries := [][]string{
 		{"alphadense", "betadense"},

@@ -565,7 +565,7 @@ func containsAny(segs []*segment.Segment, doc int64) bool {
 
 // Rebase folds the base snapshot, every sealed segment and the tombstone set
 // into a fresh base — the full materialization that makes the store
-// persistable as a single INSPSTORE2 file again. Pending adds are flushed
+// persistable as a single INSPSTORE4 file again. Pending adds are flushed
 // first. The old base products are left untouched (readers holding the old
 // view keep working); the store's fields and a new view (with the base
 // generation advanced) are swapped in at the end.
@@ -610,7 +610,7 @@ func (st *Store) Rebase() error {
 	for t := int64(0); t < st.VocabSize; t++ {
 		lists = lists[:0]
 		if v.base.df[t] > 0 {
-			d, f := v.base.postings(t)
+			d, f := v.base.posts.Postings(t)
 			lists = append(lists, plist{d, f})
 		}
 		for _, s := range v.segs {
@@ -734,7 +734,6 @@ func (st *Store) Rebase() error {
 	}
 
 	st.Posts, st.DF = posts, posts.Count
-	st.Off, st.PostDoc, st.PostFreq = nil, nil, nil
 	if len(dead) > 0 || len(st.live.retired) > 0 {
 		// Deleted IDs — current tombstones and compaction-retired IDs alike
 		// — become permanent holes in the rebased range: the high-water mark

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -618,18 +619,8 @@ func TestRebaseLeavesHolesAbsent(t *testing.T) {
 	}
 	dir := t.TempDir()
 	file := filepath.Join(dir, "holey.store")
-	if err := st.SaveLegacyFile(file); err != nil {
+	if err := st.SaveFile(file); err != nil {
 		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// In the legacy gob layout a hole-carrying store bumps the magic so
-	// earlier builds reject it loudly instead of gob-dropping Holes and
-	// resurrecting the deletions.
-	if !bytes.HasPrefix(raw, []byte("INSPSTORE3\n")) {
-		t.Fatalf("holey store wrote magic %q", raw[:11])
 	}
 	back, err := LoadStoreFile(file)
 	if err != nil {
@@ -646,43 +637,26 @@ func TestRebaseLeavesHolesAbsent(t *testing.T) {
 	}
 }
 
-// TestLoadShardsBackfillsLegacyRoutingMetadata pins the legacy-set upgrade
-// path: shard stores persisted before the live layer carry no routing
-// metadata (ShardCount/ShardIndex/GlobalDocs gob-decode zero), so LoadShards
-// must backfill it from the manifest — otherwise live ingestion into a
-// reloaded legacy set assigns IDs colliding with base documents and deletes
-// of high base IDs fail as unknown.
+// TestLoadShardsBackfillsLegacyRoutingMetadata pins the routing-metadata
+// contract of a persisted set: every shard file records its partition, a
+// reloaded set ingests and deletes against the recorded global ID space, and
+// a shard file whose recorded partition disagrees with the manifest — or
+// that records none, a monolithic store listed as a shard — is refused
+// rather than silently misrouted.
 func TestLoadShardsBackfillsLegacyRoutingMetadata(t *testing.T) {
 	st := buildStoreT(t, 2)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.shards")
+	path := filepath.Join(dir, "set.shards")
 	if err := st.SaveShards(path, 2); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite each shard file without the routing metadata, exactly as the
-	// pre-live release persisted them.
-	man, _, err := LoadShards(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, info := range man.Shards {
-		sh, err := LoadStoreFile(filepath.Join(dir, info.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh.ShardCount, sh.ShardIndex, sh.GlobalDocs = 0, 0, 0
-		if err := sh.SaveFile(filepath.Join(dir, info.File)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	_, loaded, err := LoadShards(path)
+	man, loaded, err := LoadShards(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, sh := range loaded {
 		if sh.ShardCount != 2 || sh.ShardIndex != i || sh.GlobalDocs != st.TotalDocs {
-			t.Fatalf("shard %d routing metadata not backfilled: count=%d index=%d global=%d",
+			t.Fatalf("shard %d routing metadata lost: count=%d index=%d global=%d",
 				i, sh.ShardCount, sh.ShardIndex, sh.GlobalDocs)
 		}
 	}
@@ -691,12 +665,12 @@ func TestLoadShardsBackfillsLegacyRoutingMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := router.NewSession()
-	doc, err := sess.Add(context.Background(), "apple banana legacy")
+	doc, err := sess.Add(context.Background(), "apple banana reloaded")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if doc != st.TotalDocs {
-		t.Fatalf("legacy set assigned doc %d, want %d (must not collide with base documents)", doc, st.TotalDocs)
+		t.Fatalf("reloaded set assigned doc %d, want %d (must not collide with base documents)", doc, st.TotalDocs)
 	}
 	// The highest base doc is deletable (the dense per-shard rule would call
 	// any base ID >= the shard's own count unknown).
@@ -704,18 +678,25 @@ func TestLoadShardsBackfillsLegacyRoutingMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A store whose recorded partition disagrees with the manifest is
-	// rejected rather than silently misrouted.
-	bad, err := LoadStoreFile(filepath.Join(dir, man.Shards[0].File))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.ShardCount, bad.ShardIndex, bad.GlobalDocs = 3, 0, st.TotalDocs
-	if err := bad.SaveFile(filepath.Join(dir, man.Shards[0].File)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadShards(path); err == nil {
-		t.Fatal("mismatched shard-count metadata accepted")
+	shard0 := filepath.Join(dir, man.Shards[0].File)
+	for name, tc := range map[string]struct {
+		count int
+		want  string
+	}{
+		"disagrees": {3, "3-way partition, manifest says 2"},
+		"none":      {0, "records no partition"},
+	} {
+		bad, err := LoadStoreFileHeap(shard0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad.ShardCount, bad.ShardIndex, bad.GlobalDocs = tc.count, 0, st.TotalDocs
+		if err := bad.SaveFile(shard0); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadShards(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("partition %s: LoadShards error %v, want one naming %q", name, err, tc.want)
+		}
 	}
 }
 

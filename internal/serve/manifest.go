@@ -7,7 +7,7 @@ import (
 )
 
 // The manifest magics head the sidecar manifest of a sharded serving set.
-// The shard stores themselves stay ordinary INSPSTORE2 files; the manifest
+// The shard stores themselves stay ordinary INSPSTORE4 files; the manifest
 // is what makes them a set. Version 1 describes a frozen partition; version
 // 2 extends each shard with its live state — the sealed ingest segments
 // (sidecar INSPSEG1 files), the tombstone set and the document-ID high-water

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"inspire/internal/postings"
 	"inspire/internal/project"
 	"inspire/internal/simtime"
 	"inspire/internal/tiles"
@@ -39,7 +40,8 @@ func oracleThemeDocs(v *view, fs *filterSet, cluster int) []int64 {
 // clusters at random.
 func mapStore(n, k int, seed int64) *Store {
 	rng := rand.New(rand.NewSource(seed))
-	st := &Store{Model: simtime.PNNLCluster2007(), P: 1, Prefix: []int64{0, 0}, TotalDocs: int64(n), K: k}
+	st := &Store{Model: simtime.PNNLCluster2007(), P: 1, Prefix: []int64{0, 0}, TotalDocs: int64(n), K: k,
+		Posts: postings.NewWriter(0).Finish()}
 	for d := int64(0); d < int64(n); d++ {
 		st.Points = append(st.Points, project.Point{Doc: d, X: rng.Float64(), Y: rng.Float64()})
 		st.AssignDocs = append(st.AssignDocs, d)

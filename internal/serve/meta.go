@@ -462,8 +462,8 @@ func (t metaTable) install(st *Store) {
 // the bulk path for attaching timestamps and facets to an already-indexed
 // corpus (benchmark fixtures, offline backfills). docs, times and facets are
 // parallel; rows are validated and normalized exactly like ingest-time
-// metadata. It rewrites the base layout, so like CompressPostings it refuses
-// once live data exists.
+// metadata. It rewrites the base layout, so it refuses once live data
+// exists.
 func (st *Store) SetBaseMeta(docs []int64, times []int64, facets [][]string) error {
 	if len(times) != len(docs) || len(facets) != len(docs) {
 		return fmt.Errorf("serve: set base meta: %d docs, %d times, %d facet rows", len(docs), len(times), len(facets))

@@ -263,8 +263,8 @@ func sameDocs(a, b []int64) bool {
 }
 
 // TestFilterEquivalenceAcrossModes requires byte-identical filtered answers
-// from every store mode: heap-decoded, mapped INSPSTORE4, legacy gob, and a
-// 3-shard router over the mapped store.
+// from every store mode: heap-decoded, mapped, freshly indexed (never
+// persisted), and a 3-shard router over the mapped store.
 func TestFilterEquivalenceAcrossModes(t *testing.T) {
 	base := batchStore(t, ingestSources(), 3)
 	stampMetaT(t, base)
@@ -281,7 +281,6 @@ func TestFilterEquivalenceAcrossModes(t *testing.T) {
 	if !mappedStore.Mapped() {
 		t.Fatal("v4 store did not map")
 	}
-	legacyStore := mustLoadHeapLegacyTwin(t, base)
 
 	shardSrc, err := LoadStoreFile(path)
 	if err != nil {
@@ -290,9 +289,9 @@ func TestFilterEquivalenceAcrossModes(t *testing.T) {
 	cfg := Config{TileMaxZoom: 4, PostingCacheEntries: 8}
 	ref := serviceOf(t, heapStore, 1, cfg)
 	others := map[string]Service{
-		"mapped":     serviceOf(t, mappedStore, 1, cfg),
-		"legacy-gob": serviceOf(t, legacyStore, 1, cfg),
-		"sharded-3":  serviceOf(t, shardSrc, 3, cfg),
+		"mapped":    serviceOf(t, mappedStore, 1, cfg),
+		"fresh":     serviceOf(t, base.Fork(), 1, cfg),
+		"sharded-3": serviceOf(t, shardSrc, 3, cfg),
 	}
 
 	terms := ref.TopTerms(context.Background(), 8)

@@ -526,27 +526,20 @@ func (s *Server) NewSession() *Session {
 
 // wireCost models one uncached base posting fetch: two descriptor reads
 // (count, offset) plus the posting payload, one-sided against the owner or
-// local memory copies when the front-end owns the term. A compressed store
-// moves the block-coded bytes — several times fewer — and the front-end pays
-// the varint+delta decode in flops.
+// local memory copies when the front-end owns the term. The block-coded
+// bytes move — several times fewer than the decoded pairs — and the front-end
+// pays the varint+delta decode.
 func (s *Server) wireCost(b *baseView, t int64, n int64) float64 {
 	m := s.store.Model
-	remote := s.store.Owner(t) != s.cfg.FrontRank
-	if ps := b.posts; ps != nil {
-		docB, freqB := ps.TermBytes(t)
-		payload := float64(docB + freqB)
-		// Varint+delta decode streams at memory rate: charged as writing
-		// the decoded int64 pairs, like the block decoders it models.
-		decode := m.LocalCopyCost(16 * float64(n))
-		if remote {
-			return 2*m.OneSidedCost(8) + m.OneSidedCost(payload) + decode
-		}
-		return 2*m.LocalCopyCost(8) + m.LocalCopyCost(payload) + decode
+	docB, freqB := b.posts.TermBytes(t)
+	payload := float64(docB + freqB)
+	// Varint+delta decode streams at memory rate: charged as writing
+	// the decoded int64 pairs, like the block decoders it models.
+	decode := m.LocalCopyCost(16 * float64(n))
+	if s.store.Owner(t) != s.cfg.FrontRank {
+		return 2*m.OneSidedCost(8) + m.OneSidedCost(payload) + decode
 	}
-	if remote {
-		return 2*m.OneSidedCost(8) + 2*m.OneSidedCost(8*float64(n))
-	}
-	return 2*m.LocalCopyCost(8) + 2*m.LocalCopyCost(8*float64(n))
+	return 2*m.LocalCopyCost(8) + m.LocalCopyCost(payload) + decode
 }
 
 // partialCost models a block-skipping intersection against term t's
@@ -641,10 +634,10 @@ func (s *Server) getPostings(v *view, t int64) (postingVal, float64) {
 	s.pmu.Unlock()
 
 	s.postingMisses.Add(1)
-	docs, freqs := v.base.postings(t)
+	docs, freqs := v.base.posts.Postings(t)
 	f.val = postingVal{docs: docs, freqs: freqs}
 	f.cost = s.wireCost(v.base, t, int64(len(docs)))
-	if ps := v.base.posts; ps != nil && ps.IsBitmap(t) {
+	if v.base.posts.IsBitmap(t) {
 		// A bitmap term materializes by popcount enumeration, not varint
 		// decode (wireCost already moves its word bytes via TermBytes). The
 		// And path never gets here for bitmap terms; Or/TermDocs do, and the
@@ -1035,7 +1028,7 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 		ps := v.base.posts
 		i0 := 1
 		switch {
-		case ps != nil && ps.IsBitmap(cands[0].id) && len(cands) > 1 && ps.IsBitmap(cands[1].id):
+		case ps.IsBitmap(cands[0].id) && len(cands) > 1 && ps.IsBitmap(cands[1].id):
 			// Dense∧dense: one word-wise AND straight over the containers —
 			// on a mapped store these are the file's own pages, so nothing is
 			// decoded, copied or cached.
@@ -1045,7 +1038,7 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 			cost += ss.s.bitmapAndCost(cands[0].id, cands[1].id, ist, len(acc))
 			ss.s.bitmapAnds.Add(1)
 			i0 = 2
-		case ps != nil && ps.IsBitmap(cands[0].id) && fs != nil && fs.bits != nil:
+		case ps.IsBitmap(cands[0].id) && fs != nil && fs.bits != nil:
 			// Dense term under a dense filter: seed the accumulator with one
 			// word-wise AND of the container against the filter's bitmap —
 			// sound for a conjunction (the final post-filter is idempotent),
@@ -1058,7 +1051,7 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 				m.LocalCopyCost(8*words) + m.FlopCost(words) +
 				m.LocalCopyCost(8*float64(len(acc)))
 			ss.s.bitmapAnds.Add(1)
-		case ps != nil && ps.IsBitmap(cands[0].id):
+		case ps.IsBitmap(cands[0].id):
 			// Dense seed: enumerate the bitmap into session scratch instead
 			// of decoding a list through the LRU.
 			bufA = ps.BitmapDocsInto(bufA[:0], cands[0].id)
@@ -1075,7 +1068,7 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 			if len(acc) == 0 {
 				break
 			}
-			if ps != nil && ps.IsBitmap(cd.id) {
+			if ps.IsBitmap(cd.id) {
 				// Dense operand against any accumulator: per-doc bit probes
 				// beat every decoded-list merge and touch neither the varint
 				// decoder nor the posting LRU.
@@ -1099,7 +1092,7 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 			// the compressed store wins; a dense one would decode most blocks
 			// anyway, and the full fetch keeps the LRU warm and the transfer
 			// coalesced for the next session asking about the same term.
-			if ps := v.base.posts; ps != nil && int64(len(acc)) < cd.baseDF/4 {
+			if int64(len(acc)) < cd.baseDF/4 {
 				res, ist := ps.IntersectInto(bufB[:0], acc, cd.id)
 				cost += ss.s.partialCost(cd.id, len(acc), ist)
 				ss.s.partialFetches.Add(1)

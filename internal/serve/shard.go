@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"slices"
 
-	"inspire/internal/postings"
 	"inspire/internal/segment"
 	"inspire/internal/storefile"
 )
@@ -50,24 +49,7 @@ func (st *Store) Shard(n int) ([]*Store, error) {
 	if err := st.validate(); err != nil {
 		return nil, err
 	}
-	posts := st.Posts
-	if posts == nil {
-		// Legacy flat snapshot: encode the block layout without touching the
-		// receiver, so sharding a v1 store leaves the original flat.
-		w := postings.NewWriter(int64(len(st.PostDoc)))
-		for t := int64(0); t < st.VocabSize; t++ {
-			var docs, freqs []int64
-			if c := st.DF[t]; c > 0 {
-				off := st.Off[t]
-				docs, freqs = st.PostDoc[off:off+c], st.PostFreq[off:off+c]
-			}
-			if err := w.Append(docs, freqs); err != nil {
-				return nil, fmt.Errorf("serve: shard: %w", err)
-			}
-		}
-		posts = w.Finish()
-	}
-	parts, err := posts.Split(n, func(doc int64) int { return ShardOf(doc, n) })
+	parts, err := st.Posts.Split(n, func(doc int64) int { return ShardOf(doc, n) })
 	if err != nil {
 		return nil, fmt.Errorf("serve: shard: %w", err)
 	}
@@ -175,8 +157,6 @@ func (st *Store) SaveShards(path string, n int) error {
 			Docs:     sh.TotalDocs,
 			Postings: posts,
 		}
-		// SaveFile writes INSPSTORE4 with the tile pyramid embedded; no
-		// sidecar needed.
 		shardPath := filepath.Join(dir, man.Shards[i].File)
 		if err := sh.SaveFile(shardPath); err != nil {
 			return err
@@ -296,8 +276,6 @@ func loadShards(path string, noMmap bool) (*Manifest, []*Store, error) {
 	shards := make([]*Store, man.NumShards)
 	var docs int64
 	for i, info := range man.Shards {
-		// loadStoreFile also attaches a legacy shard's tile sidecar if
-		// present; v4 shards embed their pyramid.
 		sh, err := loadStoreFile(filepath.Join(dir, info.File), noMmap)
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: load shard %d: %w", i, err)
@@ -305,16 +283,12 @@ func loadShards(path string, noMmap bool) (*Manifest, []*Store, error) {
 		if sh.VocabSize != man.VocabSize {
 			return nil, nil, fmt.Errorf("serve: shard %d has vocabulary %d, manifest says %d", i, sh.VocabSize, man.VocabSize)
 		}
-		// Shard stores persisted before the live layer carry no routing
-		// metadata (the gob fields decode zero); backfill it from the
-		// manifest, which describes the same dense global space, so the live
-		// layer can tell "base document" from "unknown" on legacy sets too.
-		// Stores that do carry it must agree with the manifest.
+		// Every shard file records its partition, and it must agree with the
+		// manifest; one that records none is a monolithic store listed as a
+		// shard.
 		switch {
 		case sh.ShardCount == 0:
-			sh.ShardCount = man.NumShards
-			sh.ShardIndex = i
-			sh.GlobalDocs = man.TotalDocs
+			return nil, nil, fmt.Errorf("serve: shard %d store records no partition (a monolithic store listed in a manifest)", i)
 		case sh.ShardCount != man.NumShards:
 			return nil, nil, fmt.Errorf("serve: shard %d store says a %d-way partition, manifest says %d", i, sh.ShardCount, man.NumShards)
 		case sh.ShardIndex != i:
@@ -382,32 +356,41 @@ func loadShards(path string, noMmap bool) (*Manifest, []*Store, error) {
 	return man, shards, nil
 }
 
-// IsShardManifestFile reports whether the file begins with a shard-manifest
-// magic (either version) — i.e. whether a -store path names a sharded set
-// rather than a single store.
-func IsShardManifestFile(path string) (bool, error) {
+// readHead returns the first n bytes of the file at path — fewer when the
+// file is shorter — for the magic checks at the loaders' door.
+func readHead(path string, n int) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	defer f.Close()
-	head := make([]byte, len(manifestMagic))
-	// ReadFull, not Read: a legal short read must not misclassify a valid
-	// manifest. A file shorter than the magic is simply not a manifest.
-	if _, err := io.ReadFull(f, head); err != nil {
-		return false, nil
+	head := make([]byte, n)
+	// ReadFull, not Read: a legal short read must not misclassify a file.
+	m, err := io.ReadFull(f, head)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, err
+	}
+	return head[:m], nil
+}
+
+// IsShardManifestFile reports whether the file begins with a shard-manifest
+// magic (either version) — i.e. whether a -store path names a sharded set
+// rather than a single store. A file shorter than the magic is simply not a
+// manifest.
+func IsShardManifestFile(path string) (bool, error) {
+	head, err := readHead(path, len(manifestMagic))
+	if err != nil {
+		return false, err
 	}
 	return string(head) == manifestMagic || string(head) == manifestMagicV2, nil
 }
 
 // LoadServiceFile opens any persisted serving artifact as a Service: a shard
-// manifest loads its set behind a Router; a single store file — INSPSTORE4,
-// INSPSTORE2 or legacy INSPSTORE1 — loads behind a plain Server (flat v1
-// postings are re-compressed on load, as cmd/inspired has always done).
-// INSPSTORE4 files are memory-mapped unless cfg.NoMmap is set, in which case
-// they materialize to heap like the legacy formats always do. This is the
-// one load path the daemon needs — sharded and monolithic sets serve behind
-// the same session API.
+// manifest loads its set behind a Router, a single INSPSTORE4 store file
+// behind a plain Server. Store files are memory-mapped unless cfg.NoMmap is
+// set, in which case they materialize to heap. This is the one load path the
+// daemon needs — sharded and monolithic sets serve behind the same session
+// API.
 func LoadServiceFile(path string, cfg Config) (Service, error) {
 	man, err := IsShardManifestFile(path)
 	if err != nil {
@@ -423,11 +406,6 @@ func LoadServiceFile(path string, cfg Config) (Service, error) {
 	st, err := loadStoreFile(path, cfg.NoMmap)
 	if err != nil {
 		return nil, err
-	}
-	if !st.Compressed() {
-		if err := st.CompressPostings(); err != nil {
-			return nil, err
-		}
 	}
 	return NewService(Options{Store: st, Config: cfg})
 }

@@ -221,8 +221,8 @@ func TestSaveLoadShards(t *testing.T) {
 }
 
 // TestLoadServiceFile pins the one-loader contract: a manifest serves behind
-// a Router, a v2 single-store file and a legacy v1 flat file both serve
-// behind a Server, all answering identically through the Service surface.
+// a Router and a single-store file behind a Server, both answering
+// identically through the Service surface.
 func TestLoadServiceFile(t *testing.T) {
 	st := buildStoreT(t, 2)
 	srv := newServerT(t, st, Config{})
@@ -233,12 +233,8 @@ func TestLoadServiceFile(t *testing.T) {
 	if err := st.SaveShards(manifest, 2); err != nil {
 		t.Fatal(err)
 	}
-	v2 := filepath.Join(dir, "run.v2.store")
-	if err := st.SaveFile(v2); err != nil {
-		t.Fatal(err)
-	}
-	v1 := filepath.Join(dir, "run.v1.store")
-	if err := st.FlatCopy().SaveFile(v1); err != nil {
+	mono := filepath.Join(dir, "run.store")
+	if err := st.SaveFile(mono); err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,8 +243,7 @@ func TestLoadServiceFile(t *testing.T) {
 		router     bool
 	}{
 		{"manifest", manifest, true},
-		{"v2 store", v2, false},
-		{"legacy v1 store", v1, false},
+		{"single store", mono, false},
 	}
 	for _, tc := range cases {
 		svc, err := LoadServiceFile(tc.path, Config{})
@@ -263,27 +258,6 @@ func TestLoadServiceFile(t *testing.T) {
 			if !reflect.DeepEqual(got[k], w) {
 				t.Fatalf("%s: %s = %#v, want %#v", tc.name, k, got[k], w)
 			}
-		}
-	}
-
-	// A legacy flat snapshot also shards directly — the v1-through-sharding
-	// path — without mutating the flat receiver.
-	flat := st.FlatCopy()
-	shards, err := flat.Shard(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.Compressed() {
-		t.Fatal("sharding compressed the flat receiver")
-	}
-	r, err := NewRouter(shards, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := queryAll(t, r.NewSession(), st)
-	for k, w := range want {
-		if !reflect.DeepEqual(got[k], w) {
-			t.Fatalf("sharded v1: %s = %#v, want %#v", k, got[k], w)
 		}
 	}
 }

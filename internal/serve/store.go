@@ -15,11 +15,9 @@
 package serve
 
 import (
-	"bufio"
-	"encoding/gob"
+	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 
@@ -40,9 +38,9 @@ import (
 // in-memory ingest delta — published to readers as atomically swapped epoch
 // views (see view.go and ingest.go). The exported fields are the base
 // snapshot; they change only under explicit whole-layout operations
-// (CompressPostings/DecompressPostings before serving starts, Rebase), each
-// of which publishes a fresh view rather than mutating slices a concurrent
-// reader may hold. Every method is safe for concurrent use.
+// (SetBaseMeta before serving starts, Rebase), each of which publishes a
+// fresh view rather than mutating slices a concurrent reader may hold. Every
+// method is safe for concurrent use.
 //
 // The posting lists keep their distributed layout metadata (Prefix: the
 // dense-term ownership bounds of the producing run), so the serving cost
@@ -84,17 +82,10 @@ type Store struct {
 	// DF[t] is term t's document frequency.
 	DF []int64
 
-	// Posts holds the postings in the serving format: block-compressed
-	// delta+varint doc/freq lists with a skip directory (INSPSTORE2). When
-	// nil the store carries the legacy flat layout below instead.
+	// Posts holds the postings: block-compressed delta+varint doc/freq lists
+	// with a skip directory, dense terms as bitmaps. Never nil on a store
+	// that validates.
 	Posts *postings.Store
-
-	// Legacy flat layout (INSPSTORE1, and the transient form Snapshot drains
-	// into before compressing): Off[t] is the start of term t's postings in
-	// the concatenated PostDoc/PostFreq arrays.
-	Off      []int64
-	PostDoc  []int64
-	PostFreq []int64
 
 	// Knowledge signatures, sorted by document ID (nil = null signature).
 	// Read them through Signatures(), which returns a consistent indexed
@@ -138,8 +129,6 @@ type Store struct {
 	// (0 = none). MetaFacetOffs/MetaFacetIDs are the row-offset form of the
 	// per-document facet sets, as IDs into FacetDict, each row ascending by
 	// dictionary string; MetaFacetOffs is nil when no document has facets.
-	// Exported so the legacy gob formats persist them; earlier builds drop
-	// the unknown fields and serve the corpus unfaceted.
 	MetaDocs      []int64
 	MetaTimes     []int64
 	MetaFacetOffs []int64
@@ -150,12 +139,12 @@ type Store struct {
 	sigSet *signature.Set
 
 	// backing is the decoded INSPSTORE4 file this store serves from, nil
-	// for heap-resident (legacy or freshly indexed) stores. Base vectors
-	// alias its sections; it is never unmapped while the store lives.
+	// for freshly indexed stores. Base vectors alias its sections; it is
+	// never unmapped while the store lives.
 	backing *storefile.File
 	// res is the resident-set accountant of a v4 store: decoded posting
 	// lists pin heap bytes against its budget, everything else stays
-	// evictable in the mapping. Nil for heap-resident stores.
+	// evictable in the mapping. Nil for freshly indexed stores.
 	res *storefile.Resident
 	// termSorted is the permutation of TermList in ascending term order —
 	// the mapped replacement for the Terms map (nil on v4 loads). See
@@ -253,14 +242,14 @@ func buildStore(c *cluster.Comm, res *core.Result, docParts, asgParts [][]int64)
 
 	// Term statistics and posting offsets.
 	st.DF = make([]int64, V)
-	st.Off = make([]int64, V)
+	off := make([]int64, V)
 	if V > 0 {
 		res.Index.Counts.Get(0, st.DF)
-		res.Index.Off.Get(0, st.Off)
+		res.Index.Off.Get(0, off)
 	}
 	total := res.Index.PostDoc.N()
-	st.PostDoc = make([]int64, total)
-	st.PostFreq = make([]int64, total)
+	postDoc := make([]int64, total)
+	postFreq := make([]int64, total)
 
 	// Drain the posting arrays with overlapped one-sided streams: each fork
 	// owns a private clock, so the cost of the concurrent gets folds back in
@@ -288,8 +277,8 @@ func buildStore(c *cluster.Comm, res *core.Result, docParts, asgParts [][]int64)
 			wg.Add(1)
 			go func(lo, hi int64, pd, pf *ga.Array[int64]) {
 				defer wg.Done()
-				pd.Get(lo, st.PostDoc[lo:hi])
-				pf.Get(lo, st.PostFreq[lo:hi])
+				pd.Get(lo, postDoc[lo:hi])
+				pf.Get(lo, postFreq[lo:hi])
 			}(lo, hi, pd, pf)
 		}
 		wg.Wait()
@@ -302,11 +291,16 @@ func buildStore(c *cluster.Comm, res *core.Result, docParts, asgParts [][]int64)
 		st.AssignClusters = append(st.AssignClusters, asgParts[r]...)
 	}
 
-	// Compress into the serving format; the drained flat arrays were only
-	// ever transient. One front-end pass: charged as a local re-encode.
-	if err := st.CompressPostings(); err != nil {
-		panic(fmt.Sprintf("serve: snapshot compression: %v", err))
+	// Encode the drained arrays into the serving format. One front-end pass:
+	// charged as a local re-encode.
+	w := postings.NewWriter(total)
+	for t, n := range st.DF {
+		lo := off[t]
+		if err := w.Append(postDoc[lo:lo+n], postFreq[lo:lo+n]); err != nil {
+			panic(fmt.Sprintf("serve: snapshot compression: %v", err))
+		}
 	}
+	st.Posts = w.Finish()
 	c.Clock().Advance(m.LocalCopyCost(16*float64(total)) + m.FlopCost(4*float64(total)))
 	return st
 }
@@ -322,108 +316,10 @@ func (st *Store) Owner(t int64) int {
 	return sort.Search(st.P, func(r int) bool { return st.Prefix[r+1] > t })
 }
 
-// Postings returns term t's posting list (sorted by document ID). For a
-// compressed store the list is decoded into fresh slices; for the flat
-// layout the returned slices are shared views and must not be mutated.
+// Postings returns term t's posting list (sorted by document ID), decoded
+// into fresh slices.
 func (st *Store) Postings(t int64) (docs, freqs []int64) {
-	if st.Posts != nil {
-		return st.Posts.Postings(t)
-	}
-	n := st.DF[t]
-	if n == 0 {
-		return nil, nil
-	}
-	off := st.Off[t]
-	return st.PostDoc[off : off+n], st.PostFreq[off : off+n]
-}
-
-// Compressed reports whether the store carries the block-compressed posting
-// layout (INSPSTORE2) rather than the legacy flat arrays.
-func (st *Store) Compressed() bool { return st.Posts != nil }
-
-// CompressPostings re-encodes the flat posting arrays into the block
-// format and drops them; a no-op when already compressed. The serving paths
-// work on either layout, so this is a pure space/latency trade. Like
-// DecompressPostings it rewrites the base layout, so it refuses once live
-// data (ingested segments, tombstones) exists — rebase or re-load first.
-func (st *Store) CompressPostings() error {
-	st.live.mu.Lock()
-	defer st.live.mu.Unlock()
-	if st.Posts != nil {
-		return nil
-	}
-	if st.hasLiveLocked() {
-		return fmt.Errorf("serve: compress postings: store has live segments or tombstones")
-	}
-	w := postings.NewWriter(int64(len(st.PostDoc)))
-	for t := int64(0); t < st.VocabSize; t++ {
-		n := st.DF[t]
-		var docs, freqs []int64
-		if n > 0 {
-			off := st.Off[t]
-			docs, freqs = st.PostDoc[off:off+n], st.PostFreq[off:off+n]
-		}
-		if err := w.Append(docs, freqs); err != nil {
-			return fmt.Errorf("serve: compress postings: %w", err)
-		}
-	}
-	st.Posts = w.Finish()
-	st.Off, st.PostDoc, st.PostFreq = nil, nil, nil
-	st.resetViewLocked()
-	return nil
-}
-
-// DecompressPostings expands the block format back into the flat layout —
-// the v1 baseline the bench figure compares against; a no-op when already
-// flat. Panics if live data exists (it is a pre-serving/bench operation).
-func (st *Store) DecompressPostings() {
-	st.live.mu.Lock()
-	defer st.live.mu.Unlock()
-	if st.Posts == nil {
-		return
-	}
-	if st.hasLiveLocked() {
-		panic("serve: DecompressPostings on a store with live segments or tombstones")
-	}
-	var total int64
-	for _, n := range st.Posts.Count {
-		total += n
-	}
-	st.Off = make([]int64, st.VocabSize)
-	st.PostDoc = make([]int64, 0, total)
-	st.PostFreq = make([]int64, 0, total)
-	for t := int64(0); t < st.VocabSize; t++ {
-		st.Off[t] = int64(len(st.PostDoc))
-		docs, freqs := st.Posts.Postings(t)
-		st.PostDoc = append(st.PostDoc, docs...)
-		st.PostFreq = append(st.PostFreq, freqs...)
-	}
-	st.Posts = nil
-	st.resetViewLocked()
-}
-
-// FlatCopy returns a copy of the store that serves from the flat posting
-// layout, sharing every other product with the receiver. The compressed-vs-
-// flat bench figure serves both from one snapshot this way.
-func (st *Store) FlatCopy() *Store {
-	cp := &Store{
-		Model: st.Model, P: st.P,
-		TotalDocs: st.TotalDocs, VocabSize: st.VocabSize,
-		ShardCount: st.ShardCount, ShardIndex: st.ShardIndex, GlobalDocs: st.GlobalDocs,
-		Holes: st.Holes,
-		Terms: st.Terms, TermList: st.TermList, Prefix: st.Prefix,
-		DF: st.DF, Posts: st.Posts,
-		Off: st.Off, PostDoc: st.PostDoc, PostFreq: st.PostFreq,
-		SigM: st.SigM, SigDocs: st.SigDocs, SigVecs: st.SigVecs, Proj: st.Proj,
-		Planar: st.Planar, TileBox: st.TileBox,
-		Points: st.Points, AssignDocs: st.AssignDocs, AssignClusters: st.AssignClusters,
-		K: st.K, Themes: st.Themes,
-		MetaDocs: st.MetaDocs, MetaTimes: st.MetaTimes,
-		MetaFacetOffs: st.MetaFacetOffs, MetaFacetIDs: st.MetaFacetIDs, FacetDict: st.FacetDict,
-		backing: st.backing, res: st.res, termSorted: st.termSorted,
-	}
-	cp.DecompressPostings()
-	return cp
+	return st.Posts.Postings(t)
 }
 
 // Fork returns a copy of the store with fresh live state: it shares every
@@ -438,7 +334,6 @@ func (st *Store) Fork() *Store {
 		Holes: st.Holes,
 		Terms: st.Terms, TermList: st.TermList, Prefix: st.Prefix,
 		DF: st.DF, Posts: st.Posts,
-		Off: st.Off, PostDoc: st.PostDoc, PostFreq: st.PostFreq,
 		SigM: st.SigM, SigDocs: st.SigDocs, SigVecs: st.SigVecs, Proj: st.Proj,
 		Planar: st.Planar, TileBox: st.TileBox,
 		Points: st.Points, AssignDocs: st.AssignDocs, AssignClusters: st.AssignClusters,
@@ -605,8 +500,8 @@ func (st *Store) validate() error {
 		return fmt.Errorf("serve: store has %d signature ids for %d vectors", len(st.SigDocs), len(st.SigVecs))
 	case len(st.AssignDocs) != len(st.AssignClusters):
 		return fmt.Errorf("serve: store assignment vectors disagree")
-	case len(st.PostDoc) != len(st.PostFreq):
-		return fmt.Errorf("serve: store has %d posting docs for %d frequencies", len(st.PostDoc), len(st.PostFreq))
+	case st.Posts == nil:
+		return fmt.Errorf("serve: store has no postings")
 	}
 	if err := st.Model.Validate(); err != nil {
 		return err
@@ -634,109 +529,34 @@ func (st *Store) validate() error {
 	if err := st.validateMeta(); err != nil {
 		return err
 	}
-	if st.Posts != nil {
-		if err := st.Posts.Validate(); err != nil {
-			return err
-		}
-		if st.Posts.NumTerms != V {
-			return fmt.Errorf("serve: compressed postings cover %d of %d terms", st.Posts.NumTerms, V)
-		}
-		for t := int64(0); t < V; t++ {
-			if st.Posts.Count[t] != st.DF[t] {
-				return fmt.Errorf("serve: term %d has %d compressed postings for DF %d", t, st.Posts.Count[t], st.DF[t])
-			}
-		}
-		return nil
+	if err := st.Posts.Validate(); err != nil {
+		return err
 	}
-	if int64(len(st.Off)) != V {
-		return fmt.Errorf("serve: flat store has %d offsets for %d terms", len(st.Off), V)
+	if st.Posts.NumTerms != V {
+		return fmt.Errorf("serve: compressed postings cover %d of %d terms", st.Posts.NumTerms, V)
 	}
 	for t := int64(0); t < V; t++ {
-		if n := st.DF[t]; n > 0 {
-			if off := st.Off[t]; off < 0 || off+n > int64(len(st.PostDoc)) {
-				return fmt.Errorf("serve: store postings of term %d out of bounds", t)
-			}
+		if st.Posts.Count[t] != st.DF[t] {
+			return fmt.Errorf("serve: term %d has %d compressed postings for DF %d", t, st.Posts.Count[t], st.DF[t])
 		}
 	}
 	return nil
 }
 
-// The store file magics version the format: v1 carries flat posting arrays,
-// v2 the block-compressed layout, v3 adds rebased deletion holes; all three
-// are a magic line over one gob body. v4 (INSPSTORE4, internal/storefile) is
-// the page-aligned zero-copy layout compressed stores persist as today. All
-// headers are the same length, and the loader accepts any of them. The v3
-// bump is what makes an earlier build reject a hole-carrying file loudly
-// instead of gob-dropping the unknown field and silently resurrecting the
-// deleted documents.
-const (
-	storeMagicV1 = "INSPSTORE1\n"
-	storeMagicV2 = "INSPSTORE2\n"
-	storeMagicV3 = "INSPSTORE3\n"
-)
-
-// Save writes the store in its persistent format, enabling index-once/
-// serve-many across process restarts. A compressed store writes the
-// page-aligned INSPSTORE4 layout that later loads serve straight from an
-// mmap; a flat store writes the legacy INSPSTORE1 gob, byte-for-byte
-// loadable by previous builds. SaveLegacy keeps the v1/v2/v3 writers
-// reachable for compatibility tooling.
-func (st *Store) Save(w io.Writer) error {
-	if st.Posts != nil {
-		return st.saveV4(w)
+// checkStoreMagic is the one check at the door of every loader: anything
+// that does not start an INSPSTORE4 file — short and empty input included —
+// is refused before a decoder runs, and the gob formats this build no longer
+// reads (flat, block, hole-carrying) are named with their remedy.
+func checkStoreMagic(head []byte) error {
+	if storefile.Sniff(head) {
+		return nil
 	}
-	return st.SaveLegacy(w)
-}
-
-// SaveLegacy writes the pre-v4 persistent format (magic header + gob body):
-// INSPSTORE2 for a compressed store — INSPSTORE3 when rebased deletions left
-// ID holes — and INSPSTORE1 for a flat store. Builds that predate INSPSTORE4
-// load these byte-for-byte; the gob body fully materializes on load, so
-// serving prefers Save's v4 layout. Bitmap posting containers are re-encoded
-// into varint blocks here — the legacy formats promise loadability by
-// previous builds, whose Validate would (correctly, loudly) reject a
-// bitmap-carrying directory.
-func (st *Store) SaveLegacy(w io.Writer) error {
-	enc := st
-	if st.Terms == nil && len(st.TermList) > 0 {
-		// A mapped v4 store carries no term map; the gob formats do. Encode
-		// a shallow fork with the map rebuilt so the legacy file is
-		// self-contained.
-		cp := st.Fork()
-		cp.Terms = make(map[string]int64, len(st.TermList))
-		for i, t := range st.TermList {
-			cp.Terms[t] = int64(i)
+	for _, retired := range []string{"INSPSTORE1", "INSPSTORE2", "INSPSTORE3"} {
+		if bytes.HasPrefix(head, []byte(retired+"\n")) {
+			return fmt.Errorf("retired gob format %s (last read by build 715247c); re-index: inspired -in <corpus> -save-store <file>", retired)
 		}
-		enc = cp
 	}
-	if enc.Posts != nil && enc.Posts.HasBitmaps() {
-		bw := postings.NewWriter(int64(len(enc.Posts.DocBlob)))
-		bw.ForceBlocks()
-		for t := int64(0); t < enc.VocabSize; t++ {
-			docs, freqs := enc.Posts.Postings(t)
-			if err := bw.Append(docs, freqs); err != nil {
-				return fmt.Errorf("serve: save legacy store: %w", err)
-			}
-		}
-		cp := enc.Fork()
-		cp.Posts = bw.Finish()
-		enc = cp
-	}
-	magic := storeMagicV1
-	if enc.Posts != nil {
-		magic = storeMagicV2
-	}
-	if len(enc.Holes) > 0 {
-		magic = storeMagicV3
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, magic); err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(bw).Encode(enc); err != nil {
-		return fmt.Errorf("serve: save store: %w", err)
-	}
-	return bw.Flush()
+	return fmt.Errorf("not an INSPSTORE4 store")
 }
 
 // SaveFile persists the store to a file. The write is atomic (temp + fsync
@@ -745,131 +565,59 @@ func (st *Store) SaveFile(path string) error {
 	return storefile.WriteFileAtomic(path, st.Save)
 }
 
-// SaveLegacyFile persists the pre-v4 format to a file, atomically.
-func (st *Store) SaveLegacyFile(path string) error {
-	return storefile.WriteFileAtomic(path, st.SaveLegacy)
-}
-
-// LoadStore reads a store written by Save — any format version — and
-// validates its invariants. v4 bodies decode over a heap copy of the stream
-// (the file loaders map instead); the gob formats materialize as always.
-// INSPSTORE1 files load into the flat layout and keep serving; callers that
-// want them in the compressed format follow up with CompressPostings.
+// LoadStore reads a store written by Save and validates its invariants. The
+// body decodes over a heap copy of the stream (the file loaders map
+// instead).
 func LoadStore(r io.Reader) (*Store, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(storeMagicV1))
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("serve: load store: %w", err)
 	}
-	if storefile.Sniff(magic) {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("serve: load store: %w", err)
-		}
-		f, err := storefile.Decode(data)
-		if err != nil {
-			return nil, fmt.Errorf("serve: load store: %w", err)
-		}
-		return decodeStoreV4(f)
-	}
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if err := checkStoreMagic(data); err != nil {
 		return nil, fmt.Errorf("serve: load store: %w", err)
 	}
-	if string(magic) != storeMagicV1 && string(magic) != storeMagicV2 && string(magic) != storeMagicV3 {
-		return nil, fmt.Errorf("serve: load store: bad magic %q", magic)
-	}
-	st := &Store{}
-	if err := gob.NewDecoder(br).Decode(st); err != nil {
+	f, err := storefile.Decode(data)
+	if err != nil {
 		return nil, fmt.Errorf("serve: load store: %w", err)
 	}
-	switch {
-	case string(magic) == storeMagicV2 && st.Posts == nil:
-		return nil, fmt.Errorf("serve: load store: v2 file carries no compressed postings")
-	case string(magic) == storeMagicV1 && st.Posts != nil:
-		return nil, fmt.Errorf("serve: load store: v1 file carries compressed postings")
-	case string(magic) != storeMagicV3 && len(st.Holes) > 0:
-		return nil, fmt.Errorf("serve: load store: %q file carries deletion holes", magic[:10])
-	case string(magic) == storeMagicV3 && len(st.Holes) == 0:
-		return nil, fmt.Errorf("serve: load store: v3 file carries no deletion holes")
-	}
-	if st.Terms == nil && len(st.TermList) > 0 {
-		// Defensive: a legacy body should always carry its term map, but a
-		// rebuilt one serves identically.
-		st.Terms = make(map[string]int64, len(st.TermList))
-		for i, t := range st.TermList {
-			st.Terms[t] = int64(i)
-		}
-	}
-	if err := st.validate(); err != nil {
-		return nil, err
-	}
-	// Legacy stores predate the frozen tile bounds; derive them from the
-	// persisted points so the pyramid the server builds lazily addresses
-	// the same world grid a re-saved store would.
-	if st.TileBox == nil && len(st.Points) > 0 {
-		st.TileBox = pointBounds(st.Points)
-	}
-	return st, nil
+	return decodeStoreV4(f)
 }
 
-// LoadStoreFile reads a persisted store by path. An INSPSTORE4 file is
-// mapped: the store serves straight from the file's pages with no load-time
-// copy (pass through LoadStoreFileHeap to opt out). Legacy gob formats
-// materialize to heap as always, attaching the tile-pyramid sidecar
-// (path + ".tiles") when one is present and consistent; stores without one
-// build their pyramid lazily on first spatial query.
+// LoadStoreFile reads a persisted store by path and maps it: the store
+// serves straight from the file's pages with no load-time copy (pass through
+// LoadStoreFileHeap to opt out). The tile pyramid embedded in the file
+// decodes lazily on the first spatial query.
 func LoadStoreFile(path string) (*Store, error) {
 	return loadStoreFile(path, false)
 }
 
 // LoadStoreFileHeap reads a persisted store by path entirely into heap —
-// the -no-mmap escape hatch. v4 sections then alias one heap buffer instead
-// of a mapping; every query answers identically to the mapped load.
+// the -no-mmap escape hatch. Sections then alias one heap buffer instead of
+// a mapping; every query answers identically to the mapped load.
 func LoadStoreFileHeap(path string) (*Store, error) {
 	return loadStoreFile(path, true)
 }
 
 func loadStoreFile(path string, noMmap bool) (*Store, error) {
-	f, err := os.Open(path)
+	head, err := readHead(path, len(storefile.Magic))
 	if err != nil {
 		return nil, err
 	}
-	magic := make([]byte, len(storeMagicV1))
-	_, rerr := io.ReadFull(f, magic)
-	if cerr := f.Close(); rerr == nil {
-		rerr = cerr
+	if err := checkStoreMagic(head); err != nil {
+		return nil, fmt.Errorf("serve: load store %s: %w", path, err)
 	}
-	if rerr != nil {
-		return nil, fmt.Errorf("serve: load store %s: %w", path, rerr)
+	open := storefile.Open
+	if noMmap {
+		open = storefile.ReadFile
 	}
-	if storefile.Sniff(magic) {
-		var sf *storefile.File
-		if noMmap {
-			sf, err = storefile.ReadFile(path)
-		} else {
-			sf, err = storefile.Open(path)
-		}
-		if err != nil {
-			return nil, err
-		}
-		st, err := decodeStoreV4(sf)
-		if err != nil {
-			sf.Close()
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return st, nil
-	}
-	g, err := os.Open(path)
+	sf, err := open(path)
 	if err != nil {
 		return nil, err
 	}
-	st, lerr := LoadStore(g)
-	if cerr := g.Close(); lerr == nil {
-		lerr = cerr
+	st, err := decodeStoreV4(sf)
+	if err != nil {
+		sf.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if lerr != nil {
-		return nil, lerr
-	}
-	st.attachTilesSidecar(path)
 	return st, nil
 }

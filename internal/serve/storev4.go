@@ -25,9 +25,8 @@ import (
 // pyramid — lives as a page-aligned section addressed straight out of the
 // mapped file. Loading a v4 store costs one gob decode of a small metadata
 // section; everything else is faulted in by the kernel on first touch and
-// stays evictable, so cold start is milliseconds where the legacy gob
-// formats pay a full-heap decode, and replicas mapping the same file share
-// physical pages.
+// stays evictable, so cold start is milliseconds, and replicas mapping the
+// same file share physical pages.
 const (
 	secMeta           = "meta"
 	secTermBlob       = "termblob"
@@ -99,12 +98,10 @@ type storeMetaV4 struct {
 	Themes     []core.Theme
 }
 
-// saveV4 writes the INSPSTORE4 layout. The store must carry the compressed
-// posting layout; flat stores persist as legacy INSPSTORE1.
-func (st *Store) saveV4(w io.Writer) error {
-	if st.Posts == nil {
-		return fmt.Errorf("serve: save v4: store carries flat postings; compress first")
-	}
+// Save writes the store in its persistent format, INSPSTORE4 — the
+// page-aligned layout later loads serve straight from an mmap — enabling
+// index-once/serve-many across process restarts.
+func (st *Store) Save(w io.Writer) error {
 	V := st.VocabSize
 
 	var metaBuf bytes.Buffer
@@ -201,7 +198,7 @@ func (st *Store) saveV4(w io.Writer) error {
 	// Embed the base tile pyramid so a mapped load serves spatial queries
 	// without a rebuild. A store whose points cannot pyramid (duplicates,
 	// non-finite coordinates) persists without the section and builds
-	// lazily, exactly like a legacy store without a sidecar.
+	// lazily.
 	if pyr, err := st.BaseTilePyramid(Config{}); err == nil {
 		secs = append(secs, storefile.Section{Name: secTiles, Data: pyr.Encode()})
 	}
@@ -449,8 +446,9 @@ func decodeStoreV4(f *storefile.File) (*Store, error) {
 }
 
 // lookupTerm resolves an already-normalized term to its dense ID: through
-// the heap map when the store has one, or by binary search over the mapped
-// sorted permutation on a v4 store — no per-term heap at all.
+// the heap map when the store has one (freshly indexed), or by binary search
+// over the mapped sorted permutation on a loaded store — no per-term heap at
+// all.
 func (st *Store) lookupTerm(norm string) (int64, bool) {
 	if st.Terms != nil {
 		id, ok := st.Terms[norm]
@@ -472,7 +470,7 @@ func (st *Store) Mapped() bool {
 
 // ResidentStats snapshots the store's resident-set accountant: bytes pinned
 // on heap against the budget, bytes left evictable in the mapping, and how
-// many cache pins the budget refused. ok is false for heap-resident legacy
+// many cache pins the budget refused. ok is false for freshly indexed
 // stores, which have no accountant.
 func (st *Store) ResidentStats() (stats storefile.ResidentStats, ok bool) {
 	if st.res == nil {
@@ -482,19 +480,11 @@ func (st *Store) ResidentStats() (stats storefile.ResidentStats, ok bool) {
 }
 
 // DescribeFormat names the persisted layout this store was loaded from (or
-// would be saved as), for operator-facing logs: the format version plus how
-// its products are resident.
+// would be saved as), for operator-facing logs: the format plus how its
+// products are resident.
 func (st *Store) DescribeFormat() string {
-	switch {
-	case st.backing != nil && st.backing.Mapped():
+	if st.Mapped() {
 		return "INSPSTORE4, memory-mapped"
-	case st.backing != nil:
-		return "INSPSTORE4, heap-resident"
-	case !st.Compressed():
-		return "INSPSTORE1, flat postings"
-	case len(st.Holes) > 0:
-		return fmt.Sprintf("INSPSTORE3, block-compressed postings, %d deletion holes", len(st.Holes))
-	default:
-		return "INSPSTORE2, block-compressed postings"
 	}
+	return "INSPSTORE4, heap-resident"
 }

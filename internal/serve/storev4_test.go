@@ -3,8 +3,8 @@ package serve
 // Tests of the INSPSTORE4 zero-copy layout: round trips through the mapped
 // and heap load paths, operation-for-operation equivalence between a mapped
 // store and its heap twin (monolithic and sharded, idle and under concurrent
-// ingest), agreement across all four persisted format versions, the
-// resident-set budget, and rejection of corrupt files.
+// ingest), the resident-set budget, and rejection of corrupt, foreign and
+// retired-format files.
 
 import (
 	"bytes"
@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -76,23 +77,6 @@ func TestStoreV4RoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.Points, st.Points) {
 			t.Fatalf("%s: points differ", name)
 		}
-	}
-
-	// A mapped store saves back to the legacy layout on demand — the interop
-	// escape hatch — and the legacy file loads as INSPSTORE2.
-	var legacy bytes.Buffer
-	if err := mapped.SaveLegacy(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(legacy.Bytes(), []byte("INSPSTORE2\n")) {
-		t.Fatalf("legacy save wrote magic %q", legacy.Bytes()[:11])
-	}
-	back, err := LoadStore(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.TotalDocs != st.TotalDocs || len(back.Terms) != len(st.TermList) {
-		t.Fatal("legacy round trip lost the store")
 	}
 }
 
@@ -292,88 +276,6 @@ func TestMappedHeapEquivalence(t *testing.T) {
 	}
 }
 
-// TestFourVersionAgreement pins the compatibility sweep the issue demands:
-// the same logical store persisted as INSPSTORE1 (flat), INSPSTORE2 (gob),
-// INSPSTORE3 (gob with deletion holes) and INSPSTORE4 loads from every
-// format and answers identically to the mapped v4 counterpart.
-func TestFourVersionAgreement(t *testing.T) {
-	st := batchStore(t, ingestSources(), 2)
-	// Give the store holes so the v3 layout is exercised for real.
-	if _, err := st.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Rebase(); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	paths := map[string]string{
-		"v1": filepath.Join(dir, "v1.store"),
-		"v3": filepath.Join(dir, "v3.store"),
-		"v4": filepath.Join(dir, "v4.store"),
-	}
-	flat := st.FlatCopy()
-	flat.Holes = nil // v1 predates holes; drop them for the flat artifact
-	if err := flat.SaveLegacyFile(paths["v1"]); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveLegacyFile(paths["v3"]); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveFile(paths["v4"]); err != nil {
-		t.Fatal(err)
-	}
-	// A holeless compressed twin exercises the v2 magic.
-	noHoles := st.Fork()
-	noHoles.Holes = nil
-	paths["v2"] = filepath.Join(dir, "v2.store")
-	if err := noHoles.SaveLegacyFile(paths["v2"]); err != nil {
-		t.Fatal(err)
-	}
-
-	for name, path := range paths {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantMagic := map[string]string{
-			"v1": "INSPSTORE1\n", "v2": "INSPSTORE2\n", "v3": "INSPSTORE3\n", "v4": "INSPSTORE4\n",
-		}[name]
-		if !bytes.HasPrefix(raw, []byte(wantMagic)) {
-			t.Fatalf("%s wrote magic %q", name, raw[:11])
-		}
-	}
-
-	mapped, err := LoadStoreFile(paths["v4"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := NewServer(mapped, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms := want.TopTerms(context.Background(), 10)
-	docs := want.SampleDocs(context.Background(), 4)
-	for _, name := range []string{"v1", "v2", "v3", "v4"} {
-		svc, err := LoadServiceFile(paths[name], Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// v1 and v2 predate the holes; compare hole-independent surfaces
-		// for them and the full surface for v3.
-		if name == "v3" || name == "v4" {
-			compareQueriers(t, name, svc.NewQuerier(), want.NewQuerier(), terms, docs, want.NumThemes())
-			continue
-		}
-		q, wq := svc.NewQuerier(), want.NewQuerier()
-		for _, tm := range terms {
-			if got, wantDF := q.DF(context.Background(), tm), wq.DF(context.Background(), tm); got != wantDF {
-				t.Fatalf("%s: DF(%q) = %d want %d", name, tm, got, wantDF)
-			}
-		}
-	}
-}
-
 // TestMapBudgetPinDenials pins the resident-set accountant: a mapped server
 // with a tiny budget refuses posting-cache pins (counting every refusal) but
 // still answers queries correctly straight from the mapping.
@@ -392,7 +294,7 @@ func TestMapBudgetPinDenials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heapSrv := newServerT(t, mustLoadHeapLegacyTwin(t, st), Config{})
+	heapSrv := newServerT(t, st.Fork(), Config{})
 
 	terms := srv.TopTerms(context.Background(), 8)
 	q, hq := srv.NewSession(), heapSrv.NewSession()
@@ -429,23 +331,11 @@ func TestMapBudgetPinDenials(t *testing.T) {
 	}
 }
 
-// mustLoadHeapLegacyTwin round-trips st through the legacy gob layout — an
-// independent decode path to compare mapped answers against.
-func mustLoadHeapLegacyTwin(t *testing.T, st *Store) *Store {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := st.SaveLegacy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	twin, err := LoadStore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return twin
-}
-
 // TestStoreV4Rejects drives corrupt and truncated v4 files through both load
-// paths: every mangling must fail loudly, never load garbage.
+// paths: every mangling must fail loudly, never load garbage. A file that is
+// not INSPSTORE4 at all says what it is — a retired gob format by name, with
+// the remedy, anything else (short and empty files included) as not a store
+// — on the mapped, heap and stream loaders and through a manifest.
 func TestStoreV4Rejects(t *testing.T) {
 	st := buildStoreT(t, 2)
 	path := saveV4T(t, st, "ok.store")
@@ -477,6 +367,40 @@ func TestStoreV4Rejects(t *testing.T) {
 		}
 		if _, err := LoadStoreFileHeap(p); err == nil {
 			t.Errorf("%s: heap load accepted", name)
+		}
+	}
+
+	man := filepath.Join(dir, "set.shards")
+	if err := st.SaveShards(man, 2); err != nil {
+		t.Fatal(err)
+	}
+	const remedy = " (last read by build 715247c); re-index: inspired -in <corpus> -save-store <file>"
+	foreign := map[string]struct{ data, want string }{
+		"v1":    {"INSPSTORE1\njunk", "retired gob format INSPSTORE1" + remedy},
+		"v2":    {"INSPSTORE2\njunk", "retired gob format INSPSTORE2" + remedy},
+		"v3":    {"INSPSTORE3\njunk", "retired gob format INSPSTORE3" + remedy},
+		"empty": {"", "not an INSPSTORE4 store"},
+		"short": {"INSPS", "not an INSPSTORE4 store"},
+	}
+	for name, tc := range foreign {
+		p := write(name+".store", []byte(tc.data))
+		shard := write("set.shards.s01", []byte(tc.data))
+		_, mappedErr := LoadStoreFile(p)
+		_, heapErr := LoadStoreFileHeap(p)
+		_, streamErr := LoadStore(strings.NewReader(tc.data))
+		_, _, setErr := LoadShards(man)
+		_, _, setHeapErr := LoadShardsHeap(man)
+		for loader, got := range map[string]struct {
+			err   error
+			where string
+		}{
+			"mapped": {mappedErr, p}, "heap": {heapErr, p}, "stream": {streamErr, "load store"},
+			"manifest":      {setErr, "load shard 1: serve: load store " + shard},
+			"manifest heap": {setHeapErr, "load shard 1: serve: load store " + shard},
+		} {
+			if got.err == nil || !strings.Contains(got.err.Error(), tc.want) || !strings.Contains(got.err.Error(), got.where) {
+				t.Errorf("%s via %s: error %v, want %q at %q", name, loader, got.err, tc.want, got.where)
+			}
 		}
 	}
 

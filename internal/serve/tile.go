@@ -37,10 +37,6 @@ import (
 	"inspire/internal/tiles"
 )
 
-// TilesSidecarSuffix names the tile-pyramid sidecar persisted next to a
-// store file: <store>.tiles.
-const TilesSidecarSuffix = ".tiles"
-
 // TileTheme is one theme's share of a tile, with its representative label
 // (the theme's strongest terms).
 type TileTheme struct {
@@ -268,14 +264,14 @@ func (st *Store) buildPyramidLocked(v *view, cfg tiles.Config) *tiles.Pyramid {
 // sidecarLocked returns the store's persisted base pyramid, decoding the
 // raw bytes a mapped INSPSTORE4 store carries on first use. Anything
 // corrupt or inconsistent with the base points is dropped — the pyramid
-// then builds from the points, exactly like a store without a sidecar.
+// then builds from the points, exactly like a store saved without one.
 // Callers hold tileMu.
 func (st *Store) sidecarLocked() *tiles.Pyramid {
 	ls := &st.live
 	if ls.tileSidecar == nil && len(ls.tileRaw) > 0 {
 		raw := ls.tileRaw
 		ls.tileRaw = nil
-		pyr, err := tiles.DecodeAny(raw)
+		pyr, err := tiles.Decode(raw)
 		if err == nil && pyr.NumDocs() == len(st.Points) &&
 			st.TileBox != nil && pyr.Bounds() == *st.TileBox &&
 			st.sidecarMetaConsistent(pyr) {
@@ -287,10 +283,9 @@ func (st *Store) sidecarLocked() *tiles.Pyramid {
 
 // sidecarMetaConsistent checks a decoded sidecar pyramid against the store's
 // document metadata: the root tile's time-histogram and facet-count totals
-// must equal what the base metadata implies. A pre-metadata (INSPTILES1)
-// sidecar decodes with zero meta everywhere, so on a faceted store this
-// rejects it and the pyramid rebuilds from the points — the histograms the
-// tile layer serves are then exact again.
+// must equal what the base metadata implies. A pyramid that disagrees is
+// rejected and rebuilds from the points — the histograms the tile layer
+// serves are then exact again.
 func (st *Store) sidecarMetaConsistent(pyr *tiles.Pyramid) bool {
 	var wantTimes, wantFacets int64
 	for i, d := range st.MetaDocs {
@@ -334,11 +329,11 @@ func (st *Store) tileBoundsLocked(v *view) tiles.Rect {
 	return b
 }
 
-// --- sidecar persistence ---------------------------------------------------
+// --- persistence -----------------------------------------------------------
 
 // BaseTilePyramid builds the pyramid of the store's base snapshot (its
-// persisted points and cluster assignments) — what SaveTilesFile persists
-// and what a loaded sidecar must reproduce.
+// persisted points and cluster assignments) — what Save embeds as the tiles
+// section and what a loaded one must reproduce.
 func (st *Store) BaseTilePyramid(cfg Config) (*tiles.Pyramid, error) {
 	tc := cfg.withDefaults().tileConfig()
 	if err := tc.Validate(); err != nil {
@@ -369,45 +364,6 @@ func (st *Store) BaseTilePyramid(cfg Config) (*tiles.Pyramid, error) {
 		}
 	}
 	return pyr, nil
-}
-
-// SaveTilesFile persists the store's base tile pyramid as the sidecar of the
-// store file at storePath (storePath + ".tiles"), so the next load serves
-// tiles without rebuilding the pyramid.
-func (st *Store) SaveTilesFile(storePath string, cfg Config) error {
-	pyr, err := st.BaseTilePyramid(cfg)
-	if err != nil {
-		return err
-	}
-	return pyr.SaveFile(storePath + TilesSidecarSuffix)
-}
-
-// attachTilesSidecar loads the tile sidecar of the store file at path if one
-// exists and still describes the store's base points; anything missing,
-// corrupt or inconsistent is ignored — the pyramid then builds lazily, which
-// is also how stores persisted before the tile layer serve.
-func (st *Store) attachTilesSidecar(path string) {
-	pyr, err := tiles.LoadFile(path + TilesSidecarSuffix)
-	if err != nil {
-		return
-	}
-	if pyr.NumDocs() != len(st.Points) {
-		return
-	}
-	if st.TileBox == nil || pyr.Bounds() != *st.TileBox {
-		return
-	}
-	for _, pt := range st.Points {
-		if !pyr.Contains(pt.Doc) {
-			return
-		}
-	}
-	if !st.sidecarMetaConsistent(pyr) {
-		return
-	}
-	st.live.tileMu.Lock()
-	st.live.tileSidecar = pyr
-	st.live.tileMu.Unlock()
 }
 
 // --- server side -----------------------------------------------------------

@@ -3,12 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"inspire/internal/storefile"
 	"inspire/internal/tiles"
 )
 
@@ -268,23 +269,23 @@ func TestTileRouterMatchesServerUnderIngest(t *testing.T) {
 }
 
 // TestLegacyAndSidecarTileLoads pins the load paths: a store persisted
-// without Planar/TileBox (a pre-tiles build) lazily builds an identical
-// pyramid on load; a store saved with its sidecar serves from it; and a
-// corrupt sidecar is ignored, not fatal.
+// without Planar/TileBox derives its bounds and lazily builds an identical
+// pyramid on load; a saved store serves from the pyramid embedded in its
+// file; and a corrupt embedded pyramid is ignored, not fatal.
 func TestLegacyAndSidecarTileLoads(t *testing.T) {
 	st := buildStoreT(t, 3)
 	cfg := Config{TileMaxZoom: 4}
 	want := tileDump(t, newServerT(t, st, cfg).NewSession(), 4)
 	dir := t.TempDir()
 
-	// Legacy: no frozen tile metadata, no sidecar.
-	legacy := st.Fork()
-	legacy.Planar, legacy.TileBox = nil, nil
-	legacyPath := filepath.Join(dir, "legacy.store")
-	if err := legacy.SaveFile(legacyPath); err != nil {
+	// No frozen tile metadata: the bounds derive from the points.
+	bare := st.Fork()
+	bare.Planar, bare.TileBox = nil, nil
+	barePath := filepath.Join(dir, "bare.store")
+	if err := bare.SaveFile(barePath); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadStoreFile(legacyPath)
+	loaded, err := LoadStoreFile(barePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,31 +293,11 @@ func TestLegacyAndSidecarTileLoads(t *testing.T) {
 		t.Fatal("load did not derive tile bounds from the points")
 	}
 	if got := tileDump(t, newServerT(t, loaded, cfg).NewSession(), 4); !reflect.DeepEqual(want, got) {
-		t.Fatal("legacy store's lazily built tiles differ")
+		t.Fatal("lazily built tiles of a store without tile metadata differ")
 	}
 
-	// Sidecar: a legacy-layout store's persisted pyramid attaches and
-	// serves identically.
-	scPath := filepath.Join(dir, "sidecar.store")
-	if err := st.SaveLegacyFile(scPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveTilesFile(scPath, cfg); err != nil {
-		t.Fatal(err)
-	}
-	withSC, err := LoadStoreFile(scPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withSC.live.tileSidecar == nil {
-		t.Fatal("sidecar not attached on load")
-	}
-	if got := tileDump(t, newServerT(t, withSC, cfg).NewSession(), 4); !reflect.DeepEqual(want, got) {
-		t.Fatal("sidecar-served tiles differ")
-	}
-
-	// INSPSTORE4 embeds the pyramid as a section instead of a sidecar; it
-	// decodes lazily on first tile use and serves identically.
+	// The pyramid persists as a section of the store file; it decodes
+	// lazily on first tile use and serves identically.
 	v4Path := filepath.Join(dir, "v4.store")
 	if err := st.SaveFile(v4Path); err != nil {
 		t.Fatal(err)
@@ -331,31 +312,44 @@ func TestLegacyAndSidecarTileLoads(t *testing.T) {
 	if got := tileDump(t, newServerT(t, fromV4, cfg).NewSession(), 4); !reflect.DeepEqual(want, got) {
 		t.Fatal("v4-embedded tiles differ")
 	}
-
-	// Corruption: the sidecar is advisory; a broken one is ignored.
-	if err := os.WriteFile(scPath+TilesSidecarSuffix, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
+	if fromV4.live.tileSidecar == nil {
+		t.Fatal("embedded pyramid was not decoded on first tile use")
 	}
-	broken, err := LoadStoreFile(scPath)
+
+	// Corruption: the embedded pyramid is advisory; one that does not decode
+	// (here in the retired INSPTILES1 encoding) still loads, and the pyramid
+	// rebuilds from the points.
+	sf, err := storefile.ReadFile(v4Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if broken.live.tileSidecar != nil {
-		t.Fatal("corrupt sidecar attached")
+	secs := sf.Sections()
+	for i := range secs {
+		if secs[i].Name == secTiles {
+			secs[i].Data = []byte("INSPTILES1\ngarbage")
+		}
+	}
+	brokenPath := filepath.Join(dir, "broken.store")
+	if err := storefile.WriteFileAtomic(brokenPath, func(w io.Writer) error { return storefile.Write(w, secs) }); err != nil {
+		t.Fatal(err)
+	}
+	broken, err := LoadStoreFile(brokenPath)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := tileDump(t, newServerT(t, broken, cfg).NewSession(), 4); !reflect.DeepEqual(want, got) {
-		t.Fatal("store with corrupt sidecar serves different tiles")
+		t.Fatal("store with a corrupt embedded pyramid serves different tiles")
+	}
+	if broken.live.tileSidecar != nil {
+		t.Fatal("corrupt embedded pyramid attached")
 	}
 
 	// Sharded persistence: shards are INSPSTORE4 files with the pyramid
-	// embedded — no sidecar files — and the loaded set answers identically
-	// to the in-memory router.
+	// embedded, and the loaded set answers identically to the in-memory
+	// router.
 	manPath := filepath.Join(dir, "set.shards")
 	if err := st.SaveShards(manPath, 2); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := os.Stat(manPath + ".s00" + TilesSidecarSuffix); err == nil {
-		t.Fatal("v4 shard grew a tile sidecar file")
 	}
 	_, shardStores, err := LoadShards(manPath)
 	if err != nil {

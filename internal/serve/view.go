@@ -24,8 +24,8 @@ type view struct {
 	// answers age out naturally.
 	epoch uint64
 	// gen increments only when the base layout itself is rewritten (Rebase,
-	// CompressPostings/DecompressPostings); it keys the posting LRU, so the
-	// decoded base lists survive every epoch swap that leaves the base alone.
+	// SetBaseMeta); it keys the posting LRU, so the decoded base lists
+	// survive every epoch swap that leaves the base alone.
 	gen  uint64
 	base *baseView
 	// segs are the sealed delta segments, disjoint in documents; every
@@ -93,8 +93,6 @@ type baseView struct {
 
 	df    []int64
 	posts *postings.Store
-	// Legacy flat layout, populated when posts is nil.
-	off, postDoc, postFreq []int64
 
 	points         []project.Point
 	assignDocs     []int64
@@ -139,20 +137,6 @@ func (b *baseView) clusterDocs(cluster int64) []int64 {
 		}
 	})
 	return b.themes[cluster]
-}
-
-// postings returns term t's base posting list, decoding the compressed
-// layout or slicing the flat one (shared views; do not mutate).
-func (b *baseView) postings(t int64) (docs, freqs []int64) {
-	if b.posts != nil {
-		return b.posts.Postings(t)
-	}
-	n := b.df[t]
-	if n == 0 {
-		return nil, nil
-	}
-	off := b.off[t]
-	return b.postDoc[off : off+n], b.postFreq[off : off+n]
 }
 
 // df returns the live document frequency of term t in the view: base DF plus
@@ -246,8 +230,9 @@ type liveState struct {
 	compactVirt float64 // virtual seconds charged to the background compactor
 
 	// Tile-pyramid maintenance state (see tile.go): the pyramid synced to
-	// tileView, the sidecar loaded alongside the store (nil once invalid),
-	// the derived world bounds of a legacy store, and the virtual seconds
+	// tileView, the pyramid persisted inside the store file (nil once
+	// invalid), the derived world bounds of a store without a frozen
+	// TileBox, and the virtual seconds
 	// charged to pyramid builds and patches — maintenance, like
 	// compaction, off every session's critical path. Guarded by tileMu;
 	// publishers holding mu may take tileMu (never the reverse).
@@ -324,9 +309,6 @@ func (st *Store) baseView() *baseView {
 		live:           st.TotalDocs,
 		df:             st.DF,
 		posts:          st.Posts,
-		off:            st.Off,
-		postDoc:        st.PostDoc,
-		postFreq:       st.PostFreq,
 		points:         st.Points,
 		assignDocs:     st.AssignDocs,
 		assignClusters: st.AssignClusters,
@@ -418,8 +400,8 @@ func (st *Store) LineageSince(since uint64) (entries []logEntry, ok bool) {
 }
 
 // hasLiveLocked reports whether live data — sealed segments, tombstones or a
-// buffered delta — exists; callers hold live.mu. Whole-layout rewrites
-// (CompressPostings/DecompressPostings) refuse while it does.
+// buffered delta — exists; callers hold live.mu. SetBaseMeta, which
+// rewrites the base layout, and Shard refuse while it does.
 func (st *Store) hasLiveLocked() bool {
 	if st.live.delta != nil && st.live.delta.NumDocs() > 0 {
 		return true

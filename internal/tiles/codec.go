@@ -3,25 +3,18 @@ package tiles
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
-
-	"inspire/internal/storefile"
 )
 
-// Magic heads the persisted pyramid sidecar. The file carries the
-// configuration, the world bounds and the leaf member entries only: every
-// higher-zoom aggregate is a pure function of the leaves, so Decode rebuilds
-// them — the sidecar cannot go out of step with itself, and corruption in an
-// aggregate is structurally impossible. Version 2 added the per-entry
-// timestamp and facet strings; MagicV1 sidecars (no metadata) still load
-// through DecodeAny.
-const (
-	Magic   = "INSPTILES2\n"
-	MagicV1 = "INSPTILES1\n"
-)
+// Magic heads the persisted pyramid (the tiles section of a store file). The
+// encoding carries the configuration, the world bounds and the leaf member
+// entries only: every higher-zoom aggregate is a pure function of the
+// leaves, so Decode rebuilds them — a persisted pyramid cannot go out of
+// step with itself, and corruption in an aggregate is structurally
+// impossible. Version 2 added the per-entry timestamp and facet strings;
+// version 1 is refused.
+const Magic = "INSPTILES2\n"
 
 // Codec bounds on per-entry metadata: Decode rejects anything larger, so a
 // corrupt sidecar cannot demand huge allocations. The serving layer validates
@@ -72,14 +65,6 @@ func (p *Pyramid) Encode() []byte {
 	return buf
 }
 
-// SaveFile persists the pyramid to a sidecar file atomically.
-func (p *Pyramid) SaveFile(path string) error {
-	return storefile.WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(p.Encode())
-		return err
-	})
-}
-
 // Decode parses a sidecar written by Encode, rebuilding the aggregate tiles
 // from the leaf entries, and rejects anything non-canonical: unsorted or
 // duplicate leaves or documents, entries binned under the wrong leaf,
@@ -89,22 +74,7 @@ func Decode(data []byte) (*Pyramid, error) {
 	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("tiles: not a tile-pyramid sidecar")
 	}
-	return decodeBody(data[len(Magic):], true)
-}
-
-// DecodeAny parses a sidecar in the current or the previous on-disk version:
-// a MagicV1 file carries no per-entry metadata and loads with zero
-// timestamps and no facets (re-encoding it upgrades the file to version 2).
-// Loaders use this; the canonical round-trip guarantee belongs to Decode.
-func DecodeAny(data []byte) (*Pyramid, error) {
-	if len(data) >= len(MagicV1) && string(data[:len(MagicV1)]) == MagicV1 {
-		return decodeBody(data[len(MagicV1):], false)
-	}
-	return Decode(data)
-}
-
-func decodeBody(body []byte, withMeta bool) (*Pyramid, error) {
-	r := &byteReader{buf: body}
+	r := &byteReader{buf: data[len(Magic):]}
 	cfg := Config{
 		MaxZoom:   int(r.uvarint()),
 		Grid:      int(r.uvarint()),
@@ -152,7 +122,7 @@ func decodeBody(body []byte, withMeta bool) (*Pyramid, error) {
 			}
 			e := Entry{Doc: prevDoc + int64(delta), X: r.float(), Y: r.float(), Cluster: r.varint()}
 			prevDoc = e.Doc
-			if withMeta && r.err == nil {
+			if r.err == nil {
 				e.Time = r.varint()
 				nf := r.uvarint()
 				if nf > maxEntryFacets {
@@ -191,15 +161,6 @@ func decodeBody(body []byte, withMeta bool) (*Pyramid, error) {
 		return nil, fmt.Errorf("tiles: sidecar has %d trailing bytes", len(r.buf))
 	}
 	return p, nil
-}
-
-// LoadFile reads a pyramid sidecar by path, accepting both on-disk versions.
-func LoadFile(path string) (*Pyramid, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeAny(data)
 }
 
 // byteReader cursors over the sidecar body, latching the first error.
