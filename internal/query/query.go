@@ -184,7 +184,7 @@ func (e *Engine) Similar(targetDoc int64, k int) ([]Hit, error) {
 	// the norms are computed for this call, not cached), global merge.
 	var norms signature.Norms
 	top := NewTopK(target, targetDoc, k, len(sigs.Vecs))
-	top.Scan(fwd.GlobalDocIDs, sigs.Vecs, norms.Of(sigs.Vecs), nil)
+	top.Scan(fwd.GlobalDocIDs, sigs.Vecs, norms.Of(sigs.Vecs), nil, nil)
 	e.c.Clock().Advance(e.c.Model().FlopCost(top.Flops()))
 	best := top.Hits()
 	local := make([]cluster.Scored, len(best))
@@ -304,6 +304,8 @@ type TopK struct {
 	k       int
 	hits    []Hit
 	scored  int
+	pruned  int
+	proj    [signature.MaxRank + 1]float32 // the target's row in the block's Sketch
 }
 
 // NewTopK starts a query for the k documents nearest target, never reporting
@@ -315,22 +317,51 @@ func NewTopK(target []float64, exclude int64, k, candidates int) TopK {
 
 // Scan scores one block of signatures: vecs[i] is docs[i]'s, of norm
 // norms[i]. Null signatures, the excluded document and dead documents are
-// skipped, not scored.
-func (t *TopK) Scan(docs []int64, vecs [][]float64, norms []float64, dead map[int64]bool) {
-	target, tnorm := t.target, t.norm
+// skipped, not scored. A candidate that sk, the block's summary (nil: none),
+// bounds below the worst of k held hits counts as scored but is spared the dot
+// product: Offer would have dropped it.
+func (t *TopK) Scan(docs []int64, vecs [][]float64, norms []float64, sk *signature.Sketch, dead map[int64]bool) {
+	w := 0
+	if t.k > 0 {
+		w = sk.Project(t.target, t.norm, t.proj[:])
+	}
+	q, passed, rejected, anyDead := t.proj[:w], 0, 0, len(dead) > 0
 	for i, vec := range vecs {
 		d := docs[i]
-		if vec == nil || d == t.exclude || dead[d] {
+		if vec == nil || d == t.exclude || anyDead && dead[d] {
 			continue
 		}
-		var score float64
-		if n := norms[i]; tnorm != 0 && n != 0 {
-			score = Dot(target, vec) / (tnorm * n)
-		}
 		t.scored++
-		t.Offer(Hit{Doc: d, Score: score})
+		if w > 0 && len(t.hits) == t.k {
+			if float64(signature.Bound(sk.Coef[i*w:i*w+w], q)) < t.hits[0].Score {
+				rejected++
+				continue
+			}
+			// A bound costs a tenth of a dot product and pays from one rejection
+			// in ten; a block (or target) it cannot tell apart gets a trial of 64.
+			if passed++; passed > 64+4*rejected {
+				w = 0
+			}
+		}
+		t.Offer(Hit{Doc: d, Score: t.score(vec, norms[i])})
 	}
+	t.pruned += rejected
 }
+
+// score is the target's cosine with a candidate of norm n. Out of line: beside
+// the filter in Scan, Dot's loop counter spills and every score costs a fifth more.
+//
+//go:noinline
+func (t *TopK) score(vec []float64, n float64) float64 {
+	if t.norm == 0 || n == 0 {
+		return 0
+	}
+	return Dot(t.target, vec) / (t.norm * n)
+}
+
+// Counts splits the candidates Flops charges into those scored in full and
+// those a bound rejected.
+func (t *TopK) Counts() (full, pruned int) { return t.scored - t.pruned, t.pruned }
 
 // Offer considers one already-scored candidate (the incremental refresh
 // seeds the selection with a cached answer this way).

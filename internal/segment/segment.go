@@ -48,14 +48,20 @@ type Segment struct {
 	// ascending); nil rows and a nil outer slice mean no facets.
 	Facets [][]string
 
-	// sigNorms is derived from SigVecs on the first similarity scan;
-	// unexported, so gob never persists it.
-	sigNorms signature.Norms
+	// sigNorms and sigSketch are derived from SigVecs on the first
+	// similarity scan; unexported, so gob never persists them.
+	sigNorms  signature.Norms
+	sigSketch signature.Sketch
 }
 
 // SigNorms returns the Euclidean norm of every signature, parallel to
 // SigVecs (0 for a null signature). Read-only.
 func (s *Segment) SigNorms() []float64 { return s.sigNorms.Of(s.SigVecs) }
+
+// SigSketch returns the low-rank summary of the signatures. Read-only.
+func (s *Segment) SigSketch() *signature.Sketch {
+	return s.sigSketch.Of(s.SigM, s.SigVecs, s.SigNorms())
+}
 
 // Meta returns doc's ingest timestamp and facet strings; ok is false for a
 // document outside the segment. The returned slice aliases segment state and

@@ -30,22 +30,27 @@ func BenchmarkMergePostings(b *testing.B) {
 }
 
 // BenchmarkScanSimilar measures one shard's similarity scan on the shape
-// similar-cold gives it (4000 signatures, M=100, k=10): topk is the serving
-// path, oracle the score-everything-then-sort it replaced (kept in
-// similar_test.go as the differential oracle).
+// similar-cold gives it (4000 signatures, M=100, k=10). pruned is the serving
+// path on signatures of 16 themes, where the Sketch bound rejects most
+// candidates; random is the same path on isotropic signatures, where it can
+// reject none and must cost next to nothing; oracle is the
+// score-everything-then-sort both are held to (similar_test.go).
 func BenchmarkScanSimilar(b *testing.B) {
 	const n, m, k = 4000, 100, 10
-	v := randomSimView(rand.New(rand.NewSource(1)), n, m, 0)
-	target := v.sigs.Vecs[1]
 	for _, c := range []struct {
-		name string
-		scan func(*view, []float64, int64, int) ([]query.Hit, float64)
-	}{{"topk", scanSimilar}, {"oracle", oracleScanSimilar}} {
+		name   string
+		themes int
+		scan   func(*view, []float64, int64, int) ([]query.Hit, float64)
+	}{{"pruned", 16, scanSimilar}, {"random", 0, scanSimilar}, {"oracle", 0, oracleScanSimilar}} {
+		v := randomSimView(rand.New(rand.NewSource(1)), n, m, c.themes, 0)
+		// Not one of the first signatures: a Sketch draws its directions
+		// from those, and bounds a target inside their span exactly.
+		target := v.sigs.Vecs[n/2]
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(n * m * 8)
 			b.ReportAllocs()
 			for b.Loop() {
-				if hits, _ := c.scan(v, target, 1, k); len(hits) != k {
+				if hits, _ := c.scan(v, target, n/2, k); len(hits) != k {
 					b.Fatalf("%d hits, want %d", len(hits), k)
 				}
 			}

@@ -269,6 +269,8 @@ func (r *Router) Stats() Stats {
 		out.BitmapProbes += st.BitmapProbes
 		out.BitmapServes += st.BitmapServes
 		out.SimRefreshes += st.SimRefreshes
+		out.SimScored += st.SimScored
+		out.SimPruned += st.SimPruned
 		out.TileHits += st.TileHits
 		out.TileMisses += st.TileMisses
 		out.TilesPruned += st.TilesPruned

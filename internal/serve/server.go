@@ -163,6 +163,8 @@ type Stats struct {
 	SimMisses    uint64 // similarity queries that scanned the signatures
 	SimRefreshes uint64 // misses patched forward from an older epoch's answer
 	SimEvictions uint64
+	SimScored    uint64 // scan candidates scored in full (a dot product each)
+	SimPruned    uint64 // scan candidates a Sketch bound rejected unscored
 
 	FilterBuilds uint64 // (epoch, filter) document sets materialized
 	FilterHits   uint64 // filtered interactions served from a cached set
@@ -366,6 +368,8 @@ type Server struct {
 	simMisses        atomic.Uint64
 	simRefreshes     atomic.Uint64
 	simEvictions     atomic.Uint64
+	simScored        atomic.Uint64
+	simPruned        atomic.Uint64
 	filterBuilds     atomic.Uint64
 	filterHits       atomic.Uint64
 	tileHits         atomic.Uint64
@@ -497,6 +501,8 @@ func (s *Server) Stats() Stats {
 		SimMisses:        s.simMisses.Load(),
 		SimRefreshes:     s.simRefreshes.Load(),
 		SimEvictions:     s.simEvictions.Load(),
+		SimScored:        s.simScored.Load(),
+		SimPruned:        s.simPruned.Load(),
 		FilterBuilds:     s.filterBuilds.Load(),
 		FilterHits:       s.filterHits.Load(),
 		TileHits:         s.tileHits.Load(),
@@ -1265,7 +1271,7 @@ func (ss *Session) Similar(ctx context.Context, doc int64, k int) ([]query.Hit, 
 	}
 	hits, flops, refreshed := ss.s.refreshSimilar(v, target, doc, k)
 	if !refreshed {
-		hits, flops = scanSimilar(v, target, doc, k)
+		hits, flops = ss.s.scanSimilar(v, target, doc, k)
 	}
 
 	ss.s.smu.Lock()
@@ -1335,9 +1341,10 @@ func (s *Server) refreshSimilar(v *view, target []float64, exclude int64, k int)
 			top.Offer(h)
 		}
 		for _, seg := range segs {
-			top.Scan(seg.Docs, seg.SigVecs, seg.SigNorms(), dead)
+			top.Scan(seg.Docs, seg.SigVecs, seg.SigNorms(), seg.SigSketch(), dead)
 		}
 		s.simRefreshes.Add(1)
+		s.countScan(&top)
 		return top.Hits(), top.Flops(), true
 	}
 	return nil, 0, false
@@ -1347,17 +1354,25 @@ func (s *Server) refreshSimilar(v *view, target []float64, exclude int64, k int)
 // tombstones excluded — against a target vector, excluding one document, and
 // returns the top k hits (query.HitLess order) plus the flops the scan is
 // charged.
-func scanSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, float64) {
+func (s *Server) scanSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, float64) {
 	candidates := v.sigs.Len()
 	for _, seg := range v.segs {
 		candidates += len(seg.Docs)
 	}
 	top := query.NewTopK(target, exclude, k, candidates)
-	top.Scan(v.sigs.Docs, v.sigs.Vecs, v.sigs.Norms(), v.tombs)
+	top.Scan(v.sigs.Docs, v.sigs.Vecs, v.sigs.Norms(), v.sigs.Sketch(), v.tombs)
 	for _, seg := range v.segs {
-		top.Scan(seg.Docs, seg.SigVecs, seg.SigNorms(), v.tombs)
+		top.Scan(seg.Docs, seg.SigVecs, seg.SigNorms(), seg.SigSketch(), v.tombs)
 	}
+	s.countScan(&top)
 	return top.Hits(), top.Flops()
+}
+
+// countScan files a scan's candidates as scored in full or rejected by a bound.
+func (s *Server) countScan(top *query.TopK) {
+	full, pruned := top.Counts()
+	s.simScored.Add(uint64(full))
+	s.simPruned.Add(uint64(pruned))
 }
 
 // similarTo is the shard-local half of a routed similarity query: it scores
@@ -1367,7 +1382,7 @@ func scanSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, 
 // plus the reply copy.
 func (ss *Session) similarTo(target []float64, exclude int64, k int) []query.Hit {
 	m := ss.s.store.Model
-	hits, flops := scanSimilar(ss.s.store.viewNow(), target, exclude, k)
+	hits, flops := ss.s.scanSimilar(ss.s.store.viewNow(), target, exclude, k)
 	ss.charge(m.FlopCost(flops) + m.LocalCopyCost(16*float64(len(hits))))
 	return hits
 }

@@ -46,16 +46,27 @@ func oracleScanSimilar(v *view, target []float64, exclude int64, k int) ([]query
 	return scored, flops
 }
 
-// randomSigs draws n signatures of dimension m. messy mixes in what the scan
-// must get exactly right: null signatures, all-zero vectors (score 0, still
-// a hit), bit-identical duplicates and low-entropy vectors (score ties, which
-// break document-ascending).
-func randomSigs(rng *rand.Rand, n, m int, messy bool) [][]float64 {
+// scanSimilar is the serving scan on a bare view: a server with no store,
+// there only to take the scan's counts.
+func scanSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, float64) {
+	return new(Server).scanSimilar(v, target, exclude, k)
+}
+
+// randomSigs draws n signatures of dimension m. With themes > 0 they are what
+// a corpus of that many themes gives the scan — each a mix of a few of its
+// directions (theme t owns the components j ≡ t) plus a little noise, so that
+// a Sketch can tell most of them from a target; with themes == 0 they are
+// isotropic and it cannot. messy mixes in what the scan must get exactly
+// right: null signatures, all-zero vectors (score 0, still a hit),
+// bit-identical duplicates, power-of-two multiples (the same score from
+// different bits), low-entropy vectors (score ties, which break
+// document-ascending) and negative components.
+func randomSigs(rng *rand.Rand, n, m, themes int, messy bool) [][]float64 {
 	vecs := make([][]float64, n)
 	for i := range vecs {
 		kind := 9
 		if messy {
-			kind = rng.Intn(10)
+			kind = rng.Intn(12)
 		}
 		switch {
 		case kind == 0:
@@ -64,15 +75,33 @@ func randomSigs(rng *rand.Rand, n, m int, messy bool) [][]float64 {
 			vecs[i] = make([]float64, m)
 		case kind == 2 && i > 0:
 			vecs[i] = slices.Clone(vecs[rng.Intn(i)]) // of a null: another null
-		case kind <= 4:
+		case kind == 3 && i > 0:
+			vecs[i] = slices.Clone(vecs[rng.Intn(i)])
+			for j := range vecs[i] {
+				vecs[i][j] *= 4
+			}
+		case kind <= 5:
 			vecs[i] = make([]float64, m)
 			for j := range vecs[i] {
 				vecs[i][j] = float64(rng.Intn(2))
 			}
 		default:
 			vecs[i] = make([]float64, m)
+			mix := [3]int{rng.Intn(max(1, themes)), rng.Intn(max(1, themes)), rng.Intn(max(1, themes))}
 			for j := range vecs[i] {
-				vecs[i][j] = rng.Float64()
+				x := rng.Float64()
+				if themes > 0 {
+					x *= 0.05
+					for w, t := range mix {
+						if j%themes == t {
+							x += float64(1 + w)
+						}
+					}
+				}
+				if kind == 6 && rng.Intn(2) == 0 {
+					x = -x
+				}
+				vecs[i][j] = x
 			}
 		}
 	}
@@ -82,19 +111,19 @@ func randomSigs(rng *rand.Rand, n, m int, messy bool) [][]float64 {
 // randomSimView builds the part of a view the similarity scan reads: a base
 // set of n clean signatures and, when segs > 0, that many sealed segments of
 // messy ones plus a sprinkling of tombstones over both.
-func randomSimView(rng *rand.Rand, n, m, segs int) *view {
+func randomSimView(rng *rand.Rand, n, m, themes, segs int) *view {
 	docs := make([]int64, n)
 	for i := range docs {
 		docs[i] = int64(i)
 	}
-	set, err := signature.NewSet(m, docs, randomSigs(rng, n, m, segs > 0))
+	set, err := signature.NewSet(m, docs, randomSigs(rng, n, m, themes, segs > 0))
 	if err != nil {
 		panic(err)
 	}
 	v := &view{sigs: set}
 	next := int64(n)
 	for s := 0; s < segs; s++ {
-		seg := &segment.Segment{SigM: m, SigVecs: randomSigs(rng, 1+rng.Intn(n), m, true)}
+		seg := &segment.Segment{SigM: m, SigVecs: randomSigs(rng, 1+rng.Intn(n), m, themes, true)}
 		for range seg.SigVecs {
 			next += 1 + int64(rng.Intn(3))
 			seg.Docs = append(seg.Docs, next)
@@ -118,24 +147,49 @@ func simKs(n int) []int {
 
 // TestScanSimilarMatchesOracle holds the one scoring path to the old
 // score-everything-then-sort on seeded random views: identical hits (scores
-// compared with ==), identical tie order, identical modeled flops.
+// compared with ==), identical tie order, identical modeled flops. The first
+// views are tiny (fewer signatures than a Sketch has directions, dimensions
+// down to one); the later ones are themed and large enough that the bound
+// rejects most candidates; every fourth is made collinear, so that every score
+// ties and only the document order decides.
 func TestScanSimilarMatchesOracle(t *testing.T) {
+	var full, pruned uint64
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n, m := 1+rng.Intn(60), 1+rng.Intn(12)
-		v := randomSimView(rng, n, m, rng.Intn(4))
+		n, m, themes := 1+rng.Intn(60), 1+rng.Intn(12), 0
+		if seed >= 16 {
+			n, m, themes = 300+rng.Intn(500), 16+rng.Intn(40), 2+rng.Intn(7)
+		}
+		v := randomSimView(rng, n, m, themes, rng.Intn(4))
+		if seed%4 == 3 {
+			blocks := [][][]float64{v.sigs.Vecs}
+			for _, seg := range v.segs {
+				blocks = append(blocks, seg.SigVecs)
+			}
+			for _, vecs := range blocks {
+				for i, vec := range vecs {
+					for j := range vec {
+						vec[j] = float64(1+j) * float64(int(1)<<(i%5))
+					}
+				}
+			}
+		}
 		candidates := n
 		for _, seg := range v.segs {
 			candidates += len(seg.Docs)
 		}
-		for _, exclude := range []int64{0, int64(n) - 1, -1} {
-			target := randomSigs(rng, 1, m, false)[0]
+		srv := new(Server)
+		for _, exclude := range []int64{0, int64(n) - 1, -1, -2} {
+			target := randomSigs(rng, 1, m, themes, false)[0]
 			if vec, ok := v.sigs.Vec(exclude); ok && vec != nil {
 				target = vec
 			}
-			for _, k := range simKs(candidates) {
+			if exclude == -2 {
+				target = make([]float64, m) // zero norm: every score is 0
+			}
+			for _, k := range append(simKs(candidates), 10) {
 				want, wantFlops := oracleScanSimilar(v, target, exclude, k)
-				got, gotFlops := scanSimilar(v, target, exclude, k)
+				got, gotFlops := srv.scanSimilar(v, target, exclude, k)
 				if !slices.Equal(got, want) || gotFlops != wantFlops {
 					t.Fatalf("seed %d exclude %d k %d:\n got %v (%g flops)\nwant %v (%g flops)",
 						seed, exclude, k, got, gotFlops, want, wantFlops)
@@ -143,14 +197,31 @@ func TestScanSimilarMatchesOracle(t *testing.T) {
 				if cap(got) > candidates {
 					t.Fatalf("seed %d k %d: buffer of %d for %d candidates", seed, k, cap(got), candidates)
 				}
+				// Rejected or scored in full, every candidate the flops
+				// charge is in exactly one of the two counts.
+				f, p := srv.simScored.Swap(0), srv.simPruned.Swap(0)
+				if float64(3*m)*float64(f+p) != gotFlops {
+					t.Fatalf("seed %d k %d: %d scored + %d pruned candidates for %g flops at m=%d", seed, k, f, p, gotFlops, m)
+				}
+				if themes > 0 && k <= 10 && seed%4 != 3 {
+					full, pruned = full+f, pruned+p
+				}
 			}
 		}
 	}
+	if pruned < full {
+		t.Fatalf("with k <= 10 on the themed views the bound rejected %d candidates against %d scored: the filtered path went all but unchecked", pruned, full)
+	}
 }
+
+// simThemes and simBulk shape a simWorld: signatures of a few themes, and
+// enough of them ingested up front (in sealed segments of a hundred) that the
+// scans of every later step run with the bound rejecting candidates.
+const simThemes, simBulk = 5, 400
 
 // simWorld is one corpus served two ways — a monolithic store and a 4-shard
 // router — driven through the same seeded stream of adds (with chosen
-// signatures), seals, deletes and compactions.
+// signatures), seals, deletes, compactions, rebases and signature swaps.
 type simWorld struct {
 	t      *testing.T
 	rng    *rand.Rand
@@ -169,7 +240,7 @@ func newSimWorld(t *testing.T, seed int64) *simWorld {
 	// Replace the pipeline's signatures with messy ones over the same
 	// documents, before the store is sharded.
 	base := st.Signatures()
-	set, err := signature.NewSet(base.M, base.Docs, randomSigs(rng, base.Len(), base.M, true))
+	set, err := signature.NewSet(base.M, base.Docs, randomSigs(rng, base.Len(), base.M, simThemes, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +263,25 @@ func newSimWorld(t *testing.T, seed int64) *simWorld {
 	for d := int64(0); d < st.TotalDocs; d++ {
 		w.live = append(w.live, d)
 	}
+	for range simBulk / 100 {
+		w.add(100)
+	}
 	return w
+}
+
+// add ingests n documents with drawn signatures and seals them.
+func (w *simWorld) add(n int) {
+	w.t.Helper()
+	for ; n > 0; n-- {
+		doc, sig := w.next, randomSigs(w.rng, 1, w.mono.SigM, simThemes, true)[0]
+		if w.rng.Intn(4) == 0 { // duplicate a live document's vector
+			sig, _ = w.mono.SignatureOf(w.live[w.rng.Intn(len(w.live))])
+		}
+		w.next++
+		w.live = append(w.live, doc)
+		w.each(doc, func(st *Store) error { _, err := st.AddCounts(doc, nil, sig); return err })
+	}
+	w.each(-1, func(st *Store) error { _, err := st.Flush(); return err })
 }
 
 // each applies one store operation to the monolithic store and to the shard
@@ -213,46 +302,58 @@ func (w *simWorld) each(doc int64, op func(*Store) error) {
 // step applies one random operation.
 func (w *simWorld) step() {
 	w.t.Helper()
-	switch op := w.rng.Intn(10); {
+	switch op := w.rng.Intn(12); {
 	case op < 5: // a burst of adds, sealed so they are visible
-		for i := 1 + w.rng.Intn(6); i > 0; i-- {
-			doc, sig := w.next, randomSigs(w.rng, 1, w.mono.SigM, true)[0]
-			if w.rng.Intn(4) == 0 { // duplicate a live document's vector
-				sig, _ = w.mono.SignatureOf(w.live[w.rng.Intn(len(w.live))])
-			}
-			w.next++
-			w.live = append(w.live, doc)
-			w.each(doc, func(st *Store) error { _, err := st.AddCounts(doc, nil, sig); return err })
-		}
-		w.each(-1, func(st *Store) error { _, err := st.Flush(); return err })
+		w.add(1 + w.rng.Intn(6))
 	case op < 8 && len(w.live) > 8:
 		i := w.rng.Intn(len(w.live))
 		doc := w.live[i]
 		w.live = slices.Delete(w.live, i, i+1)
 		w.each(doc, func(st *Store) error { _, err := st.Delete(doc); return err })
-	default:
+	case op < 10:
 		w.each(-1, func(st *Store) error { _, err := st.Compact(); return err })
+	case op == 10: // segments and tombstones folded into a new base set
+		w.each(-1, (*Store).Rebase)
+	default: // regenerated signatures swapped in under the running servers
+		base := w.mono.Signatures()
+		vecOf := make(map[int64][]float64, base.Len())
+		for i, vec := range randomSigs(w.rng, base.Len(), base.M, simThemes, true) {
+			vecOf[base.Docs[i]] = vec
+		}
+		w.each(-1, func(st *Store) error {
+			docs := st.Signatures().Docs
+			vecs := make([][]float64, len(docs))
+			for i, d := range docs {
+				vecs[i] = vecOf[d]
+			}
+			set, err := signature.NewSet(st.SigM, docs, vecs)
+			if err != nil {
+				return err
+			}
+			return st.ApplySignatures(set)
+		})
 	}
 }
 
 // TestSimilarDifferential drives a monolithic store and a 4-shard router
-// through seals, deletes and compactions and, after every step, holds
-// Session.Similar (cold scans and incremental refreshes alike — the server
-// and its cache live for the whole run) and the routed answer to the oracle's
-// full rescan of the current view.
+// through seals, deletes, compactions, rebases and signature swaps and, after
+// every step, holds Session.Similar (cold scans and incremental refreshes
+// alike — the server and its cache live for the whole run), the routed
+// answer and the scan's modeled flops to the oracle's full rescan of the
+// current view.
 func TestSimilarDifferential(t *testing.T) {
 	ctx := context.Background()
-	var refreshes uint64
+	var refreshes, pruned, routedPruned uint64
 	for seed := int64(1); seed <= 3; seed++ {
 		w := newSimWorld(t, seed)
 		sess, routed := w.srv.NewSession(), w.router.NewSession()
-		targets := append(w.mono.SampleDocs(4), 0, 1, 2)
+		targets := append(w.mono.SampleDocs(4), 0, 1, 2, w.next-1, w.next-simBulk/2)
 		for round := 0; round < 25; round++ {
 			v := w.mono.viewNow()
 			n := int(v.liveDocs())
 			for _, doc := range targets {
 				target, ok := v.sigVec(doc)
-				for _, k := range simKs(n) {
+				for _, k := range append(simKs(n), 10) {
 					got, err := sess.Similar(ctx, doc, k)
 					viaRouter, rerr := routed.Similar(ctx, doc, k)
 					if !ok || target == nil {
@@ -264,9 +365,12 @@ func TestSimilarDifferential(t *testing.T) {
 					if err != nil || rerr != nil {
 						t.Fatalf("seed %d round %d: Similar(%d, %d): %v / %v", seed, round, doc, k, err, rerr)
 					}
-					want, _ := oracleScanSimilar(v, target, doc, k)
+					want, wantFlops := oracleScanSimilar(v, target, doc, k)
 					if !slices.Equal(got, want) {
 						t.Fatalf("seed %d round %d: Similar(%d, %d)\n got %v\nwant %v", seed, round, doc, k, got, want)
+					}
+					if _, flops := w.srv.scanSimilar(v, target, doc, k); flops != wantFlops {
+						t.Fatalf("seed %d round %d: scan of Similar(%d, %d) charged %g flops, want %g", seed, round, doc, k, flops, wantFlops)
 					}
 					if !slices.Equal(viaRouter, want) {
 						t.Fatalf("seed %d round %d: routed Similar(%d, %d)\n got %v\nwant %v", seed, round, doc, k, viaRouter, want)
@@ -276,28 +380,34 @@ func TestSimilarDifferential(t *testing.T) {
 			w.step()
 		}
 		refreshes += w.srv.Stats().SimRefreshes
+		pruned += w.srv.Stats().SimPruned
+		routedPruned += w.router.Stats().SimPruned
 	}
 	if refreshes == 0 {
 		t.Fatal("no answer came from refreshSimilar; the incremental path went unchecked")
+	}
+	if pruned == 0 || routedPruned == 0 {
+		t.Fatalf("the bound rejected %d candidates on the server and %d behind the router; the filtered path went unchecked", pruned, routedPruned)
 	}
 }
 
 // TestScanSimilarWarmAllocs pins the warm scan at one allocation: the result.
 func TestScanSimilarWarmAllocs(t *testing.T) {
-	v := randomSimView(rand.New(rand.NewSource(2)), 500, 16, 3)
+	v := randomSimView(rand.New(rand.NewSource(2)), 500, 16, 4, 3)
 	target := v.sigs.Vecs[1]
-	scanSimilar(v, target, 1, 10) // computes the lazy norms
+	scanSimilar(v, target, 1, 10) // computes the lazy norms and summaries
 	if n := testing.AllocsPerRun(50, func() { scanSimilar(v, target, 1, 10) }); n > 1 {
 		t.Fatalf("warm scan allocates %v times, want <= 1", n)
 	}
 }
 
 // TestConcurrentFirstScans races first scans over sets and segments whose
-// norms nobody has computed yet — a fresh view, then views published by
-// seals and compactions while the scanners run. Meaningful under -race; the
+// norms and Sketches nobody has computed yet — a fresh view, then views
+// published by seals, compactions, rebases and signature swaps while the
+// scanners run. Meaningful under -race; the
 // answers are held to the oracle on the very view each scanner read.
 func TestConcurrentFirstScans(t *testing.T) {
-	fresh := randomSimView(rand.New(rand.NewSource(3)), 300, 8, 3)
+	fresh := randomSimView(rand.New(rand.NewSource(3)), 300, 8, 3, 3)
 	target := fresh.sigs.Vecs[0]
 	want, _ := oracleScanSimilar(fresh, target, 0, 7)
 	var wg sync.WaitGroup

@@ -263,6 +263,8 @@ func diffStats(before, after Stats) Stats {
 		SimMisses:        after.SimMisses - before.SimMisses,
 		SimRefreshes:     after.SimRefreshes - before.SimRefreshes,
 		SimEvictions:     after.SimEvictions - before.SimEvictions,
+		SimScored:        after.SimScored - before.SimScored,
+		SimPruned:        after.SimPruned - before.SimPruned,
 		TileHits:         after.TileHits - before.TileHits,
 		TileMisses:       after.TileMisses - before.TileMisses,
 		TilesPruned:      after.TilesPruned - before.TilesPruned,
