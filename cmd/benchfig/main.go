@@ -23,33 +23,15 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate (5, 6a, 6b, 7a, 7b, 8, 9, A1, A2, A3, S1-S5); empty = all")
+	fig := flag.String("fig", "", "figure to regenerate (5, 6a, 6b, 7a, 7b, 8, 9, A1, A2, A3); empty = all")
 	scale := flag.Float64("scale", bench.DefaultScale, "dataset reduction factor (paper bytes / synthetic bytes)")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	ci := flag.String("ci", "", "write the CI bench-gate metrics JSON to this file and exit (see cmd/benchgate)")
 	flag.Parse()
 
 	if *list {
 		for _, e := range bench.Experiments {
 			fmt.Printf("%-4s %s\n", e.ID, e.Describe)
 		}
-		return
-	}
-
-	if *ci != "" {
-		m, err := bench.CollectCI(*scale)
-		if err == nil {
-			err = m.WriteJSON(*ci)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: ci metrics: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote CI metrics to %s: serving %.0f virtual qps, 4-shard %.0f (%.2fx), compression %.2fx, "+
-			"ingest %.0f virtual docs/sec (query p95 %.2fx idle), tiles %.0f virtual qps (%.1fx vs scans, p95 %.2fx under ingest)\n",
-			*ci, m.ServingVirtualQPS, m.ShardedVirtualQPS4, m.ShardingSpeedup4x, m.CompressionRatio,
-			m.IngestVirtualDPS, m.IngestQueryP95Ratio,
-			m.TileVirtualQPS, m.TileSpeedupVsScan, m.TileIngestP95Ratio)
 		return
 	}
 

@@ -3,13 +3,12 @@
 // run — either by running the pipeline over a corpus directory or by loading
 // a store persisted with -save-store — and answers concurrent analyst
 // sessions over JSON: term lookups, boolean queries, similarity search,
-// theme drill-down and ThemeView region queries, each reported with its
-// modeled virtual latency on the 2007 cluster. Sessions can also add and
-// delete documents while queries keep serving: adds are tokenized with the
-// producing run's normalization, signature-projected with its frozen
-// association matrix, and become visible when their delta seals (every 256
-// adds by default, or on flush); a background compactor folds sealed
-// segments together.
+// theme drill-down, ThemeView region queries and Galaxy tiles. Sessions can
+// also add and delete documents while queries keep serving: adds are
+// tokenized with the producing run's normalization, signature-projected with
+// its frozen association matrix, and become visible when their delta seals
+// (every 256 adds by default, or on flush); a background compactor folds
+// sealed segments together.
 //
 // Usage:
 //
@@ -60,9 +59,9 @@
 // with -save-dir; without -save-dir the endpoint is disabled — a network
 // client never names an arbitrary server-side path.
 //
-// Pass session=NAME on query endpoints to accumulate per-session virtual
-// latency across requests; anonymous requests each get a fresh session. The
-// stdin protocol mirrors the endpoints: "add some document text",
+// Pass session=NAME on query endpoints to reuse one session (its rate bucket
+// and query scratch) across requests; anonymous requests each get a fresh
+// session. The stdin protocol mirrors the endpoints: "add some document text",
 // "delete 3", "flush", "compact", "save run.live" (stdin save takes a full
 // path — it is the operator's own terminal, not the network surface).
 package main

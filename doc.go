@@ -20,13 +20,11 @@
 // with skip-directory intersection via internal/postings — dense terms adapt
 // into packed bitmap containers whose word-wise AND/OR kernels intersect
 // without decoding a posting, in place on mapped stores — LRU posting and
-// similarity caches, coalesced index transfers, per-interaction virtual
-// latency) through the cmd/inspired daemon: index once, serve many. The
-// store also partitions into document shards served by a scatter-gather
-// router (inspired -shards N): per-shard DF summaries prune fan-out, doomed
-// queries short-circuit at the router, per-shard answers k-way merge, and
-// the slowest shard — not the whole store — bounds each interaction, all
-// behind the unchanged session API.
+// similarity caches, coalesced posting fetches) through the cmd/inspired
+// daemon: index once, serve many. The store also partitions into document
+// shards served by a scatter-gather router (inspired -shards N): per-shard DF
+// summaries prune fan-out, doomed queries short-circuit at the router, and
+// per-shard answers k-way merge, all behind the unchanged session API.
 //
 // Serving is no longer frozen at snapshot time: the store ingests live. New
 // documents are added through the session API (inspired's add/delete
@@ -60,14 +58,15 @@
 // scanning every point.
 //
 // The daemon's HTTP (/v1, always the envelope) and stdin surfaces live in
-// internal/httpd, mountable in-process. What the host sustains is measured
-// by the one benchmark under benchmark/ (contract in BENCHMARK.json): it
-// drives the daemon binary out of process with seeded workloads and reports
-// end-to-end and per-layer metrics by name; cmd/benchgate gates the modeled
-// plane only.
+// internal/httpd, mountable in-process. Serving performance is measured, not
+// modeled, by the one benchmark under benchmark/ (contract in
+// BENCHMARK.json): it drives the daemon binary out of process with seeded
+// workloads and reports end-to-end and per-layer metrics by name. The
+// virtual-time machine model (internal/simtime) times the batch pipeline
+// only, as the paper's Figures 5-9 do.
 //
 // The library lives under internal/; the executables under cmd/ (inspire,
-// inspired, corpusgen, benchfig, benchgate) and the runnable scenarios under
+// inspired, corpusgen, benchfig) and the runnable scenarios under
 // examples/ are the public surface. bench_test.go in this
 // directory regenerates every figure of the paper's evaluation as Go
 // benchmarks; see DESIGN.md for the system inventory and EXPERIMENTS.md for

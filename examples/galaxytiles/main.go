@@ -79,14 +79,12 @@ func main() {
 		Topics:      6,
 		VocabSize:   4000,
 	})
-	model := simtime.PNNLCluster2007()
-	model.DataScale = 2048
 
 	// Index three quarters of the corpus; the rest arrives live.
 	sort.Slice(sources, func(i, j int) bool { return sources[i].Name < sources[j].Name })
 	baseSources := sources[:3*len(sources)/4]
 	var st *serve.Store
-	w, err := cluster.NewWorld(4, model)
+	w, err := cluster.NewWorld(4, simtime.PNNLCluster2007())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -167,8 +165,8 @@ func main() {
 					best = t
 				}
 			}
-			fmt.Printf("zoom %d: %d tiles in view; focus (%d,%d) holds %d docs (%.2f ms virtual)\n",
-				z, len(ts), best.X, best.Y, best.Docs, sess.Stats().LastMS)
+			fmt.Printf("zoom %d: %d tiles in view; focus (%d,%d) holds %d docs\n",
+				z, len(ts), best.X, best.Y, best.Docs)
 			fmt.Printf("  %s\n  exemplars %v\n%s", describe(best), best.Exemplars, renderDensity(best))
 			r := tiles.TileRectIn(box, z, best.X, best.Y)
 			w, h := r.MaxX-r.MinX, r.MaxY-r.MinY

@@ -28,10 +28,6 @@ var Experiments = []Experiment{
 	{"A1", "Ablation: GA atomic task queue vs master-worker dispatcher", FigA1},
 	{"A2", "Ablation: static vs adaptive signature dimensionality", FigA2},
 	{"A3", "Ablation: scanning under ideal vs NFS vs Lustre storage", FigA3},
-	{"S1", "Serving: query throughput and cache effectiveness vs concurrent sessions", FigS1},
-	{"S3", "Serving: sharded scatter-gather throughput and tail latency vs shard count", FigS3},
-	{"S4", "Serving: query tail latency under live ingestion; refresh lag vs seal threshold", FigS4},
-	{"S5", "Serving: Galaxy viewport rendering, tile pyramid vs naive full-point scans, idle and under ingest", FigS5},
 }
 
 // FindExperiment resolves an experiment by ID.

@@ -28,11 +28,6 @@ import (
 func appendReply(dst []byte, r *Reply) ([]byte, error) {
 	dst = append(dst, `{"op":`...)
 	dst = appendString(dst, r.Op)
-	dst = append(dst, `,"virtual_ms":`...)
-	dst, err := appendFloat(dst, r.VirtualMS)
-	if err != nil {
-		return dst, err
-	}
 	dst = append(dst, `,"count":`...)
 	dst = appendInt(dst, int64(r.Count))
 	if len(r.Postings) > 0 {
@@ -51,6 +46,7 @@ func appendReply(dst []byte, r *Reply) ([]byte, error) {
 	}
 	if len(r.Hits) > 0 {
 		dst = append(dst, `,"hits":`...)
+		var err error
 		if dst, err = appendHits(dst, r.Hits); err != nil {
 			return dst, err
 		}

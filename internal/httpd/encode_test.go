@@ -97,21 +97,21 @@ func FuzzAppendReply(f *testing.F) {
 		errBit  = 1 << 20
 		lblBit  = 1 << 21
 	)
-	f.Add(uint32(filled), uint8(3), "term", "", "", 0.0123, 0.5, int64(1))
-	f.Add(uint32(filled<<2), uint8(40), "and", "", "", 1.5, 0.5, int64(2))
-	f.Add(uint32(filled<<4), uint8(31), "similar", "", "", 0.25, 1.5, int64(3))
-	f.Add(uint32(tileBit|lblBit|0x3ff<<6), uint8(64), "tile", "", "apple banana", 0.004, 0.5, int64(4))
-	f.Add(uint32(tileBit), uint8(0), "tile", "", "", 0.0, 0.5, int64(5))
-	f.Add(uint32(dfBit), uint8(0), "df", "", "", 1e-7, 0.5, int64(6))
-	f.Add(uint32(docBit|okBit), uint8(0), "add", "", "", 3.0, 0.5, int64(7))
-	f.Add(uint32(errBit), uint8(0), "similar", "serve: document 99999 not found", "", 0.0, 0.5, int64(8))
-	f.Add(uint32(0), uint8(0), "flush", "", "", 0.0, 0.5, int64(9))
-	f.Add(uint32(0x5555|errBit), uint8(2), nasty, nasty, "", 1e21, -1e-6, int64(10))
-	f.Add(uint32(tileBit|lblBit|0xaaaa), uint8(5), "tile", "", nasty, math.Copysign(0, -1), 123456789.125, int64(11))
-	f.Add(uint32(filled<<4), uint8(1), "similar", "", "", 1.0, math.NaN(), int64(12))
-	f.Add(uint32(0), uint8(0), "term", "", "", math.Inf(-1), 0.5, int64(13))
+	f.Add(uint32(filled), uint8(3), "term", "", "", 0.5, int64(1))
+	f.Add(uint32(filled<<2), uint8(40), "and", "", "", 0.5, int64(2))
+	f.Add(uint32(filled<<4), uint8(31), "similar", "", "", 1.5, int64(3))
+	f.Add(uint32(tileBit|lblBit|0x3ff<<6), uint8(64), "tile", "", "apple banana", 0.5, int64(4))
+	f.Add(uint32(tileBit), uint8(0), "tile", "", "", 0.5, int64(5))
+	f.Add(uint32(dfBit), uint8(0), "df", "", "", 0.5, int64(6))
+	f.Add(uint32(docBit|okBit), uint8(0), "add", "", "", 0.5, int64(7))
+	f.Add(uint32(errBit), uint8(0), "similar", "serve: document 99999 not found", "", 0.5, int64(8))
+	f.Add(uint32(0), uint8(0), "flush", "", "", 0.5, int64(9))
+	f.Add(uint32(0x5555|errBit), uint8(2), nasty, nasty, "", -1e-6, int64(10))
+	f.Add(uint32(tileBit|lblBit|0xaaaa), uint8(5), "tile", "", nasty, 123456789.125, int64(11))
+	f.Add(uint32(filled<<4), uint8(1), "similar", "", "", math.NaN(), int64(12))
+	f.Add(uint32(filled<<4), uint8(2), "similar", "", "", math.Copysign(0, -1), int64(13))
 
-	f.Fuzz(func(t *testing.T, shape uint32, n uint8, op, msg, label string, vms, score float64, seed int64) {
+	f.Fuzz(func(t *testing.T, shape uint32, n uint8, op, msg, label string, score float64, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		// Integers spread over sign and magnitude: small, zero, negative,
 		// and the 64-bit extremes.
@@ -156,7 +156,7 @@ func FuzzAppendReply(f *testing.F) {
 			}
 			return out
 		}
-		rep := Reply{Op: op, VirtualMS: vms, Count: int(num()), Docs: ints(1)}
+		rep := Reply{Op: op, Count: int(num()), Docs: ints(1)}
 		if k := size(0); k >= 0 {
 			rep.Postings = make([]query.Posting, k)
 			for i := range rep.Postings {
@@ -324,7 +324,7 @@ func TestAppendIntMatchesStrconv(t *testing.T) {
 
 // termReply is a posting-heavy reply of the size lookup-hot serves.
 func termReply(n int) *Reply {
-	rep := &Reply{Op: "term", VirtualMS: 0.0417, Count: n, Postings: make([]query.Posting, n)}
+	rep := &Reply{Op: "term", Count: n, Postings: make([]query.Posting, n)}
 	for i := range rep.Postings {
 		rep.Postings[i] = query.Posting{Doc: int64(i * 5), Freq: int64(1 + i%7)}
 	}
@@ -434,11 +434,11 @@ func TestReplyFraming(t *testing.T) {
 // the json sub-benchmarks are the reflection path it replaced (Marshal, then
 // the envelope around the RawMessage). MB/s is reply bytes produced.
 func BenchmarkEncodeReply(b *testing.B) {
-	docs := &Reply{Op: "or", VirtualMS: 0.0731, Count: 3000, Docs: make([]int64, 3000)}
+	docs := &Reply{Op: "or", Count: 3000, Docs: make([]int64, 3000)}
 	for i := range docs.Docs {
 		docs.Docs[i] = int64(i * 5)
 	}
-	tile := &Reply{Op: "tile", VirtualMS: 0.0052, Count: 16103, Tile: &serve.TileResult{
+	tile := &Reply{Op: "tile", Count: 16103, Tile: &serve.TileResult{
 		Z: 2, X: 1, Y: 3, Docs: 16103, Grid: 8, Density: make([]uint32, 64),
 		Exemplars: []int64{3, 17, 21, 40, 44, 58, 63, 90},
 	}}
@@ -452,7 +452,7 @@ func BenchmarkEncodeReply(b *testing.B) {
 	for i := 0; i < 60; i++ {
 		tile.Tile.Times = append(tile.Tile.Times, tiles.TimeCount{Bucket: int64(11574 + i), Docs: int64(24 + i)})
 	}
-	hits := &Reply{Op: "similar", VirtualMS: 2.9125, Count: 10, Hits: make([]query.Hit, 10)}
+	hits := &Reply{Op: "similar", Count: 10, Hits: make([]query.Hit, 10)}
 	for i := range hits.Hits {
 		hits.Hits[i] = query.Hit{Doc: int64(1000 + 13*i), Score: 0.98765432 / float64(i+1)}
 	}

@@ -43,10 +43,11 @@
 // x/y/r, a tile coordinate, ts, after, before; k may be absent and then
 // defaults to 5) answers bad_request — never a silent zero.
 //
-// Pass session=NAME on query endpoints to accumulate per-session virtual
-// latency across requests; anonymous requests each get a fresh session.
-// Every request runs under its http.Request context, so a disconnected
-// client cancels the scatter-gather it was waiting on.
+// Pass session=NAME on query endpoints to reuse one session across requests:
+// it selects the session's rate bucket (see Limits.SessionRate) and its
+// query scratch; anonymous requests each get a fresh session. Every request
+// runs under its http.Request context, so a disconnected client cancels the
+// scatter-gather it was waiting on.
 //
 // The front door applies admission control when configured with Limits:
 // per-session and global token buckets, a bounded in-flight ceiling shedding
@@ -198,8 +199,7 @@ func (d *Daemon) SetLimits(l Limits) {
 func (d *Daemon) Shed() uint64 { return d.shed.Load() }
 
 // namedSession serializes the requests of one session name: a Querier
-// requires one goroutine at a time, and serializing also keeps each reply's
-// virtual_ms the latency of its own interaction.
+// requires one goroutine at a time.
 type namedSession struct {
 	mu   sync.Mutex
 	sess serve.Querier
@@ -236,17 +236,16 @@ func (d *Daemon) session(name string) *namedSession {
 // Reply is the JSON payload of every query response: the "data" field of the
 // HTTP envelope, the whole line on the line protocol.
 type Reply struct {
-	Op        string            `json:"op"`
-	VirtualMS float64           `json:"virtual_ms"`         // this interaction's modeled latency
-	Count     int               `json:"count"`              // result cardinality
-	Postings  []query.Posting   `json:"postings,omitempty"` // term queries
-	Docs      []int64           `json:"docs,omitempty"`     // boolean/theme/near queries
-	Hits      []query.Hit       `json:"hits,omitempty"`     // similarity queries
-	Tile      *serve.TileResult `json:"tile,omitempty"`     // galaxy tile queries
-	DF        int64             `json:"df,omitempty"`
-	Doc       int64             `json:"doc,omitempty"` // add: the assigned document ID
-	OK        bool              `json:"ok,omitempty"`  // add/delete/flush/compact/save
-	Error     string            `json:"error,omitempty"`
+	Op       string            `json:"op"`
+	Count    int               `json:"count"`              // result cardinality
+	Postings []query.Posting   `json:"postings,omitempty"` // term queries
+	Docs     []int64           `json:"docs,omitempty"`     // boolean/theme/near queries
+	Hits     []query.Hit       `json:"hits,omitempty"`     // similarity queries
+	Tile     *serve.TileResult `json:"tile,omitempty"`     // galaxy tile queries
+	DF       int64             `json:"df,omitempty"`
+	Doc      int64             `json:"doc,omitempty"` // add: the assigned document ID
+	OK       bool              `json:"ok,omitempty"`  // add/delete/flush/compact/save
+	Error    string            `json:"error,omitempty"`
 }
 
 // ErrorInfo is the envelope's error half.
@@ -334,10 +333,9 @@ func (p *params) float(key string) float64 {
 }
 
 // run executes one operation against a session, holding its lock so
-// concurrent requests on one name serialize and the reported virtual_ms
-// belongs to this interaction. degraded requests answer with reduced
-// fidelity: a clamped similarity K, and tile addresses coarsened to the
-// degrade zoom.
+// concurrent requests on one name serialize. degraded requests answer with
+// reduced fidelity: a clamped similarity K, and tile addresses coarsened to
+// the degrade zoom.
 func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.Values, degraded bool) Reply {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -449,14 +447,12 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.
 	}
 	if p.err != nil {
 		rep.Error = p.err.Error()
-		return rep
 	}
-	rep.VirtualMS = sess.Stats().LastMS
 	return rep
 }
 
 // live executes one service-level maintenance op (flush/compact/save) — not
-// a session interaction, so no virtual account is touched.
+// a session interaction.
 func (d *Daemon) live(ctx context.Context, op, path string) Reply {
 	rep := Reply{Op: op}
 	lv, ok := d.srv.(serve.Liver)

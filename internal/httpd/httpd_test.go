@@ -67,7 +67,6 @@ func (stubQuerier) AddDoc(context.Context, string, int64, []string) (int64, erro
 }
 func (stubQuerier) SetFilter(serve.Filter) error        { return nil }
 func (stubQuerier) Delete(context.Context, int64) error { return nil }
-func (stubQuerier) Stats() serve.SessionStats           { return serve.SessionStats{} }
 
 type stubService struct{}
 
@@ -339,9 +338,6 @@ func TestEndToEndSweep(t *testing.T) {
 			if rep.Status != http.StatusOK || rep.Op != "term" || rep.Count != 3 || len(rep.Postings) != 3 {
 				t.Fatalf("/term?q=apple = %+v", rep)
 			}
-			if rep.VirtualMS < 0 {
-				t.Fatalf("negative virtual latency: %+v", rep)
-			}
 
 			// DF and a missing term.
 			if rep = get(t, c, http.MethodGet, v1+"/df?q=banana"); rep.DF != 3 {
@@ -467,7 +463,7 @@ func TestEndToEndSweep(t *testing.T) {
 }
 
 // TestNamedSessionsAccumulate pins the session=NAME contract: one name keeps
-// one virtual account across requests, and the table is bounded.
+// one session across requests, and the table is bounded.
 func TestNamedSessionsAccumulate(t *testing.T) {
 	d := New(buildService(t, 1), "")
 	ts := httptest.NewServer(d.Mux())

@@ -102,7 +102,7 @@ func (s *Segment) Postings() int64 {
 
 // ShipBytes returns the byte volume shipping this segment to a replica
 // moves: the block-compressed posting store, the document table, and the
-// signature vectors. The replica catch-up path charges it.
+// signature vectors. The replica catch-up path counts it as CatchUpBytes.
 func (s *Segment) ShipBytes() int64 {
 	n := s.Posts.SizeBytes() + int64(8*len(s.Docs)) + int64(8*len(s.Times))
 	for _, v := range s.SigVecs {
@@ -215,9 +215,6 @@ func NewDelta(vocab int64, sigM int) *Delta {
 
 // NumDocs returns the number of buffered documents.
 func (d *Delta) NumDocs() int { return len(d.docs) }
-
-// Postings returns the number of buffered (doc, term) postings.
-func (d *Delta) Postings() int64 { return d.postings }
 
 // Contains reports whether doc is buffered.
 func (d *Delta) Contains(doc int64) bool { return d.seen[doc] }

@@ -40,8 +40,11 @@ func BenchmarkScanSimilar(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		themes int
-		scan   func(*view, []float64, int64, int) ([]query.Hit, float64)
-	}{{"pruned", 16, scanSimilar}, {"random", 0, scanSimilar}, {"oracle", 0, oracleScanSimilar}} {
+		scan   func(*view, []float64, int64, int) []query.Hit
+	}{{"pruned", 16, scanSimilar}, {"random", 0, scanSimilar}, {"oracle", 0, func(v *view, target []float64, exclude int64, k int) []query.Hit {
+		hits, _ := oracleScanSimilar(v, target, exclude, k)
+		return hits
+	}}} {
 		v := randomSimView(rand.New(rand.NewSource(1)), n, m, c.themes, 0)
 		// Not one of the first signatures: a Sketch draws its directions
 		// from those, and bounds a target inside their span exactly.
@@ -50,7 +53,7 @@ func BenchmarkScanSimilar(b *testing.B) {
 			b.SetBytes(n * m * 8)
 			b.ReportAllocs()
 			for b.Loop() {
-				if hits, _ := c.scan(v, target, n/2, k); len(hits) != k {
+				if hits := c.scan(v, target, n/2, k); len(hits) != k {
 					b.Fatalf("%d hits, want %d", len(hits), k)
 				}
 			}

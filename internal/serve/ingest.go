@@ -7,13 +7,6 @@ package serve
 // background compactor k-way-merges small segments into larger ones — each
 // step publishing a new immutable view, so concurrent queries never block and
 // always see a whole epoch.
-//
-// Every ingest interaction is charged virtual time like a query: an add pays
-// the modeled tokenize (scan rate over the raw bytes), the signature
-// projection flops, and the memory-rate posting append; the add that trips
-// the seal threshold also pays the seal's encode pass (the visible latency
-// spike a refresh costs). Compaction charges its merge bytes at memory rate
-// to its own account, off every session's critical path.
 
 import (
 	"fmt"
@@ -74,46 +67,41 @@ func (st *Store) livePolicy() LivePolicy {
 // prepareDoc tokenizes a document with the producing run's normalization,
 // resolves tokens against the frozen vocabulary (out-of-vocabulary terms are
 // dropped — the vocabulary, like the signature space, is fixed at snapshot
-// time), projects the signature, and returns the modeled front-end cost:
-// scan-rate tokenize plus projection flops.
-func (st *Store) prepareDoc(text string) (counts map[int64]int64, sig []float64, cost float64) {
+// time) and projects the signature.
+func (st *Store) prepareDoc(text string) (counts map[int64]int64, sig []float64) {
 	counts = make(map[int64]int64)
 	scan.ForEachToken(text, st.livePolicy().Tokenizer, func(term string) {
 		if id, ok := st.lookupTerm(term); ok {
 			counts[id]++
 		}
 	})
-	cost = st.Model.ScanCost(float64(len(text)))
 	if st.Proj != nil {
-		var flops float64
-		sig, flops = st.Proj.Project(counts)
-		cost += st.Model.FlopCost(flops)
+		sig = st.Proj.Project(counts)
 	}
-	return counts, sig, cost
+	return counts, sig
 }
 
 // Add ingests one document, assigning it the next document ID, and returns
-// the ID and the interaction's modeled cost. The document becomes visible to
-// queries when its delta seals (LivePolicy.SealDocs, or Flush).
-func (st *Store) Add(text string) (int64, float64, error) {
+// the ID. The document becomes visible to queries when its delta seals
+// (LivePolicy.SealDocs, or Flush).
+func (st *Store) Add(text string) (int64, error) {
 	return st.AddMeta(text, 0, nil)
 }
 
 // AddMeta ingests one document with its metadata: an ingest timestamp
 // (0 = none) and "key=value" facets (see meta.go). Filtered queries match the
 // document by exactly this metadata from the epoch its delta seals.
-func (st *Store) AddMeta(text string, ts int64, facets []string) (int64, float64, error) {
+func (st *Store) AddMeta(text string, ts int64, facets []string) (int64, error) {
 	facets, err := normalizeFacets(facets)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	counts, sig, prep := st.prepareDoc(text)
+	counts, sig := st.prepareDoc(text)
 	st.live.mu.Lock()
 	defer st.live.mu.Unlock()
 	st.initViewLocked()
 	doc := st.live.nextDoc
-	cost, err := st.addLocked(doc, counts, sig, ts, facets)
-	return doc, prep + cost, err
+	return doc, st.addLocked(doc, counts, sig, ts, facets)
 }
 
 // AddAt ingests one document under an explicit ID — the sharded path, where
@@ -123,29 +111,28 @@ func (st *Store) AddMeta(text string, ts int64, facets []string) (int64, float64
 // gaps under loaded segments, persisted high-water marks), and IDs whose
 // tombstones a compaction dropped. IDs above the floor may arrive out of
 // order — concurrent routed sessions land on a shard that way.
-func (st *Store) AddAt(doc int64, text string) (float64, error) {
+func (st *Store) AddAt(doc int64, text string) error {
 	return st.AddAtMeta(doc, text, 0, nil)
 }
 
 // AddAtMeta is AddAt with document metadata (see AddMeta).
-func (st *Store) AddAtMeta(doc int64, text string, ts int64, facets []string) (float64, error) {
-	counts, sig, prep := st.prepareDoc(text)
-	cost, err := st.AddCountsMeta(doc, counts, sig, ts, facets)
-	return prep + cost, err
+func (st *Store) AddAtMeta(doc int64, text string, ts int64, facets []string) error {
+	counts, sig := st.prepareDoc(text)
+	return st.AddCountsMeta(doc, counts, sig, ts, facets)
 }
 
 // AddCounts ingests one pre-tokenized document: its in-document term counts
 // (dense IDs) and signature. The router uses this form so a routed add
 // tokenizes once, at the router.
-func (st *Store) AddCounts(doc int64, counts map[int64]int64, sig []float64) (float64, error) {
+func (st *Store) AddCounts(doc int64, counts map[int64]int64, sig []float64) error {
 	return st.AddCountsMeta(doc, counts, sig, 0, nil)
 }
 
 // AddCountsMeta is AddCounts with document metadata (see AddMeta).
-func (st *Store) AddCountsMeta(doc int64, counts map[int64]int64, sig []float64, ts int64, facets []string) (float64, error) {
+func (st *Store) AddCountsMeta(doc int64, counts map[int64]int64, sig []float64, ts int64, facets []string) error {
 	facets, err := normalizeFacets(facets)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	st.live.mu.Lock()
 	defer st.live.mu.Unlock()
@@ -156,14 +143,14 @@ func (st *Store) AddCountsMeta(doc int64, counts map[int64]int64, sig []float64,
 // addLocked buffers one document in the delta, sealing when the policy's
 // threshold trips; callers hold live.mu with the view initialized. facets
 // arrive normalized (sorted, deduplicated, validated).
-func (st *Store) addLocked(doc int64, counts map[int64]int64, sig []float64, ts int64, facets []string) (float64, error) {
+func (st *Store) addLocked(doc int64, counts map[int64]int64, sig []float64, ts int64, facets []string) error {
 	v := st.live.cur.Load()
 	if doc < 0 || v.base.containsDoc(doc) {
-		return 0, fmt.Errorf("serve: add: doc %d collides with the base snapshot", doc)
+		return fmt.Errorf("serve: add: doc %d collides with the base snapshot", doc)
 	}
 	for _, s := range v.segs {
 		if s.Contains(doc) {
-			return 0, fmt.Errorf("serve: add: doc %d already ingested", doc)
+			return fmt.Errorf("serve: add: doc %d already ingested", doc)
 		}
 	}
 	if v.tombs[doc] || doc < st.live.idFloor || st.live.retired[doc] {
@@ -173,29 +160,23 @@ func (st *Store) addLocked(doc int64, counts map[int64]int64, sig []float64, ts 
 		// dropped by compaction with its data). The floor and set — not the
 		// rolling nextDoc — are what reject here, so routed adds landing on
 		// a shard out of ID order still go through.
-		return 0, fmt.Errorf("serve: add: doc %d was deleted or retired; IDs are never reused", doc)
+		return fmt.Errorf("serve: add: doc %d was deleted or retired; IDs are never reused", doc)
 	}
 	pol := st.livePolicy()
 	if st.live.delta == nil {
 		st.live.delta = segment.NewDelta(st.VocabSize, st.SigM)
 	}
 	if err := st.live.delta.AddMeta(doc, counts, sig, ts, facets); err != nil {
-		return 0, err
+		return err
 	}
 	if doc >= st.live.nextDoc {
 		st.live.nextDoc = doc + 1
 	}
 	st.live.adds.Add(1)
-	// The append itself: one memory-rate write per (doc, freq) posting pair.
-	cost := st.Model.LocalCopyCost(16 * float64(len(counts)))
 	if st.live.delta.NumDocs() >= pol.SealDocs {
-		sealCost, err := st.sealLocked()
-		if err != nil {
-			return cost, err
-		}
-		cost += sealCost
+		return st.sealLocked()
 	}
-	return cost, nil
+	return nil
 }
 
 // Delete tombstones a document and publishes the change immediately. The
@@ -204,21 +185,18 @@ func (st *Store) addLocked(doc int64, counts map[int64]int64, sig []float64, ts 
 // Deleting a document still buffered in the delta seals the delta first, so
 // tombstones only ever target visible documents and the live-document count
 // stays exact.
-func (st *Store) Delete(doc int64) (float64, error) {
+func (st *Store) Delete(doc int64) error {
 	st.live.mu.Lock()
 	defer st.live.mu.Unlock()
 	v := st.initViewLocked()
-	var cost float64
 	if st.live.delta != nil && st.live.delta.Contains(doc) {
-		sealCost, err := st.sealLocked()
-		if err != nil {
-			return 0, err
+		if err := st.sealLocked(); err != nil {
+			return err
 		}
-		cost += sealCost
 		v = st.live.cur.Load()
 	}
 	if !v.contains(doc) {
-		return cost, fmt.Errorf("serve: delete: unknown document %d", doc)
+		return fmt.Errorf("serve: delete: unknown document %d", doc)
 	}
 	tombs := make(map[int64]bool, len(v.tombs)+1)
 	for d := range v.tombs {
@@ -228,13 +206,12 @@ func (st *Store) Delete(doc int64) (float64, error) {
 	st.publishLocked(&view{gen: v.gen, base: v.base, segs: v.segs, tombs: tombs, sigs: v.sigs, pts: v.pts,
 		kind: viewTomb, tomb: doc})
 	st.live.deletes.Add(1)
-	// The copy-on-write tombstone publish moves the set once at memory rate.
-	return cost + st.Model.LocalCopyCost(8*float64(len(tombs))), nil
+	return nil
 }
 
 // Flush seals the buffered delta (if any) into a segment and publishes it,
-// making every pending add visible. It returns the modeled seal cost.
-func (st *Store) Flush() (float64, error) {
+// making every pending add visible.
+func (st *Store) Flush() error {
 	st.live.mu.Lock()
 	defer st.live.mu.Unlock()
 	st.initViewLocked()
@@ -243,14 +220,13 @@ func (st *Store) Flush() (float64, error) {
 
 // sealLocked freezes the delta into a sealed segment and publishes the new
 // view; callers hold live.mu. A nil/empty delta is a no-op.
-func (st *Store) sealLocked() (float64, error) {
+func (st *Store) sealLocked() error {
 	if st.live.delta == nil || st.live.delta.NumDocs() == 0 {
-		return 0, nil
+		return nil
 	}
-	posts := st.live.delta.Postings()
 	seg, err := st.live.delta.Seal()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	st.live.delta = nil
 	v := st.live.cur.Load()
@@ -272,17 +248,10 @@ func (st *Store) sealLocked() (float64, error) {
 		st.live.compactWG.Add(1)
 		go func() {
 			defer st.live.compactWG.Done()
-			_, _ = st.Compact()
+			_ = st.Compact()
 		}()
 	}
-	// The seal re-encodes every buffered posting into blocks: one read and
-	// one write of the 16-byte pair at memory rate — plus the planar
-	// projection of the sealed documents onto the ThemeView plane.
-	cost := st.Model.LocalCopyCost(32 * float64(posts))
-	if st.Planar != nil {
-		cost += st.Model.FlopCost(4 * float64(len(newPts)) * float64(len(st.Planar.Mean)))
-	}
-	return cost, nil
+	return nil
 }
 
 // installLive publishes persisted live state — loaded segments and a
@@ -384,8 +353,7 @@ func (st *Store) AdoptTombstone(doc int64) error {
 	if !st.viewNow().contains(doc) {
 		return nil
 	}
-	_, err := st.Delete(doc)
-	return err
+	return st.Delete(doc)
 }
 
 // DiscardDelta drops the pending (unsealed) delta. Replica catch-up uses it:
@@ -405,7 +373,7 @@ func (st *Store) DiscardDelta() {
 // first so the copy sees every write. Keep the copy current by applying the
 // original's write stream, or by LineageSince catch-up.
 func (st *Store) Replicate() (*Store, error) {
-	if _, err := st.Flush(); err != nil {
+	if err := st.Flush(); err != nil {
 		return nil, err
 	}
 	cp := st.Fork()
@@ -457,14 +425,13 @@ func (st *Store) WaitCompaction() { st.live.compactWG.Wait() }
 
 // Compact k-way merges every currently sealed segment into one, dropping the
 // tombstones that point into them, and publishes the compacted view. Queries
-// keep serving the old view throughout. It returns the modeled merge cost,
-// which is also charged to the store's compaction account.
-func (st *Store) Compact() (float64, error) {
+// keep serving the old view throughout.
+func (st *Store) Compact() error {
 	st.live.mu.Lock()
 	v := st.initViewLocked()
 	if len(v.segs) < 2 || st.live.compacting {
 		st.live.mu.Unlock()
-		return 0, nil
+		return nil
 	}
 	st.live.compacting = true
 	input := v.segs
@@ -478,16 +445,8 @@ func (st *Store) Compact() (float64, error) {
 		st.live.mu.Lock()
 		st.live.compacting = false
 		st.live.mu.Unlock()
-		return 0, fmt.Errorf("serve: compact: %w", err)
+		return fmt.Errorf("serve: compact: %w", err)
 	}
-	var bytesIn int64
-	var postsIn int64
-	for _, s := range input {
-		bytesIn += s.Posts.SizeBytes()
-		postsIn += s.Postings()
-	}
-	cost := st.Model.LocalCopyCost(float64(bytesIn+merged.Posts.SizeBytes())) +
-		st.Model.LocalCopyCost(16*float64(postsIn))
 
 	st.live.mu.Lock()
 	defer st.live.mu.Unlock()
@@ -501,7 +460,7 @@ func (st *Store) Compact() (float64, error) {
 	}
 	if !prefix {
 		st.live.compacting = false
-		return 0, nil
+		return nil
 	}
 	// Segments sealed while we merged sit after the input prefix; keep them.
 	segs := make([]*segment.Segment, 0, 1+len(cur.segs)-len(input))
@@ -549,8 +508,7 @@ func (st *Store) Compact() (float64, error) {
 		kind: viewCompact})
 	st.live.compacting = false
 	st.live.compactions.Add(1)
-	st.live.compactVirt += cost
-	return cost, nil
+	return nil
 }
 
 // containsAny reports whether any segment covers doc.
@@ -585,7 +543,7 @@ func (st *Store) Rebase() error {
 	// into the new base range as a phantom document with no postings. (A
 	// compaction our own seal spawns blocks on live.mu and no-ops after the
 	// rebase empties the segment list.)
-	if _, err := st.sealLocked(); err != nil {
+	if err := st.sealLocked(); err != nil {
 		return err
 	}
 	v := st.live.cur.Load()
@@ -785,7 +743,6 @@ func (st *Store) Rebase() error {
 	st.live.tilePyr, st.live.tileView = nil, nil
 	st.live.tileMu.Unlock()
 	st.live.compactions.Add(1)
-	st.live.compactVirt += st.Model.LocalCopyCost(32 * float64(total))
 	return nil
 }
 

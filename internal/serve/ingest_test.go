@@ -155,18 +155,15 @@ func TestIngestedEqualsBatchSingle(t *testing.T) {
 	live := st.EmptyCopy()
 	live.SetLivePolicy(LivePolicy{SealDocs: 7, CompactSegments: 3, ManualCompaction: true})
 	for i, text := range texts {
-		doc, cost, err := live.Add(text)
+		doc, err := live.Add(text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if doc != int64(i) {
 			t.Fatalf("add %d assigned doc %d", i, doc)
 		}
-		if cost <= 0 {
-			t.Fatalf("add %d cost %g", i, cost)
-		}
 	}
-	if _, err := live.Flush(); err != nil {
+	if err := live.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if live.LiveDocs() != st.TotalDocs {
@@ -185,7 +182,7 @@ func TestIngestedEqualsBatchSingle(t *testing.T) {
 	}
 	check("segmented")
 
-	if _, err := live.Compact(); err != nil {
+	if err := live.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if live.LiveSegments() != 1 {
@@ -330,7 +327,7 @@ func TestDeleteTombstones(t *testing.T) {
 	if err := srv.NewSession().Delete(context.Background(), 999); err == nil {
 		t.Fatal("deleting an unknown doc should fail")
 	}
-	if _, err := st.AddAt(1, "resurrection"); err == nil {
+	if err := st.AddAt(1, "resurrection"); err == nil {
 		t.Fatal("re-adding a base doc ID should fail")
 	}
 }
@@ -356,26 +353,26 @@ func TestRefreshSimilarDropsCompactedTombstones(t *testing.T) {
 
 	// Seal doc x (a duplicate of doc 0's text, so it scores at the top) into
 	// its own segment, then a second segment so compaction has work to do.
-	x, _, err := st.Add(miniDocs[0])
+	x, err := st.Add(miniDocs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Flush(); err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Add(miniDocs[3]); err != nil {
+	if _, err := st.Add(miniDocs[3]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Flush(); err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if vec, ok := st.SignatureOf(x); !ok || vec == nil {
 		t.Fatal("ingested doc has no signature; the scenario needs a scorable one")
 	}
-	if _, err := st.Delete(x); err != nil {
+	if err := st.Delete(x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Compact(); err != nil {
+	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if v := st.viewNow(); v.tombs[x] {
@@ -492,19 +489,19 @@ func TestOutOfOrderAddsAndRetiredIDs(t *testing.T) {
 	st.SetLivePolicy(LivePolicy{SealDocs: 2, CompactSegments: 100, ManualCompaction: true})
 	base := st.TotalDocs
 	// The later-assigned ID lands first (the concurrent routed-add shape).
-	if _, err := st.AddCounts(base+3, map[int64]int64{0: 1}, nil); err != nil {
+	if err := st.AddCounts(base+3, map[int64]int64{0: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AddCounts(base, map[int64]int64{0: 1}, nil); err != nil {
+	if err := st.AddCounts(base, map[int64]int64{0: 1}, nil); err != nil {
 		t.Fatalf("out-of-order add below the rolling high-water rejected: %v", err)
 	}
-	if _, err := st.AddCounts(base+1, map[int64]int64{0: 1}, nil); err != nil {
+	if err := st.AddCounts(base+1, map[int64]int64{0: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AddCounts(base+2, map[int64]int64{0: 1}, nil); err != nil {
+	if err := st.AddCounts(base+2, map[int64]int64{0: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AddCounts(base, map[int64]int64{0: 1}, nil); err == nil {
+	if err := st.AddCounts(base, map[int64]int64{0: 1}, nil); err == nil {
 		t.Fatal("duplicate ingested ID accepted")
 	}
 	if st.LiveSegments() != 2 {
@@ -514,19 +511,19 @@ func TestOutOfOrderAddsAndRetiredIDs(t *testing.T) {
 	// the data, and the retired set must remember exactly that ID — while a
 	// lower, never-used ID whose routed add is still in flight stays
 	// addable.
-	if _, err := st.Delete(base + 3); err != nil {
+	if err := st.Delete(base + 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Compact(); err != nil {
+	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.viewNow().tombs) != 0 {
 		t.Fatal("compaction kept the tombstone; the scenario needs it dropped")
 	}
-	if _, err := st.AddCounts(base+3, map[int64]int64{0: 1}, nil); err == nil {
+	if err := st.AddCounts(base+3, map[int64]int64{0: 1}, nil); err == nil {
 		t.Fatal("compacted-away retired ID reused")
 	}
-	doc, _, err := st.Add("apple fresh")
+	doc, err := st.Add("apple fresh")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,22 +533,22 @@ func TestOutOfOrderAddsAndRetiredIDs(t *testing.T) {
 	// The in-flight shape again, past a retired ID: a routed add assigned
 	// base+5 lands after base+6 was already ingested, deleted and compacted
 	// away on this shard — base+5 must still go through.
-	if _, err := st.AddCounts(base+6, map[int64]int64{0: 1}, nil); err != nil {
+	if err := st.AddCounts(base+6, map[int64]int64{0: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Flush(); err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Delete(base + 6); err != nil {
+	if err := st.Delete(base + 6); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Compact(); err != nil {
+	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AddCounts(base+5, map[int64]int64{0: 1}, nil); err != nil {
+	if err := st.AddCounts(base+5, map[int64]int64{0: 1}, nil); err != nil {
 		t.Fatalf("in-flight ID below a compaction-retired one rejected: %v", err)
 	}
-	if _, err := st.AddCounts(base+6, map[int64]int64{0: 1}, nil); err == nil {
+	if err := st.AddCounts(base+6, map[int64]int64{0: 1}, nil); err == nil {
 		t.Fatal("compacted-away retired ID reused after later adds")
 	}
 
@@ -580,14 +577,14 @@ func TestRebaseLeavesHolesAbsent(t *testing.T) {
 	st := buildStoreT(t, 2).Fork()
 	st.SetLivePolicy(LivePolicy{SealDocs: 100, CompactSegments: 100, ManualCompaction: true})
 	base := st.LiveDocs()
-	doc, _, err := st.Add("apple banana transient")
+	doc, err := st.Add("apple banana transient")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Flush(); err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Delete(doc); err != nil {
+	if err := st.Delete(doc); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Rebase(); err != nil {
@@ -596,16 +593,16 @@ func TestRebaseLeavesHolesAbsent(t *testing.T) {
 	if got := st.LiveDocs(); got != base {
 		t.Fatalf("LiveDocs after rebase = %d, want %d (hole counted as live)", got, base)
 	}
-	if _, err := st.Delete(doc); err == nil {
+	if err := st.Delete(doc); err == nil {
 		t.Fatal("deleting a rebased-away hole accepted")
 	}
-	if _, err := st.AddAt(doc, "resurrection"); err == nil {
+	if err := st.AddAt(doc, "resurrection"); err == nil {
 		t.Fatal("hole ID reused")
 	}
 	if _, err := st.Shard(2); err == nil {
 		t.Fatal("holey store sharded")
 	}
-	next, _, err := st.Add("apple fresh")
+	next, err := st.Add("apple fresh")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,10 +626,10 @@ func TestRebaseLeavesHolesAbsent(t *testing.T) {
 	if got := back.LiveDocs(); got != base+1 {
 		t.Fatalf("reloaded LiveDocs = %d, want %d", got, base+1)
 	}
-	if _, err := back.Delete(doc); err == nil {
+	if err := back.Delete(doc); err == nil {
 		t.Fatal("reloaded store accepted deleting a hole")
 	}
-	if _, err := back.Delete(next); err != nil {
+	if err := back.Delete(next); err != nil {
 		t.Fatalf("reloaded store rejects a real document: %v", err)
 	}
 }
@@ -710,7 +707,7 @@ func TestIngestVisibilityFollowsSeals(t *testing.T) {
 	sess := srv.NewSession()
 	base := sess.DF(context.Background(), "apple")
 
-	if _, _, err := st.Add("apple apple kiwi quarterly"); err != nil {
+	if _, err := st.Add("apple apple kiwi quarterly"); err != nil {
 		t.Fatal(err)
 	}
 	if st.PendingDocs() != 1 {
@@ -719,7 +716,7 @@ func TestIngestVisibilityFollowsSeals(t *testing.T) {
 	if got := sess.DF(context.Background(), "apple"); got != base {
 		t.Fatalf("buffered add already visible: DF %d", got)
 	}
-	if _, err := st.Flush(); err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if got := sess.DF(context.Background(), "apple"); got != base+1 {
@@ -740,7 +737,7 @@ func TestIngestVisibilityFollowsSeals(t *testing.T) {
 
 	// Auto-seal at the threshold: the third add trips it.
 	for i := 0; i < 3; i++ {
-		if _, _, err := st.Add(fmt.Sprintf("banana cargo %d", i)); err != nil {
+		if _, err := st.Add(fmt.Sprintf("banana cargo %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -759,11 +756,11 @@ func TestDeletePendingDocSealsFirst(t *testing.T) {
 	st := buildStoreT(t, 2).Fork()
 	st.SetLivePolicy(LivePolicy{SealDocs: 100, CompactSegments: 100, ManualCompaction: true})
 	base := st.LiveDocs()
-	doc, _, err := st.Add("apple banana transient")
+	doc, err := st.Add("apple banana transient")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Delete(doc); err != nil {
+	if err := st.Delete(doc); err != nil {
 		t.Fatal(err)
 	}
 	if st.PendingDocs() != 0 {
@@ -772,7 +769,7 @@ func TestDeletePendingDocSealsFirst(t *testing.T) {
 	if got := st.LiveDocs(); got != base {
 		t.Fatalf("LiveDocs = %d, want %d", got, base)
 	}
-	if _, err := st.Delete(doc); err == nil {
+	if err := st.Delete(doc); err == nil {
 		t.Fatal("double delete accepted")
 	}
 }
@@ -783,7 +780,7 @@ func TestDeletePendingDocSealsFirst(t *testing.T) {
 func TestApplySignaturesRejectsDimMismatchWithLiveState(t *testing.T) {
 	st := buildStoreT(t, 2).Fork()
 	st.SetLivePolicy(LivePolicy{SealDocs: 1, CompactSegments: 100, ManualCompaction: true})
-	if _, _, err := st.Add("apple banana"); err != nil {
+	if _, err := st.Add("apple banana"); err != nil {
 		t.Fatal(err)
 	}
 	other, err := signature.NewSet(st.SigM+3, []int64{0}, [][]float64{make([]float64, st.SigM+3)})
@@ -975,7 +972,7 @@ func TestBackgroundCompactionKeepsServing(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if _, err := live.Flush(); err != nil {
+	if err := live.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	live.WaitCompaction()
@@ -985,7 +982,7 @@ func TestBackgroundCompactionKeepsServing(t *testing.T) {
 		t.Fatalf("background machinery idle: %+v", s)
 	}
 	// After a final explicit compaction the store agrees with the batch run.
-	if _, err := live.Compact(); err != nil {
+	if err := live.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	agreeQueries(t, "post-compaction", newServerT(t, st, Config{}).NewSession(),

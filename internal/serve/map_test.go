@@ -16,9 +16,27 @@ import (
 )
 
 // The map reads — Near over the tile pyramid, ThemeDocs over the derived
-// cluster index — are held to the code they replaced: the DisableTiles full
-// scan (still the serving path of a tile-less server) and the assignment
-// scan + sort below.
+// cluster index — are held to the code they replaced: the full point scan and
+// the assignment scan + sort below.
+
+// oracleNear is Near as it ran before the tile pyramid, verbatim: test every
+// base and live point, keep the live, filter-matching ones inside the
+// radius, sort.
+func oracleNear(v *view, fs *filterSet, x, y, radius float64) []int64 {
+	r2 := radius * radius
+	var out []int64
+	for _, pts := range [][]project.Point{v.base.points, v.pts} {
+		for _, pt := range pts {
+			dx, dy := pt.X-x, pt.Y-y
+			if dx*dx+dy*dy <= r2 && !v.tombs[pt.Doc] &&
+				(fs == nil || fs.contains(pt.Doc)) {
+				out = append(out, pt.Doc)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
 
 // oracleThemeDocs is ThemeDocs as it ran before the cluster index, verbatim:
 // scan every assignment, keep the cluster's live, filter-matching documents,
@@ -50,14 +68,12 @@ func mapStore(n, k int, seed int64) *Store {
 	return st
 }
 
-// mapWorld is simWorld's corpus, stamped with metadata, served three ways —
-// a monolithic store behind a tiled (srv) and a tile-less (naive) server, and
-// a 4-shard router — and driven through one seeded stream of adds (some
-// projected far outside the frozen tile bounds), seals, deletes, compactions
-// and rebases.
+// mapWorld is simWorld's corpus, stamped with metadata, served two ways — a
+// monolithic store behind one server (srv) and a 4-shard router — and driven
+// through one seeded stream of adds (some projected far outside the frozen
+// tile bounds), seals, deletes, compactions and rebases.
 type mapWorld struct {
 	simWorld
-	naive *Server
 
 	outOfBounds, compactions, rebases int
 }
@@ -77,7 +93,6 @@ func newMapWorld(t *testing.T, seed int64) *mapWorld {
 		sh.SetLivePolicy(pol)
 	}
 	w.srv = newServerT(t, w.mono, Config{})
-	w.naive = newServerT(t, w.mono, Config{DisableTiles: true})
 	if w.router, err = NewRouter(w.shards, Config{}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,22 +130,22 @@ func (w *mapWorld) step() {
 				facets = []string{fmt.Sprintf("lang=l%d", doc%2), fmt.Sprintf("source=s%d", doc%3)}
 			}
 			w.live = append(w.live, doc)
-			w.each(doc, func(st *Store) error { _, err := st.AddCountsMeta(doc, nil, sig, ts, facets); return err })
+			w.each(doc, func(st *Store) error { return st.AddCountsMeta(doc, nil, sig, ts, facets) })
 			// The stores are written behind the router's back (the routed add
 			// takes text, not a chosen signature), so keep its shard pruning
 			// boxes covering the new point as its own add path does.
 			px, py := w.mono.Planar.Project(sig)
 			w.router.expandBox(ShardOf(doc, len(w.shards)), px, py)
 		}
-		w.each(-1, func(st *Store) error { _, err := st.Flush(); return err })
+		w.each(-1, (*Store).Flush)
 	case op < 9 && len(w.live) > 8:
 		i := w.rng.Intn(len(w.live))
 		doc := w.live[i]
 		w.live = slices.Delete(w.live, i, i+1)
-		w.each(doc, func(st *Store) error { _, err := st.Delete(doc); return err })
+		w.each(doc, func(st *Store) error { return st.Delete(doc) })
 	case op < 11:
 		w.compactions++
-		w.each(-1, func(st *Store) error { _, err := st.Compact(); return err })
+		w.each(-1, (*Store).Compact)
 	default:
 		w.rebases++
 		w.each(-1, (*Store).Rebase)
@@ -156,17 +171,17 @@ func TestMapReadsDifferential(t *testing.T) {
 	var outOfBounds, compactions, rebases, themeDocs int
 	for seed := int64(1); seed <= 3; seed++ {
 		w := newMapWorld(t, seed)
-		tiled, naive, routed := w.srv.NewSession(), w.naive.NewSession(), w.router.NewSession()
+		tiled, routed := w.srv.NewSession(), w.router.NewSession()
 		for round := 0; round < 40; round++ {
 			v := w.mono.viewNow()
 			box, _ := w.mono.DataBounds()
 			for _, f := range mapFilters() {
-				for _, err := range []error{tiled.SetFilter(f), naive.SetFilter(f), routed.SetFilter(f)} {
+				for _, err := range []error{tiled.SetFilter(f), routed.SetFilter(f)} {
 					if err != nil {
 						t.Fatal(err)
 					}
 				}
-				fs, _ := tiled.filterFor(v)
+				fs := tiled.filterFor(v)
 				for c := -1; c <= w.mono.K; c++ {
 					want := oracleThemeDocs(v, fs, c)
 					themeDocs += len(want)
@@ -183,7 +198,7 @@ func TestMapReadsDifferential(t *testing.T) {
 					x := box.MinX + (1.5*w.rng.Float64()-0.25)*(box.MaxX-box.MinX)
 					y := box.MinY + (1.5*w.rng.Float64()-0.25)*(box.MaxY-box.MinY)
 					r := []float64{0, -0.05 * span, 0.02 * span, 0.2 * span * w.rng.Float64(), span, 1e9}[w.rng.Intn(6)]
-					want := naive.Near(ctx, x, y, r)
+					want := oracleNear(v, fs, x, y, r)
 					if got := tiled.Near(ctx, x, y, r); !slices.Equal(got, want) {
 						t.Fatalf("seed %d round %d filter %+v: Near(%g, %g, %g) via tiles\n got %v\nscan %v", seed, round, f, x, y, r, got, want)
 					}
@@ -298,7 +313,7 @@ func TestConcurrentMapReads(t *testing.T) {
 				v := w.mono.viewNow()
 				got := sess.ThemeDocs(ctx, c)
 				if w.mono.viewNow() == v {
-					fs, _ := sess.filterFor(v)
+					fs := sess.filterFor(v)
 					if want := oracleThemeDocs(v, fs, c); !slices.Equal(got, want) {
 						t.Errorf("ThemeDocs(%d) at epoch %d = %v, want %v", c, v.epoch, got, want)
 						return

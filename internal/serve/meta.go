@@ -223,10 +223,6 @@ type filterSet struct {
 	pred *metaPred
 	bits *postings.Bits
 	docs []int64 // sorted; nil when bits != nil
-	n    int64   // member count
-	// scanned is the number of metadata rows walked by the build — the
-	// modeled cost of constructing the set.
-	scanned int64
 }
 
 // filterDensity is the span-per-member threshold below which a filter set
@@ -246,7 +242,6 @@ func buildFilterSet(v *view, f Filter) *filterSet {
 			docs = append(docs, doc)
 		}
 	}
-	fs.scanned = int64(len(b.metaDocs))
 	for _, s := range v.segs {
 		for i, doc := range s.Docs {
 			var ts int64
@@ -261,10 +256,8 @@ func buildFilterSet(v *view, f Filter) *filterSet {
 				docs = append(docs, doc)
 			}
 		}
-		fs.scanned += int64(len(s.Docs))
 	}
 	slices.Sort(docs)
-	fs.n = int64(len(docs))
 	if n := int64(len(docs)); n > 0 {
 		if span := docs[n-1] - docs[0] + 1; span/n < filterDensity {
 			bits := postings.NewBits(docs[0], docs[n-1]+1)

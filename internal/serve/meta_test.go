@@ -129,7 +129,7 @@ func TestSetBaseMetaValidates(t *testing.T) {
 	}
 
 	// Live state blocks the bulk path.
-	if _, _, err := st.AddMeta("apple banana", 99, []string{"k=v"}); err != nil {
+	if _, err := st.AddMeta("apple banana", 99, []string{"k=v"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.SetBaseMeta([]int64{0}, []int64{5}, row); err == nil {
@@ -430,7 +430,7 @@ func TestTileHistogramsIncrementalMatchRebuild(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if _, err := st.Flush(); err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	check("sealed")
@@ -439,7 +439,7 @@ func TestTileHistogramsIncrementalMatchRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(truth, added[3])
-	if _, err := st.Compact(); err != nil {
+	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	st.WaitCompaction()

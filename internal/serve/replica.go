@@ -215,13 +215,13 @@ func (set *ReplicaSet) harvestLocked(st *Store) {
 // rotation (catch-up revives it); a write the primary rejected is still
 // offered to followers — rejections are deterministic, and any side effects
 // (a delete seals the pending delta before rejecting) must converge too.
-func (set *ReplicaSet) apply(fn func(st *Store) (float64, error)) (float64, error) {
+func (set *ReplicaSet) apply(fn func(st *Store) error) error {
 	set.wmu.Lock()
 	defer set.wmu.Unlock()
 	p := set.primary()
 	st := p.store()
 	set.anchorLocked(st)
-	cost, err := fn(st)
+	err := fn(st)
 	set.harvestLocked(st)
 	if err == nil {
 		p.lastApplied = set.logSeq
@@ -230,14 +230,14 @@ func (set *ReplicaSet) apply(fn func(st *Store) (float64, error)) (float64, erro
 		if rep == p || !rep.live() {
 			continue
 		}
-		if _, ferr := fn(rep.store()); err == nil && ferr != nil {
+		if ferr := fn(rep.store()); err == nil && ferr != nil {
 			rep.failed.Store(true)
 			rep.state.Store(int32(ReplicaDead))
 			continue
 		}
 		rep.lastApplied = set.logSeq
 	}
-	return cost, err
+	return err
 }
 
 // NumReplicas returns the per-shard replica count.
@@ -275,7 +275,7 @@ func (r *Router) ReviveReplica(shard, rep int) error {
 	re.state.Store(int32(ReplicaLagging))
 	pst := p.store()
 	set.anchorLocked(pst)
-	if _, err := pst.Flush(); err != nil {
+	if err := pst.Flush(); err != nil {
 		re.state.Store(int32(ReplicaDead))
 		return err
 	}

@@ -11,23 +11,17 @@ import (
 	"inspire/internal/core"
 	"inspire/internal/query"
 	"inspire/internal/scan"
-	"inspire/internal/simtime"
 	"inspire/internal/tiles"
 )
 
 // Router serves analyst sessions over a document-partitioned shard set — the
-// scatter-gather front-end that lifts the single-store throughput ceiling of
-// Fig S1. Each shard runs behind its own Server (its own posting/similarity
-// caches and coalescing); the router replicates the vocabulary and the
-// global document frequencies, prunes fan-out with the per-shard DF
-// summaries (a shard whose DF is zero for a query's terms is never asked),
-// and k-way merges the per-shard answers. Queries whose terms are unknown or
-// absent from every shard short-circuit at the router without any fan-out.
-//
-// Virtual-time discipline carries over: a routed interaction is charged the
-// router-side lookups, one RPC round trip per participating shard, the
-// slowest shard's sub-query (the scatter runs in parallel on the modeled
-// shard servers, and on host goroutines), and the gather merge.
+// scatter-gather front-end over one Server per shard (each with its own
+// posting/similarity caches and coalescing). The router replicates the
+// vocabulary and the global document frequencies, prunes fan-out with the
+// per-shard DF summaries (a shard whose DF is zero for a query's terms is
+// never asked), runs the shard sub-queries in parallel, and k-way merges the
+// per-shard answers. Queries whose terms are unknown or absent from every
+// shard short-circuit at the router without any fan-out.
 //
 // Live ingestion routes through the router too: an add is tokenized and
 // signature-projected once at the router (the vocabulary and projection are
@@ -39,9 +33,8 @@ type Router struct {
 	// sets holds one replica group per logical shard (Config.Replicas
 	// servers each; one without replication). Reads pick a live replica
 	// per sub-query; writes apply to every live replica in order.
-	sets  []*ReplicaSet
-	model *simtime.Model
-	cfg   Config
+	sets []*ReplicaSet
+	cfg  Config
 
 	// Replicated router-side tables, guarded by dfMu: the query vocabulary
 	// (vocab resolves terms through shard 0's store, so mapped stores
@@ -112,7 +105,6 @@ func newRouter(shards []*Store, cfg Config) (*Router, error) {
 	first := shards[0]
 	r := &Router{
 		sets:     make([]*ReplicaSet, len(shards)),
-		model:    first.Model,
 		cfg:      cfg,
 		vocab:    first,
 		termList: first.TermList,
@@ -231,10 +223,10 @@ func (r *Router) primaryStore(i int) *Store { return r.sets[i].primary().store()
 func (r *Router) NewQuerier() Querier { return r.NewSession() }
 
 // NewSession opens a routed analyst session: one sub-session per shard
-// replica plus the router-side virtual-latency account. Like Session, a
-// RouterSession's methods must be called from one goroutine at a time;
-// distinct sessions are fully concurrent (hedged sub-queries inside one
-// interaction serialize per replica on the sub's own lock).
+// replica. Like Session, a RouterSession's methods must be called from one
+// goroutine at a time; distinct sessions are fully concurrent (hedged
+// sub-queries inside one interaction serialize per replica on the sub's own
+// lock).
 func (r *Router) NewSession() *RouterSession {
 	subs := make([][]*replicaSub, len(r.sets))
 	for i, set := range r.sets {
@@ -260,7 +252,6 @@ func (r *Router) Stats() Stats {
 		out.PostingMisses += st.PostingMisses
 		out.PostingEvictions += st.PostingEvictions
 		out.Coalesced += st.Coalesced
-		out.RemoteGets += st.RemoteGets
 		out.PartialFetches += st.PartialFetches
 		out.BlocksDecoded += st.BlocksDecoded
 		out.BlocksSkipped += st.BlocksSkipped
@@ -274,8 +265,6 @@ func (r *Router) Stats() Stats {
 		out.TileHits += st.TileHits
 		out.TileMisses += st.TileMisses
 		out.TilesPruned += st.TilesPruned
-		out.CompactVirtMS += st.CompactVirtMS
-		out.TileMaintVirtMS += st.TileMaintVirtMS
 		out.Adds += st.Adds
 		out.Deletes += st.Deletes
 		out.Seals += st.Seals
@@ -349,14 +338,13 @@ func (r *Router) Themes() []core.Theme { return r.themes }
 // --- RouterSession --------------------------------------------------------
 
 // RouterSession is one analyst's connection through the router: a sequential
-// stream of interactions whose account charges the scatter-gather cost model.
-// It holds one sub-session per shard replica so shard-side work is accounted
-// (and cached, coalesced) exactly like directly-served sessions.
+// stream of interactions. It holds one sub-session per shard replica so
+// shard-side work is cached and coalesced exactly like directly-served
+// sessions.
 type RouterSession struct {
 	r    *Router
 	ID   int64
 	subs [][]*replicaSub // [shard][replica]
-	acct account
 
 	// filter is the session's sticky metadata predicate (SetFilter). The
 	// shards partition the document space, so per-shard filtering commutes
@@ -370,8 +358,6 @@ type RouterSession struct {
 	// an interaction.
 	scratchShards []int
 	scratchIDs    []int64
-	scratchCosts  []float64
-	scratchBytes  []float64
 }
 
 // replicaSub is one session's connection to one replica. Its lock serializes
@@ -394,9 +380,6 @@ func (sub *replicaSub) session() *Session {
 	return sub.sess
 }
 
-// Stats snapshots the routed session's account.
-func (rs *RouterSession) Stats() SessionStats { return rs.acct.snapshot() }
-
 // SetFilter installs (or, with the zero Filter, clears) the session's sticky
 // metadata predicate. Later query interactions return only matching
 // documents, with exactly the answers the unfiltered query would return
@@ -415,10 +398,10 @@ func (rs *RouterSession) SetFilter(f Filter) error {
 // filter at the router, resolving each hit's metadata from its owning
 // shard's primary — the per-shard scans stay unfiltered so the merged cache
 // entry serves every session, filtered or not. Returns the kept hits (a
-// fresh slice; the input is never mutated) and the modeled probe cost.
-func (rs *RouterSession) applyFilterHits(hits []query.Hit) ([]query.Hit, float64) {
+// fresh slice; the input is never mutated).
+func (rs *RouterSession) applyFilterHits(hits []query.Hit) []query.Hit {
 	if rs.filter.Empty() {
-		return hits, 0
+		return hits
 	}
 	r := rs.r
 	kept := make([]query.Hit, 0, len(hits))
@@ -429,93 +412,43 @@ func (rs *RouterSession) applyFilterHits(hits []query.Hit) ([]query.Hit, float64
 			kept = append(kept, h)
 		}
 	}
-	return kept, r.model.FlopCost(float64(len(hits))) +
-		r.model.RPCRoundTrip(8*float64(len(hits)), 16*float64(len(hits)))
-}
-
-func (rs *RouterSession) charge(cost float64) {
-	rs.acct.add(cost)
-	rs.r.queries.Add(1)
-}
-
-// lookupCost models the router-side vocabulary probe (the dense map is
-// replicated to the router, like to the single-store front-end).
-func (rs *RouterSession) lookupCost(term string) float64 {
-	return rs.r.model.LocalCopyCost(float64(len(term) + 8))
-}
-
-// mergeCost models the gather-side k-way merge: a streaming pass that moves
-// every merged item through router memory once. The per-item comparisons ride
-// inside the stream (the shard count is small and the lists are disjoint), so
-// the merge is memory-rate like the decode and hit paths it sits between —
-// charging it at the flop rate would make gathering a list cost several times
-// more than decoding it.
-func (r *Router) mergeCost(items, width float64) float64 {
-	return r.model.LocalCopyCost(width * items)
+	return kept
 }
 
 // attemptOut is one replica attempt's outcome inside a scatter.
 type attemptOut[T any] struct {
 	val   T
-	bytes float64
-	cost  float64
 	ok    bool
 	hedge bool
 }
 
 // scatterQ fans one sub-interaction out to the listed shards and gathers the
-// typed replies (in ids order) plus the modeled cost of the round: one RPC
-// round trip per participating shard (the router issues requests and
-// collects replies serially) plus the slowest shard's sub-query — the shard
-// servers work in parallel, on host goroutines too. Each shard's sub-query
-// runs on a live replica picked by power-of-two-choices over in-flight
-// depth, hedges to a second replica past the set's hedge delay, and fails
-// over when a replica dies mid-flight. fn must issue exactly one interaction
-// on the sub-session it is handed and return the reply payload bytes.
+// typed replies in ids order. The shard sub-queries run in parallel, one
+// goroutine each. Each shard's sub-query runs on a live replica picked by
+// power-of-two-choices over in-flight depth, hedges to a second replica past
+// the set's hedge delay, and fails over when a replica dies mid-flight. fn
+// must issue exactly one interaction on the sub-session it is handed.
 //
 // A free function, not a method: Go methods cannot take type parameters, and
 // the per-shard winner-takes-result channel is what lets hedged attempts
 // race without two goroutines ever writing one results slot.
-// growFloats resizes a session scratch slice to n, reallocating only when the
-// fan-out widens past every earlier round.
-func growFloats(scratch *[]float64, n int) []float64 {
-	if cap(*scratch) < n {
-		*scratch = make([]float64, n)
-	}
-	s := (*scratch)[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func scatterQ[T any](ctx context.Context, rs *RouterSession, ids []int, reqBytes float64,
-	fn func(ctx context.Context, shard int, sub *Session) (T, float64)) ([]T, float64) {
+func scatterQ[T any](ctx context.Context, rs *RouterSession, ids []int,
+	fn func(ctx context.Context, shard int, sub *Session) T) []T {
 	r := rs.r
 	r.fanOuts.Add(1)
 	r.shardQueries.Add(uint64(len(ids)))
 	r.shardsPruned.Add(uint64(len(r.sets) - len(ids)))
 	results := make([]T, len(ids))
-	costs := growFloats(&rs.scratchCosts, len(ids))
-	bytes := growFloats(&rs.scratchBytes, len(ids))
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		wg.Add(1)
 		go func(i, id int) {
 			defer wg.Done()
-			out := replicaRead(ctx, rs, id, fn)
-			results[i], bytes[i], costs[i] = out.val, out.bytes, out.cost
+			results[i] = replicaRead(ctx, rs, id, fn).val
 		}(i, id)
 	}
 	wg.Wait()
-	var rpc, slowest float64
-	for i := range ids {
-		rpc += r.model.RPCRoundTrip(reqBytes, bytes[i])
-		if costs[i] > slowest {
-			slowest = costs[i]
-		}
-	}
-	return results, rpc + slowest
+	return results
 }
 
 // replicaRead runs one shard sub-query against the shard's replica set:
@@ -526,7 +459,7 @@ func scatterQ[T any](ctx context.Context, rs *RouterSession, ids []int, reqBytes
 // live replica is never stale). The winner's reply is the answer; losers
 // finish on their own sub locks and are discarded.
 func replicaRead[T any](ctx context.Context, rs *RouterSession, shard int,
-	fn func(ctx context.Context, shard int, sub *Session) (T, float64)) attemptOut[T] {
+	fn func(ctx context.Context, shard int, sub *Session) T) attemptOut[T] {
 	subs := rs.subs[shard]
 	set := rs.r.sets[shard]
 
@@ -548,9 +481,7 @@ func replicaRead[T any](ctx context.Context, rs *RouterSession, shard int,
 				return out
 			}
 		}
-		sess := sub.session()
-		out.val, out.bytes = fn(ctx, shard, sess)
-		out.cost = sess.acct.last()
+		out.val = fn(ctx, shard, sub.session())
 		// A kill that landed while the attempt ran means the reply may be
 		// from a half-dead replica: discard and let the caller fail over.
 		out.ok = force || (rep.live() && ctx.Err() == nil)
@@ -686,15 +617,6 @@ func (r *Router) allShards(dst []int) []int {
 	return out
 }
 
-// reqBytes models a scatter request payload carrying the query terms.
-func reqBytes(terms []string) float64 {
-	b := 8.0
-	for _, t := range terms {
-		b += float64(len(t) + 8)
-	}
-	return b
-}
-
 // TermDocs returns the posting list of a term across all shards (sorted by
 // document ID), or nil when the term is unknown — answered at the router
 // with no fan-out, like any term absent from every shard's DF summary.
@@ -703,29 +625,20 @@ func (rs *RouterSession) TermDocs(ctx context.Context, term string) []query.Post
 		return nil
 	}
 	r := rs.r
-	cost := rs.lookupCost(term)
+	r.queries.Add(1)
 	t, ok := r.termID(term)
-	if ok {
-		cost += r.model.LocalCopyCost(8)
-	}
 	if !ok || r.globalDF(t) == 0 {
 		r.shortCircuits.Add(1)
-		rs.charge(cost)
 		return nil
 	}
 	live := r.liveShards(rs.scratchShards[:0], t)
 	rs.scratchShards = live
-	parts, scCost := scatterQ(ctx, rs, live, reqBytes([]string{term}),
-		func(ctx context.Context, shard int, sub *Session) ([]query.Posting, float64) {
+	parts := scatterQ(ctx, rs, live,
+		func(ctx context.Context, shard int, sub *Session) []query.Posting {
 			_ = sub.SetFilter(rs.filter)
-			out := sub.TermDocs(ctx, term)
-			return out, 16 * float64(len(out))
+			return sub.TermDocs(ctx, term)
 		})
-	cost += scCost
-	out := mergePostings(parts)
-	cost += r.mergeCost(float64(len(out)), 16)
-	rs.charge(cost)
-	return out
+	return mergePostings(parts)
 }
 
 // DF returns a term's global document frequency (0 when absent) — a
@@ -737,13 +650,11 @@ func (rs *RouterSession) DF(ctx context.Context, term string) int64 {
 		return 0
 	}
 	r := rs.r
-	cost := rs.lookupCost(term)
+	r.queries.Add(1)
 	t, ok := r.termID(term)
 	if !ok {
-		rs.charge(cost)
 		return 0
 	}
-	rs.charge(cost + r.model.LocalCopyCost(8))
 	return r.globalDF(t)
 }
 
@@ -759,42 +670,30 @@ func (rs *RouterSession) And(ctx context.Context, terms ...string) []int64 {
 		return nil
 	}
 	r := rs.r
-	var cost float64
+	r.queries.Add(1)
 	ids := rs.scratchIDs[:0]
 	for _, term := range terms {
-		cost += rs.lookupCost(term)
 		t, ok := r.termID(term)
-		if ok {
-			cost += r.model.LocalCopyCost(8)
-		}
 		if !ok || r.globalDF(t) == 0 {
 			r.shortCircuits.Add(1)
 			rs.scratchIDs = ids[:0]
-			rs.charge(cost)
 			return nil
 		}
 		ids = append(ids, t)
 	}
 	rs.scratchIDs = ids
-	// Per-shard pruning costs one summary probe per (term, shard).
-	cost += r.model.LocalCopyCost(8 * float64(len(ids)*len(r.sets)))
 	live := r.andShards(rs.scratchShards[:0], ids)
 	rs.scratchShards = live
 	if len(live) == 0 {
 		r.shortCircuits.Add(1)
-		rs.charge(cost)
 		return nil
 	}
-	parts, scCost := scatterQ(ctx, rs, live, reqBytes(terms),
-		func(ctx context.Context, shard int, sub *Session) ([]int64, float64) {
+	parts := scatterQ(ctx, rs, live,
+		func(ctx context.Context, shard int, sub *Session) []int64 {
 			_ = sub.SetFilter(rs.filter)
-			out := sub.And(ctx, terms...)
-			return out, 8 * float64(len(out))
+			return sub.And(ctx, terms...)
 		})
-	cost += scCost
 	out := mergeDocs(parts)
-	cost += r.mergeCost(float64(len(out)), 8)
-	rs.charge(cost)
 	if len(out) == 0 {
 		return nil
 	}
@@ -809,38 +708,26 @@ func (rs *RouterSession) Or(ctx context.Context, terms ...string) []int64 {
 		return nil
 	}
 	r := rs.r
-	var cost float64
+	r.queries.Add(1)
 	ids := rs.scratchIDs[:0]
 	for _, term := range terms {
-		cost += rs.lookupCost(term)
-		t, ok := r.termID(term)
-		if !ok {
-			continue
-		}
-		cost += r.model.LocalCopyCost(8)
-		if r.globalDF(t) > 0 {
+		if t, ok := r.termID(term); ok && r.globalDF(t) > 0 {
 			ids = append(ids, t)
 		}
 	}
 	rs.scratchIDs = ids
-	cost += r.model.LocalCopyCost(8 * float64(len(ids)*len(r.sets)))
 	live := r.orShards(rs.scratchShards[:0], ids)
 	rs.scratchShards = live
 	if len(live) == 0 {
 		r.shortCircuits.Add(1)
-		rs.charge(cost)
 		return []int64{} // query.Engine.Or returns an empty, non-nil union
 	}
-	parts, scCost := scatterQ(ctx, rs, live, reqBytes(terms),
-		func(ctx context.Context, shard int, sub *Session) ([]int64, float64) {
+	parts := scatterQ(ctx, rs, live,
+		func(ctx context.Context, shard int, sub *Session) []int64 {
 			_ = sub.SetFilter(rs.filter)
-			out := sub.Or(ctx, terms...)
-			return out, 8 * float64(len(out))
+			return sub.Or(ctx, terms...)
 		})
-	cost += scCost
 	out := mergeDocs(parts)
-	cost += r.mergeCost(float64(len(out)), 8)
-	rs.charge(cost)
 	if out == nil {
 		out = []int64{}
 	}
@@ -861,7 +748,7 @@ func (rs *RouterSession) Similar(ctx context.Context, doc int64, k int) ([]query
 		return nil, fmt.Errorf("serve: similar: k must be positive")
 	}
 	r := rs.r
-	m := r.model
+	r.queries.Add(1)
 	// The merged-answer cache versions itself on the sum of the shard
 	// epochs: any seal, delete or signature swap anywhere in the set moves
 	// the sum, so stale merges age out like single-store entries.
@@ -871,9 +758,7 @@ func (rs *RouterSession) Similar(ctx context.Context, doc int64, k int) ([]query
 	r.smu.Unlock()
 	if ok {
 		r.simHits.Add(1)
-		hits, fc := rs.applyFilterHits(hits)
-		rs.charge(m.LocalCopyCost(16*float64(len(hits))) + fc)
-		return hits, nil
+		return rs.applyFilterHits(hits), nil
 	}
 	r.simMisses.Add(1)
 
@@ -884,24 +769,19 @@ func (rs *RouterSession) Similar(ctx context.Context, doc int64, k int) ([]query
 	// The target signature comes from the owner's primary — a dead replica's
 	// frozen slice could miss a signature swap the survivors published.
 	target, found := r.sets[owner].primary().Server().signature(doc)
-	cost := m.RPCRoundTrip(8, 8*float64(len(target)))
 	if !found || target == nil {
-		rs.charge(cost)
 		return nil, fmt.Errorf("serve: document %d not found or has a null signature", doc)
 	}
 	all := r.allShards(rs.scratchShards[:0])
 	rs.scratchShards = all
-	parts, scCost := scatterQ(ctx, rs, all, 8*float64(len(target))+16,
-		func(ctx context.Context, shard int, sub *Session) ([]query.Hit, float64) {
+	parts := scatterQ(ctx, rs, all,
+		func(ctx context.Context, shard int, sub *Session) []query.Hit {
 			// The shard scans stay unfiltered (the merged answer is cached for
 			// every session); clear any filter an earlier routed query pushed.
 			_ = sub.SetFilter(Filter{})
-			out := sub.similarTo(target, doc, k)
-			return out, 16 * float64(len(out))
+			return sub.similarTo(target, doc, k)
 		})
-	cost += scCost
 	hits = mergeHits(parts, k)
-	cost += r.mergeCost(float64(len(hits)), 16)
 
 	// The shards resolved their views after the key's sum was read, so under
 	// concurrent ingest the merged answer can reflect newer epochs than the
@@ -916,9 +796,7 @@ func (rs *RouterSession) Similar(ctx context.Context, doc int64, k int) ([]query
 	}
 	// The cache holds the unfiltered merge; the session's filter applies to
 	// a copy after the add, exactly like the single-store session.
-	hits, fc := rs.applyFilterHits(hits)
-	rs.charge(cost + fc)
-	return hits, nil
+	return rs.applyFilterHits(hits), nil
 }
 
 // ThemeDocs returns the document IDs assigned to a k-means cluster, sorted —
@@ -929,27 +807,22 @@ func (rs *RouterSession) ThemeDocs(ctx context.Context, cluster int) []int64 {
 		return nil
 	}
 	r := rs.r
+	r.queries.Add(1)
 	all := r.allShards(rs.scratchShards[:0])
 	rs.scratchShards = all
-	parts, cost := scatterQ(ctx, rs, all, 16,
-		func(ctx context.Context, shard int, sub *Session) ([]int64, float64) {
+	parts := scatterQ(ctx, rs, all,
+		func(ctx context.Context, shard int, sub *Session) []int64 {
 			_ = sub.SetFilter(rs.filter)
-			out := sub.ThemeDocs(ctx, cluster)
-			return out, 8 * float64(len(out))
+			return sub.ThemeDocs(ctx, cluster)
 		})
-	out := mergeDocs(parts)
-	cost += r.mergeCost(float64(len(out)), 8)
-	rs.charge(cost)
-	return out
+	return mergeDocs(parts)
 }
 
 // Add ingests one document through the router: tokenized and
 // signature-projected once at the router against the replicated vocabulary
 // and projection, assigned the next global document ID, and routed to shard
-// ID mod S. The interaction is charged the router-side prepare, the RPC
-// round trip, and the shard's append (the shard sub-session accounts it
-// too, like any other sub-query). The router folds the document's terms into
-// its replicated DF tables so later pruning sees them.
+// ID mod S. The router folds the document's terms into its replicated DF
+// tables so later pruning sees them.
 func (rs *RouterSession) Add(ctx context.Context, text string) (int64, error) {
 	return rs.AddDoc(ctx, text, 0, nil)
 }
@@ -966,8 +839,9 @@ func (rs *RouterSession) AddDoc(ctx context.Context, text string, ts int64, face
 		return 0, err
 	}
 	r := rs.r
+	r.queries.Add(1)
 	st := r.vocab
-	counts, sig, prep := st.prepareDoc(text)
+	counts, sig := st.prepareDoc(text)
 	doc := r.nextDoc.Add(1) - 1
 	shard := ShardOf(doc, len(r.sets))
 	// Fold the document's terms into the replicated DF tables before the
@@ -989,12 +863,9 @@ func (rs *RouterSession) AddDoc(ctx context.Context, text string, ts int64, face
 		px, py := pl.Project(sig)
 		r.expandBox(shard, px, py)
 	}
-	appendCost, err := r.sets[shard].apply(func(s *Store) (float64, error) {
+	err = r.sets[shard].apply(func(s *Store) error {
 		return s.AddCountsMeta(doc, counts, sig, ts, nf)
 	})
-	rs.chargeShard(shard, appendCost)
-	cost := prep + r.model.RPCRoundTrip(float64(len(text))+8, 8) + appendCost
-	rs.charge(cost)
 	if err != nil {
 		r.dfMu.Lock()
 		for t := range counts {
@@ -1005,23 +876,6 @@ func (rs *RouterSession) AddDoc(ctx context.Context, text string, ts int64, face
 		return 0, err
 	}
 	return doc, nil
-}
-
-// chargeShard books a routed write's shard-side cost on the primary
-// replica's sub-session, so shard accounts see routed ingest exactly like
-// directly-served sessions do.
-func (rs *RouterSession) chargeShard(shard int, cost float64) {
-	p := rs.r.sets[shard].primary()
-	sub := rs.subs[shard][0]
-	for _, s := range rs.subs[shard] {
-		if s.rep == p {
-			sub = s
-			break
-		}
-	}
-	sub.mu.Lock()
-	sub.session().charge(cost)
-	sub.mu.Unlock()
 }
 
 // Delete tombstones a document on its owning shard (ID mod S). The
@@ -1035,13 +889,10 @@ func (rs *RouterSession) Delete(ctx context.Context, doc int64) error {
 	if doc < 0 {
 		return fmt.Errorf("serve: delete: unknown document %d", doc)
 	}
-	shard := ShardOf(doc, len(r.sets))
-	cost, err := r.sets[shard].apply(func(s *Store) (float64, error) {
+	r.queries.Add(1)
+	return r.sets[ShardOf(doc, len(r.sets))].apply(func(s *Store) error {
 		return s.Delete(doc)
 	})
-	rs.chargeShard(shard, cost)
-	rs.charge(r.model.RPCRoundTrip(16, 8) + cost)
-	return err
 }
 
 // FlushLive makes pending adds visible on every shard, sealing every live
@@ -1051,7 +902,7 @@ func (r *Router) FlushLive(ctx context.Context) error {
 		return err
 	}
 	for i, set := range r.sets {
-		if _, err := set.apply(func(s *Store) (float64, error) { return s.Flush() }); err != nil {
+		if err := set.apply((*Store).Flush); err != nil {
 			return fmt.Errorf("serve: flush shard %d: %w", i, err)
 		}
 	}
@@ -1066,7 +917,7 @@ func (r *Router) CompactLive(ctx context.Context) error {
 		return err
 	}
 	for i, set := range r.sets {
-		if _, err := set.apply(func(s *Store) (float64, error) { return s.Compact() }); err != nil {
+		if err := set.apply((*Store).Compact); err != nil {
 			return fmt.Errorf("serve: compact shard %d: %w", i, err)
 		}
 	}
@@ -1098,24 +949,20 @@ func (rs *RouterSession) Near(ctx context.Context, x, y, radius float64) []int64
 		return nil
 	}
 	r := rs.r
+	r.queries.Add(1)
 	rad := math.Abs(radius)
 	live := r.tileShards(r.cfg.tileConfig().MaxZoom,
 		tiles.Rect{MinX: x - rad, MinY: y - rad, MaxX: x + rad, MaxY: y + rad})
 	if len(live) == 0 {
 		r.shortCircuits.Add(1)
-		rs.charge(r.model.LocalCopyCost(24))
 		return nil
 	}
-	parts, cost := scatterQ(ctx, rs, live, 24,
-		func(ctx context.Context, shard int, sub *Session) ([]int64, float64) {
+	parts := scatterQ(ctx, rs, live,
+		func(ctx context.Context, shard int, sub *Session) []int64 {
 			_ = sub.SetFilter(rs.filter)
-			out := sub.Near(ctx, x, y, radius)
-			return out, 8 * float64(len(out))
+			return sub.Near(ctx, x, y, radius)
 		})
-	out := mergeDocs(parts)
-	cost += r.mergeCost(float64(len(out)), 8)
-	rs.charge(cost)
-	return out
+	return mergeDocs(parts)
 }
 
 // --- gather merges --------------------------------------------------------

@@ -137,10 +137,10 @@ func TestSnapshotMatchesCorpus(t *testing.T) {
 		t.Fatalf("near-all found %d of %d", len(all), len(miniDocs))
 	}
 
-	// Virtual latency is accounted per interaction.
-	sst := sess.Stats()
-	if sst.Ops == 0 || sst.VirtualSeconds < 0 || sst.MeanMS < 0 {
-		t.Fatalf("session account broken: %+v", sst)
+	// Every interaction counts once, the failed Similar included: three
+	// term, two DF, two And, one Or, two Similar, K theme and one Near reads.
+	if got, want := srv.Stats().Queries, uint64(11+st.K); got != want {
+		t.Fatalf("server counted %d queries, want %d", got, want)
 	}
 }
 
@@ -188,30 +188,17 @@ func TestCachedAnswersIdenticalToCold(t *testing.T) {
 		t.Fatalf("fresh server similarity differs")
 	}
 
-	// A cache hit is cheaper in virtual time than the remote miss was —
-	// under the calibrated model, where remote transfers actually cost.
-	st.Model = simtime.PNNLCluster2007()
-	srv3 := newServerT(t, st, Config{FrontRank: 1})
+	// A repeat is answered from the cache: the first read of a term decodes
+	// its list once, the second decodes nothing and joins no fetch.
+	srv3 := newServerT(t, st, Config{})
 	s3 := srv3.NewSession()
-	var missCost, hitCost float64
-	// Find a term owned by a rank other than the front-end so the miss pays
-	// a modeled remote transfer.
-	term := ""
-	for _, cand := range []string{"apple", "banana", "cherry", "durian", "elder", "fig"} {
-		if id, ok := st.TermID(cand); ok && st.Owner(id) != 1 {
-			term = cand
-			break
-		}
+	s3.TermDocs(context.Background(), "cherry")
+	if s := srv3.Stats(); s.PostingMisses != 1 || s.PostingHits != 0 || s.Coalesced != 0 {
+		t.Fatalf("cold read: %d misses, %d hits, %d coalesced; want 1, 0, 0", s.PostingMisses, s.PostingHits, s.Coalesced)
 	}
-	if term == "" {
-		t.Skip("every probe term owned by front-end rank")
-	}
-	s3.TermDocs(context.Background(), term)
-	missCost = s3.Stats().LastMS
-	s3.TermDocs(context.Background(), term)
-	hitCost = s3.Stats().LastMS
-	if hitCost >= missCost {
-		t.Fatalf("cache hit (%.6f ms) not cheaper than remote miss (%.6f ms)", hitCost, missCost)
+	s3.TermDocs(context.Background(), "cherry")
+	if s := srv3.Stats(); s.PostingMisses != 1 || s.PostingHits != 1 || s.Coalesced != 0 {
+		t.Fatalf("warm read: %d misses, %d hits, %d coalesced; want 1, 1, 0", s.PostingMisses, s.PostingHits, s.Coalesced)
 	}
 }
 
@@ -286,8 +273,8 @@ func TestConcurrentMixedWorkloadRace(t *testing.T) {
 	if rep.Stats.PostingHitRate() <= 0 {
 		t.Fatalf("skewed workload produced no cache hits: %+v", rep.Stats)
 	}
-	if rep.MeanVirtualMS <= 0 {
-		t.Fatalf("no virtual latency accounted: %+v", rep)
+	if rep.QPS <= 0 || rep.WallSeconds <= 0 {
+		t.Fatalf("no host throughput measured: %+v", rep)
 	}
 	if rep.String() == "" || rep.OpMix() == "" {
 		t.Fatal("empty report rendering")
@@ -325,6 +312,28 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadStore(bytes.NewReader([]byte("not a store"))); err == nil {
 		t.Fatal("garbage store loaded")
+	}
+}
+
+// TestPostingCompressionFloor holds the posting codec to its floor: the
+// block-coded lists (bitmap containers included) of a generated PubMed-style
+// corpus take at most 1/2.5 of the 16 bytes per (doc, freq) pair a flat
+// layout would. The corpus is the paper's 2.75 GB PubMed set at 1/1024 scale,
+// the one the figures harness (internal/bench) generates by default; it
+// compresses 3.49x.
+func TestPostingCompressionFloor(t *testing.T) {
+	sources := corpus.Generate(corpus.GenSpec{
+		Format: corpus.FormatPubMed, TargetBytes: 2.75 * (1 << 30) / 1024, Sources: 64, Seed: 275, VocabSize: 24000, Topics: 16,
+	})
+	st := batchStore(t, sources, 4)
+	var pairs int64
+	for _, n := range st.DF {
+		pairs += n
+	}
+	ratio := 16 * float64(pairs) / float64(st.Posts.SizeBytes())
+	t.Logf("%d postings in %d bytes: %.2fx smaller than flat", pairs, st.Posts.SizeBytes(), ratio)
+	if ratio < 2.5 {
+		t.Fatalf("postings compress %.2fx, below the 2.5x floor", ratio)
 	}
 }
 
@@ -381,19 +390,28 @@ func TestTopTermsAndSampleDocs(t *testing.T) {
 }
 
 func TestAndShortCircuitsDoomedQueries(t *testing.T) {
-	st := buildStoreT(t, 3)
+	st := buildStoreT(t, 3).Fork()
+	// A sealed segment holding both known terms, so a conjunction that read
+	// postings would have segment lists to fetch too.
+	if _, err := st.Add("apple banana"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	srv := newServerT(t, st, Config{})
 	sess := srv.NewSession()
-	// A conjunction containing an unknown term must not transfer a single
-	// posting list — only the vocabulary lookups made so far are charged.
+	// A conjunction containing an unknown term must not read a single
+	// posting list: only the vocabulary and DF descriptors are consulted.
 	if got := sess.And(context.Background(), "apple", "nonexistent", "banana"); got != nil {
 		t.Fatalf("doomed And = %v", got)
 	}
-	if s := srv.Stats(); s.PostingHits+s.PostingMisses+s.Coalesced+s.PartialFetches != 0 {
+	s := srv.Stats()
+	if s.PostingHits+s.PostingMisses+s.Coalesced != 0 || s.PartialFetches != 0 || s.SegmentFetches != 0 {
 		t.Fatalf("doomed And moved posting lists: %+v", s)
 	}
-	if sess.Stats().Ops != 1 || sess.Stats().VirtualSeconds <= 0 {
-		t.Fatalf("doomed And not accounted: %+v", sess.Stats())
+	if s.Queries != 1 {
+		t.Fatalf("doomed And counted %d interactions, want 1", s.Queries)
 	}
 }
 

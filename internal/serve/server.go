@@ -12,7 +12,6 @@ import (
 
 	"inspire/internal/core"
 	"inspire/internal/postings"
-	"inspire/internal/project"
 	"inspire/internal/query"
 	"inspire/internal/segment"
 	"inspire/internal/storefile"
@@ -25,10 +24,6 @@ type Config struct {
 	PostingCacheEntries int
 	// SimCacheEntries bounds the top-K similarity result cache. Default 512.
 	SimCacheEntries int
-	// FrontRank is the producing-run rank modeled as hosting the serving
-	// front-end: postings owned by it are local memory reads, everything
-	// else is a modeled remote one-sided get. Default 0.
-	FrontRank int
 
 	// TileMaxZoom is the deepest zoom level of the Galaxy tile pyramid
 	// (levels 0..TileMaxZoom). Default 6.
@@ -44,10 +39,6 @@ type Config struct {
 	// TileCacheEntries bounds the epoch-keyed tile result LRU. Default
 	// 1024.
 	TileCacheEntries int
-	// DisableTiles turns the tile pyramid off: Tile/TileRange error and
-	// Near falls back to the full point scan — the pre-tiles behaviour the
-	// Fig S5 baseline measures.
-	DisableTiles bool
 
 	// MapBudgetBytes caps the heap bytes a mapped (INSPSTORE4) store may
 	// pin for decoded posting lists; past it the cache stops admitting and
@@ -139,10 +130,9 @@ type Stats struct {
 	Queries uint64 // interactions served across all sessions
 
 	PostingHits      uint64 // posting fetches answered from the LRU cache
-	PostingMisses    uint64 // posting fetches that went to the (modeled) index
+	PostingMisses    uint64 // posting fetches that decoded from the store
 	PostingEvictions uint64 // LRU entries displaced
 	Coalesced        uint64 // fetches that joined an in-flight get for the same term
-	RemoteGets       uint64 // misses whose term owner was not the front-end rank
 
 	PartialFetches uint64 // And intersections served straight off compressed blocks
 	BlocksDecoded  uint64 // posting blocks decoded during partial fetches
@@ -172,11 +162,6 @@ type Stats struct {
 	TileHits    uint64 // tile queries answered from the epoch-keyed tile LRU
 	TileMisses  uint64 // tile queries that read the maintained pyramid
 	TilesPruned uint64 // quadtree subtrees ruled out by spatial walks untouched
-
-	// Maintenance accounts: modeled virtual milliseconds charged to work
-	// kept off every session's critical path.
-	CompactVirtMS   float64 // background compaction and rebase merges
-	TileMaintVirtMS float64 // tile-pyramid builds and lineage patches
 
 	FanOuts       uint64 // router scatter rounds issued
 	ShardQueries  uint64 // sub-queries executed on shard servers
@@ -246,11 +231,10 @@ type postKey struct {
 }
 
 // flight is one in-progress posting fetch; concurrent requests for the same
-// term coalesce onto it and share its single modeled transfer.
+// term coalesce onto it and share its single decode.
 type flight struct {
 	done chan struct{}
 	val  postingVal
-	cost float64
 }
 
 // simKey keys the similarity caches. The epoch makes every published change
@@ -275,16 +259,14 @@ type filterKey struct {
 const filterCacheEntries = 64
 
 // Querier is the session surface shared by single-store Sessions and sharded
-// RouterSessions: one analyst's sequential interaction stream with its own
-// virtual-latency account, including the live-ingestion verbs. A Querier's
-// methods must be called from one goroutine at a time; distinct Queriers are
-// fully concurrent.
+// RouterSessions: one analyst's sequential interaction stream, including the
+// live-ingestion verbs. A Querier's methods must be called from one
+// goroutine at a time; distinct Queriers are fully concurrent.
 //
 // Every interaction takes a context as its first parameter: cancellation
 // (client disconnect, admission deadline, a hedged request losing its race)
 // stops the interaction early — error-returning ops surface ctx.Err(),
-// slice-returning ops return nil. Stats is a pure accessor and stays
-// context-free.
+// slice-returning ops return nil.
 type Querier interface {
 	TermDocs(ctx context.Context, term string) []query.Posting
 	DF(ctx context.Context, term string) int64
@@ -303,7 +285,6 @@ type Querier interface {
 	// returns exactly the unfiltered answer with non-matching documents
 	// removed. DF is a descriptor read and stays unfiltered.
 	SetFilter(f Filter) error
-	Stats() SessionStats
 }
 
 // Service is what serves analyst sessions: a single-store Server or a
@@ -356,7 +337,6 @@ type Server struct {
 	postingMisses    atomic.Uint64
 	postingEvictions atomic.Uint64
 	coalesced        atomic.Uint64
-	remoteGets       atomic.Uint64
 	partialFetches   atomic.Uint64
 	blocksDecoded    atomic.Uint64
 	blocksSkipped    atomic.Uint64
@@ -443,8 +423,7 @@ func (s *Server) FlushLive(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	_, err := s.store.Flush()
-	return err
+	return s.store.Flush()
 }
 
 // CompactLive merges the store's sealed segments now (Store.Compact).
@@ -452,8 +431,7 @@ func (s *Server) CompactLive(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	_, err := s.store.Compact()
-	return err
+	return s.store.Compact()
 }
 
 // SaveLive persists the store with its live state folded in: pending adds
@@ -478,7 +456,6 @@ func (s *Server) signature(doc int64) ([]float64, bool) {
 // Stats snapshots the server counters plus the store's ingest counters.
 func (s *Server) Stats() Stats {
 	live := &s.store.live
-	compactMS, tileMS := s.store.maintVirtMS()
 	var rs storefile.ResidentStats
 	if s.store.res != nil {
 		rs = s.store.res.Stats()
@@ -489,7 +466,6 @@ func (s *Server) Stats() Stats {
 		PostingMisses:    s.postingMisses.Load(),
 		PostingEvictions: s.postingEvictions.Load(),
 		Coalesced:        s.coalesced.Load(),
-		RemoteGets:       s.remoteGets.Load(),
 		PartialFetches:   s.partialFetches.Load(),
 		BlocksDecoded:    s.blocksDecoded.Load(),
 		BlocksSkipped:    s.blocksSkipped.Load(),
@@ -512,8 +488,6 @@ func (s *Server) Stats() Stats {
 		Deletes:          live.deletes.Load(),
 		Seals:            live.seals.Load(),
 		Compactions:      live.compactions.Load(),
-		CompactVirtMS:    compactMS,
-		TileMaintVirtMS:  tileMS,
 
 		ResidentPinnedBytes: rs.PinnedBytes,
 		ResidentMappedBytes: rs.MappedBytes,
@@ -521,119 +495,31 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// NewSession opens an analyst session. Sessions are cheap; each accumulates
-// its own virtual-latency account. A session's methods must be called from
-// one goroutine at a time; different sessions are fully concurrent.
+// NewSession opens an analyst session. Sessions are cheap. A session's
+// methods must be called from one goroutine at a time; different sessions
+// are fully concurrent.
 func (s *Server) NewSession() *Session {
 	return &Session{s: s, ID: s.nextSession.Add(1)}
 }
 
 // --- posting fetch path ---------------------------------------------------
 
-// wireCost models one uncached base posting fetch: two descriptor reads
-// (count, offset) plus the posting payload, one-sided against the owner or
-// local memory copies when the front-end owns the term. The block-coded
-// bytes move — several times fewer than the decoded pairs — and the front-end
-// pays the varint+delta decode.
-func (s *Server) wireCost(b *baseView, t int64, n int64) float64 {
-	m := s.store.Model
-	docB, freqB := b.posts.TermBytes(t)
-	payload := float64(docB + freqB)
-	// Varint+delta decode streams at memory rate: charged as writing
-	// the decoded int64 pairs, like the block decoders it models.
-	decode := m.LocalCopyCost(16 * float64(n))
-	if s.store.Owner(t) != s.cfg.FrontRank {
-		return 2*m.OneSidedCost(8) + m.OneSidedCost(payload) + decode
-	}
-	return 2*m.LocalCopyCost(8) + m.LocalCopyCost(payload) + decode
-}
-
-// partialCost models a block-skipping intersection against term t's
-// compressed base list: the skip-directory probe plus only the decoded doc
-// blocks move (ruled-out blocks cost nothing), decode runs at memory rate
-// over the decoded blocks, and the merge walk covers the candidates plus the
-// decoded postings.
-func (s *Server) partialCost(t int64, accLen int, ist postings.IntersectStats) float64 {
-	m := s.store.Model
-	dir := 8 + 24*float64(ist.BlocksDecoded+ist.BlocksSkipped)
-	payload := float64(ist.BytesDecoded)
-	decoded := float64(ist.PostingsDecoded)
-	work := m.LocalCopyCost(8*decoded) + m.FlopCost(2*(float64(accLen)+decoded))
-	if s.store.Owner(t) != s.cfg.FrontRank {
-		return m.OneSidedCost(dir) + m.OneSidedCost(payload) + work
-	}
-	return m.LocalCopyCost(dir) + m.LocalCopyCost(payload) + work
-}
-
-// hitCost models a cache hit: a front-end memory copy of the list.
-func (s *Server) hitCost(n int) float64 {
-	return s.store.Model.LocalCopyCost(16 * float64(n))
-}
-
-// bitmapTouchCost models streaming n bytes of term t's bitmap words:
-// one-sided when the term's owner is remote, a memory read otherwise. On a
-// mapped store those bytes are the file's own pages — nothing is decoded or
-// staged, so this is the whole transfer.
-func (s *Server) bitmapTouchCost(t int64, bytes float64) float64 {
-	m := s.store.Model
-	if s.store.Owner(t) != s.cfg.FrontRank {
-		return m.OneSidedCost(bytes)
-	}
-	return m.LocalCopyCost(bytes)
-}
-
-// bitmapAndCost models the dense∧dense kernel: both operands' overlapping
-// words stream through one AND per 64 candidate docs, then the surviving doc
-// IDs write out at memory rate.
-func (s *Server) bitmapAndCost(a, b int64, ist postings.IntersectStats, outLen int) float64 {
-	m := s.store.Model
-	words := float64(ist.WordsScanned)
-	return s.bitmapTouchCost(a, 8*words) + s.bitmapTouchCost(b, 8*words) +
-		m.FlopCost(words) + m.LocalCopyCost(8*float64(outLen))
-}
-
-// bitmapProbeCost models the dense∧sparse kernel: one word read and one bit
-// test per accumulator doc.
-func (s *Server) bitmapProbeCost(t int64, ist postings.IntersectStats) float64 {
-	probes := float64(ist.BitProbes)
-	return s.bitmapTouchCost(t, 8*probes) + s.store.Model.FlopCost(probes)
-}
-
-// bitmapSeedCost models enumerating a bitmap term to seed an accumulator:
-// the words stream in and the doc IDs write out at memory rate.
-func (s *Server) bitmapSeedCost(ps *postings.Store, t int64, outLen int) float64 {
-	docB, _ := ps.TermBytes(t)
-	return s.bitmapTouchCost(t, float64(docB)) +
-		s.store.Model.LocalCopyCost(8*float64(outLen))
-}
-
-// segCost models reading term t's postings from a sealed segment: segments
-// live in front-end memory, so the compressed bytes move and decode at
-// memory rate.
-func (s *Server) segCost(seg *segment.Segment, t int64, n int64) float64 {
-	m := s.store.Model
-	docB, freqB := seg.Posts.TermBytes(t)
-	return m.LocalCopyCost(float64(docB+freqB)) + m.LocalCopyCost(16*float64(n))
-}
-
-// getPostings returns term t's base postings under the view's generation and
-// the virtual cost of obtaining them, consulting the LRU cache and
-// coalescing concurrent misses for the same term into one modeled transfer.
-func (s *Server) getPostings(v *view, t int64) (postingVal, float64) {
+// getPostings returns term t's base postings under the view's generation,
+// consulting the LRU cache and coalescing concurrent misses for the same
+// term into one decode.
+func (s *Server) getPostings(v *view, t int64) postingVal {
 	key := postKey{gen: v.gen, t: t}
 	s.pmu.Lock()
 	if val, ok := s.postings.get(key); ok {
 		s.pmu.Unlock()
 		s.postingHits.Add(1)
-		return val, s.hitCost(len(val.docs))
+		return val
 	}
 	if f, ok := s.flights[key]; ok {
 		s.pmu.Unlock()
 		s.coalesced.Add(1)
 		<-f.done
-		// The joiner shares the in-flight transfer: same arrival, no new
-		// traffic charged to the term owner.
-		return f.val, f.cost
+		return f.val
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
@@ -642,16 +528,11 @@ func (s *Server) getPostings(v *view, t int64) (postingVal, float64) {
 	s.postingMisses.Add(1)
 	docs, freqs := v.base.posts.Postings(t)
 	f.val = postingVal{docs: docs, freqs: freqs}
-	f.cost = s.wireCost(v.base, t, int64(len(docs)))
 	if v.base.posts.IsBitmap(t) {
 		// A bitmap term materializes by popcount enumeration, not varint
-		// decode (wireCost already moves its word bytes via TermBytes). The
-		// And path never gets here for bitmap terms; Or/TermDocs do, and the
-		// list is cached like any other.
+		// decode. The And path never gets here for bitmap terms; Or/TermDocs
+		// do, and the list is cached like any other.
 		s.bitmapServes.Add(1)
-	}
-	if s.store.Owner(t) != s.cfg.FrontRank {
-		s.remoteGets.Add(1)
 	}
 
 	s.pmu.Lock()
@@ -670,63 +551,56 @@ func (s *Server) getPostings(v *view, t int64) (postingVal, float64) {
 	delete(s.flights, key)
 	s.pmu.Unlock()
 	close(f.done)
-	return f.val, f.cost
+	return f.val
 }
 
 // cachedPostings peeks the LRU without fetching on a miss. The And path uses
 // it so cache hits keep their decoded fast path while misses intersect
 // straight off the compressed blocks instead of decoding whole lists.
-func (s *Server) cachedPostings(v *view, t int64) (postingVal, float64, bool) {
+func (s *Server) cachedPostings(v *view, t int64) (postingVal, bool) {
 	s.pmu.Lock()
 	val, ok := s.postings.get(postKey{gen: v.gen, t: t})
 	s.pmu.Unlock()
-	if !ok {
-		return postingVal{}, 0, false
+	if ok {
+		s.postingHits.Add(1)
 	}
-	s.postingHits.Add(1)
-	return val, s.hitCost(len(val.docs)), true
+	return val, ok
 }
 
 // filterSetFor resolves the materialized document set of (v's epoch, f),
-// building and caching it on a miss. The returned cost is the modeled price
-// of obtaining the set: a descriptor probe on a hit, the metadata walk plus
-// the member write-out on a build.
-func (s *Server) filterSetFor(v *view, f Filter) (*filterSet, float64) {
-	m := s.store.Model
+// building and caching it on a miss.
+func (s *Server) filterSetFor(v *view, f Filter) *filterSet {
 	key := filterKey{epoch: v.epoch, key: f.cacheKey()}
 	s.fmu.Lock()
 	fs, ok := s.filters.get(key)
 	s.fmu.Unlock()
 	if ok {
 		s.filterHits.Add(1)
-		return fs, m.LocalCopyCost(8)
+		return fs
 	}
 	fs = buildFilterSet(v, f)
 	s.filterBuilds.Add(1)
 	s.fmu.Lock()
 	s.filters.add(key, fs)
 	s.fmu.Unlock()
-	return fs, m.LocalCopyCost(8*float64(fs.scanned)) + m.LocalCopyCost(8*float64(fs.n))
+	return fs
 }
 
-// segPostings reads term t's postings from one segment, counting and
-// charging the fetch.
-func (s *Server) segPostings(seg *segment.Segment, t int64) (docs, freqs []int64, cost float64) {
-	docs, freqs = seg.Posts.Postings(t)
+// segPostings reads term t's postings from one segment, counting the fetch.
+func (s *Server) segPostings(seg *segment.Segment, t int64) (docs, freqs []int64) {
 	s.segmentFetches.Add(1)
-	return docs, freqs, s.segCost(seg, t, int64(len(docs)))
+	return seg.Posts.Postings(t)
 }
 
 // --- Session --------------------------------------------------------------
 
-// Session is one analyst's connection: a sequential stream of interactions
-// with its own virtual-latency account. Concurrent sessions share the
-// server's caches and coalesce their index traffic. Each interaction
-// resolves the store's current epoch view once and answers entirely from it.
+// Session is one analyst's connection: a sequential stream of interactions.
+// Concurrent sessions share the server's caches and coalesce their index
+// traffic. Each interaction resolves the store's current epoch view once and
+// answers entirely from it.
 type Session struct {
-	s    *Server
-	ID   int64
-	acct account
+	s  *Server
+	ID int64
 
 	// filter restricts every query on this session (SetFilter); always held
 	// in normalized form. The zero Filter means unfiltered.
@@ -746,63 +620,6 @@ type Session struct {
 // andCand is one conjunction term's descriptor during And's planning pass.
 type andCand struct{ id, baseDF, liveDF int64 }
 
-// SessionStats is a snapshot of one session's account.
-type SessionStats struct {
-	Ops            int64
-	VirtualSeconds float64
-	MeanMS         float64 // mean per-interaction virtual latency
-	MaxMS          float64
-	LastMS         float64
-}
-
-// account is one querier's virtual-latency ledger, shared by single-store
-// Sessions and sharded RouterSessions.
-type account struct {
-	mu     sync.Mutex
-	ops    int64
-	virt   float64 // accumulated virtual seconds
-	maxOp  float64
-	lastOp float64
-}
-
-// add records one completed interaction.
-func (a *account) add(cost float64) {
-	a.mu.Lock()
-	a.ops++
-	a.virt += cost
-	a.lastOp = cost
-	if cost > a.maxOp {
-		a.maxOp = cost
-	}
-	a.mu.Unlock()
-}
-
-// last returns the cost of the most recent interaction in virtual seconds.
-func (a *account) last() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastOp
-}
-
-// snapshot renders the ledger as SessionStats.
-func (a *account) snapshot() SessionStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st := SessionStats{
-		Ops:            a.ops,
-		VirtualSeconds: a.virt,
-		MaxMS:          a.maxOp * 1000,
-		LastMS:         a.lastOp * 1000,
-	}
-	if a.ops > 0 {
-		st.MeanMS = a.virt / float64(a.ops) * 1000
-	}
-	return st
-}
-
-// Stats snapshots the session account.
-func (ss *Session) Stats() SessionStats { return ss.acct.snapshot() }
-
 // SetFilter restricts every subsequent query on this session to documents
 // matching f; the zero Filter clears it (see Querier.SetFilter).
 func (ss *Session) SetFilter(f Filter) error {
@@ -814,22 +631,21 @@ func (ss *Session) SetFilter(f Filter) error {
 	return nil
 }
 
-// filterFor resolves the session's filter set against the view; (nil, 0)
-// when the session is unfiltered.
-func (ss *Session) filterFor(v *view) (*filterSet, float64) {
+// filterFor resolves the session's filter set against the view; nil when the
+// session is unfiltered.
+func (ss *Session) filterFor(v *view) *filterSet {
 	if ss.filter.Empty() {
-		return nil, 0
+		return nil
 	}
 	return ss.s.filterSetFor(v, ss.filter)
 }
 
 // applyFilterHits post-filters a top-k hit list (a cached answer or a fresh
-// copy — never mutated) against the session filter, returning the kept hits
-// and the modeled probe cost.
-func (ss *Session) applyFilterHits(v *view, hits []query.Hit) ([]query.Hit, float64) {
-	fs, cost := ss.filterFor(v)
+// copy — never mutated) against the session filter, returning the kept hits.
+func (ss *Session) applyFilterHits(v *view, hits []query.Hit) []query.Hit {
+	fs := ss.filterFor(v)
 	if fs == nil {
-		return hits, 0
+		return hits
 	}
 	kept := make([]query.Hit, 0, len(hits))
 	for _, h := range hits {
@@ -837,25 +653,7 @@ func (ss *Session) applyFilterHits(v *view, hits []query.Hit) ([]query.Hit, floa
 			kept = append(kept, h)
 		}
 	}
-	return kept, cost + ss.s.store.Model.FlopCost(float64(len(hits)))
-}
-
-// charge records one completed interaction.
-func (ss *Session) charge(cost float64) {
-	ss.acct.add(cost)
-	ss.s.queries.Add(1)
-}
-
-// lookupCost models the front-end vocabulary probe (the dense map is
-// replicated to the front-end at snapshot time).
-func (ss *Session) lookupCost(term string) float64 {
-	return ss.s.store.Model.LocalCopyCost(float64(len(term) + 8))
-}
-
-// dfCost models reading a term's DF descriptors: the replicated base DF plus
-// one summary probe per sealed segment.
-func (ss *Session) dfCost(v *view) float64 {
-	return ss.s.store.Model.LocalCopyCost(8 * float64(1+len(v.segs)))
+	return kept
 }
 
 // filterTombs drops tombstoned docs in place; nil when nothing survives.
@@ -882,26 +680,22 @@ func (ss *Session) TermDocs(ctx context.Context, term string) []query.Posting {
 	if ctx.Err() != nil {
 		return nil
 	}
+	ss.s.queries.Add(1)
 	v := ss.s.store.viewNow()
-	cost := ss.lookupCost(term)
 	t, ok := ss.s.store.TermID(term)
 	if !ok || v.df(t) == 0 {
-		ss.charge(cost)
 		return nil
 	}
-	cost += ss.dfCost(v)
 	lists := make([]plist, 0, 1+len(v.segs))
 	if v.base.df[t] > 0 {
-		val, c := ss.s.getPostings(v, t)
-		cost += c
+		val := ss.s.getPostings(v, t)
 		lists = append(lists, plist{val.docs, val.freqs})
 	}
 	for _, seg := range v.segs {
 		if seg.Posts.Count[t] == 0 {
 			continue
 		}
-		d, f, c := ss.s.segPostings(seg, t)
-		cost += c
+		d, f := ss.s.segPostings(seg, t)
 		lists = append(lists, plist{d, f})
 	}
 	var docs, freqs []int64
@@ -909,15 +703,10 @@ func (ss *Session) TermDocs(ctx context.Context, term string) []query.Posting {
 		docs, freqs = lists[0].docs, lists[0].freqs
 	} else {
 		docs, freqs = mergePlists(lists, v.tombs)
-		cost += ss.s.store.Model.LocalCopyCost(16 * float64(len(docs)))
 	}
 	// The session filter applies while building the reply postings: docs may
 	// be a shared store slice, so it is never filtered in place.
-	fs, fc := ss.filterFor(v)
-	if fs != nil {
-		cost += fc + ss.s.store.Model.FlopCost(float64(len(docs)))
-	}
-	ss.charge(cost)
+	fs := ss.filterFor(v)
 	if len(docs) == 0 {
 		return nil
 	}
@@ -941,27 +730,23 @@ func (ss *Session) DF(ctx context.Context, term string) int64 {
 	if ctx.Err() != nil {
 		return 0
 	}
-	v := ss.s.store.viewNow()
-	cost := ss.lookupCost(term)
+	ss.s.queries.Add(1)
 	t, ok := ss.s.store.TermID(term)
 	if !ok {
-		ss.charge(cost)
 		return 0
 	}
-	ss.charge(cost + ss.dfCost(v))
-	return v.df(t)
+	return ss.s.store.viewNow().df(t)
 }
 
 // And returns the documents containing every term, sorted by document ID.
 //
 // The conjunction is doomed the moment any term is unknown or empty in the
 // whole view, so the vocabulary and DF descriptors are consulted for every
-// term before a single posting list moves — a doomed And costs only those
-// lookups. Every document lives either in the base or in exactly one sealed
-// segment, so the conjunction decomposes: the base part intersects
-// rarest-first with the block-skipping machinery (see below), each segment
-// whose DF summary admits every term intersects its own small lists, and the
-// disjoint results merge, tombstones filtered.
+// term before a single posting list moves. Every document lives either in
+// the base or in exactly one sealed segment, so the conjunction decomposes:
+// the base part intersects rarest-first with the block-skipping machinery
+// (see below), each segment whose DF summary admits every term intersects
+// its own small lists, and the disjoint results merge, tombstones filtered.
 //
 // Base part: the rarest list is fetched decoded (through the LRU), and each
 // larger list is then intersected in place — from the decoded cache on a
@@ -974,22 +759,18 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 	if len(terms) == 0 || ctx.Err() != nil {
 		return nil
 	}
+	ss.s.queries.Add(1)
 	st := ss.s.store
 	v := st.viewNow()
-	m := st.Model
 	cands := ss.scratchCands[:0]
-	var cost float64
 	for _, term := range terms {
-		cost += ss.lookupCost(term)
 		t, found := st.TermID(term)
 		var live int64
-		if found { // DF descriptors are front-end local, like the vocabulary
-			cost += ss.dfCost(v)
+		if found {
 			live = v.df(t)
 		}
 		if !found || live == 0 {
 			ss.scratchCands = cands[:0]
-			ss.charge(cost)
 			return nil
 		}
 		cands = append(cands, andCand{id: t, baseDF: v.base.df[t], liveDF: live})
@@ -997,8 +778,7 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 	ss.scratchCands = cands
 	// The session filter resolves after the doomed-query exits: a conjunction
 	// with an unknown term never pays the filter-set build.
-	fs, fc := ss.filterFor(v)
-	cost += fc
+	fs := ss.filterFor(v)
 	// Rarest-first must follow the base lists the base pass actually fetches:
 	// ordering by live DF would seed the accumulator with a huge base list
 	// whenever a term's postings concentrate in ingested segments (live DF
@@ -1022,7 +802,6 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 	// warm And allocates nothing until the final merge.
 	bufA, bufB := ss.scratchA, ss.scratchB
 	var acc []int64
-	var flops float64
 	baseLive := true
 	for _, cd := range cands {
 		if cd.baseDF == 0 {
@@ -1038,10 +817,8 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 			// Dense∧dense: one word-wise AND straight over the containers —
 			// on a mapped store these are the file's own pages, so nothing is
 			// decoded, copied or cached.
-			var ist postings.IntersectStats
-			bufA, ist = ps.AndBitmapsInto(bufA[:0], cands[0].id, cands[1].id)
+			bufA, _ = ps.AndBitmapsInto(bufA[:0], cands[0].id, cands[1].id)
 			acc = bufA
-			cost += ss.s.bitmapAndCost(cands[0].id, cands[1].id, ist, len(acc))
 			ss.s.bitmapAnds.Add(1)
 			i0 = 2
 		case ps.IsBitmap(cands[0].id) && fs != nil && fs.bits != nil:
@@ -1049,24 +826,17 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 			// word-wise AND of the container against the filter's bitmap —
 			// sound for a conjunction (the final post-filter is idempotent),
 			// and every later operand intersects a pre-thinned set.
-			var ist postings.IntersectStats
-			bufA, ist = ps.AndBitsInto(bufA[:0], cands[0].id, fs.bits)
+			bufA, _ = ps.AndBitsInto(bufA[:0], cands[0].id, fs.bits)
 			acc = bufA
-			words := float64(ist.WordsScanned)
-			cost += ss.s.bitmapTouchCost(cands[0].id, 8*words) +
-				m.LocalCopyCost(8*words) + m.FlopCost(words) +
-				m.LocalCopyCost(8*float64(len(acc)))
 			ss.s.bitmapAnds.Add(1)
 		case ps.IsBitmap(cands[0].id):
 			// Dense seed: enumerate the bitmap into session scratch instead
 			// of decoding a list through the LRU.
 			bufA = ps.BitmapDocsInto(bufA[:0], cands[0].id)
 			acc = bufA
-			cost += ss.s.bitmapSeedCost(ps, cands[0].id, len(acc))
 			ss.s.bitmapServes.Add(1)
 		default:
-			val, c := ss.s.getPostings(v, cands[0].id)
-			cost += c
+			val := ss.s.getPostings(v, cands[0].id)
 			bufA = append(bufA[:0], val.docs...)
 			acc = bufA
 		}
@@ -1081,14 +851,11 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 				var ist postings.IntersectStats
 				bufB, ist = ps.IntersectInto(bufB[:0], acc, cd.id)
 				acc = bufB
-				cost += ss.s.bitmapProbeCost(cd.id, ist)
 				ss.s.bitmapProbes.Add(uint64(ist.BitProbes))
 				bufA, bufB = bufB, bufA
 				continue
 			}
-			if val, c, ok := ss.s.cachedPostings(v, cd.id); ok {
-				cost += c
-				flops += 2 * float64(len(acc)+len(val.docs))
+			if val, ok := ss.s.cachedPostings(v, cd.id); ok {
 				bufB = query.IntersectSortedInto(bufB[:0], acc, val.docs)
 				acc = bufB
 				bufA, bufB = bufB, bufA
@@ -1096,11 +863,10 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 			}
 			// A sparse candidate set admits few blocks, so intersecting off
 			// the compressed store wins; a dense one would decode most blocks
-			// anyway, and the full fetch keeps the LRU warm and the transfer
+			// anyway, and the full fetch keeps the LRU warm and the decode
 			// coalesced for the next session asking about the same term.
 			if int64(len(acc)) < cd.baseDF/4 {
 				res, ist := ps.IntersectInto(bufB[:0], acc, cd.id)
-				cost += ss.s.partialCost(cd.id, len(acc), ist)
 				ss.s.partialFetches.Add(1)
 				ss.s.blocksDecoded.Add(uint64(ist.BlocksDecoded))
 				ss.s.blocksSkipped.Add(uint64(ist.BlocksSkipped))
@@ -1109,9 +875,7 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 				bufA, bufB = bufB, bufA
 				continue
 			}
-			val, c := ss.s.getPostings(v, cd.id)
-			cost += c
-			flops += 2 * float64(len(acc)+len(val.docs))
+			val := ss.s.getPostings(v, cd.id)
 			bufB = query.IntersectSortedInto(bufB[:0], acc, val.docs)
 			acc = bufB
 			bufA, bufB = bufB, bufA
@@ -1138,13 +902,11 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 		}
 		var segAcc []int64
 		for i, cd := range cands {
-			d, _, c := ss.s.segPostings(seg, cd.id)
-			cost += c
+			d, _ := ss.s.segPostings(seg, cd.id)
 			if i == 0 {
 				segAcc = d
 				continue
 			}
-			flops += 2 * float64(len(segAcc)+len(d))
 			segAcc = query.IntersectSorted(segAcc, d)
 			if len(segAcc) == 0 {
 				break
@@ -1155,17 +917,12 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 		}
 	}
 	out := filterTombs(mergeDocs(parts), v.tombs)
-	if len(parts) > 1 {
-		cost += m.LocalCopyCost(8 * float64(len(out)))
-	}
 	if fs != nil {
 		// The filter applies to the final merged conjunction (idempotent over
-		// the pre-filtered dense seed): one membership probe per survivor.
-		cost += m.FlopCost(float64(len(out)))
+		// the pre-filtered dense seed).
 		out = fs.filterDocs(out)
 	}
 	ss.scratchParts = parts
-	ss.charge(cost + m.FlopCost(flops))
 	if len(out) == 0 {
 		return nil
 	}
@@ -1173,46 +930,37 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 }
 
 // Or returns the documents containing any of the terms, sorted. Unknown and
-// empty terms contribute nothing; every live list must transfer. The union
-// is a k-way merge over the already-sorted posting lists (base and segment),
-// deduplicating as it streams — no scratch map, no re-sort.
+// empty terms contribute nothing. The union is a k-way merge over the
+// already-sorted posting lists (base and segment), deduplicating as it
+// streams — no scratch map, no re-sort.
 func (ss *Session) Or(ctx context.Context, terms ...string) []int64 {
 	if ctx.Err() != nil {
 		return nil
 	}
+	ss.s.queries.Add(1)
 	st := ss.s.store
 	v := st.viewNow()
-	var cost float64
 	lists := make([][]int64, 0, len(terms))
-	var merged float64
 	for _, term := range terms {
-		cost += ss.lookupCost(term)
 		t, found := st.TermID(term)
 		if !found {
 			continue
 		}
 		if v.base.df[t] > 0 {
-			val, c := ss.s.getPostings(v, t)
-			cost += c
-			merged += float64(len(val.docs))
-			lists = append(lists, val.docs)
+			lists = append(lists, ss.s.getPostings(v, t).docs)
 		}
 		for _, seg := range v.segs {
 			if seg.Posts.Count[t] == 0 {
 				continue
 			}
-			d, _, c := ss.s.segPostings(seg, t)
-			cost += c
-			merged += float64(len(d))
+			d, _ := ss.s.segPostings(seg, t)
 			lists = append(lists, d)
 		}
 	}
 	out := filterTombs(unionSorted(lists), v.tombs)
-	if fs, fc := ss.filterFor(v); fs != nil {
-		cost += fc + st.Model.FlopCost(float64(len(out)))
+	if fs := ss.filterFor(v); fs != nil {
 		out = fs.filterDocs(out)
 	}
-	ss.charge(cost + st.Model.FlopCost(2*merged))
 	if out == nil {
 		out = []int64{} // query.Engine.Or returns an empty, non-nil union
 	}
@@ -1250,28 +998,25 @@ func (ss *Session) Similar(ctx context.Context, doc int64, k int) ([]query.Hit, 
 	if k <= 0 {
 		return nil, fmt.Errorf("serve: similar: k must be positive")
 	}
+	ss.s.queries.Add(1)
 	v := ss.s.store.viewNow()
 	key := simKey{epoch: v.epoch, doc: doc, k: k}
 	ss.s.smu.Lock()
 	hits, ok := ss.s.sims.get(key)
 	ss.s.smu.Unlock()
-	m := ss.s.store.Model
 	if ok {
 		ss.s.simHits.Add(1)
-		hits, fc := ss.applyFilterHits(v, hits)
-		ss.charge(m.LocalCopyCost(16*float64(len(hits))) + fc)
-		return hits, nil
+		return ss.applyFilterHits(v, hits), nil
 	}
 	ss.s.simMisses.Add(1)
 
 	target, found := v.sigVec(doc)
 	if !found || target == nil {
-		ss.charge(m.LocalCopyCost(8))
 		return nil, fmt.Errorf("serve: document %d not found or has a null signature", doc)
 	}
-	hits, flops, refreshed := ss.s.refreshSimilar(v, target, doc, k)
+	hits, refreshed := ss.s.refreshSimilar(v, target, doc, k)
 	if !refreshed {
-		hits, flops = ss.s.scanSimilar(v, target, doc, k)
+		hits = ss.s.scanSimilar(v, target, doc, k)
 	}
 
 	ss.s.smu.Lock()
@@ -1282,9 +1027,7 @@ func (ss *Session) Similar(ctx context.Context, doc int64, k int) ([]query.Hit, 
 	// The cache stores the unfiltered answer — a later session with a
 	// different (or no) filter must see the same hits — so the session's
 	// filter applies to a copy, after the add.
-	hits, fc := ss.applyFilterHits(v, hits)
-	ss.charge(m.FlopCost(flops) + m.LocalCopyCost(16*float64(len(hits))) + fc)
-	return hits, nil
+	return ss.applyFilterHits(v, hits), nil
 }
 
 // refreshSimilar patches a cached top-K forward along the view lineage
@@ -1296,7 +1039,7 @@ func (ss *Session) Similar(ctx context.Context, doc int64, k int) ([]query.Hit, 
 // cached hits (removing a non-member cannot change the top K); otherwise —
 // or when the chain was cut by a signature swap or rebase — the caller falls
 // back to the full scan.
-func (s *Server) refreshSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, float64, bool) {
+func (s *Server) refreshSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, bool) {
 	var segs []*segment.Segment
 	var tombs []int64
 	for a := v; a.parent != nil; a = a.parent {
@@ -1307,7 +1050,7 @@ func (s *Server) refreshSimilar(v *view, target []float64, exclude int64, k int)
 			tombs = append(tombs, a.tomb)
 		case viewCompact:
 		default:
-			return nil, 0, false
+			return nil, false
 		}
 		s.smu.Lock()
 		hits, ok := s.sims.get(simKey{epoch: a.parent.epoch, doc: exclude, k: k})
@@ -1330,7 +1073,7 @@ func (s *Server) refreshSimilar(v *view, target []float64, exclude int64, k int)
 		candidates := len(hits)
 		for _, h := range hits {
 			if dead[h.Doc] {
-				return nil, 0, false // a cached hit died: full rescan
+				return nil, false // a cached hit died: full rescan
 			}
 		}
 		for _, seg := range segs {
@@ -1345,16 +1088,15 @@ func (s *Server) refreshSimilar(v *view, target []float64, exclude int64, k int)
 		}
 		s.simRefreshes.Add(1)
 		s.countScan(&top)
-		return top.Hits(), top.Flops(), true
+		return top.Hits(), true
 	}
-	return nil, 0, false
+	return nil, false
 }
 
 // scanSimilar scores the view's signatures — base set and ingested segments,
 // tombstones excluded — against a target vector, excluding one document, and
-// returns the top k hits (query.HitLess order) plus the flops the scan is
-// charged.
-func (s *Server) scanSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, float64) {
+// returns the top k hits (query.HitLess order).
+func (s *Server) scanSimilar(v *view, target []float64, exclude int64, k int) []query.Hit {
 	candidates := v.sigs.Len()
 	for _, seg := range v.segs {
 		candidates += len(seg.Docs)
@@ -1365,7 +1107,7 @@ func (s *Server) scanSimilar(v *view, target []float64, exclude int64, k int) ([
 		top.Scan(seg.Docs, seg.SigVecs, seg.SigNorms(), seg.SigSketch(), v.tombs)
 	}
 	s.countScan(&top)
-	return top.Hits(), top.Flops()
+	return top.Hits()
 }
 
 // countScan files a scan's candidates as scored in full or rejected by a bound.
@@ -1378,28 +1120,23 @@ func (s *Server) countScan(top *query.TopK) {
 // similarTo is the shard-local half of a routed similarity query: it scores
 // this server's view against an externally supplied target vector. It
 // bypasses the per-server result cache — the router caches the merged
-// answer, and the sim counters with it — and charges the session the scan
-// plus the reply copy.
+// answer, and the sim counters with it.
 func (ss *Session) similarTo(target []float64, exclude int64, k int) []query.Hit {
-	m := ss.s.store.Model
-	hits, flops := ss.s.scanSimilar(ss.s.store.viewNow(), target, exclude, k)
-	ss.charge(m.FlopCost(flops) + m.LocalCopyCost(16*float64(len(hits))))
-	return hits
+	ss.s.queries.Add(1)
+	return ss.s.scanSimilar(ss.s.store.viewNow(), target, exclude, k)
 }
 
 // ThemeDocs returns the document IDs assigned to a k-means cluster, sorted.
 // Documents ingested after the snapshot carry no cluster assignment until an
 // offline re-clustering; deleted documents are filtered. The walk is over the
-// base's derived cluster index, so it costs the cluster's size; the modeled
-// charge still describes the assignment scan (as TopK.Flops does), keeping
-// virtual_ms what it was.
+// base's derived cluster index, so it costs the cluster's size.
 func (ss *Session) ThemeDocs(ctx context.Context, cluster int) []int64 {
 	if ctx.Err() != nil {
 		return nil
 	}
-	st := ss.s.store
-	v := st.viewNow()
-	fs, fc := ss.filterFor(v)
+	ss.s.queries.Add(1)
+	v := ss.s.store.viewNow()
+	fs := ss.filterFor(v)
 	docs := v.base.clusterDocs(int64(cluster))
 	var out []int64
 	for i, d := range docs {
@@ -1412,7 +1149,6 @@ func (ss *Session) ThemeDocs(ctx context.Context, cluster int) []int64 {
 			out = append(out, d)
 		}
 	}
-	ss.charge(fc + st.Model.FlopCost(float64(len(v.base.assignClusters))))
 	return out
 }
 
@@ -1421,36 +1157,18 @@ func (ss *Session) ThemeDocs(ctx context.Context, cluster int) []int64 {
 // on a store with the frozen Planar model are on the plane from the epoch
 // their delta seals; deleted ones are filtered.
 //
-// With tiles enabled (the default) the query descends the tile pyramid:
-// quadtree subtrees outside the query box are pruned untouched (counted in
-// Stats.TilesPruned) and virtual time is charged for the walk plus the
-// candidates actually examined — not, as the naive scan this replaced did,
-// for the whole point set on every call. Config.DisableTiles restores the
-// full scan, which Fig S5 uses as its baseline.
+// The query descends the tile pyramid: quadtree subtrees outside the query
+// box are pruned untouched (counted in Stats.TilesPruned), so the work is
+// the candidates the walk admits, not the whole point set.
 func (ss *Session) Near(ctx context.Context, x, y, radius float64) []int64 {
 	if ctx.Err() != nil {
 		return nil
 	}
+	ss.s.queries.Add(1)
 	st := ss.s.store
 	v := st.viewNow()
-	m := st.Model
 	r2 := radius * radius
-	fs, fc := ss.filterFor(v)
-	var out []int64
-	if ss.s.cfg.DisableTiles {
-		for _, pts := range [][]project.Point{v.base.points, v.pts} {
-			for _, pt := range pts {
-				dx, dy := pt.X-x, pt.Y-y
-				if dx*dx+dy*dy <= r2 && !v.tombs[pt.Doc] &&
-					(fs == nil || fs.contains(pt.Doc)) {
-					out = append(out, pt.Doc)
-				}
-			}
-		}
-		slices.Sort(out)
-		ss.charge(fc + m.FlopCost(3*float64(len(v.base.points)+len(v.pts))))
-		return out
-	}
+	fs := ss.filterFor(v)
 	// The squared-distance test makes the radius sign-insensitive; the
 	// query box must agree. The pyramid's bin windows clamp the box with
 	// the member binning arithmetic, so out-of-bounds points (late ingests
@@ -1459,10 +1177,10 @@ func (ss *Session) Near(ctx context.Context, x, y, radius float64) []int64 {
 	rect := tiles.Rect{MinX: x - rad, MinY: y - rad, MaxX: x + rad, MaxY: y + rad}
 	// The entries are tested where they lie, under the pyramid's lock: the
 	// test costs less than copying a 64-byte pointerful entry out would.
-	var cands, visited, pruned int
+	var out []int64
+	var pruned int
 	st.withPyramid(v, ss.s.cfg.tileConfig(), func(p *tiles.Pyramid) {
-		visited, pruned = p.Search(rect, func(leaf []tiles.Entry) {
-			cands += len(leaf)
+		_, pruned = p.Search(rect, func(leaf []tiles.Entry) {
 			for i := range leaf {
 				e := &leaf[i]
 				dx, dy := e.X-x, e.Y-y
@@ -1475,16 +1193,11 @@ func (ss *Session) Near(ctx context.Context, x, y, radius float64) []int64 {
 	})
 	ss.s.tilesPruned.Add(uint64(pruned))
 	slices.Sort(out)
-	ss.charge(fc + m.LocalCopyCost(24*float64(visited+pruned)) +
-		m.FlopCost(3*float64(cands)) +
-		m.LocalCopyCost(8*float64(len(out))))
 	return out
 }
 
-// Add ingests one document through the live path, charging the session the
-// modeled tokenize + projection + append (and, for the add that trips the
-// seal threshold, the seal's encode pass). The document becomes visible to
-// queries when its delta seals.
+// Add ingests one document through the live path. The document becomes
+// visible to queries when its delta seals.
 func (ss *Session) Add(ctx context.Context, text string) (int64, error) {
 	return ss.AddDoc(ctx, text, 0, nil)
 }
@@ -1497,8 +1210,8 @@ func (ss *Session) AddDoc(ctx context.Context, text string, ts int64, facets []s
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	doc, cost, err := ss.s.store.AddMeta(text, ts, facets)
-	ss.charge(cost)
+	ss.s.queries.Add(1)
+	doc, err := ss.s.store.AddMeta(text, ts, facets)
 	if err != nil {
 		return 0, err
 	}
@@ -1511,7 +1224,6 @@ func (ss *Session) Delete(ctx context.Context, doc int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	cost, err := ss.s.store.Delete(doc)
-	ss.charge(cost)
-	return err
+	ss.s.queries.Add(1)
+	return ss.s.store.Delete(doc)
 }

@@ -62,7 +62,7 @@ func (st *Store) Shard(n int) ([]*Store, error) {
 			// ceil((TotalDocs-i)/n) of them.
 			TotalDocs: (st.TotalDocs - int64(i) + int64(n) - 1) / int64(n),
 			VocabSize: st.VocabSize,
-			Terms:     st.Terms, TermList: st.TermList, Prefix: st.Prefix,
+			TermList:  st.TermList, Prefix: st.Prefix,
 			DF:    parts[i].Count,
 			Posts: parts[i],
 			SigM:  st.SigM, Proj: st.Proj,

@@ -17,23 +17,24 @@ import (
 // as the differential oracle: query.Cosine on every candidate, a slice of
 // every scored hit, a full sort, a trim to k. Its comparator is written out
 // on purpose — it must not share query.HitLess with the code it checks.
-func oracleScanSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, float64) {
+// candidates is the number of signatures it scored: every one the serving
+// scan must either score in full or reject by its bound.
+func oracleScanSimilar(v *view, target []float64, exclude int64, k int) (hits []query.Hit, candidates uint64) {
 	var scored []query.Hit
-	var flops float64
-	score := func(docs []int64, vecs [][]float64, m int) {
+	score := func(docs []int64, vecs [][]float64) {
 		for i, vec := range vecs {
 			d := docs[i]
 			if vec == nil || d == exclude || v.tombs[d] {
 				continue
 			}
 			scored = append(scored, query.Hit{Doc: d, Score: query.Cosine(target, vec)})
-			flops += float64(3 * m)
 		}
 	}
-	score(v.sigs.Docs, v.sigs.Vecs, v.sigs.M)
+	score(v.sigs.Docs, v.sigs.Vecs)
 	for _, seg := range v.segs {
-		score(seg.Docs, seg.SigVecs, seg.SigM)
+		score(seg.Docs, seg.SigVecs)
 	}
+	candidates = uint64(len(scored))
 	sort.Slice(scored, func(a, b int) bool {
 		if scored[a].Score != scored[b].Score {
 			return scored[a].Score > scored[b].Score
@@ -43,12 +44,12 @@ func oracleScanSimilar(v *view, target []float64, exclude int64, k int) ([]query
 	if len(scored) > k {
 		scored = scored[:k]
 	}
-	return scored, flops
+	return scored, candidates
 }
 
 // scanSimilar is the serving scan on a bare view: a server with no store,
 // there only to take the scan's counts.
-func scanSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, float64) {
+func scanSimilar(v *view, target []float64, exclude int64, k int) []query.Hit {
 	return new(Server).scanSimilar(v, target, exclude, k)
 }
 
@@ -188,20 +189,19 @@ func TestScanSimilarMatchesOracle(t *testing.T) {
 				target = make([]float64, m) // zero norm: every score is 0
 			}
 			for _, k := range append(simKs(candidates), 10) {
-				want, wantFlops := oracleScanSimilar(v, target, exclude, k)
-				got, gotFlops := srv.scanSimilar(v, target, exclude, k)
-				if !slices.Equal(got, want) || gotFlops != wantFlops {
-					t.Fatalf("seed %d exclude %d k %d:\n got %v (%g flops)\nwant %v (%g flops)",
-						seed, exclude, k, got, gotFlops, want, wantFlops)
+				want, wantCands := oracleScanSimilar(v, target, exclude, k)
+				got := srv.scanSimilar(v, target, exclude, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d exclude %d k %d:\n got %v\nwant %v", seed, exclude, k, got, want)
 				}
 				if cap(got) > candidates {
 					t.Fatalf("seed %d k %d: buffer of %d for %d candidates", seed, k, cap(got), candidates)
 				}
-				// Rejected or scored in full, every candidate the flops
-				// charge is in exactly one of the two counts.
+				// Rejected or scored in full, every candidate the oracle
+				// scores is in exactly one of the two counts.
 				f, p := srv.simScored.Swap(0), srv.simPruned.Swap(0)
-				if float64(3*m)*float64(f+p) != gotFlops {
-					t.Fatalf("seed %d k %d: %d scored + %d pruned candidates for %g flops at m=%d", seed, k, f, p, gotFlops, m)
+				if f+p != wantCands {
+					t.Fatalf("seed %d k %d: %d scored + %d pruned of %d candidates", seed, k, f, p, wantCands)
 				}
 				if themes > 0 && k <= 10 && seed%4 != 3 {
 					full, pruned = full+f, pruned+p
@@ -279,9 +279,9 @@ func (w *simWorld) add(n int) {
 		}
 		w.next++
 		w.live = append(w.live, doc)
-		w.each(doc, func(st *Store) error { _, err := st.AddCounts(doc, nil, sig); return err })
+		w.each(doc, func(st *Store) error { return st.AddCounts(doc, nil, sig) })
 	}
-	w.each(-1, func(st *Store) error { _, err := st.Flush(); return err })
+	w.each(-1, (*Store).Flush)
 }
 
 // each applies one store operation to the monolithic store and to the shard
@@ -309,9 +309,9 @@ func (w *simWorld) step() {
 		i := w.rng.Intn(len(w.live))
 		doc := w.live[i]
 		w.live = slices.Delete(w.live, i, i+1)
-		w.each(doc, func(st *Store) error { _, err := st.Delete(doc); return err })
+		w.each(doc, func(st *Store) error { return st.Delete(doc) })
 	case op < 10:
-		w.each(-1, func(st *Store) error { _, err := st.Compact(); return err })
+		w.each(-1, (*Store).Compact)
 	case op == 10: // segments and tombstones folded into a new base set
 		w.each(-1, (*Store).Rebase)
 	default: // regenerated signatures swapped in under the running servers
@@ -365,12 +365,14 @@ func TestSimilarDifferential(t *testing.T) {
 					if err != nil || rerr != nil {
 						t.Fatalf("seed %d round %d: Similar(%d, %d): %v / %v", seed, round, doc, k, err, rerr)
 					}
-					want, wantFlops := oracleScanSimilar(v, target, doc, k)
+					want, wantCands := oracleScanSimilar(v, target, doc, k)
 					if !slices.Equal(got, want) {
 						t.Fatalf("seed %d round %d: Similar(%d, %d)\n got %v\nwant %v", seed, round, doc, k, got, want)
 					}
-					if _, flops := w.srv.scanSimilar(v, target, doc, k); flops != wantFlops {
-						t.Fatalf("seed %d round %d: scan of Similar(%d, %d) charged %g flops, want %g", seed, round, doc, k, flops, wantFlops)
+					before := w.srv.simScored.Load() + w.srv.simPruned.Load()
+					w.srv.scanSimilar(v, target, doc, k)
+					if n := w.srv.simScored.Load() + w.srv.simPruned.Load() - before; n != wantCands {
+						t.Fatalf("seed %d round %d: scan of Similar(%d, %d) counted %d candidates, want %d", seed, round, doc, k, n, wantCands)
 					}
 					if !slices.Equal(viaRouter, want) {
 						t.Fatalf("seed %d round %d: routed Similar(%d, %d)\n got %v\nwant %v", seed, round, doc, k, viaRouter, want)
@@ -415,7 +417,7 @@ func TestConcurrentFirstScans(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got, _ := scanSimilar(fresh, target, 0, 7); !slices.Equal(got, want) {
+			if got := scanSimilar(fresh, target, 0, 7); !slices.Equal(got, want) {
 				t.Errorf("concurrent first scan = %v, want %v", got, want)
 			}
 		}()
@@ -442,7 +444,7 @@ func TestConcurrentFirstScans(t *testing.T) {
 					continue
 				}
 				want, _ := oracleScanSimilar(v, target, int64(g), 5)
-				if got, _ := scanSimilar(v, target, int64(g), 5); !slices.Equal(got, want) {
+				if got := scanSimilar(v, target, int64(g), 5); !slices.Equal(got, want) {
 					t.Errorf("scan across publish = %v, want %v", got, want)
 					return
 				}

@@ -5,13 +5,11 @@
 // index, knowledge signatures, clusters and ThemeView projection); a Server
 // answers many concurrent analyst Sessions against one Store with an LRU
 // posting-list cache, a top-K similarity cache, and request coalescing that
-// batches concurrent gets for the same term owner into one modeled transfer.
+// folds concurrent fetches of one term into one decode.
 //
-// Serving keeps the engine's virtual-time discipline: every interaction is
-// charged the latency it would cost on the modeled cluster — remote one-sided
-// transfers for cache misses against the distributed index, front-end memory
-// copies for hits — so sustained queries/sec and per-interaction latency are
-// measurable for workloads far larger than the host.
+// Serving performance is measured on the host, not modeled: the repository
+// benchmark (go run ./benchmark) drives the daemon end to end, and the
+// counters in Stats say where an interaction's work went.
 package serve
 
 import (
@@ -42,13 +40,11 @@ import (
 // fresh view rather than mutating slices a concurrent reader may hold. Every
 // method is safe for concurrent use.
 //
-// The posting lists keep their distributed layout metadata (Prefix: the
-// dense-term ownership bounds of the producing run), so the serving cost
-// model can distinguish front-end-local reads from modeled remote one-sided
-// gets against a term's owner.
+// Model, P and Prefix record the producing run (its machine model, world
+// size and dense-term ownership bounds); they persist as provenance and take
+// no part in serving.
 type Store struct {
-	// Model is the machine model of the producing run; serving costs are
-	// charged against it.
+	// Model is the machine model of the producing run.
 	Model *simtime.Model
 	// P is the world size of the producing run.
 	P int
@@ -72,8 +68,8 @@ type Store struct {
 	// absent. Nil for stores with no rebased deletions.
 	Holes []int64
 
-	// Terms maps a normalized term to its dense ID; TermList is the inverse.
-	Terms    map[string]int64
+	// TermList maps a dense term ID to its normalized term; lookupTerm
+	// inverts it by binary search over termSorted.
 	TermList []string
 	// Prefix holds the dense-ID ownership bounds of the producing run
 	// (len P+1); term t is owned by the rank r with Prefix[r] <= t < Prefix[r+1].
@@ -146,9 +142,9 @@ type Store struct {
 	// lists pin heap bytes against its budget, everything else stays
 	// evictable in the mapping. Nil for freshly indexed stores.
 	res *storefile.Resident
-	// termSorted is the permutation of TermList in ascending term order —
-	// the mapped replacement for the Terms map (nil on v4 loads). See
-	// lookupTerm.
+	// termSorted is the permutation of TermList in ascending term order,
+	// built once when a store is indexed and persisted as the termsort
+	// section (a loaded store aliases it). See lookupTerm.
 	termSorted []int64
 
 	// live is the mutable serving state: the current epoch view, the ingest
@@ -227,18 +223,17 @@ func buildStore(c *cluster.Comm, res *core.Result, docParts, asgParts [][]int64)
 		st.Prefix[r] = lo
 		st.Prefix[r+1] = hi
 	}
-	st.Terms = make(map[string]int64, V)
 	st.TermList = make([]string, V)
 	var remoteBytes float64
 	for id := int64(0); id < V; id++ {
 		t := res.Vocab.Term(id)
 		st.TermList[id] = t
-		st.Terms[t] = id
 		if st.Owner(id) != c.Rank() {
 			remoteBytes += float64(len(t) + 8)
 		}
 	}
 	c.Clock().Advance(m.OneSidedCost(remoteBytes))
+	st.termSorted = sortTerms(st.TermList)
 
 	// Term statistics and posting offsets.
 	st.DF = make([]int64, V)
@@ -331,8 +326,8 @@ func (st *Store) Fork() *Store {
 		Model: st.Model, P: st.P,
 		TotalDocs: st.TotalDocs, VocabSize: st.VocabSize,
 		ShardCount: st.ShardCount, ShardIndex: st.ShardIndex, GlobalDocs: st.GlobalDocs,
-		Holes: st.Holes,
-		Terms: st.Terms, TermList: st.TermList, Prefix: st.Prefix,
+		Holes:    st.Holes,
+		TermList: st.TermList, Prefix: st.Prefix,
 		DF: st.DF, Posts: st.Posts,
 		SigM: st.SigM, SigDocs: st.SigDocs, SigVecs: st.SigVecs, Proj: st.Proj,
 		Planar: st.Planar, TileBox: st.TileBox,
@@ -361,7 +356,7 @@ func (st *Store) EmptyCopy() *Store {
 	return &Store{
 		Model: st.Model, P: st.P,
 		TotalDocs: 0, VocabSize: st.VocabSize,
-		Terms: st.Terms, TermList: st.TermList, Prefix: st.Prefix,
+		TermList: st.TermList, Prefix: st.Prefix,
 		DF: posts.Count, Posts: posts,
 		SigM: st.SigM, Proj: st.Proj,
 		Planar: st.Planar, TileBox: st.TileBox,

@@ -130,13 +130,6 @@ func (st *Store) Save(w io.Writer) error {
 		termBlob = append(termBlob, t...)
 	}
 	termOffs[V] = int64(len(termBlob))
-	termSort := make([]int64, V)
-	for i := range termSort {
-		termSort[i] = int64(i)
-	}
-	sort.Slice(termSort, func(a, b int) bool {
-		return st.TermList[termSort[a]] < st.TermList[termSort[b]]
-	})
 
 	// Signatures: doc IDs, per-doc offsets in float units (equal adjacent
 	// offsets mean a null signature), and the flat vector blob.
@@ -168,7 +161,7 @@ func (st *Store) Save(w io.Writer) error {
 		{Name: secMeta, Data: metaBuf.Bytes()},
 		{Name: secTermBlob, Data: termBlob},
 		{Name: secTermOffs, Data: storefile.AppendInt64s(nil, termOffs)},
-		{Name: secTermSort, Data: storefile.AppendInt64s(nil, termSort)},
+		{Name: secTermSort, Data: storefile.AppendInt64s(nil, st.termSorted)},
 		{Name: secDF, Data: storefile.AppendInt64s(nil, st.DF)},
 		{Name: secPostDoc, Data: st.Posts.DocBlob},
 		{Name: secPostFreq, Data: st.Posts.FreqBlob},
@@ -445,15 +438,21 @@ func decodeStoreV4(f *storefile.File) (*Store, error) {
 	return st, nil
 }
 
-// lookupTerm resolves an already-normalized term to its dense ID: through
-// the heap map when the store has one (freshly indexed), or by binary search
-// over the mapped sorted permutation on a loaded store — no per-term heap at
-// all.
-func (st *Store) lookupTerm(norm string) (int64, bool) {
-	if st.Terms != nil {
-		id, ok := st.Terms[norm]
-		return id, ok
+// sortTerms returns the permutation of terms in ascending order: the index
+// lookupTerm binary-searches, built once per indexed store.
+func sortTerms(terms []string) []int64 {
+	ids := make([]int64, len(terms))
+	for i := range ids {
+		ids[i] = int64(i)
 	}
+	sort.Slice(ids, func(a, b int) bool { return terms[ids[a]] < terms[ids[b]] })
+	return ids
+}
+
+// lookupTerm resolves an already-normalized term to its dense ID by binary
+// search over the sorted permutation — aliased off the mapped section on a
+// loaded store, so there is no per-term heap at all.
+func (st *Store) lookupTerm(norm string) (int64, bool) {
 	ts := st.termSorted
 	i := sort.Search(len(ts), func(i int) bool { return st.TermList[ts[i]] >= norm })
 	if i < len(ts) && st.TermList[ts[i]] == norm {

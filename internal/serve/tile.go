@@ -16,11 +16,8 @@ package serve
 // rebuilt offline, and per-shard pyramids merge into exactly the monolithic
 // answer — the equivalences the tile tests pin.
 //
-// Pyramid builds and patches are maintenance, charged to the store's
-// tile-maintenance account (like compaction) rather than to the session that
-// happened to trigger them; sessions pay per answered tile — a memory-rate
-// scan of the tile's bins through the server's epoch-keyed tile LRU — and,
-// for spatial Near queries, work proportional to the candidates the quadtree
+// Sessions answer tiles through the server's epoch-keyed tile LRU, and
+// spatial Near queries do work proportional to the candidates the quadtree
 // walk admits rather than the whole point set.
 
 import (
@@ -145,8 +142,7 @@ func (st *Store) DataBounds() (tiles.Rect, bool) {
 
 // withPyramid runs fn with the store's tile pyramid synced to view v, under
 // the tile-maintenance lock. All servers over one store share one pyramid,
-// like they share one epoch stream. Maintenance cost (builds and lineage
-// patches) is charged to the store's tile account, off the session's path.
+// like they share one epoch stream.
 func (st *Store) withPyramid(v *view, cfg tiles.Config, fn func(*tiles.Pyramid)) {
 	ls := &st.live
 	ls.tileMu.Lock()
@@ -172,7 +168,6 @@ func (st *Store) syncPyramidLocked(v *view, cfg tiles.Config) {
 		}
 		if a == ls.tileView {
 			patched := true
-			var work float64
 			for i := len(chain) - 1; i >= 0 && patched; i-- {
 				w := chain[i]
 				switch w.kind {
@@ -181,10 +176,8 @@ func (st *Store) syncPyramidLocked(v *view, cfg tiles.Config) {
 						ts, facets := w.docMeta(pt.Doc)
 						ls.tilePyr.Add(tiles.Entry{Doc: pt.Doc, X: pt.X, Y: pt.Y, Cluster: -1, Time: ts, Facets: facets})
 					}
-					work += float64(len(w.newPts))
 				case viewTomb:
 					ls.tilePyr.Remove(w.tomb)
-					work++
 				case viewCompact:
 					// Identity on the pyramid: the dropped documents were
 					// unbinned at their tombstone epochs.
@@ -194,7 +187,6 @@ func (st *Store) syncPyramidLocked(v *view, cfg tiles.Config) {
 			}
 			if patched {
 				ls.tileView = v
-				ls.tileVirt += st.Model.LocalCopyCost(32 * work * float64(cfg.MaxZoom+1))
 				return
 			}
 		}
@@ -208,13 +200,7 @@ func (st *Store) syncPyramidLocked(v *view, cfg tiles.Config) {
 // describes the base points, from the raw points otherwise. Callers hold
 // tileMu.
 func (st *Store) buildPyramidLocked(v *view, cfg tiles.Config) *tiles.Pyramid {
-	ls := &st.live
 	box := st.tileBoundsLocked(v)
-	var work float64
-	defer func() {
-		ls.tileVirt += st.Model.LocalCopyCost(32 * work * float64(cfg.MaxZoom+1))
-	}()
-
 	if sc := st.sidecarLocked(); sc != nil && sc.Config() == cfg && sc.Bounds() == box {
 		pyr := sc.Clone()
 		for _, pt := range v.pts {
@@ -226,7 +212,6 @@ func (st *Store) buildPyramidLocked(v *view, cfg tiles.Config) *tiles.Pyramid {
 		for d := range v.tombs {
 			pyr.Remove(d)
 		}
-		work = float64(pyr.NumDocs() + len(v.pts) + len(v.tombs))
 		return pyr
 	}
 
@@ -257,7 +242,6 @@ func (st *Store) buildPyramidLocked(v *view, cfg tiles.Config) *tiles.Pyramid {
 			pyr.Add(tiles.Entry{Doc: pt.Doc, X: pt.X, Y: pt.Y, Cluster: -1, Time: ts, Facets: facets})
 		}
 	}
-	work = float64(pyr.NumDocs())
 	return pyr
 }
 
@@ -376,32 +360,17 @@ type tileKey struct {
 	z, x, y int
 }
 
-// tileBytes models a tile reply's payload size.
-func tileBytes(t *tiles.Tile) float64 {
-	if t == nil {
-		return 8
-	}
-	b := 4*len(t.Density) + 16*len(t.Themes) + 16*len(t.Times) + 8*len(t.Exemplars) + 32
-	for _, fc := range t.Facets {
-		b += len(fc.Facet) + 8
-	}
-	return float64(b)
-}
-
 // tileRaw answers one tile address under view v from the epoch-keyed LRU,
 // falling through to the maintained pyramid on a miss. The returned tile is
-// an immutable snapshot (nil = empty). The cost is the descriptor probe plus
-// a memory-rate scan of the tile's bins (twice on a miss: the pyramid read
-// and the reply emit).
-func (s *Server) tileRaw(v *view, z, x, y int) (*tiles.Tile, float64) {
-	m := s.store.Model
+// an immutable snapshot (nil = empty).
+func (s *Server) tileRaw(v *view, z, x, y int) *tiles.Tile {
 	key := tileKey{epoch: v.epoch, z: z, x: x, y: y}
 	s.tmu.Lock()
 	t, ok := s.tiles.get(key)
 	s.tmu.Unlock()
 	if ok {
 		s.tileHits.Add(1)
-		return t, m.LocalCopyCost(24 + tileBytes(t))
+		return t
 	}
 	s.tileMisses.Add(1)
 	var cp *tiles.Tile
@@ -411,30 +380,24 @@ func (s *Server) tileRaw(v *view, z, x, y int) (*tiles.Tile, float64) {
 	s.tmu.Lock()
 	s.tiles.add(key, cp)
 	s.tmu.Unlock()
-	return cp, m.LocalCopyCost(24 + 2*tileBytes(cp))
+	return cp
 }
 
 // tileWhere answers one tile address restricted to the session filter's
 // members — an exact rebuild over the matching entries, bypassing the tile
 // LRU (a filtered tile is a per-session answer; caching it per filter would
-// let one session's predicate evict every session's unfiltered tiles). The
-// cost is the probe per member entry under the address plus the reply emit.
-func (s *Server) tileWhere(v *view, fs *filterSet, z, x, y int) (*tiles.Tile, float64) {
-	m := s.store.Model
+// let one session's predicate evict every session's unfiltered tiles).
+func (s *Server) tileWhere(v *view, fs *filterSet, z, x, y int) *tiles.Tile {
 	var cp *tiles.Tile
-	var members float64
 	s.store.withPyramid(v, s.cfg.tileConfig(), func(p *tiles.Pyramid) {
-		if full := p.Tile(z, x, y); full != nil {
-			members = float64(full.Docs)
-		}
 		cp = p.TileWhere(z, x, y, func(e tiles.Entry) bool { return fs.contains(e.Doc) })
 	})
-	return cp, m.FlopCost(members) + m.LocalCopyCost(24+tileBytes(cp))
+	return cp
 }
 
 // tileFor answers one tile address under the session's filter state: the
 // epoch-keyed LRU when unfiltered, an exact filtered rebuild otherwise.
-func (ss *Session) tileFor(v *view, fs *filterSet, z, x, y int) (*tiles.Tile, float64) {
+func (ss *Session) tileFor(v *view, fs *filterSet, z, x, y int) *tiles.Tile {
 	if fs == nil {
 		return ss.s.tileRaw(v, z, x, y)
 	}
@@ -494,17 +457,13 @@ func (ss *Session) Tile(ctx context.Context, z, x, y int) (*TileResult, error) {
 		return nil, err
 	}
 	s := ss.s
-	if s.cfg.DisableTiles {
-		return nil, fmt.Errorf("serve: tiles are disabled on this server")
-	}
 	tc := s.cfg.tileConfig()
 	if err := checkTileAddr(tc, z, x, y); err != nil {
 		return nil, err
 	}
+	s.queries.Add(1)
 	v := s.store.viewNow()
-	fs, fc := ss.filterFor(v)
-	raw, cost := ss.tileFor(v, fs, z, x, y)
-	ss.charge(cost + fc)
+	raw := ss.tileFor(v, ss.filterFor(v), z, x, y)
 	return renderTile(raw, z, x, y, tc.Grid, s.cfg.TileThemes, s.store.Themes), nil
 }
 
@@ -517,20 +476,17 @@ func (ss *Session) TileRange(ctx context.Context, z int, r tiles.Rect) ([]*TileR
 		return nil, err
 	}
 	s := ss.s
-	if s.cfg.DisableTiles {
-		return nil, fmt.Errorf("serve: tiles are disabled on this server")
-	}
 	tc := s.cfg.tileConfig()
 	if z < 0 || z > tc.MaxZoom {
 		return nil, fmt.Errorf("serve: tile zoom %d out of [0, %d]", z, tc.MaxZoom)
 	}
+	s.queries.Add(1)
 	v := s.store.viewNow()
-	fs, fc := ss.filterFor(v)
-	coords, _, cost := s.tileRangeCoords(v, tc, z, r)
+	fs := ss.filterFor(v)
+	coords := s.tileRangeCoords(v, tc, z, r)
 	out := make([]*TileResult, 0, len(coords))
 	for _, c := range coords {
-		raw, tcost := ss.tileFor(v, fs, z, c[0], c[1])
-		cost += tcost
+		raw := ss.tileFor(v, fs, z, c[0], c[1])
 		if fs != nil && raw == nil {
 			// Every member under the address was filtered out; a pyramid over
 			// only the matching documents would not have this tile at all.
@@ -538,13 +494,12 @@ func (ss *Session) TileRange(ctx context.Context, z int, r tiles.Rect) ([]*TileR
 		}
 		out = append(out, renderTile(raw, z, c[0], c[1], tc.Grid, s.cfg.TileThemes, s.store.Themes))
 	}
-	ss.charge(cost + fc)
 	return out, nil
 }
 
 // tileRangeCoords walks the pyramid for the tile addresses at zoom z
-// intersecting r, charging the descent and counting pruned subtrees.
-func (s *Server) tileRangeCoords(v *view, tc tiles.Config, z int, r tiles.Rect) (coords [][2]int, walked int, cost float64) {
+// intersecting r, counting pruned subtrees.
+func (s *Server) tileRangeCoords(v *view, tc tiles.Config, z int, r tiles.Rect) (coords [][2]int) {
 	var pruned int
 	s.store.withPyramid(v, tc, func(p *tiles.Pyramid) {
 		ts, pr := p.Range(z, r)
@@ -554,40 +509,34 @@ func (s *Server) tileRangeCoords(v *view, tc tiles.Config, z int, r tiles.Rect) 
 		}
 	})
 	s.tilesPruned.Add(uint64(pruned))
-	walked = len(coords) + pruned
-	return coords, walked, s.store.Model.LocalCopyCost(24 * float64(walked))
+	return coords
 }
 
 // tileRawQ is the shard-local half of a routed tile query: it answers the
-// raw (untrimmed) tile through this server's LRU and charges the
-// sub-session, like any other sub-query.
+// raw (untrimmed) tile through this server's LRU.
 func (ss *Session) tileRawQ(z, x, y int) *tiles.Tile {
+	ss.s.queries.Add(1)
 	v := ss.s.store.viewNow()
-	fs, fc := ss.filterFor(v)
-	raw, cost := ss.tileFor(v, fs, z, x, y)
-	ss.charge(cost + fc)
-	return raw
+	return ss.tileFor(v, ss.filterFor(v), z, x, y)
 }
 
 // tileRangeRaw is the shard-local half of a routed range query: raw tiles at
 // zoom z intersecting r, ordered by (x, y).
 func (ss *Session) tileRangeRaw(z int, r tiles.Rect) []*tiles.Tile {
 	s := ss.s
+	s.queries.Add(1)
 	tc := s.cfg.tileConfig()
 	v := s.store.viewNow()
-	fs, fc := ss.filterFor(v)
-	coords, _, cost := s.tileRangeCoords(v, tc, z, r)
+	fs := ss.filterFor(v)
+	coords := s.tileRangeCoords(v, tc, z, r)
 	out := make([]*tiles.Tile, 0, len(coords))
 	for _, c := range coords {
 		// tileFor answers immutable snapshots already addressed (z, x, y);
 		// the merge side only reads them.
-		raw, tcost := ss.tileFor(v, fs, z, c[0], c[1])
-		cost += tcost
-		if raw != nil {
+		if raw := ss.tileFor(v, fs, z, c[0], c[1]); raw != nil {
 			out = append(out, raw)
 		}
 	}
-	ss.charge(cost + fc)
 	return out
 }
 
@@ -660,36 +609,28 @@ func (rs *RouterSession) Tile(ctx context.Context, z, x, y int) (*TileResult, er
 		return nil, err
 	}
 	r := rs.r
-	if r.cfg.DisableTiles {
-		return nil, fmt.Errorf("serve: tiles are disabled on this router")
-	}
 	tc := r.cfg.tileConfig()
 	if err := checkTileAddr(tc, z, x, y); err != nil {
 		return nil, err
 	}
-	cost := r.model.LocalCopyCost(24)
+	r.queries.Add(1)
 	live := r.shardsForTile(z, x, y)
 	if len(live) == 0 {
 		r.shortCircuits.Add(1)
-		rs.charge(cost)
 		return renderTile(nil, z, x, y, tc.Grid, r.cfg.TileThemes, r.themes), nil
 	}
-	parts, scCost := scatterQ(ctx, rs, live, 24,
-		func(ctx context.Context, shard int, sub *Session) (*tiles.Tile, float64) {
+	parts := scatterQ(ctx, rs, live,
+		func(ctx context.Context, shard int, sub *Session) *tiles.Tile {
 			_ = sub.SetFilter(rs.filter)
-			raw := sub.tileRawQ(z, x, y)
-			return raw, tileBytes(raw)
+			return sub.tileRawQ(z, x, y)
 		})
-	cost += scCost
 	// The merged tile is transient — renderTile deep-copies everything it
 	// keeps — so the merge buffer cycles through a pool instead of allocating
 	// a tile (plus density grid) per gathered request.
 	buf := tileMergeBuf.Get().(*tiles.Tile)
 	merged := tiles.MergeInto(buf, parts, tc.Exemplars)
-	cost += r.model.LocalCopyCost(tileBytes(merged))
 	res := renderTile(merged, z, x, y, tc.Grid, r.cfg.TileThemes, r.themes)
 	tileMergeBuf.Put(buf)
-	rs.charge(cost)
 	return res, nil
 }
 
@@ -706,31 +647,21 @@ func (rs *RouterSession) TileRange(ctx context.Context, z int, rect tiles.Rect) 
 		return nil, err
 	}
 	r := rs.r
-	if r.cfg.DisableTiles {
-		return nil, fmt.Errorf("serve: tiles are disabled on this router")
-	}
 	tc := r.cfg.tileConfig()
 	if z < 0 || z > tc.MaxZoom {
 		return nil, fmt.Errorf("serve: tile zoom %d out of [0, %d]", z, tc.MaxZoom)
 	}
-	cost := r.model.LocalCopyCost(24)
+	r.queries.Add(1)
 	live := r.tileShards(z, rect)
 	if len(live) == 0 {
 		r.shortCircuits.Add(1)
-		rs.charge(cost)
 		return nil, nil
 	}
-	parts, scCost := scatterQ(ctx, rs, live, 40,
-		func(ctx context.Context, shard int, sub *Session) ([]*tiles.Tile, float64) {
+	parts := scatterQ(ctx, rs, live,
+		func(ctx context.Context, shard int, sub *Session) []*tiles.Tile {
 			_ = sub.SetFilter(rs.filter)
-			out := sub.tileRangeRaw(z, rect)
-			var b float64
-			for _, t := range out {
-				b += tileBytes(t)
-			}
-			return out, b
+			return sub.tileRangeRaw(z, rect)
 		})
-	cost += scCost
 	byAddr := make(map[[2]int][]*tiles.Tile)
 	for _, part := range parts {
 		for _, t := range part {
@@ -749,17 +680,13 @@ func (rs *RouterSession) TileRange(ctx context.Context, z int, rect tiles.Rect) 
 		return addrs[a][1] < addrs[b][1]
 	})
 	out := make([]*TileResult, 0, len(addrs))
-	var mergedBytes float64
 	// One pooled buffer serves the whole viewport: each merge is rendered
 	// (deep-copied) before the next overwrites it.
 	buf := tileMergeBuf.Get().(*tiles.Tile)
 	for _, a := range addrs {
 		merged := tiles.MergeInto(buf, byAddr[a], tc.Exemplars)
-		mergedBytes += tileBytes(merged)
 		out = append(out, renderTile(merged, z, a[0], a[1], tc.Grid, r.cfg.TileThemes, r.themes))
 	}
 	tileMergeBuf.Put(buf)
-	cost += r.model.LocalCopyCost(mergedBytes)
-	rs.charge(cost)
 	return out, nil
 }

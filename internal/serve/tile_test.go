@@ -102,7 +102,7 @@ func TestTileRouterMatchesServer(t *testing.T) {
 // TestTilePyramidIncrementalMatchesRebuild pins the invariance the live
 // layer promises: the pyramid patched forward across seal, delete, compact
 // and rebase epochs is byte-identical to one rebuilt from scratch for the
-// same view, and spatial answers always match the tile-less full scan.
+// same view, and spatial answers always match the full point scan.
 func TestTilePyramidIncrementalMatchesRebuild(t *testing.T) {
 	sources := ingestSources()
 	st := batchStore(t, sources, 3).Fork()
@@ -110,7 +110,6 @@ func TestTilePyramidIncrementalMatchesRebuild(t *testing.T) {
 	st.SetLivePolicy(LivePolicy{SealDocs: 5, CompactSegments: 3, ManualCompaction: true})
 	cfg := Config{TileMaxZoom: 5}
 	srv := newServerT(t, st, cfg)
-	naive := newServerT(t, st, Config{DisableTiles: true})
 	tc := srv.cfg.tileConfig()
 	sess := srv.NewSession()
 
@@ -126,15 +125,15 @@ func TestTilePyramidIncrementalMatchesRebuild(t *testing.T) {
 				label, len(inc), len(rebuilt))
 		}
 		rng := rand.New(rand.NewSource(3))
-		ns, fs := srv.NewSession(), naive.NewSession()
+		ns := srv.NewSession()
 		for i := 0; i < 25; i++ {
 			x, y := rng.Float64()*2-1, rng.Float64()*2-1
 			r := rng.Float64() * 0.8
-			if a, b := fs.Near(context.Background(), x, y, r), ns.Near(context.Background(), x, y, r); !reflect.DeepEqual(a, b) {
+			if a, b := oracleNear(st.viewNow(), nil, x, y, r), ns.Near(context.Background(), x, y, r); !reflect.DeepEqual(a, b) {
 				t.Fatalf("%s: Near(%g,%g,%g) via tiles = %v, full scan %v", label, x, y, r, b, a)
 			}
 		}
-		if a, b := fs.Near(context.Background(), 0, 0, 1e9), ns.Near(context.Background(), 0, 0, 1e9); !reflect.DeepEqual(a, b) {
+		if a, b := oracleNear(st.viewNow(), nil, 0, 0, 1e9), ns.Near(context.Background(), 0, 0, 1e9); !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: Near(all) via tiles %d docs, full scan %d", label, len(b), len(a))
 		}
 	}
@@ -149,7 +148,7 @@ func TestTilePyramidIncrementalMatchesRebuild(t *testing.T) {
 		}
 		added = append(added, doc)
 	}
-	if _, err := st.Flush(); err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	check("sealed")
@@ -165,7 +164,7 @@ func TestTilePyramidIncrementalMatchesRebuild(t *testing.T) {
 	}
 	check("deleted")
 
-	if _, err := st.Compact(); err != nil {
+	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	check("compacted")
@@ -175,13 +174,13 @@ func TestTilePyramidIncrementalMatchesRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.Flush(); err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Delete(context.Background(), added[9]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Compact(); err != nil {
+	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	check("second round")
@@ -247,7 +246,7 @@ func TestTileRouterMatchesServerUnderIngest(t *testing.T) {
 			t.Fatalf("add %d: mono doc %d, routed doc %d", i, md, rd)
 		}
 	}
-	if _, err := mono.Flush(); err != nil {
+	if err := mono.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.FlushLive(context.Background()); err != nil {
@@ -364,26 +363,17 @@ func TestLegacyAndSidecarTileLoads(t *testing.T) {
 	}
 }
 
-// TestNearChargesCandidatesNotCorpus pins the Near cost bugfix: a tight
-// query is cheaper than the full-scan server charges, the pruning counter
-// advances, and tile hits land in the epoch-keyed LRU.
+// TestNearChargesCandidatesNotCorpus pins the Near pruning fix: a tight
+// query prunes quadtree subtrees instead of testing every point, answers
+// exactly what the full point scan does, and tile hits land in the
+// epoch-keyed LRU.
 func TestNearChargesCandidatesNotCorpus(t *testing.T) {
 	st := batchStore(t, ingestSources(), 3)
 	srv := newServerT(t, st, Config{})
-	naive := newServerT(t, st, Config{DisableTiles: true})
 
-	ns, fs := srv.NewSession(), naive.NewSession()
-	// Warm the pyramid so the probe measures steady-state query cost.
-	ns.Near(context.Background(), 0, 0, 0.01)
-	ns.Near(context.Background(), 0, 0, 0.01)
-	tight := ns.Stats().LastMS
-	fs.Near(context.Background(), 0, 0, 0.01)
-	full := fs.Stats().LastMS
-	if tight <= 0 || full <= 0 {
-		t.Fatalf("virtual costs not charged: tiles %g ms, scan %g ms", tight, full)
-	}
-	if tight >= full {
-		t.Fatalf("tight tile-pruned Near costs %g ms, full scan %g ms", tight, full)
+	got := srv.NewSession().Near(context.Background(), 0, 0, 0.01)
+	if want := oracleNear(st.viewNow(), nil, 0, 0, 0.01); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tight Near = %v, full scan %v", got, want)
 	}
 	if p := srv.Stats().TilesPruned; p == 0 {
 		t.Fatal("no subtrees pruned on a tight query")
@@ -399,12 +389,5 @@ func TestNearChargesCandidatesNotCorpus(t *testing.T) {
 	stats := srv.Stats()
 	if stats.TileHits == 0 || stats.TileMisses == 0 {
 		t.Fatalf("tile LRU not exercised: %+v hits/%+v misses", stats.TileHits, stats.TileMisses)
-	}
-
-	if _, err := naive.NewSession().Tile(context.Background(), 0, 0, 0); err == nil {
-		t.Fatal("tiles answered on a DisableTiles server")
-	}
-	if _, err := naive.NewSession().TileRange(context.Background(), 0, worldRect()); err == nil {
-		t.Fatal("tile range answered on a DisableTiles server")
 	}
 }

@@ -225,17 +225,14 @@ type liveState struct {
 	retired map[int64]bool
 	policy  LivePolicy
 
-	compacting  bool
-	compactWG   sync.WaitGroup
-	compactVirt float64 // virtual seconds charged to the background compactor
+	compacting bool
+	compactWG  sync.WaitGroup
 
 	// Tile-pyramid maintenance state (see tile.go): the pyramid synced to
 	// tileView, the pyramid persisted inside the store file (nil once
-	// invalid), the derived world bounds of a store without a frozen
-	// TileBox, and the virtual seconds
-	// charged to pyramid builds and patches — maintenance, like
-	// compaction, off every session's critical path. Guarded by tileMu;
-	// publishers holding mu may take tileMu (never the reverse).
+	// invalid) and the derived world bounds of a store without a frozen
+	// TileBox. Guarded by tileMu; publishers holding mu may take tileMu
+	// (never the reverse).
 	tileMu      sync.Mutex
 	tilePyr     *tiles.Pyramid
 	tileView    *view
@@ -243,9 +240,8 @@ type liveState struct {
 	// tileRaw is the still-encoded pyramid embedded in a mapped INSPSTORE4
 	// store, decoded into tileSidecar on the first spatial query (see
 	// sidecarLocked) so a cold load never pays the decode.
-	tileRaw  []byte
-	tileBox  *tiles.Rect
-	tileVirt float64
+	tileRaw []byte
+	tileBox *tiles.Rect
 
 	adds, deletes, seals, compactions atomic.Uint64
 
@@ -422,19 +418,6 @@ func (st *Store) resetViewLocked() {
 	st.live.replog = nil
 	st.live.logFloor = v.epoch + 1
 	st.live.cur.Store(&view{epoch: v.epoch + 1, gen: v.gen + 1, base: st.baseView(), sigs: v.sigs, pts: v.pts})
-}
-
-// maintVirtMS snapshots the store's maintenance accounts as virtual
-// milliseconds: background compaction/rebase merges and tile-pyramid builds
-// and patches — modeled work kept off every session's critical path.
-func (st *Store) maintVirtMS() (compact, tile float64) {
-	st.live.mu.Lock()
-	compact = st.live.compactVirt * 1000
-	st.live.mu.Unlock()
-	st.live.tileMu.Lock()
-	tile = st.live.tileVirt * 1000
-	st.live.tileMu.Unlock()
-	return compact, tile
 }
 
 // Epoch returns the store's current serving epoch; it advances on every

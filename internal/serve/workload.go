@@ -58,21 +58,6 @@ type WorkloadReport struct {
 	WallSeconds float64
 	QPS         float64 // sustained host queries/sec across all sessions
 
-	// VirtualQPS is the modeled sustained throughput: total interactions
-	// over the mean session's virtual seconds — sessions run concurrently in
-	// virtual time, each as its own sequential stream, so with balanced
-	// streams the service completes Sessions interactions per mean
-	// interaction latency. (The busiest session is not used: which session
-	// draws the cold similarity scans is interleaving luck, and one 5-second
-	// outlier would swamp the steady-state number.)
-	VirtualQPS float64
-
-	MeanVirtualMS float64 // mean per-interaction virtual latency
-	P50VirtualMS  float64 // median per-interaction virtual latency
-	P95VirtualMS  float64 // body-tail per-interaction virtual latency
-	P99VirtualMS  float64 // tail per-interaction virtual latency
-	MaxVirtualMS  float64 // worst single interaction (a cold similarity scan)
-
 	OpCounts map[string]int64
 	Stats    Stats // service counters accumulated during the replay
 }
@@ -81,19 +66,17 @@ type WorkloadReport struct {
 func (r *WorkloadReport) String() string {
 	s := fmt.Sprintf(
 		"%d sessions, %d interactions in %.2fs host time (%.0f queries/sec)\n"+
-			"modeled throughput %.0f queries/sec; per-interaction virtual latency: mean %.3f ms, p50 %.3f ms, p99 %.3f ms, max %.3f ms\n"+
-			"posting cache: %.1f%% hit rate (%d hits + %d coalesced / %d misses, %d evictions, %d remote gets)\n"+
+			"posting cache: %.1f%% hit rate (%d hits + %d coalesced / %d misses, %d evictions)\n"+
 			"block skipping: %d partial fetches (%d blocks decoded, %d ruled out)\n"+
 			"similarity cache: %.1f%% hit rate (%d hits / %d misses)",
 		r.Sessions, r.Ops, r.WallSeconds, r.QPS,
-		r.VirtualQPS, r.MeanVirtualMS, r.P50VirtualMS, r.P99VirtualMS, r.MaxVirtualMS,
 		100*r.Stats.PostingHitRate(), r.Stats.PostingHits, r.Stats.Coalesced,
-		r.Stats.PostingMisses, r.Stats.PostingEvictions, r.Stats.RemoteGets,
+		r.Stats.PostingMisses, r.Stats.PostingEvictions,
 		r.Stats.PartialFetches, r.Stats.BlocksDecoded, r.Stats.BlocksSkipped,
 		100*r.Stats.SimHitRate(), r.Stats.SimHits, r.Stats.SimMisses)
 	if r.Stats.TileHits+r.Stats.TileMisses+r.Stats.TilesPruned > 0 {
-		s += fmt.Sprintf("\ntiles: %d served from the LRU, %d pyramid reads, %d subtrees pruned by spatial walks (%.1f ms maintenance)",
-			r.Stats.TileHits, r.Stats.TileMisses, r.Stats.TilesPruned, r.Stats.TileMaintVirtMS)
+		s += fmt.Sprintf("\ntiles: %d served from the LRU, %d pyramid reads, %d subtrees pruned by spatial walks",
+			r.Stats.TileHits, r.Stats.TileMisses, r.Stats.TilesPruned)
 	}
 	if r.Stats.FanOuts > 0 || r.Stats.ShortCircuits > 0 {
 		s += fmt.Sprintf("\nscatter-gather: %d fan-outs into %d shard queries (%d pruned by DF summaries, %d short-circuited at the router)",
@@ -136,10 +119,7 @@ func Replay(svc Service, cfg WorkloadConfig) (*WorkloadReport, error) {
 		mu       sync.Mutex
 		opCounts = make(map[string]int64)
 		firstErr error
-		virtSum  float64
-		virtMax  float64
 		totalOps int64
-		allLats  []float64 // every interaction's virtual ms
 	)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -151,7 +131,6 @@ func Replay(svc Service, cfg WorkloadConfig) (*WorkloadReport, error) {
 			ctx := context.Background()
 			sess := svc.NewQuerier()
 			local := make(map[string]int64)
-			lats := make([]float64, 0, cfg.OpsPerSession)
 			term := func() string { return cfg.Terms[pickSkewed(rng, len(cfg.Terms))] }
 			for op := 0; op < cfg.OpsPerSession; op++ {
 				switch p := rng.Float64(); {
@@ -182,19 +161,12 @@ func Replay(svc Service, cfg WorkloadConfig) (*WorkloadReport, error) {
 					sess.Near(ctx, rng.Float64()-0.5, rng.Float64()-0.5, 0.2)
 					local["near"]++
 				}
-				lats = append(lats, sess.Stats().LastMS)
 			}
-			st := sess.Stats()
 			mu.Lock()
 			for k, v := range local {
 				opCounts[k] += v
+				totalOps += v
 			}
-			virtSum += st.VirtualSeconds
-			if st.MaxMS/1000 > virtMax {
-				virtMax = st.MaxMS / 1000
-			}
-			totalOps += st.Ops
-			allLats = append(allLats, lats...)
 			mu.Unlock()
 		}(sid)
 	}
@@ -215,34 +187,7 @@ func Replay(svc Service, cfg WorkloadConfig) (*WorkloadReport, error) {
 	if wall > 0 {
 		rep.QPS = float64(totalOps) / wall
 	}
-	if virtSum > 0 {
-		rep.VirtualQPS = float64(totalOps) / (virtSum / float64(cfg.Sessions))
-	}
-	if totalOps > 0 {
-		rep.MeanVirtualMS = virtSum / float64(totalOps) * 1000
-	}
-	sort.Float64s(allLats)
-	rep.P50VirtualMS = percentile(allLats, 0.50)
-	rep.P95VirtualMS = percentile(allLats, 0.95)
-	rep.P99VirtualMS = percentile(allLats, 0.99)
-	rep.MaxVirtualMS = virtMax * 1000
 	return rep, nil
-}
-
-// percentile reads the p-quantile (nearest-rank) of an ascending-sorted
-// slice; 0 when empty.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // diffStats subtracts counter snapshots so repeated replays on one service
@@ -254,7 +199,6 @@ func diffStats(before, after Stats) Stats {
 		PostingMisses:    after.PostingMisses - before.PostingMisses,
 		PostingEvictions: after.PostingEvictions - before.PostingEvictions,
 		Coalesced:        after.Coalesced - before.Coalesced,
-		RemoteGets:       after.RemoteGets - before.RemoteGets,
 		PartialFetches:   after.PartialFetches - before.PartialFetches,
 		BlocksDecoded:    after.BlocksDecoded - before.BlocksDecoded,
 		BlocksSkipped:    after.BlocksSkipped - before.BlocksSkipped,
@@ -268,8 +212,6 @@ func diffStats(before, after Stats) Stats {
 		TileHits:         after.TileHits - before.TileHits,
 		TileMisses:       after.TileMisses - before.TileMisses,
 		TilesPruned:      after.TilesPruned - before.TilesPruned,
-		CompactVirtMS:    after.CompactVirtMS - before.CompactVirtMS,
-		TileMaintVirtMS:  after.TileMaintVirtMS - before.TileMaintVirtMS,
 		FanOuts:          after.FanOuts - before.FanOuts,
 		ShardQueries:     after.ShardQueries - before.ShardQueries,
 		ShardsPruned:     after.ShardsPruned - before.ShardsPruned,

@@ -73,8 +73,8 @@ func (p *Projection) rowOf(term int64) (int, bool) {
 // each weighted by its frequency, accumulated in ascending row order and
 // L1-normalized — exactly Generate's arithmetic. It returns nil (the null
 // signature) when the document contains no major terms or the accumulated
-// mass is not positive, and reports the floating-point work done.
-func (p *Projection) Project(counts map[int64]int64) (vec []float64, flops float64) {
+// mass is not positive.
+func (p *Projection) Project(counts map[int64]int64) []float64 {
 	rows := make([]int, 0, len(counts))
 	weight := make(map[int]float64, len(counts))
 	for t, c := range counts {
@@ -84,10 +84,10 @@ func (p *Projection) Project(counts map[int64]int64) (vec []float64, flops float
 		}
 	}
 	if len(rows) == 0 {
-		return nil, 0
+		return nil
 	}
 	sort.Ints(rows)
-	vec = make([]float64, p.M)
+	vec := make([]float64, p.M)
 	var mass float64
 	for _, i := range rows {
 		row := p.A[i*p.M : (i+1)*p.M]
@@ -97,13 +97,12 @@ func (p *Projection) Project(counts map[int64]int64) (vec []float64, flops float
 			mass += w * v
 		}
 	}
-	flops = float64(2*len(rows)*p.M) + float64(p.M)
 	if mass <= 0 {
-		return nil, flops
+		return nil
 	}
 	inv := 1 / mass
 	for j := range vec {
 		vec[j] *= inv
 	}
-	return vec, flops
+	return vec
 }
