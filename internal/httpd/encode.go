@@ -334,13 +334,12 @@ func appendErrorEnvelope(dst []byte, code, msg string) []byte {
 }
 
 // appendEnvelope appends the whole HTTP response body of an op result and
-// returns the status that goes with it: an op error maps onto the stable code
-// set, and a reply that cannot be encoded answers 500 `internal` with nothing
-// of it on the wire.
+// returns the status that goes with it: an op error answers with the code its
+// kind selected (Reply.fail), and a reply that cannot be encoded answers 500
+// `internal` with nothing of it on the wire.
 func appendEnvelope(dst []byte, rep *Reply) ([]byte, int) {
 	if rep.Error != "" {
-		code := errCode(rep.Error)
-		return appendErrorEnvelope(dst, code, rep.Error), httpStatus(code)
+		return appendErrorEnvelope(dst, rep.code, rep.Error), httpStatus(rep.code)
 	}
 	mark := len(dst)
 	dst, err := appendReply(append(dst, envelopeOpen...), rep)

@@ -63,8 +63,7 @@ func checkEncoding(t testing.TB, rep *Reply) {
 	wantStatus := http.StatusOK
 	switch {
 	case rep.Error != "":
-		code := errCode(rep.Error)
-		env, wantStatus = Envelope{Error: &ErrorInfo{Code: code, Message: rep.Error}}, httpStatus(code)
+		env, wantStatus = Envelope{Error: &ErrorInfo{Code: rep.code, Message: rep.Error}}, httpStatus(rep.code)
 	case wantErr != nil:
 		env, wantStatus = Envelope{Error: &ErrorInfo{Code: CodeInternal, Message: gotErr.Error()}}, http.StatusInternalServerError
 	}
@@ -278,7 +277,9 @@ func fillValue(t *testing.T, v reflect.Value) {
 		fillValue(t, v.Elem())
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			fillValue(t, v.Field(i))
+			if v.Type().Field(i).IsExported() { // the rest never reaches the wire
+				fillValue(t, v.Field(i))
+			}
 		}
 	default:
 		t.Fatalf("Reply reaches a %s: teach appendReply and this test about it", v.Type())

@@ -11,6 +11,12 @@
 // method_not_allowed, internal) and the matching HTTP status. The line
 // protocol writes the bare "data" payload, one per line, errors in-band.
 //
+// An op error's code follows its kind (errors.Is), never its text:
+// serve.ErrInvalid is 400 bad_request (a malformed parameter or filter, an
+// out-of-range tile, a refused write), serve.ErrNotFound 404 not_found, a
+// disabled endpoint 400 disabled, and anything else — context.Canceled and
+// DeadlineExceeded included — 500 internal.
+//
 // Endpoints (each answers exactly one method: reads GET, mutations POST):
 //
 //	GET  /v1/term?q=word            posting list of one term
@@ -63,6 +69,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -246,6 +253,14 @@ type Reply struct {
 	Doc      int64             `json:"doc,omitempty"` // add: the assigned document ID
 	OK       bool              `json:"ok,omitempty"`  // add/delete/flush/compact/save
 	Error    string            `json:"error,omitempty"`
+
+	code string // Error's envelope code (see errCode); never on the wire itself
+}
+
+// fail records an op error on the reply, with the code its kind selects.
+func (rep *Reply) fail(err error) *Reply {
+	rep.Error, rep.code = err.Error(), errCode(err)
+	return rep
 }
 
 // ErrorInfo is the envelope's error half.
@@ -262,17 +277,22 @@ type Envelope struct {
 	Error *ErrorInfo      `json:"error,omitempty"`
 }
 
-// errCode classifies an op error message onto the stable code set.
-func errCode(msg string) string {
+// errDisabled is the kind of refusing an endpoint this daemon runs without.
+var errDisabled = errors.New("disabled")
+
+// errCode classifies an op error by its kind onto the stable code set. A
+// context that ended (a client gone, a deadline) and any error of no kind
+// are the server's: internal.
+func errCode(err error) string {
 	switch {
-	case strings.Contains(msg, "disabled"):
-		return CodeDisabled
-	case strings.Contains(msg, "not found"):
-		return CodeNotFound
-	case strings.Contains(msg, "context"):
-		return CodeInternal
-	default:
+	case errors.Is(err, serve.ErrInvalid):
 		return CodeBadRequest
+	case errors.Is(err, serve.ErrNotFound):
+		return CodeNotFound
+	case errors.Is(err, errDisabled):
+		return CodeDisabled
+	default:
+		return CodeInternal
 	}
 }
 
@@ -307,7 +327,7 @@ func (p *params) num(key, what string, bits int) int64 {
 	v := p.Get(key)
 	n, err := strconv.ParseInt(v, 10, bits)
 	if err != nil && p.err == nil {
-		p.err = fmt.Errorf("%s %q is not %s", key, v, what)
+		p.err = serve.Errorf(serve.ErrInvalid, "%s %q is not %s", key, v, what)
 	}
 	return n
 }
@@ -327,7 +347,7 @@ func (p *params) float(key string) float64 {
 	v := p.Get(key)
 	f, err := strconv.ParseFloat(v, 64)
 	if (err != nil || math.IsNaN(f) || math.IsInf(f, 0)) && p.err == nil {
-		p.err = fmt.Errorf("%s %q is not a number", key, v)
+		p.err = serve.Errorf(serve.ErrInvalid, "%s %q is not a number", key, v)
 	}
 	return f
 }
@@ -355,12 +375,13 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.
 		p.err = sess.SetFilter(f)
 	}
 	if p.err != nil {
-		rep.Error = p.err.Error()
+		rep.fail(p.err)
 		return rep
 	}
 	terms := func() []string {
 		return strings.FieldsFunc(p.Get("q"), func(r rune) bool { return r == ',' || r == ' ' })
 	}
+	var err error
 	switch op {
 	case "term":
 		rep.Postings = sess.TermDocs(ctx, p.Get("q"))
@@ -385,12 +406,8 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.
 		if degraded && k > d.limits.DegradeSimilarK {
 			k = d.limits.DegradeSimilarK
 		}
-		hits, err := sess.Similar(ctx, doc, k)
-		if err != nil {
-			rep.Error = err.Error()
-		}
-		rep.Hits = hits
-		rep.Count = len(hits)
+		rep.Hits, err = sess.Similar(ctx, doc, k)
+		rep.Count = len(rep.Hits)
 	case "theme":
 		if k := int(p.num("cluster", "a cluster index", 0)); p.err == nil {
 			rep.Docs = sess.ThemeDocs(ctx, k)
@@ -404,7 +421,7 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.
 	case "tile":
 		z, x, y := int(p.num("z", "", 0)), int(p.num("x", "", 0)), int(p.num("y", "", 0))
 		if p.err != nil {
-			p.err = fmt.Errorf("tile address %q/%q/%q is not numeric", p.Get("z"), p.Get("x"), p.Get("y"))
+			p.err = serve.Errorf(serve.ErrInvalid, "tile address %q/%q/%q is not numeric", p.Get("z"), p.Get("x"), p.Get("y"))
 			break
 		}
 		if degraded && z > d.limits.DegradeMaxZoom {
@@ -413,40 +430,32 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.
 			dz := z - d.limits.DegradeMaxZoom
 			z, x, y = d.limits.DegradeMaxZoom, x>>dz, y>>dz
 		}
-		t, err := sess.Tile(ctx, z, x, y)
-		if err != nil {
-			rep.Error = err.Error()
-		} else {
-			rep.Tile = t
-			rep.Count = int(t.Docs)
+		if rep.Tile, err = sess.Tile(ctx, z, x, y); err == nil {
+			rep.Count = int(rep.Tile.Docs)
 		}
 	case "add":
 		ts := p.optNum("ts", "a unix timestamp")
 		if p.err != nil {
 			break
 		}
-		doc, err := sess.AddDoc(ctx, p.Get("text"), ts, vals["facet"])
-		if err != nil {
-			rep.Error = err.Error()
-		} else {
-			rep.Doc, rep.OK = doc, true
-		}
+		rep.Doc, err = sess.AddDoc(ctx, p.Get("text"), ts, vals["facet"])
+		rep.OK = err == nil
 	case "delete":
 		doc := p.num("doc", "a document ID", 64)
 		if p.err != nil {
 			break
 		}
-		if err := sess.Delete(ctx, doc); err != nil {
-			rep.Error = err.Error()
-		} else {
+		if err = sess.Delete(ctx, doc); err == nil {
 			rep.Doc, rep.OK = doc, true
 		}
 	default:
-		rep.Error = fmt.Sprintf("unknown op %q", op)
-		return rep
+		err = serve.Errorf(serve.ErrInvalid, "unknown op %q", op)
 	}
 	if p.err != nil {
-		rep.Error = p.err.Error()
+		err = p.err
+	}
+	if err != nil {
+		rep.fail(err)
 	}
 	return rep
 }
@@ -457,7 +466,7 @@ func (d *Daemon) live(ctx context.Context, op, path string) Reply {
 	rep := Reply{Op: op}
 	lv, ok := d.srv.(serve.Liver)
 	if !ok {
-		rep.Error = "live maintenance is disabled on this service"
+		rep.fail(serve.Errorf(errDisabled, "live maintenance is disabled on this service"))
 		return rep
 	}
 	var err error
@@ -468,13 +477,13 @@ func (d *Daemon) live(ctx context.Context, op, path string) Reply {
 		err = lv.CompactLive(ctx)
 	case "save":
 		if path == "" {
-			err = fmt.Errorf("save needs a path")
+			err = serve.Errorf(serve.ErrInvalid, "save needs a path")
 		} else {
 			err = lv.SaveLive(ctx, path)
 		}
 	}
 	if err != nil {
-		rep.Error = err.Error()
+		rep.fail(err)
 	} else {
 		rep.OK = true
 	}
@@ -605,7 +614,7 @@ func (d *Daemon) Mux() *http.ServeMux {
 			if op == "save" {
 				resolved, err := savePath(d.saveDir, path)
 				if err != nil {
-					writeReply(w, &Reply{Op: op, Error: err.Error()})
+					writeReply(w, (&Reply{Op: op}).fail(err))
 					return
 				}
 				path = resolved
@@ -632,14 +641,20 @@ func (d *Daemon) Mux() *http.ServeMux {
 // keeps the endpoint disabled.
 func savePath(dir, name string) (string, error) {
 	if dir == "" {
-		return "", fmt.Errorf("save over HTTP is disabled; start inspired with -save-dir")
+		return "", serve.Errorf(errDisabled, "save over HTTP is disabled; start inspired with -save-dir")
 	}
 	if name == "" || name == "." || name == ".." ||
 		name != filepath.Base(name) || strings.ContainsAny(name, `/\`) {
-		return "", fmt.Errorf("save path must be a plain file name (it is written inside -save-dir)")
+		return "", serve.Errorf(serve.ErrInvalid, "save path must be a plain file name (it is written inside -save-dir)")
 	}
 	return filepath.Join(dir, name), nil
 }
+
+// lineArgs names each line-protocol op's positional arguments by their HTTP
+// parameters.
+var lineArgs = map[string][]string{"term": {"q"}, "df": {"q"}, "and": {"q"}, "or": {"q"},
+	"add": {"text"}, "delete": {"doc"}, "similar": {"doc", "k"}, "theme": {"cluster"},
+	"near": {"x", "y", "r"}, "tile": {"z", "x", "y"}}
 
 // ServeLines answers the stdin line protocol: one op per line, JSON per
 // line. Lines are "term apple", "and apple banana", "similar 3 5",
@@ -709,28 +724,13 @@ func (d *Daemon) ServeLines(in io.Reader, out io.Writer) {
 		}
 		// Positional arguments take the HTTP parameter names; a missing one
 		// stays unset and run() refuses it where the op needs it.
-		var names []string
 		switch op {
-		case "term", "df":
-			names = []string{"q"}
 		case "and", "or":
 			rest = []string{strings.Join(rest, ",")}
-			names = []string{"q"}
 		case "add":
 			rest = []string{strings.Join(rest, " ")}
-			names = []string{"text"}
-		case "delete":
-			names = []string{"doc"}
-		case "similar":
-			names = []string{"doc", "k"}
-		case "theme":
-			names = []string{"cluster"}
-		case "near":
-			names = []string{"x", "y", "r"}
-		case "tile":
-			names = []string{"z", "x", "y"}
 		}
-		for i, name := range names {
+		for i, name := range lineArgs[op] {
 			if i < len(rest) {
 				vals.Set(name, rest[i])
 			}

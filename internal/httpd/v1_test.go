@@ -2,11 +2,13 @@ package httpd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"testing"
@@ -63,6 +65,54 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	}
 	if env.OK || env.Error == nil || env.Error.Code != CodeMethodNotAllowed {
 		t.Fatalf("405 envelope = %s", raw)
+	}
+}
+
+// TestErrorCodeFollowsKindNotText pins that the wire code comes from the
+// error's kind: parameters whose echoed text reads "context", "not found" or
+// "disabled" are still malformed parameters (400 bad_request), a missing
+// similarity target is 404 not_found, and an ended context is 500 internal —
+// on one store and through the router. The stdin line carries no code.
+func TestErrorCodeFollowsKindNotText(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		d := New(buildService(t, shards), "")
+		ts := httptest.NewServer(d.Mux())
+		c := ts.Client()
+		for _, tc := range []struct {
+			route  string
+			status int
+			code   string
+		}{
+			{"/v1/similar?doc=context", http.StatusBadRequest, CodeBadRequest},
+			{"/v1/and?q=apple&facet=context", http.StatusBadRequest, CodeBadRequest},
+			{"/v1/near?x=not%20found&y=0&r=1", http.StatusBadRequest, CodeBadRequest},
+			{"/v1/theme?cluster=disabled", http.StatusBadRequest, CodeBadRequest},
+			{"/v1/similar?doc=999999", http.StatusNotFound, CodeNotFound},
+			{"/v1/tiles/9/0/0", http.StatusBadRequest, CodeBadRequest},
+		} {
+			code, _, raw := fetch(t, c, http.MethodGet, ts.URL+tc.route)
+			var env Envelope
+			if err := json.Unmarshal(raw, &env); err != nil {
+				t.Fatalf("%d shards: %s: %v", shards, tc.route, err)
+			}
+			if code != tc.status || env.Error == nil || env.Error.Code != tc.code {
+				t.Fatalf("%d shards: %s = %d %s, want %d %s", shards, tc.route, code, raw, tc.status, tc.code)
+			}
+		}
+		ts.Close()
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		vals := url.Values{"doc": {"0"}, "k": {"3"}}
+		if rep := d.run(ctx, d.session(""), "similar", vals, false); rep.Error == "" || rep.code != CodeInternal {
+			t.Fatalf("%d shards: cancelled similar = %+v, want an internal error", shards, rep)
+		}
+
+		var out bytes.Buffer
+		d.ServeLines(strings.NewReader("similar context\n"), &out)
+		if want := `{"op":"similar","count":0,"error":"doc \"context\" is not a document ID"}` + "\n"; out.String() != want {
+			t.Fatalf("%d shards: line = %s, want %s", shards, out.String(), want)
+		}
 	}
 }
 

@@ -92,9 +92,9 @@ func TestBitmapKernelsAllocFree(t *testing.T) {
 		t.Fatalf("warm bitmap probe allocates %v objects/op, want 0", got)
 	}
 
-	dst, _ = s.OrBitmapsInto(dst[:0], 0, 1)
+	dst = s.OrBitmapsInto(dst[:0], 0, 1)
 	if got := testing.AllocsPerRun(100, func() {
-		dst, _ = s.OrBitmapsInto(dst[:0], 0, 1)
+		dst = s.OrBitmapsInto(dst[:0], 0, 1)
 	}); got != 0 {
 		t.Fatalf("warm OrBitmapsInto allocates %v objects/op, want 0", got)
 	}

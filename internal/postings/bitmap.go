@@ -105,9 +105,9 @@ func (s *Store) bitmapFreqs(dst []int64, t int64) []int64 {
 // AndBitmapsInto intersects two bitmap terms word-wise into dst[:0]: one AND
 // per 64 candidate doc IDs across the overlap of the two spans, zero decode.
 // Both bases are multiples of 64, so the word grids line up with no shifting.
-// The stats report word pairs ANDed; every decode counter stays zero.
+// Nothing is decoded or probed, so the stats are always zero; the return
+// keeps the shape of the other intersection kernels.
 func (s *Store) AndBitmapsInto(dst []int64, a, b int64) ([]int64, IntersectStats) {
-	var ist IntersectStats
 	wa, baseA := s.bitmapRange(a)
 	wb, baseB := s.bitmapRange(b)
 	lo, hi := baseA, baseA+int64(len(wa))<<6
@@ -120,18 +120,16 @@ func (s *Store) AndBitmapsInto(dst []int64, a, b int64) ([]int64, IntersectStats
 	out := dst[:0]
 	for w0 := lo; w0 < hi; w0 += 64 {
 		w := wa[(w0-baseA)>>6] & wb[(w0-baseB)>>6]
-		ist.WordsScanned++
 		for w != 0 {
 			out = append(out, w0+int64(bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}
-	return out, ist
+	return out, IntersectStats{}
 }
 
 // OrBitmapsInto unions two bitmap terms word-wise into dst[:0], ascending.
-func (s *Store) OrBitmapsInto(dst []int64, a, b int64) ([]int64, IntersectStats) {
-	var ist IntersectStats
+func (s *Store) OrBitmapsInto(dst []int64, a, b int64) []int64 {
 	wa, baseA := s.bitmapRange(a)
 	wb, baseB := s.bitmapRange(b)
 	endA, endB := baseA+int64(len(wa))<<6, baseB+int64(len(wb))<<6
@@ -151,13 +149,12 @@ func (s *Store) OrBitmapsInto(dst []int64, a, b int64) ([]int64, IntersectStats)
 		if w0 >= baseB && w0 < endB {
 			w |= wb[(w0-baseB)>>6]
 		}
-		ist.WordsScanned++
 		for w != 0 {
 			out = append(out, w0+int64(bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}
-	return out, ist
+	return out
 }
 
 // bitmapProbeInto is the dense∧sparse kernel: each accumulator doc costs one

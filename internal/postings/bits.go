@@ -72,8 +72,7 @@ func (b *Bits) FilterInto(dst, docs []int64) ([]int64, IntersectStats) {
 // one AND per 64 candidate doc IDs across the overlap of the two spans, zero
 // decode — the dense∧dense kernel with a caller-built operand. t must be a
 // bitmap term. Both bases are multiples of 64, so the grids align.
-func (s *Store) AndBitsInto(dst []int64, t int64, b *Bits) ([]int64, IntersectStats) {
-	var ist IntersectStats
+func (s *Store) AndBitsInto(dst []int64, t int64, b *Bits) []int64 {
 	wt, baseT := s.bitmapRange(t)
 	lo, hi := baseT, baseT+int64(len(wt))<<6
 	if b.Base > lo {
@@ -85,11 +84,10 @@ func (s *Store) AndBitsInto(dst []int64, t int64, b *Bits) ([]int64, IntersectSt
 	out := dst[:0]
 	for w0 := lo; w0 < hi; w0 += 64 {
 		w := wt[(w0-baseT)>>6] & b.Words[(w0-b.Base)>>6]
-		ist.WordsScanned++
 		for w != 0 {
 			out = append(out, w0+int64(bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}
-	return out, ist
+	return out
 }

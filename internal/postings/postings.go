@@ -82,17 +82,6 @@ func (s *Store) Blocks(t int64) int64 {
 	return (s.Count[t] + BlockSize - 1) / BlockSize
 }
 
-// TermBytes returns the compressed byte sizes of term t's doc and freq
-// containers — what a fetch of the whole list transfers. For a bitmap term
-// the doc side is its word array.
-func (s *Store) TermBytes(t int64) (docBytes, freqBytes int64) {
-	docBytes = s.TermDoc[t+1] - s.TermDoc[t]
-	if s.IsBitmap(t) {
-		docBytes = 8 * (s.TermBit[t+1] - s.TermBit[t])
-	}
-	return docBytes, s.TermFreq[t+1] - s.TermFreq[t]
-}
-
 // SizeBytes returns the total in-memory footprint of the compressed layout:
 // both blobs plus every directory vector. This is the quantity the bench
 // figure compares against 16 bytes per posting of the flat layout.
@@ -187,18 +176,13 @@ func (s *Store) Postings(t int64) (docs, freqs []int64) {
 }
 
 // IntersectStats accounts one intersection: how many of the term's blocks
-// were decoded, how many the skip directory ruled out, the postings those
-// blocks held, and the compressed bytes they occupy (what a modeled fetch
-// moves). Bitmap kernels report word-wise work instead: 64-bit word pairs
-// ANDed (WordsScanned) and single-doc membership probes (BitProbes) — both
-// leave the decode counters at zero because nothing is decoded.
+// were decoded and how many the skip directory ruled out. A bitmap probe
+// reports its single-doc membership tests (BitProbes) instead and leaves the
+// block counters at zero, because nothing is decoded.
 type IntersectStats struct {
-	BlocksDecoded   int
-	BlocksSkipped   int
-	PostingsDecoded int
-	BytesDecoded    int64
-	WordsScanned    int
-	BitProbes       int
+	BlocksDecoded int
+	BlocksSkipped int
+	BitProbes     int
 }
 
 // Intersect returns acc ∩ postings(t) for an ascending-sorted acc, decoding
@@ -239,10 +223,7 @@ func (s *Store) IntersectInto(dst, acc []int64, t int64) ([]int64, IntersectStat
 		}
 		if j != loaded {
 			ist.BlocksSkipped += int(j - loaded - 1)
-			bn, docLo, docHi, _, _ := s.blockSpan(t, j)
 			ist.BlocksDecoded++
-			ist.PostingsDecoded += bn
-			ist.BytesDecoded += docHi - docLo
 			cur = s.decodeDocBlock(t, j, block[:])
 			loaded, pos = j, 0
 		}

@@ -146,11 +146,11 @@ func (st *Store) AddCountsMeta(doc int64, counts map[int64]int64, sig []float64,
 func (st *Store) addLocked(doc int64, counts map[int64]int64, sig []float64, ts int64, facets []string) error {
 	v := st.live.cur.Load()
 	if doc < 0 || v.base.containsDoc(doc) {
-		return fmt.Errorf("serve: add: doc %d collides with the base snapshot", doc)
+		return Errorf(ErrInvalid, "serve: add: doc %d collides with the base snapshot", doc)
 	}
 	for _, s := range v.segs {
 		if s.Contains(doc) {
-			return fmt.Errorf("serve: add: doc %d already ingested", doc)
+			return Errorf(ErrInvalid, "serve: add: doc %d already ingested", doc)
 		}
 	}
 	if v.tombs[doc] || doc < st.live.idFloor || st.live.retired[doc] {
@@ -160,7 +160,7 @@ func (st *Store) addLocked(doc int64, counts map[int64]int64, sig []float64, ts 
 		// dropped by compaction with its data). The floor and set — not the
 		// rolling nextDoc — are what reject here, so routed adds landing on
 		// a shard out of ID order still go through.
-		return fmt.Errorf("serve: add: doc %d was deleted or retired; IDs are never reused", doc)
+		return Errorf(ErrInvalid, "serve: add: doc %d was deleted or retired; IDs are never reused", doc)
 	}
 	pol := st.livePolicy()
 	if st.live.delta == nil {
@@ -196,7 +196,7 @@ func (st *Store) Delete(doc int64) error {
 		v = st.live.cur.Load()
 	}
 	if !v.contains(doc) {
-		return fmt.Errorf("serve: delete: unknown document %d", doc)
+		return Errorf(ErrInvalid, "serve: delete: unknown document %d", doc)
 	}
 	tombs := make(map[int64]bool, len(v.tombs)+1)
 	for d := range v.tombs {

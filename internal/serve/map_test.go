@@ -181,7 +181,7 @@ func TestMapReadsDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				fs := tiled.filterFor(v)
+				fs := w.srv.filterSetFor(v, tiled.filter)
 				for c := -1; c <= w.mono.K; c++ {
 					want := oracleThemeDocs(v, fs, c)
 					themeDocs += len(want)
@@ -313,7 +313,7 @@ func TestConcurrentMapReads(t *testing.T) {
 				v := w.mono.viewNow()
 				got := sess.ThemeDocs(ctx, c)
 				if w.mono.viewNow() == v {
-					fs := sess.filterFor(v)
+					fs := w.srv.filterSetFor(v, sess.filter)
 					if want := oracleThemeDocs(v, fs, c); !slices.Equal(got, want) {
 						t.Errorf("ThemeDocs(%d) at epoch %d = %v, want %v", c, v.epoch, got, want)
 						return

@@ -76,6 +76,18 @@ func (f Filter) normalized() (Filter, error) {
 	return f, nil
 }
 
+// canonical is normalized without the copy when the facets already are —
+// as a Querier's sticky filter always is.
+func (f Filter) canonical() (Filter, error) {
+	for i, s := range f.Facets {
+		if i >= maxDocFacets || len(s) > maxFacetLen || strings.IndexByte(s, '=') <= 0 ||
+			(i > 0 && f.Facets[i-1] >= s) {
+			return f.normalized()
+		}
+	}
+	return f, nil
+}
+
 // cacheKey canonically serializes the (normalized) filter for cache keying.
 func (f Filter) cacheKey() string {
 	var sb strings.Builder
@@ -97,16 +109,16 @@ func normalizeFacets(facets []string) ([]string, error) {
 		return nil, nil
 	}
 	if len(facets) > maxDocFacets {
-		return nil, fmt.Errorf("serve: %d facets (max %d)", len(facets), maxDocFacets)
+		return nil, Errorf(ErrInvalid, "serve: %d facets (max %d)", len(facets), maxDocFacets)
 	}
 	out := make([]string, len(facets))
 	copy(out, facets)
 	for _, f := range out {
 		if len(f) > maxFacetLen {
-			return nil, fmt.Errorf("serve: facet %q exceeds %d bytes", f[:32]+"…", maxFacetLen)
+			return nil, Errorf(ErrInvalid, "serve: facet %q exceeds %d bytes", f[:32]+"…", maxFacetLen)
 		}
 		if eq := strings.IndexByte(f, '='); eq <= 0 {
-			return nil, fmt.Errorf("serve: facet %q is not key=value", f)
+			return nil, Errorf(ErrInvalid, "serve: facet %q is not key=value", f)
 		}
 	}
 	sort.Strings(out)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -266,6 +267,34 @@ func TestChaosKillReplicaUnderLoad(t *testing.T) {
 	}
 	if rep2.Ops != 20*10 {
 		t.Fatalf("post-heal replay completed %d ops, want %d", rep2.Ops, 20*10)
+	}
+}
+
+// TestCancelledScatterIsNeverCached pins that a routed answer is complete or
+// an error: a similar whose deadline passes while both replicas of one shard
+// stall fails with the deadline, and the partial merge of the other shards
+// is never filed in the router's cache — once the stalls clear, the same
+// doc and k answer exactly what an unstalled router answers.
+func TestCancelledScatterIsNeverCached(t *testing.T) {
+	const doc, k = 0, 10
+	want, err := replicatedRouter(t, 3, 2).NewSession().Similar(context.Background(), doc, k)
+	if err != nil || len(want) != k {
+		t.Fatalf("unstalled similar = %v, %v", want, err)
+	}
+	r := replicatedRouter(t, 3, 2)
+	r.Replica(1, 0).SetStall(50 * time.Millisecond)
+	r.Replica(1, 1).SetStall(50 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	hits, err := r.NewSession().Similar(ctx, doc, k)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) || hits != nil {
+		t.Fatalf("similar past its deadline = %v, %v; want no hits and the deadline", hits, err)
+	}
+	r.Replica(1, 0).SetStall(0)
+	r.Replica(1, 1).SetStall(0)
+	got, err := r.NewSession().Similar(context.Background(), doc, k)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("similar after the cancelled one = %v, %v; want %v", got, err, want)
 	}
 }
 

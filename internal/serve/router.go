@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,7 +237,9 @@ func (r *Router) NewSession() *RouterSession {
 			subs[i][j] = &replicaSub{rep: rep, srv: srv, sess: srv.NewSession()}
 		}
 	}
-	return &RouterSession{r: r, ID: r.nextSession.Add(1), subs: subs}
+	rs := &RouterSession{r: r, ID: r.nextSession.Add(1), subs: subs}
+	rs.ex = rs
+	return rs
 }
 
 // Stats aggregates the shard primaries' cache/traffic/ingest counters and
@@ -338,26 +341,21 @@ func (r *Router) Themes() []core.Theme { return r.themes }
 // --- RouterSession --------------------------------------------------------
 
 // RouterSession is one analyst's connection through the router: a sequential
-// stream of interactions. It holds one sub-session per shard replica so
-// shard-side work is cached and coalesced exactly like directly-served
-// sessions.
+// stream of Queries answered by Exec, with one sub-session per shard replica
+// so shard-side work is cached and coalesced like a direct session's.
 type RouterSession struct {
+	querier
 	r    *Router
 	ID   int64
 	subs [][]*replicaSub // [shard][replica]
 
-	// filter is the session's sticky metadata predicate (SetFilter). The
-	// shards partition the document space, so per-shard filtering commutes
-	// with the disjoint gather merges; scatter closures push the filter onto
-	// each sub-session before issuing the sub-query.
-	filter Filter
-
-	// Scatter scratch reused across interactions. A routed session is a
-	// sequential stream (one goroutine at a time), and every gather merge
-	// copies into a fresh output slice — so nothing scratch-backed escapes
-	// an interaction.
+	// Per-interaction scratch (a session is one goroutine at a time): sub is
+	// the shard query of the scatter in flight, key the similarity cache key
+	// from plan to merge.
 	scratchShards []int
 	scratchIDs    []int64
+	sub           Query
+	key           simKey
 }
 
 // replicaSub is one session's connection to one replica. Its lock serializes
@@ -380,120 +378,370 @@ func (sub *replicaSub) session() *Session {
 	return sub.sess
 }
 
-// SetFilter installs (or, with the zero Filter, clears) the session's sticky
-// metadata predicate. Later query interactions return only matching
-// documents, with exactly the answers the unfiltered query would return
-// minus the non-matching documents — identical to a filtered single-store
-// session over the unsharded corpus.
-func (rs *RouterSession) SetFilter(f Filter) error {
-	nf, err := f.normalized()
-	if err != nil {
-		return err
+// Exec answers one query over the shard set in one pipeline driven by the
+// op's entry in routes: resolve and prune (or answer at the router with no
+// fan-out), scatter the shard half, merge the parts. The filter travels in
+// the query; the shards partition the documents, so per-shard filtering
+// commutes with the merges. A routed answer is complete or an error: a part
+// lost to the context fails the query with the context's error.
+func (rs *RouterSession) Exec(ctx context.Context, q Query) (Result, error) {
+	r := rs.r
+	if skip, err := q.prepare(ctx, r.cfg.tileConfig()); skip || err != nil {
+		return Result{}, err
 	}
-	rs.filter = nf
-	return nil
+	rt := routes[q.Op]
+	if rt.plan == nil {
+		return Result{}, Errorf(ErrInvalid, "serve: op %d is a shard half, not a routed query", q.Op)
+	}
+	// Refused before they count: a routed add's facets (validated once, here)
+	// and a delete of a negative document, which has no owner.
+	var err error
+	if q.Op == OpAdd {
+		q.Facets, err = normalizeFacets(q.Facets)
+	} else if q.Op == OpDelete && q.Doc < 0 {
+		err = Errorf(ErrInvalid, "serve: delete: unknown document %d", q.Doc)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	r.queries.Add(1)
+	rs.sub = q
+	shards, res, err := rt.plan(rs, q)
+	if err != nil || shards == nil {
+		return res, err
+	}
+	parts, err := rs.scatter(ctx, shards)
+	if err != nil {
+		return Result{}, err
+	}
+	return rt.merge(rs, q, parts), nil
 }
 
-// applyFilterHits post-filters a merged top-K hit list against the session
-// filter at the router, resolving each hit's metadata from its owning
-// shard's primary — the per-shard scans stay unfiltered so the merged cache
-// entry serves every session, filtered or not. Returns the kept hits (a
-// fresh slice; the input is never mutated).
-func (rs *RouterSession) applyFilterHits(hits []query.Hit) []query.Hit {
-	if rs.filter.Empty() {
-		return hits
+// route is how the router answers one Op: plan returns the shards to send
+// rs.sub (q, unless plan rewrites it) or, with nil shards, the answer itself;
+// merge folds the parts, in shard order, once every part arrived.
+type route struct {
+	plan  func(rs *RouterSession, q Query) (shards []int, res Result, err error)
+	merge func(rs *RouterSession, q Query, parts []Result) Result
+}
+
+// routes is the router's per-op table; the shard halves have no entry.
+var routes = [numOps]route{
+	OpTerm:      {planAnd, mergePostingParts}, // a term query is a conjunction of one
+	OpDF:        {planDF, nil},
+	OpAnd:       {planAnd, mergeDocParts},
+	OpOr:        {planOr, mergeUnionParts},
+	OpSimilar:   {planSimilar, mergeSimilar},
+	OpTheme:     {planEverywhere, mergeDocParts},
+	OpNear:      {planNear, mergeDocParts},
+	OpTile:      {planTile, mergeTile},
+	OpTileRange: {planTileRange, mergeTileRange},
+	OpAdd:       {planAdd, nil},
+	OpDelete:    {planDelete, nil},
+}
+
+// shortCircuit answers at the router with no fan-out, counting it.
+func (rs *RouterSession) shortCircuit(res Result) ([]int, Result, error) {
+	rs.r.shortCircuits.Add(1)
+	return nil, res, nil
+}
+
+// planDF reads the replicated shard-summed DF vector (live ingests and, like
+// the single-store DF, deleted documents included) at the router.
+func planDF(rs *RouterSession, q Query) ([]int, Result, error) {
+	var res Result
+	if t, ok := rs.r.termID(q.Terms[0]); ok {
+		res.DF = rs.r.globalDF(t)
 	}
+	return nil, res, nil
+}
+
+// planAnd dooms a conjunction with an unknown or globally-empty term at the
+// router, and otherwise asks only the shards whose DF summaries admit every
+// term.
+func planAnd(rs *RouterSession, q Query) ([]int, Result, error) {
 	r := rs.r
-	kept := make([]query.Hit, 0, len(hits))
-	for _, h := range hits {
-		st := r.primaryStore(ShardOf(h.Doc, len(r.sets)))
-		ts, facets := st.viewNow().docMeta(h.Doc)
-		if rs.filter.timeOK(ts) && facetSubset(rs.filter.Facets, facets) {
-			kept = append(kept, h)
+	ids := rs.scratchIDs[:0]
+	for _, term := range q.Terms {
+		t, ok := r.termID(term)
+		if !ok || r.globalDF(t) == 0 {
+			rs.scratchIDs = ids[:0]
+			return rs.shortCircuit(Result{})
+		}
+		ids = append(ids, t)
+	}
+	rs.scratchIDs = ids
+	rs.scratchShards = r.termShards(rs.scratchShards, ids, true)
+	if len(rs.scratchShards) == 0 {
+		return rs.shortCircuit(Result{})
+	}
+	return rs.scratchShards, Result{}, nil
+}
+
+// planOr prunes the shards where no query term has postings; if that is
+// every shard, the union is empty with no fan-out.
+func planOr(rs *RouterSession, q Query) ([]int, Result, error) {
+	r := rs.r
+	ids := rs.scratchIDs[:0]
+	for _, term := range q.Terms {
+		if t, ok := r.termID(term); ok && r.globalDF(t) > 0 {
+			ids = append(ids, t)
 		}
 	}
-	return kept
+	rs.scratchIDs = ids
+	rs.scratchShards = r.termShards(rs.scratchShards, ids, false)
+	if len(rs.scratchShards) == 0 {
+		return rs.shortCircuit(Result{Docs: []int64{}}) // query.Engine.Or returns an empty, non-nil union
+	}
+	return rs.scratchShards, Result{}, nil
+}
+
+// planSimilar consults the router's merged result cache. On a miss every
+// shard scores its own signatures against the target's vector, fetched from
+// its owner (ID mod S), unfiltered: the merge is cached for every session.
+func planSimilar(rs *RouterSession, q Query) ([]int, Result, error) {
+	r := rs.r
+	// The merged-answer cache versions itself on the sum of the shard
+	// epochs: any seal, delete or signature swap anywhere in the set moves
+	// the sum, so stale merges age out like single-store entries.
+	rs.key = simKey{epoch: r.epochSum(), doc: q.Doc, k: q.K}
+	r.smu.Lock()
+	hits, ok := r.sims.get(rs.key)
+	r.smu.Unlock()
+	if ok {
+		r.simHits.Add(1)
+		return nil, Result{Hits: r.filterHits(hits, q.Filter)}, nil
+	}
+	r.simMisses.Add(1)
+	owner := 0
+	if q.Doc >= 0 {
+		owner = ShardOf(q.Doc, len(r.sets))
+	}
+	// The target signature comes from the owner's primary — a dead replica's
+	// frozen slice could miss a signature swap the survivors published.
+	target, found := r.sets[owner].primary().store().viewNow().sigVec(q.Doc)
+	if !found || target == nil {
+		return nil, Result{}, errNoSignature(q.Doc)
+	}
+	rs.sub = Query{Op: opSimilarTo, Doc: q.Doc, K: q.K, target: target}
+	rs.scratchShards = r.allShards(rs.scratchShards)
+	return rs.scratchShards, Result{}, nil
+}
+
+func mergeSimilar(rs *RouterSession, q Query, parts []Result) Result {
+	r := rs.r
+	hits := mergeHits(gather(parts, func(p *Result) []query.Hit { return p.Hits }), q.K)
+	// The shards resolved their views after the key's sum was read, so under
+	// concurrent ingest the merged answer can reflect newer epochs than the
+	// key claims. Cache only when the sum is unchanged — every published
+	// change strictly grows it, so equality means no shard moved.
+	if r.epochSum() == rs.key.epoch {
+		r.smu.Lock()
+		if _, evicted := r.sims.add(rs.key, hits); evicted {
+			r.simEvictions.Add(1)
+		}
+		r.smu.Unlock()
+	}
+	// The cache holds the unfiltered merge; the filter applies to a copy.
+	return Result{Hits: r.filterHits(hits, q.Filter)}
+}
+
+// filterHits post-filters a merged top-K hit list against f at the router,
+// resolving each hit's metadata from its owning shard's primary.
+func (r *Router) filterHits(hits []query.Hit, f Filter) []query.Hit {
+	if f.Empty() {
+		return hits
+	}
+	return keepHits(hits, func(doc int64) bool {
+		ts, facets := r.primaryStore(ShardOf(doc, len(r.sets))).viewNow().docMeta(doc)
+		return f.timeOK(ts) && facetSubset(f.Facets, facets)
+	})
+}
+
+// planEverywhere asks every shard: each holds its own documents' theme
+// assignments, so a theme drill-down cannot be pruned.
+func planEverywhere(rs *RouterSession, _ Query) ([]int, Result, error) {
+	rs.scratchShards = rs.r.allShards(rs.scratchShards)
+	return rs.scratchShards, Result{}, nil
+}
+
+// planNear asks the shards whose data bounding box intersects the query box
+// — a shard none of whose points can fall inside it is never asked.
+func planNear(rs *RouterSession, q Query) ([]int, Result, error) {
+	r := rs.r
+	rad := math.Abs(q.R)
+	rs.scratchShards = r.rectShards(rs.scratchShards, r.cfg.tileConfig().MaxZoom,
+		tiles.Rect{MinX: q.X - rad, MinY: q.Y - rad, MaxX: q.X + rad, MaxY: q.Y + rad})
+	if len(rs.scratchShards) == 0 {
+		return rs.shortCircuit(Result{})
+	}
+	return rs.scratchShards, Result{}, nil
+}
+
+// gather collects one field of every part, in shard order, for a merge.
+func gather[T any](parts []Result, field func(*Result) T) []T {
+	out := make([]T, len(parts))
+	for i := range parts {
+		out[i] = field(&parts[i])
+	}
+	return out
+}
+
+func mergePostingParts(_ *RouterSession, _ Query, parts []Result) Result {
+	return Result{Postings: mergePostings(gather(parts, func(p *Result) []query.Posting { return p.Postings }))}
+}
+
+func mergeDocParts(_ *RouterSession, _ Query, parts []Result) Result {
+	return Result{Docs: mergeDocs(gather(parts, func(p *Result) []int64 { return p.Docs }))}
+}
+
+func mergeUnionParts(rs *RouterSession, q Query, parts []Result) Result {
+	res := mergeDocParts(rs, q, parts)
+	if res.Docs == nil {
+		res.Docs = []int64{}
+	}
+	return res
+}
+
+// planAdd ingests one document through the router: tokenized and
+// signature-projected once at the router against the replicated vocabulary
+// and projection, assigned the next global document ID, and routed with its
+// metadata to shard ID mod S. The router folds the document's terms into its
+// replicated DF tables so later pruning sees them.
+func planAdd(rs *RouterSession, q Query) ([]int, Result, error) {
+	r := rs.r
+	st := r.vocab
+	counts, sig := st.prepareDoc(q.Text)
+	doc := r.nextDoc.Add(1) - 1
+	shard := ShardOf(doc, len(r.sets))
+	// Fold the document's terms into the replicated DF tables before the
+	// shard append: AddCounts may seal and publish the batch, and a query
+	// pruned by a still-zero summary in that window would miss documents
+	// already visible on the shard. Folding first only ever over-admits a
+	// fan-out, which is safe (deletes leave the tables overcounted too).
+	r.dfMu.Lock()
+	for t := range counts {
+		r.liveDF[shard][t]++
+		r.df[t]++
+	}
+	r.dfMu.Unlock()
+	// Grow the shard's data bounding box to cover where the document will
+	// land on the plane (its seal places it there), so spatial pruning
+	// stays conservative for ingested documents. Growing before the append
+	// only ever over-admits a fan-out, which is safe.
+	if pl := st.Planar; pl != nil {
+		px, py := pl.Project(sig)
+		r.expandBox(shard, px, py)
+	}
+	err := r.sets[shard].apply(func(s *Store) error {
+		return s.AddCountsMeta(doc, counts, sig, q.TS, q.Facets)
+	})
+	if err != nil {
+		r.dfMu.Lock()
+		for t := range counts {
+			r.liveDF[shard][t]--
+			r.df[t]--
+		}
+		r.dfMu.Unlock()
+		return nil, Result{}, err
+	}
+	return nil, Result{Doc: doc}, nil
+}
+
+// planDelete tombstones a document on its owning shard (ID mod S). The
+// replicated DF tables are left alone — deleted documents stay counted until
+// an offline rebase, which only ever over-admits a shard to a fan-out.
+func planDelete(rs *RouterSession, q Query) ([]int, Result, error) {
+	r := rs.r
+	err := r.sets[ShardOf(q.Doc, len(r.sets))].apply(func(s *Store) error {
+		return s.Delete(q.Doc)
+	})
+	return nil, Result{}, err
 }
 
 // attemptOut is one replica attempt's outcome inside a scatter.
-type attemptOut[T any] struct {
-	val   T
+type attemptOut struct {
+	res   Result
+	err   error
 	ok    bool
 	hedge bool
 }
 
-// scatterQ fans one sub-interaction out to the listed shards and gathers the
-// typed replies in ids order. The shard sub-queries run in parallel, one
-// goroutine each. Each shard's sub-query runs on a live replica picked by
-// power-of-two-choices over in-flight depth, hedges to a second replica past
-// the set's hedge delay, and fails over when a replica dies mid-flight. fn
-// must issue exactly one interaction on the sub-session it is handed.
-//
-// A free function, not a method: Go methods cannot take type parameters, and
-// the per-shard winner-takes-result channel is what lets hedged attempts
-// race without two goroutines ever writing one results slot.
-func scatterQ[T any](ctx context.Context, rs *RouterSession, ids []int,
-	fn func(ctx context.Context, shard int, sub *Session) T) []T {
+// scatter runs rs.sub on the listed shards in parallel, one goroutine each,
+// and gathers the parts in ids order. The first part that failed — one the
+// context's end kept from arriving is the context's error — fails the
+// scatter.
+func (rs *RouterSession) scatter(ctx context.Context, ids []int) ([]Result, error) {
 	r := rs.r
 	r.fanOuts.Add(1)
 	r.shardQueries.Add(uint64(len(ids)))
 	r.shardsPruned.Add(uint64(len(r.sets) - len(ids)))
-	results := make([]T, len(ids))
+	parts, errs := make([]Result, len(ids)), make([]error, len(ids))
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		wg.Add(1)
-		go func(i, id int) {
+		go func() {
 			defer wg.Done()
-			results[i] = replicaRead(ctx, rs, id, fn).val
-		}(i, id)
+			parts[i], errs[i] = rs.replicaRead(ctx, id)
+		}()
 	}
 	wg.Wait()
-	return results
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return parts, nil
 }
 
-// replicaRead runs one shard sub-query against the shard's replica set:
-// first attempt on the P2C-picked live replica, a hedged second attempt past
-// the hedge delay, failover to untried live replicas when an attempt comes
-// back failed, and — when every replica is dead — a forced read of replica 0
-// (a stale answer beats none; the primary-ordered write path guarantees a
-// live replica is never stale). The winner's reply is the answer; losers
-// finish on their own sub locks and are discarded.
-func replicaRead[T any](ctx context.Context, rs *RouterSession, shard int,
-	fn func(ctx context.Context, shard int, sub *Session) T) attemptOut[T] {
-	subs := rs.subs[shard]
-	set := rs.r.sets[shard]
-
-	attempt := func(sub *replicaSub, force bool) (out attemptOut[T]) {
-		rep := sub.rep
-		rep.inflight.Add(1)
-		defer rep.inflight.Add(-1)
-		sub.mu.Lock()
-		defer sub.mu.Unlock()
-		if !force && !rep.live() {
-			return out
-		}
-		if d := rep.stallNS.Load(); d > 0 {
-			t := time.NewTimer(time.Duration(d))
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return out
-			}
-		}
-		out.val = fn(ctx, shard, sub.session())
-		// A kill that landed while the attempt ran means the reply may be
-		// from a half-dead replica: discard and let the caller fail over.
-		out.ok = force || (rep.live() && ctx.Err() == nil)
+// attempt runs q on one replica under its sub lock. An attempt that is not
+// forced comes back not ok when the replica is not live, or died or the
+// context ended while it ran: the caller fails over.
+func attempt(ctx context.Context, sub *replicaSub, q *Query, force bool) (out attemptOut) {
+	rep := sub.rep
+	rep.inflight.Add(1)
+	defer rep.inflight.Add(-1)
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	if !force && !rep.live() {
 		return out
 	}
+	if d := rep.stallNS.Load(); d > 0 {
+		t := time.NewTimer(time.Duration(d))
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			out.err = ctx.Err()
+			return out
+		}
+	}
+	out.res, out.err = sub.session().Exec(ctx, *q)
+	// A kill that landed while the attempt ran means the reply may be from a
+	// half-dead replica: discard and let the caller fail over.
+	out.ok = force || (rep.live() && ctx.Err() == nil)
+	return out
+}
 
+// replicaRead runs rs.sub on one shard's replica set: first attempt on the
+// P2C-picked live replica, a hedged second attempt past the hedge delay,
+// failover to untried live replicas when an attempt fails, and — when every
+// replica is dead — a forced read of replica 0 (a stale answer beats none;
+// the primary-ordered write path keeps a live replica current). The winner's
+// reply is the answer; losers finish on their own sub locks, discarded.
+func (rs *RouterSession) replicaRead(ctx context.Context, shard int) (Result, error) {
+	subs := rs.subs[shard]
 	if len(subs) == 1 {
 		// Unreplicated: the pre-replication fast path, no channel or timer.
-		return attempt(subs[0], true)
+		out := attempt(ctx, subs[0], &rs.sub, true)
+		return out.res, out.err
 	}
-
-	ch := make(chan attemptOut[T], len(subs))
+	set := rs.r.sets[shard]
+	// A loser can outlive the interaction: it must not share the terms the
+	// session's next interaction writes over.
+	q := rs.sub
+	q.Terms = slices.Clone(q.Terms)
+	ch := make(chan attemptOut, len(subs))
 	tried := make([]bool, len(subs))
 	pending := 0
 	launch := func(i int, hedge bool) bool {
@@ -503,7 +751,7 @@ func replicaRead[T any](ctx context.Context, rs *RouterSession, shard int,
 		tried[i] = true
 		pending++
 		go func() {
-			out := attempt(subs[i], false)
+			out := attempt(ctx, subs[i], &q, false)
 			out.hedge = hedge
 			ch <- out
 		}()
@@ -524,7 +772,7 @@ func replicaRead[T any](ctx context.Context, rs *RouterSession, shard int,
 				if out.hedge {
 					rs.r.hedgeWins.Add(1)
 				}
-				return out
+				return out.res, out.err
 			}
 			if launch(set.pick(tried), false) {
 				rs.r.failovers.Add(1)
@@ -535,60 +783,28 @@ func replicaRead[T any](ctx context.Context, rs *RouterSession, shard int,
 				rs.r.hedges.Add(1)
 			}
 		case <-ctx.Done():
-			return attemptOut[T]{}
+			return Result{}, ctx.Err()
 		}
 	}
-	return attempt(subs[0], true)
+	out := attempt(ctx, subs[0], &q, true)
+	return out.res, out.err
 }
 
-// liveShards returns the shards whose DF summary — base or live overlay —
-// admits the term, written over dst[:0].
-func (r *Router) liveShards(dst []int, t int64) []int {
+// termShards returns the shards whose DF summaries — base or live overlay —
+// admit every term (all) or at least one of them, written over dst[:0].
+func (r *Router) termShards(dst []int, ids []int64, all bool) []int {
 	r.dfMu.RLock()
 	defer r.dfMu.RUnlock()
 	out := dst[:0]
 	for i := range r.sets {
-		if r.shardDF[i][t] > 0 || r.liveDF[i][t] > 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// andShards returns the shards whose DF summaries admit every term — a
-// document can only satisfy a conjunction on a shard holding postings for
-// all of them. Written over dst[:0].
-func (r *Router) andShards(dst []int, ids []int64) []int {
-	r.dfMu.RLock()
-	defer r.dfMu.RUnlock()
-	out := dst[:0]
-	for i := range r.sets {
-		all := true
-		for _, t := range ids {
-			if r.shardDF[i][t] == 0 && r.liveDF[i][t] == 0 {
-				all = false
-				break
-			}
-		}
-		if all {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// orShards returns the shards where at least one term may have postings,
-// written over dst[:0].
-func (r *Router) orShards(dst []int, ids []int64) []int {
-	r.dfMu.RLock()
-	defer r.dfMu.RUnlock()
-	out := dst[:0]
-	for i := range r.sets {
+		n := 0
 		for _, t := range ids {
 			if r.shardDF[i][t] > 0 || r.liveDF[i][t] > 0 {
-				out = append(out, i)
-				break
+				n++
 			}
+		}
+		if n > 0 && (!all || n == len(ids)) {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -617,308 +833,27 @@ func (r *Router) allShards(dst []int) []int {
 	return out
 }
 
-// TermDocs returns the posting list of a term across all shards (sorted by
-// document ID), or nil when the term is unknown — answered at the router
-// with no fan-out, like any term absent from every shard's DF summary.
-func (rs *RouterSession) TermDocs(ctx context.Context, term string) []query.Posting {
-	if ctx.Err() != nil {
-		return nil
-	}
-	r := rs.r
-	r.queries.Add(1)
-	t, ok := r.termID(term)
-	if !ok || r.globalDF(t) == 0 {
-		r.shortCircuits.Add(1)
-		return nil
-	}
-	live := r.liveShards(rs.scratchShards[:0], t)
-	rs.scratchShards = live
-	parts := scatterQ(ctx, rs, live,
-		func(ctx context.Context, shard int, sub *Session) []query.Posting {
-			_ = sub.SetFilter(rs.filter)
-			return sub.TermDocs(ctx, term)
-		})
-	return mergePostings(parts)
-}
-
-// DF returns a term's global document frequency (0 when absent) — a
-// router-local read of the replicated shard-summed DF vector (live ingests
-// included), never a fan-out. Like the single-store DF, deleted documents
-// stay counted until their postings are actually dropped.
-func (rs *RouterSession) DF(ctx context.Context, term string) int64 {
-	if ctx.Err() != nil {
-		return 0
-	}
-	r := rs.r
-	r.queries.Add(1)
-	t, ok := r.termID(term)
-	if !ok {
-		return 0
-	}
-	return r.globalDF(t)
-}
-
-// And returns the documents containing every term, sorted by document ID.
-// The router resolves every term against its replicated vocabulary and DF
-// first — an unknown or globally-empty term dooms the conjunction with no
-// fan-out at all — then scatters only to shards whose DF summary is non-zero
-// for every term: a document can only satisfy the conjunction on a shard
-// holding postings for all of them. Each shard runs its own rarest-first
-// block-skipping intersection.
-func (rs *RouterSession) And(ctx context.Context, terms ...string) []int64 {
-	if ctx.Err() != nil || len(terms) == 0 {
-		return nil
-	}
-	r := rs.r
-	r.queries.Add(1)
-	ids := rs.scratchIDs[:0]
-	for _, term := range terms {
-		t, ok := r.termID(term)
-		if !ok || r.globalDF(t) == 0 {
-			r.shortCircuits.Add(1)
-			rs.scratchIDs = ids[:0]
-			return nil
-		}
-		ids = append(ids, t)
-	}
-	rs.scratchIDs = ids
-	live := r.andShards(rs.scratchShards[:0], ids)
-	rs.scratchShards = live
-	if len(live) == 0 {
-		r.shortCircuits.Add(1)
-		return nil
-	}
-	parts := scatterQ(ctx, rs, live,
-		func(ctx context.Context, shard int, sub *Session) []int64 {
-			_ = sub.SetFilter(rs.filter)
-			return sub.And(ctx, terms...)
-		})
-	out := mergeDocs(parts)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// Or returns the documents containing any of the terms, sorted. Shards where
-// no query term has postings are pruned; if that is every shard, the router
-// answers empty with no fan-out.
-func (rs *RouterSession) Or(ctx context.Context, terms ...string) []int64 {
-	if ctx.Err() != nil {
-		return nil
-	}
-	r := rs.r
-	r.queries.Add(1)
-	ids := rs.scratchIDs[:0]
-	for _, term := range terms {
-		if t, ok := r.termID(term); ok && r.globalDF(t) > 0 {
-			ids = append(ids, t)
-		}
-	}
-	rs.scratchIDs = ids
-	live := r.orShards(rs.scratchShards[:0], ids)
-	rs.scratchShards = live
-	if len(live) == 0 {
-		r.shortCircuits.Add(1)
-		return []int64{} // query.Engine.Or returns an empty, non-nil union
-	}
-	parts := scatterQ(ctx, rs, live,
-		func(ctx context.Context, shard int, sub *Session) []int64 {
-			_ = sub.SetFilter(rs.filter)
-			return sub.Or(ctx, terms...)
-		})
-	out := mergeDocs(parts)
-	if out == nil {
-		out = []int64{}
-	}
-	return out
-}
-
-// Similar returns the k documents most similar to the target document's
-// knowledge signature across all shards, consulting the router's merged
-// result cache. On a miss the target vector is fetched from its owning shard
-// (modulo routing locates it without a lookup round), every shard scores its
-// own signature slice against it in parallel, and the per-shard top-K lists
-// k-way merge into the global top-K — identical to the single-store answer.
-func (rs *RouterSession) Similar(ctx context.Context, doc int64, k int) ([]query.Hit, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("serve: similar: k must be positive")
-	}
-	r := rs.r
-	r.queries.Add(1)
-	// The merged-answer cache versions itself on the sum of the shard
-	// epochs: any seal, delete or signature swap anywhere in the set moves
-	// the sum, so stale merges age out like single-store entries.
-	key := simKey{epoch: r.epochSum(), doc: doc, k: k}
-	r.smu.Lock()
-	hits, ok := r.sims.get(key)
-	r.smu.Unlock()
-	if ok {
-		r.simHits.Add(1)
-		return rs.applyFilterHits(hits), nil
-	}
-	r.simMisses.Add(1)
-
-	owner := 0
-	if doc >= 0 {
-		owner = ShardOf(doc, len(r.sets))
-	}
-	// The target signature comes from the owner's primary — a dead replica's
-	// frozen slice could miss a signature swap the survivors published.
-	target, found := r.sets[owner].primary().Server().signature(doc)
-	if !found || target == nil {
-		return nil, fmt.Errorf("serve: document %d not found or has a null signature", doc)
-	}
-	all := r.allShards(rs.scratchShards[:0])
-	rs.scratchShards = all
-	parts := scatterQ(ctx, rs, all,
-		func(ctx context.Context, shard int, sub *Session) []query.Hit {
-			// The shard scans stay unfiltered (the merged answer is cached for
-			// every session); clear any filter an earlier routed query pushed.
-			_ = sub.SetFilter(Filter{})
-			return sub.similarTo(target, doc, k)
-		})
-	hits = mergeHits(parts, k)
-
-	// The shards resolved their views after the key's sum was read, so under
-	// concurrent ingest the merged answer can reflect newer epochs than the
-	// key claims. Cache only when the sum is unchanged — every published
-	// change strictly grows it, so equality means no shard moved.
-	if r.epochSum() == key.epoch {
-		r.smu.Lock()
-		if _, evicted := r.sims.add(key, hits); evicted {
-			r.simEvictions.Add(1)
-		}
-		r.smu.Unlock()
-	}
-	// The cache holds the unfiltered merge; the session's filter applies to
-	// a copy after the add, exactly like the single-store session.
-	return rs.applyFilterHits(hits), nil
-}
-
-// ThemeDocs returns the document IDs assigned to a k-means cluster, sorted —
-// every shard holds its own documents' assignments, so the drill-down fans
-// out everywhere and merges.
-func (rs *RouterSession) ThemeDocs(ctx context.Context, cluster int) []int64 {
-	if ctx.Err() != nil {
-		return nil
-	}
-	r := rs.r
-	r.queries.Add(1)
-	all := r.allShards(rs.scratchShards[:0])
-	rs.scratchShards = all
-	parts := scatterQ(ctx, rs, all,
-		func(ctx context.Context, shard int, sub *Session) []int64 {
-			_ = sub.SetFilter(rs.filter)
-			return sub.ThemeDocs(ctx, cluster)
-		})
-	return mergeDocs(parts)
-}
-
-// Add ingests one document through the router: tokenized and
-// signature-projected once at the router against the replicated vocabulary
-// and projection, assigned the next global document ID, and routed to shard
-// ID mod S. The router folds the document's terms into its replicated DF
-// tables so later pruning sees them.
-func (rs *RouterSession) Add(ctx context.Context, text string) (int64, error) {
-	return rs.AddDoc(ctx, text, 0, nil)
-}
-
-// AddDoc ingests one document with its metadata (Unix-seconds timestamp,
-// "key=value" facets) through the routed write path; the metadata lands on
-// the owning shard alongside the postings.
-func (rs *RouterSession) AddDoc(ctx context.Context, text string, ts int64, facets []string) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	nf, err := normalizeFacets(facets)
-	if err != nil {
-		return 0, err
-	}
-	r := rs.r
-	r.queries.Add(1)
-	st := r.vocab
-	counts, sig := st.prepareDoc(text)
-	doc := r.nextDoc.Add(1) - 1
-	shard := ShardOf(doc, len(r.sets))
-	// Fold the document's terms into the replicated DF tables before the
-	// shard append: AddCounts may seal and publish the batch, and a query
-	// pruned by a still-zero summary in that window would miss documents
-	// already visible on the shard. Folding first only ever over-admits a
-	// fan-out, which is safe (deletes leave the tables overcounted too).
-	r.dfMu.Lock()
-	for t := range counts {
-		r.liveDF[shard][t]++
-		r.df[t]++
-	}
-	r.dfMu.Unlock()
-	// Grow the shard's data bounding box to cover where the document will
-	// land on the plane (its seal places it there), so spatial pruning
-	// stays conservative for ingested documents. Growing before the append
-	// only ever over-admits a fan-out, which is safe.
-	if pl := st.Planar; pl != nil {
-		px, py := pl.Project(sig)
-		r.expandBox(shard, px, py)
-	}
-	err = r.sets[shard].apply(func(s *Store) error {
-		return s.AddCountsMeta(doc, counts, sig, ts, nf)
-	})
-	if err != nil {
-		r.dfMu.Lock()
-		for t := range counts {
-			r.liveDF[shard][t]--
-			r.df[t]--
-		}
-		r.dfMu.Unlock()
-		return 0, err
-	}
-	return doc, nil
-}
-
-// Delete tombstones a document on its owning shard (ID mod S). The
-// replicated DF tables are left alone — deleted documents stay counted until
-// an offline rebase, which only ever over-admits a shard to a fan-out.
-func (rs *RouterSession) Delete(ctx context.Context, doc int64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	r := rs.r
-	if doc < 0 {
-		return fmt.Errorf("serve: delete: unknown document %d", doc)
-	}
-	r.queries.Add(1)
-	return r.sets[ShardOf(doc, len(r.sets))].apply(func(s *Store) error {
-		return s.Delete(doc)
-	})
-}
-
 // FlushLive makes pending adds visible on every shard, sealing every live
 // replica's delta through the set's ordered write path.
 func (r *Router) FlushLive(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for i, set := range r.sets {
-		if err := set.apply((*Store).Flush); err != nil {
-			return fmt.Errorf("serve: flush shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return r.applyAll(ctx, "flush", (*Store).Flush)
 }
 
 // CompactLive merges sealed segments on every shard (every live replica —
 // compaction is answer-invariant, so replicas may also compact on their own
 // schedules).
 func (r *Router) CompactLive(ctx context.Context) error {
+	return r.applyAll(ctx, "compact", (*Store).Compact)
+}
+
+// applyAll applies one maintenance write to every shard's replica set.
+func (r *Router) applyAll(ctx context.Context, what string, fn func(*Store) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	for i, set := range r.sets {
-		if err := set.apply((*Store).Compact); err != nil {
-			return fmt.Errorf("serve: compact shard %d: %w", i, err)
+		if err := set.apply(fn); err != nil {
+			return fmt.Errorf("serve: %s shard %d: %w", what, i, err)
 		}
 	}
 	return nil
@@ -938,31 +873,6 @@ func (r *Router) SaveLive(ctx context.Context, path string) error {
 		stores[i] = st
 	}
 	return SaveLiveSet(path, stores)
-}
-
-// Near returns the documents whose ThemeView projection falls within radius
-// of (x, y), sorted, gathered from the shards whose data bounding box
-// intersects the query box — a shard none of whose points can fall inside
-// it is never asked.
-func (rs *RouterSession) Near(ctx context.Context, x, y, radius float64) []int64 {
-	if ctx.Err() != nil {
-		return nil
-	}
-	r := rs.r
-	r.queries.Add(1)
-	rad := math.Abs(radius)
-	live := r.tileShards(r.cfg.tileConfig().MaxZoom,
-		tiles.Rect{MinX: x - rad, MinY: y - rad, MaxX: x + rad, MaxY: y + rad})
-	if len(live) == 0 {
-		r.shortCircuits.Add(1)
-		return nil
-	}
-	parts := scatterQ(ctx, rs, live,
-		func(ctx context.Context, shard int, sub *Session) []int64 {
-			_ = sub.SetFilter(rs.filter)
-			return sub.Near(ctx, x, y, radius)
-		})
-	return mergeDocs(parts)
 }
 
 // --- gather merges --------------------------------------------------------

@@ -258,35 +258,6 @@ type filterKey struct {
 // handful of active filters; each set is one bitmap or ID list per epoch.
 const filterCacheEntries = 64
 
-// Querier is the session surface shared by single-store Sessions and sharded
-// RouterSessions: one analyst's sequential interaction stream, including the
-// live-ingestion verbs. A Querier's methods must be called from one
-// goroutine at a time; distinct Queriers are fully concurrent.
-//
-// Every interaction takes a context as its first parameter: cancellation
-// (client disconnect, admission deadline, a hedged request losing its race)
-// stops the interaction early — error-returning ops surface ctx.Err(),
-// slice-returning ops return nil.
-type Querier interface {
-	TermDocs(ctx context.Context, term string) []query.Posting
-	DF(ctx context.Context, term string) int64
-	And(ctx context.Context, terms ...string) []int64
-	Or(ctx context.Context, terms ...string) []int64
-	Similar(ctx context.Context, doc int64, k int) ([]query.Hit, error)
-	ThemeDocs(ctx context.Context, cluster int) []int64
-	Near(ctx context.Context, x, y, radius float64) []int64
-	Tile(ctx context.Context, z, x, y int) (*TileResult, error)
-	TileRange(ctx context.Context, z int, r tiles.Rect) ([]*TileResult, error)
-	Add(ctx context.Context, text string) (int64, error)
-	AddDoc(ctx context.Context, text string, ts int64, facets []string) (int64, error)
-	Delete(ctx context.Context, doc int64) error
-	// SetFilter restricts every subsequent query on this querier to documents
-	// matching f (see Filter); the zero Filter clears it. A filtered query
-	// returns exactly the unfiltered answer with non-matching documents
-	// removed. DF is a descriptor read and stays unfiltered.
-	SetFilter(f Filter) error
-}
-
 // Service is what serves analyst sessions: a single-store Server or a
 // sharded Router. Workload replay and the daemon front-end run against this
 // surface, so a sharded set serves transparently behind the session API.
@@ -448,11 +419,6 @@ func (s *Server) SaveLive(ctx context.Context, path string) error {
 	return s.store.SaveFile(path)
 }
 
-// signature returns the signature vector of doc in the store's current view.
-func (s *Server) signature(doc int64) ([]float64, bool) {
-	return s.store.viewNow().sigVec(doc)
-}
-
 // Stats snapshots the server counters plus the store's ingest counters.
 func (s *Server) Stats() Stats {
 	live := &s.store.live
@@ -499,7 +465,9 @@ func (s *Server) Stats() Stats {
 // methods must be called from one goroutine at a time; different sessions
 // are fully concurrent.
 func (s *Server) NewSession() *Session {
-	return &Session{s: s, ID: s.nextSession.Add(1)}
+	ss := &Session{s: s, ID: s.nextSession.Add(1)}
+	ss.ex = ss
+	return ss
 }
 
 // --- posting fetch path ---------------------------------------------------
@@ -568,8 +536,11 @@ func (s *Server) cachedPostings(v *view, t int64) (postingVal, bool) {
 }
 
 // filterSetFor resolves the materialized document set of (v's epoch, f),
-// building and caching it on a miss.
+// building and caching it on a miss; nil when f is empty (unfiltered).
 func (s *Server) filterSetFor(v *view, f Filter) *filterSet {
+	if f.Empty() {
+		return nil
+	}
 	key := filterKey{epoch: v.epoch, key: f.cacheKey()}
 	s.fmu.Lock()
 	fs, ok := s.filters.get(key)
@@ -594,17 +565,15 @@ func (s *Server) segPostings(seg *segment.Segment, t int64) (docs, freqs []int64
 
 // --- Session --------------------------------------------------------------
 
-// Session is one analyst's connection: a sequential stream of interactions.
-// Concurrent sessions share the server's caches and coalesce their index
-// traffic. Each interaction resolves the store's current epoch view once and
-// answers entirely from it.
+// Session is one analyst's connection to one store — a sequential stream of
+// Queries answered by Exec — and the executor a Router runs on each shard
+// replica. Concurrent sessions share the server's caches and coalesce their
+// index traffic. Each interaction resolves the store's current epoch view
+// once and answers entirely from it.
 type Session struct {
+	querier
 	s  *Server
 	ID int64
-
-	// filter restricts every query on this session (SetFilter); always held
-	// in normalized form. The zero Filter means unfiltered.
-	filter Filter
 
 	// Query scratch reused across interactions. A session is a sequential
 	// stream — one goroutine at a time (the HTTP layer serializes named
@@ -620,36 +589,63 @@ type Session struct {
 // andCand is one conjunction term's descriptor during And's planning pass.
 type andCand struct{ id, baseDF, liveDF int64 }
 
-// SetFilter restricts every subsequent query on this session to documents
-// matching f; the zero Filter clears it (see Querier.SetFilter).
-func (ss *Session) SetFilter(f Filter) error {
-	nf, err := f.normalized()
-	if err != nil {
-		return err
+// Exec answers one query against the store's current epoch view. An add is
+// visible once its delta seals, a delete at the very next interaction.
+func (ss *Session) Exec(ctx context.Context, q Query) (Result, error) {
+	s := ss.s
+	tc := s.cfg.tileConfig()
+	if skip, err := q.prepare(ctx, tc); skip || err != nil {
+		return Result{}, err
 	}
-	ss.filter = nf
-	return nil
+	s.queries.Add(1)
+	switch q.Op {
+	case OpTerm:
+		return Result{Postings: ss.termDocs(q.Terms[0], q.Filter)}, nil
+	case OpDF:
+		// Base DF plus every sealed segment's summary. Tombstoned documents
+		// stay counted until compaction or Rebase drops their postings — the
+		// standard LSM overcount.
+		var res Result
+		if t, ok := s.store.TermID(q.Terms[0]); ok {
+			res.DF = s.store.viewNow().df(t)
+		}
+		return res, nil
+	case OpAnd:
+		return Result{Docs: ss.and(q.Terms, q.Filter)}, nil
+	case OpOr:
+		return Result{Docs: ss.or(q.Terms, q.Filter)}, nil
+	case OpSimilar:
+		hits, err := s.similar(q.Doc, q.K, q.Filter)
+		return Result{Hits: hits}, err
+	case opSimilarTo:
+		// Bypasses the result cache: the router caches the merged answer,
+		// and the sim counters with it.
+		return Result{Hits: s.scanSimilar(s.store.viewNow(), q.target, q.Doc, q.K)}, nil
+	case OpTheme:
+		return Result{Docs: s.themeDocs(q.Cluster, q.Filter)}, nil
+	case OpNear:
+		return Result{Docs: s.near(q.X, q.Y, q.R, q.Filter)}, nil
+	case OpTile, opTileRaw:
+		return s.tile(&q, tc), nil
+	case OpTileRange, opTileRangeRaw:
+		return s.tileRange(&q, tc), nil
+	case OpAdd:
+		doc, err := s.store.AddMeta(q.Text, q.TS, q.Facets)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Doc: doc}, nil
+	default: // OpDelete
+		return Result{}, s.store.Delete(q.Doc)
+	}
 }
 
-// filterFor resolves the session's filter set against the view; nil when the
-// session is unfiltered.
-func (ss *Session) filterFor(v *view) *filterSet {
-	if ss.filter.Empty() {
-		return nil
-	}
-	return ss.s.filterSetFor(v, ss.filter)
-}
-
-// applyFilterHits post-filters a top-k hit list (a cached answer or a fresh
-// copy — never mutated) against the session filter, returning the kept hits.
-func (ss *Session) applyFilterHits(v *view, hits []query.Hit) []query.Hit {
-	fs := ss.filterFor(v)
-	if fs == nil {
-		return hits
-	}
+// keepHits returns the hits whose documents keep admits, in order, in a
+// fresh slice: hits may be a cached answer, never mutated.
+func keepHits(hits []query.Hit, keep func(doc int64) bool) []query.Hit {
 	kept := make([]query.Hit, 0, len(hits))
 	for _, h := range hits {
-		if fs.contains(h.Doc) {
+		if keep(h.Doc) {
 			kept = append(kept, h)
 		}
 	}
@@ -673,14 +669,10 @@ func filterTombs(docs []int64, tombs map[int64]bool) []int64 {
 	return out
 }
 
-// TermDocs returns the posting list of a term (sorted by document ID), or
-// nil when the term is unknown or fully deleted — base and ingested-segment
-// postings merged, tombstones filtered.
-func (ss *Session) TermDocs(ctx context.Context, term string) []query.Posting {
-	if ctx.Err() != nil {
-		return nil
-	}
-	ss.s.queries.Add(1)
+// termDocs answers OpTerm: the posting list of a term (sorted by document
+// ID), or nil when the term is unknown or fully deleted — base and
+// ingested-segment postings merged, tombstones filtered.
+func (ss *Session) termDocs(term string, f Filter) []query.Posting {
 	v := ss.s.store.viewNow()
 	t, ok := ss.s.store.TermID(term)
 	if !ok || v.df(t) == 0 {
@@ -704,9 +696,9 @@ func (ss *Session) TermDocs(ctx context.Context, term string) []query.Posting {
 	} else {
 		docs, freqs = mergePlists(lists, v.tombs)
 	}
-	// The session filter applies while building the reply postings: docs may
-	// be a shared store slice, so it is never filtered in place.
-	fs := ss.filterFor(v)
+	// The filter applies while building the reply postings: docs may be a
+	// shared store slice, so it is never filtered in place.
+	fs := ss.s.filterSetFor(v, f)
 	if len(docs) == 0 {
 		return nil
 	}
@@ -723,22 +715,8 @@ func (ss *Session) TermDocs(ctx context.Context, term string) []query.Posting {
 	return out
 }
 
-// DF returns a term's document frequency (0 when absent): the base DF plus
-// every sealed segment's summary. Tombstoned documents stay counted until
-// compaction or Rebase drops their postings — the standard LSM overcount.
-func (ss *Session) DF(ctx context.Context, term string) int64 {
-	if ctx.Err() != nil {
-		return 0
-	}
-	ss.s.queries.Add(1)
-	t, ok := ss.s.store.TermID(term)
-	if !ok {
-		return 0
-	}
-	return ss.s.store.viewNow().df(t)
-}
-
-// And returns the documents containing every term, sorted by document ID.
+// and answers OpAnd: the documents containing every term, sorted by
+// document ID.
 //
 // The conjunction is doomed the moment any term is unknown or empty in the
 // whole view, so the vocabulary and DF descriptors are consulted for every
@@ -755,11 +733,7 @@ func (ss *Session) DF(ctx context.Context, term string) int64 {
 // directory rules out); through a full cached-and-coalesced fetch when it is
 // dense and would decode most blocks anyway. The loop exits before touching
 // the remaining (larger) lists once the intersection empties.
-func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
-	if len(terms) == 0 || ctx.Err() != nil {
-		return nil
-	}
-	ss.s.queries.Add(1)
+func (ss *Session) and(terms []string, f Filter) []int64 {
 	st := ss.s.store
 	v := st.viewNow()
 	cands := ss.scratchCands[:0]
@@ -776,9 +750,9 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 		cands = append(cands, andCand{id: t, baseDF: v.base.df[t], liveDF: live})
 	}
 	ss.scratchCands = cands
-	// The session filter resolves after the doomed-query exits: a conjunction
-	// with an unknown term never pays the filter-set build.
-	fs := ss.filterFor(v)
+	// The filter resolves after the doomed-query exits: a conjunction with an
+	// unknown term never pays the filter-set build.
+	fs := ss.s.filterSetFor(v, f)
 	// Rarest-first must follow the base lists the base pass actually fetches:
 	// ordering by live DF would seed the accumulator with a huge base list
 	// whenever a term's postings concentrate in ingested segments (live DF
@@ -826,7 +800,7 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 			// word-wise AND of the container against the filter's bitmap —
 			// sound for a conjunction (the final post-filter is idempotent),
 			// and every later operand intersects a pre-thinned set.
-			bufA, _ = ps.AndBitsInto(bufA[:0], cands[0].id, fs.bits)
+			bufA = ps.AndBitsInto(bufA[:0], cands[0].id, fs.bits)
 			acc = bufA
 			ss.s.bitmapAnds.Add(1)
 		case ps.IsBitmap(cands[0].id):
@@ -929,15 +903,11 @@ func (ss *Session) And(ctx context.Context, terms ...string) []int64 {
 	return out
 }
 
-// Or returns the documents containing any of the terms, sorted. Unknown and
-// empty terms contribute nothing. The union is a k-way merge over the
-// already-sorted posting lists (base and segment), deduplicating as it
+// or answers OpOr: the documents containing any of the terms, sorted.
+// Unknown and empty terms contribute nothing. The union is a k-way merge over
+// the already-sorted posting lists (base and segment), deduplicating as it
 // streams — no scratch map, no re-sort.
-func (ss *Session) Or(ctx context.Context, terms ...string) []int64 {
-	if ctx.Err() != nil {
-		return nil
-	}
-	ss.s.queries.Add(1)
+func (ss *Session) or(terms []string, f Filter) []int64 {
 	st := ss.s.store
 	v := st.viewNow()
 	lists := make([][]int64, 0, len(terms))
@@ -958,7 +928,7 @@ func (ss *Session) Or(ctx context.Context, terms ...string) []int64 {
 		}
 	}
 	out := filterTombs(unionSorted(lists), v.tombs)
-	if fs := ss.filterFor(v); fs != nil {
+	if fs := ss.s.filterSetFor(v, f); fs != nil {
 		out = fs.filterDocs(out)
 	}
 	if out == nil {
@@ -985,49 +955,43 @@ func unionSorted(lists [][]int64) []int64 {
 	return out
 }
 
-// Similar returns the k documents most similar to the target document's
-// knowledge signature (cosine similarity, the target excluded), consulting
-// the top-K result cache. Identical queries return identical results whether
-// served cold or cached; the cache key carries the view epoch, so every
-// published change (ingest seal, delete, signature swap) invalidates stale
-// answers without any sweep.
-func (ss *Session) Similar(ctx context.Context, doc int64, k int) ([]query.Hit, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("serve: similar: k must be positive")
-	}
-	ss.s.queries.Add(1)
-	v := ss.s.store.viewNow()
+// similar answers OpSimilar: the k documents most similar to the target
+// document's knowledge signature (cosine similarity, the target excluded),
+// consulting the top-K result cache. Identical queries return identical
+// results whether served cold or cached; the cache key carries the view
+// epoch, so every published change (ingest seal, delete, signature swap)
+// invalidates stale answers without any sweep.
+func (s *Server) similar(doc int64, k int, f Filter) ([]query.Hit, error) {
+	v := s.store.viewNow()
 	key := simKey{epoch: v.epoch, doc: doc, k: k}
-	ss.s.smu.Lock()
-	hits, ok := ss.s.sims.get(key)
-	ss.s.smu.Unlock()
+	s.smu.Lock()
+	hits, ok := s.sims.get(key)
+	s.smu.Unlock()
 	if ok {
-		ss.s.simHits.Add(1)
-		return ss.applyFilterHits(v, hits), nil
+		s.simHits.Add(1)
+	} else {
+		s.simMisses.Add(1)
+		target, found := v.sigVec(doc)
+		if !found || target == nil {
+			return nil, errNoSignature(doc)
+		}
+		var refreshed bool
+		if hits, refreshed = s.refreshSimilar(v, target, doc, k); !refreshed {
+			hits = s.scanSimilar(v, target, doc, k)
+		}
+		s.smu.Lock()
+		if _, evicted := s.sims.add(key, hits); evicted {
+			s.simEvictions.Add(1)
+		}
+		s.smu.Unlock()
 	}
-	ss.s.simMisses.Add(1)
-
-	target, found := v.sigVec(doc)
-	if !found || target == nil {
-		return nil, fmt.Errorf("serve: document %d not found or has a null signature", doc)
-	}
-	hits, refreshed := ss.s.refreshSimilar(v, target, doc, k)
-	if !refreshed {
-		hits = ss.s.scanSimilar(v, target, doc, k)
-	}
-
-	ss.s.smu.Lock()
-	if _, evicted := ss.s.sims.add(key, hits); evicted {
-		ss.s.simEvictions.Add(1)
-	}
-	ss.s.smu.Unlock()
 	// The cache stores the unfiltered answer — a later session with a
-	// different (or no) filter must see the same hits — so the session's
-	// filter applies to a copy, after the add.
-	return ss.applyFilterHits(v, hits), nil
+	// different (or no) filter must see the same hits — so the filter
+	// applies to a copy.
+	if fs := s.filterSetFor(v, f); fs != nil {
+		hits = keepHits(hits, fs.contains)
+	}
+	return hits, nil
 }
 
 // refreshSimilar patches a cached top-K forward along the view lineage
@@ -1117,26 +1081,14 @@ func (s *Server) countScan(top *query.TopK) {
 	s.simPruned.Add(uint64(pruned))
 }
 
-// similarTo is the shard-local half of a routed similarity query: it scores
-// this server's view against an externally supplied target vector. It
-// bypasses the per-server result cache — the router caches the merged
-// answer, and the sim counters with it.
-func (ss *Session) similarTo(target []float64, exclude int64, k int) []query.Hit {
-	ss.s.queries.Add(1)
-	return ss.s.scanSimilar(ss.s.store.viewNow(), target, exclude, k)
-}
-
-// ThemeDocs returns the document IDs assigned to a k-means cluster, sorted.
-// Documents ingested after the snapshot carry no cluster assignment until an
-// offline re-clustering; deleted documents are filtered. The walk is over the
-// base's derived cluster index, so it costs the cluster's size.
-func (ss *Session) ThemeDocs(ctx context.Context, cluster int) []int64 {
-	if ctx.Err() != nil {
-		return nil
-	}
-	ss.s.queries.Add(1)
-	v := ss.s.store.viewNow()
-	fs := ss.filterFor(v)
+// themeDocs answers OpTheme: the document IDs assigned to a k-means
+// cluster, sorted. Documents ingested after the snapshot carry no cluster
+// assignment until an offline re-clustering; deleted documents are filtered.
+// The walk is over the base's derived cluster index, so it costs the
+// cluster's size.
+func (s *Server) themeDocs(cluster int, f Filter) []int64 {
+	v := s.store.viewNow()
+	fs := s.filterSetFor(v, f)
 	docs := v.base.clusterDocs(int64(cluster))
 	var out []int64
 	for i, d := range docs {
@@ -1152,23 +1104,19 @@ func (ss *Session) ThemeDocs(ctx context.Context, cluster int) []int64 {
 	return out
 }
 
-// Near returns the documents whose ThemeView projection falls within radius
-// of (x, y), sorted — the analyst's terrain drill-down. Documents ingested
-// on a store with the frozen Planar model are on the plane from the epoch
-// their delta seals; deleted ones are filtered.
+// near answers OpNear: the documents whose ThemeView projection falls
+// within radius of (x, y), sorted — the analyst's terrain drill-down.
+// Documents ingested on a store with the frozen Planar model are on the
+// plane from the epoch their delta seals; deleted ones are filtered.
 //
 // The query descends the tile pyramid: quadtree subtrees outside the query
 // box are pruned untouched (counted in Stats.TilesPruned), so the work is
 // the candidates the walk admits, not the whole point set.
-func (ss *Session) Near(ctx context.Context, x, y, radius float64) []int64 {
-	if ctx.Err() != nil {
-		return nil
-	}
-	ss.s.queries.Add(1)
-	st := ss.s.store
+func (s *Server) near(x, y, radius float64, f Filter) []int64 {
+	st := s.store
 	v := st.viewNow()
 	r2 := radius * radius
-	fs := ss.filterFor(v)
+	fs := s.filterSetFor(v, f)
 	// The squared-distance test makes the radius sign-insensitive; the
 	// query box must agree. The pyramid's bin windows clamp the box with
 	// the member binning arithmetic, so out-of-bounds points (late ingests
@@ -1179,7 +1127,7 @@ func (ss *Session) Near(ctx context.Context, x, y, radius float64) []int64 {
 	// test costs less than copying a 64-byte pointerful entry out would.
 	var out []int64
 	var pruned int
-	st.withPyramid(v, ss.s.cfg.tileConfig(), func(p *tiles.Pyramid) {
+	st.withPyramid(v, s.cfg.tileConfig(), func(p *tiles.Pyramid) {
 		_, pruned = p.Search(rect, func(leaf []tiles.Entry) {
 			for i := range leaf {
 				e := &leaf[i]
@@ -1191,39 +1139,7 @@ func (ss *Session) Near(ctx context.Context, x, y, radius float64) []int64 {
 			}
 		})
 	})
-	ss.s.tilesPruned.Add(uint64(pruned))
+	s.tilesPruned.Add(uint64(pruned))
 	slices.Sort(out)
 	return out
-}
-
-// Add ingests one document through the live path. The document becomes
-// visible to queries when its delta seals.
-func (ss *Session) Add(ctx context.Context, text string) (int64, error) {
-	return ss.AddDoc(ctx, text, 0, nil)
-}
-
-// AddDoc ingests one document with its metadata — a Unix-seconds timestamp
-// (0 = untimestamped) and "key=value" facet labels — through the same live
-// path as Add. The metadata becomes filterable the moment the document
-// becomes visible.
-func (ss *Session) AddDoc(ctx context.Context, text string, ts int64, facets []string) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	ss.s.queries.Add(1)
-	doc, err := ss.s.store.AddMeta(text, ts, facets)
-	if err != nil {
-		return 0, err
-	}
-	return doc, nil
-}
-
-// Delete tombstones a document; the change is visible to the very next
-// interaction on any session.
-func (ss *Session) Delete(ctx context.Context, doc int64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ss.s.queries.Add(1)
-	return ss.s.store.Delete(doc)
 }

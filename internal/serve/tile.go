@@ -21,9 +21,11 @@ package serve
 // walk admits rather than the whole point set.
 
 import (
-	"context"
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -78,13 +80,14 @@ func (cfg Config) tileConfig() tiles.Config {
 	}.WithDefaults()
 }
 
-// checkTileAddr validates a tile address against the pyramid configuration.
+// checkTileAddr validates a tile address against the pyramid configuration
+// (a zoom alone as its tile (0, 0)).
 func checkTileAddr(tc tiles.Config, z, x, y int) error {
 	if z < 0 || z > tc.MaxZoom {
-		return fmt.Errorf("serve: tile zoom %d out of [0, %d]", z, tc.MaxZoom)
+		return Errorf(ErrInvalid, "serve: tile zoom %d out of [0, %d]", z, tc.MaxZoom)
 	}
 	if n := 1 << z; x < 0 || x >= n || y < 0 || y >= n {
-		return fmt.Errorf("serve: tile (%d, %d) outside zoom %d", x, y, z)
+		return Errorf(ErrInvalid, "serve: tile (%d, %d) outside zoom %d", x, y, z)
 	}
 	return nil
 }
@@ -360,10 +363,20 @@ type tileKey struct {
 	z, x, y int
 }
 
-// tileRaw answers one tile address under view v from the epoch-keyed LRU,
-// falling through to the maintained pyramid on a miss. The returned tile is
-// an immutable snapshot (nil = empty).
-func (s *Server) tileRaw(v *view, z, x, y int) *tiles.Tile {
+// tileFor answers one tile address under view v and a filter set as an
+// immutable snapshot (nil = empty). Unfiltered (fs == nil) it reads the
+// epoch-keyed LRU, falling through to the maintained pyramid on a miss.
+// Filtered it rebuilds the tile exactly over the matching entries, bypassing
+// the LRU: a filtered tile is a per-session answer, and caching it per filter
+// would let one session's predicate evict every session's unfiltered tiles.
+func (s *Server) tileFor(v *view, fs *filterSet, z, x, y int) *tiles.Tile {
+	var cp *tiles.Tile
+	if fs != nil {
+		s.store.withPyramid(v, s.cfg.tileConfig(), func(p *tiles.Pyramid) {
+			cp = p.TileWhere(z, x, y, func(e tiles.Entry) bool { return fs.contains(e.Doc) })
+		})
+		return cp
+	}
 	key := tileKey{epoch: v.epoch, z: z, x: x, y: y}
 	s.tmu.Lock()
 	t, ok := s.tiles.get(key)
@@ -373,7 +386,6 @@ func (s *Server) tileRaw(v *view, z, x, y int) *tiles.Tile {
 		return t
 	}
 	s.tileMisses.Add(1)
-	var cp *tiles.Tile
 	s.store.withPyramid(v, s.cfg.tileConfig(), func(p *tiles.Pyramid) {
 		cp = p.Tile(z, x, y).Clone()
 	})
@@ -381,27 +393,6 @@ func (s *Server) tileRaw(v *view, z, x, y int) *tiles.Tile {
 	s.tiles.add(key, cp)
 	s.tmu.Unlock()
 	return cp
-}
-
-// tileWhere answers one tile address restricted to the session filter's
-// members — an exact rebuild over the matching entries, bypassing the tile
-// LRU (a filtered tile is a per-session answer; caching it per filter would
-// let one session's predicate evict every session's unfiltered tiles).
-func (s *Server) tileWhere(v *view, fs *filterSet, z, x, y int) *tiles.Tile {
-	var cp *tiles.Tile
-	s.store.withPyramid(v, s.cfg.tileConfig(), func(p *tiles.Pyramid) {
-		cp = p.TileWhere(z, x, y, func(e tiles.Entry) bool { return fs.contains(e.Doc) })
-	})
-	return cp
-}
-
-// tileFor answers one tile address under the session's filter state: the
-// epoch-keyed LRU when unfiltered, an exact filtered rebuild otherwise.
-func (ss *Session) tileFor(v *view, fs *filterSet, z, x, y int) *tiles.Tile {
-	if fs == nil {
-		return ss.s.tileRaw(v, z, x, y)
-	}
-	return ss.s.tileWhere(v, fs, z, x, y)
 }
 
 // themeLabel renders a theme's representative label: its strongest terms.
@@ -449,139 +440,88 @@ func renderTile(raw *tiles.Tile, z, x, y, grid, topThemes int, themes []core.The
 	return res
 }
 
-// Tile returns the Galaxy tile at (z, x, y): the density raster, top theme
-// histogram and exemplar documents of everything the ThemeView projection
-// bins there, answered from the server's epoch-keyed tile LRU.
-func (ss *Session) Tile(ctx context.Context, z, x, y int) (*TileResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s := ss.s
-	tc := s.cfg.tileConfig()
-	if err := checkTileAddr(tc, z, x, y); err != nil {
-		return nil, err
-	}
-	s.queries.Add(1)
+// tile answers OpTile, or its shard half opTileRaw (unrendered, for a
+// router's merge), through the epoch-keyed tile LRU.
+func (s *Server) tile(q *Query, tc tiles.Config) Result {
 	v := s.store.viewNow()
-	raw := ss.tileFor(v, ss.filterFor(v), z, x, y)
-	return renderTile(raw, z, x, y, tc.Grid, s.cfg.TileThemes, s.store.Themes), nil
+	raw := s.tileFor(v, s.filterSetFor(v, q.Filter), q.Z, q.TX, q.TY)
+	if q.Op == opTileRaw {
+		return Result{raw: raw}
+	}
+	return Result{Tile: renderTile(raw, q.Z, q.TX, q.TY, tc.Grid, s.cfg.TileThemes, s.store.Themes)}
 }
 
-// TileRange returns every non-empty tile at zoom z whose extent intersects
-// r, ordered by (x, y) — one call renders a viewport. The quadtree walk
-// prunes subtrees outside the rect (counted in Stats.TilesPruned) and each
-// admitted tile answers through the tile LRU.
-func (ss *Session) TileRange(ctx context.Context, z int, r tiles.Rect) ([]*TileResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s := ss.s
-	tc := s.cfg.tileConfig()
-	if z < 0 || z > tc.MaxZoom {
-		return nil, fmt.Errorf("serve: tile zoom %d out of [0, %d]", z, tc.MaxZoom)
-	}
-	s.queries.Add(1)
+// tileRange answers OpTileRange (or opTileRangeRaw): every non-empty tile at
+// zoom q.Z intersecting q.Rect, ordered by (x, y) — a viewport in one call.
+// The quadtree walk prunes subtrees outside the rect (Stats.TilesPruned);
+// each admitted tile answers through the tile LRU.
+func (s *Server) tileRange(q *Query, tc tiles.Config) Result {
 	v := s.store.viewNow()
-	fs := ss.filterFor(v)
-	coords := s.tileRangeCoords(v, tc, z, r)
-	out := make([]*TileResult, 0, len(coords))
-	for _, c := range coords {
-		raw := ss.tileFor(v, fs, z, c[0], c[1])
-		if fs != nil && raw == nil {
-			// Every member under the address was filtered out; a pyramid over
-			// only the matching documents would not have this tile at all.
-			continue
-		}
-		out = append(out, renderTile(raw, z, c[0], c[1], tc.Grid, s.cfg.TileThemes, s.store.Themes))
-	}
-	return out, nil
-}
-
-// tileRangeCoords walks the pyramid for the tile addresses at zoom z
-// intersecting r, counting pruned subtrees.
-func (s *Server) tileRangeCoords(v *view, tc tiles.Config, z int, r tiles.Rect) (coords [][2]int) {
+	fs := s.filterSetFor(v, q.Filter)
+	var coords [][2]int
 	var pruned int
 	s.store.withPyramid(v, tc, func(p *tiles.Pyramid) {
-		ts, pr := p.Range(z, r)
+		ts, pr := p.Range(q.Z, q.Rect)
 		pruned = pr
 		for _, t := range ts {
 			coords = append(coords, [2]int{t.X, t.Y})
 		}
 	})
 	s.tilesPruned.Add(uint64(pruned))
-	return coords
-}
-
-// tileRawQ is the shard-local half of a routed tile query: it answers the
-// raw (untrimmed) tile through this server's LRU.
-func (ss *Session) tileRawQ(z, x, y int) *tiles.Tile {
-	ss.s.queries.Add(1)
-	v := ss.s.store.viewNow()
-	return ss.tileFor(v, ss.filterFor(v), z, x, y)
-}
-
-// tileRangeRaw is the shard-local half of a routed range query: raw tiles at
-// zoom z intersecting r, ordered by (x, y).
-func (ss *Session) tileRangeRaw(z int, r tiles.Rect) []*tiles.Tile {
-	s := ss.s
-	s.queries.Add(1)
-	tc := s.cfg.tileConfig()
-	v := s.store.viewNow()
-	fs := ss.filterFor(v)
-	coords := s.tileRangeCoords(v, tc, z, r)
-	out := make([]*tiles.Tile, 0, len(coords))
+	var res Result
+	if q.Op == opTileRangeRaw {
+		res.raws = make([]*tiles.Tile, 0, len(coords))
+	} else {
+		res.Tiles = make([]*TileResult, 0, len(coords))
+	}
 	for _, c := range coords {
-		// tileFor answers immutable snapshots already addressed (z, x, y);
-		// the merge side only reads them.
-		if raw := ss.tileFor(v, fs, z, c[0], c[1]); raw != nil {
-			out = append(out, raw)
+		raw := s.tileFor(v, fs, q.Z, c[0], c[1])
+		switch {
+		case raw == nil && (fs != nil || q.Op == opTileRangeRaw):
+			// Every member under the address was filtered out: a pyramid over
+			// only the matching documents would not have this tile at all. A
+			// shard's empty raw tile adds nothing to the merge.
+		case q.Op == opTileRangeRaw:
+			// tileFor answers immutable snapshots already addressed (z, x, y);
+			// the merge side only reads them.
+			res.raws = append(res.raws, raw)
+		default:
+			res.Tiles = append(res.Tiles, renderTile(raw, q.Z, c[0], c[1], tc.Grid, s.cfg.TileThemes, s.store.Themes))
 		}
 	}
-	return out
+	return res
 }
 
 // --- router side -----------------------------------------------------------
 
-// tileShards returns the shards whose data bounding box overlaps rect's
-// tile window at zoom z — a shard none of whose points can bin inside the
-// window is never asked. The comparison runs in bin-index space with the
-// member binning arithmetic, so boundary points never mis-prune.
-func (r *Router) tileShards(z int, rect tiles.Rect) []int {
-	qx0, qy0, qx1, qy1, ok := tiles.BinWindow(r.tileBox, z, rect)
-	if !ok {
-		return nil
-	}
+// tileShards returns the shards whose data bounding box overlaps the bin
+// window [x0, x1] × [y0, y1] at zoom z — a shard none of whose points can bin
+// inside it is never asked — written over dst[:0]. The comparison runs in
+// bin-index space with the member binning arithmetic, so boundary points
+// never mis-prune.
+func (r *Router) tileShards(dst []int, z, x0, y0, x1, y1 int) []int {
 	r.boxMu.RLock()
 	defer r.boxMu.RUnlock()
-	out := make([]int, 0, len(r.sets))
+	out := dst[:0]
 	for i := range r.sets {
 		if !r.boxOK[i] {
 			continue
 		}
 		sx0, sy0, sx1, sy1, _ := tiles.BinWindow(r.tileBox, z, r.boxes[i])
-		if sx0 <= qx1 && qx0 <= sx1 && sy0 <= qy1 && qy0 <= sy1 {
+		if sx0 <= x1 && x0 <= sx1 && sy0 <= y1 && y0 <= sy1 {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// shardsForTile returns the shards whose data bounding box covers tile
-// (z, x, y) in bin-index space.
-func (r *Router) shardsForTile(z, x, y int) []int {
-	r.boxMu.RLock()
-	defer r.boxMu.RUnlock()
-	out := make([]int, 0, len(r.sets))
-	for i := range r.sets {
-		if !r.boxOK[i] {
-			continue
-		}
-		sx0, sy0, sx1, sy1, _ := tiles.BinWindow(r.tileBox, z, r.boxes[i])
-		if x >= sx0 && x <= sx1 && y >= sy0 && y <= sy1 {
-			out = append(out, i)
-		}
+// rectShards is tileShards over rect's bin window at zoom z.
+func (r *Router) rectShards(dst []int, z int, rect tiles.Rect) []int {
+	x0, y0, x1, y1, ok := tiles.BinWindow(r.tileBox, z, rect)
+	if !ok {
+		return dst[:0]
 	}
-	return out
+	return r.tileShards(dst, z, x0, y0, x1, y1)
 }
 
 // expandBox grows a shard's data bounding box to cover a newly ingested
@@ -599,94 +539,68 @@ func (r *Router) expandBox(shard int, x, y float64) {
 	b.MinY, b.MaxY = math.Min(b.MinY, y), math.Max(b.MaxY, y)
 }
 
-// Tile returns the Galaxy tile at (z, x, y) merged across the shard set:
-// densities and theme histograms sum, exemplar sets union and trim —
-// bit-identical to the single-store answer over the unsharded snapshot.
-// Shards whose bounding box misses the tile's extent are pruned before any
-// request is issued.
-func (rs *RouterSession) Tile(ctx context.Context, z, x, y int) (*TileResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// planTile prunes a routed tile to the shards whose data bounding box covers
+// its extent; when none does, the empty tile is the answer.
+func planTile(rs *RouterSession, q Query) ([]int, Result, error) {
 	r := rs.r
-	tc := r.cfg.tileConfig()
-	if err := checkTileAddr(tc, z, x, y); err != nil {
-		return nil, err
+	rs.scratchShards = r.tileShards(rs.scratchShards, q.Z, q.TX, q.TY, q.TX, q.TY)
+	if len(rs.scratchShards) == 0 {
+		tc := r.cfg.tileConfig()
+		return rs.shortCircuit(Result{Tile: renderTile(nil, q.Z, q.TX, q.TY, tc.Grid, r.cfg.TileThemes, r.themes)})
 	}
-	r.queries.Add(1)
-	live := r.shardsForTile(z, x, y)
-	if len(live) == 0 {
-		r.shortCircuits.Add(1)
-		return renderTile(nil, z, x, y, tc.Grid, r.cfg.TileThemes, r.themes), nil
-	}
-	parts := scatterQ(ctx, rs, live,
-		func(ctx context.Context, shard int, sub *Session) *tiles.Tile {
-			_ = sub.SetFilter(rs.filter)
-			return sub.tileRawQ(z, x, y)
-		})
-	// The merged tile is transient — renderTile deep-copies everything it
-	// keeps — so the merge buffer cycles through a pool instead of allocating
-	// a tile (plus density grid) per gathered request.
-	buf := tileMergeBuf.Get().(*tiles.Tile)
-	merged := tiles.MergeInto(buf, parts, tc.Exemplars)
-	res := renderTile(merged, z, x, y, tc.Grid, r.cfg.TileThemes, r.themes)
-	tileMergeBuf.Put(buf)
-	return res, nil
+	rs.sub.Op = opTileRaw
+	return rs.scratchShards, Result{}, nil
 }
 
-// tileMergeBuf pools gather-merge scratch tiles. Only transient merges may
-// use it: renderTile copies what it keeps, so a buffer can be returned as
-// soon as its merge is rendered.
+// mergeTile merges the shards' raw tiles: densities and theme histograms sum,
+// exemplar sets union and trim — bit-identical to the single-store answer
+// over the unsharded snapshot.
+func mergeTile(rs *RouterSession, q Query, parts []Result) Result {
+	raws := gather(parts, func(p *Result) *tiles.Tile { return p.raw })
+	return Result{Tile: rs.r.renderMerged(raws, q.Z, q.TX, q.TY)}
+}
+
+// renderMerged merges the raw tiles of one address and renders the reply
+// tile. The merged tile is transient — renderTile deep-copies everything it
+// keeps — so the merge buffer cycles through a pool instead of allocating a
+// tile (plus density grid) per gathered address.
+func (r *Router) renderMerged(raws []*tiles.Tile, z, x, y int) *TileResult {
+	tc := r.cfg.tileConfig()
+	buf := tileMergeBuf.Get().(*tiles.Tile)
+	res := renderTile(tiles.MergeInto(buf, raws, tc.Exemplars), z, x, y, tc.Grid, r.cfg.TileThemes, r.themes)
+	tileMergeBuf.Put(buf)
+	return res
+}
+
 var tileMergeBuf = sync.Pool{New: func() any { return new(tiles.Tile) }}
 
-// TileRange returns every non-empty tile at zoom z intersecting r, merged
-// across the shard set and ordered by (x, y), identical to the single-store
-// answer. Only shards whose bounding box intersects the rect are asked.
-func (rs *RouterSession) TileRange(ctx context.Context, z int, rect tiles.Rect) ([]*TileResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// planTileRange asks only the shards whose bounding box intersects the rect;
+// when none does, the viewport is empty, as on a single store.
+func planTileRange(rs *RouterSession, q Query) ([]int, Result, error) {
+	rs.scratchShards = rs.r.rectShards(rs.scratchShards, q.Z, q.Rect)
+	if len(rs.scratchShards) == 0 {
+		return rs.shortCircuit(Result{Tiles: []*TileResult{}})
 	}
-	r := rs.r
-	tc := r.cfg.tileConfig()
-	if z < 0 || z > tc.MaxZoom {
-		return nil, fmt.Errorf("serve: tile zoom %d out of [0, %d]", z, tc.MaxZoom)
-	}
-	r.queries.Add(1)
-	live := r.tileShards(z, rect)
-	if len(live) == 0 {
-		r.shortCircuits.Add(1)
-		return nil, nil
-	}
-	parts := scatterQ(ctx, rs, live,
-		func(ctx context.Context, shard int, sub *Session) []*tiles.Tile {
-			_ = sub.SetFilter(rs.filter)
-			return sub.tileRangeRaw(z, rect)
-		})
+	rs.sub.Op = opTileRangeRaw
+	return rs.scratchShards, Result{}, nil
+}
+
+// mergeTileRange merges the shards' raw tiles address by address, ordered by
+// (x, y) — identical to the single-store answer.
+func mergeTileRange(rs *RouterSession, q Query, parts []Result) Result {
 	byAddr := make(map[[2]int][]*tiles.Tile)
 	for _, part := range parts {
-		for _, t := range part {
+		for _, t := range part.raws {
 			a := [2]int{t.X, t.Y}
 			byAddr[a] = append(byAddr[a], t)
 		}
 	}
-	addrs := make([][2]int, 0, len(byAddr))
-	for a := range byAddr {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(a, b int) bool {
-		if addrs[a][0] != addrs[b][0] {
-			return addrs[a][0] < addrs[b][0]
-		}
-		return addrs[a][1] < addrs[b][1]
+	addrs := slices.SortedFunc(maps.Keys(byAddr), func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
 	out := make([]*TileResult, 0, len(addrs))
-	// One pooled buffer serves the whole viewport: each merge is rendered
-	// (deep-copied) before the next overwrites it.
-	buf := tileMergeBuf.Get().(*tiles.Tile)
 	for _, a := range addrs {
-		merged := tiles.MergeInto(buf, byAddr[a], tc.Exemplars)
-		out = append(out, renderTile(merged, z, a[0], a[1], tc.Grid, r.cfg.TileThemes, r.themes))
+		out = append(out, rs.r.renderMerged(byAddr[a], q.Z, a[0], a[1]))
 	}
-	tileMergeBuf.Put(buf)
-	return out, nil
+	return Result{Tiles: out}
 }
