@@ -23,9 +23,10 @@
 // zero-copy layout -save-store writes, served straight from a shared memory
 // mapping, tile pyramid embedded), and the INSPSHARDS manifests written by
 // -shards N -save-store, which serve their whole partitioned set behind a
-// scatter-gather router. Store files are memory-mapped by default; -no-mmap
-// materializes them to heap. A store file is a derived artefact: one in a
-// retired format is refused by name, and re-indexing is the migration.
+// scatter-gather router. Store files are memory-mapped. A store file is a
+// derived artefact: one in a retired format is refused by name, and
+// re-indexing is the migration — of the signatures too, which the store
+// persists beside the ThemeView points and themes derived from them.
 // -shards N also re-partitions a freshly indexed run or a loaded single
 // store at serve time; either way the session API is identical to
 // single-store serving.
@@ -83,7 +84,6 @@ import (
 	"inspire/internal/corpus"
 	"inspire/internal/httpd"
 	"inspire/internal/serve"
-	"inspire/internal/signature"
 )
 
 func main() {
@@ -92,8 +92,6 @@ func main() {
 	p := flag.Int("p", 4, "number of SPMD processes for the indexing run")
 	storePath := flag.String("store", "", "serve a store persisted with -save-store instead of indexing")
 	saveStore := flag.String("save-store", "", "persist the serving store to this file after indexing")
-	noMmap := flag.Bool("no-mmap", false, "materialize INSPSTORE4 stores to heap instead of serving from the file mapping")
-	sigPath := flag.String("signatures", "", "override signatures from a file persisted by inspire -signatures")
 	metaPath := flag.String("meta", "", "install document metadata before serving from a TSV of doc<TAB>unix-ts[<TAB>facet,facet,...] lines (facets are key=value)")
 	shards := flag.Int("shards", 1, "partition the serving store into N document shards behind a scatter-gather router")
 	replicas := flag.Int("replicas", 1, "serve N replicas per shard with failover, P2C load balancing and hedged reads")
@@ -124,18 +122,17 @@ func main() {
 	cfg := serve.Config{
 		PostingCacheEntries: *postCache,
 		SimCacheEntries:     *simCache,
-		NoMmap:              *noMmap,
 		Replicas:            *replicas,
 	}
 
 	var svc serve.Service
 	if isMan, _ := serveManifest(*storePath); isMan {
 		// A persisted shard set serves as-is: its partitioning is fixed at
-		// save time, and signatures live inside the shard stores.
-		if *sigPath != "" || *saveStore != "" || *shards > 1 || *metaPath != "" {
-			fail(fmt.Errorf("-signatures, -save-store, -meta and -shards do not apply to a shard manifest; re-index or load the single store to repartition"))
+		// save time.
+		if *saveStore != "" || *shards > 1 || *metaPath != "" {
+			fail(fmt.Errorf("-save-store, -meta and -shards do not apply to a shard manifest; re-index or load the single store to repartition"))
 		}
-		man, shardStores, err := loadShardsMaybeHeap(*storePath, *noMmap)
+		man, shardStores, err := serve.LoadShards(*storePath)
 		if err != nil {
 			fail(err)
 		}
@@ -148,19 +145,9 @@ func main() {
 			man.TotalDocs, man.VocabSize, r.NumThemes(), man.NumShards, *replicas)
 		svc = r
 	} else {
-		st, err := loadOrIndex(*storePath, *in, *format, *p, *noMmap)
+		st, err := loadOrIndex(*storePath, *in, *format, *p)
 		if err != nil {
 			fail(err)
-		}
-		if *sigPath != "" {
-			set, err := signature.LoadSetFile(*sigPath)
-			if err == nil {
-				err = st.ApplySignatures(set)
-			}
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("applied %d persisted signatures (M=%d)\n", set.Len(), set.M)
 		}
 		if *metaPath != "" {
 			n, err := applyMetaFile(st, *metaPath)
@@ -301,15 +288,6 @@ func serveManifest(storePath string) (bool, error) {
 	return serve.IsShardManifestFile(storePath)
 }
 
-// loadShardsMaybeHeap loads a shard set, materializing to heap under
-// -no-mmap.
-func loadShardsMaybeHeap(path string, noMmap bool) (*serve.Manifest, []*serve.Store, error) {
-	if noMmap {
-		return serve.LoadShardsHeap(path)
-	}
-	return serve.LoadShards(path)
-}
-
 // checkFlags refuses flag combinations that would otherwise be served as
 // something else: a shard or replica count below 1 (silently one store, one
 // replica) and -store with -in (the corpus silently ignored).
@@ -327,13 +305,9 @@ func checkFlags(shards, replicas int, storePath, in string) error {
 
 // loadOrIndex resolves the serving store: a persisted file, or one indexing
 // run over the corpus directory.
-func loadOrIndex(storePath, in, format string, p int, noMmap bool) (*serve.Store, error) {
+func loadOrIndex(storePath, in, format string, p int) (*serve.Store, error) {
 	if storePath != "" {
-		load := serve.LoadStoreFile
-		if noMmap {
-			load = serve.LoadStoreFileHeap
-		}
-		st, err := load(storePath)
+		st, err := serve.LoadStoreFile(storePath)
 		if err != nil {
 			return nil, err
 		}

@@ -246,7 +246,7 @@ func TestAppendReplyServedShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := d.run(ctx, ns, tc.op, vals, false)
+		rep := d.run(ctx, ns, tc.op, vals)
 		checkEncoding(t, &rep)
 	}
 	for _, op := range []string{"flush", "compact", "save"} {

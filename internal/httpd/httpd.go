@@ -56,10 +56,9 @@
 // scatter-gather it was waiting on.
 //
 // The front door applies admission control when configured with Limits:
-// per-session and global token buckets, a bounded in-flight ceiling shedding
-// excess load with 429 + Retry-After, and graceful degradation (smaller
-// similarity K, coarser tiles, flagged with X-Degraded: 1) as the in-flight
-// level approaches the ceiling.
+// per-session and global token buckets and a bounded in-flight ceiling. A
+// request past any of them is shed with 429 + Retry-After (rate_limited or
+// overloaded); every admitted request gets the complete answer or an error.
 //
 // Every response is encoded into a pooled buffer and written once, with its
 // Content-Length; encode.go holds that path.
@@ -103,47 +102,18 @@ type Limits struct {
 	// MaxInFlight bounds concurrently executing requests; excess requests
 	// are shed with 429 + Retry-After. 0 = unbounded.
 	MaxInFlight int
-	// RetryAfter is advertised on shed responses. Default 1s.
-	RetryAfter time.Duration
-	// SessionRate is each named session's sustained requests/sec (token
-	// bucket, SessionBurst deep). 0 = unlimited.
-	SessionRate  float64
-	SessionBurst int
-	// GlobalRate caps the whole daemon's sustained requests/sec. 0 =
-	// unlimited.
-	GlobalRate  float64
-	GlobalBurst int
-	// DegradeThreshold is the fraction of MaxInFlight above which replies
-	// degrade (smaller similarity K, coarser tiles) instead of shedding;
-	// 0 disables degradation.
-	DegradeThreshold float64
-	// DegradeSimilarK clamps similar?k= while degraded. Default 3.
-	DegradeSimilarK int
-	// DegradeMaxZoom clamps tile zoom while degraded (deeper addresses are
-	// answered by their ancestor at this zoom). Default 3.
-	DegradeMaxZoom int
+	// SessionRate is each named session's sustained requests/sec (a token
+	// bucket max(1, rate) deep). 0 = unlimited.
+	SessionRate float64
+	// GlobalRate caps the whole daemon's sustained requests/sec, with the
+	// same burst rule. 0 = unlimited.
+	GlobalRate float64
 }
 
-func (l Limits) withDefaults() Limits {
-	if l.RetryAfter <= 0 {
-		l.RetryAfter = time.Second
-	}
-	if l.SessionBurst <= 0 {
-		l.SessionBurst = int(math.Max(1, l.SessionRate))
-	}
-	if l.GlobalBurst <= 0 {
-		l.GlobalBurst = int(math.Max(1, l.GlobalRate))
-	}
-	if l.DegradeSimilarK <= 0 {
-		l.DegradeSimilarK = 3
-	}
-	if l.DegradeMaxZoom <= 0 {
-		l.DegradeMaxZoom = 3
-	}
-	return l
-}
+// retryAfter is the Retry-After every shed response advertises, in seconds.
+const retryAfter = "1"
 
-// bucket is a token bucket: rate tokens/sec, burst deep, prefilled.
+// bucket is a token bucket: rate tokens/sec, max(1, rate) deep, prefilled.
 type bucket struct {
 	mu     sync.Mutex
 	tokens float64
@@ -152,8 +122,9 @@ type bucket struct {
 	burst  float64
 }
 
-func newBucket(rate float64, burst int) *bucket {
-	return &bucket{tokens: float64(burst), rate: rate, burst: float64(burst)}
+func newBucket(rate float64) *bucket {
+	burst := math.Max(1, math.Floor(rate))
+	return &bucket{tokens: burst, rate: rate, burst: burst}
 }
 
 func (b *bucket) allow(now time.Time) bool {
@@ -198,8 +169,8 @@ func New(srv serve.Service, saveDir string) *Daemon {
 // SetLimits installs the admission-control configuration. Call before the
 // mux starts serving.
 func (d *Daemon) SetLimits(l Limits) {
-	d.limits = l.withDefaults()
-	d.global = newBucket(d.limits.GlobalRate, d.limits.GlobalBurst)
+	d.limits = l
+	d.global = newBucket(l.GlobalRate)
 }
 
 // Shed returns how many requests admission control has shed with 429.
@@ -234,7 +205,7 @@ func (d *Daemon) session(name string) *namedSession {
 	}
 	s := &namedSession{sess: d.srv.NewQuerier()}
 	if d.limits.SessionRate > 0 {
-		s.bkt = newBucket(d.limits.SessionRate, d.limits.SessionBurst)
+		s.bkt = newBucket(d.limits.SessionRate)
 	}
 	d.sessions[name] = s
 	return s
@@ -353,10 +324,8 @@ func (p *params) float(key string) float64 {
 }
 
 // run executes one operation against a session, holding its lock so
-// concurrent requests on one name serialize. degraded requests answer with
-// reduced fidelity: a clamped similarity K, and tile addresses coarsened to
-// the degrade zoom.
-func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.Values, degraded bool) Reply {
+// concurrent requests on one name serialize.
+func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.Values) Reply {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	sess := ns.sess
@@ -403,9 +372,6 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.
 		if k <= 0 {
 			k = 5
 		}
-		if degraded && k > d.limits.DegradeSimilarK {
-			k = d.limits.DegradeSimilarK
-		}
 		rep.Hits, err = sess.Similar(ctx, doc, k)
 		rep.Count = len(rep.Hits)
 	case "theme":
@@ -423,12 +389,6 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.
 		if p.err != nil {
 			p.err = serve.Errorf(serve.ErrInvalid, "tile address %q/%q/%q is not numeric", p.Get("z"), p.Get("x"), p.Get("y"))
 			break
-		}
-		if degraded && z > d.limits.DegradeMaxZoom {
-			// Coarser tiles under overload: answer with the ancestor at the
-			// degrade zoom, which covers the requested extent.
-			dz := z - d.limits.DegradeMaxZoom
-			z, x, y = d.limits.DegradeMaxZoom, x>>dz, y>>dz
 		}
 		if rep.Tile, err = sess.Tile(ctx, z, x, y); err == nil {
 			rep.Count = int(rep.Tile.Docs)
@@ -491,33 +451,26 @@ func (d *Daemon) live(ctx context.Context, op, path string) Reply {
 }
 
 // admit applies admission control for one request; when it returns false the
-// response has been written. degraded reports whether the in-flight level
-// crossed the degradation threshold. Callers must release() when admitted.
-func (d *Daemon) admit(w http.ResponseWriter, name string) (degraded, ok bool) {
+// response has been written. Callers must release() when admitted.
+func (d *Daemon) admit(w http.ResponseWriter, name string) bool {
 	l := d.limits
 	now := time.Now()
 	if !d.global.allow(now) {
 		d.shedReply(w, CodeRateLimited, "global request rate exceeded")
-		return false, false
+		return false
 	}
 	if name != "" && l.SessionRate > 0 {
 		if ns := d.session(name); !ns.bkt.allow(now) {
 			d.shedReply(w, CodeRateLimited, fmt.Sprintf("session %q rate exceeded", name))
-			return false, false
+			return false
 		}
 	}
-	if l.MaxInFlight > 0 {
-		if in := d.inflight.Load(); int(in) >= l.MaxInFlight {
-			d.shedReply(w, CodeOverloaded, "server is at its in-flight ceiling")
-			return false, false
-		}
-		if l.DegradeThreshold > 0 &&
-			float64(d.inflight.Load()) >= l.DegradeThreshold*float64(l.MaxInFlight) {
-			degraded = true
-		}
+	if l.MaxInFlight > 0 && int(d.inflight.Load()) >= l.MaxInFlight {
+		d.shedReply(w, CodeOverloaded, "server is at its in-flight ceiling")
+		return false
 	}
 	d.inflight.Add(1)
-	return degraded, true
+	return true
 }
 
 func (d *Daemon) release() { d.inflight.Add(-1) }
@@ -525,7 +478,7 @@ func (d *Daemon) release() { d.inflight.Add(-1) }
 // shedReply writes a 429 with Retry-After.
 func (d *Daemon) shedReply(w http.ResponseWriter, code, msg string) {
 	d.shed.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(d.limits.RetryAfter.Seconds()))))
+	w.Header().Set("Retry-After", retryAfter)
 	writeError(w, code, msg)
 }
 
@@ -580,15 +533,11 @@ func (d *Daemon) Mux() *http.ServeMux {
 	// the request's query string, parsed once.
 	answer := func(w http.ResponseWriter, r *http.Request, op string, vals url.Values) {
 		name := vals.Get("session")
-		degraded, ok := d.admit(w, name)
-		if !ok {
+		if !d.admit(w, name) {
 			return
 		}
 		defer d.release()
-		if degraded {
-			w.Header().Set("X-Degraded", "1")
-		}
-		rep := d.run(r.Context(), d.session(name), op, vals, degraded)
+		rep := d.run(r.Context(), d.session(name), op, vals)
 		writeReply(w, &rep)
 	}
 	sessionOps := func(method string, ops ...string) {
@@ -735,6 +684,6 @@ func (d *Daemon) ServeLines(in io.Reader, out io.Writer) {
 				vals.Set(name, rest[i])
 			}
 		}
-		emit(d.run(ctx, sess, op, vals, false))
+		emit(d.run(ctx, sess, op, vals))
 	}
 }

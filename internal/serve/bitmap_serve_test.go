@@ -195,7 +195,7 @@ func TestBitmapAnswersAgreeAcrossStoreKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, err := LoadStoreFileHeap(path)
+	heap, err := loadStoreHeap(path)
 	if err != nil {
 		t.Fatal(err)
 	}

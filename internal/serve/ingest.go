@@ -203,7 +203,7 @@ func (st *Store) Delete(doc int64) error {
 		tombs[d] = true
 	}
 	tombs[doc] = true
-	st.publishLocked(&view{gen: v.gen, base: v.base, segs: v.segs, tombs: tombs, sigs: v.sigs, pts: v.pts,
+	st.publishLocked(&view{gen: v.gen, base: v.base, segs: v.segs, tombs: tombs, pts: v.pts,
 		kind: viewTomb, tomb: doc})
 	st.live.deletes.Add(1)
 	return nil
@@ -240,7 +240,7 @@ func (st *Store) sealLocked() error {
 	pts := make([]project.Point, len(v.pts), len(v.pts)+len(newPts))
 	copy(pts, v.pts)
 	pts = append(pts, newPts...)
-	st.publishLocked(&view{gen: v.gen, base: v.base, segs: segs, tombs: v.tombs, sigs: v.sigs, pts: pts,
+	st.publishLocked(&view{gen: v.gen, base: v.base, segs: segs, tombs: v.tombs, pts: pts,
 		kind: viewSeal, newSegs: segs[len(segs)-1:], newPts: newPts})
 	st.live.seals.Add(1)
 	pol := st.livePolicy()
@@ -264,7 +264,7 @@ func (st *Store) installLive(segs []*segment.Segment, tombs []int64) error {
 		return fmt.Errorf("serve: store already has live state")
 	}
 	v := st.initViewLocked()
-	next := &view{gen: v.gen, base: v.base, segs: segs, sigs: v.sigs}
+	next := &view{gen: v.gen, base: v.base, segs: segs}
 	for _, seg := range segs {
 		next.pts = append(next.pts, st.planarPoints(seg)...)
 	}
@@ -334,7 +334,7 @@ func (st *Store) AdoptSegments(segs []*segment.Segment) error {
 	pts := make([]project.Point, len(v.pts), len(v.pts)+len(newPts))
 	copy(pts, v.pts)
 	pts = append(pts, newPts...)
-	st.publishLocked(&view{gen: v.gen, base: v.base, segs: next, tombs: v.tombs, sigs: v.sigs, pts: pts,
+	st.publishLocked(&view{gen: v.gen, base: v.base, segs: next, tombs: v.tombs, pts: pts,
 		kind: viewSeal, newSegs: next[len(next)-len(fresh):], newPts: newPts})
 	for _, seg := range fresh {
 		if max := seg.MaxDoc() + 1; max > st.live.nextDoc {
@@ -504,7 +504,7 @@ func (st *Store) Compact() error {
 		}
 		pts = kept
 	}
-	st.publishLocked(&view{gen: cur.gen, base: cur.base, segs: segs, tombs: next, sigs: cur.sigs, pts: pts,
+	st.publishLocked(&view{gen: cur.gen, base: cur.base, segs: segs, tombs: next, pts: pts,
 		kind: viewCompact})
 	st.live.compacting = false
 	st.live.compactions.Add(1)
@@ -584,13 +584,14 @@ func (st *Store) Rebase() error {
 	}
 	posts := w.Finish()
 
-	// Merge the signature sets (base epoch set + per-segment slices),
+	// Merge the signature sets (base set + per-segment slices),
 	// ascending by document, dropping tombstones.
-	sigDocs := make([]int64, 0, len(v.sigs.Docs))
-	sigVecs := make([][]float64, 0, len(v.sigs.Docs))
+	base := v.base.sigs
+	sigDocs := make([]int64, 0, len(base.Docs))
+	sigVecs := make([][]float64, 0, len(base.Docs))
 	srcDocs := make([][]int64, 0, 1+len(v.segs))
 	srcVecs := make([][][]float64, 0, 1+len(v.segs))
-	srcDocs, srcVecs = append(srcDocs, v.sigs.Docs), append(srcVecs, v.sigs.Vecs)
+	srcDocs, srcVecs = append(srcDocs, base.Docs), append(srcVecs, base.Vecs)
 	for _, s := range v.segs {
 		srcDocs, srcVecs = append(srcDocs, s.Docs), append(srcVecs, s.SigVecs)
 	}
@@ -724,17 +725,15 @@ func (st *Store) Rebase() error {
 	// range, which subsumes the compaction-retired set.
 	st.live.idFloor = st.live.nextDoc
 	st.live.retired = nil
-	st.SigM = v.sigs.M
-	st.SigDocs, st.SigVecs = sigDocs, sigVecs
 	st.Points = points
 	st.AssignDocs, st.AssignClusters = assignDocs, assignClusters
 	buildMetaTable(mDocs, mTimes, mFacets).install(st)
-	set, err := signature.NewSet(st.SigM, sigDocs, sigVecs)
+	set, err := signature.NewSet(base.M, sigDocs, sigVecs)
 	if err != nil {
 		return fmt.Errorf("serve: rebase: %w", err)
 	}
 	st.setSigSet(set)
-	st.publishLocked(&view{gen: v.gen + 1, base: st.baseView(), sigs: set})
+	st.publishLocked(&view{gen: v.gen + 1, base: st.baseView()})
 	// The base points changed: the persisted tile sidecar no longer
 	// describes them, and the maintained pyramid rebuilds from the fresh
 	// (lineage-cut) view on its next query.

@@ -16,7 +16,6 @@ import (
 	"inspire/internal/cluster"
 	"inspire/internal/core"
 	"inspire/internal/corpus"
-	"inspire/internal/signature"
 	"inspire/internal/simtime"
 )
 
@@ -683,7 +682,7 @@ func TestLoadShardsBackfillsLegacyRoutingMetadata(t *testing.T) {
 		"disagrees": {3, "3-way partition, manifest says 2"},
 		"none":      {0, "records no partition"},
 	} {
-		bad, err := LoadStoreFileHeap(shard0)
+		bad, err := loadStoreHeap(shard0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -772,163 +771,6 @@ func TestDeletePendingDocSealsFirst(t *testing.T) {
 	if err := st.Delete(doc); err == nil {
 		t.Fatal("double delete accepted")
 	}
-}
-
-// TestApplySignaturesRejectsDimMismatchWithLiveState pins the dimensionality
-// guard: a set of a different M cannot land while segments carry vectors of
-// the old dimensionality, or while the ingest projection maps into it.
-func TestApplySignaturesRejectsDimMismatchWithLiveState(t *testing.T) {
-	st := buildStoreT(t, 2).Fork()
-	st.SetLivePolicy(LivePolicy{SealDocs: 1, CompactSegments: 100, ManualCompaction: true})
-	if _, err := st.Add("apple banana"); err != nil {
-		t.Fatal(err)
-	}
-	other, err := signature.NewSet(st.SigM+3, []int64{0}, [][]float64{make([]float64, st.SigM+3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.ApplySignatures(other); err == nil {
-		t.Fatal("dimensionality change accepted over live segments")
-	}
-	if err := st.Rebase(); err != nil {
-		t.Fatal(err)
-	}
-	// Even rebased, the frozen projection still maps into the old space.
-	if st.Proj != nil {
-		if err := st.ApplySignatures(other); err == nil {
-			t.Fatal("dimensionality change accepted despite the ingest projection")
-		}
-	}
-}
-
-// TestApplySignaturesReachesRunningServers locks in the epoch-swap fix: a
-// signature set applied to the store is visible to servers built before the
-// swap, on their very next interaction, and the similarity caches cannot
-// serve stale merges across it.
-func TestApplySignaturesReachesRunningServers(t *testing.T) {
-	st := buildStoreT(t, 2).Fork()
-	srv := newServerT(t, st, Config{})
-	sess := srv.NewSession()
-	before, err := sess.Similar(context.Background(), 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A permuted set: every doc gets the signature of the next signed doc,
-	// so the nearest-neighbour structure genuinely changes.
-	docs := append([]int64(nil), st.SigDocs...)
-	vecs := make([][]float64, len(st.SigVecs))
-	var signed []int
-	for i, v := range st.SigVecs {
-		if v != nil {
-			signed = append(signed, i)
-		}
-	}
-	if len(signed) < 2 {
-		t.Skip("not enough signed docs to permute")
-	}
-	for j, i := range signed {
-		vecs[i] = st.SigVecs[signed[(j+1)%len(signed)]]
-	}
-	permuted, err := signature.NewSet(st.SigM, docs, vecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.ApplySignatures(permuted); err != nil {
-		t.Fatal(err)
-	}
-	after, err := sess.Similar(context.Background(), 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(before, after) {
-		t.Fatal("running server still answers from the old signature set")
-	}
-	// A fresh server agrees with the running one — no construction-time
-	// capture anymore.
-	fresh, err := newServerT(t, st, Config{}).NewSession().Similar(context.Background(), 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(after, fresh) {
-		t.Fatalf("running server %v, fresh server %v", after, fresh)
-	}
-}
-
-// TestApplySignaturesConcurrentWithSimilar races signature swaps against
-// similarity queries (run under -race in CI): every answer must equal the
-// result of one of the two sets — never a blend — and nothing may error.
-func TestApplySignaturesConcurrentWithSimilar(t *testing.T) {
-	st := buildStoreT(t, 2).Fork()
-	setA := st.Signatures()
-	docs := append([]int64(nil), setA.Docs...)
-	vecs := make([][]float64, len(setA.Vecs))
-	var signed []int
-	for i, v := range setA.Vecs {
-		if v != nil {
-			signed = append(signed, i)
-		}
-	}
-	for j, i := range signed {
-		vecs[i] = setA.Vecs[signed[(j+1)%len(signed)]]
-	}
-	setB, err := signature.NewSet(st.SigM, docs, vecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	srv := newServerT(t, st, Config{})
-	wantA, err := srv.NewSession().Similar(context.Background(), 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.ApplySignatures(setB); err != nil {
-		t.Fatal(err)
-	}
-	wantB, err := srv.NewSession().Similar(context.Background(), 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var appliers, queriers sync.WaitGroup
-	stop := make(chan struct{})
-	appliers.Add(1)
-	go func() {
-		defer appliers.Done()
-		sets := []*signature.Set{setA, setB}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := st.ApplySignatures(sets[i%2]); err != nil {
-				t.Errorf("apply: %v", err)
-				return
-			}
-		}
-	}()
-	for g := 0; g < 4; g++ {
-		queriers.Add(1)
-		go func() {
-			defer queriers.Done()
-			sess := srv.NewSession()
-			for i := 0; i < 200; i++ {
-				got, err := sess.Similar(context.Background(), 0, 3)
-				if err != nil {
-					t.Errorf("similar: %v", err)
-					return
-				}
-				if !reflect.DeepEqual(got, wantA) && !reflect.DeepEqual(got, wantB) {
-					t.Errorf("blended answer: %v", got)
-					return
-				}
-			}
-		}()
-	}
-	queriers.Wait()
-	close(stop)
-	appliers.Wait()
 }
 
 // TestBackgroundCompactionKeepsServing exercises the auto-seal +

@@ -274,7 +274,7 @@ func TestFilterEquivalenceAcrossModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heapStore, err := LoadStoreFileHeap(path)
+	heapStore, err := loadStoreHeap(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,7 +187,7 @@ func (set *ReplicaSet) anchorLocked(st *Store) {
 
 // harvestLocked appends the primary store's seal/tombstone entries published
 // since the last harvest to the set log; callers hold wmu. A cut in the
-// store's log (rebase, signature swap) resets the set log — laggards past it
+// store's log (rebase, layout reset) resets the set log — laggards past it
 // fully resync.
 func (set *ReplicaSet) harvestLocked(st *Store) {
 	entries, ok := st.LineageSince(set.srcEpoch)

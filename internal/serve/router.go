@@ -502,7 +502,7 @@ func planOr(rs *RouterSession, q Query) ([]int, Result, error) {
 func planSimilar(rs *RouterSession, q Query) ([]int, Result, error) {
 	r := rs.r
 	// The merged-answer cache versions itself on the sum of the shard
-	// epochs: any seal, delete or signature swap anywhere in the set moves
+	// epochs: any seal, delete or rebase anywhere in the set moves
 	// the sum, so stale merges age out like single-store entries.
 	rs.key = simKey{epoch: r.epochSum(), doc: q.Doc, k: q.K}
 	r.smu.Lock()
@@ -518,7 +518,7 @@ func planSimilar(rs *RouterSession, q Query) ([]int, Result, error) {
 		owner = ShardOf(q.Doc, len(r.sets))
 	}
 	// The target signature comes from the owner's primary — a dead replica's
-	// frozen slice could miss a signature swap the survivors published.
+	// frozen slice could miss a seal the survivors published.
 	target, found := r.sets[owner].primary().store().viewNow().sigVec(q.Doc)
 	if !found || target == nil {
 		return nil, Result{}, errNoSignature(q.Doc)

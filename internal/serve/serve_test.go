@@ -12,7 +12,6 @@ import (
 	"inspire/internal/core"
 	"inspire/internal/corpus"
 	"inspire/internal/query"
-	"inspire/internal/signature"
 	"inspire/internal/simtime"
 )
 
@@ -334,37 +333,6 @@ func TestPostingCompressionFloor(t *testing.T) {
 	t.Logf("%d postings in %d bytes: %.2fx smaller than flat", pairs, st.Posts.SizeBytes(), ratio)
 	if ratio < 2.5 {
 		t.Fatalf("postings compress %.2fx, below the 2.5x floor", ratio)
-	}
-}
-
-func TestApplyPersistedSignatures(t *testing.T) {
-	st := buildStoreT(t, 2)
-	// Persist the snapshot's own signatures and reload them through the
-	// serving load path; similarity answers must be unchanged.
-	var buf bytes.Buffer
-	if err := signature.Save(&buf, st.SigM, st.SigDocs, st.SigVecs); err != nil {
-		t.Fatal(err)
-	}
-	before, err := newServerT(t, st, Config{}).NewSession().Similar(context.Background(), 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := signature.LoadSet(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.ApplySignatures(set); err != nil {
-		t.Fatal(err)
-	}
-	after, err := newServerT(t, st, Config{}).NewSession().Similar(context.Background(), 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("persisted signatures change answers: %v vs %v", before, after)
-	}
-	if err := st.ApplySignatures(nil); err == nil {
-		t.Fatal("nil signature set accepted")
 	}
 }
 

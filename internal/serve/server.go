@@ -26,28 +26,15 @@ type Config struct {
 	SimCacheEntries int
 
 	// TileMaxZoom is the deepest zoom level of the Galaxy tile pyramid
-	// (levels 0..TileMaxZoom). Default 6.
+	// (levels 0..TileMaxZoom). Default 6. The raster and exemplar sizes are
+	// tiles.Config's defaults.
 	TileMaxZoom int
-	// TileGrid is the per-tile density raster dimension; must be a power
-	// of two. Default 8.
-	TileGrid int
-	// TileThemes is the number of top themes reported per tile. Default 4.
-	TileThemes int
-	// TileExemplars is the number of exemplar documents kept per tile.
-	// Default 4.
-	TileExemplars int
-	// TileCacheEntries bounds the epoch-keyed tile result LRU. Default
-	// 1024.
-	TileCacheEntries int
 
 	// MapBudgetBytes caps the heap bytes a mapped (INSPSTORE4) store may
 	// pin for decoded posting lists; past it the cache stops admitting and
 	// queries decode from the mapped pages per request. Default 512 MiB;
 	// negative means unlimited. Heap-resident stores ignore it.
 	MapBudgetBytes int64
-	// NoMmap makes LoadServiceFile materialize INSPSTORE4 files to heap
-	// instead of mapping them — the cmd/inspired -no-mmap escape hatch.
-	NoMmap bool
 
 	// Replicas is the per-shard replica count a Router maintains. Each
 	// replica serves reads independently; writes apply to every live
@@ -66,12 +53,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.SimCacheEntries <= 0 {
 		cfg.SimCacheEntries = 512
-	}
-	if cfg.TileThemes <= 0 {
-		cfg.TileThemes = 4
-	}
-	if cfg.TileCacheEntries <= 0 {
-		cfg.TileCacheEntries = 1024
 	}
 	if cfg.MapBudgetBytes == 0 {
 		cfg.MapBudgetBytes = 512 << 20
@@ -222,7 +203,7 @@ func (v postingVal) pinBytes() int64 {
 }
 
 // postKey keys the posting cache: the base generation plus the term. Epoch
-// swaps (seals, deletes, signature swaps, compactions) leave the base alone,
+// swaps (seals, deletes, compactions) leave the base alone,
 // so cached decoded lists survive them; only a base rewrite (Rebase) bumps
 // the generation and retires the old entries.
 type postKey struct {
@@ -238,7 +219,7 @@ type flight struct {
 }
 
 // simKey keys the similarity caches. The epoch makes every published change
-// (ingest seal, delete, signature swap) a natural invalidation: old-epoch
+// (ingest seal, delete, compaction, rebase) a natural invalidation: old-epoch
 // entries simply age out of the LRU.
 type simKey struct {
 	epoch uint64
@@ -257,6 +238,9 @@ type filterKey struct {
 // filterCacheEntries bounds the filter-set LRU. Analyst sessions reuse a
 // handful of active filters; each set is one bitmap or ID list per epoch.
 const filterCacheEntries = 64
+
+// tileCacheEntries bounds the epoch-keyed tile result LRU.
+const tileCacheEntries = 1024
 
 // Service is what serves analyst sessions: a single-store Server or a
 // sharded Router. Workload replay and the daemon front-end run against this
@@ -283,7 +267,7 @@ type Liver interface {
 
 // Server answers concurrent sessions against one Store. All methods are safe
 // for concurrent use. Sessions resolve the store's current epoch view once
-// per interaction, so ingestion, deletes, compaction and signature swaps
+// per interaction, so ingestion, deletes, compaction and rebases
 // published through the store become visible between interactions — never in
 // the middle of one.
 type Server struct {
@@ -357,7 +341,7 @@ func newServer(st *Store, cfg Config) (*Server, error) {
 		flights:  make(map[postKey]*flight),
 		sims:     newLRU[simKey, []query.Hit](cfg.SimCacheEntries),
 		filters:  newLRU[filterKey, *filterSet](filterCacheEntries),
-		tiles:    newLRU[tileKey, *tiles.Tile](cfg.TileCacheEntries),
+		tiles:    newLRU[tileKey, *tiles.Tile](tileCacheEntries),
 	}, nil
 }
 
@@ -959,7 +943,7 @@ func unionSorted(lists [][]int64) []int64 {
 // document's knowledge signature (cosine similarity, the target excluded),
 // consulting the top-K result cache. Identical queries return identical
 // results whether served cold or cached; the cache key carries the view
-// epoch, so every published change (ingest seal, delete, signature swap)
+// epoch, so every published change (ingest seal, delete, rebase)
 // invalidates stale answers without any sweep.
 func (s *Server) similar(doc int64, k int, f Filter) ([]query.Hit, error) {
 	v := s.store.viewNow()
@@ -1001,7 +985,7 @@ func (s *Server) similar(doc int64, k int, f Filter) ([]query.Hit, error) {
 // on visible documents), so only the segments appended since the ancestor
 // need scoring. A tombstone delta is safe exactly when it did not hit the
 // cached hits (removing a non-member cannot change the top K); otherwise —
-// or when the chain was cut by a signature swap or rebase — the caller falls
+// or when the chain was cut by a rebase or layout reset — the caller falls
 // back to the full scan.
 func (s *Server) refreshSimilar(v *view, target []float64, exclude int64, k int) ([]query.Hit, bool) {
 	var segs []*segment.Segment
@@ -1061,12 +1045,13 @@ func (s *Server) refreshSimilar(v *view, target []float64, exclude int64, k int)
 // tombstones excluded — against a target vector, excluding one document, and
 // returns the top k hits (query.HitLess order).
 func (s *Server) scanSimilar(v *view, target []float64, exclude int64, k int) []query.Hit {
-	candidates := v.sigs.Len()
+	base := v.base.sigs
+	candidates := base.Len()
 	for _, seg := range v.segs {
 		candidates += len(seg.Docs)
 	}
 	top := query.NewTopK(target, exclude, k, candidates)
-	top.Scan(v.sigs.Docs, v.sigs.Vecs, v.sigs.Norms(), v.sigs.Sketch(), v.tombs)
+	top.Scan(base.Docs, base.Vecs, base.Norms(), base.Sketch(), v.tombs)
 	for _, seg := range v.segs {
 		top.Scan(seg.Docs, seg.SigVecs, seg.SigNorms(), seg.SigSketch(), v.tombs)
 	}

@@ -253,17 +253,14 @@ func SaveLiveSet(path string, shards []*Store) error {
 // LoadShards reads a manifest written by SaveShards or SaveLiveSet and loads
 // every shard store it names — base file, sealed segments and tombstones —
 // cross-checking each against the manifest's summaries. INSPSTORE4 shard
-// files are mapped (LoadShardsHeap materializes them instead).
+// files are mapped.
 func LoadShards(path string) (*Manifest, []*Store, error) {
-	return loadShards(path, false)
+	return loadShards(path, storefile.Open)
 }
 
-// LoadShardsHeap loads a shard set entirely into heap — the -no-mmap path.
-func LoadShardsHeap(path string) (*Manifest, []*Store, error) {
-	return loadShards(path, true)
-}
-
-func loadShards(path string, noMmap bool) (*Manifest, []*Store, error) {
+// loadShards is LoadShards with each shard file opened by open: the tests
+// pass storefile.ReadFile, the copy-decode reference.
+func loadShards(path string, open func(string) (*storefile.File, error)) (*Manifest, []*Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -276,7 +273,7 @@ func loadShards(path string, noMmap bool) (*Manifest, []*Store, error) {
 	shards := make([]*Store, man.NumShards)
 	var docs int64
 	for i, info := range man.Shards {
-		sh, err := loadStoreFile(filepath.Join(dir, info.File), noMmap)
+		sh, err := loadStoreFile(filepath.Join(dir, info.File), open)
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: load shard %d: %w", i, err)
 		}
@@ -387,23 +384,22 @@ func IsShardManifestFile(path string) (bool, error) {
 
 // LoadServiceFile opens any persisted serving artifact as a Service: a shard
 // manifest loads its set behind a Router, a single INSPSTORE4 store file
-// behind a plain Server. Store files are memory-mapped unless cfg.NoMmap is
-// set, in which case they materialize to heap. This is the one load path the
-// daemon needs — sharded and monolithic sets serve behind the same session
-// API.
+// behind a plain Server. Store files are memory-mapped. This is the one load
+// path the daemon needs — sharded and monolithic sets serve behind the same
+// session API.
 func LoadServiceFile(path string, cfg Config) (Service, error) {
 	man, err := IsShardManifestFile(path)
 	if err != nil {
 		return nil, err
 	}
 	if man {
-		_, shards, err := loadShards(path, cfg.NoMmap)
+		_, shards, err := LoadShards(path)
 		if err != nil {
 			return nil, err
 		}
 		return NewService(Options{Shards: shards, Config: cfg})
 	}
-	st, err := loadStoreFile(path, cfg.NoMmap)
+	st, err := LoadStoreFile(path)
 	if err != nil {
 		return nil, err
 	}

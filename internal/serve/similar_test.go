@@ -30,7 +30,7 @@ func oracleScanSimilar(v *view, target []float64, exclude int64, k int) (hits []
 			scored = append(scored, query.Hit{Doc: d, Score: query.Cosine(target, vec)})
 		}
 	}
-	score(v.sigs.Docs, v.sigs.Vecs)
+	score(v.base.sigs.Docs, v.base.sigs.Vecs)
 	for _, seg := range v.segs {
 		score(seg.Docs, seg.SigVecs)
 	}
@@ -121,7 +121,7 @@ func randomSimView(rng *rand.Rand, n, m, themes, segs int) *view {
 	if err != nil {
 		panic(err)
 	}
-	v := &view{sigs: set}
+	v := &view{base: &baseView{sigs: set}}
 	next := int64(n)
 	for s := 0; s < segs; s++ {
 		seg := &segment.Segment{SigM: m, SigVecs: randomSigs(rng, 1+rng.Intn(n), m, themes, true)}
@@ -163,7 +163,7 @@ func TestScanSimilarMatchesOracle(t *testing.T) {
 		}
 		v := randomSimView(rng, n, m, themes, rng.Intn(4))
 		if seed%4 == 3 {
-			blocks := [][][]float64{v.sigs.Vecs}
+			blocks := [][][]float64{v.base.sigs.Vecs}
 			for _, seg := range v.segs {
 				blocks = append(blocks, seg.SigVecs)
 			}
@@ -182,7 +182,7 @@ func TestScanSimilarMatchesOracle(t *testing.T) {
 		srv := new(Server)
 		for _, exclude := range []int64{0, int64(n) - 1, -1, -2} {
 			target := randomSigs(rng, 1, m, themes, false)[0]
-			if vec, ok := v.sigs.Vec(exclude); ok && vec != nil {
+			if vec, ok := v.base.sigs.Vec(exclude); ok && vec != nil {
 				target = vec
 			}
 			if exclude == -2 {
@@ -221,7 +221,7 @@ const simThemes, simBulk = 5, 400
 
 // simWorld is one corpus served two ways — a monolithic store and a 4-shard
 // router — driven through the same seeded stream of adds (with chosen
-// signatures), seals, deletes, compactions, rebases and signature swaps.
+// signatures), seals, deletes, compactions and rebases.
 type simWorld struct {
 	t      *testing.T
 	rng    *rand.Rand
@@ -237,16 +237,16 @@ func newSimWorld(t *testing.T, seed int64) *simWorld {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	st := batchStore(t, ingestSources(), 2)
-	// Replace the pipeline's signatures with messy ones over the same
-	// documents, before the store is sharded.
-	base := st.Signatures()
-	set, err := signature.NewSet(base.M, base.Docs, randomSigs(rng, base.Len(), base.M, simThemes, true))
+	// Give the pipeline's documents messy signatures before any view (and so
+	// any server) exists, and before the store is sharded.
+	set, err := signature.NewSet(st.SigM, st.SigDocs, randomSigs(rng, len(st.SigDocs), st.SigM, simThemes, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ApplySignatures(set); err != nil {
-		t.Fatal(err)
+	if st.live.cur.Load() != nil {
+		t.Fatal("batch store already serves a view")
 	}
+	st.setSigSet(set)
 	w := &simWorld{t: t, rng: rng, mono: st.Fork(), next: st.TotalDocs}
 	if w.shards, err = st.Shard(4); err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func (w *simWorld) each(doc int64, op func(*Store) error) {
 // step applies one random operation.
 func (w *simWorld) step() {
 	w.t.Helper()
-	switch op := w.rng.Intn(12); {
+	switch op := w.rng.Intn(11); {
 	case op < 5: // a burst of adds, sealed so they are visible
 		w.add(1 + w.rng.Intn(6))
 	case op < 8 && len(w.live) > 8:
@@ -312,31 +312,13 @@ func (w *simWorld) step() {
 		w.each(doc, func(st *Store) error { return st.Delete(doc) })
 	case op < 10:
 		w.each(-1, (*Store).Compact)
-	case op == 10: // segments and tombstones folded into a new base set
+	default: // segments and tombstones folded into a new base set
 		w.each(-1, (*Store).Rebase)
-	default: // regenerated signatures swapped in under the running servers
-		base := w.mono.Signatures()
-		vecOf := make(map[int64][]float64, base.Len())
-		for i, vec := range randomSigs(w.rng, base.Len(), base.M, simThemes, true) {
-			vecOf[base.Docs[i]] = vec
-		}
-		w.each(-1, func(st *Store) error {
-			docs := st.Signatures().Docs
-			vecs := make([][]float64, len(docs))
-			for i, d := range docs {
-				vecs[i] = vecOf[d]
-			}
-			set, err := signature.NewSet(st.SigM, docs, vecs)
-			if err != nil {
-				return err
-			}
-			return st.ApplySignatures(set)
-		})
 	}
 }
 
 // TestSimilarDifferential drives a monolithic store and a 4-shard router
-// through seals, deletes, compactions, rebases and signature swaps and, after
+// through seals, deletes, compactions and rebases and, after
 // every step, holds Session.Similar (cold scans and incremental refreshes
 // alike — the server and its cache live for the whole run), the routed
 // answer and the scan's modeled flops to the oracle's full rescan of the
@@ -396,7 +378,7 @@ func TestSimilarDifferential(t *testing.T) {
 // TestScanSimilarWarmAllocs pins the warm scan at one allocation: the result.
 func TestScanSimilarWarmAllocs(t *testing.T) {
 	v := randomSimView(rand.New(rand.NewSource(2)), 500, 16, 4, 3)
-	target := v.sigs.Vecs[1]
+	target := v.base.sigs.Vecs[1]
 	scanSimilar(v, target, 1, 10) // computes the lazy norms and summaries
 	if n := testing.AllocsPerRun(50, func() { scanSimilar(v, target, 1, 10) }); n > 1 {
 		t.Fatalf("warm scan allocates %v times, want <= 1", n)
@@ -405,12 +387,12 @@ func TestScanSimilarWarmAllocs(t *testing.T) {
 
 // TestConcurrentFirstScans races first scans over sets and segments whose
 // norms and Sketches nobody has computed yet — a fresh view, then views
-// published by seals, compactions, rebases and signature swaps while the
-// scanners run. Meaningful under -race; the
-// answers are held to the oracle on the very view each scanner read.
+// published by seals, compactions and rebases while the scanners run.
+// Meaningful under -race; the answers are held to the oracle on the very view
+// each scanner read.
 func TestConcurrentFirstScans(t *testing.T) {
 	fresh := randomSimView(rand.New(rand.NewSource(3)), 300, 8, 3, 3)
-	target := fresh.sigs.Vecs[0]
+	target := fresh.base.sigs.Vecs[0]
 	want, _ := oracleScanSimilar(fresh, target, 0, 7)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -85,7 +85,7 @@ type Store struct {
 
 	// Knowledge signatures, sorted by document ID (nil = null signature).
 	// Read them through Signatures(), which returns a consistent indexed
-	// snapshot even across ApplySignatures.
+	// snapshot even across a concurrent Rebase.
 	SigM    int
 	SigDocs []int64
 	SigVecs [][]float64
@@ -367,7 +367,7 @@ func (st *Store) EmptyCopy() *Store {
 
 // Signatures returns the store's base signature set as one consistent,
 // indexed snapshot (the slices and index always belong together, even if
-// ApplySignatures swaps the set concurrently).
+// Rebase replaces the set concurrently).
 func (st *Store) Signatures() *signature.Set {
 	st.sigMu.Lock()
 	defer st.sigMu.Unlock()
@@ -384,7 +384,8 @@ func (st *Store) Signatures() *signature.Set {
 }
 
 // setSigSet installs a signature set as the store's base set, keeping the
-// persisted fields in step; callers hold live.mu (or own the store).
+// persisted fields in step; callers hold live.mu (or own the store before
+// any view exists).
 func (st *Store) setSigSet(set *signature.Set) {
 	st.sigMu.Lock()
 	st.SigM = set.M
@@ -399,40 +400,6 @@ func (st *Store) setSigSet(set *signature.Set) {
 // signature, (nil, false) for an unknown or deleted document.
 func (st *Store) SignatureOf(doc int64) ([]float64, bool) {
 	return st.viewNow().sigVec(doc)
-}
-
-// ApplySignatures replaces the store's base signatures with a persisted set —
-// the serving load path for signatures regenerated offline (e.g. by an
-// adaptive-dimensionality rerun) without re-indexing. The swap rides the
-// epoch mechanism: a new view is published with the new set, so every server
-// over this store — including ones already running — answers its next
-// Similar from the new signatures, and the epoch-keyed similarity caches
-// invalidate themselves. Safe to call concurrently with queries.
-func (st *Store) ApplySignatures(set *signature.Set) error {
-	if set == nil || set.Len() == 0 {
-		return fmt.Errorf("serve: empty signature set")
-	}
-	st.live.mu.Lock()
-	defer st.live.mu.Unlock()
-	if set.M != st.SigM {
-		// The signature space is changing dimensionality. Live segments (and
-		// buffered adds) carry vectors of the old dimensionality, and the
-		// frozen ingest projection maps into the old space — mixing them
-		// would score mismatched vectors.
-		if st.hasLiveLocked() {
-			return fmt.Errorf("serve: signature set has dimensionality %d but live segments carry %d; flush and Rebase first",
-				set.M, st.SigM)
-		}
-		if st.Proj != nil && st.Proj.M != set.M {
-			return fmt.Errorf("serve: signature set dimensionality %d disagrees with the store's ingest projection (%d); re-snapshot to change the signature space",
-				set.M, st.Proj.M)
-		}
-	}
-	st.setSigSet(set)
-	if v := st.live.cur.Load(); v != nil {
-		st.publishLocked(&view{gen: v.gen, base: v.base, segs: v.segs, tombs: v.tombs, sigs: set, pts: v.pts})
-	}
-	return nil
 }
 
 // TopTerms returns up to n terms ordered by descending document frequency
@@ -579,31 +546,22 @@ func LoadStore(r io.Reader) (*Store, error) {
 }
 
 // LoadStoreFile reads a persisted store by path and maps it: the store
-// serves straight from the file's pages with no load-time copy (pass through
-// LoadStoreFileHeap to opt out). The tile pyramid embedded in the file
-// decodes lazily on the first spatial query.
+// serves straight from the file's pages with no load-time copy. The tile
+// pyramid embedded in the file decodes lazily on the first spatial query.
 func LoadStoreFile(path string) (*Store, error) {
-	return loadStoreFile(path, false)
+	return loadStoreFile(path, storefile.Open)
 }
 
-// LoadStoreFileHeap reads a persisted store by path entirely into heap —
-// the -no-mmap escape hatch. Sections then alias one heap buffer instead of
-// a mapping; every query answers identically to the mapped load.
-func LoadStoreFileHeap(path string) (*Store, error) {
-	return loadStoreFile(path, true)
-}
-
-func loadStoreFile(path string, noMmap bool) (*Store, error) {
+// loadStoreFile is LoadStoreFile with the file opened by open. The tests pass
+// storefile.ReadFile: its sections alias one heap buffer instead of a
+// mapping, the reference every mapped answer is compared against.
+func loadStoreFile(path string, open func(string) (*storefile.File, error)) (*Store, error) {
 	head, err := readHead(path, len(storefile.Magic))
 	if err != nil {
 		return nil, err
 	}
 	if err := checkStoreMagic(head); err != nil {
 		return nil, fmt.Errorf("serve: load store %s: %w", path, err)
-	}
-	open := storefile.Open
-	if noMmap {
-		open = storefile.ReadFile
 	}
 	sf, err := open(path)
 	if err != nil {

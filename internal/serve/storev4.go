@@ -429,7 +429,8 @@ func decodeStoreV4(f *storefile.File) (*Store, error) {
 	if f.Mapped() {
 		res.AddMapped(f.Size())
 	} else {
-		// Heap-loaded v4 (-no-mmap): the whole buffer is resident.
+		// Copy-decoded v4 (no mmap on this platform): the whole buffer is
+		// resident.
 		res.Pin(f.Size())
 	}
 	res.Pin(pinned)

@@ -17,8 +17,30 @@ import (
 	"sync"
 	"testing"
 
+	"inspire/internal/storefile"
 	"inspire/internal/tiles"
 )
+
+// loadStoreHeap loads a store file by copy-decode (storefile.ReadFile, the
+// fallback where mmap is unavailable): the heap reference every mapped answer
+// is compared against.
+func loadStoreHeap(path string) (*Store, error) { return loadStoreFile(path, storefile.ReadFile) }
+
+// loadServiceHeap is LoadServiceFile over copy-decoded store files.
+func loadServiceHeap(path string) (Service, error) {
+	if man, err := IsShardManifestFile(path); err != nil || !man {
+		st, err := loadStoreHeap(path)
+		if err != nil {
+			return nil, err
+		}
+		return NewService(Options{Store: st})
+	}
+	_, shards, err := loadShards(path, storefile.ReadFile)
+	if err != nil {
+		return nil, err
+	}
+	return NewService(Options{Shards: shards})
+}
 
 // saveV4T persists st as INSPSTORE4 and returns the path.
 func saveV4T(t *testing.T, st *Store, name string) string {
@@ -46,7 +68,7 @@ func TestStoreV4RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, err := LoadStoreFileHeap(path)
+	heap, err := loadStoreHeap(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +192,7 @@ func TestMappedHeapEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			heapStore, err := LoadStoreFileHeap(path)
+			heapStore, err := loadStoreHeap(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +289,7 @@ func TestMappedHeapEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reHeap, err := LoadServiceFile(out, Config{NoMmap: true})
+			reHeap, err := loadServiceHeap(out)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -365,7 +387,7 @@ func TestStoreV4Rejects(t *testing.T) {
 		if _, err := LoadStoreFile(p); err == nil {
 			t.Errorf("%s: mapped load accepted", name)
 		}
-		if _, err := LoadStoreFileHeap(p); err == nil {
+		if _, err := loadStoreHeap(p); err == nil {
 			t.Errorf("%s: heap load accepted", name)
 		}
 	}
@@ -386,10 +408,10 @@ func TestStoreV4Rejects(t *testing.T) {
 		p := write(name+".store", []byte(tc.data))
 		shard := write("set.shards.s01", []byte(tc.data))
 		_, mappedErr := LoadStoreFile(p)
-		_, heapErr := LoadStoreFileHeap(p)
+		_, heapErr := loadStoreHeap(p)
 		_, streamErr := LoadStore(strings.NewReader(tc.data))
 		_, _, setErr := LoadShards(man)
-		_, _, setHeapErr := LoadShardsHeap(man)
+		_, _, setHeapErr := loadShards(man, storefile.ReadFile)
 		for loader, got := range map[string]struct {
 			err   error
 			where string

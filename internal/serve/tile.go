@@ -59,7 +59,7 @@ type TileResult struct {
 	Grid    int      `json:"grid"`
 	Density []uint32 `json:"density,omitempty"`
 	// Themes are the tile's top themes by document count (count
-	// descending, cluster ascending on ties), at most Config.TileThemes.
+	// descending, cluster ascending on ties), at most tileThemes.
 	Themes []TileTheme `json:"themes,omitempty"`
 	// Times is the tile's sparse per-day member histogram (ascending by
 	// bucket; untimestamped documents count in Docs but not here).
@@ -71,13 +71,12 @@ type TileResult struct {
 	Exemplars []int64 `json:"exemplars,omitempty"`
 }
 
+// tileThemes is the number of top themes a tile reports.
+const tileThemes = 4
+
 // tileConfig resolves the pyramid configuration of this server's tiles.
 func (cfg Config) tileConfig() tiles.Config {
-	return tiles.Config{
-		MaxZoom:   cfg.TileMaxZoom,
-		Grid:      cfg.TileGrid,
-		Exemplars: cfg.TileExemplars,
-	}.WithDefaults()
+	return tiles.Config{MaxZoom: cfg.TileMaxZoom}.WithDefaults()
 }
 
 // checkTileAddr validates a tile address against the pyramid configuration
@@ -448,7 +447,7 @@ func (s *Server) tile(q *Query, tc tiles.Config) Result {
 	if q.Op == opTileRaw {
 		return Result{raw: raw}
 	}
-	return Result{Tile: renderTile(raw, q.Z, q.TX, q.TY, tc.Grid, s.cfg.TileThemes, s.store.Themes)}
+	return Result{Tile: renderTile(raw, q.Z, q.TX, q.TY, tc.Grid, tileThemes, s.store.Themes)}
 }
 
 // tileRange answers OpTileRange (or opTileRangeRaw): every non-empty tile at
@@ -486,7 +485,7 @@ func (s *Server) tileRange(q *Query, tc tiles.Config) Result {
 			// the merge side only reads them.
 			res.raws = append(res.raws, raw)
 		default:
-			res.Tiles = append(res.Tiles, renderTile(raw, q.Z, c[0], c[1], tc.Grid, s.cfg.TileThemes, s.store.Themes))
+			res.Tiles = append(res.Tiles, renderTile(raw, q.Z, c[0], c[1], tc.Grid, tileThemes, s.store.Themes))
 		}
 	}
 	return res
@@ -546,7 +545,7 @@ func planTile(rs *RouterSession, q Query) ([]int, Result, error) {
 	rs.scratchShards = r.tileShards(rs.scratchShards, q.Z, q.TX, q.TY, q.TX, q.TY)
 	if len(rs.scratchShards) == 0 {
 		tc := r.cfg.tileConfig()
-		return rs.shortCircuit(Result{Tile: renderTile(nil, q.Z, q.TX, q.TY, tc.Grid, r.cfg.TileThemes, r.themes)})
+		return rs.shortCircuit(Result{Tile: renderTile(nil, q.Z, q.TX, q.TY, tc.Grid, tileThemes, r.themes)})
 	}
 	rs.sub.Op = opTileRaw
 	return rs.scratchShards, Result{}, nil
@@ -567,7 +566,7 @@ func mergeTile(rs *RouterSession, q Query, parts []Result) Result {
 func (r *Router) renderMerged(raws []*tiles.Tile, z, x, y int) *TileResult {
 	tc := r.cfg.tileConfig()
 	buf := tileMergeBuf.Get().(*tiles.Tile)
-	res := renderTile(tiles.MergeInto(buf, raws, tc.Exemplars), z, x, y, tc.Grid, r.cfg.TileThemes, r.themes)
+	res := renderTile(tiles.MergeInto(buf, raws, tc.Exemplars), z, x, y, tc.Grid, tileThemes, r.themes)
 	tileMergeBuf.Put(buf)
 	return res
 }

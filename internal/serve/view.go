@@ -13,15 +13,14 @@ import (
 )
 
 // view is one immutable serving epoch of a live store: the base snapshot's
-// products, the sealed delta segments ingested since, the tombstone set, and
-// the signature set bound to this epoch. Sessions resolve the current view
-// once per interaction and work against it unperturbed while ingestion,
-// compaction or a signature swap publishes the next epoch — readers never
-// block and never see a half-applied change.
+// products, the sealed delta segments ingested since and the tombstone set.
+// Sessions resolve the current view once per interaction and work against it
+// unperturbed while ingestion, compaction or a rebase publishes the next
+// epoch — readers never block and never see a half-applied change.
 type view struct {
 	// epoch increments on every published change (seal, delete, compaction,
-	// rebase, signature swap); it keys the similarity caches so stale merged
-	// answers age out naturally.
+	// rebase); it keys the similarity caches so stale merged answers age out
+	// naturally.
 	epoch uint64
 	// gen increments only when the base layout itself is rewritten (Rebase,
 	// SetBaseMeta); it keys the posting LRU, so the decoded base lists
@@ -34,9 +33,6 @@ type view struct {
 	// tombs marks deleted documents. The map is copy-on-write: published
 	// views never mutate it.
 	tombs map[int64]bool
-	// sigs is the base signature set of this epoch (segments carry their
-	// own); ApplySignatures publishes a new view with a new set.
-	sigs *signature.Set
 	// pts are the ThemeView points of the ingested (sealed) documents,
 	// computed from their signatures with the store's frozen Planar model
 	// at seal time; nil when the store has no Planar. Like segs the slice
@@ -50,7 +46,7 @@ type view struct {
 	// seal deltas (scan only the appended segments) and compactions
 	// (identity on visible documents) instead of rescanning every
 	// signature; tombstone deltas patch forward unless they hit a cached
-	// result. Signature swaps, rebases and layout resets cut the chain
+	// result. Rebases and layout resets cut the chain
 	// (parent nil), as does depth reaching maxSimChain, which also bounds
 	// how many retired views a live chain keeps reachable.
 	parent  *view
@@ -65,7 +61,7 @@ type view struct {
 type viewKind uint8
 
 const (
-	viewCut     viewKind = iota // no usable lineage (initial, swap, rebase)
+	viewCut     viewKind = iota // no usable lineage (initial, rebase, reset)
 	viewSeal                    // segments appended
 	viewTomb                    // one document tombstoned
 	viewCompact                 // segments merged; visible answers unchanged
@@ -93,6 +89,8 @@ type baseView struct {
 
 	df    []int64
 	posts *postings.Store
+	// sigs is the base signature set (segments carry their own).
+	sigs *signature.Set
 
 	points         []project.Point
 	assignDocs     []int64
@@ -186,7 +184,7 @@ func (v *view) sigVec(doc int64) ([]float64, bool) {
 	if v.tombs[doc] {
 		return nil, false
 	}
-	if vec, ok := v.sigs.Vec(doc); ok {
+	if vec, ok := v.base.sigs.Vec(doc); ok {
 		return vec, true
 	}
 	for _, s := range v.segs {
@@ -204,8 +202,8 @@ func (v *view) sigVec(doc int64) ([]float64, bool) {
 type liveState struct {
 	cur atomic.Pointer[view]
 
-	// mu serializes publishers: ingest, seal, delete, compaction publish,
-	// signature swaps and rebase. Readers only load cur.
+	// mu serializes publishers: ingest, seal, delete, compaction publish
+	// and rebase. Readers only load cur.
 	mu      sync.Mutex
 	delta   *segment.Delta
 	nextDoc int64
@@ -248,7 +246,7 @@ type liveState struct {
 	// Replication log: the recent seal/tombstone entries in publish order,
 	// appended by publishLocked and consumed by replica catch-up
 	// (LineageSince). Compactions are answer-invariant and are not logged;
-	// lineage cuts (rebase, layout reset, signature swap) and ring trims
+	// lineage cuts (rebase, layout reset) and ring trims
 	// advance logFloor, past which only a full resync can catch a replica
 	// up. Guarded by mu.
 	replog   []logEntry
@@ -285,7 +283,7 @@ func (st *Store) initViewLocked() *view {
 	if v := st.live.cur.Load(); v != nil {
 		return v
 	}
-	v := &view{epoch: 1, gen: 1, base: st.baseView(), sigs: st.Signatures()}
+	v := &view{epoch: 1, gen: 1, base: st.baseView()}
 	st.live.nextDoc = st.TotalDocs
 	if st.GlobalDocs > st.live.nextDoc {
 		st.live.nextDoc = st.GlobalDocs
@@ -305,6 +303,7 @@ func (st *Store) baseView() *baseView {
 		live:           st.TotalDocs,
 		df:             st.DF,
 		posts:          st.Posts,
+		sigs:           st.Signatures(),
 		points:         st.Points,
 		assignDocs:     st.AssignDocs,
 		assignClusters: st.AssignClusters,
@@ -355,7 +354,7 @@ func (st *Store) publishLocked(next *view) {
 	case viewCompact:
 		// Answer-invariant: a replica replaying the log converges without it.
 	default:
-		// A cut (rebase, signature swap) is not expressible as a seal/tomb
+		// A cut (rebase) is not expressible as a seal/tomb
 		// delta; replicas behind it must fully resync.
 		st.live.replog = nil
 		st.live.logFloor = next.epoch
@@ -417,11 +416,11 @@ func (st *Store) resetViewLocked() {
 	}
 	st.live.replog = nil
 	st.live.logFloor = v.epoch + 1
-	st.live.cur.Store(&view{epoch: v.epoch + 1, gen: v.gen + 1, base: st.baseView(), sigs: v.sigs, pts: v.pts})
+	st.live.cur.Store(&view{epoch: v.epoch + 1, gen: v.gen + 1, base: st.baseView(), pts: v.pts})
 }
 
 // Epoch returns the store's current serving epoch; it advances on every
-// published change (seal, delete, compaction, rebase, signature swap).
+// published change (seal, delete, compaction, rebase).
 func (st *Store) Epoch() uint64 { return st.viewNow().epoch }
 
 // LiveDocs returns the number of documents visible to queries right now:

@@ -297,7 +297,8 @@ func Decode(data []byte) (*File, error) {
 	return f, nil
 }
 
-// ReadFile loads path fully into heap and decodes it. The -no-mmap path.
+// ReadFile loads path fully into heap and decodes it: Open's fallback where
+// mmap is unavailable, and the copy-decode reference tests compare against.
 func ReadFile(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
