@@ -5,7 +5,9 @@
 // (postings.Writer emits the same codec the base store uses, so a segment's
 // per-term Count vector doubles as its DF summary); Merge k-way-merges small
 // segments into larger ones, dropping tombstoned documents — the compaction
-// step that keeps the segment count bounded under sustained ingestion.
+// step that keeps the segment count bounded under sustained ingestion, and,
+// with the base snapshot wrapped as a Segment too, the rebase that folds
+// everything into a new base.
 //
 // Segments share the producing store's dense vocabulary: a term absent from
 // the vocabulary cannot be ingested (the serving layers drop it), so every
@@ -67,17 +69,33 @@ func (s *Segment) SigSketch() *signature.Sketch {
 // document outside the segment. The returned slice aliases segment state and
 // must not be mutated.
 func (s *Segment) Meta(doc int64) (ts int64, facets []string, ok bool) {
-	i := sort.Search(len(s.Docs), func(i int) bool { return s.Docs[i] >= doc })
-	if i >= len(s.Docs) || s.Docs[i] != doc {
+	i := s.row(doc)
+	if i < 0 {
 		return 0, nil, false
 	}
+	ts, facets = s.MetaAt(i)
+	return ts, facets, true
+}
+
+// MetaAt returns row i's ingest timestamp and facet strings ((0, nil) when
+// the segment carries no metadata); the slice aliases segment state.
+func (s *Segment) MetaAt(i int) (ts int64, facets []string) {
 	if s.Times != nil {
 		ts = s.Times[i]
 	}
 	if s.Facets != nil {
 		facets = s.Facets[i]
 	}
-	return ts, facets, true
+	return ts, facets
+}
+
+// row returns doc's row, -1 when the segment does not cover it.
+func (s *Segment) row(doc int64) int {
+	i := sort.Search(len(s.Docs), func(i int) bool { return s.Docs[i] >= doc })
+	if i < len(s.Docs) && s.Docs[i] == doc {
+		return i
+	}
+	return -1
 }
 
 // NumDocs returns the number of documents the segment covers.
@@ -117,19 +135,15 @@ func (s *Segment) ShipBytes() int64 {
 }
 
 // Contains reports whether the segment covers doc.
-func (s *Segment) Contains(doc int64) bool {
-	i := sort.Search(len(s.Docs), func(i int) bool { return s.Docs[i] >= doc })
-	return i < len(s.Docs) && s.Docs[i] == doc
-}
+func (s *Segment) Contains(doc int64) bool { return s.row(doc) >= 0 }
 
 // SigVec returns doc's signature vector: (nil, true) for a present null
 // signature, (nil, false) for a document outside the segment.
 func (s *Segment) SigVec(doc int64) ([]float64, bool) {
-	i := sort.Search(len(s.Docs), func(i int) bool { return s.Docs[i] >= doc })
-	if i >= len(s.Docs) || s.Docs[i] != doc {
-		return nil, false
+	if i := s.row(doc); i >= 0 {
+		return s.SigVecs[i], true
 	}
-	return s.SigVecs[i], true
+	return nil, false
 }
 
 // Validate checks the structural invariants a loaded segment must satisfy.
@@ -323,8 +337,10 @@ func (d *Delta) Seal() (*Segment, error) {
 }
 
 // Merge k-way merges segments into one, dropping every document dead reports
-// as tombstoned. All segments must share one vocabulary and signature
-// dimensionality, and cover pairwise-disjoint documents. dead may be nil.
+// as tombstoned: document rows (signatures, metadata) and, term by term,
+// postings (MergeLists). All segments must share one vocabulary and
+// signature dimensionality, and cover pairwise-disjoint documents. dead may
+// be nil.
 func Merge(segs []*Segment, dead func(doc int64) bool) (*Segment, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("segment: merge of no segments")
@@ -367,14 +383,7 @@ func Merge(segs []*Segment, dead func(doc int64) bool) (*Segment, error) {
 		if !dead(d) {
 			out.Docs = append(out.Docs, d)
 			out.SigVecs = append(out.SigVecs, segs[best].SigVecs[pos[best]])
-			var ts int64
-			var fs []string
-			if segs[best].Times != nil {
-				ts = segs[best].Times[pos[best]]
-			}
-			if segs[best].Facets != nil {
-				fs = segs[best].Facets[pos[best]]
-			}
+			ts, fs := segs[best].MetaAt(pos[best])
 			out.Times = append(out.Times, ts)
 			out.Facets = append(out.Facets, fs)
 			if ts != 0 || fs != nil {
@@ -389,45 +398,50 @@ func Merge(segs []*Segment, dead func(doc int64) bool) (*Segment, error) {
 
 	// Merge each term's posting lists the same way.
 	w := postings.NewWriter(total)
-	type cursor struct{ docs, freqs []int64 }
-	curs := make([]cursor, len(segs))
+	lists := make([]List, 0, len(segs))
 	var docs, freqs []int64
 	for t := int64(0); t < vocab; t++ {
-		docs, freqs = docs[:0], freqs[:0]
-		for i, s := range segs {
-			if s.Posts.Count[t] == 0 {
-				curs[i] = cursor{}
-				continue
+		lists = lists[:0]
+		for _, s := range segs {
+			if s.Posts.Count[t] > 0 {
+				d, f := s.Posts.Postings(t)
+				lists = append(lists, List{Docs: d, Freqs: f})
 			}
-			d, f := s.Posts.Postings(t)
-			curs[i] = cursor{docs: d, freqs: f}
 		}
-		tpos := make([]int, len(segs))
-		for {
-			best := -1
-			for i := range curs {
-				if tpos[i] >= len(curs[i].docs) {
-					continue
-				}
-				if best < 0 || curs[i].docs[tpos[i]] < curs[best].docs[tpos[best]] {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			if d := curs[best].docs[tpos[best]]; !dead(d) {
-				docs = append(docs, d)
-				freqs = append(freqs, curs[best].freqs[tpos[best]])
-			}
-			tpos[best]++
-		}
+		docs, freqs = MergeLists(docs[:0], freqs[:0], lists, dead)
 		if err := w.Append(docs, freqs); err != nil {
 			return nil, fmt.Errorf("segment: merge: %w", err)
 		}
 	}
 	out.Posts = w.Finish()
 	return out, nil
+}
+
+// List is one posting list: document IDs, ascending, and their in-document
+// frequencies.
+type List struct{ Docs, Freqs []int64 }
+
+// MergeLists k-way merges posting lists over pairwise-disjoint documents,
+// appending every posting whose document dead does not report (nil: none) to
+// docs and freqs in document order.
+func MergeLists(docs, freqs []int64, lists []List, dead func(doc int64) bool) ([]int64, []int64) {
+	pos := make([]int, len(lists))
+	for {
+		best := -1
+		for i, l := range lists {
+			if pos[i] < len(l.Docs) && (best < 0 || l.Docs[pos[i]] < lists[best].Docs[pos[best]]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return docs, freqs
+		}
+		if d := lists[best].Docs[pos[best]]; dead == nil || !dead(d) {
+			docs = append(docs, d)
+			freqs = append(freqs, lists[best].Freqs[pos[best]])
+		}
+		pos[best]++
+	}
 }
 
 // segMagic heads a persisted segment file.

@@ -48,7 +48,7 @@ func BenchmarkScanSimilar(b *testing.B) {
 		v := randomSimView(rand.New(rand.NewSource(1)), n, m, c.themes, 0)
 		// Not one of the first signatures: a Sketch draws its directions
 		// from those, and bounds a target inside their span exactly.
-		target := v.base.sigs.Vecs[n/2]
+		target := v.blocks[0].SigVecs[n/2]
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(n * m * 8)
 			b.ReportAllocs()

@@ -13,11 +13,9 @@ import (
 	"slices"
 	"sort"
 
-	"inspire/internal/postings"
 	"inspire/internal/project"
 	"inspire/internal/scan"
 	"inspire/internal/segment"
-	"inspire/internal/signature"
 )
 
 // LivePolicy tunes a live store's ingest layer. The zero value selects the
@@ -145,13 +143,10 @@ func (st *Store) AddCountsMeta(doc int64, counts map[int64]int64, sig []float64,
 // arrive normalized (sorted, deduplicated, validated).
 func (st *Store) addLocked(doc int64, counts map[int64]int64, sig []float64, ts int64, facets []string) error {
 	v := st.live.cur.Load()
-	if doc < 0 || v.base.containsDoc(doc) {
+	if i := v.blockOf(doc); doc < 0 || i == 0 {
 		return Errorf(ErrInvalid, "serve: add: doc %d collides with the base snapshot", doc)
-	}
-	for _, s := range v.segs {
-		if s.Contains(doc) {
-			return Errorf(ErrInvalid, "serve: add: doc %d already ingested", doc)
-		}
+	} else if i > 0 {
+		return Errorf(ErrInvalid, "serve: add: doc %d already ingested", doc)
 	}
 	if v.tombs[doc] || doc < st.live.idFloor || st.live.retired[doc] {
 		// Everything below the retirement floor, in the retired set, or
@@ -203,7 +198,7 @@ func (st *Store) Delete(doc int64) error {
 		tombs[d] = true
 	}
 	tombs[doc] = true
-	st.publishLocked(&view{gen: v.gen, base: v.base, segs: v.segs, tombs: tombs, pts: v.pts,
+	st.publishLocked(&view{gen: v.gen, base: v.base, blocks: v.blocks, tombs: tombs, pts: v.pts,
 		kind: viewTomb, tomb: doc})
 	st.live.deletes.Add(1)
 	return nil
@@ -230,9 +225,7 @@ func (st *Store) sealLocked() error {
 	}
 	st.live.delta = nil
 	v := st.live.cur.Load()
-	segs := make([]*segment.Segment, len(v.segs), len(v.segs)+1)
-	copy(segs, v.segs)
-	segs = append(segs, seg)
+	blocks := append(slices.Clip(v.blocks), seg)
 	// Place the sealed documents on the ThemeView plane with the frozen
 	// projection model, so spatial queries and the tile pyramid see them
 	// from this epoch on.
@@ -240,11 +233,11 @@ func (st *Store) sealLocked() error {
 	pts := make([]project.Point, len(v.pts), len(v.pts)+len(newPts))
 	copy(pts, v.pts)
 	pts = append(pts, newPts...)
-	st.publishLocked(&view{gen: v.gen, base: v.base, segs: segs, tombs: v.tombs, pts: pts,
-		kind: viewSeal, newSegs: segs[len(segs)-1:], newPts: newPts})
+	st.publishLocked(&view{gen: v.gen, base: v.base, blocks: blocks, tombs: v.tombs, pts: pts,
+		kind: viewSeal, newSegs: blocks[len(blocks)-1:], newPts: newPts})
 	st.live.seals.Add(1)
 	pol := st.livePolicy()
-	if !pol.ManualCompaction && len(segs) >= pol.CompactSegments && !st.live.compacting {
+	if !pol.ManualCompaction && len(blocks)-1 >= pol.CompactSegments && !st.live.compacting {
 		st.live.compactWG.Add(1)
 		go func() {
 			defer st.live.compactWG.Done()
@@ -264,7 +257,7 @@ func (st *Store) installLive(segs []*segment.Segment, tombs []int64) error {
 		return fmt.Errorf("serve: store already has live state")
 	}
 	v := st.initViewLocked()
-	next := &view{gen: v.gen, base: v.base, segs: segs}
+	next := &view{gen: v.gen, base: v.base, blocks: append([]*segment.Segment{v.blocks[0]}, segs...)}
 	for _, seg := range segs {
 		next.pts = append(next.pts, st.planarPoints(seg)...)
 	}
@@ -286,7 +279,7 @@ func (st *Store) installLive(segs []*segment.Segment, tombs []int64) error {
 		st.live.idFloor = st.live.nextDoc
 	}
 	for _, d := range tombs {
-		if !v.base.containsDoc(d) && !containsAny(segs, d) {
+		if next.blockOf(d) < 0 {
 			return fmt.Errorf("serve: tombstone %d targets no document", d)
 		}
 	}
@@ -311,7 +304,7 @@ func (st *Store) AdoptSegments(segs []*segment.Segment) error {
 	fresh := segs[:0:0]
 	for _, seg := range segs {
 		have := false
-		for _, s := range v.segs {
+		for _, s := range v.segs() {
 			if s == seg {
 				have = true
 				break
@@ -324,9 +317,7 @@ func (st *Store) AdoptSegments(segs []*segment.Segment) error {
 	if len(fresh) == 0 {
 		return nil
 	}
-	next := make([]*segment.Segment, len(v.segs), len(v.segs)+len(fresh))
-	copy(next, v.segs)
-	next = append(next, fresh...)
+	next := append(slices.Clip(v.blocks), fresh...)
 	var newPts []project.Point
 	for _, seg := range fresh {
 		newPts = append(newPts, st.planarPoints(seg)...)
@@ -334,7 +325,7 @@ func (st *Store) AdoptSegments(segs []*segment.Segment) error {
 	pts := make([]project.Point, len(v.pts), len(v.pts)+len(newPts))
 	copy(pts, v.pts)
 	pts = append(pts, newPts...)
-	st.publishLocked(&view{gen: v.gen, base: v.base, segs: next, tombs: v.tombs, pts: pts,
+	st.publishLocked(&view{gen: v.gen, base: v.base, blocks: next, tombs: v.tombs, pts: pts,
 		kind: viewSeal, newSegs: next[len(next)-len(fresh):], newPts: newPts})
 	for _, seg := range fresh {
 		if max := seg.MaxDoc() + 1; max > st.live.nextDoc {
@@ -379,12 +370,12 @@ func (st *Store) Replicate() (*Store, error) {
 	cp := st.Fork()
 	cp.SetLivePolicy(st.livePolicy())
 	v := st.viewNow()
-	if len(v.segs) > 0 || len(v.tombs) > 0 {
+	if len(v.blocks) > 1 || len(v.tombs) > 0 {
 		tombs := make([]int64, 0, len(v.tombs))
 		for d := range v.tombs {
 			tombs = append(tombs, d)
 		}
-		if err := cp.installLive(v.segs, tombs); err != nil {
+		if err := cp.installLive(v.segs(), tombs); err != nil {
 			return nil, err
 		}
 	}
@@ -429,12 +420,12 @@ func (st *Store) WaitCompaction() { st.live.compactWG.Wait() }
 func (st *Store) Compact() error {
 	st.live.mu.Lock()
 	v := st.initViewLocked()
-	if len(v.segs) < 2 || st.live.compacting {
+	if len(v.blocks) < 3 || st.live.compacting {
 		st.live.mu.Unlock()
 		return nil
 	}
 	st.live.compacting = true
-	input := v.segs
+	input := v.segs()
 	tombs := v.tombs
 	st.live.mu.Unlock()
 
@@ -454,20 +445,21 @@ func (st *Store) Compact() error {
 	// The merge ran off the lock: if the segment list was rewritten under us
 	// (a concurrent Rebase folded everything into the base), the input is no
 	// longer a prefix of the current list — drop the merge result.
-	prefix := len(cur.segs) >= len(input)
+	segs := cur.segs()
+	prefix := len(segs) >= len(input)
 	for i := 0; prefix && i < len(input); i++ {
-		prefix = cur.segs[i] == input[i]
+		prefix = segs[i] == input[i]
 	}
 	if !prefix {
 		st.live.compacting = false
 		return nil
 	}
 	// Segments sealed while we merged sit after the input prefix; keep them.
-	segs := make([]*segment.Segment, 0, 1+len(cur.segs)-len(input))
+	blocks := []*segment.Segment{cur.blocks[0]}
 	if merged.NumDocs() > 0 {
-		segs = append(segs, merged)
+		blocks = append(blocks, merged)
 	}
-	segs = append(segs, cur.segs[len(input):]...)
+	blocks = append(blocks, segs[len(input):]...)
 	// Tombstones that pointed into the merged input are gone from the data;
 	// drop them from the set. Later tombstones (including ones filed against
 	// input docs during the merge) stay and keep filtering. Every dropped
@@ -504,7 +496,7 @@ func (st *Store) Compact() error {
 		}
 		pts = kept
 	}
-	st.publishLocked(&view{gen: cur.gen, base: cur.base, segs: segs, tombs: next, pts: pts,
+	st.publishLocked(&view{gen: cur.gen, base: cur.base, blocks: blocks, tombs: next, pts: pts,
 		kind: viewCompact})
 	st.live.compacting = false
 	st.live.compactions.Add(1)
@@ -522,11 +514,12 @@ func containsAny(segs []*segment.Segment, doc int64) bool {
 }
 
 // Rebase folds the base snapshot, every sealed segment and the tombstone set
-// into a fresh base — the full materialization that makes the store
-// persistable as a single INSPSTORE4 file again. Pending adds are flushed
-// first. The old base products are left untouched (readers holding the old
-// view keep working); the store's fields and a new view (with the base
-// generation advanced) are swapped in at the end.
+// into a fresh base — one segment.Merge of the view's blocks, the merge
+// compaction runs over segments alone — the full materialization that makes
+// the store persistable as a single INSPSTORE4 file again. Pending adds are
+// flushed first. The old base products are left untouched (readers holding
+// the old view keep working); the store's fields and a new view (with the
+// base generation advanced) are swapped in at the end.
 //
 // After a rebase TotalDocs is the document-ID high water, not the live count
 // (deleted IDs leave holes, recorded in Store.Holes and reading as absent,
@@ -551,69 +544,19 @@ func (st *Store) Rebase() error {
 	// compaction-retired IDs exist: a retired set with everything else empty
 	// (every ingest deleted and compacted away) still must materialize as
 	// holes, or persisting the store would forget the IDs were ever used.
-	if len(v.segs) == 0 && len(v.tombs) == 0 && len(st.live.retired) == 0 {
+	if len(v.blocks) == 1 && len(v.tombs) == 0 && len(st.live.retired) == 0 {
 		return nil
 	}
 
+	// Postings, signatures and metadata: one merge of every block, the base
+	// block carrying its metadata as segment rows for the occasion.
 	dead := v.tombs
-	var total int64
-	for _, n := range v.base.df {
-		total += n
-	}
-	for _, s := range v.segs {
-		total += s.Postings()
-	}
-	w := postings.NewWriter(total)
-	lists := make([]plist, 0, 1+len(v.segs))
-	for t := int64(0); t < st.VocabSize; t++ {
-		lists = lists[:0]
-		if v.base.df[t] > 0 {
-			d, f := v.base.posts.Postings(t)
-			lists = append(lists, plist{d, f})
-		}
-		for _, s := range v.segs {
-			if s.Posts.Count[t] > 0 {
-				d, f := s.Posts.Postings(t)
-				lists = append(lists, plist{d, f})
-			}
-		}
-		docs, freqs := mergePlists(lists, dead)
-		if err := w.Append(docs, freqs); err != nil {
-			return fmt.Errorf("serve: rebase: %w", err)
-		}
-	}
-	posts := w.Finish()
-
-	// Merge the signature sets (base set + per-segment slices),
-	// ascending by document, dropping tombstones.
-	base := v.base.sigs
-	sigDocs := make([]int64, 0, len(base.Docs))
-	sigVecs := make([][]float64, 0, len(base.Docs))
-	srcDocs := make([][]int64, 0, 1+len(v.segs))
-	srcVecs := make([][][]float64, 0, 1+len(v.segs))
-	srcDocs, srcVecs = append(srcDocs, base.Docs), append(srcVecs, base.Vecs)
-	for _, s := range v.segs {
-		srcDocs, srcVecs = append(srcDocs, s.Docs), append(srcVecs, s.SigVecs)
-	}
-	pos := make([]int, len(srcDocs))
-	for {
-		best := -1
-		for i := range srcDocs {
-			if pos[i] >= len(srcDocs[i]) {
-				continue
-			}
-			if best < 0 || srcDocs[i][pos[i]] < srcDocs[best][pos[best]] {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if d := srcDocs[best][pos[best]]; !dead[d] {
-			sigDocs = append(sigDocs, d)
-			sigVecs = append(sigVecs, srcVecs[best][pos[best]])
-		}
-		pos[best]++
+	base := st.baseBlock()
+	base.Times, base.Facets = v.base.metaRows(base.Docs)
+	blocks := append([]*segment.Segment{base}, v.segs()...)
+	merged, err := segment.Merge(blocks, func(d int64) bool { return dead[d] })
+	if err != nil {
+		return fmt.Errorf("serve: rebase: %w", err)
 	}
 
 	// Fold the live points into the base point set (tombstones dropped),
@@ -645,54 +588,7 @@ func (st *Store) Rebase() error {
 		}
 	}
 
-	// Fold document metadata: surviving base rows (IDs back to strings) plus
-	// the segment rows, sorted by document and re-interned into a fresh
-	// dictionary — so the rebased dictionary carries no dead facets.
-	var mDocs, mTimes []int64
-	var mFacets [][]string
-	for i, d := range v.base.metaDocs {
-		if !dead[d] && v.base.containsDoc(d) {
-			mDocs = append(mDocs, d)
-			mTimes = append(mTimes, v.base.metaTimes[i])
-			mFacets = append(mFacets, v.base.baseFacetsAt(i))
-		}
-	}
-	for _, s := range v.segs {
-		for i, d := range s.Docs {
-			if dead[d] {
-				continue
-			}
-			var ts int64
-			var facets []string
-			if s.Times != nil {
-				ts = s.Times[i]
-			}
-			if s.Facets != nil {
-				facets = s.Facets[i]
-			}
-			if ts == 0 && len(facets) == 0 {
-				continue
-			}
-			mDocs = append(mDocs, d)
-			mTimes = append(mTimes, ts)
-			mFacets = append(mFacets, facets)
-		}
-	}
-	if ord := make([]int, len(mDocs)); len(ord) > 0 {
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.Slice(ord, func(a, b int) bool { return mDocs[ord[a]] < mDocs[ord[b]] })
-		sDocs := make([]int64, len(mDocs))
-		sTimes := make([]int64, len(mDocs))
-		sFacets := make([][]string, len(mDocs))
-		for o, i := range ord {
-			sDocs[o], sTimes[o], sFacets[o] = mDocs[i], mTimes[i], mFacets[i]
-		}
-		mDocs, mTimes, mFacets = sDocs, sTimes, sFacets
-	}
-
-	st.Posts, st.DF = posts, posts.Count
+	st.Posts, st.SigDocs, st.SigVecs = merged.Posts, merged.Docs, merged.SigVecs
 	if len(dead) > 0 || len(st.live.retired) > 0 {
 		// Deleted IDs — current tombstones and compaction-retired IDs alike
 		// — become permanent holes in the rebased range: the high-water mark
@@ -715,7 +611,7 @@ func (st *Store) Rebase() error {
 		// A shard's TotalDocs is its document count; base membership stays
 		// modular, so the global high water moves to cover rebased ingests.
 		st.GlobalDocs = st.live.nextDoc
-		st.TotalDocs = int64(len(sigDocs))
+		st.TotalDocs = merged.NumDocs()
 	} else {
 		// Monolithic stores keep TotalDocs as the dense ID high water
 		// (deleted IDs leave holes and are never reused).
@@ -727,13 +623,8 @@ func (st *Store) Rebase() error {
 	st.live.retired = nil
 	st.Points = points
 	st.AssignDocs, st.AssignClusters = assignDocs, assignClusters
-	buildMetaTable(mDocs, mTimes, mFacets).install(st)
-	set, err := signature.NewSet(base.M, sigDocs, sigVecs)
-	if err != nil {
-		return fmt.Errorf("serve: rebase: %w", err)
-	}
-	st.setSigSet(set)
-	st.publishLocked(&view{gen: v.gen + 1, base: st.baseView()})
+	buildMetaTable(merged.Docs, merged.Times, merged.Facets).install(st)
+	st.publishLocked(st.baseOnlyView(v.gen + 1))
 	// The base points changed: the persisted tile sidecar no longer
 	// describes them, and the maintained pyramid rebuilds from the fresh
 	// (lineage-cut) view on its next query.
@@ -743,33 +634,4 @@ func (st *Store) Rebase() error {
 	st.live.tileMu.Unlock()
 	st.live.compactions.Add(1)
 	return nil
-}
-
-// plist is one sorted (docs, freqs) posting list feeding a k-way merge.
-type plist struct{ docs, freqs []int64 }
-
-// mergePlists k-way merges disjoint doc-sorted posting lists, dropping docs
-// in dead (nil = none). Freshly allocated; nil when nothing survives.
-func mergePlists(lists []plist, dead map[int64]bool) (docs, freqs []int64) {
-	pos := make([]int, len(lists))
-	for {
-		best := -1
-		for i := range lists {
-			if pos[i] >= len(lists[i].docs) {
-				continue
-			}
-			if best < 0 || lists[i].docs[pos[i]] < lists[best].docs[pos[best]] {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if d := lists[best].docs[pos[best]]; len(dead) == 0 || !dead[d] {
-			docs = append(docs, d)
-			freqs = append(freqs, lists[best].freqs[pos[best]])
-		}
-		pos[best]++
-	}
-	return docs, freqs
 }

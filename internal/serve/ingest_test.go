@@ -76,7 +76,7 @@ func recordTexts(t *testing.T, sources []*corpus.Source) []string {
 func queryTerms(st *Store) []string {
 	terms := st.TopTerms(12)
 	var tails int
-	for id, df := range st.DF {
+	for id, df := range st.Posts.Count {
 		if df >= 1 && df <= 2 {
 			terms = append(terms, st.TermList[id])
 			if tails++; tails == 12 {

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"inspire/internal/postings"
+	"inspire/internal/segment"
 	"inspire/internal/storefile"
 )
 
@@ -218,7 +219,7 @@ func (p *metaPred) matchDoc(v *view, doc int64) bool {
 	if i := v.base.metaIndex(doc); i >= 0 {
 		return p.matchBase(v.base, i)
 	}
-	for _, s := range v.segs {
+	for _, s := range v.segs() {
 		if ts, facets, ok := s.Meta(doc); ok {
 			return p.matchMeta(ts, facets)
 		}
@@ -249,22 +250,15 @@ func buildFilterSet(v *view, f Filter) *filterSet {
 	pred := compilePred(b, f)
 	fs := &filterSet{pred: pred}
 	var docs []int64
+	stray := b.strayMeta(v.blocks[0])
 	for i, doc := range b.metaDocs {
-		if pred.matchBase(b, i) && b.containsDoc(doc) {
+		if pred.matchBase(b, i) && (!stray || v.blocks[0].Contains(doc)) {
 			docs = append(docs, doc)
 		}
 	}
-	for _, s := range v.segs {
+	for _, s := range v.segs() {
 		for i, doc := range s.Docs {
-			var ts int64
-			var facets []string
-			if s.Times != nil {
-				ts = s.Times[i]
-			}
-			if s.Facets != nil {
-				facets = s.Facets[i]
-			}
-			if pred.matchMeta(ts, facets) {
+			if pred.matchMeta(s.MetaAt(i)) {
 				docs = append(docs, doc)
 			}
 		}
@@ -317,6 +311,26 @@ func (fs *filterSet) filterDocs(docs []int64) []int64 {
 	return out
 }
 
+// strayMeta reports whether some base metadata row names a document outside
+// the base block blk — a row only counts for a base document, and
+// SetBaseMeta takes any ID (Rebase drops such rows). Found by one merge walk,
+// once per base, so the common case tests no membership per row.
+func (b *baseView) strayMeta(blk *segment.Segment) bool {
+	b.strayOnce.Do(func() {
+		j := 0
+		for _, d := range b.metaDocs {
+			for j < len(blk.Docs) && blk.Docs[j] < d {
+				j++
+			}
+			if j == len(blk.Docs) || blk.Docs[j] != d {
+				b.stray = true
+				return
+			}
+		}
+	})
+	return b.stray
+}
+
 // metaIndex returns doc's row in the base metadata vectors, -1 when absent.
 func (b *baseView) metaIndex(doc int64) int {
 	i := sort.Search(len(b.metaDocs), func(i int) bool { return b.metaDocs[i] >= doc })
@@ -326,31 +340,33 @@ func (b *baseView) metaIndex(doc int64) int {
 	return -1
 }
 
-// baseFacetsAt materializes base row i's facet IDs as dictionary strings —
-// ascending by string, because rows are interned in string order.
-func (b *baseView) baseFacetsAt(i int) []string {
-	if len(b.metaFacetOffs) == 0 {
-		return nil
+// meta returns base document doc's metadata row as (timestamp, facet
+// strings) — ascending by string, because rows are interned in string order;
+// ok is false when the document has none.
+func (b *baseView) meta(doc int64) (ts int64, facets []string, ok bool) {
+	i := b.metaIndex(doc)
+	if i < 0 {
+		return 0, nil, false
 	}
-	row := b.metaFacetIDs[b.metaFacetOffs[i]:b.metaFacetOffs[i+1]]
-	if len(row) == 0 {
-		return nil
+	if len(b.metaFacetOffs) > 0 {
+		if row := b.metaFacetIDs[b.metaFacetOffs[i]:b.metaFacetOffs[i+1]]; len(row) > 0 {
+			facets = make([]string, len(row))
+			for j, id := range row {
+				facets[j] = b.facetDict[id]
+			}
+		}
 	}
-	out := make([]string, len(row))
-	for j, id := range row {
-		out[j] = b.facetDict[id]
-	}
-	return out
+	return b.metaTimes[i], facets, true
 }
 
 // docMeta resolves doc's ingest metadata in the view — base row or segment
 // row — as (timestamp, sorted facet strings); (0, nil) when the document has
 // none. Tile-pyramid maintenance uses it to stamp entries.
 func (v *view) docMeta(doc int64) (int64, []string) {
-	if i := v.base.metaIndex(doc); i >= 0 {
-		return v.base.metaTimes[i], v.base.baseFacetsAt(i)
+	if ts, facets, ok := v.base.meta(doc); ok {
+		return ts, facets
 	}
-	for _, s := range v.segs {
+	for _, s := range v.segs() {
 		if ts, facets, ok := s.Meta(doc); ok {
 			return ts, facets
 		}
@@ -358,26 +374,18 @@ func (v *view) docMeta(doc int64) (int64, []string) {
 	return 0, nil
 }
 
-// baseMetaOf resolves doc's metadata from the store's base vectors alone —
-// the pre-view form BaseTilePyramid needs.
-func (st *Store) baseMetaOf(doc int64) (int64, []string) {
-	i := sort.Search(len(st.MetaDocs), func(i int) bool { return st.MetaDocs[i] >= doc })
-	if i >= len(st.MetaDocs) || st.MetaDocs[i] != doc {
-		return 0, nil
+// metaRows returns the base metadata as per-document rows over docs — the
+// segment form (see segment.Segment.Times) Rebase merges; (nil, nil) when the
+// base has none.
+func (b *baseView) metaRows(docs []int64) ([]int64, [][]string) {
+	if len(b.metaDocs) == 0 {
+		return nil, nil
 	}
-	ts := st.MetaTimes[i]
-	if len(st.MetaFacetOffs) == 0 {
-		return ts, nil
+	times, facets := make([]int64, len(docs)), make([][]string, len(docs))
+	for i, d := range docs {
+		times[i], facets[i], _ = b.meta(d)
 	}
-	row := st.MetaFacetIDs[st.MetaFacetOffs[i]:st.MetaFacetOffs[i+1]]
-	if len(row) == 0 {
-		return ts, nil
-	}
-	facets := make([]string, len(row))
-	for j, id := range row {
-		facets[j] = st.FacetDict[id]
-	}
-	return ts, facets
+	return times, facets
 }
 
 // facetInterner builds a facet dictionary incrementally, mapping sorted
@@ -426,9 +434,13 @@ type metaTable struct {
 
 // buildMetaTable interns per-document rows (sorted by doc, facets
 // normalized) into the sparse base form. Rows with zero time and no facets
-// are dropped — absence of metadata is the canonical encoding of "none".
+// are dropped — absence of metadata is the canonical encoding of "none" —
+// and nil times mean no rows at all, as in a segment.
 func buildMetaTable(docs, times []int64, facets [][]string) metaTable {
 	var t metaTable
+	if times == nil {
+		return t
+	}
 	in := newFacetInterner(nil)
 	var ids []int64
 	offs := []int64{0}

@@ -113,10 +113,10 @@ func TestSetBaseMetaValidates(t *testing.T) {
 	if err := st.SetBaseMeta([]int64{1, 0}, []int64{20, 10}, [][]string{{"b=2", "a=1", "b=2"}, {"c=3"}}); err != nil {
 		t.Fatal(err)
 	}
-	if ts, facets := st.baseMetaOf(0); ts != 10 || !reflect.DeepEqual(facets, []string{"c=3"}) {
+	if ts, facets := st.viewNow().docMeta(0); ts != 10 || !reflect.DeepEqual(facets, []string{"c=3"}) {
 		t.Fatalf("doc 0 meta = (%d, %v)", ts, facets)
 	}
-	if ts, facets := st.baseMetaOf(1); ts != 20 || !reflect.DeepEqual(facets, []string{"a=1", "b=2"}) {
+	if ts, facets := st.viewNow().docMeta(1); ts != 20 || !reflect.DeepEqual(facets, []string{"a=1", "b=2"}) {
 		t.Fatalf("doc 1 meta = (%d, %v), want dedup+sorted", ts, facets)
 	}
 
@@ -457,7 +457,7 @@ func TestTileHistogramsIncrementalMatchRebuild(t *testing.T) {
 			continue
 		}
 		row := truth[d]
-		ts, facets := st.baseMetaOf(d)
+		ts, facets := st.viewNow().docMeta(d)
 		if ts != row.ts || !reflect.DeepEqual(facets, row.facets) {
 			t.Fatalf("rebase lost doc %d metadata: (%d, %v), want (%d, %v)", d, ts, facets, row.ts, row.facets)
 		}

@@ -174,21 +174,18 @@ func newRouter(shards []*Store, cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
 		r.sets[i] = set
-		r.shardDF[i] = st.DF
-		r.liveDF[i] = make(map[int64]int64)
-		for t, d := range st.DF {
-			r.df[t] += d
-		}
 		r.totalDocs += st.TotalDocs
-		// A shard loaded with live segments (a persisted live set) feeds its
-		// segment DF summaries into the router tables, exactly as if the
-		// adds had routed through this router.
+		// Every block's DF summary counts globally. A shard loaded with live
+		// segments (a persisted live set) feeds theirs into the live table
+		// too, exactly as if the adds had routed through this router.
 		v := st.viewNow()
-		for _, seg := range v.segs {
-			for t, c := range seg.Posts.Count {
-				if c > 0 {
+		r.shardDF[i] = v.blocks[0].Posts.Count
+		r.liveDF[i] = make(map[int64]int64)
+		for j, b := range v.blocks {
+			for t, c := range b.Posts.Count {
+				r.df[t] += c
+				if j > 0 && c > 0 {
 					r.liveDF[i][int64(t)] += c
-					r.df[t] += c
 				}
 			}
 		}

@@ -326,7 +326,7 @@ func TestPostingCompressionFloor(t *testing.T) {
 	})
 	st := batchStore(t, sources, 4)
 	var pairs int64
-	for _, n := range st.DF {
+	for _, n := range st.Posts.Count {
 		pairs += n
 	}
 	ratio := 16 * float64(pairs) / float64(st.Posts.SizeBytes())
@@ -418,7 +418,7 @@ func TestAndBlockSkippingAgreesWithDecodedPaths(t *testing.T) {
 	// Pick the head term and a handful of tail terms by DF.
 	head := st.TopTerms(1)[0]
 	var tails []string
-	for id, df := range st.DF {
+	for id, df := range st.Posts.Count {
 		if df >= 1 && df <= 2 {
 			tails = append(tails, st.TermList[id])
 			if len(tails) == 6 {

@@ -478,9 +478,10 @@ func (s *Server) getPostings(v *view, t int64) postingVal {
 	s.pmu.Unlock()
 
 	s.postingMisses.Add(1)
-	docs, freqs := v.base.posts.Postings(t)
+	base := v.blocks[0].Posts
+	docs, freqs := base.Postings(t)
 	f.val = postingVal{docs: docs, freqs: freqs}
-	if v.base.posts.IsBitmap(t) {
+	if base.IsBitmap(t) {
 		// A bitmap term materializes by popcount enumeration, not varint
 		// decode. The And path never gets here for bitmap terms; Or/TermDocs
 		// do, and the list is cached like any other.
@@ -545,6 +546,25 @@ func (s *Server) filterSetFor(v *view, f Filter) *filterSet {
 func (s *Server) segPostings(seg *segment.Segment, t int64) (docs, freqs []int64) {
 	s.segmentFetches.Add(1)
 	return seg.Posts.Postings(t)
+}
+
+// termLists appends term t's non-empty posting list in every block of v: the
+// base block's through the posting LRU, each segment's off its own blocks.
+func (s *Server) termLists(lists []segment.List, v *view, t int64) []segment.List {
+	for i, b := range v.blocks {
+		var docs, freqs []int64
+		switch {
+		case b.Posts.Count[t] == 0:
+			continue
+		case i == 0:
+			val := s.getPostings(v, t)
+			docs, freqs = val.docs, val.freqs
+		default:
+			docs, freqs = s.segPostings(b, t)
+		}
+		lists = append(lists, segment.List{Docs: docs, Freqs: freqs})
+	}
+	return lists
 }
 
 // --- Session --------------------------------------------------------------
@@ -662,23 +682,14 @@ func (ss *Session) termDocs(term string, f Filter) []query.Posting {
 	if !ok || v.df(t) == 0 {
 		return nil
 	}
-	lists := make([]plist, 0, 1+len(v.segs))
-	if v.base.df[t] > 0 {
-		val := ss.s.getPostings(v, t)
-		lists = append(lists, plist{val.docs, val.freqs})
+	lists := ss.s.termLists(make([]segment.List, 0, len(v.blocks)), v, t)
+	var dead func(int64) bool
+	if len(v.tombs) > 0 {
+		dead = func(d int64) bool { return v.tombs[d] }
 	}
-	for _, seg := range v.segs {
-		if seg.Posts.Count[t] == 0 {
-			continue
-		}
-		d, f := ss.s.segPostings(seg, t)
-		lists = append(lists, plist{d, f})
-	}
-	var docs, freqs []int64
-	if len(lists) == 1 && len(v.tombs) == 0 {
-		docs, freqs = lists[0].docs, lists[0].freqs
-	} else {
-		docs, freqs = mergePlists(lists, v.tombs)
+	docs, freqs := lists[0].Docs, lists[0].Freqs
+	if len(lists) > 1 || dead != nil {
+		docs, freqs = segment.MergeLists(nil, nil, lists, dead)
 	}
 	// The filter applies while building the reply postings: docs may be a
 	// shared store slice, so it is never filtered in place.
@@ -731,7 +742,7 @@ func (ss *Session) and(terms []string, f Filter) []int64 {
 			ss.scratchCands = cands[:0]
 			return nil
 		}
-		cands = append(cands, andCand{id: t, baseDF: v.base.df[t], liveDF: live})
+		cands = append(cands, andCand{id: t, baseDF: v.blocks[0].Posts.Count[t], liveDF: live})
 	}
 	ss.scratchCands = cands
 	// The filter resolves after the doomed-query exits: a conjunction with an
@@ -768,7 +779,7 @@ func (ss *Session) and(terms []string, f Filter) []int64 {
 		}
 	}
 	if baseLive {
-		ps := v.base.posts
+		ps := v.blocks[0].Posts
 		i0 := 1
 		switch {
 		case ps.IsBitmap(cands[0].id) && len(cands) > 1 && ps.IsBitmap(cands[1].id):
@@ -847,7 +858,7 @@ func (ss *Session) and(terms []string, f Filter) []int64 {
 	if len(acc) > 0 {
 		parts = append(parts, acc)
 	}
-	for _, seg := range v.segs {
+	for _, seg := range v.segs() {
 		admit := true
 		for _, cd := range cands {
 			if seg.Posts.Count[cd.id] == 0 {
@@ -894,24 +905,17 @@ func (ss *Session) and(terms []string, f Filter) []int64 {
 func (ss *Session) or(terms []string, f Filter) []int64 {
 	st := ss.s.store
 	v := st.viewNow()
-	lists := make([][]int64, 0, len(terms))
+	lists := make([]segment.List, 0, len(terms))
 	for _, term := range terms {
-		t, found := st.TermID(term)
-		if !found {
-			continue
-		}
-		if v.base.df[t] > 0 {
-			lists = append(lists, ss.s.getPostings(v, t).docs)
-		}
-		for _, seg := range v.segs {
-			if seg.Posts.Count[t] == 0 {
-				continue
-			}
-			d, _ := ss.s.segPostings(seg, t)
-			lists = append(lists, d)
+		if t, found := st.TermID(term); found {
+			lists = ss.s.termLists(lists, v, t)
 		}
 	}
-	out := filterTombs(unionSorted(lists), v.tombs)
+	docs := make([][]int64, len(lists))
+	for i, l := range lists {
+		docs[i] = l.Docs
+	}
+	out := filterTombs(unionSorted(docs), v.tombs)
 	if fs := ss.s.filterSetFor(v, f); fs != nil {
 		out = fs.filterDocs(out)
 	}
@@ -1041,19 +1045,17 @@ func (s *Server) refreshSimilar(v *view, target []float64, exclude int64, k int)
 	return nil, false
 }
 
-// scanSimilar scores the view's signatures — base set and ingested segments,
-// tombstones excluded — against a target vector, excluding one document, and
+// scanSimilar scores the view's signatures — every block's, tombstones
+// excluded — against a target vector, excluding one document, and
 // returns the top k hits (query.HitLess order).
 func (s *Server) scanSimilar(v *view, target []float64, exclude int64, k int) []query.Hit {
-	base := v.base.sigs
-	candidates := base.Len()
-	for _, seg := range v.segs {
-		candidates += len(seg.Docs)
+	var candidates int
+	for _, b := range v.blocks {
+		candidates += len(b.Docs)
 	}
 	top := query.NewTopK(target, exclude, k, candidates)
-	top.Scan(base.Docs, base.Vecs, base.Norms(), base.Sketch(), v.tombs)
-	for _, seg := range v.segs {
-		top.Scan(seg.Docs, seg.SigVecs, seg.SigNorms(), seg.SigSketch(), v.tombs)
+	for _, b := range v.blocks {
+		top.Scan(b.Docs, b.SigVecs, b.SigNorms(), b.SigSketch(), v.tombs)
 	}
 	s.countScan(&top)
 	return top.Hits()

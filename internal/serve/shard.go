@@ -63,7 +63,6 @@ func (st *Store) Shard(n int) ([]*Store, error) {
 			TotalDocs: (st.TotalDocs - int64(i) + int64(n) - 1) / int64(n),
 			VocabSize: st.VocabSize,
 			TermList:  st.TermList, Prefix: st.Prefix,
-			DF:    parts[i].Count,
 			Posts: parts[i],
 			SigM:  st.SigM, Proj: st.Proj,
 			Planar: st.Planar, TileBox: st.TileBox,
@@ -148,14 +147,10 @@ func (st *Store) SaveShards(path string, n int) error {
 		Shards:    make([]ShardInfo, n),
 	}
 	for i, sh := range shards {
-		var posts int64
-		for _, c := range sh.DF {
-			posts += c
-		}
 		man.Shards[i] = ShardInfo{
 			File:     fmt.Sprintf("%s.s%02d", base, i),
 			Docs:     sh.TotalDocs,
-			Postings: posts,
+			Postings: sh.baseBlock().Postings(),
 		}
 		shardPath := filepath.Join(dir, man.Shards[i].File)
 		if err := sh.SaveFile(shardPath); err != nil {
@@ -200,20 +195,16 @@ func SaveLiveSet(path string, shards []*Store) error {
 			return fmt.Errorf("serve: shard %d has unflushed pending adds", i)
 		}
 		v := sh.viewNow()
-		var posts int64
-		for _, c := range v.base.df {
-			posts += c
-		}
 		info := ShardInfo{
 			File:     fmt.Sprintf("%s.s%02d", base, i),
 			Docs:     sh.TotalDocs,
-			Postings: posts,
+			Postings: v.blocks[0].Postings(),
 		}
 		shardPath := filepath.Join(dir, info.File)
 		if err := sh.SaveFile(shardPath); err != nil {
 			return err
 		}
-		for j, seg := range v.segs {
+		for j, seg := range v.segs() {
 			si := SegmentInfo{File: fmt.Sprintf("%s.s%02d.g%03d", base, i, j), Docs: seg.NumDocs()}
 			if err := seg.SaveFile(filepath.Join(dir, si.File)); err != nil {
 				return err
@@ -232,7 +223,7 @@ func SaveLiveSet(path string, shards []*Store) error {
 		if sh.ShardCount > 0 {
 			derived = sh.GlobalDocs
 		}
-		for _, seg := range v.segs {
+		for _, seg := range v.segs() {
 			if m := seg.MaxDoc() + 1; m > derived {
 				derived = m
 			}
@@ -291,11 +282,7 @@ func loadShards(path string, open func(string) (*storefile.File, error)) (*Manif
 		case sh.ShardIndex != i:
 			return nil, nil, fmt.Errorf("serve: shard %d store says it is shard %d", i, sh.ShardIndex)
 		}
-		var posts int64
-		for _, c := range sh.DF {
-			posts += c
-		}
-		if sh.TotalDocs != info.Docs || posts != info.Postings {
+		if posts := sh.baseBlock().Postings(); sh.TotalDocs != info.Docs || posts != info.Postings {
 			return nil, nil, fmt.Errorf("serve: shard %d carries %d docs/%d postings, manifest says %d/%d",
 				i, sh.TotalDocs, posts, info.Docs, info.Postings)
 		}

@@ -93,7 +93,7 @@ func TestShardPartition(t *testing.T) {
 	df := make([]int64, st.VocabSize)
 	for i, sh := range shards {
 		docs += sh.TotalDocs
-		for t2, d := range sh.DF {
+		for t2, d := range sh.Posts.Count {
 			df[t2] += d
 		}
 		for t2 := int64(0); t2 < sh.VocabSize; t2++ {
@@ -118,7 +118,7 @@ func TestShardPartition(t *testing.T) {
 	if docs != st.TotalDocs {
 		t.Fatalf("shards hold %d docs, want %d", docs, st.TotalDocs)
 	}
-	if !reflect.DeepEqual(df, st.DF) {
+	if !reflect.DeepEqual(df, st.Posts.Count) {
 		t.Fatalf("shard DF summaries do not sum to the global DF")
 	}
 }

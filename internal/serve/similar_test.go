@@ -10,7 +10,6 @@ import (
 
 	"inspire/internal/query"
 	"inspire/internal/segment"
-	"inspire/internal/signature"
 )
 
 // oracleScanSimilar is the scan this package shipped before query.TopK, kept
@@ -30,9 +29,8 @@ func oracleScanSimilar(v *view, target []float64, exclude int64, k int) (hits []
 			scored = append(scored, query.Hit{Doc: d, Score: query.Cosine(target, vec)})
 		}
 	}
-	score(v.base.sigs.Docs, v.base.sigs.Vecs)
-	for _, seg := range v.segs {
-		score(seg.Docs, seg.SigVecs)
+	for _, b := range v.blocks {
+		score(b.Docs, b.SigVecs)
 	}
 	candidates = uint64(len(scored))
 	sort.Slice(scored, func(a, b int) bool {
@@ -110,18 +108,14 @@ func randomSigs(rng *rand.Rand, n, m, themes int, messy bool) [][]float64 {
 }
 
 // randomSimView builds the part of a view the similarity scan reads: a base
-// set of n clean signatures and, when segs > 0, that many sealed segments of
-// messy ones plus a sprinkling of tombstones over both.
+// block of n clean signatures and, when segs > 0, that many sealed segments
+// of messy ones plus a sprinkling of tombstones over all of them.
 func randomSimView(rng *rand.Rand, n, m, themes, segs int) *view {
-	docs := make([]int64, n)
-	for i := range docs {
-		docs[i] = int64(i)
+	base := &segment.Segment{SigM: m, SigVecs: randomSigs(rng, n, m, themes, segs > 0)}
+	for i := range base.SigVecs {
+		base.Docs = append(base.Docs, int64(i))
 	}
-	set, err := signature.NewSet(m, docs, randomSigs(rng, n, m, themes, segs > 0))
-	if err != nil {
-		panic(err)
-	}
-	v := &view{base: &baseView{sigs: set}}
+	v := &view{blocks: []*segment.Segment{base}}
 	next := int64(n)
 	for s := 0; s < segs; s++ {
 		seg := &segment.Segment{SigM: m, SigVecs: randomSigs(rng, 1+rng.Intn(n), m, themes, true)}
@@ -129,7 +123,7 @@ func randomSimView(rng *rand.Rand, n, m, themes, segs int) *view {
 			next += 1 + int64(rng.Intn(3))
 			seg.Docs = append(seg.Docs, next)
 		}
-		v.segs = append(v.segs, seg)
+		v.blocks = append(v.blocks, seg)
 	}
 	if segs > 0 {
 		v.tombs = map[int64]bool{}
@@ -163,12 +157,8 @@ func TestScanSimilarMatchesOracle(t *testing.T) {
 		}
 		v := randomSimView(rng, n, m, themes, rng.Intn(4))
 		if seed%4 == 3 {
-			blocks := [][][]float64{v.base.sigs.Vecs}
-			for _, seg := range v.segs {
-				blocks = append(blocks, seg.SigVecs)
-			}
-			for _, vecs := range blocks {
-				for i, vec := range vecs {
+			for _, b := range v.blocks {
+				for i, vec := range b.SigVecs {
 					for j := range vec {
 						vec[j] = float64(1+j) * float64(int(1)<<(i%5))
 					}
@@ -176,13 +166,13 @@ func TestScanSimilarMatchesOracle(t *testing.T) {
 			}
 		}
 		candidates := n
-		for _, seg := range v.segs {
+		for _, seg := range v.segs() {
 			candidates += len(seg.Docs)
 		}
 		srv := new(Server)
 		for _, exclude := range []int64{0, int64(n) - 1, -1, -2} {
 			target := randomSigs(rng, 1, m, themes, false)[0]
-			if vec, ok := v.base.sigs.Vec(exclude); ok && vec != nil {
+			if vec, ok := v.blocks[0].SigVec(exclude); ok && vec != nil {
 				target = vec
 			}
 			if exclude == -2 {
@@ -239,15 +229,12 @@ func newSimWorld(t *testing.T, seed int64) *simWorld {
 	st := batchStore(t, ingestSources(), 2)
 	// Give the pipeline's documents messy signatures before any view (and so
 	// any server) exists, and before the store is sharded.
-	set, err := signature.NewSet(st.SigM, st.SigDocs, randomSigs(rng, len(st.SigDocs), st.SigM, simThemes, true))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if st.live.cur.Load() != nil {
 		t.Fatal("batch store already serves a view")
 	}
-	st.setSigSet(set)
+	st.SigVecs = randomSigs(rng, len(st.SigDocs), st.SigM, simThemes, true)
 	w := &simWorld{t: t, rng: rng, mono: st.Fork(), next: st.TotalDocs}
+	var err error
 	if w.shards, err = st.Shard(4); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +365,7 @@ func TestSimilarDifferential(t *testing.T) {
 // TestScanSimilarWarmAllocs pins the warm scan at one allocation: the result.
 func TestScanSimilarWarmAllocs(t *testing.T) {
 	v := randomSimView(rand.New(rand.NewSource(2)), 500, 16, 4, 3)
-	target := v.base.sigs.Vecs[1]
+	target := v.blocks[0].SigVecs[1]
 	scanSimilar(v, target, 1, 10) // computes the lazy norms and summaries
 	if n := testing.AllocsPerRun(50, func() { scanSimilar(v, target, 1, 10) }); n > 1 {
 		t.Fatalf("warm scan allocates %v times, want <= 1", n)
@@ -392,7 +379,7 @@ func TestScanSimilarWarmAllocs(t *testing.T) {
 // each scanner read.
 func TestConcurrentFirstScans(t *testing.T) {
 	fresh := randomSimView(rand.New(rand.NewSource(3)), 300, 8, 3, 3)
-	target := fresh.base.sigs.Vecs[0]
+	target := fresh.blocks[0].SigVecs[0]
 	want, _ := oracleScanSimilar(fresh, target, 0, 7)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

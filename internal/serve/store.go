@@ -75,17 +75,14 @@ type Store struct {
 	// (len P+1); term t is owned by the rank r with Prefix[r] <= t < Prefix[r+1].
 	Prefix []int64
 
-	// DF[t] is term t's document frequency.
-	DF []int64
-
 	// Posts holds the postings: block-compressed delta+varint doc/freq lists
-	// with a skip directory, dense terms as bitmaps. Never nil on a store
-	// that validates.
+	// with a skip directory, dense terms as bitmaps; Posts.Count[t] is term
+	// t's document frequency. Never nil on a store that validates.
 	Posts *postings.Store
 
-	// Knowledge signatures, sorted by document ID (nil = null signature).
-	// Read them through Signatures(), which returns a consistent indexed
-	// snapshot even across a concurrent Rebase.
+	// Knowledge signatures: one row per base document, strictly ascending by
+	// ID (nil = null signature). SigDocs doubles as the base's document list
+	// (see baseBlock).
 	SigM    int
 	SigDocs []int64
 	SigVecs [][]float64
@@ -130,9 +127,6 @@ type Store struct {
 	MetaFacetOffs []int64
 	MetaFacetIDs  []int64
 	FacetDict     []string
-
-	sigMu  sync.Mutex
-	sigSet *signature.Set
 
 	// backing is the decoded INSPSTORE4 file this store serves from, nil
 	// for freshly indexed stores. Base vectors alias its sections; it is
@@ -236,10 +230,10 @@ func buildStore(c *cluster.Comm, res *core.Result, docParts, asgParts [][]int64)
 	st.termSorted = sortTerms(st.TermList)
 
 	// Term statistics and posting offsets.
-	st.DF = make([]int64, V)
+	df := make([]int64, V)
 	off := make([]int64, V)
 	if V > 0 {
-		res.Index.Counts.Get(0, st.DF)
+		res.Index.Counts.Get(0, df)
 		res.Index.Off.Get(0, off)
 	}
 	total := res.Index.PostDoc.N()
@@ -289,7 +283,7 @@ func buildStore(c *cluster.Comm, res *core.Result, docParts, asgParts [][]int64)
 	// Encode the drained arrays into the serving format. One front-end pass:
 	// charged as a local re-encode.
 	w := postings.NewWriter(total)
-	for t, n := range st.DF {
+	for t, n := range df {
 		lo := off[t]
 		if err := w.Append(postDoc[lo:lo+n], postFreq[lo:lo+n]); err != nil {
 			panic(fmt.Sprintf("serve: snapshot compression: %v", err))
@@ -327,8 +321,7 @@ func (st *Store) Fork() *Store {
 		TotalDocs: st.TotalDocs, VocabSize: st.VocabSize,
 		ShardCount: st.ShardCount, ShardIndex: st.ShardIndex, GlobalDocs: st.GlobalDocs,
 		Holes:    st.Holes,
-		TermList: st.TermList, Prefix: st.Prefix,
-		DF: st.DF, Posts: st.Posts,
+		TermList: st.TermList, Prefix: st.Prefix, Posts: st.Posts,
 		SigM: st.SigM, SigDocs: st.SigDocs, SigVecs: st.SigVecs, Proj: st.Proj,
 		Planar: st.Planar, TileBox: st.TileBox,
 		Points: st.Points, AssignDocs: st.AssignDocs, AssignClusters: st.AssignClusters,
@@ -356,8 +349,7 @@ func (st *Store) EmptyCopy() *Store {
 	return &Store{
 		Model: st.Model, P: st.P,
 		TotalDocs: 0, VocabSize: st.VocabSize,
-		TermList: st.TermList, Prefix: st.Prefix,
-		DF: posts.Count, Posts: posts,
+		TermList: st.TermList, Prefix: st.Prefix, Posts: posts,
 		SigM: st.SigM, Proj: st.Proj,
 		Planar: st.Planar, TileBox: st.TileBox,
 		K: st.K, Themes: st.Themes,
@@ -365,34 +357,17 @@ func (st *Store) EmptyCopy() *Store {
 	}
 }
 
-// Signatures returns the store's base signature set as one consistent,
-// indexed snapshot (the slices and index always belong together, even if
-// Rebase replaces the set concurrently).
+// Signatures returns the current base signature set, indexed for lookup by
+// document: one consistent snapshot even across a concurrent Rebase.
 func (st *Store) Signatures() *signature.Set {
-	st.sigMu.Lock()
-	defer st.sigMu.Unlock()
-	if st.sigSet == nil {
-		set, err := signature.NewSet(st.SigM, st.SigDocs, st.SigVecs)
-		if err != nil {
-			// validate() rejects mismatched lengths at load; a hand-built
-			// store that skipped validation fails loudly here.
-			panic(err)
-		}
-		st.sigSet = set
+	b := st.viewNow().blocks[0]
+	set, err := signature.NewSet(b.SigM, b.Docs, b.SigVecs)
+	if err != nil {
+		// validate() rejects mismatched lengths at load; a hand-built store
+		// that skipped validation fails loudly here.
+		panic(err)
 	}
-	return st.sigSet
-}
-
-// setSigSet installs a signature set as the store's base set, keeping the
-// persisted fields in step; callers hold live.mu (or own the store before
-// any view exists).
-func (st *Store) setSigSet(set *signature.Set) {
-	st.sigMu.Lock()
-	st.SigM = set.M
-	st.SigDocs = set.Docs
-	st.SigVecs = set.Vecs
-	st.sigSet = set
-	st.sigMu.Unlock()
+	return set
 }
 
 // SignatureOf returns the knowledge signature of a document in the current
@@ -404,7 +379,7 @@ func (st *Store) SignatureOf(doc int64) ([]float64, bool) {
 
 // TopTerms returns up to n terms ordered by descending document frequency
 // (ties alphabetically) — the natural query vocabulary for workload replay.
-func (st *Store) TopTerms(n int) []string { return topTerms(st.DF, st.TermList, n) }
+func (st *Store) TopTerms(n int) []string { return topTerms(st.Posts.Count, st.TermList, n) }
 
 // topTerms ranks a DF vector; the Router reuses it over its global
 // (shard-summed) document frequencies.
@@ -434,10 +409,10 @@ func topTerms(df []int64, termList []string, n int) []string {
 // SampleDocs returns up to n document IDs with non-null signatures, in
 // ascending ID order — deterministic similarity-search targets.
 func (st *Store) SampleDocs(n int) []int64 {
-	set := st.Signatures()
+	b := st.viewNow().blocks[0]
 	out := make([]int64, 0, n)
-	for i, d := range set.Docs {
-		if set.Vecs[i] == nil {
+	for i, d := range b.Docs {
+		if b.SigVecs[i] == nil {
 			continue
 		}
 		out = append(out, d)
@@ -456,7 +431,7 @@ func (st *Store) validate() error {
 		return fmt.Errorf("serve: store has no machine model")
 	case st.P <= 0 || int64(len(st.Prefix)) != int64(st.P)+1:
 		return fmt.Errorf("serve: store ownership bounds malformed (P=%d, len=%d)", st.P, len(st.Prefix))
-	case int64(len(st.DF)) != V || int64(len(st.TermList)) != V:
+	case int64(len(st.TermList)) != V:
 		return fmt.Errorf("serve: store term vectors disagree with vocabulary size %d", V)
 	case len(st.SigDocs) != len(st.SigVecs):
 		return fmt.Errorf("serve: store has %d signature ids for %d vectors", len(st.SigDocs), len(st.SigVecs))
@@ -471,6 +446,22 @@ func (st *Store) validate() error {
 	for i, d := range st.Holes {
 		if d < 0 || (i > 0 && d <= st.Holes[i-1]) {
 			return fmt.Errorf("serve: store holes not strictly ascending at %d", i)
+		}
+	}
+	// The signature documents are the base block's document list: the
+	// block's binary searches and Rebase's merge need them ascending, and
+	// every one must be a base ID — below the high water, no hole — so that
+	// no segment can hold it too.
+	hole, bound := 0, st.idHighWater()
+	for i, d := range st.SigDocs {
+		for hole < len(st.Holes) && st.Holes[hole] < d {
+			hole++
+		}
+		switch {
+		case i > 0 && d <= st.SigDocs[i-1]:
+			return fmt.Errorf("serve: store signature documents not strictly ascending at %d", i)
+		case d < 0 || d >= bound || hole < len(st.Holes) && st.Holes[hole] == d:
+			return fmt.Errorf("serve: store signature document %d outside the base", d)
 		}
 	}
 	if st.Proj != nil {
@@ -497,13 +488,12 @@ func (st *Store) validate() error {
 	if st.Posts.NumTerms != V {
 		return fmt.Errorf("serve: compressed postings cover %d of %d terms", st.Posts.NumTerms, V)
 	}
-	for t := int64(0); t < V; t++ {
-		if st.Posts.Count[t] != st.DF[t] {
-			return fmt.Errorf("serve: term %d has %d compressed postings for DF %d", t, st.Posts.Count[t], st.DF[t])
-		}
-	}
 	return nil
 }
+
+// idHighWater returns the base's document-ID high water: every base ID lies
+// below it (TotalDocs on a monolithic store, GlobalDocs on a shard).
+func (st *Store) idHighWater() int64 { return max(st.TotalDocs, st.GlobalDocs) }
 
 // checkStoreMagic is the one check at the door of every loader: anything
 // that does not start an INSPSTORE4 file — short and empty input included —

@@ -162,7 +162,7 @@ func (st *Store) Save(w io.Writer) error {
 		{Name: secTermBlob, Data: termBlob},
 		{Name: secTermOffs, Data: storefile.AppendInt64s(nil, termOffs)},
 		{Name: secTermSort, Data: storefile.AppendInt64s(nil, st.termSorted)},
-		{Name: secDF, Data: storefile.AppendInt64s(nil, st.DF)},
+		{Name: secDF, Data: storefile.AppendInt64s(nil, st.Posts.Count)},
 		{Name: secPostDoc, Data: st.Posts.DocBlob},
 		{Name: secPostFreq, Data: st.Posts.FreqBlob},
 		{Name: secPostTermDoc, Data: storefile.AppendInt64s(nil, st.Posts.TermDoc)},
@@ -284,14 +284,12 @@ func decodeStoreV4(f *storefile.File) (*Store, error) {
 	}
 	st.termSorted = termSort
 
-	if st.DF, err = ints(secDF); err != nil {
+	// Postings: blobs and directory vectors straight off the sections; the
+	// df section is Posts.Count.
+	posts := &postings.Store{NumTerms: V}
+	if posts.Count, err = ints(secDF); err != nil {
 		return nil, err
 	}
-
-	// Postings: blobs and directory vectors straight off the sections.
-	// Posts.Count shares the DF slice — the validate invariant by
-	// construction.
-	posts := &postings.Store{NumTerms: V, Count: st.DF}
 	posts.DocBlob = sec(secPostDoc)
 	posts.FreqBlob = sec(secPostFreq)
 	if posts.TermDoc, err = ints(secPostTermDoc); err != nil {

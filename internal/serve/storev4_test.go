@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -93,7 +94,7 @@ func TestStoreV4RoundTrip(t *testing.T) {
 				t.Fatalf("%s: TermID(%q) = %d,%v want %d,%v", name, term, gotID, ok2, wantID, ok1)
 			}
 		}
-		if !reflect.DeepEqual(got.DF, st.DF) {
+		if !reflect.DeepEqual(got.Posts.Count, st.Posts.Count) {
 			t.Fatalf("%s: DF differs", name)
 		}
 		if !reflect.DeepEqual(got.Points, st.Points) {
@@ -423,6 +424,30 @@ func TestStoreV4Rejects(t *testing.T) {
 			if got.err == nil || !strings.Contains(got.err.Error(), tc.want) || !strings.Contains(got.err.Error(), got.where) {
 				t.Errorf("%s via %s: error %v, want %q at %q", name, loader, got.err, tc.want, got.where)
 			}
+		}
+	}
+
+	// The signature documents are the base block's document list, read from
+	// the file: out of order, repeated or outside the base, they are refused.
+	for name, mangle := range map[string]func(docs []int64){
+		"reversed sigdocs":   slices.Reverse[[]int64],
+		"duplicated sigdocs": func(docs []int64) { docs[1] = docs[0] },
+		"sigdoc past the base": func(docs []int64) {
+			docs[len(docs)-1] = st.TotalDocs
+		},
+	} {
+		bad := st.Fork()
+		bad.SigDocs = slices.Clone(st.SigDocs)
+		mangle(bad.SigDocs)
+		p := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".store")
+		if err := bad.SaveFile(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadStoreFile(p); err == nil || !strings.Contains(err.Error(), "signature document") {
+			t.Errorf("%s: mapped load error %v, want one naming the signature documents", name, err)
+		}
+		if _, err := loadStoreHeap(p); err == nil {
+			t.Errorf("%s: heap load accepted", name)
 		}
 	}
 

@@ -217,27 +217,15 @@ func (st *Store) buildPyramidLocked(v *view, cfg tiles.Config) *tiles.Pyramid {
 		return pyr
 	}
 
-	clusters := make(map[int64]int64, len(v.base.assignDocs))
-	for i, d := range v.base.assignDocs {
-		clusters[d] = v.base.assignClusters[i]
-	}
 	pyr, err := tiles.New(cfg, box)
 	if err != nil {
 		// cfg was validated at server construction and box is always
 		// padded; an error here is a programming bug.
 		panic(err)
 	}
-	for _, pt := range v.base.points {
-		if v.tombs[pt.Doc] || v.base.holes[pt.Doc] {
-			continue
-		}
-		c := int64(-1)
-		if cl, ok := clusters[pt.Doc]; ok {
-			c = cl
-		}
-		ts, facets := v.docMeta(pt.Doc)
-		pyr.Add(tiles.Entry{Doc: pt.Doc, X: pt.X, Y: pt.Y, Cluster: c, Time: ts, Facets: facets})
-	}
+	// A point the pyramid refuses is left out, as a store saved with such
+	// points persists no pyramid at all.
+	_ = v.base.addPoints(pyr, v.tombs)
 	for _, pt := range v.pts {
 		if !v.tombs[pt.Doc] {
 			ts, facets := v.docMeta(pt.Doc)
@@ -331,25 +319,41 @@ func (st *Store) BaseTilePyramid(cfg Config) (*tiles.Pyramid, error) {
 	} else if b := pointBounds(st.Points); b != nil {
 		box = *b
 	}
-	clusters := make(map[int64]int64, len(st.AssignDocs))
-	for i, d := range st.AssignDocs {
-		clusters[d] = st.AssignClusters[i]
-	}
 	pyr, err := tiles.New(tc, box)
 	if err != nil {
 		return nil, err
 	}
-	for _, pt := range st.Points {
-		c := int64(-1)
-		if cl, ok := clusters[pt.Doc]; ok {
-			c = cl
-		}
-		ts, facets := st.baseMetaOf(pt.Doc)
-		if !pyr.Add(tiles.Entry{Doc: pt.Doc, X: pt.X, Y: pt.Y, Cluster: c, Time: ts, Facets: facets}) {
-			return nil, fmt.Errorf("serve: tile pyramid: duplicate or non-finite point for doc %d", pt.Doc)
-		}
+	if err := st.baseView().addPoints(pyr, nil); err != nil {
+		return nil, err
 	}
 	return pyr, nil
+}
+
+// addPoints bins every base point — bar the documents in dead (nil: none)
+// and rebased holes — into pyr with its cluster and base metadata: the one
+// fill of both the persisted pyramid and a rebuilt one. It reports the first
+// point the pyramid refused (a duplicate or non-finite one) after binning
+// the rest.
+func (b *baseView) addPoints(pyr *tiles.Pyramid, dead map[int64]bool) error {
+	clusters := make(map[int64]int64, len(b.assignDocs))
+	for i, d := range b.assignDocs {
+		clusters[d] = b.assignClusters[i]
+	}
+	var err error
+	for _, pt := range b.points {
+		if dead[pt.Doc] || b.holes[pt.Doc] {
+			continue
+		}
+		c, ok := clusters[pt.Doc]
+		if !ok {
+			c = -1
+		}
+		ts, facets, _ := b.meta(pt.Doc)
+		if !pyr.Add(tiles.Entry{Doc: pt.Doc, X: pt.X, Y: pt.Y, Cluster: c, Time: ts, Facets: facets}) && err == nil {
+			err = fmt.Errorf("serve: tile pyramid: duplicate or non-finite point for doc %d", pt.Doc)
+		}
+	}
+	return err
 }
 
 // --- server side -----------------------------------------------------------

@@ -5,15 +5,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"inspire/internal/postings"
 	"inspire/internal/project"
 	"inspire/internal/segment"
-	"inspire/internal/signature"
 	"inspire/internal/tiles"
 )
 
 // view is one immutable serving epoch of a live store: the base snapshot's
-// products, the sealed delta segments ingested since and the tombstone set.
+// index block and products, the sealed delta segments ingested since and the
+// tombstone set.
 // Sessions resolve the current view once per interaction and work against it
 // unperturbed while ingestion, compaction or a rebase publishes the next
 // epoch — readers never block and never see a half-applied change.
@@ -27,15 +26,17 @@ type view struct {
 	// survive every epoch swap that leaves the base alone.
 	gen  uint64
 	base *baseView
-	// segs are the sealed delta segments, disjoint in documents; every
-	// ingested document lives in exactly one.
-	segs []*segment.Segment
+	// blocks are the view's immutable index blocks, disjoint in documents:
+	// blocks[0] is the base snapshot's (see Store.baseBlock), the rest are the
+	// sealed delta segments in seal order. Every document lives in exactly
+	// one.
+	blocks []*segment.Segment
 	// tombs marks deleted documents. The map is copy-on-write: published
 	// views never mutate it.
 	tombs map[int64]bool
 	// pts are the ThemeView points of the ingested (sealed) documents,
 	// computed from their signatures with the store's frozen Planar model
-	// at seal time; nil when the store has no Planar. Like segs the slice
+	// at seal time; nil when the store has no Planar. Like blocks the slice
 	// is copy-on-write: seals append to a fresh copy, compaction filters
 	// out points whose documents (and tombstones) it dropped, and Rebase
 	// folds them into the base points.
@@ -71,26 +72,14 @@ const (
 // similarity refresh.
 const maxSimChain = 32
 
-// baseView freezes the base snapshot's per-document products. Rebase builds a
-// fresh baseView rather than mutating slices a concurrent reader may hold.
+// baseView freezes what only the base snapshot has: its postings and
+// signatures are blocks[0] of the view, everything else it serves lives here.
+// Rebase builds a fresh baseView rather than mutating slices a concurrent
+// reader may hold.
 type baseView struct {
-	totalDocs int64
-	// Shard routing metadata (see Store.ShardCount): base membership on a
-	// shard is modular, not dense.
-	shardCount, shardIndex int
-	globalDocs             int64
-
 	// holes are IDs inside the base range whose documents were deleted and
-	// rebased away (Store.Holes); they read as absent. live is the number of
-	// base documents actually present — totalDocs minus the holes for a
-	// monolithic store, while a shard's TotalDocs already counts survivors.
+	// rebased away (Store.Holes).
 	holes map[int64]bool
-	live  int64
-
-	df    []int64
-	posts *postings.Store
-	// sigs is the base signature set (segments carry their own).
-	sigs *signature.Set
 
 	points         []project.Point
 	assignDocs     []int64
@@ -102,24 +91,16 @@ type baseView struct {
 	themes     map[int64][]int64
 
 	// Document metadata (Store.MetaDocs..FacetDict, see meta.go), plus the
-	// reverse facet map filters compile against. All immutable once built.
+	// reverse facet map filters compile against. All immutable once built;
+	// stray is derived from them by the first filter build (strayMeta).
+	strayOnce     sync.Once
+	stray         bool
 	metaDocs      []int64
 	metaTimes     []int64
 	metaFacetOffs []int64
 	metaFacetIDs  []int64
 	facetDict     []string
 	facetIDs      map[string]int64
-}
-
-// containsDoc reports whether doc is a base document of this store.
-func (b *baseView) containsDoc(doc int64) bool {
-	if doc < 0 || b.holes[doc] {
-		return false
-	}
-	if b.shardCount > 0 {
-		return doc < b.globalDocs && int(doc%int64(b.shardCount)) == b.shardIndex
-	}
-	return doc < b.totalDocs
 }
 
 // clusterDocs returns the base documents assigned to cluster, ascending
@@ -137,58 +118,58 @@ func (b *baseView) clusterDocs(cluster int64) []int64 {
 	return b.themes[cluster]
 }
 
-// df returns the live document frequency of term t in the view: base DF plus
-// every segment's DF summary. Tombstoned documents are still counted until
+// segs returns the sealed delta segments: every block but the base's.
+func (v *view) segs() []*segment.Segment { return v.blocks[1:] }
+
+// df returns the live document frequency of term t in the view: the sum of
+// every block's DF summary. Tombstoned documents are still counted until
 // compaction (or Rebase) drops them — the standard LSM overcount, documented
 // on Session.DF.
 func (v *view) df(t int64) int64 {
-	n := v.base.df[t]
-	for _, s := range v.segs {
-		n += s.Posts.Count[t]
+	var n int64
+	for _, b := range v.blocks {
+		n += b.Posts.Count[t]
 	}
 	return n
 }
 
-// liveDocs returns the number of visible documents: present base docs (holes
-// excluded) + sealed segments − tombstones. Documents still buffered in the
-// mutable delta are not visible.
+// liveDocs returns the number of visible documents: every block's documents
+// − tombstones. Documents still buffered in the mutable delta are not
+// visible.
 func (v *view) liveDocs() int64 {
-	n := v.base.live
-	for _, s := range v.segs {
-		n += s.NumDocs()
+	n := -int64(len(v.tombs))
+	for _, b := range v.blocks {
+		n += b.NumDocs()
 	}
-	return n - int64(len(v.tombs))
+	return n
+}
+
+// blockOf returns the index of the block holding doc, -1 when none does
+// (tombstones aside).
+func (v *view) blockOf(doc int64) int {
+	for i, b := range v.blocks {
+		if b.Contains(doc) {
+			return i
+		}
+	}
+	return -1
 }
 
 // contains reports whether doc exists in the view (tombstoned documents do
 // not).
 func (v *view) contains(doc int64) bool {
-	if v.tombs[doc] {
-		return false
-	}
-	if v.base.containsDoc(doc) {
-		return true
-	}
-	for _, s := range v.segs {
-		if s.Contains(doc) {
-			return true
-		}
-	}
-	return false
+	return !v.tombs[doc] && v.blockOf(doc) >= 0
 }
 
-// sigVec resolves doc's knowledge signature in the view: the base set first,
-// then the segments. (nil, true) is a present null signature; tombstoned and
-// unknown documents report (nil, false).
+// sigVec resolves doc's knowledge signature in the view. (nil, true) is a
+// present null signature; tombstoned and unknown documents report (nil,
+// false).
 func (v *view) sigVec(doc int64) ([]float64, bool) {
 	if v.tombs[doc] {
 		return nil, false
 	}
-	if vec, ok := v.base.sigs.Vec(doc); ok {
-		return vec, true
-	}
-	for _, s := range v.segs {
-		if vec, ok := s.SigVec(doc); ok {
+	for _, b := range v.blocks {
+		if vec, ok := b.SigVec(doc); ok {
 			return vec, true
 		}
 	}
@@ -283,27 +264,34 @@ func (st *Store) initViewLocked() *view {
 	if v := st.live.cur.Load(); v != nil {
 		return v
 	}
-	v := &view{epoch: 1, gen: 1, base: st.baseView()}
-	st.live.nextDoc = st.TotalDocs
-	if st.GlobalDocs > st.live.nextDoc {
-		st.live.nextDoc = st.GlobalDocs
-	}
+	v := st.baseOnlyView(1)
+	v.epoch = 1
+	st.live.nextDoc = st.idHighWater()
 	st.live.idFloor = st.live.nextDoc
 	st.live.cur.Store(v)
 	return v
 }
 
-// baseView snapshots the store's base products into an immutable baseView.
+// baseOnlyView builds a lineage-cut view of the store's base snapshot alone
+// at base generation gen: no segments, tombstones or live points.
+func (st *Store) baseOnlyView(gen uint64) *view {
+	return &view{gen: gen, base: st.baseView(), blocks: []*segment.Segment{st.baseBlock()}}
+}
+
+// baseBlock wraps the store's base postings and signatures as an index block,
+// zero-copy (mapped or not). Its documents are the signature documents: the
+// pipeline and Rebase write one row per base document, null signatures
+// included, and validate holds a loaded file to ascending rows inside the
+// base. It carries no metadata rows: the base keeps its interned table
+// (baseView).
+func (st *Store) baseBlock() *segment.Segment {
+	return &segment.Segment{Docs: st.SigDocs, Posts: st.Posts, SigM: st.SigM, SigVecs: st.SigVecs}
+}
+
+// baseView snapshots the store's base-only products into an immutable
+// baseView.
 func (st *Store) baseView() *baseView {
 	b := &baseView{
-		totalDocs:      st.TotalDocs,
-		shardCount:     st.ShardCount,
-		shardIndex:     st.ShardIndex,
-		globalDocs:     st.GlobalDocs,
-		live:           st.TotalDocs,
-		df:             st.DF,
-		posts:          st.Posts,
-		sigs:           st.Signatures(),
 		points:         st.Points,
 		assignDocs:     st.AssignDocs,
 		assignClusters: st.AssignClusters,
@@ -323,11 +311,6 @@ func (st *Store) baseView() *baseView {
 		b.holes = make(map[int64]bool, len(st.Holes))
 		for _, d := range st.Holes {
 			b.holes[d] = true
-		}
-		if st.ShardCount == 0 {
-			// A monolithic TotalDocs is the ID high-water mark after a
-			// rebase; a shard's TotalDocs already counts survivors.
-			b.live -= int64(len(st.Holes))
 		}
 	}
 	return b
@@ -402,7 +385,7 @@ func (st *Store) hasLiveLocked() bool {
 		return true
 	}
 	v := st.live.cur.Load()
-	return v != nil && (len(v.segs) > 0 || len(v.tombs) > 0)
+	return v != nil && (len(v.blocks) > 1 || len(v.tombs) > 0)
 }
 
 // resetViewLocked republishes the view from the store fields after a
@@ -416,7 +399,9 @@ func (st *Store) resetViewLocked() {
 	}
 	st.live.replog = nil
 	st.live.logFloor = v.epoch + 1
-	st.live.cur.Store(&view{epoch: v.epoch + 1, gen: v.gen + 1, base: st.baseView(), pts: v.pts})
+	next := st.baseOnlyView(v.gen + 1)
+	next.epoch, next.pts = v.epoch+1, v.pts
+	st.live.cur.Store(next)
 }
 
 // Epoch returns the store's current serving epoch; it advances on every
@@ -429,7 +414,7 @@ func (st *Store) Epoch() uint64 { return st.viewNow().epoch }
 func (st *Store) LiveDocs() int64 { return st.viewNow().liveDocs() }
 
 // LiveSegments returns the number of sealed, uncompacted delta segments.
-func (st *Store) LiveSegments() int { return len(st.viewNow().segs) }
+func (st *Store) LiveSegments() int { return len(st.viewNow().segs()) }
 
 // PendingDocs returns the number of added documents buffered in the mutable
 // delta, not yet visible to queries.

@@ -143,9 +143,7 @@ type Set struct {
 	Docs []int64
 	Vecs [][]float64 // nil entries are null signatures
 
-	idx    map[int64]int
-	norms  Norms
-	sketch Sketch
+	idx map[int64]int
 }
 
 // NewSet indexes parallel docID/vector slices as a serving set.
@@ -178,16 +176,6 @@ func LoadSetFile(path string) (*Set, error) {
 	defer f.Close()
 	return LoadSet(f)
 }
-
-// Len returns the number of records in the set.
-func (s *Set) Len() int { return len(s.Docs) }
-
-// Norms returns the Euclidean norm of every vector, parallel to Vecs (see the
-// Norms type: lazy, heap-resident, never persisted). Read-only.
-func (s *Set) Norms() []float64 { return s.norms.Of(s.Vecs) }
-
-// Sketch returns the set's low-rank summary (see the Sketch type). Read-only.
-func (s *Set) Sketch() *Sketch { return s.sketch.Of(s.M, s.Vecs, s.Norms()) }
 
 // Vec returns the signature vector of a document (nil, true for a present
 // null signature; nil, false for an unknown document).

@@ -149,8 +149,8 @@ func TestSetServingLoadPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.M != 2 || set.Len() != 3 {
-		t.Fatalf("set M=%d len=%d", set.M, set.Len())
+	if set.M != 2 || len(set.Docs) != 3 {
+		t.Fatalf("set M=%d len=%d", set.M, len(set.Docs))
 	}
 	v, ok := set.Vec(7)
 	if !ok || v[0] != 1 || v[1] != 0 {
@@ -170,17 +170,15 @@ func TestSetServingLoadPath(t *testing.T) {
 	}
 }
 
-// TestSetNormsAreLazyAndShared pins the derived norms: NewSet computes none
+// TestNormsAreLazyAndShared pins the derived norms: the zero Norms holds none
 // (a process that never scans for similarity never touches the vectors for
-// them), the first Norms call computes one per vector (0 for a null), and
+// them), the first Of call computes one per vector (0 for a null), and
 // concurrent first callers share one result.
-func TestSetNormsAreLazyAndShared(t *testing.T) {
-	set, err := NewSet(2, []int64{3, 1, 7, 9}, [][]float64{{3, 4}, nil, {0, 0}, {1, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.norms.v != nil {
-		t.Fatal("NewSet computed norms eagerly")
+func TestNormsAreLazyAndShared(t *testing.T) {
+	vecs := [][]float64{{3, 4}, nil, {0, 0}, {1, 0}}
+	var norms Norms
+	if norms.v != nil {
+		t.Fatal("zero Norms holds norms")
 	}
 	got := make([][]float64, 8)
 	var wg sync.WaitGroup
@@ -188,7 +186,7 @@ func TestSetNormsAreLazyAndShared(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[g] = set.Norms()
+			got[g] = norms.Of(vecs)
 		}()
 	}
 	wg.Wait()
