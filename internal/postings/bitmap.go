@@ -76,15 +76,20 @@ func (w *Writer) appendBitmap(docs, freqs []int64) {
 // is a popcount walk over the words — no varint decode.
 func (s *Store) BitmapDocsInto(dst []int64, t int64) []int64 {
 	words, base := s.bitmapRange(t)
-	out := dst[:0]
+	return appendDocs(dst[:0], words, base)
+}
+
+// appendDocs appends the doc IDs of the set bits of words, whose word 0, bit
+// 0 is base, to dst in ascending order: a popcount walk, no decode.
+func appendDocs(dst []int64, words []uint64, base int64) []int64 {
 	for i, w := range words {
 		wb := base + int64(i)<<6
 		for w != 0 {
-			out = append(out, wb+int64(bits.TrailingZeros64(w)))
+			dst = append(dst, wb+int64(bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}
-	return out
+	return dst
 }
 
 // bitmapFreqs appends term t's frequencies, in doc order, over dst[:0].

@@ -1,12 +1,16 @@
 package postings
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Bits is a caller-built packed doc-ID set sharing the bitmap containers'
 // layout: a word-aligned base and 64 IDs per uint64 word. The serving layer
 // builds one per (epoch, filter) for dense metadata selections, so filtered
 // boolean queries run the same word-wise kernels the dense posting
-// containers use instead of a per-document comparison loop.
+// containers use instead of a per-document comparison loop; its sessions
+// keep one more as scratch to union dense answers through (Union).
 type Bits struct {
 	// Base is the doc ID of word 0, bit 0; a multiple of 64 so the word grid
 	// lines up with the bitmap posting containers with no shifting.
@@ -22,6 +26,66 @@ func NewBits(lo, hi int64) *Bits {
 	}
 	base := lo &^ 63
 	return &Bits{Base: base, Words: make([]uint64, (hi-base+63)>>6)}
+}
+
+// Dense reports whether n doc IDs spanning [lo, hi] are dense by the rule
+// Writer picks the bitmap container with: more than one ID per
+// BitmapDensity IDs of the span. A word array over such a span costs under
+// half a word per ID, so the merges union dense answers through one and
+// k-way compare only sparse ones. Negative IDs (off the word grid) and an
+// hi of math.MaxInt64 (whose half-open end overflows) are never dense.
+func Dense(n, lo, hi int64) bool {
+	if lo < 0 || hi < lo || hi == math.MaxInt64 {
+		return false
+	}
+	return uint64(n)*BitmapDensity > uint64(hi-lo)+1
+}
+
+// Reset re-grids b as an empty set able to hold doc IDs in [lo, hi),
+// reusing its word array when it is large enough: the merges keep one Bits
+// per session as scratch. lo must be non-negative.
+func (b *Bits) Reset(lo, hi int64) {
+	if hi < lo {
+		hi = lo
+	}
+	b.Base = lo &^ 63
+	n := int((hi - b.Base + 63) >> 6)
+	if cap(b.Words) < n {
+		b.Words = make([]uint64, n)
+		return
+	}
+	b.Words = b.Words[:n]
+	clear(b.Words)
+}
+
+// Union returns the ascending, duplicate-free union of ascending doc-ID
+// lists in a fresh slice and true, computed through b's words: one bit set
+// per input ID, then the popcount walk BitmapDocsInto emits with, so no step
+// compares one list's head with another's and repeats collapse for free. b
+// is scratch, re-gridded over the lists' span. When the lists are not Dense
+// over that span it computes nothing and returns false: a comparison merge
+// is cheaper than span/64 words there.
+func (b *Bits) Union(lists [][]int64) ([]int64, bool) {
+	var n int64
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, l := range lists {
+		if len(l) > 0 {
+			n += int64(len(l))
+			lo, hi = min(lo, l[0]), max(hi, l[len(l)-1])
+		}
+	}
+	if !Dense(n, lo, hi) {
+		return nil, false
+	}
+	b.Reset(lo, hi+1)
+	words, base := b.Words, b.Base
+	for _, l := range lists {
+		for _, d := range l {
+			off := d - base
+			words[off>>6] |= 1 << uint(off&63)
+		}
+	}
+	return appendDocs(make([]int64, 0, b.Len()), words, base), true
 }
 
 // Set adds doc to the set. doc must be within the range the set was built

@@ -396,12 +396,9 @@ func (w *Writer) Append(docs, freqs []int64) error {
 			return fmt.Errorf("postings: term %d freq %d is negative", t, freqs[i])
 		}
 	}
-	if !w.forceBlocks && len(docs) >= BlockSize {
-		span := docs[len(docs)-1] - docs[0] + 1
-		if int64(len(docs))*BitmapDensity > span {
-			w.appendBitmap(docs, freqs)
-			return nil
-		}
+	if !w.forceBlocks && len(docs) >= BlockSize && Dense(int64(len(docs)), docs[0], docs[len(docs)-1]) {
+		w.appendBitmap(docs, freqs)
+		return nil
 	}
 	st := &w.st
 	blocks := (int64(len(docs)) + BlockSize - 1) / BlockSize

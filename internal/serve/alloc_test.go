@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"testing"
+
+	"inspire/internal/postings"
 )
 
 // Allocation pins for the serving hot paths the wall-clock profiles
@@ -63,6 +65,57 @@ func TestRouterAndAllocSteady(t *testing.T) {
 	got := testing.AllocsPerRun(200, func() { rs.And(context.Background(), "apple", "banana") })
 	if got > 9 {
 		t.Fatalf("warm RouterSession.And allocates %v objects/op, want <= 9 (was 32 before scratch reuse, 13 before Exec)", got)
+	}
+}
+
+// TestDenseRouterAllocSteady pins the routed dense merges: a warm dense
+// term and or union through the session's word array, which is reused, not
+// regrown, so they allocate no more than the same ops on sparse answers.
+func TestDenseRouterAllocSteady(t *testing.T) {
+	st := buildDenseStoreT(t, 2)
+	shards, err := st.Shard(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter(shards, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := r.NewSession()
+	ctx := context.Background()
+	// allocs checks which side of the density rule op's answer falls on
+	// and returns its warm allocation count.
+	allocs := func(name string, dense bool, op func() []int64) float64 {
+		t.Helper()
+		docs := op()
+		if got := postings.Dense(int64(len(docs)), docs[0], docs[len(docs)-1]); got != dense {
+			t.Fatalf("%s answers %d documents over [%d, %d]: dense = %v, want %v", name, len(docs), docs[0], docs[len(docs)-1], got, dense)
+		}
+		op()
+		return testing.AllocsPerRun(200, func() { op() })
+	}
+	var scratch []int64 // the term answers' doc IDs, projected without allocating
+	term := func(term string) func() []int64 {
+		return func() []int64 {
+			scratch = scratch[:0]
+			for _, p := range rs.TermDocs(ctx, term) {
+				scratch = append(scratch, p.Doc)
+			}
+			return scratch
+		}
+	}
+	or := func(terms ...string) func() []int64 {
+		return func() []int64 { return rs.Or(ctx, terms...) }
+	}
+	denseTerm := allocs("term alphadense", true, term("alphadense"))
+	sparseTerm := allocs("term gammasparse", false, term("gammasparse"))
+	if denseTerm > sparseTerm {
+		t.Fatalf("warm routed dense term allocates %v objects/op, the sparse one %v", denseTerm, sparseTerm)
+	}
+	denseOr := allocs("or alphadense betadense", true, or("alphadense", "betadense"))
+	sparseOr := allocs("or gammasparse uniq199", false, or("gammasparse", "uniq199"))
+	if denseOr > sparseOr {
+		t.Fatalf("warm routed dense or allocates %v objects/op, the sparse one %v", denseOr, sparseOr)
 	}
 }
 

@@ -5,26 +5,71 @@ import (
 	"math/rand"
 	"testing"
 
+	"inspire/internal/postings"
 	"inspire/internal/query"
 )
 
-// BenchmarkMergePostings measures the router's gather merge on the shape
-// lookup-hot gives it: four shards' doc-sorted posting lists, 8000 postings
-// in all, interleaved the way ShardOf deals documents out.
+// BenchmarkMergePostings measures the router's gather merge of a routed term
+// on the shape lookup-hot gives it: four shards' doc-sorted posting lists,
+// 8000 postings in all, dealt out by ShardOf. dense draws the documents at
+// lookup-hot's measured density, 0.36 of the span, and takes the word-array
+// union; sparse draws them at 1/100, under 1/BitmapDensity, and must stay on
+// the comparison merge.
 func BenchmarkMergePostings(b *testing.B) {
 	const shards, total = 4, 8000
-	parts := make([][]query.Posting, shards)
-	for d := 0; d < total; d++ {
-		// A multiplicative scramble of the shard choice keeps the winner of
-		// each step unpredictable, as hashed document placement does.
-		s := (d * 2654435761 >> 7) % shards
-		parts[s] = append(parts[s], query.Posting{Doc: int64(d * 3), Freq: int64(1 + d%5)})
+	for _, c := range []struct {
+		name string
+		rho  float64
+	}{{"dense", 0.36}, {"sparse", 0.01}} {
+		rng := rand.New(rand.NewSource(1))
+		parts := make([][]query.Posting, shards)
+		for d, n := int64(0), 0; n < total; d++ {
+			if rng.Float64() < c.rho {
+				s := ShardOf(d, shards)
+				parts[s] = append(parts[s], query.Posting{Doc: d, Freq: 1 + d%5})
+				n++
+			}
+		}
+		var bits postings.Bits
+		var ranks []int
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(total * 16)
+			b.ReportAllocs()
+			for b.Loop() {
+				if out := unionPostings(&bits, &ranks, parts); len(out) != total {
+					b.Fatalf("merged %d postings, want %d", len(out), total)
+				}
+			}
+		})
 	}
-	b.SetBytes(total * 16)
+}
+
+// BenchmarkUnionOr measures the shard's or on the shape lookup-hot gives it:
+// two hot terms' lists on shard 0 of four (every fourth document ID of a
+// 16k-document corpus), in 60% and 40% of its documents, overlapping.
+func BenchmarkUnionOr(b *testing.B) {
+	const shards, span = 4, 16000
+	rng := rand.New(rand.NewSource(1))
+	lists := make([][]int64, 2)
+	var want int
+	for d := int64(0); d < span; d += shards {
+		a, c := rng.Float64() < 0.6, rng.Float64() < 0.4
+		if a {
+			lists[0] = append(lists[0], d)
+		}
+		if c {
+			lists[1] = append(lists[1], d)
+		}
+		if a || c {
+			want++
+		}
+	}
+	var bits postings.Bits
+	b.SetBytes(int64(len(lists[0])+len(lists[1])) * 8)
 	b.ReportAllocs()
 	for b.Loop() {
-		if out := mergePostings(parts); len(out) != total {
-			b.Fatalf("merged %d postings, want %d", len(out), total)
+		if out := unionSorted(&bits, lists); len(out) != want {
+			b.Fatalf("union of %d documents, want %d", len(out), want)
 		}
 	}
 }

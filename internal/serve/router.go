@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"inspire/internal/core"
+	"inspire/internal/postings"
 	"inspire/internal/query"
 	"inspire/internal/scan"
 	"inspire/internal/tiles"
@@ -348,9 +350,13 @@ type RouterSession struct {
 
 	// Per-interaction scratch (a session is one goroutine at a time): sub is
 	// the shard query of the scatter in flight, key the similarity cache key
-	// from plan to merge.
+	// from plan to merge, scratchBits and scratchRanks the word array dense
+	// merges union through and its per-word ranks (every merged answer is a
+	// fresh slice; neither escapes).
 	scratchShards []int
 	scratchIDs    []int64
+	scratchBits   postings.Bits
+	scratchRanks  []int
 	sub           Query
 	key           simKey
 }
@@ -584,12 +590,13 @@ func gather[T any](parts []Result, field func(*Result) T) []T {
 	return out
 }
 
-func mergePostingParts(_ *RouterSession, _ Query, parts []Result) Result {
-	return Result{Postings: mergePostings(gather(parts, func(p *Result) []query.Posting { return p.Postings }))}
+func mergePostingParts(rs *RouterSession, _ Query, parts []Result) Result {
+	return Result{Postings: unionPostings(&rs.scratchBits, &rs.scratchRanks,
+		gather(parts, func(p *Result) []query.Posting { return p.Postings }))}
 }
 
-func mergeDocParts(_ *RouterSession, _ Query, parts []Result) Result {
-	return Result{Docs: mergeDocs(gather(parts, func(p *Result) []int64 { return p.Docs }))}
+func mergeDocParts(rs *RouterSession, _ Query, parts []Result) Result {
+	return Result{Docs: unionSorted(&rs.scratchBits, gather(parts, func(p *Result) []int64 { return p.Docs }))}
 }
 
 func mergeUnionParts(rs *RouterSession, q Query, parts []Result) Result {
@@ -971,6 +978,54 @@ func mergeDocs(parts [][]int64) []int64 {
 // mergePostings k-way merges doc-sorted, disjoint posting lists.
 func mergePostings(parts [][]query.Posting) []query.Posting {
 	return mergeByDoc(parts, func(p query.Posting) int64 { return p.Doc })
+}
+
+// unionPostings merges the shards' doc-sorted, pairwise-disjoint posting
+// lists into a fresh slice. A dense answer goes through the word array b:
+// every document's bit is set, ranks takes each word's count of documents
+// below it, and each posting is stored straight at its rank — its word's
+// rank plus the set bits under it in the word — so no step compares one
+// part with another. A sparse answer, or parts holding a document twice
+// (fewer bits than postings), take mergePostings.
+func unionPostings(b *postings.Bits, ranks *[]int, parts [][]query.Posting) []query.Posting {
+	var n int64
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, p := range parts {
+		if len(p) > 0 {
+			n += int64(len(p))
+			lo, hi = min(lo, p[0].Doc), max(hi, p[len(p)-1].Doc)
+		}
+	}
+	if !postings.Dense(n, lo, hi) {
+		return mergePostings(parts)
+	}
+	b.Reset(lo, hi+1)
+	words, base := b.Words, b.Base
+	for _, p := range parts {
+		for _, q := range p {
+			off := q.Doc - base
+			words[off>>6] |= 1 << uint(off&63)
+		}
+	}
+	r := slices.Grow((*ranks)[:0], len(words))[:len(words)]
+	*ranks = r
+	c := 0
+	for i, w := range words {
+		r[i] = c
+		c += bits.OnesCount64(w)
+	}
+	if int64(c) != n {
+		return mergePostings(parts)
+	}
+	out := make([]query.Posting, n)
+	for _, p := range parts {
+		for _, q := range p {
+			off := q.Doc - base
+			i := off >> 6
+			out[r[i]+bits.OnesCount64(words[i]&(1<<uint(off&63)-1))] = q
+		}
+	}
+	return out
 }
 
 // mergeHits k-way merges per-shard top-K hit lists (each in query.HitLess

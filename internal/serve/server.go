@@ -588,6 +588,7 @@ type Session struct {
 	scratchA     []int64
 	scratchB     []int64
 	scratchParts [][]int64
+	scratchBits  postings.Bits
 }
 
 // andCand is one conjunction term's descriptor during And's planning pass.
@@ -899,9 +900,9 @@ func (ss *Session) and(terms []string, f Filter) []int64 {
 }
 
 // or answers OpOr: the documents containing any of the terms, sorted.
-// Unknown and empty terms contribute nothing. The union is a k-way merge over
-// the already-sorted posting lists (base and segment), deduplicating as it
-// streams — no scratch map, no re-sort.
+// Unknown and empty terms contribute nothing. The union runs over the
+// already-sorted posting lists (base and segment) — no scratch map, no
+// re-sort.
 func (ss *Session) or(terms []string, f Filter) []int64 {
 	st := ss.s.store
 	v := st.viewNow()
@@ -915,7 +916,7 @@ func (ss *Session) or(terms []string, f Filter) []int64 {
 	for i, l := range lists {
 		docs[i] = l.Docs
 	}
-	out := filterTombs(unionSorted(docs), v.tombs)
+	out := filterTombs(unionSorted(&ss.scratchBits, docs), v.tombs)
 	if fs := ss.s.filterSetFor(v, f); fs != nil {
 		out = fs.filterDocs(out)
 	}
@@ -925,11 +926,15 @@ func (ss *Session) or(terms []string, f Filter) []int64 {
 	return out
 }
 
-// unionSorted k-way merges ascending document lists into their deduplicated
-// union (the shared mergeDocs selection merge, then an in-place dedup pass
-// — distinct query terms share documents, so the merged stream repeats
-// them). nil when empty.
-func unionSorted(lists [][]int64) []int64 {
+// unionSorted returns the deduplicated union of ascending document lists in
+// a fresh ascending slice, nil when empty. A dense union goes through the
+// word array b, where repeats collapse for free; a sparse one is the shared
+// mergeDocs selection merge, then an in-place dedup pass — distinct query
+// terms share documents, so the merged stream repeats them.
+func unionSorted(b *postings.Bits, lists [][]int64) []int64 {
+	if out, ok := b.Union(lists); ok {
+		return out
+	}
 	merged := mergeDocs(lists)
 	if merged == nil {
 		return nil
