@@ -21,7 +21,7 @@
 //
 // -store accepts the one store format, INSPSTORE4 (the page-aligned
 // zero-copy layout -save-store writes, served straight from a shared memory
-// mapping, tile pyramid embedded), and the INSPSHARDS manifests written by
+// mapping, tile pyramid embedded), and the INSPSHARDS1 manifests written by
 // -shards N -save-store, which serve their whole partitioned set behind a
 // scatter-gather router. Store files are memory-mapped. A store file is a
 // derived artefact: one in a retired format is refused by name, and
@@ -65,6 +65,11 @@
 // session. The stdin protocol mirrors the endpoints: "add some document text",
 // "delete 3", "flush", "compact", "save run.live" (stdin save takes a full
 // path — it is the operator's own terminal, not the network surface).
+//
+// A save folds the live state into the base first, so it writes exactly what
+// -save-store writes: a single store becomes one INSPSTORE4 file, a sharded
+// set INSPSTORE4 shard files behind an INSPSHARDS1 manifest. Either loads
+// back with -store.
 package main
 
 import (
@@ -165,7 +170,7 @@ func main() {
 		}
 		if *saveStore != "" {
 			if *shards > 1 {
-				if err := serve.SaveLiveSet(*saveStore, shardStores); err != nil {
+				if err := serve.SaveSet(*saveStore, shardStores); err != nil {
 					fail(err)
 				}
 				fmt.Printf("persisted %d-shard serving set behind manifest %s\n", *shards, *saveStore)

@@ -17,21 +17,15 @@
 package segment
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 
 	"inspire/internal/postings"
 	"inspire/internal/signature"
-	"inspire/internal/storefile"
 )
 
 // Segment is one immutable sealed slice of a live store. All exported fields
-// are gob-persisted and must be treated as read-only; every method is safe
-// for concurrent use.
+// must be treated as read-only; every method is safe for concurrent use.
 type Segment struct {
 	// Docs lists the document IDs the segment covers, ascending.
 	Docs []int64
@@ -43,15 +37,14 @@ type Segment struct {
 	SigM    int
 	SigVecs [][]float64
 	// Times[i] is Docs[i]'s ingest timestamp (unix seconds; 0 = none). A nil
-	// vector — every pre-metadata segment file decodes to one — means no
-	// document in the segment is timestamped.
+	// vector means no document in the segment is timestamped.
 	Times []int64
 	// Facets[i] is Docs[i]'s facet strings ("key=value", strictly
 	// ascending); nil rows and a nil outer slice mean no facets.
 	Facets [][]string
 
 	// sigNorms and sigSketch are derived from SigVecs on the first
-	// similarity scan; unexported, so gob never persists them.
+	// similarity scan.
 	sigNorms  signature.Norms
 	sigSketch signature.Sketch
 }
@@ -307,8 +300,7 @@ func (d *Delta) Seal() (*Segment, error) {
 		}
 	}
 	if !anyMeta {
-		// Metadata-free segments stay byte-identical to the pre-metadata
-		// format: gob omits nil vectors entirely.
+		// Metadata-free segments carry nil vectors (see Segment.Times).
 		times, facets = nil, nil
 	}
 
@@ -442,55 +434,4 @@ func MergeLists(docs, freqs []int64, lists []List, dead func(doc int64) bool) ([
 		}
 		pos[best]++
 	}
-}
-
-// segMagic heads a persisted segment file.
-const segMagic = "INSPSEG1\n"
-
-// Save writes the segment in its persistent format (magic + gob body).
-func (s *Segment) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, segMagic); err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(bw).Encode(s); err != nil {
-		return fmt.Errorf("segment: save: %w", err)
-	}
-	return bw.Flush()
-}
-
-// SaveFile persists the segment to a file atomically: a crash mid-save
-// leaves any previous segment file intact.
-func (s *Segment) SaveFile(path string) error {
-	return storefile.WriteFileAtomic(path, s.Save)
-}
-
-// Load reads a segment written by Save and validates it.
-func Load(r io.Reader) (*Segment, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("segment: load: %w", err)
-	}
-	if string(magic) != segMagic {
-		return nil, fmt.Errorf("segment: load: bad magic %q", magic)
-	}
-	s := &Segment{}
-	if err := gob.NewDecoder(br).Decode(s); err != nil {
-		return nil, fmt.Errorf("segment: load: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// LoadFile reads a persisted segment by path.
-func LoadFile(path string) (*Segment, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

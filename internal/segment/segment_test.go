@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -116,48 +115,6 @@ func TestMergeDropsTombstones(t *testing.T) {
 	}
 	if _, err := Merge(nil, nil); err == nil {
 		t.Fatal("empty merge accepted")
-	}
-}
-
-func TestSegmentSaveLoadRoundTrip(t *testing.T) {
-	seg := buildSeg(t, 3, 1, map[int64]map[int64]int64{
-		5: {0: 1, 2: 2},
-		6: {1: 1},
-	}, map[int64][]float64{5: {1}})
-	var buf bytes.Buffer
-	if err := seg.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.Docs, seg.Docs) || !reflect.DeepEqual(back.SigVecs, seg.SigVecs) {
-		t.Fatal("round trip drifted")
-	}
-	d1, f1 := seg.Posts.Postings(0)
-	d2, f2 := back.Posts.Postings(0)
-	if !reflect.DeepEqual(d1, d2) || !reflect.DeepEqual(f1, f2) {
-		t.Fatal("postings drifted")
-	}
-	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("garbage loaded")
-	}
-
-	// The signature norms are derived, never persisted: computing them
-	// changes no saved byte, and a loaded segment derives its own.
-	if n := seg.SigNorms(); !reflect.DeepEqual(n, []float64{1, 0}) {
-		t.Fatalf("norms = %v, want [1 0]", n)
-	}
-	var again bytes.Buffer
-	if err := seg.Save(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
-		t.Fatal("computing the norms changed the saved segment")
-	}
-	if !reflect.DeepEqual(back.SigNorms(), seg.SigNorms()) {
-		t.Fatalf("loaded segment norms = %v", back.SigNorms())
 	}
 }
 

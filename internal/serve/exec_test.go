@@ -4,17 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"inspire/internal/tiles"
 )
 
-// execShape is one deployment under test: a name, its service, and whether
-// its writes go through the Querier methods instead of Exec.
+// execShape is one deployment under test: a name, its service, the config
+// it serves with, and whether its writes go through the Querier methods
+// instead of Exec.
 type execShape struct {
 	name    string
 	svc     Service
+	cfg     Config
 	querier bool
 }
 
@@ -30,7 +33,7 @@ func execShapes(t *testing.T, base *Store, cfg Config) []execShape {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shapes = append(shapes, execShape{fmt.Sprintf("mono(querier=%v)", querier), mono, querier})
+		shapes = append(shapes, execShape{fmt.Sprintf("mono(querier=%v)", querier), mono, cfg, querier})
 	}
 	for _, sh := range []struct{ shards, replicas int }{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {6, 1}, {3, 2}} {
 		parts, err := base.Shard(sh.shards)
@@ -43,7 +46,7 @@ func execShapes(t *testing.T, base *Store, cfg Config) []execShape {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shapes = append(shapes, execShape{fmt.Sprintf("%dx%d", sh.shards, sh.replicas), svc, false})
+		shapes = append(shapes, execShape{fmt.Sprintf("%dx%d", sh.shards, sh.replicas), svc, c, false})
 	}
 	return shapes
 }
@@ -161,7 +164,11 @@ func readQueries(st *Store, maxZoom int) []Query {
 // every Querier method to equal the Exec it wraps. The writes run on every
 // shape in one order (adds with metadata, a flush, deletes of a base and an
 // added document, a repeat and a negative one), and the reads run again
-// after them.
+// after them. Then a second flushed batch gives every store two segments to
+// compact, so the deleted added document leaves the data (and its DF); the
+// reads run after the compaction, after SaveLive on the running services,
+// and on the saved files reloaded through LoadServiceFile, which must
+// answer exactly what the running services did.
 func TestExecAgreesAcrossShapes(t *testing.T) {
 	ctx := context.Background()
 	const maxZoom = 4
@@ -218,13 +225,15 @@ func TestExecAgreesAcrossShapes(t *testing.T) {
 			}
 			return want
 		}
-		runReads := func(stage string) {
+		runReads := func(stage string) []Result {
+			var out []Result
 			for _, f := range filters {
 				for _, q := range reads {
 					q.Filter = f
-					check(stage, q)
+					out = append(out, check(stage, q))
 				}
 			}
+			return out
 		}
 
 		runReads("pristine")
@@ -241,14 +250,50 @@ func TestExecAgreesAcrossShapes(t *testing.T) {
 			added = append(added, res.Doc)
 		}
 		check("bad add", Query{Op: OpAdd, Text: "apple", Facets: []string{"nokey"}})
-		for _, sh := range shapes {
-			if err := sh.svc.(Liver).FlushLive(ctx); err != nil {
-				t.Fatal(err)
+		flush := func() {
+			for _, sh := range shapes {
+				if err := sh.svc.(Liver).FlushLive(ctx); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		flush()
 		for _, doc := range []int64{base.SampleDocs(1)[0], added[1], added[1], -1} {
 			check("delete", Query{Op: OpDelete, Doc: doc})
 		}
 		runReads("after writes")
+
+		for i, text := range texts {
+			check("second add", Query{Op: OpAdd, Text: text, TS: int64(2010 + 20*i)})
+		}
+		flush()
+		for _, sh := range shapes {
+			if err := sh.svc.(Liver).CompactLive(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runReads("after compact")
+
+		dir := t.TempDir()
+		for i := range shapes {
+			path := filepath.Join(dir, fmt.Sprintf("%s.%d", corpus.name, i))
+			if err := shapes[i].svc.(Liver).SaveLive(ctx, path); err != nil {
+				t.Fatalf("%s %s: save: %v", corpus.name, shapes[i].name, err)
+			}
+		}
+		saved := runReads("after save")
+		for i := range shapes {
+			svc, err := LoadServiceFile(filepath.Join(dir, fmt.Sprintf("%s.%d", corpus.name, i)), shapes[i].cfg)
+			if err != nil {
+				t.Fatalf("%s %s: reload: %v", corpus.name, shapes[i].name, err)
+			}
+			shapes[i].svc = svc
+		}
+		reloaded := runReads("reloaded")
+		for i := range saved {
+			if !reflect.DeepEqual(saved[i], reloaded[i]) {
+				t.Fatalf("%s: read %d answered %+v before the reload, %+v after", corpus.name, i, saved[i], reloaded[i])
+			}
+		}
 	}
 }

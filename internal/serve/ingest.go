@@ -247,9 +247,9 @@ func (st *Store) sealLocked() error {
 	return nil
 }
 
-// installLive publishes persisted live state — loaded segments and a
-// tombstone list — onto a freshly loaded store (the LoadShards path). The
-// store must not have live state already.
+// installLive publishes another store's live state — its sealed segments
+// and tombstone list — onto a fresh fork (the Replicate path). The store
+// must not have live state already.
 func (st *Store) installLive(segs []*segment.Segment, tombs []int64) error {
 	st.live.mu.Lock()
 	defer st.live.mu.Unlock()
@@ -272,9 +272,9 @@ func (st *Store) installLive(segs []*segment.Segment, tombs []int64) error {
 			st.live.nextDoc = max
 		}
 	}
-	// IDs below the loaded segments' maxes are either present (in a segment)
-	// or retired gaps whose tombstones compacted away before the save; the
-	// floor rejects re-adding the gaps.
+	// IDs below the installed segments' maxes are either present (in a
+	// segment) or retired gaps whose tombstones compacted away; the floor
+	// rejects re-adding the gaps.
 	if st.live.nextDoc > st.live.idFloor {
 		st.live.idFloor = st.live.nextDoc
 	}
@@ -394,10 +394,9 @@ func (st *Store) NextDocID() int64 {
 }
 
 // AdvanceNextDoc raises the document-ID high-water mark (and the retirement
-// floor) to at least n. The load path uses it to restore a persisted mark
-// that the surviving data no longer implies — when the highest assigned IDs
-// were deleted and compacted away, nothing else records that they were ever
-// used.
+// floor) to at least n. Replicate and replica catch-up use it to carry the
+// source's mark, which its surviving data no longer implies when the
+// highest assigned IDs were deleted and compacted away.
 func (st *Store) AdvanceNextDoc(n int64) {
 	st.live.mu.Lock()
 	defer st.live.mu.Unlock()
@@ -408,6 +407,16 @@ func (st *Store) AdvanceNextDoc(n int64) {
 	if n > st.live.idFloor {
 		st.live.idFloor = n
 	}
+}
+
+// unfolded reports whether the store holds live state its file would not
+// carry: a pending delta, sealed segments, tombstones, or IDs assigned past
+// the base's high water (ingests deleted and compacted away). Rebase folds
+// all of it into the base.
+func (st *Store) unfolded() bool {
+	st.live.mu.Lock()
+	defer st.live.mu.Unlock()
+	return st.hasLiveLocked() || st.live.nextDoc > st.idHighWater()
 }
 
 // WaitCompaction blocks until any in-flight background compaction finishes.
@@ -540,11 +549,14 @@ func (st *Store) Rebase() error {
 		return err
 	}
 	v := st.live.cur.Load()
-	// Nothing to fold only when no segments, no tombstones AND no
-	// compaction-retired IDs exist: a retired set with everything else empty
-	// (every ingest deleted and compacted away) still must materialize as
-	// holes, or persisting the store would forget the IDs were ever used.
-	if len(v.blocks) == 1 && len(v.tombs) == 0 && len(st.live.retired) == 0 {
+	// Nothing to fold only when no segments, no tombstones, no
+	// compaction-retired IDs AND no ID mark past the base's high water
+	// exist: a retired set with everything else empty (every ingest deleted
+	// and compacted away) still must materialize as holes, and a mark
+	// carried over by Replicate must move the high water, or persisting the
+	// store would forget the IDs were ever used.
+	if len(v.blocks) == 1 && len(v.tombs) == 0 && len(st.live.retired) == 0 &&
+		st.live.nextDoc <= st.idHighWater() {
 		return nil
 	}
 

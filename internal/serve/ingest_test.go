@@ -403,7 +403,8 @@ func TestRefreshSimilarDropsCompactedTombstones(t *testing.T) {
 // TestPersistedNextDocNeverReusesIDs pins the ID high-water mark across
 // persistence: delete every ingested document and compact, and the segments
 // and tombstones that recorded the assigned IDs are all gone — only the
-// manifest's NextDoc mark keeps a reloaded set from re-assigning them.
+// rebased shard files' high water (GlobalDocs, the deleted IDs as Holes)
+// keeps a reloaded set from re-assigning them.
 func TestPersistedNextDocNeverReusesIDs(t *testing.T) {
 	st := buildStoreT(t, 2)
 	shards, err := st.Shard(2)
@@ -455,9 +456,13 @@ func TestPersistedNextDocNeverReusesIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Nothing but the mark is live, and the mark alone must force v2.
-	if !bytes.HasPrefix(data, []byte(manifestMagicV2)) {
-		t.Fatalf("manifest magic %q: the ID high-water mark was not persisted", data[:12])
+	// A saved live set is a frozen set: the one manifest version, and no
+	// file beside the shard stores.
+	if !bytes.HasPrefix(data, []byte(manifestMagic)) {
+		t.Fatalf("manifest magic %q, want INSPSHARDS1", data[:12])
+	}
+	if extra, _ := filepath.Glob(manifest + ".s*.g*"); len(extra) > 0 {
+		t.Fatalf("live set saved segment files %v", extra)
 	}
 
 	_, loaded, err := LoadShards(manifest)
@@ -832,9 +837,9 @@ func TestBackgroundCompactionKeepsServing(t *testing.T) {
 }
 
 // TestLiveSetPersistence round-trips live state through disk: a sharded set
-// with sealed segments and tombstones saves behind an INSPSHARDS2 manifest
-// and reloads answering identically; a single live store rebases into an
-// ordinary INSPSTORE2 file.
+// with sealed segments and tombstones rebases into an INSPSHARDS1 set and
+// reloads answering identically; a single live store rebases into an
+// ordinary INSPSTORE4 file.
 func TestLiveSetPersistence(t *testing.T) {
 	sources := ingestSources()
 	sort.Slice(sources, func(i, j int) bool { return sources[i].Name < sources[j].Name })
@@ -877,7 +882,7 @@ func TestLiveSetPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte("INSPSHARDS2\n")) {
+	if !bytes.HasPrefix(data, []byte(manifestMagic)) {
 		t.Fatalf("live manifest magic %q", data[:12])
 	}
 
@@ -900,7 +905,7 @@ func TestLiveSetPersistence(t *testing.T) {
 	}
 	agreeQueries(t, "LoadServiceFile live set", router.NewSession(), svc.NewQuerier(), terms, simDocs)
 
-	// Single store: ingest, delete, SaveLive rebases to one INSPSTORE2 file.
+	// Single store: ingest, delete, SaveLive rebases to one INSPSTORE4 file.
 	single := baseSt.Fork()
 	single.SetLivePolicy(LivePolicy{SealDocs: 8, CompactSegments: 100, ManualCompaction: true})
 	srv := newServerT(t, single, Config{})
@@ -923,4 +928,76 @@ func TestLiveSetPersistence(t *testing.T) {
 	}
 	agreeQueries(t, "rebased single store", srv.NewSession(),
 		newServerT(t, back, Config{}).NewSession(), terms, simDocs)
+}
+
+// TestRouterSaveLiveUnderReads rebases a routed set in place, three times,
+// while sessions keep reading it: the rebase publishes through the shards'
+// views, so under -race no read may touch what it rewrites, and afterwards
+// the running router answers like its last saved set reloaded.
+func TestRouterSaveLiveUnderReads(t *testing.T) {
+	st := buildStoreT(t, 2)
+	shards, err := st.Shard(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := NewRouter(shards, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	terms := queryTerms(st)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := router.NewSession()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				term := terms[i%len(terms)]
+				sess.TermDocs(ctx, term)
+				sess.DF(ctx, term)
+				sess.And(ctx, term, terms[(i+1)%len(terms)])
+				sess.Or(ctx, term, terms[(i+2)%len(terms)])
+				sess.Near(ctx, 0, 0, 1)
+				router.TopTerms(ctx, 5)
+				if _, err := sess.Tile(ctx, 0, 0, 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	sess := router.NewSession()
+	dir := t.TempDir()
+	var path string
+	for round := 0; round < 3; round++ {
+		var docs []int64
+		for i := 0; i < 10; i++ {
+			doc, err := sess.Add(ctx, "apple banana "+terms[i%len(terms)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, doc)
+		}
+		if err := sess.Delete(ctx, docs[round]); err != nil {
+			t.Fatal(err)
+		}
+		path = filepath.Join(dir, fmt.Sprintf("set%d", round))
+		if err := router.SaveLive(ctx, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	reloaded, err := LoadServiceFile(path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agreeQueries(t, "after three saves", reloaded.NewQuerier(), router.NewSession(), terms, st.SampleDocs(4))
 }

@@ -1,23 +1,24 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
 )
 
-// The manifest magics head the sidecar manifest of a sharded serving set.
-// The shard stores themselves stay ordinary INSPSTORE4 files; the manifest
-// is what makes them a set. Version 1 describes a frozen partition; version
-// 2 extends each shard with its live state — the sealed ingest segments
-// (sidecar INSPSEG1 files), the tombstone set and the document-ID high-water
-// mark — so a live set persists and reloads mid-stream. Encode writes v1
-// bytes whenever no shard carries live state, so frozen sets stay loadable
-// by earlier builds.
-const (
-	manifestMagic   = "INSPSHARDS1\n"
-	manifestMagicV2 = "INSPSHARDS2\n"
-)
+// manifestMagic heads the sidecar manifest of a sharded serving set. The
+// shard stores themselves stay ordinary INSPSTORE4 files; the manifest is
+// what makes them a set. A live set persists the same way: Router.SaveLive
+// rebases every shard first, so the document-ID high-water mark and the
+// deleted IDs travel inside each shard file (GlobalDocs, Holes).
+const manifestMagic = "INSPSHARDS1\n"
+
+// retiredManifestMagic headed the live-set manifests earlier builds wrote
+// (sealed segments in INSPSEG1 sidecars, tombstones and an ID mark in the
+// manifest). It is still recognised as a manifest so that loading one fails
+// by name instead of as "not a store".
+const retiredManifestMagic = "INSPSHARDS2\n"
 
 // RouteMod names the modulo document-partitioning rule (ShardOf). It is the
 // only rule this version writes; the field exists so a future rule can be
@@ -27,10 +28,8 @@ const RouteMod = "mod"
 // manifest codec bounds: decode rejects anything larger, so corrupt or
 // adversarial inputs cannot demand huge allocations.
 const (
-	maxManifestShards   = 1 << 12
-	maxManifestString   = 1 << 12
-	maxManifestSegments = 1 << 10
-	maxManifestTombs    = 1 << 22
+	maxManifestShards = 1 << 12
+	maxManifestString = 1 << 12
 )
 
 // Manifest describes a sharded serving set: how many document partitions,
@@ -45,43 +44,11 @@ type Manifest struct {
 }
 
 // ShardInfo names one shard's store file (relative to the manifest) and its
-// summary counts, plus — in a v2 manifest — the shard's live state: its
-// sealed ingest segments and tombstoned document IDs.
+// summary counts.
 type ShardInfo struct {
 	File     string
-	Docs     int64 // base-store document count
-	Postings int64 // base-store posting count
-
-	// Segments lists the shard's sealed ingest segments (sidecar files next
-	// to the manifest), oldest first. Empty for a frozen shard.
-	Segments []SegmentInfo
-	// Tombs lists the shard's tombstoned document IDs, strictly ascending.
-	Tombs []int64
-	// NextDoc persists the shard's document-ID high-water mark when the
-	// surviving data no longer implies it — after the highest assigned IDs
-	// were deleted and compacted away, their tombstones drop with the data,
-	// and without this mark a reloaded set would re-assign them (IDs are
-	// never reused). Zero means "derive from the base bound and segments",
-	// which is exact whenever the highest ID is still present.
-	NextDoc int64
-}
-
-// SegmentInfo names one sealed segment file and its document count.
-type SegmentInfo struct {
-	File string
-	Docs int64
-}
-
-// liveState reports whether any shard carries live state — segments,
-// tombstones or an explicit ID high-water mark — which decides the manifest
-// version written.
-func (m *Manifest) liveState() bool {
-	for _, s := range m.Shards {
-		if len(s.Segments) > 0 || len(s.Tombs) > 0 || s.NextDoc > 0 {
-			return true
-		}
-	}
-	return false
+	Docs     int64 // store document count
+	Postings int64 // store posting count
 }
 
 // Validate checks the structural invariants a manifest must satisfy before
@@ -99,13 +66,10 @@ func (m *Manifest) Validate() error {
 	}
 	var docs int64
 	files := make(map[string]bool, len(m.Shards))
-	plainName := func(name string) bool {
-		return name != "" && len(name) <= maxManifestString &&
-			!strings.ContainsAny(name, "/\\") && name != "." && name != ".."
-	}
 	for i, s := range m.Shards {
 		switch {
-		case !plainName(s.File):
+		case s.File == "" || len(s.File) > maxManifestString ||
+			strings.ContainsAny(s.File, "/\\") || s.File == "." || s.File == "..":
 			// Shard files live next to the manifest; anything else would let
 			// a manifest reach outside its own directory.
 			return fmt.Errorf("serve: manifest shard %d has a bad file name", i)
@@ -115,31 +79,9 @@ func (m *Manifest) Validate() error {
 			return fmt.Errorf("serve: manifest shard %d repeats file %q", i, s.File)
 		case s.Docs < 0 || s.Postings < 0:
 			return fmt.Errorf("serve: manifest shard %d has negative counts", i)
-		case len(s.Segments) > maxManifestSegments:
-			return fmt.Errorf("serve: manifest shard %d has %d segments", i, len(s.Segments))
-		case len(s.Tombs) > maxManifestTombs:
-			return fmt.Errorf("serve: manifest shard %d has %d tombstones", i, len(s.Tombs))
-		case s.NextDoc < 0:
-			return fmt.Errorf("serve: manifest shard %d has negative next-doc mark", i)
 		}
 		files[s.File] = true
 		docs += s.Docs
-		for j, seg := range s.Segments {
-			switch {
-			case !plainName(seg.File):
-				return fmt.Errorf("serve: manifest shard %d segment %d has a bad file name", i, j)
-			case files[seg.File]:
-				return fmt.Errorf("serve: manifest shard %d repeats file %q", i, seg.File)
-			case seg.Docs < 0:
-				return fmt.Errorf("serve: manifest shard %d segment %d has negative docs", i, j)
-			}
-			files[seg.File] = true
-		}
-		for j, d := range s.Tombs {
-			if d < 0 || (j > 0 && d <= s.Tombs[j-1]) {
-				return fmt.Errorf("serve: manifest shard %d tombstones not strictly ascending at %d", i, j)
-			}
-		}
 	}
 	if docs != m.TotalDocs {
 		return fmt.Errorf("serve: manifest shards sum to %d docs, header says %d", docs, m.TotalDocs)
@@ -148,20 +90,12 @@ func (m *Manifest) Validate() error {
 }
 
 // Encode serializes the manifest: magic, then uvarint counts and
-// length-prefixed strings. The format is versioned by the magic alone: v1
-// bytes when no shard carries live state (identical to what earlier builds
-// wrote and read), v2 otherwise, which appends each shard's segment list and
-// delta-coded tombstone IDs.
+// length-prefixed strings.
 func (m *Manifest) Encode() ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	live := m.liveState()
-	magic := manifestMagic
-	if live {
-		magic = manifestMagicV2
-	}
-	buf := []byte(magic)
+	buf := []byte(manifestMagic)
 	buf = binary.AppendUvarint(buf, uint64(m.NumShards))
 	buf = binary.AppendUvarint(buf, uint64(m.TotalDocs))
 	buf = binary.AppendUvarint(buf, uint64(m.VocabSize))
@@ -170,34 +104,17 @@ func (m *Manifest) Encode() ([]byte, error) {
 		buf = appendString(buf, s.File)
 		buf = binary.AppendUvarint(buf, uint64(s.Docs))
 		buf = binary.AppendUvarint(buf, uint64(s.Postings))
-		if !live {
-			continue
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(s.Segments)))
-		for _, seg := range s.Segments {
-			buf = appendString(buf, seg.File)
-			buf = binary.AppendUvarint(buf, uint64(seg.Docs))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(s.Tombs)))
-		prev := int64(0)
-		for _, d := range s.Tombs {
-			buf = binary.AppendUvarint(buf, uint64(d-prev))
-			prev = d
-		}
-		buf = binary.AppendUvarint(buf, uint64(s.NextDoc))
 	}
 	return buf, nil
 }
 
-// DecodeManifest parses and validates a manifest written by Encode, either
-// version.
+// DecodeManifest parses and validates a manifest written by Encode. A
+// retired live-set manifest is refused by name, with its remedy.
 func DecodeManifest(data []byte) (*Manifest, error) {
-	live := false
 	switch {
-	case len(data) >= len(manifestMagic) && string(data[:len(manifestMagic)]) == manifestMagic:
-	case len(data) >= len(manifestMagicV2) && string(data[:len(manifestMagicV2)]) == manifestMagicV2:
-		live = true
-	default:
+	case bytes.HasPrefix(data, []byte(retiredManifestMagic)):
+		return nil, fmt.Errorf("retired live-set manifest INSPSHARDS2 (last read by build 21c88cd); re-index: inspired -in <corpus> -shards N -save-store <file>")
+	case !bytes.HasPrefix(data, []byte(manifestMagic)):
 		return nil, fmt.Errorf("serve: not a shard manifest")
 	}
 	r := &byteReader{buf: data[len(manifestMagic):]}
@@ -216,32 +133,7 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 			s.File = r.string()
 			s.Docs = int64(r.uvarint())
 			s.Postings = int64(r.uvarint())
-			if !live || r.err != nil {
-				continue
-			}
-			nSegs := r.uvarint()
-			if nSegs > maxManifestSegments {
-				return nil, fmt.Errorf("serve: manifest shard %d has %d segments", i, nSegs)
-			}
-			for j := uint64(0); j < nSegs && r.err == nil; j++ {
-				s.Segments = append(s.Segments, SegmentInfo{File: r.string(), Docs: int64(r.uvarint())})
-			}
-			nTombs := r.uvarint()
-			if nTombs > maxManifestTombs {
-				return nil, fmt.Errorf("serve: manifest shard %d has %d tombstones", i, nTombs)
-			}
-			prev := int64(0)
-			for j := uint64(0); j < nTombs && r.err == nil; j++ {
-				prev += int64(r.uvarint())
-				s.Tombs = append(s.Tombs, prev)
-			}
-			s.NextDoc = int64(r.uvarint())
 		}
-	}
-	// A v2 manifest without live state would re-encode as v1; reject it so
-	// encode(decode(x)) stays the identity on every accepted input.
-	if r.err == nil && live && !m.liveState() {
-		return nil, fmt.Errorf("serve: v2 manifest carries no live state")
 	}
 	switch {
 	case r.err != nil:

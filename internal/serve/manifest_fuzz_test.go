@@ -19,33 +19,9 @@ func FuzzManifestRoundTrip(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	liveSeed := &Manifest{
-		NumShards: 1, TotalDocs: 4, VocabSize: 3, Route: RouteMod,
-		Shards: []ShardInfo{{
-			File: "r.s00", Docs: 4, Postings: 9,
-			Segments: []SegmentInfo{{File: "r.s00.g000", Docs: 2}},
-			Tombs:    []int64{1, 5},
-		}},
-	}
-	liveData, err := liveSeed.Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	// A shard whose only live state is the ID high-water mark (everything
-	// ingested was deleted and compacted away) still writes v2.
-	markSeed := &Manifest{
-		NumShards: 1, TotalDocs: 4, VocabSize: 3, Route: RouteMod,
-		Shards: []ShardInfo{{File: "r.s00", Docs: 4, Postings: 9, NextDoc: 11}},
-	}
-	markData, err := markSeed.Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(data, uint8(2), uint16(9), uint16(4))
-	f.Add(liveData, uint8(3), uint16(7), uint16(3))
-	f.Add(markData, uint8(1), uint16(4), uint16(3))
 	f.Add([]byte(manifestMagic), uint8(1), uint16(0), uint16(0))
-	f.Add([]byte(manifestMagicV2), uint8(1), uint16(2), uint16(1))
+	f.Add([]byte(retiredManifestMagic), uint8(1), uint16(2), uint16(1))
 	f.Add([]byte{}, uint8(0), uint16(0), uint16(0))
 
 	f.Fuzz(func(t *testing.T, raw []byte, nShards uint8, docs, vocab uint16) {
@@ -68,33 +44,19 @@ func FuzzManifestRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Structured input: a synthesized valid manifest — alternating shards
-		// carrying live state (segments + tombstones), so both format
-		// versions fuzz — must round-trip to identity.
+		// Structured input: a synthesized valid manifest must round-trip to
+		// identity.
 		n := int(nShards)%16 + 1
 		m := &Manifest{NumShards: n, VocabSize: int64(vocab), Route: RouteMod}
 		remaining := int64(docs)
 		for i := 0; i < n; i++ {
 			d := remaining / int64(n-i)
 			remaining -= d
-			info := ShardInfo{
+			m.Shards = append(m.Shards, ShardInfo{
 				File:     fmt.Sprintf("f.s%02d", i),
 				Docs:     d,
 				Postings: int64(vocab) * d,
-			}
-			if i%2 == 1 {
-				for j := 0; j < int(nShards)%3+1; j++ {
-					info.Segments = append(info.Segments, SegmentInfo{
-						File: fmt.Sprintf("f.s%02d.g%03d", i, j),
-						Docs: int64(vocab) + int64(j),
-					})
-				}
-				for j := int64(0); j < int64(docs)%5; j++ {
-					info.Tombs = append(info.Tombs, int64(i)+j*(int64(vocab)+1))
-				}
-				info.NextDoc = int64(docs) % 3 * (int64(vocab) + int64(i))
-			}
-			m.Shards = append(m.Shards, info)
+			})
 			m.TotalDocs += d
 		}
 		enc, err := m.Encode()

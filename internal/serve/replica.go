@@ -187,12 +187,14 @@ func (set *ReplicaSet) anchorLocked(st *Store) {
 
 // harvestLocked appends the primary store's seal/tombstone entries published
 // since the last harvest to the set log; callers hold wmu. A cut in the
-// store's log (rebase, layout reset) resets the set log — laggards past it
-// fully resync.
+// store's log (rebase, layout reset) resets the set log and takes a sequence
+// of its own, so every replica that did not apply the cut — even one dead
+// with no write after it — fully resyncs.
 func (set *ReplicaSet) harvestLocked(st *Store) {
 	entries, ok := st.LineageSince(set.srcEpoch)
 	if !ok {
 		set.log = nil
+		set.logSeq++
 		set.logFloor = set.logSeq
 		set.srcEpoch = st.Epoch()
 		return

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -177,6 +179,95 @@ func TestReviveReplicaCatchUp(t *testing.T) {
 		t.Fatalf("revived replica state = %v, want live", got)
 	}
 	assertReplicaEquivalence(t, r.Replica(0, 0).Server(), r.Replica(0, 1).Server(), terms)
+}
+
+// TestSaveLiveResyncsDeadReplicas pins persistence under replication on 2
+// shards x 2 replicas. SaveLive rebases every live replica in place, which
+// cuts the lineage a dead replica would replay, so reviving one is a full
+// resync — whether writes landed after it died (shard 1) or not (shard 0,
+// killed just before the save). Ingest deleted and compacted away after
+// the save leaves nothing but the ID high water, which a resynced replica
+// carries; failed over to, it must fold that mark into the set it saves.
+// Every replica of every shard, and the router over them, then answers like
+// the saved set reloaded from disk, and the reloaded set reuses no ID.
+func TestSaveLiveResyncsDeadReplicas(t *testing.T) {
+	r := replicatedRouter(t, 2, 2)
+	ctx := context.Background()
+	terms := r.TopTerms(ctx, 12)
+	text := strings.Join(terms[:4], " ")
+	rs := r.NewSession()
+	add := func(n int) (docs []int64) {
+		for i := 0; i < n; i++ {
+			doc, err := rs.Add(ctx, text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, doc)
+		}
+		if err := r.FlushLive(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return docs
+	}
+	del := func(docs ...int64) {
+		for _, doc := range docs {
+			if err := rs.Delete(ctx, doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	path := filepath.Join(t.TempDir(), "set.live")
+	save := func() {
+		if err := r.SaveLive(ctx, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	revive := func(rep int) {
+		for shard := 0; shard < 2; shard++ {
+			dead := r.Replica(shard, rep).Server()
+			before := r.Stats()
+			if err := r.ReviveReplica(shard, rep); err != nil {
+				t.Fatal(err)
+			}
+			if r.Replica(shard, rep).Server() == dead || r.Stats().CatchUpSegments != before.CatchUpSegments {
+				t.Fatalf("shard %d replica %d: revival replayed the log across a rebase; want a full resync", shard, rep)
+			}
+		}
+	}
+
+	added := add(20)
+	r.KillReplica(1, 1)
+	added = append(added, add(10)...)
+	del(added[2], added[5], added[23], 0)
+	r.KillReplica(0, 1)
+	save()
+	late := append(add(4), add(4)...) // two segments per shard to compact
+	del(late...)
+	if err := r.CompactLive(ctx); err != nil {
+		t.Fatal(err)
+	}
+	revive(1)
+	r.KillReplica(0, 0)
+	r.KillReplica(1, 0)
+	save()
+	revive(0)
+
+	svc, err := LoadServiceFile(path, Config{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded := svc.(*Router)
+	simDocs := append(reloaded.SampleDocs(ctx, 6), added[0], added[29], late[0])
+	agreeQueries(t, "router", reloaded.NewSession(), r.NewSession(), terms, simDocs)
+	for shard := 0; shard < 2; shard++ {
+		for rep := 0; rep < 2; rep++ {
+			agreeQueries(t, fmt.Sprintf("shard %d replica %d", shard, rep), reloaded.Shard(shard).NewSession(),
+				r.Replica(shard, rep).Server().NewSession(), terms, simDocs)
+		}
+	}
+	if doc, err := reloaded.NewSession().Add(ctx, text); err != nil || doc != late[len(late)-1]+1 {
+		t.Fatalf("reloaded set assigned doc %d, %v; want %d (deleted IDs are never reused)", doc, err, late[len(late)-1]+1)
+	}
 }
 
 // TestChaosKillReplicaUnderLoad is the acceptance chaos drill: 3 shards x 2

@@ -19,9 +19,9 @@ import (
 
 // Router serves analyst sessions over a document-partitioned shard set — the
 // scatter-gather front-end over one Server per shard (each with its own
-// posting/similarity caches and coalescing). The router replicates the
-// vocabulary and the global document frequencies, prunes fan-out with the
-// per-shard DF summaries (a shard whose DF is zero for a query's terms is
+// posting/similarity caches and coalescing). The router resolves terms
+// against the replicated vocabulary, prunes fan-out with each shard's
+// current DF summaries (a shard whose DF is zero for a query's terms is
 // never asked), runs the shard sub-queries in parallel, and k-way merges the
 // per-shard answers. Queries whose terms are unknown or absent from every
 // shard short-circuit at the router without any fan-out.
@@ -29,9 +29,9 @@ import (
 // Live ingestion routes through the router too: an add is tokenized and
 // signature-projected once at the router (the vocabulary and projection are
 // replicated), assigned the next global document ID, and shipped to shard
-// ID mod S; the router folds the new terms into its replicated DF tables so
-// fan-out pruning stays exact for ingested documents. Deletes route to the
-// owning shard by the same rule.
+// ID mod S. Deletes route to the owning shard by the same rule. The router
+// keeps no DF of its own: a shard's seal publishes a document and its DF in
+// the same view, so pruning reads each shard primary's view.
 type Router struct {
 	// sets holds one replica group per logical shard (Config.Replicas
 	// servers each; one without replication). Reads pick a live replica
@@ -39,20 +39,11 @@ type Router struct {
 	sets []*ReplicaSet
 	cfg  Config
 
-	// Replicated router-side tables, guarded by dfMu: the query vocabulary
-	// (vocab resolves terms through shard 0's store, so mapped stores
-	// binary-search their dictionary section instead of needing a heap
-	// map; immutable), the global DF (element-wise sum of the shard DFs
-	// plus everything ingested), each shard's base DF summary, and the
-	// per-shard live DF overlay maintained as adds route through. Deleted
-	// documents stay counted until an offline rebase — pruning only needs
-	// "may hold postings", so the overcount is always safe.
+	// The replicated query vocabulary: vocab resolves terms through shard
+	// 0's store, so mapped stores binary-search their dictionary section
+	// instead of needing a heap map. Immutable.
 	vocab    *Store
 	termList []string
-	dfMu     sync.RWMutex
-	df       []int64
-	shardDF  [][]int64
-	liveDF   []map[int64]int64
 
 	totalDocs int64
 	nextDoc   atomic.Int64
@@ -111,9 +102,6 @@ func newRouter(shards []*Store, cfg Config) (*Router, error) {
 		cfg:      cfg,
 		vocab:    first,
 		termList: first.TermList,
-		df:       make([]int64, first.VocabSize),
-		shardDF:  make([][]int64, len(shards)),
-		liveDF:   make([]map[int64]int64, len(shards)),
 		k:        first.K,
 		themes:   first.Themes,
 		sims:     newLRU[simKey, []query.Hit](cfg.SimCacheEntries),
@@ -177,24 +165,9 @@ func newRouter(shards []*Store, cfg Config) (*Router, error) {
 		}
 		r.sets[i] = set
 		r.totalDocs += st.TotalDocs
-		// Every block's DF summary counts globally. A shard loaded with live
-		// segments (a persisted live set) feeds theirs into the live table
-		// too, exactly as if the adds had routed through this router.
-		v := st.viewNow()
-		r.shardDF[i] = v.blocks[0].Posts.Count
-		r.liveDF[i] = make(map[int64]int64)
-		for j, b := range v.blocks {
-			for t, c := range b.Posts.Count {
-				r.df[t] += c
-				if j > 0 && c > 0 {
-					r.liveDF[i][int64(t)] += c
-				}
-			}
-		}
 		// Document IDs are global: the next ID is the highest mark any shard
-		// records (base bound, segment maxes, or a persisted high-water mark
-		// covering IDs whose data was deleted and compacted away). Counting
-		// surviving docs instead would re-assign retired IDs.
+		// records (a rebased shard's covers IDs whose data was deleted).
+		// Counting surviving docs instead would re-assign retired IDs.
 		if next := st.NextDocID(); next > nextDoc {
 			nextDoc = next
 		}
@@ -292,23 +265,21 @@ func (r *Router) Stats() Stats {
 	return out
 }
 
-// TopTerms ranks the global (shard-summed plus ingested) document
-// frequencies.
+// TopTerms ranks the global document frequencies: every shard primary's
+// view, base and sealed segments, summed.
 func (r *Router) TopTerms(ctx context.Context, n int) []string {
 	if ctx.Err() != nil {
 		return nil
 	}
-	r.dfMu.RLock()
-	df := append([]int64(nil), r.df...)
-	r.dfMu.RUnlock()
+	df := make([]int64, len(r.termList))
+	for i := range r.sets {
+		for _, b := range r.primaryStore(i).viewNow().blocks {
+			for t, c := range b.Posts.Count {
+				df[t] += c
+			}
+		}
+	}
 	return topTerms(df, r.termList, n)
-}
-
-// globalDF reads one term's replicated global DF.
-func (r *Router) globalDF(t int64) int64 {
-	r.dfMu.RLock()
-	defer r.dfMu.RUnlock()
-	return r.df[t]
 }
 
 // SampleDocs merges the shards' deterministic similarity targets in
@@ -449,25 +420,29 @@ func (rs *RouterSession) shortCircuit(res Result) ([]int, Result, error) {
 	return nil, res, nil
 }
 
-// planDF reads the replicated shard-summed DF vector (live ingests and, like
-// the single-store DF, deleted documents included) at the router.
+// planDF sums the shard primaries' view DFs at the router: sealed ingests
+// and, like the single-store DF, deleted documents until compaction or a
+// rebase drops them.
 func planDF(rs *RouterSession, q Query) ([]int, Result, error) {
+	r := rs.r
 	var res Result
-	if t, ok := rs.r.termID(q.Terms[0]); ok {
-		res.DF = rs.r.globalDF(t)
+	if t, ok := r.termID(q.Terms[0]); ok {
+		for i := range r.sets {
+			res.DF += r.primaryStore(i).viewNow().df(t)
+		}
 	}
 	return nil, res, nil
 }
 
-// planAnd dooms a conjunction with an unknown or globally-empty term at the
-// router, and otherwise asks only the shards whose DF summaries admit every
-// term.
+// planAnd dooms a conjunction with an unknown term at the router, and
+// otherwise asks only the shards whose DF summaries admit every term (none
+// when a term is globally empty).
 func planAnd(rs *RouterSession, q Query) ([]int, Result, error) {
 	r := rs.r
 	ids := rs.scratchIDs[:0]
 	for _, term := range q.Terms {
 		t, ok := r.termID(term)
-		if !ok || r.globalDF(t) == 0 {
+		if !ok {
 			rs.scratchIDs = ids[:0]
 			return rs.shortCircuit(Result{})
 		}
@@ -487,7 +462,7 @@ func planOr(rs *RouterSession, q Query) ([]int, Result, error) {
 	r := rs.r
 	ids := rs.scratchIDs[:0]
 	for _, term := range q.Terms {
-		if t, ok := r.termID(term); ok && r.globalDF(t) > 0 {
+		if t, ok := r.termID(term); ok {
 			ids = append(ids, t)
 		}
 	}
@@ -610,25 +585,13 @@ func mergeUnionParts(rs *RouterSession, q Query, parts []Result) Result {
 // planAdd ingests one document through the router: tokenized and
 // signature-projected once at the router against the replicated vocabulary
 // and projection, assigned the next global document ID, and routed with its
-// metadata to shard ID mod S. The router folds the document's terms into its
-// replicated DF tables so later pruning sees them.
+// metadata to shard ID mod S.
 func planAdd(rs *RouterSession, q Query) ([]int, Result, error) {
 	r := rs.r
 	st := r.vocab
 	counts, sig := st.prepareDoc(q.Text)
 	doc := r.nextDoc.Add(1) - 1
 	shard := ShardOf(doc, len(r.sets))
-	// Fold the document's terms into the replicated DF tables before the
-	// shard append: AddCounts may seal and publish the batch, and a query
-	// pruned by a still-zero summary in that window would miss documents
-	// already visible on the shard. Folding first only ever over-admits a
-	// fan-out, which is safe (deletes leave the tables overcounted too).
-	r.dfMu.Lock()
-	for t := range counts {
-		r.liveDF[shard][t]++
-		r.df[t]++
-	}
-	r.dfMu.Unlock()
 	// Grow the shard's data bounding box to cover where the document will
 	// land on the plane (its seal places it there), so spatial pruning
 	// stays conservative for ingested documents. Growing before the append
@@ -641,20 +604,14 @@ func planAdd(rs *RouterSession, q Query) ([]int, Result, error) {
 		return s.AddCountsMeta(doc, counts, sig, q.TS, q.Facets)
 	})
 	if err != nil {
-		r.dfMu.Lock()
-		for t := range counts {
-			r.liveDF[shard][t]--
-			r.df[t]--
-		}
-		r.dfMu.Unlock()
 		return nil, Result{}, err
 	}
 	return nil, Result{Doc: doc}, nil
 }
 
-// planDelete tombstones a document on its owning shard (ID mod S). The
-// replicated DF tables are left alone — deleted documents stay counted until
-// an offline rebase, which only ever over-admits a shard to a fan-out.
+// planDelete tombstones a document on its owning shard (ID mod S). Its DF
+// stays counted until compaction or a rebase drops its postings, which only
+// ever over-admits the shard to a fan-out.
 func planDelete(rs *RouterSession, q Query) ([]int, Result, error) {
 	r := rs.r
 	err := r.sets[ShardOf(q.Doc, len(r.sets))].apply(func(s *Store) error {
@@ -794,16 +751,15 @@ func (rs *RouterSession) replicaRead(ctx context.Context, shard int) (Result, er
 	return out.res, out.err
 }
 
-// termShards returns the shards whose DF summaries — base or live overlay —
-// admit every term (all) or at least one of them, written over dst[:0].
+// termShards returns the shards whose primary's view DF admits every term
+// (all) or at least one of them, written over dst[:0].
 func (r *Router) termShards(dst []int, ids []int64, all bool) []int {
-	r.dfMu.RLock()
-	defer r.dfMu.RUnlock()
 	out := dst[:0]
 	for i := range r.sets {
+		v := r.primaryStore(i).viewNow()
 		n := 0
 		for _, t := range ids {
-			if r.shardDF[i][t] > 0 || r.liveDF[i][t] > 0 {
+			if v.df(t) > 0 {
 				n++
 			}
 		}
@@ -863,20 +819,20 @@ func (r *Router) applyAll(ctx context.Context, what string, fn func(*Store) erro
 	return nil
 }
 
-// SaveLive persists the whole live set: pending adds flushed, compaction
-// drained, then every shard primary's base store, sealed segments and
-// tombstones written behind an extended (INSPSHARDS2) manifest at path.
+// SaveLive persists the whole live set the way Server.SaveLive persists one
+// store: every shard is rebased in place (pending adds sealed, segments and
+// tombstones folded into its base, the ID high water kept in GlobalDocs and
+// the deleted IDs in Holes), then the primaries are written as a frozen set
+// (SaveSet). Replicas rebase too; a dead one fully resyncs on revival.
 func (r *Router) SaveLive(ctx context.Context, path string) error {
-	if err := r.FlushLive(ctx); err != nil {
+	if err := r.applyAll(ctx, "rebase", (*Store).Rebase); err != nil {
 		return err
 	}
 	stores := make([]*Store, len(r.sets))
 	for i := range r.sets {
-		st := r.primaryStore(i)
-		st.WaitCompaction()
-		stores[i] = st
+		stores[i] = r.primaryStore(i)
 	}
-	return SaveLiveSet(path, stores)
+	return SaveSet(path, stores)
 }
 
 // --- gather merges --------------------------------------------------------

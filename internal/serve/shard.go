@@ -5,9 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 
-	"inspire/internal/segment"
 	"inspire/internal/storefile"
 )
 
@@ -129,33 +127,45 @@ func (st *Store) Shard(n int) ([]*Store, error) {
 	return out, nil
 }
 
-// SaveShards shards the store n ways and persists the set: one INSPSTORE4
-// file per shard (tile pyramid embedded) next to the manifest, plus the
-// manifest itself at path. Every write is atomic. The manifest names the
-// shard files relative to its own directory, so the set moves as a unit.
+// SaveShards shards the store n ways and persists the set with SaveSet.
 func (st *Store) SaveShards(path string, n int) error {
 	shards, err := st.Shard(n)
 	if err != nil {
 		return err
 	}
+	return SaveSet(path, shards)
+}
+
+// SaveSet persists an already-partitioned, frozen shard set: one INSPSTORE4
+// file per shard (tile pyramid embedded) next to the manifest, plus the
+// manifest itself at path. Every write is atomic. The manifest names the
+// shard files relative to its own directory, so the set moves as a unit. A
+// shard holding live state a store file cannot carry is refused: rebase it
+// first (Router.SaveLive does).
+func SaveSet(path string, shards []*Store) error {
+	if len(shards) == 0 {
+		return fmt.Errorf("serve: no shards to save")
+	}
 	dir, base := filepath.Dir(path), filepath.Base(path)
 	man := &Manifest{
-		NumShards: n,
-		TotalDocs: st.TotalDocs,
-		VocabSize: st.VocabSize,
+		NumShards: len(shards),
+		VocabSize: shards[0].VocabSize,
 		Route:     RouteMod,
-		Shards:    make([]ShardInfo, n),
+		Shards:    make([]ShardInfo, len(shards)),
 	}
 	for i, sh := range shards {
+		if sh.unfolded() {
+			return fmt.Errorf("serve: shard %d holds live state; rebase it before saving", i)
+		}
 		man.Shards[i] = ShardInfo{
 			File:     fmt.Sprintf("%s.s%02d", base, i),
 			Docs:     sh.TotalDocs,
 			Postings: sh.baseBlock().Postings(),
 		}
-		shardPath := filepath.Join(dir, man.Shards[i].File)
-		if err := sh.SaveFile(shardPath); err != nil {
+		if err := sh.SaveFile(filepath.Join(dir, man.Shards[i].File)); err != nil {
 			return err
 		}
+		man.TotalDocs += sh.TotalDocs
 	}
 	data, err := man.Encode()
 	if err != nil {
@@ -173,78 +183,9 @@ func writeFileAtomic(path string, data []byte) error {
 	})
 }
 
-// SaveLiveSet persists an already-partitioned shard set with its live state:
-// each shard's base store as an ordinary store file, each sealed segment as
-// an INSPSEG1 sidecar, and the tombstones inside the (v2) manifest at path.
-// Callers flush pending deltas first (Router.SaveLive does); documents still
-// buffered in a delta are not persisted. A set without live state writes a
-// v1 manifest, byte-identical to SaveShards output.
-func SaveLiveSet(path string, shards []*Store) error {
-	if len(shards) == 0 {
-		return fmt.Errorf("serve: no shards to save")
-	}
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	man := &Manifest{
-		NumShards: len(shards),
-		VocabSize: shards[0].VocabSize,
-		Route:     RouteMod,
-		Shards:    make([]ShardInfo, len(shards)),
-	}
-	for i, sh := range shards {
-		if sh.PendingDocs() > 0 {
-			return fmt.Errorf("serve: shard %d has unflushed pending adds", i)
-		}
-		v := sh.viewNow()
-		info := ShardInfo{
-			File:     fmt.Sprintf("%s.s%02d", base, i),
-			Docs:     sh.TotalDocs,
-			Postings: v.blocks[0].Postings(),
-		}
-		shardPath := filepath.Join(dir, info.File)
-		if err := sh.SaveFile(shardPath); err != nil {
-			return err
-		}
-		for j, seg := range v.segs() {
-			si := SegmentInfo{File: fmt.Sprintf("%s.s%02d.g%03d", base, i, j), Docs: seg.NumDocs()}
-			if err := seg.SaveFile(filepath.Join(dir, si.File)); err != nil {
-				return err
-			}
-			info.Segments = append(info.Segments, si)
-		}
-		for d := range v.tombs {
-			info.Tombs = append(info.Tombs, d)
-		}
-		slices.Sort(info.Tombs)
-		// Persist the ID high-water mark only when the surviving data no
-		// longer implies it (the highest assigned IDs were deleted and
-		// compacted away): the common case re-derives it at load, keeping
-		// frozen sets byte-identical to SaveShards output.
-		derived := sh.TotalDocs
-		if sh.ShardCount > 0 {
-			derived = sh.GlobalDocs
-		}
-		for _, seg := range v.segs() {
-			if m := seg.MaxDoc() + 1; m > derived {
-				derived = m
-			}
-		}
-		if next := sh.NextDocID(); next > derived {
-			info.NextDoc = next
-		}
-		man.Shards[i] = info
-		man.TotalDocs += sh.TotalDocs
-	}
-	data, err := man.Encode()
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(path, data)
-}
-
-// LoadShards reads a manifest written by SaveShards or SaveLiveSet and loads
-// every shard store it names — base file, sealed segments and tombstones —
-// cross-checking each against the manifest's summaries. INSPSTORE4 shard
-// files are mapped.
+// LoadShards reads a manifest written by SaveSet and loads every shard store
+// it names, cross-checking each against the manifest's summaries. INSPSTORE4
+// shard files are mapped.
 func LoadShards(path string) (*Manifest, []*Store, error) {
 	return loadShards(path, storefile.Open)
 }
@@ -286,51 +227,6 @@ func loadShards(path string, open func(string) (*storefile.File, error)) (*Manif
 			return nil, nil, fmt.Errorf("serve: shard %d carries %d docs/%d postings, manifest says %d/%d",
 				i, sh.TotalDocs, posts, info.Docs, info.Postings)
 		}
-		var segs []*segment.Segment
-		segDocs := make(map[int64]bool)
-		for j, si := range info.Segments {
-			seg, err := segment.LoadFile(filepath.Join(dir, si.File))
-			if err != nil {
-				return nil, nil, fmt.Errorf("serve: load shard %d segment %d: %w", i, j, err)
-			}
-			if seg.NumDocs() != si.Docs {
-				return nil, nil, fmt.Errorf("serve: shard %d segment %d carries %d docs, manifest says %d",
-					i, j, seg.NumDocs(), si.Docs)
-			}
-			if seg.Posts.NumTerms != sh.VocabSize {
-				return nil, nil, fmt.Errorf("serve: shard %d segment %d covers %d terms of %d",
-					i, j, seg.Posts.NumTerms, sh.VocabSize)
-			}
-			// The gather merges rely on disjointness: a segment document must
-			// belong to this shard by the routing rule, appear in exactly one
-			// segment, and not collide with the shard's base range.
-			baseBound := sh.TotalDocs
-			if sh.ShardCount > 0 {
-				baseBound = sh.GlobalDocs
-			}
-			for _, d := range seg.Docs {
-				switch {
-				case man.NumShards > 1 && ShardOf(d, man.NumShards) != i:
-					return nil, nil, fmt.Errorf("serve: shard %d segment %d holds doc %d owned by shard %d",
-						i, j, d, ShardOf(d, man.NumShards))
-				case segDocs[d]:
-					return nil, nil, fmt.Errorf("serve: shard %d doc %d appears in two segments", i, d)
-				case d < baseBound:
-					return nil, nil, fmt.Errorf("serve: shard %d segment %d doc %d collides with the base", i, j, d)
-				}
-				segDocs[d] = true
-			}
-			segs = append(segs, seg)
-		}
-		if len(segs) > 0 || len(info.Tombs) > 0 {
-			if err := sh.installLive(segs, info.Tombs); err != nil {
-				return nil, nil, fmt.Errorf("serve: load shard %d: %w", i, err)
-			}
-		}
-		// Restore the persisted ID high-water mark (see ShardInfo.NextDoc) so
-		// the never-reuse invariant survives deleting-then-compacting the
-		// highest assigned IDs.
-		sh.AdvanceNextDoc(info.NextDoc)
 		docs += sh.TotalDocs
 		shards[i] = sh
 	}
@@ -358,15 +254,16 @@ func readHead(path string, n int) ([]byte, error) {
 }
 
 // IsShardManifestFile reports whether the file begins with a shard-manifest
-// magic (either version) — i.e. whether a -store path names a sharded set
-// rather than a single store. A file shorter than the magic is simply not a
+// magic — i.e. whether a -store path names a sharded set rather than a
+// single store. The retired INSPSHARDS2 head counts, so that DecodeManifest
+// refuses it by name. A file shorter than the magic is simply not a
 // manifest.
 func IsShardManifestFile(path string) (bool, error) {
 	head, err := readHead(path, len(manifestMagic))
 	if err != nil {
 		return false, err
 	}
-	return string(head) == manifestMagic || string(head) == manifestMagicV2, nil
+	return string(head) == manifestMagic || string(head) == retiredManifestMagic, nil
 }
 
 // LoadServiceFile opens any persisted serving artifact as a Service: a shard

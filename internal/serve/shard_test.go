@@ -281,30 +281,9 @@ func TestManifestCodec(t *testing.T) {
 		t.Fatalf("round trip: %#v != %#v", back, good)
 	}
 
-	// The ID high-water mark alone round-trips too (and forces v2).
-	marked := &Manifest{
-		NumShards: 1, TotalDocs: 5, VocabSize: 7, Route: RouteMod,
-		Shards: []ShardInfo{{File: "a.s00", Docs: 5, Postings: 30, NextDoc: 12}},
-	}
-	data, err = marked.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:len(manifestMagicV2)]) != manifestMagicV2 {
-		t.Fatalf("marked manifest magic %q", data[:len(manifestMagicV2)])
-	}
-	back, err = DecodeManifest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(marked, back) {
-		t.Fatalf("marked round trip: %#v != %#v", back, marked)
-	}
-
 	bad := []*Manifest{
 		{NumShards: 0, Route: RouteMod},
 		{NumShards: 1, Route: "hash", Shards: []ShardInfo{{File: "x", Docs: 0}}},
-		{NumShards: 1, Route: RouteMod, Shards: []ShardInfo{{File: "x", Docs: 0, NextDoc: -1}}},
 		{NumShards: 1, Route: RouteMod, Shards: []ShardInfo{{File: "../x", Docs: 0}}},
 		{NumShards: 1, Route: RouteMod, Shards: []ShardInfo{{File: "sub/x", Docs: 0}}},
 		{NumShards: 2, Route: RouteMod, Shards: []ShardInfo{{File: "x", Docs: 0}, {File: "x", Docs: 0}}},
@@ -325,5 +304,19 @@ func TestManifestCodec(t *testing.T) {
 		if _, err := DecodeManifest(corrupt); err == nil {
 			t.Fatalf("corrupt manifest %q decoded", corrupt)
 		}
+	}
+
+	// A retired live-set manifest is still recognised as a manifest, and
+	// refused by name with its remedy.
+	retired := filepath.Join(t.TempDir(), "old.shards")
+	if err := os.WriteFile(retired, append([]byte(retiredManifestMagic), data[len(manifestMagic):]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if man, err := IsShardManifestFile(retired); err != nil || !man {
+		t.Fatalf("INSPSHARDS2 head: manifest=%v, %v", man, err)
+	}
+	const want = "retired live-set manifest INSPSHARDS2 (last read by build 21c88cd); re-index: inspired -in <corpus> -shards N -save-store <file>"
+	if _, _, err := LoadShards(retired); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("INSPSHARDS2 manifest: error %v, want %q", err, want)
 	}
 }

@@ -498,7 +498,8 @@ func (st *Store) idHighWater() int64 { return max(st.TotalDocs, st.GlobalDocs) }
 // checkStoreMagic is the one check at the door of every loader: anything
 // that does not start an INSPSTORE4 file — short and empty input included —
 // is refused before a decoder runs, and the gob formats this build no longer
-// reads (flat, block, hole-carrying) are named with their remedy.
+// reads (flat, block, hole-carrying stores; live-set segments) are named
+// with their remedy.
 func checkStoreMagic(head []byte) error {
 	if storefile.Sniff(head) {
 		return nil
@@ -507,6 +508,9 @@ func checkStoreMagic(head []byte) error {
 		if bytes.HasPrefix(head, []byte(retired+"\n")) {
 			return fmt.Errorf("retired gob format %s (last read by build 715247c); re-index: inspired -in <corpus> -save-store <file>", retired)
 		}
+	}
+	if bytes.HasPrefix(head, []byte("INSPSEG1\n")) {
+		return fmt.Errorf("retired live-set segment INSPSEG1 (last read by build 21c88cd); re-index: inspired -in <corpus> -shards N -save-store <file>")
 	}
 	return fmt.Errorf("not an INSPSTORE4 store")
 }

@@ -402,6 +402,7 @@ func TestStoreV4Rejects(t *testing.T) {
 		"v1":    {"INSPSTORE1\njunk", "retired gob format INSPSTORE1" + remedy},
 		"v2":    {"INSPSTORE2\njunk", "retired gob format INSPSTORE2" + remedy},
 		"v3":    {"INSPSTORE3\njunk", "retired gob format INSPSTORE3" + remedy},
+		"seg":   {"INSPSEG1\njunk", "retired live-set segment INSPSEG1 (last read by build 21c88cd); re-index: inspired -in <corpus> -shards N -save-store <file>"},
 		"empty": {"", "not an INSPSTORE4 store"},
 		"short": {"INSPS", "not an INSPSTORE4 store"},
 	}

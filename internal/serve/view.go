@@ -190,12 +190,12 @@ type liveState struct {
 	nextDoc int64
 	// idFloor is the retirement floor: every ID below it is in use or
 	// retired with possibly no surviving trace (a rebased hole, a gap under
-	// a loaded segment), so adds reject it outright. Unlike the rolling
+	// an installed segment), so adds reject it outright. Unlike the rolling
 	// nextDoc it does NOT advance on ordinary appends — routed adds from
 	// concurrent sessions may land on a shard out of ID order, and a
 	// later-assigned ID must not retire an earlier one still in flight. It
-	// rises only at load (base bound, segment maxes, persisted mark) and on
-	// rebase.
+	// rises only when a view is first built (the base's high water), when
+	// live state is installed or a mark carried (Replicate) and on rebase.
 	idFloor int64
 	// retired pins the exact IDs above the floor whose tombstones a
 	// compaction dropped together with their data — nothing else records
