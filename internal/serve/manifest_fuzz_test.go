@@ -19,7 +19,18 @@ func FuzzManifestRoundTrip(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// The one-shard shape a fully compacted live set saves to.
+	oneSeed := &Manifest{
+		NumShards: 1, TotalDocs: 4, VocabSize: 3, Route: RouteMod,
+		Shards: []ShardInfo{{File: "r.s00", Docs: 4, Postings: 9}},
+	}
+	oneData, err := oneSeed.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(data, uint8(2), uint16(9), uint16(4))
+	f.Add(oneData, uint8(3), uint16(7), uint16(3))
+	f.Add(append(oneData[:len(oneData):len(oneData)], 0), uint8(1), uint16(4), uint16(3))
 	f.Add([]byte(manifestMagic), uint8(1), uint16(0), uint16(0))
 	f.Add([]byte(retiredManifestMagic), uint8(1), uint16(2), uint16(1))
 	f.Add([]byte{}, uint8(0), uint16(0), uint16(0))
