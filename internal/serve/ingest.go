@@ -638,12 +638,8 @@ func (st *Store) Rebase() error {
 	buildMetaTable(merged.Docs, merged.Times, merged.Facets).install(st)
 	st.publishLocked(st.baseOnlyView(v.gen + 1))
 	// The base points changed: the persisted tile sidecar no longer
-	// describes them, and the maintained pyramid rebuilds from the fresh
-	// (lineage-cut) view on its next query.
-	st.live.tileMu.Lock()
-	st.live.tileSidecar, st.live.tileRaw = nil, nil
-	st.live.tilePyr, st.live.tileView = nil, nil
-	st.live.tileMu.Unlock()
+	// describes them.
+	st.dropTiles()
 	st.live.compactions.Add(1)
 	return nil
 }

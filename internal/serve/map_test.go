@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -75,14 +76,17 @@ func mapStore(n, k int, seed int64) *Store {
 type mapWorld struct {
 	simWorld
 
+	// meta is every document's metadata as stamped or added, the ground
+	// truth the filtered-tile oracle selects by.
+	meta                              map[int64]docMetaRow
 	outOfBounds, compactions, rebases int
 }
 
 func newMapWorld(t *testing.T, seed int64) *mapWorld {
 	t.Helper()
 	st := batchStore(t, ingestSources(), 2)
-	stampMetaT(t, st)
-	w := &mapWorld{simWorld: simWorld{t: t, rng: rand.New(rand.NewSource(seed)), mono: st.Fork(), next: st.TotalDocs}}
+	meta := stampMetaT(t, st)
+	w := &mapWorld{simWorld: simWorld{t: t, rng: rand.New(rand.NewSource(seed)), mono: st.Fork(), next: st.TotalDocs}, meta: meta}
 	var err error
 	if w.shards, err = st.Shard(4); err != nil {
 		t.Fatal(err)
@@ -130,6 +134,7 @@ func (w *mapWorld) step() {
 				facets = []string{fmt.Sprintf("lang=l%d", doc%2), fmt.Sprintf("source=s%d", doc%3)}
 			}
 			w.live = append(w.live, doc)
+			w.meta[doc] = docMetaRow{ts: ts, facets: facets}
 			w.each(doc, func(st *Store) error { return st.AddCountsMeta(doc, nil, sig, ts, facets) })
 			// The stores are written behind the router's back (the routed add
 			// takes text, not a chosen signature), so keep its shard pruning
@@ -158,6 +163,101 @@ func mapFilters() []Filter {
 	return []Filter{{}, {Facets: []string{"source=s1"}}, {After: 1200, Facets: []string{"lang=l0"}}}
 }
 
+// oracleTiles builds, independently of the serving pyramid, the pyramid of
+// only the live documents of view v whose ground-truth metadata passes f:
+// base points (clusters from the assignment) and sealed ones (unassigned),
+// tombstones and holes left out.
+func (w *mapWorld) oracleTiles(v *view, tc tiles.Config, f Filter) *tiles.Pyramid {
+	w.t.Helper()
+	clusters := make(map[int64]int64, len(v.base.assignDocs))
+	for i, d := range v.base.assignDocs {
+		clusters[d] = v.base.assignClusters[i]
+	}
+	var entries []tiles.Entry
+	for i, pts := range [][]project.Point{v.base.points, v.pts} {
+		for _, pt := range pts {
+			row := w.meta[pt.Doc]
+			if v.tombs[pt.Doc] || v.base.holes[pt.Doc] || !metaMatches(f, row) {
+				continue
+			}
+			c, ok := clusters[pt.Doc]
+			if !ok || i == 1 {
+				c = -1
+			}
+			entries = append(entries, tiles.Entry{Doc: pt.Doc, X: pt.X, Y: pt.Y, Cluster: c, Time: row.ts,
+				Facets: slices.Sorted(slices.Values(row.facets))})
+		}
+	}
+	p, err := tiles.Build(tc, *w.mono.TileBox, entries)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	return p
+}
+
+// filterBuilds sums the filter sets materialized by the mono server and by
+// every shard server behind the router.
+func (w *mapWorld) filterBuilds() (mono, routed uint64) {
+	for _, set := range w.router.sets {
+		routed += set.primary().Server().Stats().FilterBuilds
+	}
+	return w.srv.Stats().FilterBuilds, routed
+}
+
+// checkFilteredTiles holds, for every probe filter, the filtered Tile at
+// every address that holds a live document and the filtered TileRange over
+// the world — on the mono server and through the router — to the tiles of a
+// pyramid built from only the live matching documents, and checks that none
+// of those reads, nor a filtered Near, materializes a filter set.
+func (w *mapWorld) checkFilteredTiles(label string, tiled *Session, routed *RouterSession) (checked int) {
+	w.t.Helper()
+	ctx := context.Background()
+	tc := w.srv.cfg.tileConfig()
+	v := w.mono.viewNow()
+	all := w.oracleTiles(v, tc, Filter{})
+	for _, f := range probeFilters() {
+		want := w.oracleTiles(v, tc, f)
+		for _, err := range []error{tiled.SetFilter(f), routed.SetFilter(f)} {
+			if err != nil {
+				w.t.Fatal(err)
+			}
+		}
+		monoBuilds, routedBuilds := w.filterBuilds()
+		for z := 0; z <= tc.MaxZoom; z++ {
+			wantRange := []*TileResult{}
+			for _, t := range must(all.Range(z, worldRect())) {
+				wt := want.Tile(z, t.X, t.Y)
+				exp := renderTile(wt, z, t.X, t.Y, tc.Grid, tileThemes, w.mono.Themes)
+				if wt != nil {
+					wantRange = append(wantRange, exp)
+				}
+				for _, q := range []Querier{tiled, routed} {
+					got, err := q.Tile(ctx, z, t.X, t.Y)
+					if err != nil || !reflect.DeepEqual(got, exp) {
+						w.t.Fatalf("%s filter %+v: Tile(%d, %d, %d) = %+v, %v\nwant %+v", label, f, z, t.X, t.Y, got, err, exp)
+					}
+					checked++
+				}
+			}
+			for _, q := range []Querier{tiled, routed} {
+				got, err := q.TileRange(ctx, z, worldRect())
+				if err != nil || !reflect.DeepEqual(got, wantRange) {
+					w.t.Fatalf("%s filter %+v: TileRange(%d) = %d tiles, %v; want %d", label, f, z, len(got), err, len(wantRange))
+				}
+			}
+		}
+		tiled.Near(ctx, 0.5, 0.5, 1e9)
+		routed.Near(ctx, 0.5, 0.5, 1e9)
+		if m, r := w.filterBuilds(); m != monoBuilds || r != routedBuilds {
+			w.t.Fatalf("%s filter %+v: map reads built filter sets: mono %d -> %d, routed %d -> %d", label, f, monoBuilds, m, routedBuilds, r)
+		}
+	}
+	return checked
+}
+
+// must drops Range's pruned count.
+func must(ts []*tiles.Tile, _ int) []*tiles.Tile { return ts }
+
 // TestMapReadsDifferential holds, after every epoch of the stream and with
 // the filter on and off, the tiled Near (one store and routed) to the full
 // point scan for random centres and radii — zero, negative and
@@ -168,11 +268,12 @@ func mapFilters() []Filter {
 // it.
 func TestMapReadsDifferential(t *testing.T) {
 	ctx := context.Background()
-	var outOfBounds, compactions, rebases, themeDocs int
+	var outOfBounds, compactions, rebases, themeDocs, filteredTiles int
 	for seed := int64(1); seed <= 3; seed++ {
 		w := newMapWorld(t, seed)
 		tiled, routed := w.srv.NewSession(), w.router.NewSession()
 		for round := 0; round < 40; round++ {
+			filteredTiles += w.checkFilteredTiles(fmt.Sprintf("seed %d round %d", seed, round), tiled, routed)
 			v := w.mono.viewNow()
 			box, _ := w.mono.DataBounds()
 			for _, f := range mapFilters() {
@@ -211,9 +312,9 @@ func TestMapReadsDifferential(t *testing.T) {
 		}
 		outOfBounds, compactions, rebases = outOfBounds+w.outOfBounds, compactions+w.compactions, rebases+w.rebases
 	}
-	if outOfBounds == 0 || compactions == 0 || rebases == 0 || themeDocs == 0 {
-		t.Fatalf("the stream left a case unchecked: %d out-of-bounds adds, %d compactions, %d rebases, %d theme documents",
-			outOfBounds, compactions, rebases, themeDocs)
+	if outOfBounds == 0 || compactions == 0 || rebases == 0 || themeDocs == 0 || filteredTiles == 0 {
+		t.Fatalf("the stream left a case unchecked: %d out-of-bounds adds, %d compactions, %d rebases, %d theme documents, %d filtered tiles",
+			outOfBounds, compactions, rebases, themeDocs, filteredTiles)
 	}
 }
 
@@ -226,6 +327,13 @@ func TestMapReadsDifferential(t *testing.T) {
 func TestMapReadsWarmAllocs(t *testing.T) {
 	ctx := context.Background()
 	st := mapStore(16000, 16, 1)
+	ids, times, rows := make([]int64, 16000), make([]int64, 16000), make([][]string, 16000)
+	for d := range ids {
+		ids[d], times[d], rows[d] = int64(d), 1000+int64(d), []string{fmt.Sprintf("source=s%d", d%3)}
+	}
+	if err := st.SetBaseMeta(ids, times, rows); err != nil {
+		t.Fatal(err)
+	}
 	srv := newServerT(t, st, Config{})
 	sess := srv.NewSession()
 	// growth counts the allocations of appending n IDs one by one to a nil
@@ -242,7 +350,7 @@ func TestMapReadsWarmAllocs(t *testing.T) {
 	candidates := func(r float64) (n int) {
 		rect := tiles.Rect{MinX: 0.5 - r, MinY: 0.5 - r, MaxX: 0.5 + r, MaxY: 0.5 + r}
 		st.withPyramid(st.viewNow(), srv.cfg.tileConfig(), func(p *tiles.Pyramid) {
-			p.Search(rect, func(leaf []tiles.Entry) { n += len(leaf) })
+			p.Search(rect, func(leaf []tiles.Member) { n += len(leaf) })
 		})
 		return n
 	}
@@ -262,6 +370,53 @@ func TestMapReadsWarmAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(50, func() { sink = sess.ThemeDocs(ctx, 3) })
 	if len(docs) == 0 || got > 1 {
 		t.Fatalf("warm ThemeDocs allocates %v objects/op for %d documents, want <= 1 (the result, sized from the cluster's list)", got, len(docs))
+	}
+
+	// Filtered reads test the pyramid's members in place: a filtered Near
+	// still allocates only its result, and a filtered tile — built fresh
+	// every time — no more than an unfiltered tile the LRU misses (its clone
+	// plus the cache entry), at the root or a leaf.
+	filtered := srv.NewSession()
+	if err := filtered.SetFilter(Filter{After: 1000 + 4000, Facets: []string{"source=s1"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []float64{0.04, 0.2} {
+		docs := filtered.Near(ctx, 0.5, 0.5, r)
+		got := testing.AllocsPerRun(50, func() { sink = filtered.Near(ctx, 0.5, 0.5, r) })
+		if bound := growth(len(docs)); len(docs) == 0 || got > bound {
+			t.Fatalf("warm filtered Near(r=%g) allocates %v objects/op for %d hits, want <= %v (the result's growth)", r, got, len(docs), bound)
+		}
+	}
+	// Cycling through twice the LRU's capacity of leaf addresses misses on
+	// every unfiltered read.
+	var addrs [][2]int
+	st.withPyramid(st.viewNow(), srv.cfg.tileConfig(), func(p *tiles.Pyramid) {
+		for _, tl := range must(p.Range(6, worldRect()))[:2*tileCacheEntries] {
+			addrs = append(addrs, [2]int{tl.X, tl.Y})
+		}
+	})
+	tileAllocs := func(q *Session, z int) float64 {
+		i := 0
+		return testing.AllocsPerRun(100, func() {
+			a := addrs[i%len(addrs)]
+			i++
+			if z == 0 {
+				a = [2]int{0, 0}
+			}
+			if res, err := q.Tile(ctx, z, a[0], a[1]); err != nil || (q == sess && res.Docs == 0) {
+				t.Fatalf("Tile(%d, %v) = %+v, %v", z, a, res, err)
+			}
+		})
+	}
+	misses := srv.Stats().TileMisses
+	miss := tileAllocs(sess, 6)
+	if n := srv.Stats().TileMisses - misses; n != 101 {
+		t.Fatalf("%d of 101 unfiltered leaf reads missed the LRU", n)
+	}
+	for _, z := range []int{0, 6} {
+		if got := tileAllocs(filtered, z); got > miss {
+			t.Fatalf("warm filtered Tile at zoom %d allocates %v objects/op, want <= %v (an unfiltered miss)", z, got, miss)
+		}
 	}
 }
 

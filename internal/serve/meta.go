@@ -212,21 +212,6 @@ func (p *metaPred) matchMeta(ts int64, have []string) bool {
 	return facetSubset(p.f.Facets, have)
 }
 
-// matchDoc resolves doc's metadata in the view and tests it. A document with
-// no metadata row anywhere matches only the predicates a bare document can:
-// no time bounds, no facets.
-func (p *metaPred) matchDoc(v *view, doc int64) bool {
-	if i := v.base.metaIndex(doc); i >= 0 {
-		return p.matchBase(v.base, i)
-	}
-	for _, s := range v.segs() {
-		if ts, facets, ok := s.Meta(doc); ok {
-			return p.matchMeta(ts, facets)
-		}
-	}
-	return p.matchMeta(0, nil)
-}
-
 // filterSet is the materialized document set of one (view, filter) pair.
 // Dense selections pack into a postings.Bits sharing the bitmap containers'
 // word grid, so a filtered AND runs the same word-wise kernels as a dense
@@ -359,19 +344,17 @@ func (b *baseView) meta(doc int64) (ts int64, facets []string, ok bool) {
 	return b.metaTimes[i], facets, true
 }
 
-// docMeta resolves doc's ingest metadata in the view — base row or segment
-// row — as (timestamp, sorted facet strings); (0, nil) when the document has
-// none. Tile-pyramid maintenance uses it to stamp entries.
+// docMeta resolves doc's ingest metadata — its segment row, else its base row
+// (a stray one for a live ID counts for no filter) — as (timestamp, sorted
+// facets); (0, nil) if none. Tile-pyramid maintenance stamps entries with it.
 func (v *view) docMeta(doc int64) (int64, []string) {
-	if ts, facets, ok := v.base.meta(doc); ok {
-		return ts, facets
-	}
 	for _, s := range v.segs() {
 		if ts, facets, ok := s.Meta(doc); ok {
 			return ts, facets
 		}
 	}
-	return 0, nil
+	ts, facets, _ := v.base.meta(doc)
+	return ts, facets
 }
 
 // metaRows returns the base metadata as per-document rows over docs — the
@@ -514,6 +497,7 @@ func (st *Store) SetBaseMeta(docs []int64, times []int64, facets [][]string) err
 	}
 	buildMetaTable(sDocs, sTimes, sFacets).install(st)
 	st.resetViewLocked()
+	st.dropTiles() // every member carries its metadata
 	return nil
 }
 

@@ -286,6 +286,8 @@ type Server struct {
 
 	tmu   sync.Mutex
 	tiles *lru[tileKey, *tiles.Tile]
+	// nearBuf is near's spare merge buffer, lent per read (no session keeps one).
+	nearBuf atomic.Pointer[[]int64]
 
 	queries          atomic.Uint64
 	postingHits      atomic.Uint64
@@ -589,6 +591,7 @@ type Session struct {
 	scratchB     []int64
 	scratchParts [][]int64
 	scratchBits  postings.Bits
+	scratchEnds  []int
 }
 
 // andCand is one conjunction term's descriptor during And's planning pass.
@@ -629,7 +632,7 @@ func (ss *Session) Exec(ctx context.Context, q Query) (Result, error) {
 	case OpTheme:
 		return Result{Docs: s.themeDocs(q.Cluster, q.Filter)}, nil
 	case OpNear:
-		return Result{Docs: s.near(q.X, q.Y, q.R, q.Filter)}, nil
+		return Result{Docs: ss.near(q.X, q.Y, q.R, q.Filter)}, nil
 	case OpTile, opTileRaw:
 		return s.tile(&q, tc), nil
 	case OpTileRange, opTileRangeRaw:
@@ -1103,35 +1106,76 @@ func (s *Server) themeDocs(cluster int, f Filter) []int64 {
 //
 // The query descends the tile pyramid: quadtree subtrees outside the query
 // box are pruned untouched (counted in Stats.TilesPruned), so the work is
-// the candidates the walk admits, not the whole point set.
-func (s *Server) near(x, y, radius float64, f Filter) []int64 {
+// the candidates the walk admits, not the whole point set. The filter
+// compiles once against the pyramid; each leaf's hits are an ascending run,
+// and the runs merge into the answer.
+func (ss *Session) near(x, y, radius float64, f Filter) []int64 {
+	s := ss.s
 	st := s.store
 	v := st.viewNow()
 	r2 := radius * radius
-	fs := s.filterSetFor(v, f)
 	// The squared-distance test makes the radius sign-insensitive; the
 	// query box must agree. The pyramid's bin windows clamp the box with
 	// the member binning arithmetic, so out-of-bounds points (late ingests
 	// binned into edge tiles) stay findable.
 	rad := math.Abs(radius)
 	rect := tiles.Rect{MinX: x - rad, MinY: y - rad, MaxX: x + rad, MaxY: y + rad}
-	// The entries are tested where they lie, under the pyramid's lock: the
-	// test costs less than copying a 64-byte pointerful entry out would.
-	var out []int64
+	// The members are tested where they lie, under the pyramid's lock: the
+	// test costs less than copying a 64-byte member out would.
+	hits, ends := []int64(nil), ss.scratchEnds[:0]
 	var pruned int
 	st.withPyramid(v, s.cfg.tileConfig(), func(p *tiles.Pyramid) {
-		_, pruned = p.Search(rect, func(leaf []tiles.Entry) {
+		w := p.Where(f.After, f.Before, f.Facets)
+		if w.None() {
+			return
+		}
+		_, pruned = p.Search(rect, func(leaf []tiles.Member) {
 			for i := range leaf {
-				e := &leaf[i]
-				dx, dy := e.X-x, e.Y-y
-				if dx*dx+dy*dy <= r2 && !v.tombs[e.Doc] &&
-					(fs == nil || fs.contains(e.Doc)) {
-					out = append(out, e.Doc)
+				m := &leaf[i]
+				dx, dy := m.X-x, m.Y-y
+				if dx*dx+dy*dy <= r2 && !v.tombs[m.Doc] && (f.Empty() || w.Keep(m)) {
+					hits = append(hits, m.Doc)
 				}
+			}
+			if len(ends) == 0 || ends[len(ends)-1] < len(hits) {
+				ends = append(ends, len(hits))
 			}
 		})
 	})
 	s.tilesPruned.Add(uint64(pruned))
-	slices.Sort(out)
-	return out
+	ss.scratchEnds = ends
+	if len(ends) < 2 {
+		return hits
+	}
+	buf := s.nearBuf.Swap(nil)
+	if buf == nil {
+		buf = new([]int64) // a concurrent read holds it
+	}
+	hits, *buf = mergeRuns(hits, *buf, ends)
+	s.nearBuf.Store(buf)
+	return hits
+}
+
+// mergeRuns sorts a, ascending runs ending at the offsets ends (consumed), by
+// merging neighbours pairwise through tmp; it returns (sorted, spare).
+func mergeRuns(a, tmp []int64, ends []int) (sorted, spare []int64) {
+	tmp = slices.Grow(tmp[:0], len(a))[:len(a)]
+	for len(ends) > 1 {
+		n, lo := 0, 0
+		for i := 0; i < len(ends); i += 2 {
+			mid, hi := ends[i], ends[min(i+1, len(ends)-1)]
+			x, y, k := a[lo:mid], a[mid:hi], lo
+			for ; len(x) > 0 && len(y) > 0; k++ {
+				if x[0] <= y[0] {
+					tmp[k], x = x[0], x[1:]
+				} else {
+					tmp[k], y = y[0], y[1:]
+				}
+			}
+			copy(tmp[k+copy(tmp[k:], x):], y)
+			ends[n], n, lo = hi, n+1, hi
+		}
+		ends, a, tmp = ends[:n], tmp, a
+	}
+	return a, tmp
 }

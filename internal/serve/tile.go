@@ -255,34 +255,39 @@ func (st *Store) sidecarLocked() *tiles.Pyramid {
 	return ls.tileSidecar
 }
 
-// sidecarMetaConsistent checks a decoded sidecar pyramid against the store's
-// document metadata: the root tile's time-histogram and facet-count totals
-// must equal what the base metadata implies. A pyramid that disagrees is
-// rejected and rebuilds from the points — the histograms the tile layer
-// serves are then exact again.
+// sidecarMetaConsistent reports whether every member of a decoded sidecar
+// carries its base row's timestamp and facets, as addPoints stamps them:
+// filtered map reads test members in place.
 func (st *Store) sidecarMetaConsistent(pyr *tiles.Pyramid) bool {
-	var wantTimes, wantFacets int64
-	for i, d := range st.MetaDocs {
-		if !pyr.Contains(d) {
-			continue
+	b := st.baseView()
+	all := tiles.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
+	ok := true
+	pyr.Search(all, func(leaf []tiles.Member) {
+		for i := 0; i < len(leaf) && ok; i++ {
+			m := &leaf[i]
+			ts, row := int64(0), []int64(nil)
+			if j := b.metaIndex(m.Doc); j >= 0 {
+				ts = b.metaTimes[j]
+				if len(b.metaFacetOffs) > 0 {
+					row = b.metaFacetIDs[b.metaFacetOffs[j]:b.metaFacetOffs[j+1]]
+				}
+			}
+			ok = m.Time == ts && len(m.Facets) == len(row)
+			for k := 0; k < len(m.Facets) && ok; k++ {
+				ok = pyr.Facet(m.Facets[k]) == b.facetDict[row[k]]
+			}
 		}
-		if st.MetaTimes[i] != 0 {
-			wantTimes++
-		}
-		if st.MetaFacetOffs != nil {
-			wantFacets += st.MetaFacetOffs[i+1] - st.MetaFacetOffs[i]
-		}
-	}
-	var gotTimes, gotFacets int64
-	if root := pyr.Tile(0, 0, 0); root != nil {
-		for _, tc := range root.Times {
-			gotTimes += tc.Docs
-		}
-		for _, fc := range root.Facets {
-			gotFacets += fc.Docs
-		}
-	}
-	return gotTimes == wantTimes && gotFacets == wantFacets
+	})
+	return ok
+}
+
+// dropTiles forgets the sidecar and the pyramid once their base changed
+// (Rebase, SetBaseMeta); the next query rebuilds from the points.
+func (st *Store) dropTiles() {
+	st.live.tileMu.Lock()
+	defer st.live.tileMu.Unlock()
+	st.live.tileSidecar, st.live.tileRaw = nil, nil
+	st.live.tilePyr, st.live.tileView = nil, nil
 }
 
 // tileBoundsLocked resolves the pyramid's world bounds: the store's frozen
@@ -366,17 +371,17 @@ type tileKey struct {
 	z, x, y int
 }
 
-// tileFor answers one tile address under view v and a filter set as an
-// immutable snapshot (nil = empty). Unfiltered (fs == nil) it reads the
-// epoch-keyed LRU, falling through to the maintained pyramid on a miss.
-// Filtered it rebuilds the tile exactly over the matching entries, bypassing
-// the LRU: a filtered tile is a per-session answer, and caching it per filter
+// tileFor answers one tile address under view v and filter f as an
+// immutable snapshot (nil = empty). Unfiltered it reads the epoch-keyed LRU,
+// falling through to the maintained pyramid on a miss. Filtered it builds the
+// tile from the matching members, bypassing the LRU: caching per filter
 // would let one session's predicate evict every session's unfiltered tiles.
-func (s *Server) tileFor(v *view, fs *filterSet, z, x, y int) *tiles.Tile {
+func (s *Server) tileFor(v *view, f Filter, z, x, y int) *tiles.Tile {
 	var cp *tiles.Tile
-	if fs != nil {
+	if !f.Empty() {
 		s.store.withPyramid(v, s.cfg.tileConfig(), func(p *tiles.Pyramid) {
-			cp = p.TileWhere(z, x, y, func(e tiles.Entry) bool { return fs.contains(e.Doc) })
+			w := p.Where(f.After, f.Before, f.Facets)
+			cp = p.TileWhere(z, x, y, &w)
 		})
 		return cp
 	}
@@ -446,8 +451,7 @@ func renderTile(raw *tiles.Tile, z, x, y, grid, topThemes int, themes []core.The
 // tile answers OpTile, or its shard half opTileRaw (unrendered, for a
 // router's merge), through the epoch-keyed tile LRU.
 func (s *Server) tile(q *Query, tc tiles.Config) Result {
-	v := s.store.viewNow()
-	raw := s.tileFor(v, s.filterSetFor(v, q.Filter), q.Z, q.TX, q.TY)
+	raw := s.tileFor(s.store.viewNow(), q.Filter, q.Z, q.TX, q.TY)
 	if q.Op == opTileRaw {
 		return Result{raw: raw}
 	}
@@ -456,41 +460,43 @@ func (s *Server) tile(q *Query, tc tiles.Config) Result {
 
 // tileRange answers OpTileRange (or opTileRangeRaw): every non-empty tile at
 // zoom q.Z intersecting q.Rect, ordered by (x, y) — a viewport in one call.
-// The quadtree walk prunes subtrees outside the rect (Stats.TilesPruned);
-// each admitted tile answers through the tile LRU.
+// The quadtree walk prunes subtrees outside the rect (Stats.TilesPruned).
+// Unfiltered, each admitted tile answers through the tile LRU; filtered, the
+// filter compiles once and every admitted tile builds under the same lock.
 func (s *Server) tileRange(q *Query, tc tiles.Config) Result {
 	v := s.store.viewNow()
-	fs := s.filterSetFor(v, q.Filter)
 	var coords [][2]int
+	var raws []*tiles.Tile
 	var pruned int
 	s.store.withPyramid(v, tc, func(p *tiles.Pyramid) {
 		ts, pr := p.Range(q.Z, q.Rect)
 		pruned = pr
+		if q.Filter.Empty() {
+			for _, t := range ts {
+				coords = append(coords, [2]int{t.X, t.Y})
+			}
+			return
+		}
+		w := p.Where(q.Filter.After, q.Filter.Before, q.Filter.Facets)
 		for _, t := range ts {
-			coords = append(coords, [2]int{t.X, t.Y})
+			// A tile with no matching member is absent, as when unsharded.
+			if raw := p.TileWhere(q.Z, t.X, t.Y, &w); raw != nil {
+				raws = append(raws, raw)
+			}
 		}
 	})
 	s.tilesPruned.Add(uint64(pruned))
-	var res Result
-	if q.Op == opTileRangeRaw {
-		res.raws = make([]*tiles.Tile, 0, len(coords))
-	} else {
-		res.Tiles = make([]*TileResult, 0, len(coords))
-	}
 	for _, c := range coords {
-		raw := s.tileFor(v, fs, q.Z, c[0], c[1])
-		switch {
-		case raw == nil && (fs != nil || q.Op == opTileRangeRaw):
-			// Every member under the address was filtered out: a pyramid over
-			// only the matching documents would not have this tile at all. A
-			// shard's empty raw tile adds nothing to the merge.
-		case q.Op == opTileRangeRaw:
-			// tileFor answers immutable snapshots already addressed (z, x, y);
-			// the merge side only reads them.
-			res.raws = append(res.raws, raw)
-		default:
-			res.Tiles = append(res.Tiles, renderTile(raw, q.Z, c[0], c[1], tc.Grid, tileThemes, s.store.Themes))
+		if raw := s.tileFor(v, Filter{}, q.Z, c[0], c[1]); raw != nil {
+			raws = append(raws, raw)
 		}
+	}
+	if q.Op == opTileRangeRaw {
+		return Result{raws: raws} // immutable; the merge only reads them
+	}
+	res := Result{Tiles: make([]*TileResult, 0, len(raws))}
+	for _, raw := range raws {
+		res.Tiles = append(res.Tiles, renderTile(raw, q.Z, raw.X, raw.Y, tc.Grid, tileThemes, s.store.Themes))
 	}
 	return res
 }

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"inspire/internal/storefile"
@@ -389,5 +391,134 @@ func TestNearChargesCandidatesNotCorpus(t *testing.T) {
 	stats := srv.Stats()
 	if stats.TileHits == 0 || stats.TileMisses == 0 {
 		t.Fatalf("tile LRU not exercised: %+v hits/%+v misses", stats.TileHits, stats.TileMisses)
+	}
+}
+
+// TestStaleTileSidecarRejected pins that filtered map reads never answer
+// from a pyramid stamped with other metadata than the store's: the members
+// carry each document's timestamp and facets, and filters test them in
+// place. The rotated metadata keeps every per-document count (so totals
+// agree); only which document carries which source changes.
+func TestStaleTileSidecarRejected(t *testing.T) {
+	st := buildStoreT(t, 3)
+	stampMetaT(t, st)
+	rotate := func(st *Store) {
+		docs := slices.Clone(st.Signatures().Docs)
+		times, rows := make([]int64, len(docs)), make([][]string, len(docs))
+		for i, d := range docs {
+			times[i] = 1000 + d*10
+			rows[i] = []string{fmt.Sprintf("source=s%d", (d+1)%3), fmt.Sprintf("lang=l%d", d%2)}
+		}
+		if err := st.SetBaseMeta(docs, times, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	filtered := func(st *Store) [][]*TileResult {
+		sess := newServerT(t, st, Config{}).NewSession()
+		if err := sess.SetFilter(Filter{Facets: []string{"source=s1"}}); err != nil {
+			t.Fatal(err)
+		}
+		return tileDump(t, sess, 6)
+	}
+	truth := st.Fork()
+	rotate(truth)
+	want := filtered(truth)
+	if want[0][0].Docs == 0 || len(want[0][0].Facets) == 0 {
+		t.Fatalf("filtered root tile %+v: the check is vacuous", want[0][0])
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "stamped.store")
+	if err := st.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	// Metadata replaced on a loaded store whose embedded pyramid is
+	// already decoded.
+	loaded, err := LoadStoreFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filtered(loaded)
+	if loaded.live.tileSidecar == nil {
+		t.Fatal("embedded pyramid not decoded by the first tile read")
+	}
+	rotate(loaded)
+	if got := filtered(loaded); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after SetBaseMeta on a loaded store the filtered root tile is %+v, want %+v", got[0][0], want[0][0])
+	}
+
+	// A file whose embedded pyramid disagrees with its metadata sections
+	// document by document, with equal totals.
+	rotPath := filepath.Join(dir, "rotated.store")
+	if err := truth.SaveFile(rotPath); err != nil {
+		t.Fatal(err)
+	}
+	stamped, err := storefile.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, _ := stamped.Section(secTiles)
+	rf, err := storefile.ReadFile(rotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := rf.Sections()
+	for i := range secs {
+		if secs[i].Name == secTiles {
+			secs[i].Data = stale
+		}
+	}
+	mixedPath := filepath.Join(dir, "mixed.store")
+	if err := storefile.WriteFileAtomic(mixedPath, func(w io.Writer) error { return storefile.Write(w, secs) }); err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := LoadStoreFile(mixedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := filtered(mixed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a store whose embedded pyramid carries other metadata serves filtered root tile %+v, want %+v", got[0][0], want[0][0])
+	}
+	if mixed.live.tileSidecar != nil {
+		t.Fatal("an embedded pyramid stamped with other metadata was attached")
+	}
+}
+
+// TestStrayBaseRowDoesNotStamp pins where a sealed document's metadata comes
+// from: its own segment row. A base row naming the same (live) ID is stray —
+// it counts for no filter — and must not stamp the pyramid member either, or
+// filtered map reads, which test members in place, would answer by it.
+func TestStrayBaseRowDoesNotStamp(t *testing.T) {
+	ctx := context.Background()
+	st := batchStore(t, ingestSources(), 2)
+	doc := st.TotalDocs
+	if err := st.SetBaseMeta([]int64{doc}, []int64{5}, [][]string{{"source=stray"}}); err != nil {
+		t.Fatal(err)
+	}
+	sig := make([]float64, st.SigM)
+	for i := range sig {
+		sig[i] = 0.5
+	}
+	if err := st.AddCountsMeta(doc, nil, sig, 7, []string{"source=live"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sess := newServerT(t, st, Config{}).NewSession()
+	for _, c := range []struct {
+		facet string
+		want  int64
+	}{{"source=live", 1}, {"source=stray", 0}} {
+		if err := sess.SetFilter(Filter{Facets: []string{c.facet}}); err != nil {
+			t.Fatal(err)
+		}
+		tl, err := sess.Tile(ctx, 0, 0, 0)
+		if err != nil || tl.Docs != c.want {
+			t.Fatalf("facet %s: root tile %+v, %v; want %d documents", c.facet, tl, err, c.want)
+		}
+		if got := sess.Near(ctx, 0, 0, 1e9); int64(len(got)) != c.want {
+			t.Fatalf("facet %s: Near everywhere = %v, want %d documents", c.facet, got, c.want)
+		}
 	}
 }

@@ -56,7 +56,8 @@ func (p *Pyramid) Encode() []byte {
 			buf = binary.AppendVarint(buf, e.Cluster)
 			buf = binary.AppendVarint(buf, e.Time)
 			buf = binary.AppendUvarint(buf, uint64(len(e.Facets)))
-			for _, f := range e.Facets {
+			for _, id := range e.Facets {
+				f := p.dict[id]
 				buf = binary.AppendUvarint(buf, uint64(len(f)))
 				buf = append(buf, f...)
 			}

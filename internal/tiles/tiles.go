@@ -24,6 +24,7 @@ package tiles
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -154,13 +155,20 @@ func TileRectIn(b Rect, z, x, y int) Rect {
 // cluster (-1 when unassigned — documents ingested after the clustering
 // run), ingest timestamp (unix seconds; 0 = no timestamp) and facet strings
 // ("key=value", strictly ascending, nil when the document carries none).
-// Facets slices are shared, never mutated, after an entry enters a pyramid.
 type Entry struct {
 	Doc     int64
 	X, Y    float64
 	Cluster int64
 	Time    int64
 	Facets  []string
+}
+
+// Member is an entry as its pyramid holds it: facets as IDs (see Facet).
+type Member struct {
+	Doc           int64
+	X, Y          float64
+	Cluster, Time int64
+	Facets        []uint32
 }
 
 // ThemeCount is one theme's share of a tile, ascending by Cluster within a
@@ -248,12 +256,18 @@ type Pyramid struct {
 	b   Rect
 	// tiles holds the aggregates of every non-empty tile at every zoom.
 	tiles map[uint64]*Tile
-	// leaves holds the member entries of every non-empty leaf (MaxZoom)
-	// tile, ascending by document ID — the candidate lists spatial queries
-	// scan and exemplar refills draw from.
-	leaves map[uint64][]Entry
+	// leaves holds the members of every non-empty leaf (MaxZoom) tile,
+	// ascending by document ID — the candidate lists spatial queries scan
+	// and exemplar refills draw from.
+	leaves map[uint64][]Member
 	// loc resolves a member document to its entry, for removals.
-	loc map[int64]Entry
+	loc map[int64]Member
+	// dict interns the facet strings members carry (ids reverses it); IDs
+	// are never reused. Aggregates and the encoding keep strings.
+	dict []string
+	ids  map[string]uint32
+	// TileWhere's counters, reused across calls and all zero between them.
+	themeN, timeN, facetN []uint32
 }
 
 // New returns an empty pyramid with the given configuration and world
@@ -270,8 +284,9 @@ func New(cfg Config, b Rect) (*Pyramid, error) {
 		cfg:    cfg,
 		b:      b,
 		tiles:  make(map[uint64]*Tile),
-		leaves: make(map[uint64][]Entry),
-		loc:    make(map[int64]Entry),
+		leaves: make(map[uint64][]Member),
+		loc:    make(map[int64]Member),
+		ids:    make(map[string]uint32),
 	}, nil
 }
 
@@ -301,12 +316,6 @@ func (p *Pyramid) NumDocs() int { return len(p.loc) }
 
 // NumTiles returns the number of non-empty tiles across all zoom levels.
 func (p *Pyramid) NumTiles() int { return len(p.tiles) }
-
-// Contains reports whether doc is a member.
-func (p *Pyramid) Contains(doc int64) bool {
-	_, ok := p.loc[doc]
-	return ok
-}
 
 // norm maps projection coordinates to the unit square of the world bounds
 // (values outside [0,1] clamp at bin time).
@@ -342,17 +351,30 @@ func (p *Pyramid) tileAt(z, x, y int) *Tile {
 }
 
 // Add bins one document into every zoom level. It returns false (and changes
-// nothing) when the document is already a member or its coordinates are not
-// finite.
+// nothing) when the document is already a member, its coordinates are not
+// finite or it carries more facets than the codec admits (64).
 func (p *Pyramid) Add(e Entry) bool {
-	if _, dup := p.loc[e.Doc]; dup {
+	if _, dup := p.loc[e.Doc]; dup || len(e.Facets) > maxEntryFacets {
 		return false
 	}
 	if math.IsNaN(e.X) || math.IsInf(e.X, 0) || math.IsNaN(e.Y) || math.IsInf(e.Y, 0) {
 		return false
 	}
-	p.loc[e.Doc] = e
-	u, v := p.norm(e.X, e.Y)
+	m := Member{Doc: e.Doc, X: e.X, Y: e.Y, Cluster: e.Cluster, Time: e.Time}
+	if len(e.Facets) > 0 {
+		m.Facets = make([]uint32, len(e.Facets))
+		for i, f := range e.Facets {
+			id, ok := p.ids[f]
+			if !ok {
+				id = uint32(len(p.dict))
+				p.dict = append(p.dict, f)
+				p.ids[f] = id
+			}
+			m.Facets[i] = id
+		}
+	}
+	p.loc[m.Doc] = m
+	u, v := p.norm(m.X, m.Y)
 	g := p.cfg.Grid
 	for z := 0; z <= p.cfg.MaxZoom; z++ {
 		n := 1 << z
@@ -362,21 +384,24 @@ func (p *Pyramid) Add(e Entry) bool {
 		gx := clampBin(u, n*g) - tx*g
 		gy := clampBin(v, n*g) - ty*g
 		t.Density[gy*g+gx]++
-		if e.Cluster >= 0 {
-			t.addTheme(e.Cluster, 1)
+		if m.Cluster >= 0 {
+			t.addTheme(m.Cluster, 1)
 		}
-		t.addMeta(e, 1)
-		t.addExemplar(e.Doc, p.cfg.Exemplars)
+		p.addMeta(t, m, 1)
+		t.addExemplar(m.Doc, p.cfg.Exemplars)
 	}
 	lk := key(p.cfg.MaxZoom, clampBin(u, 1<<p.cfg.MaxZoom), clampBin(v, 1<<p.cfg.MaxZoom))
 	l := p.leaves[lk]
-	i := sort.Search(len(l), func(i int) bool { return l[i].Doc >= e.Doc })
-	l = append(l, Entry{})
+	i := sort.Search(len(l), func(i int) bool { return l[i].Doc >= m.Doc })
+	l = append(l, Member{})
 	copy(l[i+1:], l[i:])
-	l[i] = e
+	l[i] = m
 	p.leaves[lk] = l
 	return true
 }
+
+// Facet returns the string of facet ID id.
+func (p *Pyramid) Facet(id uint32) string { return p.dict[id] }
 
 // Remove unbins one document from every zoom level; false when it is not a
 // member. Tiles left empty are deleted, so an incrementally maintained
@@ -416,7 +441,7 @@ func (p *Pyramid) Remove(doc int64) bool {
 		if e.Cluster >= 0 {
 			t.addTheme(e.Cluster, -1)
 		}
-		t.addMeta(e, -1)
+		p.addMeta(t, e, -1)
 		t.dropExemplar(doc)
 		if len(t.Exemplars) < p.cfg.Exemplars && t.Docs > int64(len(t.Exemplars)) {
 			p.refillExemplars(t)
@@ -446,15 +471,15 @@ func (t *Tile) addTheme(cluster, delta int64) {
 	t.Themes[i] = ThemeCount{Cluster: cluster, Docs: delta}
 }
 
-// addMeta adjusts the time and facet histograms for one member entry —
-// the metadata twin of addTheme, with the same nil-when-empty canonical
-// form so incremental and rebuilt pyramids stay identical.
-func (t *Tile) addMeta(e Entry, delta int64) {
+// addMeta adjusts tile t's time and facet histograms for one member — the
+// metadata twin of addTheme, with the same nil-when-empty canonical form so
+// incremental and rebuilt pyramids stay identical.
+func (p *Pyramid) addMeta(t *Tile, e Member, delta int64) {
 	if e.Time != 0 {
 		t.addTime(TimeBucket(e.Time), delta)
 	}
-	for _, f := range e.Facets {
-		t.addFacet(f, delta)
+	for _, id := range e.Facets {
+		t.addFacet(p.dict[id], delta)
 	}
 }
 
@@ -525,23 +550,12 @@ func (t *Tile) dropExemplar(doc int64) {
 // The result is the cap smallest member IDs, the same pure function Add
 // maintains, so removal keeps incremental and rebuilt pyramids identical.
 func (p *Pyramid) refillExemplars(t *Tile) {
-	s := p.cfg.MaxZoom - t.Z
-	var cand []int64
-	for lk, l := range p.leaves {
-		lx := int(lk >> 28 & (1<<28 - 1))
-		ly := int(lk & (1<<28 - 1))
-		if lx>>s != t.X || ly>>s != t.Y {
-			continue
-		}
+	t.Exemplars = t.Exemplars[:0]
+	p.under(t.Z, t.X, t.Y, func(l []Member) {
 		for i := 0; i < len(l) && i < p.cfg.Exemplars; i++ {
-			cand = append(cand, l[i].Doc)
+			t.addExemplar(l[i].Doc, p.cfg.Exemplars)
 		}
-	}
-	slices.Sort(cand)
-	if len(cand) > p.cfg.Exemplars {
-		cand = cand[:p.cfg.Exemplars]
-	}
-	t.Exemplars = cand
+	})
 }
 
 // Tile returns the live tile at (z, x, y), or nil when it is empty. The
@@ -551,48 +565,145 @@ func (p *Pyramid) Tile(z, x, y int) *Tile {
 	return p.tiles[key(z, x, y)]
 }
 
-// TileWhere builds the tile at (z, x, y) over only the member entries keep
-// accepts — byte-for-byte the aggregate a pyramid over the matching subset
-// would hold at that address, because every aggregate is an order-independent
-// pure function of the member set. The result is freshly allocated (callers
-// own it); nil when no member under the address matches. Cost is proportional
-// to the tile's member count, so filtered tile queries bypass the unfiltered
-// aggregates instead of approximating from them.
-func (p *Pyramid) TileWhere(z, x, y int, keep func(Entry) bool) *Tile {
-	if z < 0 || z > p.cfg.MaxZoom || x < 0 || y < 0 || x >= 1<<z || y >= 1<<z {
-		return nil
-	}
-	s := p.cfg.MaxZoom - z
-	g := p.cfg.Grid
-	n := 1 << z
-	var out *Tile
-	for lk, l := range p.leaves {
-		lx := int(lk >> 28 & (1<<28 - 1))
-		ly := int(lk & (1<<28 - 1))
-		if lx>>s != x || ly>>s != y {
+// Where is a metadata filter compiled against one pyramid (Pyramid.Where).
+type Where struct {
+	after, before int64
+	facets        [maxEntryFacets]uint32 // wanted IDs: facets[:nf]
+	nf            int
+	none          bool
+}
+
+// Where compiles "timestamp in [after, before] (0 open; a member without
+// one fails a bounded window) and every listed facet present" against p's
+// facet IDs. A facet p never interned, or more than 64, matches nothing.
+func (p *Pyramid) Where(after, before int64, facets []string) Where {
+	w := Where{after: after, before: before}
+	for _, f := range facets {
+		id, ok := p.ids[f]
+		if ok && slices.Contains(w.facets[:w.nf], id) {
 			continue
 		}
-		for _, e := range l {
-			if !keep(e) {
+		if !ok || w.nf == maxEntryFacets {
+			return Where{none: true}
+		}
+		w.facets[w.nf] = id
+		w.nf++
+	}
+	return w
+}
+
+// None reports whether the filter can match no member of its pyramid.
+func (w *Where) None() bool { return w.none }
+
+// Keep tests one member in place.
+func (w *Where) Keep(m *Member) bool {
+	if w.none || (w.after != 0 || w.before != 0) &&
+		(m.Time == 0 || w.after != 0 && m.Time < w.after || w.before != 0 && m.Time > w.before) {
+		return false
+	}
+	for _, id := range w.facets[:w.nf] {
+		if !slices.Contains(m.Facets, id) {
+			return false
+		}
+	}
+	return true
+}
+
+// denseSpan bounds TileWhere's counters: clusters below it, days within it
+// of the tile's first. A histogram reaching further is counted sparsely.
+const denseSpan = 1 << 16
+
+// TileWhere builds the tile at (z, x, y) over only the members w keeps —
+// the tile a pyramid over the matching subset holds there — freshly
+// allocated; nil when nothing matches. It descends under the address and
+// counts into the pyramid's dense counters (themes by cluster, days by
+// bucket, facets by ID), then emits each histogram by walking the
+// unfiltered tile's, which holds every key in order. Like Add, it needs the
+// caller's exclusive lock.
+func (p *Pyramid) TileWhere(z, x, y int, w *Where) *Tile {
+	if z < 0 || z > p.cfg.MaxZoom || x < 0 || y < 0 || x >= 1<<z || y >= 1<<z || w.none {
+		return nil
+	}
+	all := p.tiles[key(z, x, y)]
+	if all == nil {
+		return nil
+	}
+	var themes, times []uint32
+	if k := len(all.Themes); k > 0 && all.Themes[k-1].Cluster < denseSpan {
+		p.themeN = slices.Grow(p.themeN[:0], int(all.Themes[k-1].Cluster)+1)
+		themes = p.themeN[:int(all.Themes[k-1].Cluster)+1]
+	}
+	var lo int64
+	if k := len(all.Times); k > 0 && all.Times[k-1].Bucket-all.Times[0].Bucket < denseSpan {
+		lo = all.Times[0].Bucket
+		p.timeN = slices.Grow(p.timeN[:0], int(all.Times[k-1].Bucket-lo)+1)
+		times = p.timeN[:int(all.Times[k-1].Bucket-lo)+1]
+	}
+	p.facetN = slices.Grow(p.facetN[:0], len(p.dict))
+	facets := p.facetN[:len(p.dict)]
+	g, n := p.cfg.Grid, 1<<z
+	var out *Tile
+	p.under(z, x, y, func(l []Member) {
+		for i := range l {
+			m := &l[i]
+			if !w.Keep(m) {
 				continue
 			}
 			if out == nil {
-				out = &Tile{Z: z, X: x, Y: y, Density: make([]uint32, g*g)}
+				// Room for one more exemplar than kept: inserting never grows.
+				out = &Tile{Z: z, X: x, Y: y, Density: make([]uint32, g*g), Exemplars: make([]int64, 0, p.cfg.Exemplars+1)}
 			}
-			u, v := p.norm(e.X, e.Y)
-			gx := clampBin(u, n*g) - x*g
-			gy := clampBin(v, n*g) - y*g
+			u, v := p.norm(m.X, m.Y)
 			out.Docs++
-			out.Density[gy*g+gx]++
-			if e.Cluster >= 0 {
-				out.addTheme(e.Cluster, 1)
+			out.Density[(clampBin(v, n*g)-y*g)*g+clampBin(u, n*g)-x*g]++
+			if m.Cluster >= 0 && themes != nil {
+				themes[m.Cluster]++
+			} else if m.Cluster >= 0 {
+				out.addTheme(m.Cluster, 1)
 			}
-			out.addMeta(e, 1)
-			out.addExemplar(e.Doc, p.cfg.Exemplars)
+			if m.Time != 0 && times != nil {
+				times[TimeBucket(m.Time)-lo]++
+			} else if m.Time != 0 {
+				out.addTime(TimeBucket(m.Time), 1)
+			}
+			for _, id := range m.Facets {
+				facets[id]++
+			}
+			out.addExemplar(m.Doc, p.cfg.Exemplars)
+		}
+	})
+	if out == nil {
+		return nil
+	}
+	if themes != nil {
+		out.Themes = counted(all.Themes, func(h ThemeCount) *uint32 { return &themes[h.Cluster] })
+	}
+	if times != nil {
+		out.Times = counted(all.Times, func(h TimeCount) *uint32 { return &times[h.Bucket-lo] })
+	}
+	out.Facets = counted(all.Facets, func(h FacetCount) *uint32 { return &facets[p.ids[h.Facet]] })
+	return out
+}
+
+// counted walks the unfiltered histogram all, emitting (and zeroing) each
+// non-zero counter; nil when none. One allocation.
+func counted[H interface{ withDocs(int64) H }](all []H, counter func(H) *uint32) []H {
+	var out []H
+	for _, h := range all {
+		if c := counter(h); *c > 0 {
+			if out == nil {
+				out = make([]H, 0, len(all))
+			}
+			out = append(out, h.withDocs(int64(*c)))
+			*c = 0
 		}
 	}
 	return out
 }
+
+func (h ThemeCount) withDocs(n int64) ThemeCount { h.Docs = n; return h }
+func (h TimeCount) withDocs(n int64) TimeCount   { h.Docs = n; return h }
+func (h FacetCount) withDocs(n int64) FacetCount { h.Docs = n; return h }
 
 // window is one zoom level's inclusive admission box during a walk.
 type window struct{ x0, y0, x1, y1 int }
@@ -657,8 +768,14 @@ func (p *Pyramid) Range(z int, r Rect) (out []*Tile, pruned int) {
 	return out, pruned
 }
 
+// under visits the leaves under tile (z, x, y) through non-empty tiles.
+func (p *Pyramid) under(z, x, y int, visit func([]Member)) {
+	wins, _ := p.windows(p.cfg.MaxZoom, Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)})
+	p.search(&wins, z, x, y, visit)
+}
+
 // Search descends the quadtree to the leaf tiles admitted by r's bin
-// windows and hands each one's member entries (ascending by document ID) to
+// windows and hands each one's members (ascending by document ID) to
 // visit — the candidate set a spatial query then filters exactly — returning
 // the number of leaves visited and of non-empty subtrees pruned. Each
 // admitted leaf is visited once; the slice is the pyramid's own storage, so
@@ -666,7 +783,7 @@ func (p *Pyramid) Range(z int, r Rect) (out []*Tile, pruned int) {
 // copied or allocated: cost is proportional to the answer neighbourhood, not
 // the corpus, and a point inside r is always among the candidates (the
 // windows use the member binning arithmetic, clamping included).
-func (p *Pyramid) Search(r Rect, visit func(leaf []Entry)) (visited, pruned int) {
+func (p *Pyramid) Search(r Rect, visit func(leaf []Member)) (visited, pruned int) {
 	wins, ok := p.windows(p.cfg.MaxZoom, r)
 	if !ok {
 		return 0, 0
@@ -676,7 +793,7 @@ func (p *Pyramid) Search(r Rect, visit func(leaf []Entry)) (visited, pruned int)
 
 // search is Search's descent below tile (z, x, y): a method, not a recursive
 // closure, so the walk allocates nothing.
-func (p *Pyramid) search(wins *[maxMaxZoom + 1]window, z, x, y int, visit func([]Entry)) (visited, pruned int) {
+func (p *Pyramid) search(wins *[maxMaxZoom + 1]window, z, x, y int, visit func([]Member)) (visited, pruned int) {
 	if p.tiles[key(z, x, y)] == nil {
 		return 0, 0
 	}
@@ -770,14 +887,16 @@ func (p *Pyramid) Clone() *Pyramid {
 		cfg:    p.cfg,
 		b:      p.b,
 		tiles:  make(map[uint64]*Tile, len(p.tiles)),
-		leaves: make(map[uint64][]Entry, len(p.leaves)),
-		loc:    make(map[int64]Entry, len(p.loc)),
+		leaves: make(map[uint64][]Member, len(p.leaves)),
+		loc:    make(map[int64]Member, len(p.loc)),
+		dict:   slices.Clone(p.dict),
+		ids:    maps.Clone(p.ids),
 	}
 	for k, t := range p.tiles {
 		cp.tiles[k] = t.Clone()
 	}
 	for k, l := range p.leaves {
-		cp.leaves[k] = append([]Entry(nil), l...)
+		cp.leaves[k] = append([]Member(nil), l...)
 	}
 	for d, e := range p.loc {
 		cp.loc[d] = e

@@ -119,7 +119,7 @@ func TestZoomNesting(t *testing.T) {
 // oracleSearch is the copying Search the visitor replaced, kept verbatim as
 // the test oracle: the candidate entries of every admitted leaf, copied out,
 // plus the visited and pruned counts.
-func oracleSearch(p *Pyramid, r Rect) (cands []Entry, visited, pruned int) {
+func oracleSearch(p *Pyramid, r Rect) (cands []Member, visited, pruned int) {
 	wins, ok := p.windows(p.cfg.MaxZoom, r)
 	if !ok {
 		return nil, 0, 0
@@ -160,7 +160,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	own := map[*Entry]bool{} // the pyramid's own leaf storage
+	own := map[*Member]bool{} // the pyramid's own leaf storage
 	for _, l := range p.leaves {
 		own[&l[0]] = true
 	}
@@ -179,10 +179,10 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		boxes = append(boxes, Rect{MinX: cx - r, MinY: cy - r, MaxX: cx + r, MaxY: cy + r})
 	}
 	for _, q := range boxes {
-		var cands []Entry
-		seen := map[*Entry]bool{}
+		var cands []Member
+		seen := map[*Member]bool{}
 		calls := 0
-		visited, pruned := p.Search(q, func(leaf []Entry) {
+		visited, pruned := p.Search(q, func(leaf []Member) {
 			calls++
 			if len(leaf) == 0 {
 				t.Fatalf("query %v: visited an empty leaf", q)
@@ -233,7 +233,7 @@ func TestSearchAllocFree(t *testing.T) {
 	for _, q := range []Rect{{MinX: 0.4, MinY: 0.4, MaxX: 0.5, MaxY: 0.5}, {MinX: -9, MinY: -9, MaxX: 9, MaxY: 9}} {
 		n := 0
 		got := testing.AllocsPerRun(100, func() {
-			p.Search(q, func(leaf []Entry) { n += len(leaf) })
+			p.Search(q, func(leaf []Member) { n += len(leaf) })
 		})
 		if got != 0 || n == 0 {
 			t.Fatalf("Search(%v) allocates %v objects/op over %d candidates, want 0", q, got, n)
