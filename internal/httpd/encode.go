@@ -1,9 +1,11 @@
 package httpd
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
 	"slices"
 	"strconv"
@@ -31,14 +33,8 @@ func appendReply(dst []byte, r *Reply) ([]byte, error) {
 	dst = append(dst, `,"count":`...)
 	dst = appendInt(dst, int64(r.Count))
 	if len(r.Postings) > 0 {
-		dst = append(dst, `,"postings":[`...)
-		for i, p := range r.Postings {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendIntPair(dst, `{"Doc":`, p.Doc, `,"Freq":`, p.Freq)
-		}
-		dst = append(dst, ']')
+		dst = append(dst, `,"postings":`...)
+		dst = appendPostings(dst, r.Postings)
 	}
 	if len(r.Docs) > 0 {
 		dst = append(dst, `,"docs":`...)
@@ -103,14 +99,8 @@ func appendTile(dst []byte, t *serve.TileResult) []byte {
 	dst = append(dst, `,"grid":`...)
 	dst = appendInt(dst, int64(t.Grid))
 	if len(t.Density) > 0 {
-		dst = append(dst, `,"density":[`...)
-		for i, c := range t.Density {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendInt(dst, int64(c))
-		}
-		dst = append(dst, ']')
+		dst = append(dst, `,"density":`...)
+		dst = appendInts(dst, t.Density)
 	}
 	if len(t.Themes) > 0 {
 		dst = append(dst, `,"themes":[`...)
@@ -128,7 +118,11 @@ func appendTile(dst []byte, t *serve.TileResult) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendIntPair(dst, `{"Bucket":`, tc.Bucket, `,"Docs":`, tc.Docs)
+			dst = append(dst, `{"Bucket":`...)
+			dst = appendInt(dst, tc.Bucket)
+			dst = append(dst, `,"Docs":`...)
+			dst = appendInt(dst, tc.Docs)
+			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
 	}
@@ -169,78 +163,164 @@ func appendFacetCount(dst []byte, fc tiles.FacetCount) []byte {
 	return append(dst, '}')
 }
 
-// appendIntPair appends a two-integer object (a Posting, a TimeCount); k1
-// and k2 are the keys spelled with their punctuation.
-func appendIntPair(dst []byte, k1 string, a int64, k2 string, b int64) []byte {
-	dst = append(dst, k1...)
-	dst = appendInt(dst, a)
-	dst = append(dst, k2...)
-	dst = appendInt(dst, b)
-	return append(dst, '}')
+// The integer path. Replies are mostly document IDs and counts, so a number
+// below 1e8 is a few stores into dst, its digits four at a time from digits4;
+// an array grows dst once to the most its fast path can write, then writes by
+// index. Anything else takes strconv, and inside an array the first such
+// value hands the rest of the array to an appending loop.
+
+// digits4[v] is the four ASCII digits of v < 1e4, zero-padded, as the
+// little-endian word a 4-byte store writes in order: 40 KB.
+var digits4 [1e4]uint32
+
+// pow10 are the thresholds of putSmall's digit count; it indexes at most 4,
+// and the array's 8 entries let a mask stand for the bounds check.
+var pow10 = [8]uint32{1, 10, 100, 1e3, 1e4}
+
+// The fixed keys of a posting, as the little-endian words that write them in
+// one 8-byte store: the first posting opens the array.
+var (
+	keyDocFirst = le64(`[{"Doc":`)
+	keyDoc      = le64(`,{"Doc":`)
+	keyFreq     = le64(`,"Freq":`)
+)
+
+func le64(s string) uint64 { return binary.LittleEndian.Uint64([]byte(s)) }
+
+func init() {
+	for v := range digits4 {
+		digits4[v] = binary.LittleEndian.Uint32([]byte{
+			byte('0' + v/1000), byte('0' + v/100%10), byte('0' + v/10%10), byte('0' + v%10)})
+	}
 }
 
-func appendInts(dst []byte, v []int64) []byte {
-	dst = append(dst, '[')
-	for i, n := range v {
-		if i > 0 {
-			dst = append(dst, ',')
+// Most bytes the fast paths write per element, separators included: a
+// number below 1e8 touches at most 8 bytes from where it starts, whatever its
+// length.
+const (
+	intSpan     = 8
+	postingSpan = 8 + intSpan + 8 + intSpan + 1 // key, Doc, key, Freq, '}'
+)
+
+// putSmall writes u < 1e4 at b[i:] in one 4-byte store, shifted to drop the
+// leading zeros, and returns the index past its digits. The digit count is
+// ⌊log10⌋ estimated from the bit length (1233/4096 ≈ log10 2), corrected by
+// one compare.
+func putSmall(b []byte, i int, u uint32) int {
+	n := bits.Len32(u|1) * 1233 >> 12
+	if u|1 >= pow10[n&7] {
+		n++
+	}
+	binary.LittleEndian.PutUint32(b[i:], digits4[u]>>(32-8*n))
+	return i + n
+}
+
+// putLarge writes 1e4 ≤ u < 1e8 at b[i:] like putSmall: the high half, then
+// four digits. Together they may touch intSpan bytes from i. Callers choose
+// between the two themselves: a helper that chose would not inline.
+func putLarge(b []byte, i int, u uint32) int {
+	hi := u / 1e4
+	i = putSmall(b, i, hi)
+	binary.LittleEndian.PutUint32(b[i:], digits4[u-hi*1e4])
+	return i + 4
+}
+
+// appendInt is strconv.AppendInt(dst, n, 10), by putSmall or putLarge for
+// 0 ≤ n < 1e8.
+func appendInt(dst []byte, n int64) []byte {
+	if uint64(n) >= 1e8 {
+		return strconv.AppendInt(dst, n, 10)
+	}
+	i := len(dst)
+	b := slices.Grow(dst, intSpan)[:i+intSpan]
+	if n < 1e4 {
+		return b[:putSmall(b, i, uint32(n))]
+	}
+	return b[:putLarge(b, i, uint32(n))]
+}
+
+// appendInts appends v as a JSON array: a doc-ID list, a density raster.
+func appendInts[T int64 | uint32](dst []byte, v []T) []byte {
+	if len(v) == 0 {
+		return append(dst, "[]"...)
+	}
+	i := len(dst)
+	b := slices.Grow(dst, len(v)*(1+intSpan)+1)
+	b = b[:cap(b)]
+	sep := byte('[')
+	for j, n := range v {
+		if uint64(n) >= 1e8 {
+			return appendIntsFrom(b[:i], v[j:], sep)
 		}
-		dst = appendInt(dst, n)
+		b[i] = sep
+		sep = ','
+		if n < 1e4 {
+			i = putSmall(b, i+1, uint32(n))
+		} else {
+			i = putLarge(b, i+1, uint32(n))
+		}
+	}
+	b[i] = ']'
+	return b[:i+1]
+}
+
+// appendIntsFrom finishes an array by appendInt, from an element that needs
+// strconv; sep is what precedes the first.
+func appendIntsFrom[T int64 | uint32](dst []byte, v []T, sep byte) []byte {
+	for _, n := range v {
+		dst = appendInt(append(dst, sep), int64(n))
+		sep = ','
 	}
 	return append(dst, ']')
 }
 
-// digitPairs is "00" "01" … "99": two decimal digits per table read.
-const digitPairs = "" +
-	"00010203040506070809" + "10111213141516171819" +
-	"20212223242526272829" + "30313233343536373839" +
-	"40414243444546474849" + "50515253545556575859" +
-	"60616263646566676869" + "70717273747576777879" +
-	"80818283848586878889" + "90919293949596979899"
+// appendPostings appends ps as a JSON array of {"Doc","Freq"}.
+func appendPostings(dst []byte, ps []query.Posting) []byte {
+	if len(ps) == 0 {
+		return append(dst, "[]"...)
+	}
+	i := len(dst)
+	b := slices.Grow(dst, len(ps)*postingSpan+1)
+	b = b[:cap(b)]
+	key := keyDocFirst
+	for j, p := range ps {
+		if uint64(p.Doc) >= 1e8 || uint64(p.Freq) >= 1e8 {
+			return appendPostingsFrom(b[:i], ps[j:], byte(key)) // the key's first byte
+		}
+		binary.LittleEndian.PutUint64(b[i:], key)
+		key = keyDoc
+		if p.Doc < 1e4 {
+			i = putSmall(b, i+8, uint32(p.Doc))
+		} else {
+			i = putLarge(b, i+8, uint32(p.Doc))
+		}
+		binary.LittleEndian.PutUint64(b[i:], keyFreq)
+		switch {
+		case p.Freq < 10:
+			b[i+8] = byte('0' + p.Freq)
+			i += 9
+		case p.Freq < 1e4:
+			i = putSmall(b, i+8, uint32(p.Freq))
+		default:
+			i = putLarge(b, i+8, uint32(p.Freq))
+		}
+		b[i] = '}'
+		i++
+	}
+	b[i] = ']'
+	return b[:i+1]
+}
 
-// appendInt is strconv.AppendInt(dst, n, 10) for the integers replies are
-// made of — document IDs and counts, tens of thousands per reply — written
-// straight into dst instead of through strconv's scratch array and copy.
-// Anything outside [0, 1e9) takes strconv.
-func appendInt(dst []byte, n int64) []byte {
-	if n < 0 || n >= 1e9 {
-		return strconv.AppendInt(dst, n, 10)
+// appendPostingsFrom finishes a postings array by appendInt, from a posting
+// that needs strconv; sep is what precedes the first.
+func appendPostingsFrom(dst []byte, ps []query.Posting, sep byte) []byte {
+	for _, p := range ps {
+		dst = appendInt(append(append(dst, sep), `{"Doc":`...), p.Doc)
+		dst = appendInt(append(dst, `,"Freq":`...), p.Freq)
+		dst = append(dst, '}')
+		sep = ','
 	}
-	u := uint32(n)
-	digits := 9
-	switch { // small first: frequencies are one digit, document IDs a few
-	case u < 10:
-		digits = 1
-	case u < 100:
-		digits = 2
-	case u < 1e3:
-		digits = 3
-	case u < 1e4:
-		digits = 4
-	case u < 1e5:
-		digits = 5
-	case u < 1e6:
-		digits = 6
-	case u < 1e7:
-		digits = 7
-	case u < 1e8:
-		digits = 8
-	}
-	i := len(dst) + digits
-	dst = slices.Grow(dst, digits)[:i]
-	for u >= 100 {
-		q := u / 100
-		p := (u - q*100) * 2
-		u = q
-		i -= 2
-		dst[i], dst[i+1] = digitPairs[p], digitPairs[p+1]
-	}
-	if u >= 10 {
-		dst[i-2], dst[i-1] = digitPairs[u*2], digitPairs[u*2+1]
-	} else {
-		dst[i-1] = byte('0' + u)
-	}
-	return dst
+	return append(dst, ']')
 }
 
 // appendFloat spells f the way encoding/json does: ES6 number-to-string —

@@ -95,6 +95,7 @@ func FuzzAppendReply(f *testing.F) {
 		okBit   = 1 << 19
 		errBit  = 1 << 20
 		lblBit  = 1 << 21
+		fastBit = 1 << 22 // integers mostly below 1e8: long fast runs, rare fallbacks
 	)
 	f.Add(uint32(filled), uint8(3), "term", "", "", 0.5, int64(1))
 	f.Add(uint32(filled<<2), uint8(40), "and", "", "", 0.5, int64(2))
@@ -109,12 +110,19 @@ func FuzzAppendReply(f *testing.F) {
 	f.Add(uint32(tileBit|lblBit|0xaaaa), uint8(5), "tile", "", nasty, 123456789.125, int64(11))
 	f.Add(uint32(filled<<4), uint8(1), "similar", "", "", math.NaN(), int64(12))
 	f.Add(uint32(filled<<4), uint8(2), "similar", "", "", math.Copysign(0, -1), int64(13))
+	// Arrays that switch to the fallback part-way: postings, docs, density
+	// and exemplars of mostly fast integers, a few needing strconv.
+	f.Add(uint32(fastBit|tileBit|filled|filled<<2|filled<<6|filled<<14), uint8(200), "term", "", "", 0.5, int64(14))
+	f.Add(uint32(fastBit|tileBit|filled|filled<<2|filled<<6|filled<<14), uint8(64), "or", "", "", 0.5, int64(15))
 
 	f.Fuzz(func(t *testing.T, shape uint32, n uint8, op, msg, label string, score float64, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		// Integers spread over sign and magnitude: small, zero, negative,
 		// and the 64-bit extremes.
 		num := func() int64 {
+			if shape&fastBit != 0 && rng.Intn(32) != 0 {
+				return rng.Int63n(int64(math.Pow10(1 + rng.Intn(8)))) // 1 to 8 digits
+			}
 			switch rng.Intn(8) {
 			case 0:
 				return 0
@@ -320,6 +328,75 @@ func TestAppendIntMatchesStrconv(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			check(p + rng.Int63n(9*p))
 		}
+	}
+}
+
+// digitEdges are the integers at every digit-count edge of the integer
+// writer — each side of 10^k up to 1e9, where putSmall's single store,
+// putLarge's two and strconv take over — and the signed extremes.
+var digitEdges = []int64{
+	0, 9, 10, 99, 100, 999, 1e3, 9999, 1e4, 99999, 1e5, 999999, 1e6,
+	1e7 - 1, 1e7, 1e8 - 1, 1e8, 1e9 - 1, 1e9, -1, math.MinInt64, math.MaxInt64,
+}
+
+// TestIntWritersAtDigitEdges holds the array writers against encoding/json
+// at each digit-count edge (TestAppendIntMatchesStrconv covers appendInt
+// alone): the value as a posting's Doc and as its Freq, as a doc-array
+// element, an exemplar and a density count; first, in the middle and last of
+// its array among values of both paths; and arrays of zero and one element.
+func TestIntWritersAtDigitEdges(t *testing.T) {
+	// Neighbours of each path: a one-digit and a five-digit fast value, and
+	// one that needs strconv.
+	const small, large, slow = 7, 12345, 123456789
+	for _, v := range digitEdges {
+		arrays := [][]int64{
+			{v}, {v, small, large, slow}, {small, v, large}, {slow, v, small},
+			{small, large, v}, {slow, small, v}, {small, slow, large, v},
+		}
+		for _, a := range arrays {
+			want, err := json.Marshal(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendInts([]byte("x"), a); string(got) != "x"+string(want) {
+				t.Fatalf("appendInts(%v) = %s, want x%s", a, got, want)
+			}
+			if v < 0 || v > math.MaxUint32 {
+				continue
+			}
+			counts := make([]uint32, len(a))
+			for i, n := range a {
+				counts[i] = uint32(n)
+			}
+			want, _ = json.Marshal(counts)
+			if got := appendInts([]byte("x"), counts); string(got) != "x"+string(want) {
+				t.Fatalf("appendInts(%v) = %s, want x%s", counts, got, want)
+			}
+			checkEncoding(t, &Reply{Op: "tile", Tile: &serve.TileResult{Grid: 2, Density: counts, Exemplars: a}})
+		}
+		for _, a := range arrays {
+			checkEncoding(t, &Reply{Op: "or", Count: len(a), Docs: a})
+			for _, asDoc := range []bool{true, false} {
+				ps := make([]query.Posting, len(a))
+				for i, n := range a {
+					ps[i] = query.Posting{Doc: n, Freq: small}
+					if !asDoc {
+						ps[i] = query.Posting{Doc: int64(i), Freq: n}
+					}
+				}
+				checkEncoding(t, &Reply{Op: "term", Count: len(ps), Postings: ps})
+			}
+		}
+		checkEncoding(t, &Reply{Op: "term", Count: 1, Postings: []query.Posting{{Doc: v, Freq: v}}})
+	}
+	for _, a := range [][]int64{nil, {}} {
+		if got := appendInts([]byte("x"), a); string(got) != "x[]" {
+			t.Fatalf("appendInts(%#v) = %s, want x[]", a, got)
+		}
+		checkEncoding(t, &Reply{Op: "and", Docs: a, Postings: []query.Posting{}})
+	}
+	if got := appendPostings([]byte("x"), []query.Posting{}); string(got) != "x[]" {
+		t.Fatalf("appendPostings of no postings = %s, want x[]", got)
 	}
 }
 

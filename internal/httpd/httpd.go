@@ -414,6 +414,11 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.
 	if p.err != nil {
 		err = p.err
 	}
+	if err == nil && op != "add" && op != "delete" && ctx.Err() != nil {
+		// Some Querier reads drop their error and answer an empty list; a
+		// read whose request ended answers the context's error instead.
+		rep, err = Reply{Op: op}, ctx.Err()
+	}
 	if err != nil {
 		rep.fail(err)
 	}

@@ -115,6 +115,34 @@ func TestErrorCodeFollowsKindNotText(t *testing.T) {
 	}
 }
 
+// TestCancelledReadIsAnError pins the outcome of a read whose request
+// context ended before it answered: a 500 internal envelope on every read
+// route, mono and routed, filtered or not — never a 200 with an empty list.
+func TestCancelledReadIsAnError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, shards := range []int{1, 3} {
+		mux := New(buildService(t, shards), "").Mux()
+		for _, route := range []string{
+			"/v1/term?q=apple", "/v1/df?q=apple", "/v1/and?q=apple,banana",
+			"/v1/or?q=apple,durian", "/v1/similar?doc=0&k=3", "/v1/theme?cluster=0",
+			"/v1/near?x=0&y=0&r=2", "/v1/tiles/0/0/0?session=a",
+		} {
+			for _, filter := range []string{"", "&after=1"} {
+				rec := httptest.NewRecorder()
+				mux.ServeHTTP(rec, httptest.NewRequestWithContext(ctx, http.MethodGet, route+filter, nil))
+				var env Envelope
+				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+					t.Fatalf("%d shards: %s%s: %v", shards, route, filter, err)
+				}
+				if rec.Code != http.StatusInternalServerError || env.OK || env.Error == nil || env.Error.Code != CodeInternal {
+					t.Fatalf("%d shards: cancelled %s%s = %d %s, want 500 %s", shards, route, filter, rec.Code, rec.Body, CodeInternal)
+				}
+			}
+		}
+	}
+}
+
 // TestMalformedNumbersAreBadRequests pins that a numeric parameter that does
 // not parse is refused on both transports — 400 bad_request over HTTP, an
 // in-band error on the line protocol — instead of aliasing to

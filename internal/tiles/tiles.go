@@ -794,15 +794,24 @@ func (p *Pyramid) Search(r Rect, visit func(leaf []Member)) (visited, pruned int
 // search is Search's descent below tile (z, x, y): a method, not a recursive
 // closure, so the walk allocates nothing.
 func (p *Pyramid) search(wins *[maxMaxZoom + 1]window, z, x, y int, visit func([]Member)) (visited, pruned int) {
+	if z == p.cfg.MaxZoom {
+		// A leaf tile exists exactly when it has members (Add, Remove), so
+		// one lookup is both the existence test and the visit.
+		l := p.leaves[key(z, x, y)]
+		if len(l) == 0 {
+			return 0, 0
+		}
+		if !wins[z].admits(x, y) {
+			return 0, 1
+		}
+		visit(l)
+		return 1, 0
+	}
 	if p.tiles[key(z, x, y)] == nil {
 		return 0, 0
 	}
 	if !wins[z].admits(x, y) {
 		return 0, 1
-	}
-	if z == p.cfg.MaxZoom {
-		visit(p.leaves[key(z, x, y)])
-		return 1, 0
 	}
 	for dy := 0; dy < 2; dy++ {
 		for dx := 0; dx < 2; dx++ {
