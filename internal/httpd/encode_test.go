@@ -534,11 +534,21 @@ func BenchmarkEncodeReply(b *testing.B) {
 	for i := range hits.Hits {
 		hits.Hits[i] = query.Hit{Doc: int64(1000 + 13*i), Score: 0.98765432 / float64(i+1)}
 	}
+	// termMix3000's Freq run the way lookup-hot's postings do: two in three
+	// of one digit, the rest of two, in an order no branch predictor learns.
+	rng := rand.New(rand.NewSource(3))
+	termMix := termReply(3000)
+	for i := range termMix.Postings {
+		if rng.Intn(3) == 0 {
+			termMix.Postings[i].Freq = int64(10 + rng.Intn(90))
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		rep  *Reply
 	}{
 		{"term3000", termReply(3000)},
+		{"termMix3000", termMix},
 		{"docs3000", docs},
 		{"tile", tile},
 		{"hits10", hits},

@@ -414,10 +414,12 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.
 	if p.err != nil {
 		err = p.err
 	}
-	if err == nil && op != "add" && op != "delete" && ctx.Err() != nil {
-		// Some Querier reads drop their error and answer an empty list; a
-		// read whose request ended answers the context's error instead.
-		rep, err = Reply{Op: op}, ctx.Err()
+	switch op {
+	case "term", "df", "and", "or", "theme", "near":
+		// querier.read (internal/serve/exec.go) drops these reads' errors.
+		if err == nil && ctx.Err() != nil {
+			rep, err = Reply{Op: op}, ctx.Err()
+		}
 	}
 	if err != nil {
 		rep.fail(err)
