@@ -186,16 +186,16 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			fmt.Printf("serving %d documents, %d terms, %d themes across %d shards x %d replicas (producing run P=%d)\n",
-				st.TotalDocs, st.VocabSize, st.K, *shards, *replicas, st.P)
+			fmt.Printf("serving %d documents, %d terms, %d themes across %d shards x %d replicas\n",
+				st.TotalDocs, st.VocabSize, st.K, *shards, *replicas)
 			svc = r
 		} else {
 			srv, err := serve.NewService(serve.Options{Store: st, Config: cfg})
 			if err != nil {
 				fail(err)
 			}
-			fmt.Printf("serving %d documents, %d terms, %d themes (producing run P=%d)\n",
-				st.TotalDocs, st.VocabSize, st.K, st.P)
+			fmt.Printf("serving %d documents, %d terms, %d themes\n",
+				st.TotalDocs, st.VocabSize, st.K)
 			svc = srv
 		}
 	}

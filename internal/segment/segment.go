@@ -36,12 +36,8 @@ type Segment struct {
 	// knowledge signature (nil = null signature).
 	SigM    int
 	SigVecs [][]float64
-	// Times[i] is Docs[i]'s ingest timestamp (unix seconds; 0 = none). A nil
-	// vector means no document in the segment is timestamped.
-	Times []int64
-	// Facets[i] is Docs[i]'s facet strings ("key=value", strictly
-	// ascending); nil rows and a nil outer slice mean no facets.
-	Facets [][]string
+	// Meta holds the metadata rows of the segment's documents.
+	Meta Meta
 
 	// sigNorms and sigSketch are derived from SigVecs on the first
 	// similarity scan.
@@ -56,30 +52,6 @@ func (s *Segment) SigNorms() []float64 { return s.sigNorms.Of(s.SigVecs) }
 // SigSketch returns the low-rank summary of the signatures. Read-only.
 func (s *Segment) SigSketch() *signature.Sketch {
 	return s.sigSketch.Of(s.SigM, s.SigVecs, s.SigNorms())
-}
-
-// Meta returns doc's ingest timestamp and facet strings; ok is false for a
-// document outside the segment. The returned slice aliases segment state and
-// must not be mutated.
-func (s *Segment) Meta(doc int64) (ts int64, facets []string, ok bool) {
-	i := s.row(doc)
-	if i < 0 {
-		return 0, nil, false
-	}
-	ts, facets = s.MetaAt(i)
-	return ts, facets, true
-}
-
-// MetaAt returns row i's ingest timestamp and facet strings ((0, nil) when
-// the segment carries no metadata); the slice aliases segment state.
-func (s *Segment) MetaAt(i int) (ts int64, facets []string) {
-	if s.Times != nil {
-		ts = s.Times[i]
-	}
-	if s.Facets != nil {
-		facets = s.Facets[i]
-	}
-	return ts, facets
 }
 
 // row returns doc's row, -1 when the segment does not cover it.
@@ -112,17 +84,13 @@ func (s *Segment) Postings() int64 {
 }
 
 // ShipBytes returns the byte volume shipping this segment to a replica
-// moves: the block-compressed posting store, the document table, and the
-// signature vectors. The replica catch-up path counts it as CatchUpBytes.
+// moves: the block-compressed posting store, the document table, the
+// signature vectors and the metadata. The replica catch-up path counts it
+// as CatchUpBytes.
 func (s *Segment) ShipBytes() int64 {
-	n := s.Posts.SizeBytes() + int64(8*len(s.Docs)) + int64(8*len(s.Times))
+	n := s.Posts.SizeBytes() + int64(8*len(s.Docs)) + s.Meta.SizeBytes()
 	for _, v := range s.SigVecs {
 		n += int64(8 * len(v))
-	}
-	for _, fs := range s.Facets {
-		for _, f := range fs {
-			n += int64(len(f))
-		}
 	}
 	return n
 }
@@ -148,17 +116,6 @@ func (s *Segment) Validate() error {
 		return fmt.Errorf("segment: %d signatures for %d docs", len(s.SigVecs), len(s.Docs))
 	case s.SigM < 0:
 		return fmt.Errorf("segment: negative signature dimensionality")
-	case s.Times != nil && len(s.Times) != len(s.Docs):
-		return fmt.Errorf("segment: %d timestamps for %d docs", len(s.Times), len(s.Docs))
-	case s.Facets != nil && len(s.Facets) != len(s.Docs):
-		return fmt.Errorf("segment: %d facet rows for %d docs", len(s.Facets), len(s.Docs))
-	}
-	for i, fs := range s.Facets {
-		for j, f := range fs {
-			if f == "" || (j > 0 && f <= fs[j-1]) {
-				return fmt.Errorf("segment: doc %d facets not strictly ascending", s.Docs[i])
-			}
-		}
 	}
 	for i, d := range s.Docs {
 		if d < 0 {
@@ -170,6 +127,9 @@ func (s *Segment) Validate() error {
 		if v := s.SigVecs[i]; v != nil && len(v) != s.SigM {
 			return fmt.Errorf("segment: doc %d signature has dim %d, want %d", d, len(v), s.SigM)
 		}
+	}
+	if err := s.Meta.Validate(s.Docs); err != nil {
+		return err
 	}
 	if err := s.Posts.Validate(); err != nil {
 		return err
@@ -226,17 +186,12 @@ func (d *Delta) NumDocs() int { return len(d.docs) }
 // Contains reports whether doc is buffered.
 func (d *Delta) Contains(doc int64) bool { return d.seen[doc] }
 
-// Add buffers one document: its in-document term counts (dense term ID ->
-// frequency; every key must be within the vocabulary) and its signature
-// (nil = null). Documents may arrive in any ID order — Seal sorts — but each
-// ID at most once.
-func (d *Delta) Add(doc int64, counts map[int64]int64, sig []float64) error {
-	return d.AddMeta(doc, counts, sig, 0, nil)
-}
-
-// AddMeta is Add carrying the document's metadata: its ingest timestamp
-// (unix seconds; 0 = none) and facet strings, which must be strictly
-// ascending. The facets slice is retained; callers must not mutate it.
+// AddMeta buffers one document: its in-document term counts (dense term ID
+// -> frequency; every key must be within the vocabulary), its signature
+// (nil = null) and its metadata — ingest timestamp (unix seconds; 0 = none)
+// and facet strings, strictly ascending and at most MaxRowFacets. Documents
+// may arrive in any ID order — Seal sorts — but each ID at most once. The
+// facets slice is retained; callers must not mutate it.
 func (d *Delta) AddMeta(doc int64, counts map[int64]int64, sig []float64, ts int64, facets []string) error {
 	switch {
 	case doc < 0:
@@ -245,6 +200,9 @@ func (d *Delta) AddMeta(doc int64, counts map[int64]int64, sig []float64, ts int
 		return fmt.Errorf("segment: doc %d already buffered", doc)
 	case sig != nil && len(sig) != d.sigM:
 		return fmt.Errorf("segment: doc %d signature has dim %d, want %d", doc, len(sig), d.sigM)
+	}
+	if len(facets) > MaxRowFacets {
+		return fmt.Errorf("segment: doc %d has %d facets (max %d)", doc, len(facets), MaxRowFacets)
 	}
 	for i, f := range facets {
 		if f == "" || (i > 0 && f <= facets[i-1]) {
@@ -258,9 +216,6 @@ func (d *Delta) AddMeta(doc int64, counts map[int64]int64, sig []float64, ts int
 		if c <= 0 {
 			return fmt.Errorf("segment: doc %d has count %d for term %d", doc, c, t)
 		}
-	}
-	if len(facets) == 0 {
-		facets = nil
 	}
 	d.seen[doc] = true
 	d.docs = append(d.docs, doc)
@@ -287,21 +242,11 @@ func (d *Delta) Seal() (*Segment, error) {
 	sort.Slice(order, func(a, b int) bool { return d.docs[order[a]] < d.docs[order[b]] })
 	docs := make([]int64, len(order))
 	sigs := make([][]float64, len(order))
-	times := make([]int64, len(order))
-	facets := make([][]string, len(order))
-	anyMeta := false
+	var meta MetaBuilder
 	for r, i := range order {
 		docs[r] = d.docs[i]
 		sigs[r] = d.sigs[i]
-		times[r] = d.times[i]
-		facets[r] = d.facets[i]
-		if times[r] != 0 || facets[r] != nil {
-			anyMeta = true
-		}
-	}
-	if !anyMeta {
-		// Metadata-free segments carry nil vectors (see Segment.Times).
-		times, facets = nil, nil
+		meta.Add(docs[r], d.times[i], d.facets[i])
 	}
 
 	w := postings.NewWriter(d.postings)
@@ -323,7 +268,7 @@ func (d *Delta) Seal() (*Segment, error) {
 			return nil, fmt.Errorf("segment: seal: %w", err)
 		}
 	}
-	seg := &Segment{Docs: docs, Posts: w.Finish(), SigM: d.sigM, SigVecs: sigs, Times: times, Facets: facets}
+	seg := &Segment{Docs: docs, Posts: w.Finish(), SigM: d.sigM, SigVecs: sigs, Meta: meta.Meta()}
 	*d = Delta{}
 	return seg, nil
 }
@@ -354,10 +299,12 @@ func Merge(segs []*Segment, dead func(doc int64) bool) (*Segment, error) {
 	}
 
 	// Merge the document lists (each ascending), their signatures and their
-	// metadata.
+	// metadata rows (re-interned into one dictionary); mpos is each
+	// segment's next metadata row.
 	out := &Segment{SigM: sigM}
-	pos := make([]int, len(segs))
-	anyMeta := false
+	pos, mpos := make([]int, len(segs)), make([]int, len(segs))
+	var meta MetaBuilder
+	var facets []string
 	for {
 		best := -1
 		for i, s := range segs {
@@ -371,22 +318,24 @@ func Merge(segs []*Segment, dead func(doc int64) bool) (*Segment, error) {
 		if best < 0 {
 			break
 		}
-		d := segs[best].Docs[pos[best]]
+		s := segs[best]
+		d := s.Docs[pos[best]]
+		row := mpos[best]
+		hasRow := row < len(s.Meta.Docs) && s.Meta.Docs[row] == d
+		if hasRow {
+			mpos[best]++
+		}
 		if !dead(d) {
 			out.Docs = append(out.Docs, d)
-			out.SigVecs = append(out.SigVecs, segs[best].SigVecs[pos[best]])
-			ts, fs := segs[best].MetaAt(pos[best])
-			out.Times = append(out.Times, ts)
-			out.Facets = append(out.Facets, fs)
-			if ts != 0 || fs != nil {
-				anyMeta = true
+			out.SigVecs = append(out.SigVecs, s.SigVecs[pos[best]])
+			if hasRow {
+				facets = s.Meta.AppendFacets(facets[:0], row)
+				meta.Add(d, s.Meta.Times[row], facets)
 			}
 		}
 		pos[best]++
 	}
-	if !anyMeta {
-		out.Times, out.Facets = nil, nil
-	}
+	out.Meta = meta.Meta()
 
 	// Merge each term's posting lists the same way.
 	w := postings.NewWriter(total)

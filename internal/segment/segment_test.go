@@ -11,7 +11,7 @@ func buildSeg(t *testing.T, vocab int64, sigM int, docs map[int64]map[int64]int6
 	t.Helper()
 	d := NewDelta(vocab, sigM)
 	for doc, counts := range docs {
-		if err := d.Add(doc, counts, sigs[doc]); err != nil {
+		if err := d.AddMeta(doc, counts, sigs[doc], 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,22 +67,22 @@ func TestDeltaSealSortsAndIndexes(t *testing.T) {
 
 func TestDeltaRejects(t *testing.T) {
 	d := NewDelta(4, 2)
-	if err := d.Add(-1, nil, nil); err == nil {
+	if err := d.AddMeta(-1, nil, nil, 0, nil); err == nil {
 		t.Fatal("negative doc accepted")
 	}
-	if err := d.Add(1, map[int64]int64{5: 1}, nil); err == nil {
+	if err := d.AddMeta(1, map[int64]int64{5: 1}, nil, 0, nil); err == nil {
 		t.Fatal("out-of-vocab term accepted")
 	}
-	if err := d.Add(1, map[int64]int64{0: 0}, nil); err == nil {
+	if err := d.AddMeta(1, map[int64]int64{0: 0}, nil, 0, nil); err == nil {
 		t.Fatal("zero count accepted")
 	}
-	if err := d.Add(1, nil, []float64{1}); err == nil {
+	if err := d.AddMeta(1, nil, []float64{1}, 0, nil); err == nil {
 		t.Fatal("wrong-dim signature accepted")
 	}
-	if err := d.Add(1, map[int64]int64{0: 1}, nil); err != nil {
+	if err := d.AddMeta(1, map[int64]int64{0: 1}, nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Add(1, map[int64]int64{0: 1}, nil); err == nil {
+	if err := d.AddMeta(1, map[int64]int64{0: 1}, nil, 0, nil); err == nil {
 		t.Fatal("duplicate doc accepted")
 	}
 }

@@ -79,16 +79,11 @@ func (st *Store) prepareDoc(text string) (counts map[int64]int64, sig []float64)
 	return counts, sig
 }
 
-// Add ingests one document, assigning it the next document ID, and returns
-// the ID. The document becomes visible to queries when its delta seals
-// (LivePolicy.SealDocs, or Flush).
-func (st *Store) Add(text string) (int64, error) {
-	return st.AddMeta(text, 0, nil)
-}
-
-// AddMeta ingests one document with its metadata: an ingest timestamp
-// (0 = none) and "key=value" facets (see meta.go). Filtered queries match the
-// document by exactly this metadata from the epoch its delta seals.
+// AddMeta ingests one document with its metadata — an ingest timestamp
+// (0 = none) and "key=value" facets (see meta.go) — assigning it the next
+// document ID, and returns the ID. The document becomes visible to queries,
+// and filtered queries match it by exactly this metadata, from the epoch
+// its delta seals (LivePolicy.SealDocs, or Flush).
 func (st *Store) AddMeta(text string, ts int64, facets []string) (int64, error) {
 	facets, err := normalizeFacets(facets)
 	if err != nil {
@@ -102,31 +97,15 @@ func (st *Store) AddMeta(text string, ts int64, facets []string) (int64, error) 
 	return doc, st.addLocked(doc, counts, sig, ts, facets)
 }
 
-// AddAt ingests one document under an explicit ID — the sharded path, where
-// the router assigns global IDs and routes each to shard ID mod S. The ID
-// must never have been used: adds reject base documents, already-ingested or
-// tombstoned IDs, everything below the retirement floor (rebased holes,
-// gaps under loaded segments, persisted high-water marks), and IDs whose
-// tombstones a compaction dropped. IDs above the floor may arrive out of
-// order — concurrent routed sessions land on a shard that way.
-func (st *Store) AddAt(doc int64, text string) error {
-	return st.AddAtMeta(doc, text, 0, nil)
-}
-
-// AddAtMeta is AddAt with document metadata (see AddMeta).
-func (st *Store) AddAtMeta(doc int64, text string, ts int64, facets []string) error {
-	counts, sig := st.prepareDoc(text)
-	return st.AddCountsMeta(doc, counts, sig, ts, facets)
-}
-
-// AddCounts ingests one pre-tokenized document: its in-document term counts
-// (dense IDs) and signature. The router uses this form so a routed add
-// tokenizes once, at the router.
-func (st *Store) AddCounts(doc int64, counts map[int64]int64, sig []float64) error {
-	return st.AddCountsMeta(doc, counts, sig, 0, nil)
-}
-
-// AddCountsMeta is AddCounts with document metadata (see AddMeta).
+// AddCountsMeta ingests one pre-tokenized document under an explicit ID —
+// the sharded path, where the router tokenizes once, assigns global IDs and
+// routes each to shard ID mod S — with its in-document term counts (dense
+// IDs), signature and metadata (see AddMeta). The ID must never have been
+// used: adds reject base documents, already-ingested or tombstoned IDs,
+// everything below the retirement floor (rebased holes, gaps under loaded
+// segments, persisted high-water marks), and IDs whose tombstones a
+// compaction dropped. IDs above the floor may arrive out of order —
+// concurrent routed sessions land on a shard that way.
 func (st *Store) AddCountsMeta(doc int64, counts map[int64]int64, sig []float64, ts int64, facets []string) error {
 	facets, err := normalizeFacets(facets)
 	if err != nil {
@@ -560,13 +539,9 @@ func (st *Store) Rebase() error {
 		return nil
 	}
 
-	// Postings, signatures and metadata: one merge of every block, the base
-	// block carrying its metadata as segment rows for the occasion.
+	// Postings, signatures and metadata: one merge of every block.
 	dead := v.tombs
-	base := st.baseBlock()
-	base.Times, base.Facets = v.base.metaRows(base.Docs)
-	blocks := append([]*segment.Segment{base}, v.segs()...)
-	merged, err := segment.Merge(blocks, func(d int64) bool { return dead[d] })
+	merged, err := segment.Merge(v.blocks, func(d int64) bool { return dead[d] })
 	if err != nil {
 		return fmt.Errorf("serve: rebase: %w", err)
 	}
@@ -600,7 +575,7 @@ func (st *Store) Rebase() error {
 		}
 	}
 
-	st.Posts, st.SigDocs, st.SigVecs = merged.Posts, merged.Docs, merged.SigVecs
+	st.Posts, st.SigDocs, st.SigVecs, st.Meta = merged.Posts, merged.Docs, merged.SigVecs, merged.Meta
 	if len(dead) > 0 || len(st.live.retired) > 0 {
 		// Deleted IDs — current tombstones and compaction-retired IDs alike
 		// — become permanent holes in the rebased range: the high-water mark
@@ -635,7 +610,6 @@ func (st *Store) Rebase() error {
 	st.live.retired = nil
 	st.Points = points
 	st.AssignDocs, st.AssignClusters = assignDocs, assignClusters
-	buildMetaTable(merged.Docs, merged.Times, merged.Facets).install(st)
 	st.publishLocked(st.baseOnlyView(v.gen + 1))
 	// The base points changed: the persisted tile sidecar no longer
 	// describes them.

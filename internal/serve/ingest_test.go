@@ -154,7 +154,7 @@ func TestIngestedEqualsBatchSingle(t *testing.T) {
 	live := st.EmptyCopy()
 	live.SetLivePolicy(LivePolicy{SealDocs: 7, CompactSegments: 3, ManualCompaction: true})
 	for i, text := range texts {
-		doc, err := live.Add(text)
+		doc, err := live.AddMeta(text, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func TestDeleteTombstones(t *testing.T) {
 	if err := srv.NewSession().Delete(context.Background(), 999); err == nil {
 		t.Fatal("deleting an unknown doc should fail")
 	}
-	if err := st.AddAt(1, "resurrection"); err == nil {
+	if err := addAt(st, 1, "resurrection", 0, nil); err == nil {
 		t.Fatal("re-adding a base doc ID should fail")
 	}
 }
@@ -352,14 +352,14 @@ func TestRefreshSimilarDropsCompactedTombstones(t *testing.T) {
 
 	// Seal doc x (a duplicate of doc 0's text, so it scores at the top) into
 	// its own segment, then a second segment so compaction has work to do.
-	x, err := st.Add(miniDocs[0])
+	x, err := st.AddMeta(miniDocs[0], 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Add(miniDocs[3]); err != nil {
+	if _, err := st.AddMeta(miniDocs[3], 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Flush(); err != nil {
@@ -493,19 +493,19 @@ func TestOutOfOrderAddsAndRetiredIDs(t *testing.T) {
 	st.SetLivePolicy(LivePolicy{SealDocs: 2, CompactSegments: 100, ManualCompaction: true})
 	base := st.TotalDocs
 	// The later-assigned ID lands first (the concurrent routed-add shape).
-	if err := st.AddCounts(base+3, map[int64]int64{0: 1}, nil); err != nil {
+	if err := st.AddCountsMeta(base+3, map[int64]int64{0: 1}, nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AddCounts(base, map[int64]int64{0: 1}, nil); err != nil {
+	if err := st.AddCountsMeta(base, map[int64]int64{0: 1}, nil, 0, nil); err != nil {
 		t.Fatalf("out-of-order add below the rolling high-water rejected: %v", err)
 	}
-	if err := st.AddCounts(base+1, map[int64]int64{0: 1}, nil); err != nil {
+	if err := st.AddCountsMeta(base+1, map[int64]int64{0: 1}, nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AddCounts(base+2, map[int64]int64{0: 1}, nil); err != nil {
+	if err := st.AddCountsMeta(base+2, map[int64]int64{0: 1}, nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AddCounts(base, map[int64]int64{0: 1}, nil); err == nil {
+	if err := st.AddCountsMeta(base, map[int64]int64{0: 1}, nil, 0, nil); err == nil {
 		t.Fatal("duplicate ingested ID accepted")
 	}
 	if st.LiveSegments() != 2 {
@@ -524,10 +524,10 @@ func TestOutOfOrderAddsAndRetiredIDs(t *testing.T) {
 	if len(st.viewNow().tombs) != 0 {
 		t.Fatal("compaction kept the tombstone; the scenario needs it dropped")
 	}
-	if err := st.AddCounts(base+3, map[int64]int64{0: 1}, nil); err == nil {
+	if err := st.AddCountsMeta(base+3, map[int64]int64{0: 1}, nil, 0, nil); err == nil {
 		t.Fatal("compacted-away retired ID reused")
 	}
-	doc, err := st.Add("apple fresh")
+	doc, err := st.AddMeta("apple fresh", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestOutOfOrderAddsAndRetiredIDs(t *testing.T) {
 	// The in-flight shape again, past a retired ID: a routed add assigned
 	// base+5 lands after base+6 was already ingested, deleted and compacted
 	// away on this shard — base+5 must still go through.
-	if err := st.AddCounts(base+6, map[int64]int64{0: 1}, nil); err != nil {
+	if err := st.AddCountsMeta(base+6, map[int64]int64{0: 1}, nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Flush(); err != nil {
@@ -549,10 +549,10 @@ func TestOutOfOrderAddsAndRetiredIDs(t *testing.T) {
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AddCounts(base+5, map[int64]int64{0: 1}, nil); err != nil {
+	if err := st.AddCountsMeta(base+5, map[int64]int64{0: 1}, nil, 0, nil); err != nil {
 		t.Fatalf("in-flight ID below a compaction-retired one rejected: %v", err)
 	}
-	if err := st.AddCounts(base+6, map[int64]int64{0: 1}, nil); err == nil {
+	if err := st.AddCountsMeta(base+6, map[int64]int64{0: 1}, nil, 0, nil); err == nil {
 		t.Fatal("compacted-away retired ID reused after later adds")
 	}
 
@@ -581,7 +581,7 @@ func TestRebaseLeavesHolesAbsent(t *testing.T) {
 	st := buildStoreT(t, 2).Fork()
 	st.SetLivePolicy(LivePolicy{SealDocs: 100, CompactSegments: 100, ManualCompaction: true})
 	base := st.LiveDocs()
-	doc, err := st.Add("apple banana transient")
+	doc, err := st.AddMeta("apple banana transient", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,13 +600,13 @@ func TestRebaseLeavesHolesAbsent(t *testing.T) {
 	if err := st.Delete(doc); err == nil {
 		t.Fatal("deleting a rebased-away hole accepted")
 	}
-	if err := st.AddAt(doc, "resurrection"); err == nil {
+	if err := addAt(st, doc, "resurrection", 0, nil); err == nil {
 		t.Fatal("hole ID reused")
 	}
 	if _, err := st.Shard(2); err == nil {
 		t.Fatal("holey store sharded")
 	}
-	next, err := st.Add("apple fresh")
+	next, err := st.AddMeta("apple fresh", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -711,7 +711,7 @@ func TestIngestVisibilityFollowsSeals(t *testing.T) {
 	sess := srv.NewSession()
 	base := sess.DF(context.Background(), "apple")
 
-	if _, err := st.Add("apple apple kiwi quarterly"); err != nil {
+	if _, err := st.AddMeta("apple apple kiwi quarterly", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st.PendingDocs() != 1 {
@@ -741,7 +741,7 @@ func TestIngestVisibilityFollowsSeals(t *testing.T) {
 
 	// Auto-seal at the threshold: the third add trips it.
 	for i := 0; i < 3; i++ {
-		if _, err := st.Add(fmt.Sprintf("banana cargo %d", i)); err != nil {
+		if _, err := st.AddMeta(fmt.Sprintf("banana cargo %d", i), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -760,7 +760,7 @@ func TestDeletePendingDocSealsFirst(t *testing.T) {
 	st := buildStoreT(t, 2).Fork()
 	st.SetLivePolicy(LivePolicy{SealDocs: 100, CompactSegments: 100, ManualCompaction: true})
 	base := st.LiveDocs()
-	doc, err := st.Add("apple banana transient")
+	doc, err := st.AddMeta("apple banana transient", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1000,4 +1000,11 @@ func TestRouterSaveLiveUnderReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	agreeQueries(t, "after three saves", reloaded.NewQuerier(), router.NewSession(), terms, st.SampleDocs(4))
+}
+
+// addAt ingests text under an explicit ID, tokenized and projected like a
+// routed add.
+func addAt(st *Store, doc int64, text string, ts int64, facets []string) error {
+	counts, sig := st.prepareDoc(text)
+	return st.AddCountsMeta(doc, counts, sig, ts, facets)
 }

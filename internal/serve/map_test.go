@@ -12,7 +12,6 @@ import (
 
 	"inspire/internal/postings"
 	"inspire/internal/project"
-	"inspire/internal/simtime"
 	"inspire/internal/tiles"
 )
 
@@ -55,13 +54,13 @@ func oracleThemeDocs(v *view, fs *filterSet, cluster int) []int64 {
 }
 
 // mapStore hand-builds a store carrying only the ThemeView products: n
-// documents scattered uniformly over the unit square, each dealt to one of k
-// clusters at random.
+// documents (null signatures, no postings) scattered uniformly over the
+// unit square, each dealt to one of k clusters at random.
 func mapStore(n, k int, seed int64) *Store {
 	rng := rand.New(rand.NewSource(seed))
-	st := &Store{Model: simtime.PNNLCluster2007(), P: 1, Prefix: []int64{0, 0}, TotalDocs: int64(n), K: k,
-		Posts: postings.NewWriter(0).Finish()}
+	st := &Store{TotalDocs: int64(n), K: k, Posts: postings.NewWriter(0).Finish(), SigVecs: make([][]float64, n)}
 	for d := int64(0); d < int64(n); d++ {
+		st.SigDocs = append(st.SigDocs, d)
 		st.Points = append(st.Points, project.Point{Doc: d, X: rng.Float64(), Y: rng.Float64()})
 		st.AssignDocs = append(st.AssignDocs, d)
 		st.AssignClusters = append(st.AssignClusters, int64(rng.Intn(k)))

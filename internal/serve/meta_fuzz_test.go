@@ -6,39 +6,39 @@ import (
 	"reflect"
 	"testing"
 
+	"inspire/internal/segment"
 	"inspire/internal/storefile"
 )
 
 // fuzzMetaTable derives a normalized metadata table from a seed: ascending
 // unique doc IDs, a mix of zero and non-zero timestamps, and facet rows drawn
 // from a small key=value alphabet (empty rows included).
-func fuzzMetaTable(seed int64, n int) metaTable {
+func fuzzMetaTable(seed int64, n int) segment.Meta {
 	rng := rand.New(rand.NewSource(seed))
-	docs := make([]int64, n)
-	times := make([]int64, n)
-	rows := make([][]string, n)
+	var b segment.MetaBuilder
 	next := int64(rng.Intn(3))
 	for i := 0; i < n; i++ {
-		docs[i] = next
+		doc, ts := next, int64(0)
 		next += 1 + int64(rng.Intn(5))
 		if rng.Intn(3) > 0 {
-			times[i] = 1 + rng.Int63n(1_000_000)
+			ts = 1 + rng.Int63n(1_000_000)
 		}
 		var row []string
 		for k := rng.Intn(4); k > 0; k-- {
 			row = append(row, fmt.Sprintf("k%d=v%d", rng.Intn(3), rng.Intn(4)))
 		}
-		rows[i], _ = normalizeFacets(row)
+		row, _ = normalizeFacets(row)
+		b.Add(doc, ts, row)
 	}
-	return buildMetaTable(docs, times, rows)
+	return b.Meta()
 }
 
 // metaSectionPayloads extracts the raw per-section payloads of a table's
 // encoding — the fuzzer's seed form, small enough to mutate productively
 // (whole INSPSTORE4 files are page-aligned, so they make poor fuzz inputs;
 // the container itself is FuzzStoreFileRoundTrip's job in internal/storefile).
-func metaSectionPayloads(tbl metaTable) (docsB, timesB, offsB, idsB, blob, facetOffsB []byte) {
-	for _, s := range appendMetaSections(nil, tbl.docs, tbl.times, tbl.facetOffs, tbl.facetIDs, tbl.dict) {
+func metaSectionPayloads(tbl segment.Meta) (docsB, timesB, offsB, idsB, blob, facetOffsB []byte) {
+	for _, s := range appendMetaSections(nil, &tbl) {
 		switch s.Name {
 		case secMetaDocs:
 			docsB = s.Data
@@ -92,11 +92,10 @@ func FuzzFacetSectionRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("assembled container does not decode: %v", err)
 			}
-			docs, times, offs, ids, dict, _, err := decodeMetaSections(sf)
+			m, _, err := decodeMetaSections(sf)
 			if err == nil {
-				shell := &Store{MetaDocs: docs, MetaTimes: times, MetaFacetOffs: offs, MetaFacetIDs: ids, FacetDict: dict}
-				if shell.validateMeta() == nil && len(docs) > 0 {
-					re := appendMetaSections(nil, docs, times, offs, ids, dict)
+				if m.Validate(m.Docs) == nil && len(m.Docs) > 0 {
+					re := appendMetaSections(nil, &m)
 					data2, err := storefile.Encode(re)
 					if err != nil {
 						t.Fatalf("validated metadata does not re-encode: %v", err)
@@ -105,12 +104,12 @@ func FuzzFacetSectionRoundTrip(f *testing.F) {
 					if err != nil {
 						t.Fatalf("re-encoded metadata does not decode: %v", err)
 					}
-					d2, t2, o2, i2, dict2, _, err := decodeMetaSections(sf2)
+					m2, _, err := decodeMetaSections(sf2)
 					if err != nil {
 						t.Fatalf("re-encoded metadata sections do not decode: %v", err)
 					}
-					if !reflect.DeepEqual(docs, d2) || !reflect.DeepEqual(times, t2) ||
-						!sameInt64s(offs, o2) || !sameInt64s(ids, i2) || !sameStrings(dict, dict2) {
+					if !reflect.DeepEqual(m.Docs, m2.Docs) || !reflect.DeepEqual(m.Times, m2.Times) ||
+						!sameInt64s(m.FacetOffs, m2.FacetOffs) || !sameInt64s(m.FacetIDs, m2.FacetIDs) || !sameStrings(m.Dict, m2.Dict) {
 						t.Fatal("metadata sections changed across re-encode")
 					}
 				}
@@ -119,8 +118,8 @@ func FuzzFacetSectionRoundTrip(f *testing.F) {
 
 		// Structured direction: a well-formed table round-trips exactly.
 		tbl := fuzzMetaTable(seed, int(n%48))
-		tsecs := appendMetaSections(nil, tbl.docs, tbl.times, tbl.facetOffs, tbl.facetIDs, tbl.dict)
-		if len(tbl.docs) == 0 {
+		tsecs := appendMetaSections(nil, &tbl)
+		if len(tbl.Docs) == 0 {
 			if len(tsecs) != 0 {
 				t.Fatalf("empty table emitted %d sections", len(tsecs))
 			}
@@ -134,19 +133,18 @@ func FuzzFacetSectionRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("structured table does not decode: %v", err)
 		}
-		docs, times, offs, ids, dict, _, err := decodeMetaSections(sf)
+		m, _, err := decodeMetaSections(sf)
 		if err != nil {
 			t.Fatalf("structured table sections do not decode: %v", err)
 		}
-		if !reflect.DeepEqual(docs, tbl.docs) || !reflect.DeepEqual(times, tbl.times) {
-			t.Fatalf("doc/time vectors changed: %v/%v vs %v/%v", docs, times, tbl.docs, tbl.times)
+		if !reflect.DeepEqual(m.Docs, tbl.Docs) || !reflect.DeepEqual(m.Times, tbl.Times) {
+			t.Fatalf("doc/time vectors changed: %v/%v vs %v/%v", m.Docs, m.Times, tbl.Docs, tbl.Times)
 		}
-		if !sameInt64s(offs, tbl.facetOffs) || !sameInt64s(ids, tbl.facetIDs) || !sameStrings(dict, tbl.dict) {
+		if !sameInt64s(m.FacetOffs, tbl.FacetOffs) || !sameInt64s(m.FacetIDs, tbl.FacetIDs) || !sameStrings(m.Dict, tbl.Dict) {
 			t.Fatalf("facet vectors changed: offs %v vs %v, ids %v vs %v, dict %v vs %v",
-				offs, tbl.facetOffs, ids, tbl.facetIDs, dict, tbl.dict)
+				m.FacetOffs, tbl.FacetOffs, m.FacetIDs, tbl.FacetIDs, m.Dict, tbl.Dict)
 		}
-		shell := &Store{MetaDocs: docs, MetaTimes: times, MetaFacetOffs: offs, MetaFacetIDs: ids, FacetDict: dict}
-		if err := shell.validateMeta(); err != nil {
+		if err := m.Validate(m.Docs); err != nil {
 			t.Fatalf("round-tripped table fails validation: %v", err)
 		}
 	})

@@ -124,8 +124,8 @@ func TestSetBaseMetaValidates(t *testing.T) {
 	if err := st.SetBaseMeta([]int64{0}, []int64{0}, [][]string{nil}); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.MetaDocs) != 0 {
-		t.Fatalf("all-zero row kept %d metadata rows", len(st.MetaDocs))
+	if len(st.Meta.Docs) != 0 {
+		t.Fatalf("all-zero row kept %d metadata rows", len(st.Meta.Docs))
 	}
 
 	// Live state blocks the bulk path.

@@ -10,6 +10,7 @@ import (
 
 	"inspire/internal/postings"
 	"inspire/internal/project"
+	"inspire/internal/segment"
 )
 
 // oracleRebase is Rebase as it was before it became one segment.Merge of the
@@ -125,27 +126,20 @@ func oracleRebase(st *Store) error {
 	// dictionary — so the rebased dictionary carries no dead facets.
 	var mDocs, mTimes []int64
 	var mFacets [][]string
-	for _, d := range v.base.metaDocs {
+	for _, d := range v.blocks[0].Meta.Docs {
 		if !dead[d] && oracleBaseHas(st, d) {
-			ts, facets, _ := v.base.meta(d)
+			ts, facets := v.blocks[0].Meta.Lookup(d)
 			mDocs = append(mDocs, d)
 			mTimes = append(mTimes, ts)
 			mFacets = append(mFacets, facets)
 		}
 	}
 	for _, s := range v.segs() {
-		for i, d := range s.Docs {
+		for i, d := range s.Meta.Docs {
 			if dead[d] {
 				continue
 			}
-			var ts int64
-			var facets []string
-			if s.Times != nil {
-				ts = s.Times[i]
-			}
-			if s.Facets != nil {
-				facets = s.Facets[i]
-			}
+			ts, facets := s.Meta.Times[i], s.Meta.AppendFacets(nil, i)
 			if ts == 0 && len(facets) == 0 {
 				continue
 			}
@@ -191,7 +185,11 @@ func oracleRebase(st *Store) error {
 	st.live.retired = nil
 	st.Points = points
 	st.AssignDocs, st.AssignClusters = assignDocs, assignClusters
-	buildMetaTable(mDocs, mTimes, mFacets).install(st)
+	var meta segment.MetaBuilder
+	for i, d := range mDocs {
+		meta.Add(d, mTimes[i], mFacets[i])
+	}
+	st.Meta = meta.Meta()
 	st.SigDocs, st.SigVecs = sigDocs, sigVecs
 	st.publishLocked(st.baseOnlyView(v.gen + 1))
 	st.live.tileMu.Lock()
@@ -317,7 +315,7 @@ func (w *rebaseWorld) step() {
 				facets = []string{fmt.Sprintf("source=s%d", doc%3), fmt.Sprintf("fresh=f%d", doc%5)}
 			}
 			w.live = append(w.live, doc)
-			w.each(doc, func(st *Store) error { return st.AddAtMeta(doc, text, ts, facets) })
+			w.each(doc, func(st *Store) error { return addAt(st, doc, text, ts, facets) })
 		}
 	case op < 7 && len(w.live) > 8:
 		i := w.rng.Intn(len(w.live))
@@ -391,7 +389,7 @@ func TestRebaseMatchesOracle(t *testing.T) {
 							nulls++
 						}
 					}
-					for _, d := range st.MetaDocs {
+					for _, d := range st.Meta.Docs {
 						if d >= base.TotalDocs {
 							rows++
 						}

@@ -531,8 +531,7 @@ func (r *Router) filterHits(hits []query.Hit, f Filter) []query.Hit {
 		return hits
 	}
 	return keepHits(hits, func(doc int64) bool {
-		ts, facets := r.primaryStore(ShardOf(doc, len(r.sets))).viewNow().docMeta(doc)
-		return f.timeOK(ts) && facetSubset(f.Facets, facets)
+		return r.primaryStore(ShardOf(doc, len(r.sets))).viewNow().matches(doc, f)
 	})
 }
 

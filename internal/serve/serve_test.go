@@ -361,7 +361,7 @@ func TestAndShortCircuitsDoomedQueries(t *testing.T) {
 	st := buildStoreT(t, 3).Fork()
 	// A sealed segment holding both known terms, so a conjunction that read
 	// postings would have segment lists to fetch too.
-	if _, err := st.Add("apple banana"); err != nil {
+	if _, err := st.AddMeta("apple banana", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Flush(); err != nil {

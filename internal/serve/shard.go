@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"inspire/internal/segment"
 	"inspire/internal/storefile"
 )
 
@@ -20,9 +21,9 @@ func ShardOf(doc int64, shards int) int {
 
 // Shard splits the store into n document-partitioned shard stores. Each
 // shard carries its own compressed posting blobs (per-term counts doubling as
-// the shard's DF summary), its slice of the signatures, ThemeView points and
-// cluster assignments, and the full replicated vocabulary, ownership bounds,
-// model and themes — everything a shard Server needs to answer sub-queries
+// the shard's DF summary), its slice of the signatures, ThemeView points,
+// cluster assignments and metadata, and the full replicated vocabulary,
+// projections and themes — everything a shard Server needs to answer sub-queries
 // on its own. The receiver is not modified; shard stores share its immutable
 // replicated tables.
 //
@@ -55,14 +56,13 @@ func (st *Store) Shard(n int) ([]*Store, error) {
 	out := make([]*Store, n)
 	for i := range out {
 		out[i] = &Store{
-			Model: st.Model, P: st.P,
 			// Dense IDs round-robin across shards: shard i owns
 			// ceil((TotalDocs-i)/n) of them.
 			TotalDocs: (st.TotalDocs - int64(i) + int64(n) - 1) / int64(n),
 			VocabSize: st.VocabSize,
-			TermList:  st.TermList, Prefix: st.Prefix,
-			Posts: parts[i],
-			SigM:  st.SigM, Proj: st.Proj,
+			TermList:  st.TermList,
+			Posts:     parts[i],
+			SigM:      st.SigM, Proj: st.Proj,
 			Planar: st.Planar, TileBox: st.TileBox,
 			K: st.K, Themes: st.Themes,
 			ShardCount: n, ShardIndex: i, GlobalDocs: st.TotalDocs,
@@ -88,36 +88,14 @@ func (st *Store) Shard(n int) ([]*Store, error) {
 	// Partition the document metadata, re-interning each shard's facet rows
 	// into its own dictionary so shard files carry only the facets their
 	// documents use.
-	if len(st.MetaDocs) > 0 {
-		interners := make([]*facetInterner, n)
-		tables := make([]metaTable, n)
-		for i, d := range st.MetaDocs {
-			r := ShardOf(d, n)
-			if interners[r] == nil {
-				interners[r] = newFacetInterner(nil)
-				tables[r].facetOffs = []int64{0}
-			}
-			t, in := &tables[r], interners[r]
-			t.docs = append(t.docs, d)
-			t.times = append(t.times, st.MetaTimes[i])
-			if len(st.MetaFacetOffs) > 0 {
-				for _, id := range st.MetaFacetIDs[st.MetaFacetOffs[i]:st.MetaFacetOffs[i+1]] {
-					t.facetIDs = append(t.facetIDs, in.intern([]string{st.FacetDict[id]})...)
-				}
-			}
-			t.facetOffs = append(t.facetOffs, int64(len(t.facetIDs)))
-		}
-		for r := range tables {
-			if interners[r] == nil {
-				continue
-			}
-			if len(tables[r].facetIDs) == 0 {
-				tables[r].facetOffs = nil
-			} else {
-				tables[r].dict = interners[r].dict
-			}
-			tables[r].install(out[r])
-		}
+	metas := make([]segment.MetaBuilder, n)
+	var facets []string
+	for i, d := range st.Meta.Docs {
+		facets = st.Meta.AppendFacets(facets[:0], i)
+		metas[ShardOf(d, n)].Add(d, st.Meta.Times[i], facets)
+	}
+	for i := range out {
+		out[i].Meta = metas[i].Meta()
 	}
 	for i := range out {
 		if err := out[i].validate(); err != nil {

@@ -266,7 +266,7 @@ func (w *simWorld) add(n int) {
 		}
 		w.next++
 		w.live = append(w.live, doc)
-		w.each(doc, func(st *Store) error { return st.AddCounts(doc, nil, sig) })
+		w.each(doc, func(st *Store) error { return st.AddCountsMeta(doc, nil, sig, 0, nil) })
 	}
 	w.each(-1, (*Store).Flush)
 }

@@ -25,8 +25,8 @@ import (
 	"inspire/internal/postings"
 	"inspire/internal/project"
 	"inspire/internal/scan"
+	"inspire/internal/segment"
 	"inspire/internal/signature"
-	"inspire/internal/simtime"
 	"inspire/internal/storefile"
 	"inspire/internal/tiles"
 )
@@ -39,16 +39,7 @@ import (
 // (SetBaseMeta before serving starts, Rebase), each of which publishes a
 // fresh view rather than mutating slices a concurrent reader may hold. Every
 // method is safe for concurrent use.
-//
-// Model, P and Prefix record the producing run (its machine model, world
-// size and dense-term ownership bounds); they persist as provenance and take
-// no part in serving.
 type Store struct {
-	// Model is the machine model of the producing run.
-	Model *simtime.Model
-	// P is the world size of the producing run.
-	P int
-
 	TotalDocs int64
 	VocabSize int64
 
@@ -71,9 +62,6 @@ type Store struct {
 	// TermList maps a dense term ID to its normalized term; lookupTerm
 	// inverts it by binary search over termSorted.
 	TermList []string
-	// Prefix holds the dense-ID ownership bounds of the producing run
-	// (len P+1); term t is owned by the rank r with Prefix[r] <= t < Prefix[r+1].
-	Prefix []int64
 
 	// Posts holds the postings: block-compressed delta+varint doc/freq lists
 	// with a skip directory, dense terms as bitmaps; Posts.Count[t] is term
@@ -116,17 +104,9 @@ type Store struct {
 	K              int
 	Themes         []core.Theme
 
-	// Document metadata (see meta.go): sparse sorted parallel vectors over
-	// base document IDs. MetaDocs lists, strictly ascending, the base
-	// documents carrying any metadata; MetaTimes their ingest timestamps
-	// (0 = none). MetaFacetOffs/MetaFacetIDs are the row-offset form of the
-	// per-document facet sets, as IDs into FacetDict, each row ascending by
-	// dictionary string; MetaFacetOffs is nil when no document has facets.
-	MetaDocs      []int64
-	MetaTimes     []int64
-	MetaFacetOffs []int64
-	MetaFacetIDs  []int64
-	FacetDict     []string
+	// Meta is the base documents' metadata (see meta.go), in the form every
+	// sealed segment carries too; every row names a base document.
+	Meta segment.Meta
 
 	// backing is the decoded INSPSTORE4 file this store serves from, nil
 	// for freshly indexed stores. Base vectors alias its sections; it is
@@ -195,8 +175,6 @@ func buildStore(c *cluster.Comm, res *core.Result, docParts, asgParts [][]int64)
 	m := c.Model()
 	V := res.VocabSize
 	st := &Store{
-		Model:     m,
-		P:         c.Size(),
 		TotalDocs: res.TotalDocs,
 		VocabSize: V,
 		SigM:      res.TopM,
@@ -210,19 +188,15 @@ func buildStore(c *cluster.Comm, res *core.Result, docParts, asgParts [][]int64)
 		TileBox:   pointBounds(res.Coords),
 	}
 
-	// Ownership bounds and the replicated vocabulary.
-	st.Prefix = make([]int64, c.Size()+1)
-	for r := 0; r < c.Size(); r++ {
-		lo, hi := res.Vocab.DenseRange(r)
-		st.Prefix[r] = lo
-		st.Prefix[r+1] = hi
-	}
+	// The replicated vocabulary: every term outside this rank's dense range
+	// is a remote get.
 	st.TermList = make([]string, V)
 	var remoteBytes float64
+	lo, hi := res.Vocab.DenseRange(c.Rank())
 	for id := int64(0); id < V; id++ {
 		t := res.Vocab.Term(id)
 		st.TermList[id] = t
-		if st.Owner(id) != c.Rank() {
+		if id < lo || id >= hi {
 			remoteBytes += float64(len(t) + 8)
 		}
 	}
@@ -300,11 +274,6 @@ func (st *Store) TermID(term string) (int64, bool) {
 	return st.lookupTerm(scan.NormalizeTerm(term))
 }
 
-// Owner returns the producing-run rank that owned dense term ID t.
-func (st *Store) Owner(t int64) int {
-	return sort.Search(st.P, func(r int) bool { return st.Prefix[r+1] > t })
-}
-
 // Postings returns term t's posting list (sorted by document ID), decoded
 // into fresh slices.
 func (st *Store) Postings(t int64) (docs, freqs []int64) {
@@ -317,23 +286,20 @@ func (st *Store) Postings(t int64) (docs, freqs []int64) {
 // ingestion never leaks into other users of the original.
 func (st *Store) Fork() *Store {
 	return &Store{
-		Model: st.Model, P: st.P,
 		TotalDocs: st.TotalDocs, VocabSize: st.VocabSize,
 		ShardCount: st.ShardCount, ShardIndex: st.ShardIndex, GlobalDocs: st.GlobalDocs,
 		Holes:    st.Holes,
-		TermList: st.TermList, Prefix: st.Prefix, Posts: st.Posts,
+		TermList: st.TermList, Posts: st.Posts,
 		SigM: st.SigM, SigDocs: st.SigDocs, SigVecs: st.SigVecs, Proj: st.Proj,
 		Planar: st.Planar, TileBox: st.TileBox,
 		Points: st.Points, AssignDocs: st.AssignDocs, AssignClusters: st.AssignClusters,
-		K: st.K, Themes: st.Themes,
-		MetaDocs: st.MetaDocs, MetaTimes: st.MetaTimes,
-		MetaFacetOffs: st.MetaFacetOffs, MetaFacetIDs: st.MetaFacetIDs, FacetDict: st.FacetDict,
+		K: st.K, Themes: st.Themes, Meta: st.Meta,
 		backing: st.backing, res: st.res, termSorted: st.termSorted,
 	}
 }
 
 // EmptyCopy returns a store with the receiver's frozen model — vocabulary,
-// ownership bounds, machine model, themes and signature projection — but no
+// themes and signature and planar projections — but no
 // documents at all: no postings, signatures, points or assignments. It is
 // the ingest-from-scratch starting point (and what the offline-vs-ingested
 // equivalence tests build on): every document is then added through the live
@@ -347,9 +313,8 @@ func (st *Store) EmptyCopy() *Store {
 	}
 	posts := w.Finish()
 	return &Store{
-		Model: st.Model, P: st.P,
 		TotalDocs: 0, VocabSize: st.VocabSize,
-		TermList: st.TermList, Prefix: st.Prefix, Posts: posts,
+		TermList: st.TermList, Posts: posts,
 		SigM: st.SigM, Proj: st.Proj,
 		Planar: st.Planar, TileBox: st.TileBox,
 		K: st.K, Themes: st.Themes,
@@ -427,10 +392,6 @@ func (st *Store) SampleDocs(n int) []int64 {
 func (st *Store) validate() error {
 	V := st.VocabSize
 	switch {
-	case st.Model == nil:
-		return fmt.Errorf("serve: store has no machine model")
-	case st.P <= 0 || int64(len(st.Prefix)) != int64(st.P)+1:
-		return fmt.Errorf("serve: store ownership bounds malformed (P=%d, len=%d)", st.P, len(st.Prefix))
 	case int64(len(st.TermList)) != V:
 		return fmt.Errorf("serve: store term vectors disagree with vocabulary size %d", V)
 	case len(st.SigDocs) != len(st.SigVecs):
@@ -439,9 +400,6 @@ func (st *Store) validate() error {
 		return fmt.Errorf("serve: store assignment vectors disagree")
 	case st.Posts == nil:
 		return fmt.Errorf("serve: store has no postings")
-	}
-	if err := st.Model.Validate(); err != nil {
-		return err
 	}
 	for i, d := range st.Holes {
 		if d < 0 || (i > 0 && d <= st.Holes[i-1]) {
@@ -479,8 +437,8 @@ func (st *Store) validate() error {
 			return err
 		}
 	}
-	if err := st.validateMeta(); err != nil {
-		return err
+	if err := st.Meta.Validate(st.SigDocs); err != nil {
+		return fmt.Errorf("serve: store: %w", err)
 	}
 	if err := st.Posts.Validate(); err != nil {
 		return err

@@ -14,7 +14,6 @@ import (
 	"inspire/internal/postings"
 	"inspire/internal/project"
 	"inspire/internal/signature"
-	"inspire/internal/simtime"
 	"inspire/internal/storefile"
 	"inspire/internal/tiles"
 )
@@ -79,17 +78,16 @@ var hostLittleEndian = func() bool {
 
 // storeMetaV4 is the gob-encoded metadata section: everything a Store
 // carries that is not a bulk vector. The bulk vectors live as raw sections
-// so they never pass through gob.
+// so they never pass through gob. Files written before the producing run's
+// provenance was dropped also carry Model, P and Prefix; gob skips fields
+// the struct no longer has, so they load unchanged.
 type storeMetaV4 struct {
-	Model      *simtime.Model
-	P          int
 	TotalDocs  int64
 	VocabSize  int64
 	ShardCount int
 	ShardIndex int
 	GlobalDocs int64
 	Holes      []int64
-	Prefix     []int64
 	SigM       int
 	Proj       *signature.Projection
 	Planar     *project.Planar
@@ -106,11 +104,10 @@ func (st *Store) Save(w io.Writer) error {
 
 	var metaBuf bytes.Buffer
 	meta := storeMetaV4{
-		Model: st.Model, P: st.P,
 		TotalDocs: st.TotalDocs, VocabSize: V,
 		ShardCount: st.ShardCount, ShardIndex: st.ShardIndex, GlobalDocs: st.GlobalDocs,
-		Holes: st.Holes, Prefix: st.Prefix,
-		SigM: st.SigM, Proj: st.Proj, Planar: st.Planar, TileBox: st.TileBox,
+		Holes: st.Holes,
+		SigM:  st.SigM, Proj: st.Proj, Planar: st.Planar, TileBox: st.TileBox,
 		K: st.K, Themes: st.Themes,
 	}
 	if err := gob.NewEncoder(&metaBuf).Encode(&meta); err != nil {
@@ -187,7 +184,7 @@ func (st *Store) Save(w io.Writer) error {
 			storefile.Section{Name: secPostBitWords, Data: storefile.AppendUint64s(nil, st.Posts.BitWords)},
 		)
 	}
-	secs = appendMetaSections(secs, st.MetaDocs, st.MetaTimes, st.MetaFacetOffs, st.MetaFacetIDs, st.FacetDict)
+	secs = appendMetaSections(secs, &st.Meta)
 	// Embed the base tile pyramid so a mapped load serves spatial queries
 	// without a rebuild. A store whose points cannot pyramid (duplicates,
 	// non-finite coordinates) persists without the section and builds
@@ -237,11 +234,10 @@ func decodeStoreV4(f *storefile.File) (*Store, error) {
 	}
 
 	st := &Store{
-		Model: meta.Model, P: meta.P,
 		TotalDocs: meta.TotalDocs, VocabSize: V,
 		ShardCount: meta.ShardCount, ShardIndex: meta.ShardIndex, GlobalDocs: meta.GlobalDocs,
-		Holes: meta.Holes, Prefix: meta.Prefix,
-		SigM: meta.SigM, Proj: meta.Proj, Planar: meta.Planar, TileBox: meta.TileBox,
+		Holes: meta.Holes,
+		SigM:  meta.SigM, Proj: meta.Proj, Planar: meta.Planar, TileBox: meta.TileBox,
 		K: meta.K, Themes: meta.Themes,
 	}
 
@@ -407,7 +403,7 @@ func decodeStoreV4(f *storefile.File) (*Store, error) {
 	// Document metadata: int64 vectors and dictionary strings aliased off the
 	// mapped sections; absent on metadata-free files.
 	var metaPinned int64
-	if st.MetaDocs, st.MetaTimes, st.MetaFacetOffs, st.MetaFacetIDs, st.FacetDict, metaPinned, err = decodeMetaSections(f); err != nil {
+	if st.Meta, metaPinned, err = decodeMetaSections(f); err != nil {
 		return nil, err
 	}
 	pinned += metaPinned

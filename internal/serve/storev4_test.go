@@ -81,7 +81,7 @@ func TestStoreV4RoundTrip(t *testing.T) {
 	}
 	for name, got := range map[string]*Store{"mapped": mapped, "heap": heap} {
 		if got.TotalDocs != st.TotalDocs || got.VocabSize != st.VocabSize ||
-			got.K != st.K || got.SigM != st.SigM || got.P != st.P {
+			got.K != st.K || got.SigM != st.SigM {
 			t.Fatalf("%s: header fields differ: %+v", name, got)
 		}
 		if len(got.TermList) != len(st.TermList) || len(got.Points) != len(st.Points) {

@@ -225,7 +225,7 @@ func (st *Store) buildPyramidLocked(v *view, cfg tiles.Config) *tiles.Pyramid {
 	}
 	// A point the pyramid refuses is left out, as a store saved with such
 	// points persists no pyramid at all.
-	_ = v.base.addPoints(pyr, v.tombs)
+	_ = v.base.addPoints(pyr, v.tombs, &v.blocks[0].Meta)
 	for _, pt := range v.pts {
 		if !v.tombs[pt.Doc] {
 			ts, facets := v.docMeta(pt.Doc)
@@ -259,22 +259,19 @@ func (st *Store) sidecarLocked() *tiles.Pyramid {
 // carries its base row's timestamp and facets, as addPoints stamps them:
 // filtered map reads test members in place.
 func (st *Store) sidecarMetaConsistent(pyr *tiles.Pyramid) bool {
-	b := st.baseView()
+	meta := &st.Meta
 	all := tiles.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
 	ok := true
 	pyr.Search(all, func(leaf []tiles.Member) {
 		for i := 0; i < len(leaf) && ok; i++ {
 			m := &leaf[i]
 			ts, row := int64(0), []int64(nil)
-			if j := b.metaIndex(m.Doc); j >= 0 {
-				ts = b.metaTimes[j]
-				if len(b.metaFacetOffs) > 0 {
-					row = b.metaFacetIDs[b.metaFacetOffs[j]:b.metaFacetOffs[j+1]]
-				}
+			if j := meta.Row(m.Doc); j >= 0 {
+				ts, row = meta.Times[j], meta.FacetRow(j)
 			}
 			ok = m.Time == ts && len(m.Facets) == len(row)
 			for k := 0; k < len(m.Facets) && ok; k++ {
-				ok = pyr.Facet(m.Facets[k]) == b.facetDict[row[k]]
+				ok = pyr.Facet(m.Facets[k]) == meta.Dict[row[k]]
 			}
 		}
 	})
@@ -328,18 +325,18 @@ func (st *Store) BaseTilePyramid(cfg Config) (*tiles.Pyramid, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := st.baseView().addPoints(pyr, nil); err != nil {
+	if err := st.baseView().addPoints(pyr, nil, &st.Meta); err != nil {
 		return nil, err
 	}
 	return pyr, nil
 }
 
 // addPoints bins every base point — bar the documents in dead (nil: none)
-// and rebased holes — into pyr with its cluster and base metadata: the one
-// fill of both the persisted pyramid and a rebuilt one. It reports the first
-// point the pyramid refused (a duplicate or non-finite one) after binning
-// the rest.
-func (b *baseView) addPoints(pyr *tiles.Pyramid, dead map[int64]bool) error {
+// and rebased holes — into pyr with its cluster and its row of meta, the
+// base block's metadata: the one fill of both the persisted pyramid and a
+// rebuilt one. It reports the first point the pyramid refused (a duplicate
+// or non-finite one) after binning the rest.
+func (b *baseView) addPoints(pyr *tiles.Pyramid, dead map[int64]bool, meta *segment.Meta) error {
 	clusters := make(map[int64]int64, len(b.assignDocs))
 	for i, d := range b.assignDocs {
 		clusters[d] = b.assignClusters[i]
@@ -353,7 +350,7 @@ func (b *baseView) addPoints(pyr *tiles.Pyramid, dead map[int64]bool) error {
 		if !ok {
 			c = -1
 		}
-		ts, facets, _ := b.meta(pt.Doc)
+		ts, facets := meta.Lookup(pt.Doc)
 		if !pyr.Add(tiles.Entry{Doc: pt.Doc, X: pt.X, Y: pt.Y, Cluster: c, Time: ts, Facets: facets}) && err == nil {
 			err = fmt.Errorf("serve: tile pyramid: duplicate or non-finite point for doc %d", pt.Doc)
 		}

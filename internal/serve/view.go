@@ -72,8 +72,9 @@ const (
 // similarity refresh.
 const maxSimChain = 32
 
-// baseView freezes what only the base snapshot has: its postings and
-// signatures are blocks[0] of the view, everything else it serves lives here.
+// baseView freezes what only the base snapshot has: its postings,
+// signatures and metadata are blocks[0] of the view, everything else it
+// serves lives here.
 // Rebase builds a fresh baseView rather than mutating slices a concurrent
 // reader may hold.
 type baseView struct {
@@ -89,18 +90,6 @@ type baseView struct {
 	// (clusterDocs): heap-resident, never persisted, reborn with every base.
 	themesOnce sync.Once
 	themes     map[int64][]int64
-
-	// Document metadata (Store.MetaDocs..FacetDict, see meta.go), plus the
-	// reverse facet map filters compile against. All immutable once built;
-	// stray is derived from them by the first filter build (strayMeta).
-	strayOnce     sync.Once
-	stray         bool
-	metaDocs      []int64
-	metaTimes     []int64
-	metaFacetOffs []int64
-	metaFacetIDs  []int64
-	facetDict     []string
-	facetIDs      map[string]int64
 }
 
 // clusterDocs returns the base documents assigned to cluster, ascending
@@ -282,10 +271,9 @@ func (st *Store) baseOnlyView(gen uint64) *view {
 // zero-copy (mapped or not). Its documents are the signature documents: the
 // pipeline and Rebase write one row per base document, null signatures
 // included, and validate holds a loaded file to ascending rows inside the
-// base. It carries no metadata rows: the base keeps its interned table
-// (baseView).
+// base, and every metadata row to name one of them.
 func (st *Store) baseBlock() *segment.Segment {
-	return &segment.Segment{Docs: st.SigDocs, Posts: st.Posts, SigM: st.SigM, SigVecs: st.SigVecs}
+	return &segment.Segment{Docs: st.SigDocs, Posts: st.Posts, SigM: st.SigM, SigVecs: st.SigVecs, Meta: st.Meta}
 }
 
 // baseView snapshots the store's base-only products into an immutable
@@ -295,17 +283,6 @@ func (st *Store) baseView() *baseView {
 		points:         st.Points,
 		assignDocs:     st.AssignDocs,
 		assignClusters: st.AssignClusters,
-		metaDocs:       st.MetaDocs,
-		metaTimes:      st.MetaTimes,
-		metaFacetOffs:  st.MetaFacetOffs,
-		metaFacetIDs:   st.MetaFacetIDs,
-		facetDict:      st.FacetDict,
-	}
-	if len(st.FacetDict) > 0 {
-		b.facetIDs = make(map[string]int64, len(st.FacetDict))
-		for i, s := range st.FacetDict {
-			b.facetIDs[s] = int64(i)
-		}
 	}
 	if len(st.Holes) > 0 {
 		b.holes = make(map[int64]bool, len(st.Holes))
