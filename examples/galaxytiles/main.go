@@ -17,6 +17,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"sort"
@@ -138,7 +139,7 @@ func main() {
 			defer wg.Done()
 			sess := router.NewSession()
 			for i := wid; i < len(lateTexts); i += writers {
-				if _, err := sess.Add(context.Background(), lateTexts[i]); err != nil {
+				if _, err := sess.Exec(context.Background(), serve.Query{Op: serve.OpAdd, Text: lateTexts[i]}); err != nil {
 					log.Fatal(err)
 				}
 			}
@@ -152,10 +153,13 @@ func main() {
 		cur := tiles.Rect(box)
 		fmt.Printf("--- %s ---\n", label)
 		for z := 0; ; z++ {
-			ts, err := sess.TileRange(context.Background(), z, cur)
-			if err != nil {
+			res, err := sess.Exec(context.Background(), serve.Query{Op: serve.OpTileRange, Z: z, Rect: cur})
+			if errors.Is(err, serve.ErrInvalid) {
 				break // past the deepest zoom
+			} else if err != nil {
+				log.Fatal(err)
 			}
+			ts := res.Tiles
 			if len(ts) == 0 {
 				break
 			}

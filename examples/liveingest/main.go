@@ -103,9 +103,7 @@ func main() {
 			defer ingest.Done()
 			sess := srv.NewSession()
 			for i := g; i < len(lateTexts); i += 2 {
-				if _, err := sess.Add(context.Background(), lateTexts[i]); err != nil {
-					log.Fatal(err)
-				}
+				exec(sess, serve.Query{Op: serve.OpAdd, Text: lateTexts[i]})
 			}
 		}(g)
 	}
@@ -125,17 +123,13 @@ func main() {
 	// Deletes tombstone immediately; queries filter them on the next
 	// interaction.
 	sess := srv.NewSession()
-	term := srv.TopTerms(context.Background(), 1)[0]
-	before := sess.DF(context.Background(), term)
-	docs := sess.TermDocs(context.Background(), term)
+	term := []string{srv.TopTerms(context.Background(), 1)[0]}
+	docs := exec(sess, serve.Query{Op: serve.OpTerm, Terms: term}).Postings
 	if len(docs) > 0 {
-		if err := sess.Delete(context.Background(), docs[0].Doc); err != nil {
-			log.Fatal(err)
-		}
-		after := sess.TermDocs(context.Background(), term)
+		exec(sess, serve.Query{Op: serve.OpDelete, Doc: docs[0].Doc})
+		after := exec(sess, serve.Query{Op: serve.OpTerm, Terms: term}).Postings
 		fmt.Printf("\ndeleted doc %d: %q now matches %d docs (DF still reports %d until compaction drops the postings)\n",
-			docs[0].Doc, term, len(after), sess.DF(context.Background(), term))
-		_ = before
+			docs[0].Doc, term[0], len(after), exec(sess, serve.Query{Op: serve.OpDF, Terms: term}).DF)
 	}
 
 	// Rebase folds base + segments - tombstones into a fresh base: the
@@ -145,4 +139,13 @@ func main() {
 	}
 	fmt.Printf("\nrebased: %d live documents, %d segments, store ready to persist as one file\n",
 		st.LiveDocs(), st.LiveSegments())
+}
+
+// exec runs one interaction on a session, failing the example on an error.
+func exec(sess *serve.Session, q serve.Query) serve.Result {
+	res, err := sess.Exec(context.Background(), q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

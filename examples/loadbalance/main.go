@@ -123,7 +123,9 @@ func replicatedServing(sources []*corpus.Source, model *simtime.Model) {
 	lat := make([]float64, 0, 120)
 	for i := 0; i < 120; i++ {
 		start := time.Now()
-		rs.TermDocs(ctx, terms[i%len(terms)])
+		if _, err := rs.Exec(ctx, serve.Query{Op: serve.OpTerm, Terms: terms[i%len(terms) : i%len(terms)+1]}); err != nil {
+			log.Fatal(err)
+		}
 		lat = append(lat, time.Since(start).Seconds()*1e3)
 	}
 	sort.Float64s(lat)
@@ -146,7 +148,7 @@ func replicatedServing(sources []*corpus.Source, model *simtime.Model) {
 	r.KillReplica(0, 1)
 	ws := r.NewSession()
 	for i := 0; i < 40; i++ {
-		if _, err := ws.Add(ctx, terms[0]+" "+terms[1]); err != nil {
+		if _, err := ws.Exec(ctx, serve.Query{Op: serve.OpAdd, Text: terms[0] + " " + terms[1]}); err != nil {
 			log.Fatal(err)
 		}
 	}

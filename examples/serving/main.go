@@ -88,10 +88,11 @@ func main() {
 	warm := srv.NewSession()
 	cold := mustSession(st)
 	term := st.TopTerms(1)[0]
+	termQ := serve.Query{Op: serve.OpTerm, Terms: []string{term}}
 	t0 := time.Now()
-	a := warm.TermDocs(context.Background(), term)
+	a := exec(warm, termQ).Postings
 	t1 := time.Now()
-	b := cold.TermDocs(context.Background(), term)
+	b := exec(cold, termQ).Postings
 	t2 := time.Now()
 	same := len(a) == len(b)
 	for i := 0; same && i < len(a); i++ {
@@ -127,12 +128,23 @@ func main() {
 	// Answers through the router stay byte-identical to the monolithic
 	// server's.
 	rsess := router.NewSession()
-	c, d := warm.TermDocs(context.Background(), term), rsess.TermDocs(context.Background(), term)
+	c, d := exec(warm, termQ).Postings, exec(rsess, termQ).Postings
 	same = len(c) == len(d)
 	for i := 0; same && i < len(c); i++ {
 		same = c[i] == d[i]
 	}
 	fmt.Printf("spot check %q: routed answer == single-store answer: %v\n", term, same)
+}
+
+// exec runs one interaction on a session, failing the example on an error.
+func exec(s interface {
+	Exec(context.Context, serve.Query) (serve.Result, error)
+}, q serve.Query) serve.Result {
+	res, err := s.Exec(context.Background(), q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }
 
 // mustSession opens a session on a fresh (cold-cache) server over the store.

@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -127,5 +129,85 @@ func TestValidateRejectsCorruption(t *testing.T) {
 	bad2 := &Segment{Docs: []int64{3}, SigVecs: [][]float64{nil}, Posts: seg.Posts}
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("posting outside segment accepted")
+	}
+}
+
+// metaRow is one document's metadata as the brute-force reference keeps it.
+type metaRow struct {
+	ts     int64
+	facets []string
+}
+
+// TestMetaMatchesBruteForce seals random documents — timestamped, faceted,
+// both and bare, in random ID order — into several segments and merges them
+// with tombstones. Every segment's Meta, read row by row, must equal the
+// brute-force rows of exactly the live documents that carry metadata, and
+// the merged dictionary must hold only facets a surviving row uses.
+func TestMetaMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	truth := make(map[int64]metaRow)
+	var segs []*Segment
+	next := int64(0)
+	for s := 0; s < 4; s++ {
+		d := NewDelta(2, 0)
+		n := 1 + rng.Intn(12)
+		for _, i := range rng.Perm(n) {
+			doc := next + int64(i)
+			var row metaRow
+			if rng.Intn(3) > 0 {
+				row.ts = 1 + rng.Int63n(1000)
+			}
+			for k := 0; k < 4; k++ {
+				if rng.Intn(2) == 0 {
+					row.facets = append(row.facets, fmt.Sprintf("k%d=v%d", k, rng.Intn(3)))
+				}
+			}
+			truth[doc] = row
+			if err := d.AddMeta(doc, map[int64]int64{int64(i % 2): 1}, nil, row.ts, row.facets); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next += int64(n)
+		seg, err := d.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, seg)
+	}
+	dead := func(doc int64) bool { return doc%5 == 2 }
+	merged, err := Merge(segs, dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seg := range append(segs, merged) {
+		if err := seg.Validate(); err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		var wantDocs []int64
+		for _, doc := range seg.Docs {
+			ts, facets := seg.Meta.Lookup(doc)
+			want := truth[doc]
+			if ts != want.ts || !reflect.DeepEqual(facets, want.facets) {
+				t.Fatalf("block %d doc %d: row (%d, %v), brute force (%d, %v)", i, doc, ts, facets, want.ts, want.facets)
+			}
+			if want.ts != 0 || len(want.facets) > 0 {
+				wantDocs = append(wantDocs, doc)
+			}
+		}
+		if !reflect.DeepEqual(seg.Meta.Docs, wantDocs) {
+			t.Fatalf("block %d: rows for %v, brute force %v", i, seg.Meta.Docs, wantDocs)
+		}
+		used := make(map[int64]bool)
+		for _, id := range seg.Meta.FacetIDs {
+			used[id] = true
+		}
+		if len(used) != len(seg.Meta.Dict) {
+			t.Fatalf("block %d: %d dictionary entries, %d used", i, len(seg.Meta.Dict), len(used))
+		}
+	}
+	for doc := range truth {
+		if merged.Contains(doc) == dead(doc) {
+			t.Fatalf("merge kept doc %d: %v, dead %v", doc, merged.Contains(doc), dead(doc))
+		}
 	}
 }

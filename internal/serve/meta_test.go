@@ -160,7 +160,10 @@ func TestFilterValidation(t *testing.T) {
 
 // TestFilteredQueriesMatchBruteForce pins the core semantics on a monolithic
 // server with base metadata and live faceted ingest: every filtered read is
-// exactly the unfiltered read with non-matching documents removed.
+// exactly the unfiltered read with non-matching documents removed. A second
+// input carries metadata in the base and in three sealed segments and is
+// checked again after every fold of it — compaction, rebase, a 4-way shard
+// split and a save/load.
 func TestFilteredQueriesMatchBruteForce(t *testing.T) {
 	st := batchStore(t, ingestSources(), 3).Fork()
 	truth := stampMetaT(t, st)
@@ -182,13 +185,68 @@ func TestFilteredQueriesMatchBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth[bare] = docMetaRow{}
+	checkFilteredBruteForce(t, "live", srv, truth, terms, docs)
 
+	// Base metadata plus three sealed segments of it: timestamped and
+	// faceted rows, facet-only and time-only rows, and bare documents.
+	st = batchStore(t, ingestSources(), 3).Fork()
+	st.SetLivePolicy(LivePolicy{ManualCompaction: true})
+	truth = stampMetaT(t, st)
+	for seg := 0; seg < 3; seg++ {
+		for i := 0; i < 5; i++ {
+			ts, facets := 1000+int64(40*seg+7*i), []string{fmt.Sprintf("source=s%d", i%3), "live=yes"}
+			switch i {
+			case 3:
+				ts = 0
+			case 4:
+				ts, facets = 0, nil
+			}
+			if seg == 1 && i == 2 {
+				facets = nil
+			}
+			doc, err := st.AddMeta(terms[i]+" "+terms[i+seg+1], ts, facets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sorted, _ := normalizeFacets(facets)
+			truth[doc] = docMetaRow{ts: ts, facets: sorted}
+		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := Config{TileMaxZoom: 4}
+	if n := st.LiveSegments(); n != 3 {
+		t.Fatalf("%d sealed segments, want 3", n)
+	}
+	checkFilteredBruteForce(t, "three segments", newServerT(t, st, cfg), truth, terms, docs)
+	if err := st.Compact(); err != nil || st.LiveSegments() != 1 {
+		t.Fatalf("compact: %v, %d segments left", err, st.LiveSegments())
+	}
+	checkFilteredBruteForce(t, "compacted", newServerT(t, st, cfg), truth, terms, docs)
+	if err := st.Rebase(); err != nil || st.LiveSegments() != 0 {
+		t.Fatalf("rebase: %v, %d segments left", err, st.LiveSegments())
+	}
+	checkFilteredBruteForce(t, "rebased", newServerT(t, st, cfg), truth, terms, docs)
+	checkFilteredBruteForce(t, "4 shards", serviceOf(t, st, 4, cfg), truth, terms, docs)
+	loaded, err := LoadStoreFile(saveV4T(t, st, "brute.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFilteredBruteForce(t, "loaded", newServerT(t, loaded, cfg), truth, terms, docs)
+}
+
+// checkFilteredBruteForce holds every filtered read of svc to the unfiltered
+// read with the documents truth says fail the filter removed.
+func checkFilteredBruteForce(t *testing.T, input string, svc Service, truth map[int64]docMetaRow, terms []string, docs []int64) {
+	t.Helper()
+	plain := svc.NewQuerier()
 	for fi, f := range probeFilters() {
-		filtered := srv.NewSession()
+		filtered := svc.NewQuerier()
 		if err := filtered.SetFilter(f); err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("filter %d (%+v)", fi, f)
+		label := fmt.Sprintf("%s: filter %d (%+v)", input, fi, f)
 		ctx := context.Background()
 
 		for _, tm := range terms {
@@ -218,7 +276,7 @@ func TestFilteredQueriesMatchBruteForce(t *testing.T) {
 				t.Fatalf("%s: Or(%v) = %v, brute force %v", label, pair, got, wantOr)
 			}
 		}
-		for c := 0; c < srv.NumThemes(); c++ {
+		for c := 0; c < svc.NumThemes(); c++ {
 			want := bruteFilter(f, truth, plain.ThemeDocs(ctx, c))
 			if got := filtered.ThemeDocs(ctx, c); !sameDocs(got, want) {
 				t.Fatalf("%s: ThemeDocs(%d) = %v, brute force %v", label, c, got, want)

@@ -9,6 +9,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,6 +19,11 @@ import (
 	"sync"
 	"testing"
 
+	"inspire/internal/core"
+	"inspire/internal/project"
+	"inspire/internal/segment"
+	"inspire/internal/signature"
+	"inspire/internal/simtime"
 	"inspire/internal/storefile"
 	"inspire/internal/tiles"
 )
@@ -463,4 +469,84 @@ func flipByte(raw []byte, i int) []byte {
 	out := append([]byte{}, raw...)
 	out[i] ^= 0xA5
 	return out
+}
+
+// TestParentMetaSectionLoads loads a file whose gob meta section carries
+// the producing run's provenance — Model, P and Prefix, as files written
+// before the store dropped them do — and requires it to load into the same
+// store as the file written today.
+func TestParentMetaSectionLoads(t *testing.T) {
+	type parentMetaV4 struct {
+		Model      *simtime.Model
+		P          int
+		TotalDocs  int64
+		VocabSize  int64
+		ShardCount int
+		ShardIndex int
+		GlobalDocs int64
+		Holes      []int64
+		Prefix     []int64
+		SigM       int
+		Proj       *signature.Projection
+		Planar     *project.Planar
+		TileBox    *tiles.Rect
+		K          int
+		Themes     []core.Theme
+	}
+	st := batchStore(t, ingestSources(), 3)
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	f, err := storefile.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta bytes.Buffer
+	if err := gob.NewEncoder(&meta).Encode(&parentMetaV4{
+		Model: simtime.PNNLCluster2007(), P: 3,
+		TotalDocs: st.TotalDocs, VocabSize: st.VocabSize, Prefix: []int64{0, 300, 600, st.VocabSize},
+		SigM: st.SigM, Proj: st.Proj, Planar: st.Planar, TileBox: st.TileBox, K: st.K, Themes: st.Themes,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	secs := f.Sections()
+	for i := range secs {
+		if secs[i].Name == secMeta {
+			secs[i].Data = meta.Bytes()
+		}
+	}
+	old, err := storefile.Encode(secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadStore(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("a meta section with the parent's fields does not load: %v", err)
+	}
+	var resaved bytes.Buffer
+	if err := got.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), buf.Bytes()) {
+		t.Fatal("the store loaded from a parent meta section re-saves differently")
+	}
+}
+
+// TestStrayBaseRowRefusedAtLoad writes a store whose metadata names a
+// document outside its base — SetBaseMeta and Rebase never keep one — and
+// requires the load to refuse it.
+func TestStrayBaseRowRefusedAtLoad(t *testing.T) {
+	st := batchStore(t, ingestSources(), 2).Fork()
+	stampMetaT(t, st)
+	var b segment.MetaBuilder
+	for i, d := range st.Meta.Docs {
+		b.Add(d, st.Meta.Times[i], st.Meta.AppendFacets(nil, i))
+	}
+	b.Add(st.TotalDocs, 5, []string{"source=stray"})
+	st.Meta = b.Meta()
+	path := saveV4T(t, st, "stray.store")
+	if _, err := LoadStoreFile(path); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("a stray base metadata row loaded: %v", err)
+	}
 }
