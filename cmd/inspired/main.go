@@ -159,7 +159,7 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			fmt.Printf("installed metadata for %d documents from %s\n", n, *metaPath)
+			fmt.Printf("installed metadata for %d of the %d documents listed in %s\n", len(st.Meta.Docs), n, *metaPath)
 		}
 		// Partitioned once: the set -save-store persists is the set served.
 		var shardStores []*serve.Store

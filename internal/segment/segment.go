@@ -189,9 +189,9 @@ func (d *Delta) Contains(doc int64) bool { return d.seen[doc] }
 // AddMeta buffers one document: its in-document term counts (dense term ID
 // -> frequency; every key must be within the vocabulary), its signature
 // (nil = null) and its metadata — ingest timestamp (unix seconds; 0 = none)
-// and facet strings, strictly ascending and at most MaxRowFacets. Documents
-// may arrive in any ID order — Seal sorts — but each ID at most once. The
-// facets slice is retained; callers must not mutate it.
+// and facet strings, strictly ascending. Documents may arrive in any ID
+// order — Seal sorts — but each ID at most once. The facets slice is
+// retained; callers must not mutate it.
 func (d *Delta) AddMeta(doc int64, counts map[int64]int64, sig []float64, ts int64, facets []string) error {
 	switch {
 	case doc < 0:
@@ -200,9 +200,6 @@ func (d *Delta) AddMeta(doc int64, counts map[int64]int64, sig []float64, ts int
 		return fmt.Errorf("segment: doc %d already buffered", doc)
 	case sig != nil && len(sig) != d.sigM:
 		return fmt.Errorf("segment: doc %d signature has dim %d, want %d", doc, len(sig), d.sigM)
-	}
-	if len(facets) > MaxRowFacets {
-		return fmt.Errorf("segment: doc %d has %d facets (max %d)", doc, len(facets), MaxRowFacets)
 	}
 	for i, f := range facets {
 		if f == "" || (i > 0 && f <= facets[i-1]) {

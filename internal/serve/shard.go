@@ -23,9 +23,9 @@ func ShardOf(doc int64, shards int) int {
 // shard carries its own compressed posting blobs (per-term counts doubling as
 // the shard's DF summary), its slice of the signatures, ThemeView points,
 // cluster assignments and metadata, and the full replicated vocabulary,
-// projections and themes — everything a shard Server needs to answer sub-queries
-// on its own. The receiver is not modified; shard stores share its immutable
-// replicated tables.
+// projections and themes — everything a shard Server needs to answer
+// sub-queries on its own. The receiver is not modified; shard stores share
+// its immutable replicated tables.
 //
 // Sharding assumes the dense document IDs a pipeline snapshot produces
 // (0..TotalDocs-1); each shard's TotalDocs is its own document count.
