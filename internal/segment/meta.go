@@ -81,7 +81,7 @@ func (m *Meta) Validate(docs []int64) error {
 			j++
 		}
 		if j == len(docs) || docs[j] != d {
-			return fmt.Errorf("segment: metadata row names document %d outside the block", d)
+			return fmt.Errorf("segment: metadata row for document %d, which the block does not hold", d)
 		}
 	}
 	seen := make(map[string]bool, len(m.Dict))

@@ -438,7 +438,7 @@ func (st *Store) validate() error {
 		}
 	}
 	if err := st.Meta.Validate(st.SigDocs); err != nil {
-		return fmt.Errorf("serve: store: %w", err)
+		return fmt.Errorf("serve: store base: %w", err)
 	}
 	if err := st.Posts.Validate(); err != nil {
 		return err

@@ -546,7 +546,7 @@ func TestStrayBaseRowRefusedAtLoad(t *testing.T) {
 	b.Add(st.TotalDocs, 5, []string{"source=stray"})
 	st.Meta = b.Meta()
 	path := saveV4T(t, st, "stray.store")
-	if _, err := LoadStoreFile(path); err == nil || !strings.Contains(err.Error(), "outside") {
+	if _, err := LoadStoreFile(path); err == nil || !strings.Contains(err.Error(), "does not hold") {
 		t.Fatalf("a stray base metadata row loaded: %v", err)
 	}
 }
