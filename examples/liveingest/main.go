@@ -124,12 +124,14 @@ func main() {
 	// interaction.
 	sess := srv.NewSession()
 	term := []string{srv.TopTerms(context.Background(), 1)[0]}
-	docs := exec(sess, serve.Query{Op: serve.OpTerm, Terms: term}).Postings
-	if len(docs) > 0 {
-		exec(sess, serve.Query{Op: serve.OpDelete, Doc: docs[0].Doc})
+	// An answer's postings are the session's until its next interaction:
+	// keep the document ID, not the slice.
+	if docs := exec(sess, serve.Query{Op: serve.OpTerm, Terms: term}).Postings; len(docs) > 0 {
+		doc := docs[0].Doc
+		exec(sess, serve.Query{Op: serve.OpDelete, Doc: doc})
 		after := exec(sess, serve.Query{Op: serve.OpTerm, Terms: term}).Postings
 		fmt.Printf("\ndeleted doc %d: %q now matches %d docs (DF still reports %d until compaction drops the postings)\n",
-			docs[0].Doc, term[0], len(after), exec(sess, serve.Query{Op: serve.OpDF, Terms: term}).DF)
+			doc, term[0], len(after), exec(sess, serve.Query{Op: serve.OpDF, Terms: term}).DF)
 	}
 
 	// Rebase folds base + segments - tombstones into a fresh base: the

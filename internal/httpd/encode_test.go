@@ -254,7 +254,7 @@ func TestAppendReplyServedShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := d.run(ctx, ns, tc.op, vals)
+		rep := d.execute(ctx, ns, tc.op, vals)
 		checkEncoding(t, &rep)
 	}
 	for _, op := range []string{"flush", "compact", "save"} {

@@ -177,11 +177,12 @@ func (d *Daemon) SetLimits(l Limits) {
 func (d *Daemon) Shed() uint64 { return d.shed.Load() }
 
 // namedSession serializes the requests of one session name: a Querier
-// requires one goroutine at a time.
+// requires one goroutine at a time. terms is the request's split q, reused.
 type namedSession struct {
-	mu   sync.Mutex
-	sess serve.Querier
-	bkt  *bucket
+	mu    sync.Mutex
+	sess  serve.Querier
+	bkt   *bucket
+	terms []string
 }
 
 // maxNamedSessions bounds the retained session table; once full, unseen
@@ -323,11 +324,24 @@ func (p *params) float(key string) float64 {
 	return f
 }
 
-// run executes one operation against a session, holding its lock so
-// concurrent requests on one name serialize.
-func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.Values) Reply {
+// run executes one operation against a named session and appends its reply,
+// in the HTTP envelope, to dst; it returns the buffer and the status. It holds
+// the session's lock throughout, so concurrent requests on one name
+// serialize: the answer is borrowed from the session (valid until its next
+// call or Release), so it is encoded before Release, and both before the next
+// request on the name can run.
+func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.Values, dst []byte) ([]byte, int) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
+	rep := d.execute(ctx, ns, op, vals)
+	dst, status := appendEnvelope(dst, &rep)
+	ns.sess.Release()
+	return dst, status
+}
+
+// execute runs one operation on ns, which the caller holds; the reply's
+// answer is borrowed from ns.sess until its next call or Release.
+func (d *Daemon) execute(ctx context.Context, ns *namedSession, op string, vals url.Values) Reply {
 	sess := ns.sess
 	rep := Reply{Op: op}
 	p := params{Values: vals}
@@ -348,7 +362,8 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.
 		return rep
 	}
 	terms := func() []string {
-		return strings.FieldsFunc(p.Get("q"), func(r rune) bool { return r == ',' || r == ' ' })
+		ns.terms = splitTerms(ns.terms, p.Get("q"))
+		return ns.terms
 	}
 	var err error
 	switch op {
@@ -424,7 +439,25 @@ func (d *Daemon) run(ctx context.Context, ns *namedSession, op string, vals url.
 	if err != nil {
 		rep.fail(err)
 	}
+	clear(ns.terms) // no session pins a request's query string
 	return rep
+}
+
+// splitTerms writes the non-empty comma- or space-separated fields of q over
+// dst[:0].
+func splitTerms(dst []string, q string) []string {
+	dst = dst[:0]
+	for q != "" {
+		i := strings.IndexAny(q, ", ")
+		if i < 0 {
+			return append(dst, q)
+		}
+		if i > 0 {
+			dst = append(dst, q[:i])
+		}
+		q = q[i+1:]
+	}
+	return dst
 }
 
 // live executes one service-level maintenance op (flush/compact/save) — not
@@ -544,8 +577,10 @@ func (d *Daemon) Mux() *http.ServeMux {
 			return
 		}
 		defer d.release()
-		rep := d.run(r.Context(), d.session(name), op, vals)
-		writeReply(w, &rep)
+		bb := newBody()
+		var status int
+		bb.b, status = d.run(r.Context(), d.session(name), op, vals, bb.b)
+		bb.send(w, status)
 	}
 	sessionOps := func(method string, ops ...string) {
 		for _, op := range ops {
@@ -622,7 +657,7 @@ var lineArgs = map[string][]string{"term": {"q"}, "df": {"q"}, "and": {"q"}, "or
 // surface.
 func (d *Daemon) ServeLines(in io.Reader, out io.Writer) {
 	ctx := context.Background()
-	sess := &namedSession{sess: d.srv.NewQuerier()}
+	ns := &namedSession{sess: d.srv.NewQuerier()}
 	sc := bufio.NewScanner(in)
 	var line []byte
 	// emit writes one reply line, bare: the envelope is HTTP's. A write error
@@ -632,8 +667,8 @@ func (d *Daemon) ServeLines(in io.Reader, out io.Writer) {
 		_, _ = out.Write(line)
 	}
 	// The connection's sticky filter, re-injected into every op's parameters
-	// so run() — which resets the session filter from its arguments each call
-	// — keeps HTTP requests stateless while the terminal stays sticky.
+	// so execute() — which resets the session filter from its arguments each
+	// call — keeps HTTP requests stateless while the terminal stays sticky.
 	filter := url.Values{}
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -679,7 +714,7 @@ func (d *Daemon) ServeLines(in io.Reader, out io.Writer) {
 			vals[k] = v
 		}
 		// Positional arguments take the HTTP parameter names; a missing one
-		// stays unset and run() refuses it where the op needs it.
+		// stays unset and execute() refuses it where the op needs it.
 		switch op {
 		case "and", "or":
 			rest = []string{strings.Join(rest, ",")}
@@ -691,6 +726,9 @@ func (d *Daemon) ServeLines(in io.Reader, out io.Writer) {
 				vals.Set(name, rest[i])
 			}
 		}
-		emit(d.run(ctx, sess, op, vals))
+		// The connection is its session's only caller: the reply is written
+		// before the borrowed answer goes back.
+		emit(d.execute(ctx, ns, op, vals))
+		ns.sess.Release()
 	}
 }

@@ -67,6 +67,7 @@ func (stubQuerier) AddDoc(context.Context, string, int64, []string) (int64, erro
 }
 func (stubQuerier) SetFilter(serve.Filter) error        { return nil }
 func (stubQuerier) Delete(context.Context, int64) error { return nil }
+func (stubQuerier) Release()                            {}
 
 type stubService struct{}
 
@@ -212,10 +213,15 @@ var e2eDocs = []string{
 // (shards==1) or a scatter-gather Router.
 func buildService(t *testing.T, shards int) serve.Service {
 	t.Helper()
-	src := corpus.FromTexts("httpd-e2e", e2eDocs)
+	return buildServiceOf(t, []*corpus.Source{corpus.FromTexts("httpd-e2e", e2eDocs)}, shards)
+}
+
+// buildServiceOf is buildService over any corpus.
+func buildServiceOf(t testing.TB, srcs []*corpus.Source, shards int) serve.Service {
+	t.Helper()
 	var st *serve.Store
 	_, err := cluster.Run(2, simtime.Zero(), func(c *cluster.Comm) error {
-		res, err := core.Run(c, []*corpus.Source{src}, core.Config{TopN: 100, TopicFrac: 0.5, CollectSignatures: true})
+		res, err := core.Run(c, srcs, core.Config{TopN: 100, TopicFrac: 0.5, CollectSignatures: true})
 		if err != nil {
 			return err
 		}

@@ -103,7 +103,7 @@ func TestErrorCodeFollowsKindNotText(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		vals := url.Values{"doc": {"0"}, "k": {"3"}}
-		if rep := d.run(ctx, d.session(""), "similar", vals); rep.Error == "" || rep.code != CodeInternal {
+		if rep := d.execute(ctx, d.session(""), "similar", vals); rep.Error == "" || rep.code != CodeInternal {
 			t.Fatalf("%d shards: cancelled similar = %+v, want an internal error", shards, rep)
 		}
 

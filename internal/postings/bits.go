@@ -10,7 +10,7 @@ import (
 // builds one per (epoch, filter) for dense metadata selections, so filtered
 // boolean queries run the same word-wise kernels the dense posting
 // containers use instead of a per-document comparison loop; its sessions
-// keep one more as scratch to union dense answers through (Union).
+// keep one more as scratch to union dense answers through (UnionInto).
 type Bits struct {
 	// Base is the doc ID of word 0, bit 0; a multiple of 64 so the word grid
 	// lines up with the bitmap posting containers with no shifting.
@@ -58,14 +58,15 @@ func (b *Bits) Reset(lo, hi int64) {
 	clear(b.Words)
 }
 
-// Union returns the ascending, duplicate-free union of ascending doc-ID
-// lists in a fresh slice and true, computed through b's words: one bit set
-// per input ID, then the popcount walk BitmapDocsInto emits with, so no step
-// compares one list's head with another's and repeats collapse for free. b
-// is scratch, re-gridded over the lists' span. When the lists are not Dense
-// over that span it computes nothing and returns false: a comparison merge
-// is cheaper than span/64 words there.
-func (b *Bits) Union(lists [][]int64) ([]int64, bool) {
+// UnionInto writes the ascending, duplicate-free union of ascending doc-ID
+// lists over dst[:0] and returns it (regrown if need be) and true, computed
+// through b's words: one bit set per input ID, then the popcount walk
+// BitmapDocsInto emits with, so no step compares one list's head with
+// another's and repeats collapse for free. b is scratch, re-gridded over the
+// lists' span. When the lists are not Dense over that span it computes
+// nothing and returns dst, false: a comparison merge is cheaper than span/64
+// words there.
+func (b *Bits) UnionInto(dst []int64, lists [][]int64) ([]int64, bool) {
 	var n int64
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, l := range lists {
@@ -75,7 +76,7 @@ func (b *Bits) Union(lists [][]int64) ([]int64, bool) {
 		}
 	}
 	if !Dense(n, lo, hi) {
-		return nil, false
+		return dst, false
 	}
 	b.Reset(lo, hi+1)
 	words, base := b.Words, b.Base
@@ -85,7 +86,10 @@ func (b *Bits) Union(lists [][]int64) ([]int64, bool) {
 			words[off>>6] |= 1 << uint(off&63)
 		}
 	}
-	return appendDocs(make([]int64, 0, b.Len()), words, base), true
+	if n := int(b.Len()); cap(dst) < n {
+		dst = make([]int64, 0, n)
+	}
+	return appendDocs(dst[:0], words, base), true
 }
 
 // Set adds doc to the set. doc must be within the range the set was built

@@ -13,9 +13,12 @@ import (
 // paths measured 10 (Session.And), 32 (RouterSession.And), 31
 // (RouterSession.Tile) and 2 (mergeDocs) allocations per warm call, so a
 // regression past these bounds means a reuse path silently fell off.
+// Answers are written into pooled buffers, so under -race (where sync.Pool
+// drops Puts at random) a pin allows poolAllocSlack per pooled answer.
 
 // TestAndAllocSteady pins the single-store conjunction: with the posting
-// cache warm, the only allocation left is the freshly merged result slice.
+// cache warm and the answer written into a pooled buffer, nothing is left to
+// allocate.
 func TestAndAllocSteady(t *testing.T) {
 	st := buildStoreT(t, 2)
 	srv := newServerT(t, st, Config{})
@@ -26,8 +29,8 @@ func TestAndAllocSteady(t *testing.T) {
 	}
 	sess.And(context.Background(), "apple", "banana") // second warm pass settles the scratch sizes
 	got := testing.AllocsPerRun(200, func() { sess.And(context.Background(), "apple", "banana") })
-	if got > 1 {
-		t.Fatalf("warm Session.And allocates %v objects/op, want <= 1 (the result)", got)
+	if bound := float64(poolAllocSlack); got > bound {
+		t.Fatalf("warm Session.And allocates %v objects/op, want <= %v (was 1, the result, before pooled answers)", got, bound)
 	}
 }
 
@@ -36,16 +39,17 @@ func TestAndAllocSteady(t *testing.T) {
 // vector lives on the stack up to 16 parts).
 func TestMergeSortedAllocSteady(t *testing.T) {
 	parts := [][]int64{{1, 4, 9}, {2, 5}, {3, 6, 8}, {7}}
-	got := testing.AllocsPerRun(200, func() { mergeDocs(parts) })
+	got := testing.AllocsPerRun(200, func() { mergeDocs(nil, parts) })
 	if got > 1 {
 		t.Fatalf("mergeDocs allocates %v objects/op, want <= 1 (the output)", got)
 	}
 }
 
 // TestRouterAndAllocSteady pins the routed conjunction: what remains is the
-// scatter (a goroutine per live shard, its parts), each shard's sub-And
-// result, and the merge (its gathered lists, its output). The bound is the
-// measured count and allows no rebuilt tables.
+// scatter's goroutines, one per live shard but the last, which runs on the
+// caller. Parts, gathered lists and answers are session scratch or pooled.
+// The bound is the measured count and allows no rebuilt tables; under -race
+// the router's and the shards' pooled answers add slack.
 func TestRouterAndAllocSteady(t *testing.T) {
 	st := buildStoreT(t, 2)
 	shards, err := st.Shard(3)
@@ -63,8 +67,8 @@ func TestRouterAndAllocSteady(t *testing.T) {
 	}
 	rs.And(context.Background(), "apple", "banana")
 	got := testing.AllocsPerRun(200, func() { rs.And(context.Background(), "apple", "banana") })
-	if got > 9 {
-		t.Fatalf("warm RouterSession.And allocates %v objects/op, want <= 9 (was 32 before scratch reuse, 13 before Exec)", got)
+	if bound := float64(2 + 2*poolAllocSlack); got > bound {
+		t.Fatalf("warm RouterSession.And allocates %v objects/op, want <= %v (was 32 before scratch reuse, 13 before Exec, 9 before pooled answers)", got, bound)
 	}
 }
 
@@ -107,21 +111,24 @@ func TestDenseRouterAllocSteady(t *testing.T) {
 	or := func(terms ...string) func() []int64 {
 		return func() []int64 { return rs.Or(ctx, terms...) }
 	}
+	// Both answers go through pooled buffers: under -race, where the pool
+	// drops Puts at random, either side may pay a reallocation.
 	denseTerm := allocs("term alphadense", true, term("alphadense"))
 	sparseTerm := allocs("term gammasparse", false, term("gammasparse"))
-	if denseTerm > sparseTerm {
+	if denseTerm > sparseTerm+poolAllocSlack {
 		t.Fatalf("warm routed dense term allocates %v objects/op, the sparse one %v", denseTerm, sparseTerm)
 	}
 	denseOr := allocs("or alphadense betadense", true, or("alphadense", "betadense"))
 	sparseOr := allocs("or gammasparse uniq199", false, or("gammasparse", "uniq199"))
-	if denseOr > sparseOr {
+	if denseOr > sparseOr+poolAllocSlack {
 		t.Fatalf("warm routed dense or allocates %v objects/op, the sparse one %v", denseOr, sparseOr)
 	}
 }
 
 // TestRouterTileAllocSteady pins the routed tile gather: the merge buffer
-// cycles through the pool, so what remains is the scatter goroutines, its
-// parts, and the rendered copy the caller keeps.
+// cycles through the pool and the parts are session scratch, so what
+// remains is the scatter goroutines, the gathered raw tiles, and the
+// rendered copy the caller keeps.
 func TestRouterTileAllocSteady(t *testing.T) {
 	st := buildStoreT(t, 2)
 	shards, err := st.Shard(3)
@@ -138,9 +145,9 @@ func TestRouterTileAllocSteady(t *testing.T) {
 		t.Fatalf("root tile = %+v, %v", res, err)
 	}
 	rs.Tile(context.Background(), 0, 0, 0)
-	bound := float64(17 + poolAllocSlack)
+	bound := float64(14 + 2*poolAllocSlack)
 	got := testing.AllocsPerRun(200, func() { rs.Tile(context.Background(), 0, 0, 0) })
 	if got > bound {
-		t.Fatalf("warm RouterSession.Tile allocates %v objects/op, want <= %v (was 31 before the merge pool, 23 before Exec)", got, bound)
+		t.Fatalf("warm RouterSession.Tile allocates %v objects/op, want <= %v (was 31 before the merge pool, 23 before Exec, 17 before scatter scratch)", got, bound)
 	}
 }

@@ -36,7 +36,7 @@ func BenchmarkMergePostings(b *testing.B) {
 			b.SetBytes(total * 16)
 			b.ReportAllocs()
 			for b.Loop() {
-				if out := unionPostings(&bits, &ranks, parts); len(out) != total {
+				if out := unionPostings(nil, &bits, &ranks, parts); len(out) != total {
 					b.Fatalf("merged %d postings, want %d", len(out), total)
 				}
 			}
@@ -68,7 +68,7 @@ func BenchmarkUnionOr(b *testing.B) {
 	b.SetBytes(int64(len(lists[0])+len(lists[1])) * 8)
 	b.ReportAllocs()
 	for b.Loop() {
-		if out := unionSorted(&bits, lists); len(out) != want {
+		if out := unionSorted(nil, &bits, lists); len(out) != want {
 			b.Fatalf("union of %d documents, want %d", len(out), want)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"inspire/internal/query"
 	"inspire/internal/tiles"
@@ -54,6 +55,11 @@ type Query struct {
 }
 
 // Result is the answer to a Query; only the fields of its op are set.
+//
+// Postings and Docs are borrowed: the executor that answered writes them into
+// buffers it holds for one request, and they stay valid until its next Exec
+// or Release. A caller that keeps an answer longer copies it first
+// (slices.Clone). Every other field is the caller's to keep.
 type Result struct {
 	Postings []query.Posting // OpTerm
 	Docs     []int64         // OpAnd, OpOr, OpTheme, OpNear
@@ -65,6 +71,65 @@ type Result struct {
 
 	raw  *tiles.Tile   // opTileRaw
 	raws []*tiles.Tile // opTileRangeRaw
+}
+
+// answer is the buffers one read writes its Postings or Docs into, borrowed
+// from answers for the span of one request: an executor takes one when a
+// read needs it and puts it back at its next Exec or Release. The buffers
+// are pooled, not kept per session: a daemon holds up to a thousand named
+// sessions, and each would otherwise pin the largest answer it ever gave.
+// Nothing borrowed is ever stored in a shared cache, and a buffer that is
+// never put back is simply collected.
+type answer struct {
+	docs  []int64
+	posts []query.Posting
+	tmp   []int64 // a second document buffer: merged frequencies, merge runs
+}
+
+// maxPooledAnswer keeps one outsized answer (bytes across its buffers) from
+// pinning its buffers in the pool forever.
+const maxPooledAnswer = 1 << 20
+
+var answers = sync.Pool{New: func() any { return new(answer) }}
+
+// lender holds an executor's borrowed answer, if any.
+type lender struct{ a *answer }
+
+// borrow returns the executor's answer buffers, taking them from the pool
+// on the request's first use.
+func (l *lender) borrow() *answer {
+	if l.a == nil {
+		l.a = answers.Get().(*answer)
+	}
+	return l.a
+}
+
+// take hands the borrowed answer, if any, to the caller: the executor's next
+// read borrows afresh instead of writing over it.
+func (l *lender) take() *answer {
+	a := l.a
+	l.a = nil
+	return a
+}
+
+// release puts the executor's borrowed answer back in the pool: the
+// Postings and Docs of its last Result are no longer valid.
+func (l *lender) release() { putAnswer(l.take()) }
+
+// putAnswer returns a (nil: none) to the pool, unless it is outsized.
+func putAnswer(a *answer) {
+	if a != nil && 8*cap(a.docs)+16*cap(a.posts)+8*cap(a.tmp) <= maxPooledAnswer {
+		answers.Put(a)
+	}
+}
+
+// room returns s[:0] with capacity for n elements: s's own array when it is
+// large enough, else one fresh allocation (slices.Grow's two, under -race).
+func room[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // The kinds of error an interaction fails with besides its context's own: a
@@ -132,6 +197,9 @@ func (q *Query) prepare(ctx context.Context, tc tiles.Config) (skip bool, err er
 // (client disconnect, admission deadline, a hedged request losing its race)
 // stops the interaction early — error-returning ops surface ctx.Err(),
 // slice-returning ops return nil.
+//
+// The slices TermDocs, And, Or, ThemeDocs and Near return are borrowed from
+// the querier (see Result): valid until its next call or Release.
 type Querier interface {
 	TermDocs(ctx context.Context, term string) []query.Posting
 	DF(ctx context.Context, term string) int64
@@ -150,6 +218,10 @@ type Querier interface {
 	// returns exactly the unfiltered answer with non-matching documents
 	// removed. DF is a descriptor read and stays unfiltered.
 	SetFilter(f Filter) error
+	// Release hands back the buffers the last answer was borrowed from; that
+	// answer is invalid from here on. The next call releases them too, so
+	// Release matters only to give them back early.
+	Release()
 }
 
 // querier is the Querier written once, over an executor's Exec: each method
@@ -158,6 +230,7 @@ type Querier interface {
 type querier struct {
 	ex interface {
 		Exec(ctx context.Context, q Query) (Result, error)
+		Release()
 	}
 	filter Filter   // normalized
 	terms  []string // the interaction's Terms, reused
@@ -180,6 +253,8 @@ func (a *querier) with(terms ...string) []string {
 	a.terms = append(a.terms[:0], terms...)
 	return a.terms
 }
+
+func (a *querier) Release() { a.ex.Release() }
 
 func (a *querier) SetFilter(f Filter) error {
 	nf, err := f.normalized()

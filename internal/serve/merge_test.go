@@ -35,7 +35,7 @@ func TestMergeByDocMatchesSort(t *testing.T) {
 			want = append(want, parts[i]...)
 		}
 		slices.Sort(want)
-		if got := mergeDocs(parts); !slices.Equal(got, want) {
+		if got := mergeDocs(nil, parts); !slices.Equal(got, want) {
 			t.Fatalf("mergeDocs(%v) = %v, want %v", parts, got, want)
 		}
 		// Postings carry a payload: equal keys must come out in part order.
@@ -56,7 +56,7 @@ func TestMergeByDocMatchesSort(t *testing.T) {
 			}
 			return 0
 		})
-		if got := mergePostings(posts); !slices.Equal(got, wantPosts) {
+		if got := mergePostings(nil, posts); !slices.Equal(got, wantPosts) {
 			t.Fatalf("mergePostings(%v) = %v, want %v", posts, got, wantPosts)
 		}
 	}

@@ -292,7 +292,7 @@ func (r *Router) SampleDocs(ctx context.Context, n int) []int64 {
 	for i, set := range r.sets {
 		parts[i] = set.primary().Server().SampleDocs(ctx, n)
 	}
-	out := mergeDocs(parts)
+	out := mergeDocs(nil, parts)
 	if len(out) > n {
 		out = out[:n]
 	}
@@ -319,17 +319,39 @@ type RouterSession struct {
 	ID   int64
 	subs [][]*replicaSub // [shard][replica]
 
+	// ans holds the buffers the last merged answer was written into,
+	// borrowed for one request (see answer).
+	ans lender
+
 	// Per-interaction scratch (a session is one goroutine at a time): sub is
 	// the shard query of the scatter in flight, key the similarity cache key
-	// from plan to merge, scratchBits and scratchRanks the word array dense
-	// merges union through and its per-word ranks (every merged answer is a
-	// fresh slice; neither escapes).
+	// from plan to merge, parts, errs and loans the scatter's per-shard
+	// outcomes (loans holds the buffers each part is written in),
+	// scratchDocs and scratchPosts the gathered answers a merge reads,
+	// scratchBits and scratchRanks the word array dense merges union through
+	// and its per-word ranks (every merged answer is written into ans; no
+	// scratch escapes).
 	scratchShards []int
 	scratchIDs    []int64
+	scratchDocs   [][]int64
+	scratchPosts  [][]query.Posting
 	scratchBits   postings.Bits
 	scratchRanks  []int
+	parts         []Result
+	errs          []error
+	loans         []*answer
+	reads         []*shardRead
+	wg            sync.WaitGroup
 	sub           Query
 	key           simKey
+}
+
+// shardRead is one scatter slot a goroutine of its own reads: run is bound
+// once per session, so starting the goroutine allocates nothing.
+type shardRead struct {
+	ctx   context.Context
+	i, id int
+	run   func()
 }
 
 // replicaSub is one session's connection to one replica. Its lock serializes
@@ -352,13 +374,20 @@ func (sub *replicaSub) session() *Session {
 	return sub.sess
 }
 
+// Release puts back the buffers the last merged answer was borrowed from.
+func (rs *RouterSession) Release() { rs.ans.release() }
+
 // Exec answers one query over the shard set in one pipeline driven by the
 // op's entry in routes: resolve and prune (or answer at the router with no
 // fan-out), scatter the shard half, merge the parts. The filter travels in
 // the query; the shards partition the documents, so per-shard filtering
 // commutes with the merges. A routed answer is complete or an error: a part
-// lost to the context fails the query with the context's error.
+// lost to the context fails the query with the context's error. The merge
+// reads the parts straight out of the shard sessions' borrowed buffers and
+// hands those back as soon as it is done; the answer's Postings and Docs are
+// valid until the next Exec or Release.
 func (rs *RouterSession) Exec(ctx context.Context, q Query) (Result, error) {
+	rs.ans.release()
 	r := rs.r
 	if skip, err := q.prepare(ctx, r.cfg.tileConfig()); skip || err != nil {
 		return Result{}, err
@@ -388,7 +417,9 @@ func (rs *RouterSession) Exec(ctx context.Context, q Query) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return rt.merge(rs, q, parts), nil
+	res = rt.merge(rs, q, parts)
+	rs.releaseParts()
+	return res, nil
 }
 
 // route is how the router answers one Op: plan returns the shards to send
@@ -508,7 +539,7 @@ func planSimilar(rs *RouterSession, q Query) ([]int, Result, error) {
 
 func mergeSimilar(rs *RouterSession, q Query, parts []Result) Result {
 	r := rs.r
-	hits := mergeHits(gather(parts, func(p *Result) []query.Hit { return p.Hits }), q.K)
+	hits := mergeHits(gather(nil, parts, func(p *Result) []query.Hit { return p.Hits }), q.K)
 	// The shards resolved their views after the key's sum was read, so under
 	// concurrent ingest the merged answer can reflect newer epochs than the
 	// key claims. Cache only when the sum is unchanged — every published
@@ -555,22 +586,30 @@ func planNear(rs *RouterSession, q Query) ([]int, Result, error) {
 	return rs.scratchShards, Result{}, nil
 }
 
-// gather collects one field of every part, in shard order, for a merge.
-func gather[T any](parts []Result, field func(*Result) T) []T {
-	out := make([]T, len(parts))
+// gather collects one field of every part, in shard order, over dst[:0]
+// for a merge.
+func gather[T any](dst []T, parts []Result, field func(*Result) T) []T {
+	dst = room(dst, len(parts))
 	for i := range parts {
-		out[i] = field(&parts[i])
+		dst = append(dst, field(&parts[i]))
 	}
-	return out
+	return dst
 }
 
 func mergePostingParts(rs *RouterSession, _ Query, parts []Result) Result {
-	return Result{Postings: unionPostings(&rs.scratchBits, &rs.scratchRanks,
-		gather(parts, func(p *Result) []query.Posting { return p.Postings }))}
+	rs.scratchPosts = gather(rs.scratchPosts, parts, func(p *Result) []query.Posting { return p.Postings })
+	a := rs.ans.borrow()
+	a.posts = unionPostings(a.posts, &rs.scratchBits, &rs.scratchRanks, rs.scratchPosts)
+	clear(rs.scratchPosts)
+	return Result{Postings: nilIfEmpty(a.posts)}
 }
 
 func mergeDocParts(rs *RouterSession, _ Query, parts []Result) Result {
-	return Result{Docs: unionSorted(&rs.scratchBits, gather(parts, func(p *Result) []int64 { return p.Docs }))}
+	rs.scratchDocs = gather(rs.scratchDocs, parts, func(p *Result) []int64 { return p.Docs })
+	a := rs.ans.borrow()
+	a.docs = unionSorted(a.docs, &rs.scratchBits, rs.scratchDocs)
+	clear(rs.scratchDocs)
+	return Result{Docs: nilIfEmpty(a.docs)}
 }
 
 func mergeUnionParts(rs *RouterSession, q Query, parts []Result) Result {
@@ -619,39 +658,75 @@ func planDelete(rs *RouterSession, q Query) ([]int, Result, error) {
 	return nil, Result{}, err
 }
 
-// attemptOut is one replica attempt's outcome inside a scatter.
+// attemptOut is one replica attempt's outcome inside a scatter. loan is the
+// answer buffers res is written in, taken from the replica's session: a
+// later attempt on that session — a hedge loser of an earlier interaction
+// can start after this one finished — borrows its own instead of writing over
+// them.
 type attemptOut struct {
 	res   Result
 	err   error
 	ok    bool
 	hedge bool
+	loan  *answer
 }
 
-// scatter runs rs.sub on the listed shards in parallel, one goroutine each,
-// and gathers the parts in ids order. The first part that failed — one the
+// scatter runs rs.sub on the listed shards in parallel — the last on the
+// calling goroutine, each other on its own — and gathers the parts in ids
+// order into session scratch. The first part that failed — one the
 // context's end kept from arriving is the context's error — fails the
-// scatter.
+// scatter. The parts are valid until releaseParts.
 func (rs *RouterSession) scatter(ctx context.Context, ids []int) ([]Result, error) {
 	r := rs.r
 	r.fanOuts.Add(1)
 	r.shardQueries.Add(uint64(len(ids)))
 	r.shardsPruned.Add(uint64(len(r.sets) - len(ids)))
-	parts, errs := make([]Result, len(ids)), make([]error, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[i], errs[i] = rs.replicaRead(ctx, id)
-		}()
+	n := len(ids)
+	rs.parts = room(rs.parts, n)[:n]
+	rs.errs = room(rs.errs, n)[:n]
+	rs.loans = room(rs.loans, n)[:n]
+	for len(rs.reads) < n-1 {
+		sr := new(shardRead)
+		sr.run = func() {
+			defer rs.wg.Done()
+			rs.readPart(sr.ctx, sr.i, sr.id)
+		}
+		rs.reads = append(rs.reads, sr)
 	}
-	wg.Wait()
-	for _, err := range errs {
+	for i, sr := range rs.reads[:n-1] {
+		sr.ctx, sr.i, sr.id = ctx, i, ids[i]
+		rs.wg.Add(1)
+		go sr.run()
+	}
+	rs.readPart(ctx, n-1, ids[n-1])
+	rs.wg.Wait()
+	for _, sr := range rs.reads[:n-1] {
+		sr.ctx = nil // the request's, not the session's
+	}
+	for _, err := range rs.errs {
 		if err != nil {
+			rs.releaseParts()
 			return nil, err
 		}
 	}
-	return parts, nil
+	return rs.parts, nil
+}
+
+// readPart reads shard id's part into slot i of the scatter.
+func (rs *RouterSession) readPart(ctx context.Context, i, id int) {
+	out := rs.replicaRead(ctx, id)
+	rs.parts[i], rs.errs[i], rs.loans[i] = out.res, out.err, out.loan
+}
+
+// releaseParts puts the buffers the parts were written in back in the pool,
+// once the merge has copied them out, and drops the scatter's references.
+func (rs *RouterSession) releaseParts() {
+	for _, a := range rs.loans {
+		putAnswer(a)
+	}
+	clear(rs.loans)
+	clear(rs.parts)
+	clear(rs.errs)
 }
 
 // attempt runs q on one replica under its sub lock. An attempt that is not
@@ -676,7 +751,9 @@ func attempt(ctx context.Context, sub *replicaSub, q *Query, force bool) (out at
 			return out
 		}
 	}
-	out.res, out.err = sub.session().Exec(ctx, *q)
+	sess := sub.session()
+	out.res, out.err = sess.Exec(ctx, *q)
+	out.loan = sess.ans.take()
 	// A kill that landed while the attempt ran means the reply may be from a
 	// half-dead replica: discard and let the caller fail over.
 	out.ok = force || (rep.live() && ctx.Err() == nil)
@@ -688,13 +765,13 @@ func attempt(ctx context.Context, sub *replicaSub, q *Query, force bool) (out at
 // failover to untried live replicas when an attempt fails, and — when every
 // replica is dead — a forced read of replica 0 (a stale answer beats none;
 // the primary-ordered write path keeps a live replica current). The winner's
-// reply is the answer; losers finish on their own sub locks, discarded.
-func (rs *RouterSession) replicaRead(ctx context.Context, shard int) (Result, error) {
+// reply is the answer; losers finish on their own sub locks, discarded, and
+// their answer buffers are left to the collector.
+func (rs *RouterSession) replicaRead(ctx context.Context, shard int) attemptOut {
 	subs := rs.subs[shard]
 	if len(subs) == 1 {
 		// Unreplicated: the pre-replication fast path, no channel or timer.
-		out := attempt(ctx, subs[0], &rs.sub, true)
-		return out.res, out.err
+		return attempt(ctx, subs[0], &rs.sub, true)
 	}
 	set := rs.r.sets[shard]
 	// A loser can outlive the interaction: it must not share the terms the
@@ -732,7 +809,7 @@ func (rs *RouterSession) replicaRead(ctx context.Context, shard int) (Result, er
 				if out.hedge {
 					rs.r.hedgeWins.Add(1)
 				}
-				return out.res, out.err
+				return out
 			}
 			if launch(set.pick(tried), false) {
 				rs.r.failovers.Add(1)
@@ -743,11 +820,10 @@ func (rs *RouterSession) replicaRead(ctx context.Context, shard int) (Result, er
 				rs.r.hedges.Add(1)
 			}
 		case <-ctx.Done():
-			return Result{}, ctx.Err()
+			return attemptOut{err: ctx.Err()}
 		}
 	}
-	out := attempt(ctx, subs[0], &q, true)
-	return out.res, out.err
+	return attempt(ctx, subs[0], &q, true)
 }
 
 // termShards returns the shards whose primary's view DF admits every term
@@ -875,22 +951,19 @@ func mergeSorted[T any](parts [][]T, less func(a, b T) bool, limit int) []T {
 	return out
 }
 
-// mergeByDoc is mergeSorted for lists that ascend by an int64 document key:
-// each part's head key is cached in a stack array, so choosing the next item
-// compares integers instead of calling a less closure per part, and doc runs
-// once per item emitted. Equal keys keep part order. nil when nothing
-// merges.
-func mergeByDoc[T any](parts [][]T, doc func(T) int64) []T {
+// mergeByDoc is mergeSorted for lists that ascend by an int64 document key,
+// written over dst[:0]: each part's head key is cached in a stack array, so
+// choosing the next item compares integers instead of calling a less
+// closure per part, and doc runs once per item emitted. Equal keys keep part
+// order.
+func mergeByDoc[T any](dst []T, parts [][]T, doc func(T) int64) []T {
 	var total int
 	for _, p := range parts {
 		total += len(p)
 	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]T, 0, total)
+	out := room(dst, total)
 	// The live (non-exhausted) parts and their head keys stay on the stack
-	// for any realistic shard count: one allocation, the output.
+	// for any realistic shard count: at most one allocation, the output.
 	var restBuf [16][]T
 	var headBuf [16]int64
 	rest, heads := restBuf[:0], headBuf[:0]
@@ -925,24 +998,24 @@ func mergeByDoc[T any](parts [][]T, doc func(T) int64) []T {
 }
 
 // mergeDocs k-way merges ascending document lists (pairwise disjoint when
-// they come from shards, which partition the document space).
-func mergeDocs(parts [][]int64) []int64 {
-	return mergeByDoc(parts, func(d int64) int64 { return d })
+// they come from shards, which partition the document space) over dst[:0].
+func mergeDocs(dst []int64, parts [][]int64) []int64 {
+	return mergeByDoc(dst, parts, func(d int64) int64 { return d })
 }
 
-// mergePostings k-way merges doc-sorted, disjoint posting lists.
-func mergePostings(parts [][]query.Posting) []query.Posting {
-	return mergeByDoc(parts, func(p query.Posting) int64 { return p.Doc })
+// mergePostings k-way merges doc-sorted, disjoint posting lists over dst[:0].
+func mergePostings(dst []query.Posting, parts [][]query.Posting) []query.Posting {
+	return mergeByDoc(dst, parts, func(p query.Posting) int64 { return p.Doc })
 }
 
 // unionPostings merges the shards' doc-sorted, pairwise-disjoint posting
-// lists into a fresh slice. A dense answer goes through the word array b:
+// lists over dst[:0]. A dense answer goes through the word array b:
 // every document's bit is set, ranks takes each word's count of documents
 // below it, and each posting is stored straight at its rank — its word's
 // rank plus the set bits under it in the word — so no step compares one
 // part with another. A sparse answer, or parts holding a document twice
 // (fewer bits than postings), take mergePostings.
-func unionPostings(b *postings.Bits, ranks *[]int, parts [][]query.Posting) []query.Posting {
+func unionPostings(dst []query.Posting, b *postings.Bits, ranks *[]int, parts [][]query.Posting) []query.Posting {
 	var n int64
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, p := range parts {
@@ -952,7 +1025,7 @@ func unionPostings(b *postings.Bits, ranks *[]int, parts [][]query.Posting) []qu
 		}
 	}
 	if !postings.Dense(n, lo, hi) {
-		return mergePostings(parts)
+		return mergePostings(dst, parts)
 	}
 	b.Reset(lo, hi+1)
 	words, base := b.Words, b.Base
@@ -970,9 +1043,9 @@ func unionPostings(b *postings.Bits, ranks *[]int, parts [][]query.Posting) []qu
 		c += bits.OnesCount64(w)
 	}
 	if int64(c) != n {
-		return mergePostings(parts)
+		return mergePostings(dst, parts)
 	}
-	out := make([]query.Posting, n)
+	out := room(dst, int(n))[:n]
 	for _, p := range parts {
 		for _, q := range p {
 			off := q.Doc - base

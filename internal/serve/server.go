@@ -286,8 +286,6 @@ type Server struct {
 
 	tmu   sync.Mutex
 	tiles *lru[tileKey, *tiles.Tile]
-	// nearBuf is near's spare merge buffer, lent per read (no session keeps one).
-	nearBuf atomic.Pointer[[]int64]
 
 	queries          atomic.Uint64
 	postingHits      atomic.Uint64
@@ -581,15 +579,20 @@ type Session struct {
 	s  *Server
 	ID int64
 
+	// ans holds the buffers the last answer was written into, borrowed for
+	// one request (see answer).
+	ans lender
+
 	// Query scratch reused across interactions. A session is a sequential
 	// stream — one goroutine at a time (the HTTP layer serializes named
 	// sessions with a mutex) — so the buffers are never contended, and
-	// nothing scratch-backed escapes: And always returns a freshly merged
-	// slice (mergeDocs copies even a single part).
+	// nothing scratch-backed escapes: every answer is copied into ans
+	// (mergeDocs copies even a single part).
 	scratchCands []andCand
 	scratchA     []int64
 	scratchB     []int64
 	scratchParts [][]int64
+	scratchLists []segment.List
 	scratchBits  postings.Bits
 	scratchEnds  []int
 }
@@ -597,9 +600,14 @@ type Session struct {
 // andCand is one conjunction term's descriptor during And's planning pass.
 type andCand struct{ id, baseDF, liveDF int64 }
 
+// Release puts back the buffers the last answer was borrowed from.
+func (ss *Session) Release() { ss.ans.release() }
+
 // Exec answers one query against the store's current epoch view. An add is
-// visible once its delta seals, a delete at the very next interaction.
+// visible once its delta seals, a delete at the very next interaction. The
+// answer's Postings and Docs are valid until the next Exec or Release.
 func (ss *Session) Exec(ctx context.Context, q Query) (Result, error) {
+	ss.ans.release()
 	s := ss.s
 	tc := s.cfg.tileConfig()
 	if skip, err := q.prepare(ctx, tc); skip || err != nil {
@@ -630,7 +638,9 @@ func (ss *Session) Exec(ctx context.Context, q Query) (Result, error) {
 		// and the sim counters with it.
 		return Result{Hits: s.scanSimilar(s.store.viewNow(), q.target, q.Doc, q.K)}, nil
 	case OpTheme:
-		return Result{Docs: s.themeDocs(q.Cluster, q.Filter)}, nil
+		a := ss.ans.borrow()
+		a.docs = s.themeDocs(a.docs, q.Cluster, q.Filter)
+		return Result{Docs: nilIfEmpty(a.docs)}, nil
 	case OpNear:
 		return Result{Docs: ss.near(q.X, q.Y, q.R, q.Filter)}, nil
 	case OpTile, opTileRaw:
@@ -660,6 +670,15 @@ func keepHits(hits []query.Hit, keep func(doc int64) bool) []query.Hit {
 	return kept
 }
 
+// nilIfEmpty returns s, or nil when it is empty: a read that finds nothing
+// answers nil, whatever buffer it wrote into.
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
+
 // filterTombs drops tombstoned docs in place; nil when nothing survives.
 func filterTombs(docs []int64, tombs map[int64]bool) []int64 {
 	if len(tombs) == 0 || len(docs) == 0 {
@@ -686,32 +705,31 @@ func (ss *Session) termDocs(term string, f Filter) []query.Posting {
 	if !ok || v.df(t) == 0 {
 		return nil
 	}
-	lists := ss.s.termLists(make([]segment.List, 0, len(v.blocks)), v, t)
+	lists := ss.s.termLists(ss.scratchLists[:0], v, t)
 	var dead func(int64) bool
 	if len(v.tombs) > 0 {
 		dead = func(d int64) bool { return v.tombs[d] }
 	}
+	a := ss.ans.borrow()
 	docs, freqs := lists[0].Docs, lists[0].Freqs
 	if len(lists) > 1 || dead != nil {
-		docs, freqs = segment.MergeLists(nil, nil, lists, dead)
+		a.docs, a.tmp = segment.MergeLists(a.docs[:0], a.tmp[:0], lists, dead)
+		docs, freqs = a.docs, a.tmp
 	}
+	clear(lists) // no session pins a list the cache has let go
+	ss.scratchLists = lists
 	// The filter applies while building the reply postings: docs may be a
 	// shared store slice, so it is never filtered in place.
 	fs := ss.s.filterSetFor(v, f)
-	if len(docs) == 0 {
-		return nil
-	}
-	out := make([]query.Posting, 0, len(docs))
+	out := room(a.posts, len(docs))
 	for i := range docs {
 		if fs != nil && !fs.contains(docs[i]) {
 			continue
 		}
 		out = append(out, query.Posting{Doc: docs[i], Freq: freqs[i]})
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	a.posts = out
+	return nilIfEmpty(out)
 }
 
 // and answers OpAnd: the documents containing every term, sorted by
@@ -889,17 +907,20 @@ func (ss *Session) and(terms []string, f Filter) []int64 {
 			parts = append(parts, segAcc)
 		}
 	}
-	out := filterTombs(mergeDocs(parts), v.tombs)
+	ss.scratchParts = parts
+	if len(parts) == 0 {
+		return nil
+	}
+	a := ss.ans.borrow()
+	a.docs = mergeDocs(a.docs, parts)
+	clear(parts)
+	out := filterTombs(a.docs, v.tombs)
 	if fs != nil {
 		// The filter applies to the final merged conjunction (idempotent over
 		// the pre-filtered dense seed).
 		out = fs.filterDocs(out)
 	}
-	ss.scratchParts = parts
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return nilIfEmpty(out)
 }
 
 // or answers OpOr: the documents containing any of the terms, sorted.
@@ -909,17 +930,22 @@ func (ss *Session) and(terms []string, f Filter) []int64 {
 func (ss *Session) or(terms []string, f Filter) []int64 {
 	st := ss.s.store
 	v := st.viewNow()
-	lists := make([]segment.List, 0, len(terms))
+	lists := ss.scratchLists[:0]
 	for _, term := range terms {
 		if t, found := st.TermID(term); found {
 			lists = ss.s.termLists(lists, v, t)
 		}
 	}
-	docs := make([][]int64, len(lists))
-	for i, l := range lists {
-		docs[i] = l.Docs
+	docs := ss.scratchParts[:0]
+	for _, l := range lists {
+		docs = append(docs, l.Docs)
 	}
-	out := filterTombs(unionSorted(&ss.scratchBits, docs), v.tombs)
+	a := ss.ans.borrow()
+	a.docs = unionSorted(a.docs, &ss.scratchBits, docs)
+	clear(lists)
+	clear(docs)
+	ss.scratchLists, ss.scratchParts = lists, docs
+	out := filterTombs(a.docs, v.tombs)
 	if fs := ss.s.filterSetFor(v, f); fs != nil {
 		out = fs.filterDocs(out)
 	}
@@ -929,19 +955,16 @@ func (ss *Session) or(terms []string, f Filter) []int64 {
 	return out
 }
 
-// unionSorted returns the deduplicated union of ascending document lists in
-// a fresh ascending slice, nil when empty. A dense union goes through the
-// word array b, where repeats collapse for free; a sparse one is the shared
+// unionSorted writes the deduplicated union of ascending document lists over
+// dst[:0], ascending, and returns it. A dense union goes through the word
+// array b, where repeats collapse for free; a sparse one is the shared
 // mergeDocs selection merge, then an in-place dedup pass — distinct query
 // terms share documents, so the merged stream repeats them.
-func unionSorted(b *postings.Bits, lists [][]int64) []int64 {
-	if out, ok := b.Union(lists); ok {
+func unionSorted(dst []int64, b *postings.Bits, lists [][]int64) []int64 {
+	if out, ok := b.UnionInto(dst, lists); ok {
 		return out
 	}
-	merged := mergeDocs(lists)
-	if merged == nil {
-		return nil
-	}
+	merged := mergeDocs(dst, lists)
 	out := merged[:0]
 	for _, d := range merged {
 		if n := len(out); n == 0 || out[n-1] != d {
@@ -1076,23 +1099,19 @@ func (s *Server) countScan(top *query.TopK) {
 	s.simPruned.Add(uint64(pruned))
 }
 
-// themeDocs answers OpTheme: the document IDs assigned to a k-means
-// cluster, sorted. Documents ingested after the snapshot carry no cluster
-// assignment until an offline re-clustering; deleted documents are filtered.
-// The walk is over the base's derived cluster index, so it costs the
-// cluster's size.
-func (s *Server) themeDocs(cluster int, f Filter) []int64 {
+// themeDocs answers OpTheme over dst[:0]: the document IDs assigned to a
+// k-means cluster, sorted. Documents ingested after the snapshot carry no
+// cluster assignment until an offline re-clustering; deleted documents are
+// filtered. The walk is over the base's derived cluster index, so it costs
+// the cluster's size.
+func (s *Server) themeDocs(dst []int64, cluster int, f Filter) []int64 {
 	v := s.store.viewNow()
 	fs := s.filterSetFor(v, f)
 	docs := v.base.clusterDocs(int64(cluster))
-	var out []int64
-	for i, d := range docs {
+	// The cluster bounds the answer: one growth, not a dozen steps.
+	out := room(dst, len(docs))
+	for _, d := range docs {
 		if !v.tombs[d] && (fs == nil || fs.contains(d)) {
-			if out == nil {
-				// The rest of the list bounds the answer: one allocation, not
-				// a dozen growth steps (and nil stays nil when nothing passes).
-				out = make([]int64, 0, len(docs)-i)
-			}
 			out = append(out, d)
 		}
 	}
@@ -1122,7 +1141,8 @@ func (ss *Session) near(x, y, radius float64, f Filter) []int64 {
 	rect := tiles.Rect{MinX: x - rad, MinY: y - rad, MaxX: x + rad, MaxY: y + rad}
 	// The members are tested where they lie, under the pyramid's lock: the
 	// test costs less than copying a 64-byte member out would.
-	hits, ends := []int64(nil), ss.scratchEnds[:0]
+	a := ss.ans.borrow()
+	hits, ends := a.docs[:0], ss.scratchEnds[:0]
 	var pruned int
 	st.withPyramid(v, s.cfg.tileConfig(), func(p *tiles.Pyramid) {
 		w := p.Where(f.After, f.Before, f.Facets)
@@ -1144,16 +1164,11 @@ func (ss *Session) near(x, y, radius float64, f Filter) []int64 {
 	})
 	s.tilesPruned.Add(uint64(pruned))
 	ss.scratchEnds = ends
-	if len(ends) < 2 {
-		return hits
+	if len(ends) > 1 {
+		hits, a.tmp = mergeRuns(hits, a.tmp, ends)
 	}
-	buf := s.nearBuf.Swap(nil)
-	if buf == nil {
-		buf = new([]int64) // a concurrent read holds it
-	}
-	hits, *buf = mergeRuns(hits, *buf, ends)
-	s.nearBuf.Store(buf)
-	return hits
+	a.docs = hits
+	return nilIfEmpty(hits)
 }
 
 // mergeRuns sorts a, ascending runs ending at the offsets ends (consumed), by

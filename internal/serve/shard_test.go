@@ -5,18 +5,20 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // queryAll exercises every Querier interaction against the miniDocs corpus
-// and returns the answers in a comparable shape.
+// and returns the answers in a comparable shape, each copied out of the
+// buffers the next interaction reuses.
 func queryAll(t *testing.T, q Querier, st *Store) map[string]any {
 	t.Helper()
 	out := map[string]any{}
 	terms := append(st.TopTerms(int(st.VocabSize)), "nonexistent")
 	for _, term := range terms {
-		out["term:"+term] = q.TermDocs(context.Background(), term)
+		out["term:"+term] = slices.Clone(q.TermDocs(context.Background(), term))
 		out["df:"+term] = q.DF(context.Background(), term)
 	}
 	pairs := [][]string{
@@ -25,8 +27,8 @@ func queryAll(t *testing.T, q Querier, st *Store) map[string]any {
 	}
 	for _, p := range pairs {
 		key := strings.Join(p, "+")
-		out["and:"+key] = q.And(context.Background(), p...)
-		out["or:"+key] = q.Or(context.Background(), p...)
+		out["and:"+key] = slices.Clone(q.And(context.Background(), p...))
+		out["or:"+key] = slices.Clone(q.Or(context.Background(), p...))
 	}
 	for _, d := range st.SampleDocs(16) {
 		hits, err := q.Similar(context.Background(), d, 3)
@@ -39,9 +41,9 @@ func queryAll(t *testing.T, q Querier, st *Store) map[string]any {
 		t.Fatal("similar on a negative doc did not error")
 	}
 	for c := 0; c < st.K; c++ {
-		out["theme:"+string(rune('0'+c))] = q.ThemeDocs(context.Background(), c)
+		out["theme:"+string(rune('0'+c))] = slices.Clone(q.ThemeDocs(context.Background(), c))
 	}
-	out["near"] = q.Near(context.Background(), 0, 0, 0.5)
+	out["near"] = slices.Clone(q.Near(context.Background(), 0, 0, 0.5))
 	return out
 }
 

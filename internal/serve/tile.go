@@ -562,7 +562,7 @@ func planTile(rs *RouterSession, q Query) ([]int, Result, error) {
 // exemplar sets union and trim — bit-identical to the single-store answer
 // over the unsharded snapshot.
 func mergeTile(rs *RouterSession, q Query, parts []Result) Result {
-	raws := gather(parts, func(p *Result) *tiles.Tile { return p.raw })
+	raws := gather(nil, parts, func(p *Result) *tiles.Tile { return p.raw })
 	return Result{Tile: rs.r.renderMerged(raws, q.Z, q.TX, q.TY)}
 }
 

@@ -13,7 +13,7 @@ import (
 // oracleUnion is the comparison-merge union every dense path is held to:
 // mergeDocs, then a dedup pass.
 func oracleUnion(lists [][]int64) []int64 {
-	merged := mergeDocs(lists)
+	merged := mergeDocs(nil, lists)
 	if merged == nil {
 		return nil
 	}
@@ -40,7 +40,7 @@ func dealByShard(docs []int64, shards int) ([][]int64, [][]query.Posting) {
 func checkUnion(t *testing.T, b *postings.Bits, ranks *[]int, docs [][]int64, posts [][]query.Posting) {
 	t.Helper()
 	want := oracleUnion(docs)
-	if got := unionSorted(b, docs); !slices.Equal(got, want) {
+	if got := unionSorted(nil, b, docs); !slices.Equal(got, want) {
 		t.Fatalf("unionSorted(%v) = %v, want %v", docs, got, want)
 	}
 	var n int64
@@ -51,7 +51,7 @@ func checkUnion(t *testing.T, b *postings.Bits, ranks *[]int, docs [][]int64, po
 			lo, hi = min(lo, l[0]), max(hi, l[len(l)-1])
 		}
 	}
-	got, ok := b.Union(docs)
+	got, ok := b.UnionInto(nil, docs)
 	if ok != postings.Dense(n, lo, hi) {
 		t.Fatalf("Union(%v) took the word array = %v; Dense(%d, %d, %d) = %v", docs, ok, n, lo, hi, !ok)
 	}
@@ -59,8 +59,8 @@ func checkUnion(t *testing.T, b *postings.Bits, ranks *[]int, docs [][]int64, po
 		t.Fatalf("Union(%v) = %v, want %v", docs, got, want)
 	}
 	if posts != nil {
-		wantPosts := mergePostings(posts)
-		if got := unionPostings(b, ranks, posts); !slices.Equal(got, wantPosts) {
+		wantPosts := mergePostings(nil, posts)
+		if got := unionPostings(nil, b, ranks, posts); !slices.Equal(got, wantPosts) {
 			t.Fatalf("unionPostings(%v) = %v, want %v", posts, got, wantPosts)
 		}
 	}
@@ -148,7 +148,7 @@ func TestDenseUnionMatchesMerge(t *testing.T) {
 		for i, d := range docs {
 			ps[i] = query.Posting{Doc: d, Freq: int64(i)}
 		}
-		if got := unionPostings(&b, &ranks, [][]query.Posting{ps}); !slices.Equal(got, ps) {
+		if got := unionPostings(nil, &b, &ranks, [][]query.Posting{ps}); !slices.Equal(got, ps) {
 			t.Fatalf("unionPostings(%v) = %v", ps, got)
 		}
 	}
@@ -176,8 +176,8 @@ func TestDenseUnionMatchesMerge(t *testing.T) {
 				ps[i] = append(ps[i], query.Posting{Doc: d, Freq: int64(i)})
 			}
 		}
-		want := mergePostings(ps)
-		if got := unionPostings(&b, &ranks, ps); !slices.Equal(got, want) {
+		want := mergePostings(nil, ps)
+		if got := unionPostings(nil, &b, &ranks, ps); !slices.Equal(got, want) {
 			t.Fatalf("unionPostings(%v) = %v, want %v", ps, got, want)
 		}
 	}

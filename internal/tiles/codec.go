@@ -134,20 +134,14 @@ func Decode(data []byte) (*Pyramid, error) {
 					if r.err != nil {
 						break
 					}
-					if f == "" || (len(e.Facets) > 0 && f <= e.Facets[len(e.Facets)-1]) {
-						return nil, fmt.Errorf("tiles: document %d facets not strictly ascending", e.Doc)
-					}
 					e.Facets = append(e.Facets, f)
 				}
 			}
 			if r.err != nil {
 				break
 			}
-			if e.Cluster < -1 {
-				return nil, fmt.Errorf("tiles: document %d has cluster %d", e.Doc, e.Cluster)
-			}
 			if !p.Add(e) {
-				return nil, fmt.Errorf("tiles: duplicate or non-finite document %d", e.Doc)
+				return nil, errRefused(e.Doc)
 			}
 			u, v := p.norm(e.X, e.Y)
 			if clampBin(u, n) != int(lx) || clampBin(v, n) != int(ly) {

@@ -299,10 +299,15 @@ func Build(cfg Config, b Rect, entries []Entry) (*Pyramid, error) {
 	}
 	for _, e := range entries {
 		if !p.Add(e) {
-			return nil, fmt.Errorf("tiles: duplicate or non-finite document %d", e.Doc)
+			return nil, errRefused(e.Doc)
 		}
 	}
 	return p, nil
+}
+
+// errRefused reports an entry Add refused.
+func errRefused(doc int64) error {
+	return fmt.Errorf("tiles: document %d refused: a duplicate or negative document, non-finite coordinates, a cluster below -1, or facets empty, over 1024 bytes or not strictly ascending", doc)
 }
 
 // Config returns the pyramid's configuration.
@@ -351,14 +356,23 @@ func (p *Pyramid) tileAt(z, x, y int) *Tile {
 }
 
 // Add bins one document into every zoom level. It returns false (and changes
-// nothing) when the document is already a member, its coordinates are not
-// finite or it carries more facets than the codec admits (64).
+// nothing) for an entry Decode would refuse, so every pyramid Add builds
+// round-trips through Encode: a document that is negative or already a
+// member, coordinates that are not finite, a cluster below -1, or facets
+// that are more than the codec admits (64), empty, longer than 1024 bytes or
+// not strictly ascending — a repeated facet would count twice in every tile
+// histogram on the member's path.
 func (p *Pyramid) Add(e Entry) bool {
-	if _, dup := p.loc[e.Doc]; dup || len(e.Facets) > maxEntryFacets {
+	if _, dup := p.loc[e.Doc]; dup || e.Doc < 0 || e.Cluster < -1 || len(e.Facets) > maxEntryFacets {
 		return false
 	}
 	if math.IsNaN(e.X) || math.IsInf(e.X, 0) || math.IsNaN(e.Y) || math.IsInf(e.Y, 0) {
 		return false
+	}
+	for i, f := range e.Facets {
+		if f == "" || len(f) > maxFacetLen || (i > 0 && f <= e.Facets[i-1]) {
+			return false
+		}
 	}
 	m := Member{Doc: e.Doc, X: e.X, Y: e.Y, Cluster: e.Cluster, Time: e.Time}
 	if len(e.Facets) > 0 {

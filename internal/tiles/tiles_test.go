@@ -349,3 +349,74 @@ func TestCodecRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestAddRefusesWhatDecodeRefuses holds Add to the codec's entry rules: an
+// unsorted or repeated facet row (which would count a facet twice in every
+// tile histogram on the member's path), an empty or overlong facet, a
+// cluster below -1, a negative document or a non-finite coordinate is
+// refused and changes nothing, and every pyramid the accepted entries build
+// round-trips through Encode/Decode.
+func TestAddRefusesWhatDecodeRefuses(t *testing.T) {
+	long := string(make([]byte, maxFacetLen+1))
+	refused := []Entry{
+		{Doc: 1, Facets: []string{"src=b", "src=a"}},
+		{Doc: 2, Facets: []string{"src=a", "src=a"}},
+		{Doc: 3, Facets: []string{"", "src=a"}},
+		{Doc: 4, Facets: []string{"src=a", long}},
+		{Doc: 5, Cluster: -2},
+		{Doc: -1},
+		{Doc: 6, X: math.NaN()},
+	}
+	rng := rand.New(rand.NewSource(11))
+	facets := []string{"k=a", "k=b", "lang=en", "lang=fr", "src=s1"}
+	for seed := int64(0); seed < 20; seed++ {
+		p, err := New(Config{MaxZoom: 3, Grid: 2, Exemplars: 2}, testBounds())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range randEntries(40, seed) {
+			if i%4 == 0 {
+				e.Time = rng.Int63n(1 << 30)
+			}
+			// Random rows: sorted and unique when sorted is set, otherwise
+			// drawn in any order with repeats.
+			sorted := rng.Intn(2) == 0
+			for _, f := range facets {
+				if rng.Intn(3) == 0 {
+					e.Facets = append(e.Facets, f)
+				}
+			}
+			if !sorted && len(e.Facets) > 0 {
+				e.Facets = append(e.Facets, e.Facets[rng.Intn(len(e.Facets))])
+				rng.Shuffle(len(e.Facets), func(a, b int) { e.Facets[a], e.Facets[b] = e.Facets[b], e.Facets[a] })
+			}
+			before := p.Encode()
+			ok := p.Add(e)
+			if want := sorted || len(e.Facets) == 0; ok != want {
+				t.Fatalf("seed %d: Add(facets %q) = %v, want %v", seed, e.Facets, ok, want)
+			}
+			if !ok && !reflect.DeepEqual(p.Encode(), before) {
+				t.Fatalf("seed %d: refused Add(facets %q) changed the pyramid", seed, e.Facets)
+			}
+		}
+		for _, e := range refused {
+			e.Doc += 1 << 20 // clear of the random entries' IDs
+			if e.Doc < 1<<20 {
+				e.Doc = -1
+			}
+			if p.Add(e) {
+				t.Fatalf("seed %d: Add(%+v) accepted", seed, e)
+			}
+		}
+		// Decode interns facets in leaf order, not Add order, so the round
+		// trip is held on the canonical bytes.
+		enc := p.Encode()
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("seed %d: a pyramid Add built does not decode: %v", seed, err)
+		}
+		if !reflect.DeepEqual(back.Encode(), enc) {
+			t.Fatalf("seed %d: encode(decode(encode(p))) != encode(p)", seed)
+		}
+	}
+}
