@@ -83,6 +83,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"inspire/internal/cluster"
 	"inspire/internal/core"
@@ -150,12 +151,17 @@ func main() {
 			man.TotalDocs, man.VocabSize, r.NumThemes(), man.NumShards, *replicas)
 		svc = r
 	} else {
-		st, err := loadOrIndex(*storePath, *in, *format, *p)
+		var steps hostSteps
+		st, err := loadOrIndex(*storePath, *in, *format, *p, &steps)
 		if err != nil {
 			fail(err)
 		}
 		if *metaPath != "" {
-			n, err := applyMetaFile(st, *metaPath)
+			var n int
+			err := steps.time("meta", func() (err error) {
+				n, err = applyMetaFile(st, *metaPath)
+				return err
+			})
 			if err != nil {
 				fail(err)
 			}
@@ -164,22 +170,29 @@ func main() {
 		// Partitioned once: the set -save-store persists is the set served.
 		var shardStores []*serve.Store
 		if *shards > 1 {
-			if shardStores, err = st.Shard(*shards); err != nil {
+			err := steps.time("shard", func() (err error) {
+				shardStores, err = st.Shard(*shards)
+				return err
+			})
+			if err != nil {
 				fail(err)
 			}
 		}
 		if *saveStore != "" {
 			if *shards > 1 {
-				if err := serve.SaveSet(*saveStore, shardStores); err != nil {
+				if err := steps.time("save", func() error { return serve.SaveSet(*saveStore, shardStores) }); err != nil {
 					fail(err)
 				}
 				fmt.Printf("persisted %d-shard serving set behind manifest %s\n", *shards, *saveStore)
 			} else {
-				if err := st.SaveFile(*saveStore); err != nil {
+				if err := steps.time("save", func() error { return st.SaveFile(*saveStore) }); err != nil {
 					fail(err)
 				}
 				fmt.Printf("persisted serving store to %s (INSPSTORE4)\n", *saveStore)
 			}
+		}
+		if *in != "" {
+			fmt.Printf("host seconds outside the components:%s\n", steps.line.String())
 		}
 		if *shards > 1 {
 			r, err := serve.NewService(serve.Options{Shards: shardStores, Config: cfg})
@@ -308,9 +321,29 @@ func checkFlags(shards, replicas int, storePath, in string) error {
 	return nil
 }
 
+// hostSteps records the host seconds of the indexing process's steps outside
+// the pipeline's six components, in the order they ran, so that with the
+// per-component line they account for the process's wall time.
+type hostSteps struct{ line strings.Builder }
+
+// add records secs under name.
+func (h *hostSteps) add(name string, secs float64) {
+	fmt.Fprintf(&h.line, " %s %.2f", name, secs)
+}
+
+// time runs fn and records its host seconds under name.
+func (h *hostSteps) time(name string, fn func() error) error {
+	start := time.Now()
+	err := fn()
+	h.add(name, time.Since(start).Seconds())
+	return err
+}
+
 // loadOrIndex resolves the serving store: a persisted file, or one indexing
-// run over the corpus directory.
-func loadOrIndex(storePath, in, format string, p int) (*serve.Store, error) {
+// run over the corpus directory. An indexing run records in steps the corpus
+// read, core.Run's own time outside its six components ("pipeline": set-up
+// and the signature gather), and rank 0's serve.Snapshot.
+func loadOrIndex(storePath, in, format string, p int, steps *hostSteps) (*serve.Store, error) {
 	if storePath != "" {
 		st, err := serve.LoadStoreFile(storePath)
 		if err != nil {
@@ -331,7 +364,11 @@ func loadOrIndex(storePath, in, format string, p int) (*serve.Store, error) {
 	default:
 		return nil, fmt.Errorf("unknown format %q", format)
 	}
-	sources, err := loadSources(in, f)
+	var sources []*corpus.Source
+	err := steps.time("read", func() (err error) {
+		sources, err = loadSources(in, f)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -344,10 +381,13 @@ func loadOrIndex(storePath, in, format string, p int) (*serve.Store, error) {
 		return nil, err
 	}
 	err = w.Run(func(c *cluster.Comm) error {
+		start := time.Now()
 		res, err := core.Run(c, sources, core.Config{CollectSignatures: true})
 		if err != nil {
 			return err
 		}
+		pipeline := time.Since(start).Seconds()
+		start = time.Now()
 		got, err := serve.Snapshot(c, res)
 		if err != nil {
 			return err
@@ -355,6 +395,11 @@ func loadOrIndex(storePath, in, format string, p int) (*serve.Store, error) {
 		if c.Rank() == 0 {
 			st = got
 			fmt.Printf("host seconds per component (rank 0):%s\n", res.HostBreakdown())
+			for _, name := range core.Components {
+				pipeline -= res.HostSeconds[name]
+			}
+			steps.add("pipeline", pipeline)
+			steps.add("snapshot", time.Since(start).Seconds())
 		}
 		return nil
 	})

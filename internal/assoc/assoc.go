@@ -39,31 +39,30 @@ func Build(c *cluster.Comm, fwd *scan.Forward, top *topic.Result, st *stats.Term
 	co := make([]int64, n*m)
 
 	// Scratch, reused per record: distinct majors / topics in the record.
-	var majors, topics []int
+	// seen[t] holds the last record (plus one) that met term t.
+	var majors, topics []int32
 	var pairOps float64
-	seen := make(map[int64]bool)
+	majorRow, topicCol := top.DenseIdx()
+	seen := make([]int, len(majorRow))
 	for r := 0; r < fwd.NumRecords(); r++ {
 		toks := fwd.RecordTokens(r)
 		majors = majors[:0]
 		topics = topics[:0]
 		for _, t := range toks {
-			if seen[t] {
+			if t >= int64(len(majorRow)) || seen[t] == r+1 {
 				continue
 			}
-			seen[t] = true
-			if i, ok := top.MajorIdx[t]; ok {
+			seen[t] = r + 1
+			if i := majorRow[t]; i >= 0 {
 				majors = append(majors, i)
 			}
-			if j, ok := top.TopicIdx[t]; ok {
+			if j := topicCol[t]; j >= 0 {
 				topics = append(topics, j)
 			}
 		}
-		for t := range seen {
-			delete(seen, t)
-		}
 		for _, i := range majors {
 			for _, j := range topics {
-				co[i*m+j]++
+				co[int(i)*m+int(j)]++
 			}
 		}
 		pairOps += float64(len(majors) * len(topics))

@@ -14,8 +14,8 @@ package invert
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"inspire/internal/armci"
 	"inspire/internal/cluster"
@@ -244,7 +244,7 @@ func Invert(c *cluster.Comm, gf *GlobalForward, N int64, termBounds func(rank in
 
 	// --- Pass 1: count distinct (term, doc) pairs per term. -------------
 	myEntries := make(map[int]int64) // load index -> entries
-	sc := &scratch{inDoc: make([]int32, N), inLoad: make([]int32, N)}
+	sc := &scratch{inDoc: make([]int32, N), inLoad: make([]int32, N), mark: make([]uint64, (N+63)/64)}
 	myLoads := claimer.claim(func(li int) {
 		sc.invert(c, gf, li, &loads[li])
 		ix.Counts.ScatterAcc(sc.terms, sc.counts)
@@ -312,8 +312,9 @@ type entry struct{ term, doc, freq int64 }
 // passes. inDoc and inLoad are dense over the vocabulary (8 bytes a term for
 // the pair) and all zero between loads.
 type scratch struct {
-	inDoc  []int32 // frequency of each term in the current document
-	inLoad []int32 // documents of the current load holding each term
+	inDoc  []int32  // frequency of each term in the current document
+	inLoad []int32  // documents of the current load holding each term
+	mark   []uint64 // one bit a vocabulary term, for ordering terms; all zero between loads
 
 	fLo, fLen, fDoc, toks []int64 // the load's slice of the forward index
 	order                 []int64 // the current document's terms, first occurrence first
@@ -366,11 +367,32 @@ func (s *scratch) invert(c *cluster.Comm, gf *GlobalForward, li int, l *Load) {
 		}
 		s.order = s.order[:0]
 	}
-	slices.Sort(s.terms)
+	s.sortTerms()
 	s.counts = sized(s.counts, int64(len(s.terms)))
 	for i, t := range s.terms {
 		s.counts[i] = int64(s.inLoad[t])
 		s.inLoad[t] = 0
+	}
+}
+
+// sortTerms orders terms ascending by a sweep of the vocabulary bitmap over
+// the span the terms cover: linear in the load's terms plus the span's
+// words, which a load's terms fill densely enough to beat sorting them.
+func (s *scratch) sortTerms() {
+	if len(s.terms) < 2 {
+		return
+	}
+	lo, hi := s.terms[0], s.terms[0]
+	for _, t := range s.terms {
+		lo, hi = min(lo, t), max(hi, t)
+		s.mark[t>>6] |= 1 << (t & 63)
+	}
+	s.terms = s.terms[:0]
+	for w := lo >> 6; w <= hi>>6; w++ {
+		for b := s.mark[w]; b != 0; b &= b - 1 {
+			s.terms = append(s.terms, w<<6+int64(bits.TrailingZeros64(b)))
+		}
+		s.mark[w] = 0
 	}
 }
 
@@ -405,6 +427,7 @@ func (ix *Index) finalizeOwned(c *cluster.Comm) {
 	postBase, _ := ix.PostDoc.Distribution(c.Rank())
 	docs := ix.PostDoc.Access()
 	freqs := ix.PostFreq.Access()
+	var ms mergeSorter
 	var moved int64
 	for i := range counts {
 		n := counts[i]
@@ -414,7 +437,7 @@ func (ix *Index) finalizeOwned(c *cluster.Comm) {
 		lo := offs[i] - postBase
 		d := docs[lo : lo+n]
 		f := freqs[lo : lo+n]
-		sort.Sort(&postingSorter{d, f})
+		ms.sort(d, f)
 		ix.DF[i] = n
 		for _, fv := range f {
 			ix.CF[i] += fv
@@ -424,14 +447,68 @@ func (ix *Index) finalizeOwned(c *cluster.Comm) {
 	c.Clock().Advance(c.Model().InvertCost(float64(moved)))
 }
 
-// postingSorter co-sorts docs and freqs by ascending doc.
-type postingSorter struct{ d, f []int64 }
+// mergeSorter co-sorts a term's postings by ascending document. They arrive
+// as ascending runs, as a rule one per contributing load, in whatever order
+// the loads reserved their slots, so a bottom-up merge of the runs found is
+// linear when there is one run and n·log(runs) in general. Documents are distinct
+// within a term, so every ordering method gives the same result.
+type mergeSorter struct {
+	bounds     []int   // run starts, then len(d)
+	bufD, bufF []int64 // the other side of each merge pass
+}
 
-func (p *postingSorter) Len() int           { return len(p.d) }
-func (p *postingSorter) Less(i, j int) bool { return p.d[i] < p.d[j] }
-func (p *postingSorter) Swap(i, j int) {
-	p.d[i], p.d[j] = p.d[j], p.d[i]
-	p.f[i], p.f[j] = p.f[j], p.f[i]
+func (ms *mergeSorter) sort(d, f []int64) {
+	ms.bounds = append(ms.bounds[:0], 0)
+	for i := 1; i < len(d); i++ {
+		if d[i] < d[i-1] {
+			ms.bounds = append(ms.bounds, i)
+		}
+	}
+	if len(ms.bounds) == 1 {
+		return
+	}
+	ms.bounds = append(ms.bounds, len(d))
+	ms.bufD = slices.Grow(ms.bufD[:0], len(d))[:len(d)]
+	ms.bufF = slices.Grow(ms.bufF[:0], len(d))[:len(d)]
+	srcD, srcF, dstD, dstF := d, f, ms.bufD, ms.bufF
+	for len(ms.bounds) > 2 {
+		// Merge runs pairwise; a last odd run is copied across.
+		merged := ms.bounds[:0]
+		for k := 0; k+1 < len(ms.bounds); k += 2 {
+			lo, mid, hi := ms.bounds[k], ms.bounds[k+1], ms.bounds[k+1]
+			if k+2 < len(ms.bounds) {
+				hi = ms.bounds[k+2]
+			}
+			merge(dstD[lo:hi], dstF[lo:hi], srcD[lo:mid], srcF[lo:mid], srcD[mid:hi], srcF[mid:hi])
+			merged = append(merged, lo)
+		}
+		ms.bounds = append(merged, len(d))
+		srcD, srcF, dstD, dstF = dstD, dstF, srcD, srcF
+	}
+	if &srcD[0] != &d[0] {
+		copy(d, srcD)
+		copy(f, srcF)
+	}
+}
+
+// merge writes the ascending merge of runs a and b (docs with their freqs)
+// to d, f.
+func merge(d, f, aD, aF, bD, bF []int64) {
+	i, j, k := 0, 0, 0
+	for i < len(aD) && j < len(bD) {
+		if bD[j] < aD[i] {
+			d[k], f[k] = bD[j], bF[j]
+			j++
+		} else {
+			d[k], f[k] = aD[i], aF[i]
+			i++
+		}
+		k++
+	}
+	n := copy(d[k:], aD[i:])
+	copy(f[k:], aF[i:])
+	copy(d[k+n:], bD[j:])
+	copy(f[k+n:], bF[j:])
 }
 
 // createTermArray creates an int64 global array partitioned by the dense

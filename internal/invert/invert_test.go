@@ -2,6 +2,7 @@ package invert
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
@@ -617,4 +618,67 @@ func oracleInvertLoad(c *cluster.Comm, gf *GlobalForward, l *Load) []entry {
 		flush(curDoc)
 	}
 	return out
+}
+
+// TestMergeSorterOrdersPostings holds finalizeOwned's run merge to a plain
+// sort: postings made of ascending runs in any order, a random permutation
+// (every element its own run), one run, and one posting.
+func TestMergeSorterOrdersPostings(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var ms mergeSorter
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(200)
+		docs := rng.Perm(4 * n)[:n]
+		switch trial % 3 {
+		case 0: // ascending runs, shuffled as loads reserve them
+			slices.Sort(docs)
+			var runs [][]int
+			for len(docs) > 0 {
+				k := 1 + rng.Intn(len(docs))
+				runs, docs = append(runs, docs[:k]), docs[k:]
+			}
+			rng.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
+			docs = slices.Concat(runs...)
+		case 1:
+			slices.Sort(docs)
+		}
+		d := make([]int64, n)
+		f := make([]int64, n)
+		want := make([]refPosting, n)
+		for i, doc := range docs {
+			d[i], f[i] = int64(doc), int64(rng.Intn(9)+1)
+			want[i] = refPosting{d[i], f[i]}
+		}
+		slices.SortFunc(want, func(a, b refPosting) int { return int(a.Doc - b.Doc) })
+		ms.sort(d, f)
+		for i := range want {
+			if d[i] != want[i].Doc || f[i] != want[i].Freq {
+				t.Fatalf("trial %d: posting %d is (%d,%d), want %v", trial, i, d[i], f[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSortTermsMatchesSort holds the bitmap sweep to a sort, from loads of
+// a few terms spread over the vocabulary to loads that fill it, and checks
+// the bitmap is left clear.
+func TestSortTermsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n = 5000
+	s := &scratch{mark: make([]uint64, (n+63)/64)}
+	for trial := 0; trial < 300; trial++ {
+		k := rng.Intn(n / (1 + trial%50))
+		s.terms = s.terms[:0]
+		for _, t := range rng.Perm(n)[:k] {
+			s.terms = append(s.terms, int64(t))
+		}
+		want := slices.Sorted(slices.Values(s.terms))
+		s.sortTerms()
+		if !slices.Equal(s.terms, want) {
+			t.Fatalf("trial %d: sortTerms gave %v, want %v", trial, s.terms, want)
+		}
+		if i := slices.IndexFunc(s.mark, func(w uint64) bool { return w != 0 }); i >= 0 {
+			t.Fatalf("trial %d: mark word %d left set", trial, i)
+		}
+	}
 }

@@ -192,14 +192,25 @@ func seed(c *cluster.Comm, vecs [][]float64, docIDs []int64, k, m int) [][]float
 	}
 	centroids = append(centroids, clone(chosen.Vec))
 
+	// minD[r] is point r's squared distance to its nearest chosen centroid:
+	// each round measures only the newest centroid. The charge stays that of
+	// measuring every chosen centroid, the machine model's kernel.
+	minD := make([]float64, len(vecs))
+	for r := range minD {
+		minD[r] = math.Inf(1)
+	}
 	for len(centroids) < k {
 		far := cand{Dist: -1, Doc: math.MaxInt64}
+		newest := centroids[len(centroids)-1]
 		var flops float64
 		for r, v := range vecs {
 			if v == nil {
 				continue
 			}
-			_, d := nearest(centroids, v)
+			if d := dist(newest, v); d < minD[r] {
+				minD[r] = d
+			}
+			d := minD[r]
 			flops += float64(3 * m * len(centroids))
 			if d > far.Dist || (d == far.Dist && docIDs[r] < far.Doc) {
 				far = cand{Dist: d, Doc: docIDs[r], Vec: v}
@@ -215,20 +226,53 @@ func seed(c *cluster.Comm, vecs [][]float64, docIDs []int64, k, m int) [][]float
 	return centroids
 }
 
-// nearest returns the index and squared distance of the closest centroid.
+// nearest returns the index and squared distance of the closest centroid,
+// the first on a tie. It measures four centroids per pass over v; each
+// distance is still its own sum in index order, so every one is bit for bit
+// what dist returns.
 func nearest(centroids [][]float64, v []float64) (int, float64) {
 	best, bestD := 0, math.Inf(1)
-	for j, ctr := range centroids {
-		var d float64
+	j := 0
+	for ; j+4 <= len(centroids); j += 4 {
+		c0, c1, c2, c3 := centroids[j][:len(v)], centroids[j+1][:len(v)], centroids[j+2][:len(v)], centroids[j+3][:len(v)]
+		var d0, d1, d2, d3 float64
 		for i, x := range v {
-			diff := x - ctr[i]
-			d += diff * diff
+			e0, e1, e2, e3 := x-c0[i], x-c1[i], x-c2[i], x-c3[i]
+			d0 += e0 * e0
+			d1 += e1 * e1
+			d2 += e2 * e2
+			d3 += e3 * e3
 		}
-		if d < bestD {
+		if d0 < bestD {
+			best, bestD = j, d0
+		}
+		if d1 < bestD {
+			best, bestD = j+1, d1
+		}
+		if d2 < bestD {
+			best, bestD = j+2, d2
+		}
+		if d3 < bestD {
+			best, bestD = j+3, d3
+		}
+	}
+	for ; j < len(centroids); j++ {
+		if d := dist(centroids[j], v); d < bestD {
 			best, bestD = j, d
 		}
 	}
 	return best, bestD
+}
+
+// dist returns the squared distance between c and v, summed in index order.
+func dist(c, v []float64) float64 {
+	c = c[:len(v)]
+	var d float64
+	for i, x := range v {
+		diff := x - c[i]
+		d += diff * diff
+	}
+	return d
 }
 
 func addInto(dst, v []float64) {

@@ -3,6 +3,7 @@ package scan
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"inspire/internal/cluster"
 	"inspire/internal/corpus"
@@ -58,8 +59,25 @@ func (f *Forward) RecordTokens(r int) []int64 {
 // forward index and populating the global vocabulary. Every unique term
 // encountered is inserted into the distributed hashmap, which hands back its
 // global term ID (an RPC to the term's owner on first sight, cached after).
+//
+// Each raw token costs one lookup in a rank-local table (termTable) that
+// maps it to its provisional ID, or to dropped (stopword, number, out of
+// length bounds). Only a raw token the rank has not seen is folded and
+// classified, so the hashmap is reached once per new term per rank, in
+// first-occurrence order, exactly as a per-token Insert would reach its
+// owner.
 func Scan(c *cluster.Comm, vocab *dhash.Map, mySources []*corpus.Source, cfg TokenizerConfig) (*Forward, error) {
+	cfg = cfg.withDefaults()
 	fwd := &Forward{RecordOffsets: []int64{0}}
+	var size int64
+	for _, src := range mySources {
+		size += src.Size()
+	}
+	// A kept token takes at least six bytes of source in most text; the
+	// stream grows past this guess only on denser text.
+	fwd.Tokens = make([]int64, 0, size/6)
+	var ids termTable
+	var buf []byte
 	for _, src := range mySources {
 		recs, err := corpus.Parse(src)
 		if err != nil {
@@ -70,9 +88,24 @@ func Scan(c *cluster.Comm, vocab *dhash.Map, mySources []*corpus.Source, cfg Tok
 			fwd.RecordIDs = append(fwd.RecordIDs, rec.ID)
 			for _, fl := range rec.Fields {
 				lo := int64(len(fwd.Tokens))
-				ForEachToken(fl.Text, cfg, func(term string) {
-					fwd.Tokens = append(fwd.Tokens, vocab.Insert(term))
-				})
+				toks := tokens{text: fl.Text}
+				for {
+					tok, ascii, ok := toks.next()
+					if !ok {
+						break
+					}
+					id, seen := ids.get(tok)
+					if !seen {
+						id = dropped
+						if term, keep := cfg.term(tok, ascii, &buf); keep {
+							id = vocab.Insert(strings.Clone(term))
+						}
+						ids.put(tok, id)
+					}
+					if id != dropped {
+						fwd.Tokens = append(fwd.Tokens, id)
+					}
+				}
 				hi := int64(len(fwd.Tokens))
 				fwd.Fields = append(fwd.Fields, FieldSpan{Record: localRec, Name: fl.Name, Lo: lo, Hi: hi})
 			}
@@ -89,6 +122,10 @@ func Scan(c *cluster.Comm, vocab *dhash.Map, mySources []*corpus.Source, cfg Tok
 	}
 	return fwd, nil
 }
+
+// dropped marks a raw token in Scan's table that yields no term.
+// Provisional IDs are never negative.
+const dropped = -1
 
 // RemapDense rewrites the token stream from provisional to dense vocabulary
 // IDs after vocab.Finalize. One linear pass; charged at the token-walk rate.

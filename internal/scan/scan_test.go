@@ -185,21 +185,14 @@ func TestScanTokensMatchDirectTokenization(t *testing.T) {
 		"the quick brown fox jumps over the lazy dog",
 	}
 	src := corpus.FromTexts("unit", docs)
-	fwds := scanWorld(t, 2, []*corpus.Source{src})
-	var all *Forward
-	for _, f := range fwds {
-		if f.NumRecords() > 0 {
-			all = f
-		}
-	}
-	if all == nil || all.NumRecords() != 3 {
-		t.Fatalf("records not scanned together: %+v", fwds)
+	got := scanTerms(t, 2, []*corpus.Source{src}, TokenizerConfig{})
+	if len(got) != 3 {
+		t.Fatalf("scanned %d records, want 3", len(got))
 	}
 	for i, d := range docs {
-		want := Tokenize(d, TokenizerConfig{})
-		got := all.RecordTokens(i)
-		if len(got) != len(want) {
-			t.Fatalf("record %d: %d tokens, want %d", i, len(got), len(want))
+		id := fmt.Sprintf("unit-%06d", i+1)
+		if want := Tokenize(d, TokenizerConfig{}); !reflect.DeepEqual(got[id], [][]string{want}) {
+			t.Fatalf("record %d: scanned terms %q, want %q", i, got[id], want)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package scan
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenizerConfig controls term extraction. The zero value selects the
@@ -74,9 +75,121 @@ func isDelim(r rune) bool {
 	return r != '\'' && r != '-'
 }
 
+// tokenByte[b] reports, for an ASCII byte b, that it continues a token: the
+// byte-level form of !isDelim, so ASCII text is split without decoding.
+var tokenByte = func() (t [utf8.RuneSelf]bool) {
+	for b := range t {
+		t[b] = !isDelim(rune(b))
+	}
+	return t
+}()
+
+// tokens walks the raw tokens of a text: the maximal runs of non-delimiter
+// runes, before any folding or dropping. Bytes that are not valid UTF-8
+// decode to utf8.RuneError, a delimiter, exactly as ranging over the string
+// does. It is the one token loop: ForEachToken and Scan both read it.
+type tokens struct {
+	text string
+	pos  int
+}
+
+// next returns the next raw token and whether it is all ASCII; ok is false
+// at the end of the text.
+func (t *tokens) next() (tok string, ascii, ok bool) {
+	text, i := t.text, t.pos
+	for i < len(text) {
+		if b := text[i]; b < utf8.RuneSelf {
+			if tokenByte[b] {
+				break
+			}
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(text[i:])
+		if !isDelim(r) {
+			break
+		}
+		i += n
+	}
+	start := i
+	ascii = true
+	for i < len(text) {
+		if b := text[i]; b < utf8.RuneSelf {
+			if !tokenByte[b] {
+				break
+			}
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(text[i:])
+		if isDelim(r) {
+			break
+		}
+		ascii = false
+		i += n
+	}
+	t.pos = i
+	return text[start:i], ascii, i > start
+}
+
+// term folds a raw token to its indexed term, or reports keep = false when
+// the config drops it: outside [MinLen, MaxLen] bytes raw, shorter than
+// MinLen folded, all digits, or a stopword. An ASCII token is folded over
+// bytes, in buf when it has capitals, and allocates only a kept term with
+// capitals; any other token goes through NormalizeTerm. cfg must have its
+// defaults applied.
+func (cfg *TokenizerConfig) term(tok string, ascii bool, buf *[]byte) (term string, keep bool) {
+	if len(tok) < cfg.MinLen || len(tok) > cfg.MaxLen {
+		return "", false
+	}
+	if !ascii {
+		term = NormalizeTerm(tok)
+		if len(term) < cfg.MinLen || !cfg.KeepNumbers && allDigits(term) || cfg.Stopwords[term] {
+			return "", false
+		}
+		return term, true
+	}
+	// ToLower leaves ' and - alone, so trimming first folds the same.
+	lo, hi := 0, len(tok)
+	for lo < hi && (tok[lo] == '\'' || tok[lo] == '-') {
+		lo++
+	}
+	for hi > lo && (tok[hi-1] == '\'' || tok[hi-1] == '-') {
+		hi--
+	}
+	tok = tok[lo:hi]
+	if len(tok) < cfg.MinLen {
+		return "", false
+	}
+	upper := false
+	for i := 0; i < len(tok); i++ {
+		if 'A' <= tok[i] && tok[i] <= 'Z' {
+			upper = true
+			break
+		}
+	}
+	if !upper {
+		if !cfg.KeepNumbers && allDigits(tok) || cfg.Stopwords[tok] {
+			return "", false
+		}
+		return tok, true
+	}
+	// A token with a capital letter is not all digits.
+	b := append((*buf)[:0], tok...)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + ('a' - 'A')
+		}
+	}
+	*buf = b
+	if cfg.Stopwords[string(b)] {
+		return "", false
+	}
+	return string(b), true
+}
+
 // Tokenize splits text into lowercased terms according to the config.
 func Tokenize(text string, cfg TokenizerConfig) []string {
-	cfg = cfg.withDefaults()
 	var out []string
 	ForEachToken(text, cfg, func(term string) {
 		out = append(out, term)
@@ -84,40 +197,21 @@ func Tokenize(text string, cfg TokenizerConfig) []string {
 	return out
 }
 
-// ForEachToken streams the terms of text without building a slice; the scan
-// hot path uses this form.
+// ForEachToken streams the terms of text without building a slice. Every
+// term it hands fn is an immutable string fn may keep.
 func ForEachToken(text string, cfg TokenizerConfig, fn func(term string)) {
 	cfg = cfg.withDefaults()
-	start := -1
-	flush := func(end int) {
-		if start < 0 {
+	var buf []byte
+	toks := tokens{text: text}
+	for {
+		tok, ascii, ok := toks.next()
+		if !ok {
 			return
 		}
-		tok := text[start:end]
-		start = -1
-		if len(tok) < cfg.MinLen || len(tok) > cfg.MaxLen {
-			return
-		}
-		tok = NormalizeTerm(tok)
-		if len(tok) < cfg.MinLen {
-			return
-		}
-		if !cfg.KeepNumbers && allDigits(tok) {
-			return
-		}
-		if cfg.Stopwords[tok] {
-			return
-		}
-		fn(tok)
-	}
-	for i, r := range text {
-		if isDelim(r) {
-			flush(i)
-		} else if start < 0 {
-			start = i
+		if term, keep := cfg.term(tok, ascii, &buf); keep {
+			fn(term)
 		}
 	}
-	flush(len(text))
 }
 
 func allDigits(s string) bool {

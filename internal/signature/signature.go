@@ -10,7 +10,7 @@ package signature
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"inspire/internal/assoc"
@@ -49,17 +49,26 @@ func Generate(c *cluster.Comm, fwd *scan.Forward, am *assoc.Matrix) *Signatures 
 		Vecs: make([][]float64, fwd.NumRecords()),
 		Weak: make([]bool, fwd.NumRecords()),
 	}
-	counts := make(map[int]int64) // major row -> in-record frequency
+	majorRow, _ := am.Topics.DenseIdx()
+	counts := make([]int64, am.N) // major row -> in-record frequency
+	var rows []int32              // the record's major rows, first occurrence first
 	var flops, tokens float64
 	for r := 0; r < fwd.NumRecords(); r++ {
 		toks := fwd.RecordTokens(r)
 		tokens += float64(len(toks))
+		rows = rows[:0]
 		for _, t := range toks {
-			if i, ok := am.Topics.MajorIdx[t]; ok {
+			if t >= int64(len(majorRow)) {
+				continue
+			}
+			if i := majorRow[t]; i >= 0 {
+				if counts[i] == 0 {
+					rows = append(rows, i)
+				}
 				counts[i]++
 			}
 		}
-		if len(counts) == 0 {
+		if len(rows) == 0 {
 			sig.NullLocal++
 			sig.WeakLocal++
 			sig.Weak[r] = true
@@ -67,22 +76,18 @@ func Generate(c *cluster.Comm, fwd *scan.Forward, am *assoc.Matrix) *Signatures 
 		}
 		// Accumulate rows in ascending major order: float addition is not
 		// associative, so a fixed order keeps signatures bit-identical
-		// across runs regardless of map iteration order.
-		rows := make([]int, 0, len(counts))
-		for i := range counts {
-			rows = append(rows, i)
-		}
-		sort.Ints(rows)
+		// across runs and against the record's token order.
+		slices.Sort(rows)
 		vec := make([]float64, m)
 		var mass float64
 		for _, i := range rows {
-			row := am.Row(i)
+			row := am.Row(int(i))
 			w := float64(counts[i])
 			for j, v := range row {
 				vec[j] += w * v
 				mass += w * v
 			}
-			delete(counts, i)
+			counts[i] = 0
 		}
 		// Real work: one row-accumulate per distinct major (2 flops per
 		// component) plus the normalization pass.

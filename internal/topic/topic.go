@@ -34,6 +34,30 @@ func (r *Result) N() int { return len(r.Majors) }
 // M returns the number of topics (signature dimensionality).
 func (r *Result) M() int { return len(r.Topics) }
 
+// DenseIdx returns MajorIdx and TopicIdx as tables indexed by term ID, for
+// per-token lookups in the pipeline's hot loops: major[t] is term t's row,
+// topic[t] its column, and -1 means it has none. Both tables end after the
+// largest term ID either map holds; a larger ID is neither.
+func (r *Result) DenseIdx() (major, topic []int32) {
+	var n int64
+	for _, m := range []map[int64]int{r.MajorIdx, r.TopicIdx} {
+		for t := range m {
+			n = max(n, t+1)
+		}
+	}
+	major, topic = make([]int32, n), make([]int32, n)
+	for t := range major {
+		major[t], topic[t] = -1, -1
+	}
+	for t, i := range r.MajorIdx {
+		major[t] = int32(i)
+	}
+	for t, j := range r.TopicIdx {
+		topic[t] = int32(j)
+	}
+	return major, topic
+}
+
 // Topicality scores how strongly a term's occurrences clump into few
 // documents, following Bookstein, Klein and Raita's serial-clustering
 // observation that content-bearing words are "bursty" while function words
